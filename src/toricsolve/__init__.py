@@ -14,6 +14,7 @@ from .errors import (
     RankAmbiguousError,
     ClusteringError,
     RecoveryError,
+    SpanError,
 )
 from .lattice import (
     Polytope,
@@ -40,7 +41,6 @@ from .cox import (
     HomogeneousSystem,
     graded_basis,
     homogenize,
-    dehomogenize,
 )
 from .regularity import (
     Provenance,

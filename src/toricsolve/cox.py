@@ -1,4 +1,4 @@
-"""Graded pieces of the Cox ring and Laurent <-> homogeneous transfer.
+"""Graded pieces of the Cox ring and Laurent -> homogeneous transfer.
 
 The Cox ring of a complete toric variety has one variable per ray of its
 fan and is graded by the class group.  For a divisor representative
@@ -17,17 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .lattice import Polytope, dot, solve_rational
-from .toric import DivisorClass, Fan, divisor_of_polytope, dual_cone_hilbert_basis
+from .lattice import Polytope, dot
+from .toric import DivisorClass, Fan, divisor_of_polytope
 
 __all__ = [
     "GradedBasis",
     "CoxPolynomial",
     "HomogeneousSystem",
-    "ChartExpansion",
     "graded_basis",
     "homogenize",
-    "dehomogenize",
 ]
 
 
@@ -106,6 +104,8 @@ class CoxPolynomial:
                 f"coefficient vector has length {coeffs.shape}, "
                 f"basis has {len(basis)} monomials"
             )
+        if not np.isfinite(coeffs).all():
+            raise InputError("coefficients must be finite (found NaN or inf)")
         self.basis = basis
         self.coeffs = coeffs
 
@@ -169,16 +169,14 @@ class HomogeneousSystem:
             unless an explicit ray order was supplied).
         polys: CoxPolynomial per equation.
         degrees: DivisorClass per equation (tight representatives).
-        laurent_source: the input Laurent terms, kept for reporting.
     """
 
-    __slots__ = ("fan", "polys", "degrees", "laurent_source")
+    __slots__ = ("fan", "polys", "degrees")
 
-    def __init__(self, fan, polys, degrees, laurent_source=None):
+    def __init__(self, fan, polys, degrees):
         self.fan = fan
         self.polys = list(polys)
         self.degrees = list(degrees)
-        self.laurent_source = laurent_source
 
     @property
     def n(self):
@@ -269,116 +267,4 @@ def homogenize(equations, rays=None):
             coeffs[pos] = c
         polys.append(CoxPolynomial(basis, coeffs))
         degrees.append(div)
-    source = [sorted(terms.items()) for terms in merged]
-    return HomogeneousSystem(fan, polys, degrees, laurent_source=source)
-
-
-class ChartExpansion:
-    """A homogeneous polynomial written on one affine chart of the fan.
-
-    The chart of a full-dimensional simplicial cone sigma is Spec of the
-    semigroup algebra on sigma-dual lattice points; its coordinates
-    y_1, ..., y_r are the Hilbert basis generators of that semigroup.
-
-    Attributes:
-        cone: the ray index tuple.
-        zero: True when the graded piece maps to zero on this chart (no
-            integral chart vertex m_sigma exists for the degree).
-        generators: Hilbert basis of the dual semigroup, lex sorted.
-        terms: (exponent-over-generators, coefficient) pairs, lex sorted.
-        m_sigma: the chart vertex in M, or None when zero.
-    """
-
-    __slots__ = ("cone", "zero", "generators", "terms", "m_sigma")
-
-    def __init__(self, cone, zero, generators, terms, m_sigma):
-        self.cone = cone
-        self.zero = zero
-        self.generators = generators
-        self.terms = terms
-        self.m_sigma = m_sigma
-
-    def __repr__(self):
-        if self.zero:
-            return "ChartExpansion(0)"
-        parts = []
-        for e, c in self.terms:
-            mon = "*".join(f"y{j + 1}^{p}" if p > 1 else f"y{j + 1}"
-                           for j, p in enumerate(e) if p) or "1"
-            parts.append(f"({c:.3g})*{mon}")
-        return " + ".join(parts) if parts else "0"
-
-
-def _semigroup_decompose(w, gens, rays):
-    """Write w as an N-combination of gens, fewest factors then lex-least.
-
-    Deterministic: among all decompositions the one minimizing
-    (total factor count, exponent tuple) is returned. Every w in the dual
-    cone decomposes since gens is a Hilbert basis.
-    """
-    zero_exp = tuple(0 for _ in gens)
-    memo = {}
-
-    def rec(v):
-        if all(x == 0 for x in v):
-            return zero_exp
-        if v in memo:
-            return memo[v]
-        best = None
-        for i, g in enumerate(gens):
-            v2 = tuple(a - b for a, b in zip(v, g))
-            if any(dot(u, v2) < 0 for u in rays):
-                continue
-            sub = rec(v2)
-            if sub is None:
-                continue
-            e = list(sub)
-            e[i] += 1
-            e = tuple(e)
-            if best is None or (sum(e), e) < (sum(best), best):
-                best = e
-        memo[v] = best
-        return best
-
-    return rec(tuple(w))
-
-
-def dehomogenize(f, cone):
-    """Restrict a homogeneous polynomial to the affine chart of a cone.
-
-    Divides f by the chart monomial x^(F^T m_sigma + a), which is the
-    unique degree-alpha monomial restricting to 1 on the chart, then
-    expands the quotient in the chart coordinates.
-
-    Args:
-        f: CoxPolynomial.
-        cone: ray index tuple of a full-dimensional simplicial cone.
-
-    Returns:
-        ChartExpansion; .zero is True when the whole graded piece
-        restricts to zero on this chart (no integral m_sigma).
-    """
-    fan = f.basis.fan
-    cone = tuple(sorted(int(j) for j in cone))
-    rays = [fan.rays[j] for j in cone]
-    gens = dual_cone_hilbert_basis(fan, cone)
-    a = f.degree.a
-    sol = solve_rational(rays, [-a[j] for j in cone])
-    if sol is None:
-        raise InputError(f"cone {cone} rays are inconsistent")
-    m_sigma, kernel = sol
-    if kernel or any(x.denominator != 1 for x in m_sigma):
-        return ChartExpansion(cone, True, gens, (), None)
-    m_sigma = tuple(int(x) for x in m_sigma)
-
-    terms = []
-    for m, c in zip(f.basis.lattice_points, f.coeffs):
-        if c == 0:
-            continue
-        w = tuple(mi - si for mi, si in zip(m, m_sigma))
-        exp = _semigroup_decompose(w, gens, rays)
-        if exp is None:  # cannot happen: w lies in the dual cone
-            raise InputError(f"lattice point {m} is outside the chart semigroup")
-        terms.append((exp, complex(c)))
-    terms.sort(key=lambda t: t[0])
-    return ChartExpansion(cone, False, gens, tuple(terms), m_sigma)
+    return HomogeneousSystem(fan, polys, degrees)

@@ -39,6 +39,14 @@ __all__ = [
     "schur_cluster",
 ]
 
+# least ratio of the singular values straddling the rank cut
+GAP_RATIO = 1e3
+# condition limit on the restricted N_{h_0}, and extra h_0 draws allowed
+COND_MAX = 1e8
+RETRIES_MAX = 3
+# largest relative below-block-diagonal norm a clustering may leave
+LEAK_TOL = 1e-6
+
 
 def _as_divisor(fan, deg):
     if isinstance(deg, DivisorClass):
@@ -148,18 +156,17 @@ class CokernelMap:
         return f"CokernelMap(delta_plus={self.delta_plus})"
 
 
-def cokernel(res, tol_rank=None, gap_ratio=1e3):
+def cokernel(res):
     """Compute the cokernel of Res by SVD with a guarded rank decision.
 
-    The rank is the number of singular values above tol_rank * sigma_1 and
+    The rank is the number of singular values above res.tol_rank * sigma_1 and
     the corank is counted against the row dimension, so a matrix with few
     columns exposes its structural cokernel too.
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
-            by less than gap_ratio, so the corank is not trustworthy.
+            by less than GAP_RATIO, so the corank is not trustworthy.
     """
-    tol = res.tol_rank if tol_rank is None else tol_rank
     A = res.matrix
     nrows = A.shape[0]
     if A.shape[1] == 0:
@@ -167,14 +174,14 @@ def cokernel(res, tol_rank=None, gap_ratio=1e3):
                            np.zeros(0), res)
     full = A.shape[0] > A.shape[1]
     U, s, _ = np.linalg.svd(A, full_matrices=full)
-    rank = 0 if s[0] == 0.0 else int(np.sum(s > tol * s[0]))
+    rank = 0 if s[0] == 0.0 else int(np.sum(s > res.tol_rank * s[0]))
     if 0 < rank < len(s):
         ratio = np.inf if s[rank] == 0.0 else s[rank - 1] / s[rank]
-        if ratio < gap_ratio:
+        if ratio < GAP_RATIO:
             raise RankAmbiguousError(
                 f"ambiguous rank: singular values {s[rank - 1]:.3e} and "
                 f"{s[rank]:.3e} straddle the corank cut with ratio "
-                f"{ratio:.1e} < {gap_ratio:.0e}"
+                f"{ratio:.1e} < {GAP_RATIO:.0e}"
             )
     delta_plus = nrows - rank
     N = U[:, rank:].conj().T
@@ -188,22 +195,20 @@ class MultiplicationFamily:
         matrices: {exponent tuple of x^b: delta_plus x delta_plus matrix},
             in the monomial order of S_alpha0.
         basis_columns: indices into the S_alpha basis selected by pivoted
-            QR, or None when the SVD subspace selector was used.
-        Mh0_inv_factor: LU factorization of the restricted N_{h_0}.
+            QR.
         h0_coeffs: coefficients of the random h_0 over S_alpha0.
         alpha_basis / alpha0_basis: the GradedBasis pair used.
         delta_plus: matrix dimension.
         cond: condition number of the restricted N_{h_0}.
     """
 
-    __slots__ = ("matrices", "basis_columns", "Mh0_inv_factor", "h0_coeffs",
+    __slots__ = ("matrices", "basis_columns", "h0_coeffs",
                  "alpha_basis", "alpha0_basis", "delta_plus", "cond")
 
-    def __init__(self, matrices, basis_columns, Mh0_inv_factor, h0_coeffs,
+    def __init__(self, matrices, basis_columns, h0_coeffs,
                  alpha_basis, alpha0_basis, delta_plus, cond):
         self.matrices = matrices
         self.basis_columns = basis_columns
-        self.Mh0_inv_factor = Mh0_inv_factor
         self.h0_coeffs = h0_coeffs
         self.alpha_basis = alpha_basis
         self.alpha0_basis = alpha0_basis
@@ -226,15 +231,13 @@ class MultiplicationFamily:
                 f"delta_plus={self.delta_plus})")
 
 
-def multiplication_family(cok, system, pair, seed=0, cond_max=1e8,
-                          retries_max=3, basis_select="qr"):
+def multiplication_family(cok, system, pair, seed=0):
     """Build the multiplication matrices from a cokernel at alpha + alpha0.
 
     The monomial maps N_b: S_alpha -> C^delta are exact column gathers of
     N (exponent b + a indexes a monomial of S_{alpha+alpha0}); h_0 is a
     random complex Gaussian combination over S_alpha0, and the invertible
-    restriction is chosen by column-pivoted QR on N_{h_0} (or by its top
-    right-singular subspace with basis_select="svd").
+    restriction is chosen by column-pivoted QR on N_{h_0}.
 
     Args:
         cok: CokernelMap computed at degree alpha + alpha0.
@@ -242,13 +245,10 @@ def multiplication_family(cok, system, pair, seed=0, cond_max=1e8,
         pair: (alpha, alpha0) as DivisorClass or representative vectors,
             or any object with .alpha / .alpha0 attributes.
         seed: seeds the h_0 draw; retries continue the same stream.
-        cond_max: condition limit on the restricted N_{h_0}.
-        retries_max: extra h_0 draws allowed before giving up.
-        basis_select: "qr" for a monomial column subset, "svd" for an
-            orthonormal subspace.
 
     Raises:
-        BasepointError: every h_0 draw was ill-conditioned, which is the
+        BasepointError: every one of the 1 + RETRIES_MAX h_0 draws had a
+            restriction conditioned worse than COND_MAX, which is the
             symptom of alpha0 having basepoints on the solution set.
     """
     fan = system.fan
@@ -265,8 +265,6 @@ def multiplication_family(cok, system, pair, seed=0, cond_max=1e8,
             f"cokernel degree {tuple(rows.degree.a)} does not match "
             f"alpha + alpha0 = {expected}"
         )
-    if basis_select not in ("qr", "svd"):
-        raise InputError(f"unknown basis selector {basis_select!r}")
 
     s_alpha = graded_basis(fan, alpha)
     s_alpha0 = graded_basis(fan, alpha0)
@@ -289,44 +287,33 @@ def multiplication_family(cok, system, pair, seed=0, cond_max=1e8,
     if delta == 0:
         empty = {b: np.zeros((0, 0), dtype=complex) for b in s_alpha0.monomials}
         coeffs = np.zeros(len(s_alpha0), dtype=complex)
-        return MultiplicationFamily(empty, (), None, coeffs,
+        return MultiplicationFamily(empty, (), coeffs,
                                     s_alpha, s_alpha0, 0, 0.0)
 
     # stage-specific substream: the same user seed must not reproduce the
     # h_0 draw in other stages (a Schur driver equal to h_0 separates nothing)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    chosen = None
-    for _ in range(retries_max + 1):
+    for _ in range(RETRIES_MAX + 1):
         coeffs = (rng.standard_normal(len(s_alpha0))
                   + 1j * rng.standard_normal(len(s_alpha0)))
         n_h0 = np.tensordot(coeffs, stack, axes=(0, 0))
-        if basis_select == "qr":
-            _, _, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="economic")
-            columns = tuple(sorted(int(p) for p in piv[:delta]))
-            sub = n_h0[:, columns]
-            project = None
-        else:
-            _, _, vh = np.linalg.svd(n_h0, full_matrices=False)
-            project = vh[:delta].conj().T
-            columns = None
-            sub = n_h0 @ project
+        _, _, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="economic")
+        columns = tuple(sorted(int(p) for p in piv[:delta]))
+        sub = n_h0[:, columns]
         cond = np.linalg.cond(sub)
-        if np.isfinite(cond) and cond <= cond_max:
-            chosen = (coeffs, columns, project, sub, cond)
+        if np.isfinite(cond) and cond <= COND_MAX:
             break
-    if chosen is None:
+    else:
         raise BasepointError(
-            f"no well-conditioned multiplier after {retries_max + 1} draws; "
+            f"no well-conditioned multiplier after {RETRIES_MAX + 1} draws; "
             "alpha0 may have basepoints on the solution set"
         )
-    coeffs, columns, project, sub, cond = chosen
 
     factor = scipy.linalg.lu_factor(sub)
     matrices = {}
     for bexp in s_alpha0.monomials:
-        rhs = nb[bexp][:, columns] if columns is not None else nb[bexp] @ project
-        matrices[bexp] = scipy.linalg.lu_solve(factor, rhs)
-    return MultiplicationFamily(matrices, columns, factor, coeffs,
+        matrices[bexp] = scipy.linalg.lu_solve(factor, nb[bexp][:, columns])
+    return MultiplicationFamily(matrices, columns, coeffs,
                                 s_alpha, s_alpha0, delta, float(cond))
 
 
@@ -356,10 +343,6 @@ class SchurClustering:
         self.cluster_gap = cluster_gap
         self.driver_coeffs = driver_coeffs
         self.leakage_by_member = tuple(leakage_by_member)
-
-    @property
-    def blocks(self):
-        return list(zip(self.block_sizes, self.tables))
 
     def __len__(self):
         return len(self.block_sizes)
@@ -447,7 +430,7 @@ def _reorder(T, Z, labels):
 _GAP_CEILING = 0.1
 
 
-def schur_cluster(family, seed=0, cluster_gap=1e-4, leak_tol=1e-6):
+def schur_cluster(family, seed=0, cluster_gap=1e-4):
     """Cluster the joint spectrum of a multiplication family.
 
     Takes the complex Schur form of a random member M_{h/h_0}, groups
@@ -463,7 +446,7 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4, leak_tol=1e-6):
 
     Raises:
         ClusteringError: some member leaks below the block diagonal by
-            more than leak_tol (relative) at every attempted gap,
+            more than LEAK_TOL (relative) at every attempted gap,
             meaning the clusters do not bound joint invariant subspaces.
     """
     mons = family.monomials
@@ -514,14 +497,14 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4, leak_tol=1e-6):
             for ci, si in enumerate(slices):
                 mu = sizes[ci]
                 tables[ci][bexp] = complex(np.trace(Tb[si, si]) / mu)
-        if leakage <= leak_tol:
+        if leakage <= LEAK_TOL:
             return SchurClustering(Z, tuple(sizes), tuple(tables),
                                    float(leakage), gap, driver_coeffs,
                                    by_member)
         if gap >= _GAP_CEILING:
             raise ClusteringError(
                 f"clustering failed (leakage {leakage:.2e} > "
-                f"{leak_tol:.0e}) at every gap up to {gap:.0e}; "
-                "loosen leak_tol or reseed"
+                f"{LEAK_TOL:.0e}) at every gap up to {gap:.0e}; "
+                "reseed"
             )
         gap = min(gap * 10.0, _GAP_CEILING)

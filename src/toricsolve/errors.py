@@ -14,6 +14,7 @@ __all__ = [
     "RankAmbiguousError",
     "ClusteringError",
     "RecoveryError",
+    "SpanError",
 ]
 
 
@@ -72,3 +73,11 @@ class RecoveryError(ToricSolveError):
 
     exit_code = 6
     stage = "recovery"
+
+
+class SpanError(RecoveryError):
+    """The alpha0 lattice points do not affinely span the character lattice.
+
+    No cluster can be read back as a torus point, so the multiplier
+    degree alpha0 is at fault rather than any one cluster.
+    """

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ClusteringError, RecoveryError
+from .errors import ClusteringError, RecoveryError, SpanError
 from .lattice import dot, integer_kernel, smith_normal_form
 from .toric import boundary_stratum_check
 
@@ -33,6 +33,9 @@ NOISE_CUSHION = 30.0
 # ratios with relative error estimates above this are left out of the solve
 USABLE_ERR = 0.5
 MAX_BRANCHES = 64
+# relative tolerance of the final ratio consistency check, widened per
+# ratio by its own error estimate
+RATIO_TOL = 1e-6
 
 
 class EigenvalueTable:
@@ -135,7 +138,7 @@ def _snf_index(rows):
     return len(nz), idx
 
 
-def _solve_binomials(diffs, ratios, errs, n, ratio_tol, insufficient, inconsistent):
+def _solve_binomials(diffs, ratios, errs, n, insufficient, inconsistent):
     """Solve t^{diffs[i]} = ratios[i] for t in (C*)^n.
 
     diffs are integer vectors; errs are relative error estimates used to
@@ -202,7 +205,7 @@ def _solve_binomials(diffs, ratios, errs, n, ratio_tol, insufficient, inconsiste
         for i in usable:
             pred = np.prod(t ** np.array(diffs[i]))
             rel = abs(pred - ratios[i]) / abs(ratios[i])
-            tol = ratio_tol + 10.0 * errs[i]
+            tol = RATIO_TOL + 10.0 * errs[i]
             if rel > tol:
                 ok = False
                 break
@@ -270,28 +273,26 @@ def _ratio_data(items, noise):
     return diffs, ratios, errs
 
 
-def recover_torus_point(fan, table, ratio_tol=1e-6):
+def recover_torus_point(fan, table):
     """Recover a torus point from one eigenvalue table row.
 
     Args:
         fan: the Fan the system lives on.
         table: EigenvalueTable for the cluster.
-        ratio_tol: relative tolerance for the final ratio consistency
-            check (widened per ratio by its own error estimate).
 
     Returns:
         Solution with on_torus = True.
 
     Raises:
-        RecoveryError: "alpha0 insufficient: lattice points do not
-            affinely span" when the exponent differences cannot determine
-            t, or "cluster is not a torus point" when the usable ratios
-            are rank-deficient or inconsistent.
+        SpanError: the exponent differences of the alpha0 lattice points
+            cannot determine t, whatever the cluster.
+        RecoveryError: "cluster is not a torus point" when the usable
+            ratios are rank-deficient or inconsistent.
     """
     pts = table.basis.lattice_points
     geo = [tuple(x - y for x, y in zip(m, pts[0])) for m in pts[1:]]
     if _snf_index(geo)[0] < fan.n:
-        raise RecoveryError(
+        raise SpanError(
             "alpha0 insufficient: lattice points do not affinely span"
         )
     items = [
@@ -309,7 +310,6 @@ def recover_torus_point(fan, table, ratio_tol=1e-6):
         ratios,
         errs,
         fan.n,
-        ratio_tol,
         insufficient="cluster is not a torus point",
         inconsistent="cluster is not a torus point",
     )
@@ -317,7 +317,7 @@ def recover_torus_point(fan, table, ratio_tol=1e-6):
     return Solution(z, t, table.multiplicity, zero_pattern=())
 
 
-def recover_boundary_point(fan, table, zero_tol=1e-6, ratio_tol=1e-6):
+def recover_boundary_point(fan, table, zero_tol=1e-6):
     """Recover a boundary point: vanishing pattern plus an orbit solve.
 
     A Cox coordinate is declared zero when every basis monomial with a
@@ -380,7 +380,6 @@ def recover_boundary_point(fan, table, zero_tol=1e-6, ratio_tol=1e-6):
         ratios,
         errs,
         nq,
-        ratio_tol,
         insufficient="alpha0 insufficient on orbit",
         inconsistent="inconsistent ratios on the boundary orbit",
     )

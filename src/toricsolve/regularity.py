@@ -64,7 +64,7 @@ class RegularityPair:
         alpha: DivisorClass hosting the eigenvector coordinates.
         alpha0: DivisorClass of the multipliers.
         provenance: Provenance of the construction.
-        verified: None until verify_pair runs, then bool.
+        verified: None until the coranks are recorded, then bool.
         delta_plus: corank of Res at alpha once verified, else None.
         coranks: (corank at alpha, corank at alpha + alpha0) once
             verified, else None.
@@ -98,6 +98,17 @@ class RegularityPair:
     def top(self):
         """alpha + alpha0, the row degree of the solver's Res matrix."""
         return self.alpha + self.alpha0
+
+    def record_coranks(self, lo, hi):
+        """Record the coranks of Res at alpha and at alpha + alpha0.
+
+        Sets coranks and verified, and delta_plus when the two agree.
+        Returns verified.
+        """
+        self.coranks = (lo, hi)
+        self.verified = lo == hi
+        self.delta_plus = lo if self.verified else None
+        return self.verified
 
     def __repr__(self):
         return (
@@ -444,7 +455,7 @@ def user_pair(system, alpha, alpha0):
     return RegularityPair(alpha, alpha0, Provenance.USER_SUPPLIED)
 
 
-def verify_pair(system, pair, tol_rank=1e-8, gap_ratio=1e3):
+def verify_pair(system, pair, tol_rank=1e-8):
     """Numerically verify a pair by comparing coranks of Res.
 
     Assembles Res at alpha and at alpha + alpha0 and checks that the
@@ -455,15 +466,7 @@ def verify_pair(system, pair, tol_rank=1e-8, gap_ratio=1e3):
         RankAmbiguousError: a singular value gap is too shallow to
             trust either corank.
     """
-    lo = cokernel(
-        assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True),
-        gap_ratio=gap_ratio,
-    )
-    hi = cokernel(
-        assemble_res(system, pair.top, tol_rank=tol_rank),
-        gap_ratio=gap_ratio,
-    )
-    pair.coranks = (lo.delta_plus, hi.delta_plus)
-    pair.verified = lo.delta_plus == hi.delta_plus
-    pair.delta_plus = lo.delta_plus if pair.verified else None
+    lo = cokernel(assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True))
+    hi = cokernel(assemble_res(system, pair.top, tol_rank=tol_rank))
+    pair.record_coranks(lo.delta_plus, hi.delta_plus)
     return pair

@@ -9,13 +9,24 @@ error; a single seed drives all randomized choices.
 
 import time
 
-import numpy as np
-
 from .cox import HomogeneousSystem, homogenize
-from .eigensolver import assemble_res, cokernel, multiplication_family, schur_cluster
-from .errors import PairSelectionError, RecoveryError
-from .recovery import EigenvalueTable, recover_boundary_point, recover_torus_point
-from .regularity import RegularityPair, improved_pair, user_pair, verify_pair
+from .eigensolver import (
+    COND_MAX,
+    GAP_RATIO,
+    LEAK_TOL,
+    assemble_res,
+    cokernel,
+    multiplication_family,
+    schur_cluster,
+)
+from .errors import PairSelectionError, RecoveryError, SpanError
+from .recovery import (
+    RATIO_TOL,
+    EigenvalueTable,
+    recover_boundary_point,
+    recover_torus_point,
+)
+from .regularity import RegularityPair, improved_pair, user_pair
 
 __all__ = ["SolutionSet", "solve"]
 
@@ -73,9 +84,8 @@ class SolutionSet:
                 f"torus={len(self.on_torus())}, boundary={len(self.on_boundary())})")
 
 
-def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, gap_ratio=1e3,
-          cond_max=1e8, retries_max=3, cluster_gap=1e-4, leak_tol=1e-6,
-          zero_tol=1e-6, ratio_tol=1e-6, verify=True, basis_select="qr"):
+def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
+          zero_tol=1e-6, verify=True):
     """Solve a sparse (Laurent) polynomial system with finite solution set.
 
     Args:
@@ -85,26 +95,32 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, gap_ratio=1e3,
         pair: None for the automatic improved pair, an (alpha, alpha0)
             tuple of divisor vectors, or a RegularityPair.
         seed: drives the random multiplier h0 and the Schur shuffle.
-        tol_rank, gap_ratio: singular value cutoff and required gap.
-        cond_max, retries_max: basis conditioning guard for h0 retries.
-        cluster_gap, leak_tol: eigenvalue clustering controls.
-        zero_tol, ratio_tol: recovery controls.
+        tol_rank: relative singular value cutoff for the rank of Res.
+        cluster_gap: starting eigenvalue clustering threshold.
+        zero_tol: relative size below which a boundary coordinate
+            counts as zero.
         verify: compare coranks at alpha and alpha + alpha0 before
             committing to the pair (recommended; small extra cost).
-        basis_select: "qr" for pivoted monomial basis, "svd" for an
-            orthonormal projector basis.
+
+    Five thresholds are fixed: the singular value gap GAP_RATIO, the h0
+    conditioning limit COND_MAX with RETRIES_MAX redraws, the block
+    leakage limit LEAK_TOL (all in eigensolver) and the recovery ratio
+    tolerance RATIO_TOL (in recovery). SolutionSet.tolerances records
+    every value the run used, these included.
 
     Returns:
         SolutionSet. Sum of multiplicities equals the corank delta+.
 
     Raises:
         InputError, PairSelectionError, RankAmbiguousError,
-        ClusteringError, RecoveryError: tagged per stage.
+        ClusteringError, RecoveryError: tagged per stage. SpanError, a
+        RecoveryError, when the alpha0 lattice points do not affinely
+        span the character lattice.
     """
     tolerances = {
-        "tol_rank": tol_rank, "gap_ratio": gap_ratio, "cond_max": cond_max,
-        "cluster_gap": cluster_gap, "leak_tol": leak_tol,
-        "zero_tol": zero_tol, "ratio_tol": ratio_tol,
+        "tol_rank": tol_rank, "gap_ratio": GAP_RATIO, "cond_max": COND_MAX,
+        "cluster_gap": cluster_gap, "leak_tol": LEAK_TOL,
+        "zero_tol": zero_tol, "ratio_tol": RATIO_TOL,
     }
     timings = {}
     clock = time.perf_counter
@@ -123,17 +139,12 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, gap_ratio=1e3,
     timings["pair_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    res = assemble_res(system, pair.top, tol_rank=tol_rank)
-    cok = cokernel(res, gap_ratio=gap_ratio)
+    cok = cokernel(assemble_res(system, pair.top, tol_rank=tol_rank))
     if verify:
         lo = cokernel(
-            assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True),
-            gap_ratio=gap_ratio,
+            assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True)
         )
-        pair.coranks = (lo.delta_plus, cok.delta_plus)
-        pair.verified = lo.delta_plus == cok.delta_plus
-        pair.delta_plus = lo.delta_plus if pair.verified else None
-        if not pair.verified:
+        if not pair.record_coranks(lo.delta_plus, cok.delta_plus):
             raise PairSelectionError(
                 f"pair failed corank verification: {lo.delta_plus} at alpha vs "
                 f"{cok.delta_plus} at alpha + alpha0"
@@ -149,16 +160,11 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, gap_ratio=1e3,
                            diagnostics)
 
     t0 = clock()
-    family = multiplication_family(
-        cok, system, pair, seed=seed, cond_max=cond_max,
-        retries_max=retries_max, basis_select=basis_select,
-    )
+    family = multiplication_family(cok, system, pair, seed=seed)
     timings["family_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    clustering = schur_cluster(
-        family, seed=seed, cluster_gap=cluster_gap, leak_tol=leak_tol
-    )
+    clustering = schur_cluster(family, seed=seed, cluster_gap=cluster_gap)
     timings["schur_ms"] = 1e3 * (clock() - t0)
     diagnostics["block_leakage"] = clustering.leakage_by_member
 
@@ -167,14 +173,12 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, gap_ratio=1e3,
     for i in range(len(clustering.block_sizes)):
         table = EigenvalueTable.from_clustering(family, clustering, i)
         try:
-            sol = recover_torus_point(system.fan, table, ratio_tol=ratio_tol)
-        except RecoveryError as exc:
+            sol = recover_torus_point(system.fan, table)
+        except SpanError:
             # spanning failures indict alpha0 itself, not this cluster
-            if "affinely span" in str(exc):
-                raise
-            sol = recover_boundary_point(
-                system.fan, table, zero_tol=zero_tol, ratio_tol=ratio_tol
-            )
+            raise
+        except RecoveryError:
+            sol = recover_boundary_point(system.fan, table, zero_tol=zero_tol)
         sol.residuals = tuple(system.residuals(sol.z))
         solutions.append(sol)
     timings["recover_ms"] = 1e3 * (clock() - t0)

@@ -15,7 +15,6 @@ spaces) is handled exactly.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import InputError
@@ -23,7 +22,6 @@ from .lattice import (
     Polytope,
     dot,
     frac_rank,
-    frac_solve_square,
     integer_kernel,
     primitive,
     smith_normal_form,
@@ -44,7 +42,6 @@ __all__ = [
     "projective_product_structure",
     "weighted_projective_weights",
     "boundary_stratum_check",
-    "dual_cone_hilbert_basis",
 ]
 
 
@@ -442,61 +439,3 @@ def boundary_stratum_check(fan, ray_set):
         return False, False
     simplicial = frac_rank([fan.rays[j] for j in rs]) == len(rs)
     return True, simplicial
-
-
-def dual_cone_hilbert_basis(fan, cone):
-    """Hilbert basis of the dual of a full-dimensional simplicial cone.
-
-    Args:
-        fan: the fan.
-        cone: tuple of ray indices forming a full-dimensional simplicial
-            maximal cone.
-
-    Returns:
-        list of integer tuples generating the dual cone's semigroup of
-        lattice points, sorted lexicographically.
-    """
-    n = fan.n
-    rays = [fan.rays[j] for j in cone]
-    if len(rays) != n or frac_rank(rays) != n:
-        raise InputError("Hilbert basis needs a full-dimensional simplicial cone")
-    # dual generators: w_i with <u_j, w_i> = delta_ij, then made primitive
-    duals = []
-    for i in range(n):
-        rhs = [1 if j == i else 0 for j in range(n)]
-        w = frac_solve_square(rays, rhs)
-        lcm = 1
-        for x in w:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        duals.append(primitive(tuple(int(x * lcm) for x in w)))
-    # every Hilbert basis element lies in the fundamental parallelepiped
-    # sum lambda_i w_i with 0 <= lambda_i <= 1
-    corners = []
-    for mask in range(1 << n):
-        corners.append(
-            tuple(sum(duals[i][c] for i in range(n) if mask >> i & 1) for c in range(n))
-        )
-    los = [min(c[j] for c in corners) for j in range(n)]
-    his = [max(c[j] for c in corners) for j in range(n)]
-    cand = []
-    for m in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        if all(x == 0 for x in m):
-            continue
-        if any(dot(u, m) < 0 for u in rays):
-            continue
-        lam = frac_solve_square([[duals[i][c] for i in range(n)] for c in range(n)], m)
-        if lam is None or any(x < 0 or x > 1 for x in lam):
-            continue
-        cand.append(m)
-    cand_set = set(cand)
-    basis = []
-    for m in cand:
-        reducible = False
-        for q in cand:
-            r = tuple(a - b for a, b in zip(m, q))
-            if q != m and r in cand_set:
-                reducible = True
-                break
-        if not reducible:
-            basis.append(m)
-    return sorted(basis)

@@ -84,6 +84,15 @@ def test_solve_empty_equations_exits_2(tmp_path):
     assert "at least one equation" in res.output
 
 
+def test_solve_nan_coefficient_exits_2(tmp_path):
+    doc = intro_doc()
+    doc["equations"][0]["terms"][1]["coeff"] = [float("nan"), 0.0]
+    path = write_file(tmp_path, doc)
+    res = run("solve", path)
+    assert res.exit_code == 2
+    assert res.output.startswith("error (input): coefficients must be finite")
+
+
 def test_solve_missing_file_exits_2(tmp_path):
     res = run("solve", tmp_path / "nope.json")
     assert res.exit_code == 2

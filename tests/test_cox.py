@@ -1,4 +1,4 @@
-"""Graded bases, homogenization, charts, and evaluation."""
+"""Graded bases, homogenization, and evaluation."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from toricsolve.cox import (
     CoxPolynomial,
     GradedBasis,
-    dehomogenize,
     graded_basis,
     homogenize,
 )
@@ -180,110 +179,6 @@ def test_homogenize_merges_duplicate_terms():
 def test_homogenize_ray_order_mismatch():
     with pytest.raises(InputError):
         homogenize(pillow_laurent(), rays=HIRZEBRUCH_RAYS)
-
-
-# ----------------------------------------------------------------- charts
-
-def test_pillow_chart_expansion():
-    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
-    top = (0, 1)  # cone spanned by (1,1) and (-1,1)
-    g1 = dehomogenize(system.polys[0], top)
-    assert not g1.zero
-    assert g1.generators == [(-1, 1), (0, 1), (1, 1)]
-    assert g1.m_sigma == (0, -1)
-    assert dict(g1.terms) == {
-        (0, 0, 0): -1, (1, 0, 0): 1, (0, 2, 0): 1, (0, 0, 1): 1,
-    }
-    g2 = dehomogenize(system.polys[1], top)
-    assert dict(g2.terms) == {
-        (0, 0, 0): 1, (1, 0, 0): -1, (0, 2, 0): -1, (0, 0, 1): 2,
-    }
-    # the unit combination f1 + f2 = 3 t1 restricts to 3 y3
-    combo = CoxPolynomial(system.polys[0].basis,
-                          system.polys[0].coeffs + system.polys[1].coeffs)
-    assert dict(dehomogenize(combo, top).terms) == {(0, 0, 1): 3}
-
-
-def test_chart_monomial_restricts_to_one():
-    fan = pillow_fan()
-    basis = graded_basis(fan, (1, 1, 1, 1))
-    mono = CoxPolynomial.from_terms(basis, {(0, 0, 2, 2): 1.0})
-    g = dehomogenize(mono, (0, 1))
-    assert dict(g.terms) == {(0, 0, 0): 1}
-
-
-def test_chart_zero_map():
-    # degree [D2 + D4] on the pillow has a half-integral chart vertex
-    fan = pillow_fan()
-    basis = graded_basis(fan, (0, 1, 0, 1))
-    assert len(basis) == 1
-    f = CoxPolynomial(basis, [1.0])
-    g = dehomogenize(f, (0, 1))
-    assert g.zero
-    assert g.terms == ()
-
-
-def test_chart_semigroup_decomposition_prefers_short_monomials():
-    # the four reference monomials of the doubled pillow expand to
-    # y1, y1 y2, y1^2 y2, y1 y2^4 on the top chart; the relation
-    # y2^2 = y1 y3 makes the short form the canonical pick
-    fan = pillow_fan()
-    basis = graded_basis(fan, (3, 3, 3, 3))
-    expected = {
-        (0, 2, 6, 4): (1, 0, 0),
-        (1, 3, 5, 3): (1, 1, 0),
-        (1, 5, 5, 1): (2, 1, 0),
-        (4, 6, 2, 0): (1, 4, 0),
-    }
-    for exp, ys in expected.items():
-        mono = CoxPolynomial.from_terms(basis, {exp: 1.0})
-        g = dehomogenize(mono, (0, 1))
-        assert dict(g.terms) == {ys: 1}
-
-
-def test_chart_round_trip():
-    # expanding on any maximal cone and substituting y_i = t^{g_i}
-    # recovers the Laurent polynomial up to the monomial shift t^{m_sigma}
-    rng = np.random.default_rng(3)
-    eqs = [
-        [(e, complex(c)) for e, c in zip(support, rng.standard_normal(len(support)))]
-        for support in [
-            [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
-            [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
-        ]
-    ]
-    system = homogenize(eqs, rays=HIRZEBRUCH_RAYS)
-    for f, eq in zip(system.polys, eqs):
-        original = {e: c for e, c in eq}
-        for cone in system.fan.max_cones:
-            g = dehomogenize(f, cone)
-            assert not g.zero
-            rebuilt = {}
-            for exps, c in g.terms:
-                m = tuple(
-                    ms + sum(p * gen[i] for p, gen in zip(exps, g.generators))
-                    for i, ms in enumerate(g.m_sigma)
-                )
-                rebuilt[m] = rebuilt.get(m, 0) + c
-            assert set(rebuilt) == set(original)
-            for m, c in original.items():
-                assert rebuilt[m] == pytest.approx(c)
-
-
-def test_chart_round_trip_pillow():
-    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
-    f = system.polys[0]
-    original = dict(pillow_laurent()[0])
-    for cone in system.fan.max_cones:
-        g = dehomogenize(f, cone)
-        rebuilt = {}
-        for exps, c in g.terms:
-            m = tuple(
-                ms + sum(p * gen[i] for p, gen in zip(exps, g.generators))
-                for i, ms in enumerate(g.m_sigma)
-            )
-            rebuilt[m] = rebuilt.get(m, 0) + c
-        assert rebuilt == {m: pytest.approx(c) for m, c in original.items()}
 
 
 # ------------------------------------------------------------- evaluation

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricsolve.cox import graded_basis, homogenize
-from toricsolve.errors import ClusteringError, RecoveryError
+from toricsolve.errors import ClusteringError, InputError, RecoveryError, SpanError
 from toricsolve.lattice import Polytope
 from toricsolve.recovery import (
     EigenvalueTable,
@@ -131,7 +131,7 @@ def test_insufficient_lattice_points():
     fan = hirzebruch_fan()
     # only two collinear lattice points: differences cannot span M
     table = EigenvalueTable(graded_basis(fan, (0, 0, 0, 1)), [1.0, 2.0])
-    with pytest.raises(RecoveryError, match="affinely span"):
+    with pytest.raises(SpanError):
         recover_torus_point(fan, table)
 
 
@@ -247,6 +247,24 @@ def test_solve_deterministic():
     b = solve(pillow_laurent(), rays=PILLOW_RAYS_SOLVE, seed=7)
     assert [s.z for s in a.solutions] == [s.z for s in b.solutions]
     assert [s.zero_pattern for s in a.solutions] == [s.zero_pattern for s in b.solutions]
+
+
+def test_solve_span_failure_is_typed():
+    # alpha0 = [D4] has two collinear lattice points: no cluster can be
+    # read back on the torus, so solve stops instead of trying the boundary
+    with pytest.raises(SpanError) as info:
+        solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS,
+              pair=((2, 2, 0, 0), (0, 0, 0, 1)), verify=False)
+    assert info.value.stage == "recovery"
+    assert info.value.exit_code == 6
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solve_rejects_nonfinite_coefficients(bad):
+    eqs = intro_laurent(1.0)
+    eqs[0][1] = ((1, 0), bad)
+    with pytest.raises(InputError, match="coefficients must be finite"):
+        solve(eqs, rays=HIRZEBRUCH_RAYS, seed=0)
 
 
 def test_solve_27_lines_counts():

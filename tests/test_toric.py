@@ -30,7 +30,6 @@ from toricsolve.toric import (
     boundary_stratum_check,
     cohomology_dims,
     divisor_of_polytope,
-    dual_cone_hilbert_basis,
     irrelevant_generators,
     is_effective,
     is_nef_cartier,
@@ -228,20 +227,6 @@ def test_boundary_stratum_check():
     assert not ok
     ok, simp = boundary_stratum_check(pillow_fan(), [0, 1])
     assert ok and simp
-
-
-def test_hilbert_basis_pillow_chart():
-    fan = pillow_fan()
-    hb = dual_cone_hilbert_basis(fan, (0, 1))
-    # dual of cone{(1,1),(-1,1)}: three generators, the middle one is the
-    # socle element of the quotient singularity
-    assert hb == [(-1, 1), (0, 1), (1, 1)]
-
-
-def test_hilbert_basis_smooth_chart():
-    fan = p2_fan()
-    hb = dual_cone_hilbert_basis(fan, (0, 1))
-    assert hb == [(0, 1), (1, 0)]
 
 
 def test_cone_is_simplicial():
