@@ -197,20 +197,19 @@ class MultiplicationFamily:
         basis_columns: indices into the S_alpha basis selected by pivoted
             QR.
         h0_coeffs: coefficients of the random h_0 over S_alpha0.
-        alpha_basis / alpha0_basis: the GradedBasis pair used.
+        alpha0_basis: GradedBasis of S_alpha0.
         delta_plus: matrix dimension.
         cond: condition number of the restricted N_{h_0}.
     """
 
     __slots__ = ("matrices", "basis_columns", "h0_coeffs",
-                 "alpha_basis", "alpha0_basis", "delta_plus", "cond")
+                 "alpha0_basis", "delta_plus", "cond")
 
     def __init__(self, matrices, basis_columns, h0_coeffs,
-                 alpha_basis, alpha0_basis, delta_plus, cond):
+                 alpha0_basis, delta_plus, cond):
         self.matrices = matrices
         self.basis_columns = basis_columns
         self.h0_coeffs = h0_coeffs
-        self.alpha_basis = alpha_basis
         self.alpha0_basis = alpha0_basis
         self.delta_plus = delta_plus
         self.cond = cond
@@ -287,8 +286,7 @@ def multiplication_family(cok, system, pair, seed=0):
     if delta == 0:
         empty = {b: np.zeros((0, 0), dtype=complex) for b in s_alpha0.monomials}
         coeffs = np.zeros(len(s_alpha0), dtype=complex)
-        return MultiplicationFamily(empty, (), coeffs,
-                                    s_alpha, s_alpha0, 0, 0.0)
+        return MultiplicationFamily(empty, (), coeffs, s_alpha0, 0, 0.0)
 
     # stage-specific substream: the same user seed must not reproduce the
     # h_0 draw in other stages (a Schur driver equal to h_0 separates nothing)
@@ -314,38 +312,33 @@ def multiplication_family(cok, system, pair, seed=0):
     for bexp in s_alpha0.monomials:
         matrices[bexp] = scipy.linalg.lu_solve(factor, nb[bexp][:, columns])
     return MultiplicationFamily(matrices, columns, coeffs,
-                                s_alpha, s_alpha0, delta, float(cond))
+                                s_alpha0, delta, float(cond))
 
 
 class SchurClustering:
     """Joint block triangularization of a multiplication family.
 
     Attributes:
-        U: unitary; U^H M U is block upper triangular for every member.
         block_sizes: cluster multiplicities mu_i, summing to delta_plus.
-        tables: per cluster, {exponent of x^b: Trace(Delta_i^b) / mu_i}.
+        tables: complex array of shape (clusters, len(family.monomials));
+            entry (i, j) is Trace(Delta_i^b) / mu_i for the j-th monomial
+            x^b of family.monomials.
         leakage: largest relative below-block-diagonal norm over members.
         leakage_by_member: that norm for every family member, in
             family.monomials order (diagnostics export).
         cluster_gap: the threshold that produced the clusters.
-        driver_coeffs: coefficients of the random Schur driver.
     """
 
-    __slots__ = ("U", "block_sizes", "tables", "leakage", "cluster_gap",
-                 "driver_coeffs", "leakage_by_member")
+    __slots__ = ("block_sizes", "tables", "leakage", "cluster_gap",
+                 "leakage_by_member")
 
-    def __init__(self, U, block_sizes, tables, leakage, cluster_gap,
-                 driver_coeffs, leakage_by_member=()):
-        self.U = U
+    def __init__(self, block_sizes, tables, leakage, cluster_gap,
+                 leakage_by_member=()):
         self.block_sizes = block_sizes
         self.tables = tables
         self.leakage = leakage
         self.cluster_gap = cluster_gap
-        self.driver_coeffs = driver_coeffs
         self.leakage_by_member = tuple(leakage_by_member)
-
-    def __len__(self):
-        return len(self.block_sizes)
 
     def __repr__(self):
         return (f"SchurClustering(sizes={list(self.block_sizes)}, "
@@ -353,78 +346,49 @@ class SchurClustering:
 
 
 def _cluster_labels(values, gap):
-    """Union-find grouping with |vi - vj| <= gap * (1 + (|vi|+|vj|)/2)."""
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            tol = gap * (1.0 + (abs(values[i]) + abs(values[j])) / 2.0)
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    labels = [find(i) for i in range(n)]
-    order = {}
-    for lab in labels:
-        if lab not in order:
-            order[lab] = len(order)
-    return [order[lab] for lab in labels]
-
-
-def _swap_adjacent(T, Z, i):
-    """Exchange the Schur eigenvalues at positions i, i+1 in place.
-
-    Uses the unitary whose first column is the eigenvector of the 2x2
-    block for the lower eigenvalue; falls back to a plain transposition
-    when the block is (numerically) a repeated scalar.
-    """
-    t11 = T[i, i]
-    t12 = T[i, i + 1]
-    t22 = T[i + 1, i + 1]
-    v0, v1 = t12, t22 - t11
-    nv = np.hypot(abs(v0), abs(v1))
-    scale = abs(t11) + abs(t12) + abs(t22)
-    if nv <= 1e-300 + 1e-15 * scale:
-        G = np.array([[0, 1], [1, 0]], dtype=complex)
-    else:
-        a, b = v0 / nv, v1 / nv
-        G = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-    T[:, i:i + 2] = T[:, i:i + 2] @ G
-    T[i:i + 2, :] = G.conj().T @ T[i:i + 2, :]
-    T[i + 1, i] = 0.0
-    Z[:, i:i + 2] = Z[:, i:i + 2] @ G
+    """Connected components of |vi - vj| <= gap * (1 + (|vi|+|vj|)/2),
+    numbered by first appearance."""
+    mag = np.abs(values)
+    near = (np.abs(values[:, None] - values[None, :])
+            <= gap * (1.0 + (mag[:, None] + mag[None, :]) / 2.0))
+    # min-label propagation: every label stays the index of a value in
+    # its own component, so the fixed point is the component's first index
+    labels = np.arange(len(values))
+    while True:
+        new = np.where(near, labels[None, :], len(values)).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def _reorder(T, Z, labels):
-    """Bubble equal-label Schur values into contiguous runs, in place.
+    """Move equal-label Schur values into contiguous runs with LAPACK trsen.
 
-    Cluster order is first appearance along the diagonal; within a
-    cluster the original relative order is preserved.
+    Labels number clusters by first appearance, as _cluster_labels does.
+    Selecting every value labelled <= c brings cluster c up behind the
+    earlier ones; trsen keeps the relative order of the selected and of
+    the unselected values, so each cluster keeps its internal order.
+    A failed trsen swap raises ClusteringError.
     """
-    labels = list(labels)
-    seen = []
-    for lab in labels:
-        if lab not in seen:
-            seen.append(lab)
-    pos = 0
-    for lab in seen:
-        count = labels.count(lab)
-        for _ in range(count):
-            q = pos
-            while labels[q] != lab:
-                q += 1
-            for j in range(q, pos, -1):
-                _swap_adjacent(T, Z, j - 1)
-                labels[j - 1], labels[j] = labels[j], labels[j - 1]
-            pos += 1
+    labels = np.asarray(labels)
+    for c in range(len(labels)):
+        if np.all(labels[:-1] <= labels[1:]):
+            break
+        select = labels <= c
+        T, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(
+            select, T, Z, job="N")
+        if info != 0:
+            raise ClusteringError(
+                f"Schur reordering failed (LAPACK trsen info {info}); reseed")
+        labels = np.concatenate([labels[select], labels[~select]])
     return T, Z, labels
+
+
+def _below_block_norm(Tb, labels):
+    """Frobenius norm of Tb below the diagonal blocks of sorted labels."""
+    return np.linalg.norm(Tb[labels[:, None] > labels[None, :]])
 
 
 _GAP_CEILING = 0.1
@@ -434,8 +398,8 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4):
     """Cluster the joint spectrum of a multiplication family.
 
     Takes the complex Schur form of a random member M_{h/h_0}, groups
-    nearby diagonal values, reorders them into contiguous blocks, and
-    reads every member through the same unitary.
+    nearby diagonal values, reorders them into contiguous blocks with
+    LAPACK trsen, and reads every member through the same unitary.
 
     A multiple eigenvalue with a nontrivial Jordan block scatters its
     computed copies over a radius like eps**(1/mu), far wider than any
@@ -455,52 +419,31 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4):
     driver_coeffs = (rng.standard_normal(len(mons))
                      + 1j * rng.standard_normal(len(mons)))
     if delta == 0:
-        return SchurClustering(np.zeros((0, 0), dtype=complex), (), (),
-                               0.0, cluster_gap, driver_coeffs)
+        return SchurClustering((), np.zeros((0, len(mons)), dtype=complex),
+                               0.0, cluster_gap)
 
     M = family.combination(driver_coeffs)
     T0, Z0 = scipy.linalg.schur(M, output="complex")
-    eigs = np.diag(T0).copy()
 
     gap = cluster_gap
-    leakage = 0.0
     while True:
-        T, Z = T0.copy(), Z0.copy()
-        labels = _cluster_labels(eigs, gap)
-        T, Z, labels = _reorder(T, Z, labels)
+        labels = _cluster_labels(np.diag(T0), gap)
+        _, Z, labels = _reorder(T0, Z0, labels)
+        starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+        sizes = np.diff(np.r_[starts, delta])
 
-        sizes = []
-        start = 0
-        for p in range(1, delta + 1):
-            if p == delta or labels[p] != labels[start]:
-                sizes.append(p - start)
-                start = p
-        slices = []
-        off = 0
-        for mu in sizes:
-            slices.append(slice(off, off + mu))
-            off += mu
-
-        tables = [dict() for _ in sizes]
+        tables = np.empty((len(sizes), len(mons)), dtype=complex)
         by_member = []
-        leakage = 0.0
-        for bexp in mons:
+        for j, bexp in enumerate(mons):
             Mb = family.matrices[bexp]
             Tb = Z.conj().T @ Mb @ Z
-            low = 0.0
-            for jb, sj in enumerate(slices):
-                for ib in range(jb):
-                    low += float(np.sum(np.abs(Tb[sj, slices[ib]]) ** 2))
-            norm = float(np.linalg.norm(Mb))
-            by_member.append(float(np.sqrt(low) / max(1.0, norm)))
-            leakage = max(leakage, by_member[-1])
-            for ci, si in enumerate(slices):
-                mu = sizes[ci]
-                tables[ci][bexp] = complex(np.trace(Tb[si, si]) / mu)
+            low = _below_block_norm(Tb, labels)
+            by_member.append(float(low / max(1.0, np.linalg.norm(Mb))))
+            tables[:, j] = np.add.reduceat(np.diag(Tb), starts) / sizes
+        leakage = max(by_member)
         if leakage <= LEAK_TOL:
-            return SchurClustering(Z, tuple(sizes), tuple(tables),
-                                   float(leakage), gap, driver_coeffs,
-                                   by_member)
+            return SchurClustering(tuple(int(mu) for mu in sizes), tables,
+                                   leakage, gap, by_member)
         if gap >= _GAP_CEILING:
             raise ClusteringError(
                 f"clustering failed (leakage {leakage:.2e} > "

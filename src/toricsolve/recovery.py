@@ -64,16 +64,15 @@ class EigenvalueTable:
 
     @classmethod
     def from_clustering(cls, family, clustering, i):
-        """Table for cluster i; noise floors use the per-monomial maximum
-        across every cluster, a stand-in for the multiplication matrix norm."""
-        basis = family.alpha0_basis
-        eps = np.finfo(float).eps
-        values, noise = [], []
-        for b in basis.monomials:
-            values.append(clustering.tables[i][b])
-            big = max(abs(t[b]) for t in clustering.tables)
-            noise.append(NOISE_CUSHION * eps * big)
-        return cls(basis, values, clustering.block_sizes[i], noise)
+        """Table for cluster i, read from row i of clustering.tables.
+
+        Noise floors use the per-monomial maximum modulus across every
+        cluster, a stand-in for the multiplication matrix norm.
+        """
+        tables = clustering.tables
+        noise = NOISE_CUSHION * np.finfo(float).eps * np.abs(tables).max(axis=0)
+        return cls(family.alpha0_basis, tables[i], clustering.block_sizes[i],
+                   noise)
 
     def __len__(self):
         return len(self.values)

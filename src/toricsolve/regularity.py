@@ -68,9 +68,6 @@ class RegularityPair:
         delta_plus: corank of Res at alpha once verified, else None.
         coranks: (corank at alpha, corank at alpha + alpha0) once
             verified, else None.
-        needs_runtime_basepoint_check: True when the construction is
-            only valid if alpha0 has no basepoints on the solution set,
-            which can only be checked against recovered solutions.
     """
 
     __slots__ = (
@@ -80,10 +77,9 @@ class RegularityPair:
         "verified",
         "delta_plus",
         "coranks",
-        "needs_runtime_basepoint_check",
     )
 
-    def __init__(self, alpha, alpha0, provenance, needs_runtime_basepoint_check=False):
+    def __init__(self, alpha, alpha0, provenance):
         if alpha.fan is not alpha0.fan:
             raise PairSelectionError("pair degrees live on different fans")
         self.alpha = alpha
@@ -92,7 +88,6 @@ class RegularityPair:
         self.verified = None
         self.delta_plus = None
         self.coranks = None
-        self.needs_runtime_basepoint_check = needs_runtime_basepoint_check
 
     @property
     def top(self):
@@ -341,8 +336,9 @@ def _weighted_candidate(system, profile):
     With l = lcm(q) and deg f_i = k_i * eta, applies only when l | k_i
     for all i; then d_i = k_i / l and the pair is
     (d_reg * eta, l * eta) with d_reg = l * sum d_i - sum q + 1.
-    Valid only when l * eta has no basepoints on the solution set, so
-    the candidate carries the runtime check flag.
+    Valid only when l * eta has no basepoints on the solution set; a
+    basepoint makes the restricted N_{h_0} singular for every h_0, so
+    multiplication_family raises BasepointError.
     """
     weights = profile.weights
     if not weights:
@@ -367,7 +363,6 @@ def _weighted_candidate(system, profile):
         DivisorClass(fan, rep),
         DivisorClass(fan, rep0),
         Provenance.WEIGHTED,
-        needs_runtime_basepoint_check=True,
     )
 
 

@@ -8,7 +8,6 @@ come from the worked examples these systems were built around.
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest

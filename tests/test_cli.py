@@ -4,7 +4,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from toricsolve.cli import main

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from toricsolve.cox import (
     CoxPolynomial,
-    GradedBasis,
     graded_basis,
     homogenize,
 )

@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 import sympy
 
-from toricsolve.cox import HomogeneousSystem, graded_basis, homogenize
+from toricsolve.cox import HomogeneousSystem, homogenize
 from toricsolve.eigensolver import (
     ResMatrix,
+    _below_block_norm,
+    _cluster_labels,
     _reorder,
     assemble_res,
     cokernel,
@@ -228,7 +230,7 @@ def test_reorder_machinery():
     T0, Z0 = scipy.linalg.schur(A, output="complex")
     labels = [i % 3 for i in range(12)]
     T, Z, out = _reorder(T0.copy(), Z0.copy(), labels)
-    assert out == [0] * 4 + [1] * 4 + [2] * 4
+    assert list(out) == [0] * 4 + [1] * 4 + [2] * 4
     assert np.allclose(np.tril(T, -1), 0, atol=1e-10)
     assert np.allclose(Z @ Z.conj().T, np.eye(12), atol=1e-12)
     assert np.allclose(Z @ T @ Z.conj().T, A, atol=1e-9)
@@ -241,6 +243,88 @@ def test_reorder_machinery():
         after = sorted((complex(x) for x in np.diag(segment)),
                        key=lambda z: (z.real, z.imag))
         assert np.allclose(before, after, atol=1e-9)
+
+
+def ref_cluster_labels(values, gap):
+    """Union-find reference for _cluster_labels."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            tol = gap * (1.0 + (abs(values[i]) + abs(values[j])) / 2.0)
+            if abs(values[i] - values[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    labels = [find(i) for i in range(n)]
+    order = {}
+    for lab in labels:
+        if lab not in order:
+            order[lab] = len(order)
+    return [order[lab] for lab in labels]
+
+
+def ref_below_block_norm(Tb, sizes):
+    """Nested-loop reference for _below_block_norm."""
+    slices = []
+    off = 0
+    for mu in sizes:
+        slices.append(slice(off, off + mu))
+        off += mu
+    low = 0.0
+    for jb, sj in enumerate(slices):
+        for ib in range(jb):
+            low += float(np.sum(np.abs(Tb[sj, slices[ib]]) ** 2))
+    return np.sqrt(low)
+
+
+def planted_spectrum(rng, gap):
+    """Shuffled spectrum with magnitudes over 1e-3..1e3, planted clusters
+    of copies inside the gap, and chains of neighbours each inside the
+    gap of the last but spanning several gaps end to end."""
+    def point():
+        return 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.uniform())
+
+    vals = [point() for _ in range(rng.integers(0, 8))]
+    for _ in range(rng.integers(1, 5)):
+        c = point()
+        tol = gap * (1.0 + abs(c))
+        vals += [c + 0.3 * tol * point() / 1e3 for _ in range(rng.integers(2, 5))]
+    for _ in range(rng.integers(1, 3)):
+        v = point()
+        for _ in range(rng.integers(2, 6)):
+            vals.append(v)
+            v = v + 0.8 * gap * (1.0 + abs(v)) * np.exp(2j * np.pi * rng.uniform())
+    vals = np.array(vals)
+    return vals[rng.permutation(len(vals))]
+
+
+def test_cluster_labels_match_union_find():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        gap = 10.0 ** rng.integers(-4, 0)
+        vals = planted_spectrum(rng, gap)
+        assert list(_cluster_labels(vals, gap)) == ref_cluster_labels(vals, gap)
+
+
+def test_below_block_norm_matches_loop():
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        sizes = list(rng.integers(1, 5, size=rng.integers(1, 8)))
+        n = sum(sizes)
+        Tb = ((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+              * 10.0 ** rng.uniform(-3, 3, size=(n, n)))
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        got = _below_block_norm(Tb, labels)
+        want = ref_below_block_norm(Tb, sizes)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_schur_cluster_pillow_multiplicity():
@@ -260,18 +344,18 @@ def test_schur_cluster_pillow_multiplicity():
     targets = [expected_table(np.array([0, 1, 1, 1], dtype=complex)),
                expected_table(np.array([1, 1, 0, 1j], dtype=complex))]
     for table in clusters.tables:
-        dists = [max(abs(table[b] - t[b]) for b in fam.monomials)
+        dists = [max(abs(table[j] - t[b]) for j, b in enumerate(fam.monomials))
                  for t in targets]
         assert min(dists) < 1e-8
     matched = set()
     for table in clusters.tables:
-        dists = [max(abs(table[b] - t[b]) for b in fam.monomials)
+        dists = [max(abs(table[j] - t[b]) for j, b in enumerate(fam.monomials))
                  for t in targets]
         matched.add(int(np.argmin(dists)))
     assert matched == {0, 1}
     # sum_b h0_b * lambda_{b,i} telescopes to 1 in every cluster
     for table in clusters.tables:
-        total = sum(h0[b] * table[b] for b in fam.monomials)
+        total = sum(h0[b] * table[j] for j, b in enumerate(fam.monomials))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -282,7 +366,8 @@ def test_schur_cluster_singleton():
     clusters = schur_cluster(fam, seed=0)
     assert clusters.block_sizes == (1,)
     table = clusters.tables[0]
-    assert table[(1, 0)] / table[(0, 1)] == pytest.approx(2.0, abs=1e-10)
+    col = {b: j for j, b in enumerate(fam.monomials)}
+    assert table[col[(1, 0)]] / table[col[(0, 1)]] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_zero_solution_family():
@@ -297,7 +382,7 @@ def test_zero_solution_family():
     fam = multiplication_family(cok, system, ((1, 1, 1, 1), (1, 1, 1, 1)))
     clusters = schur_cluster(fam)
     assert clusters.block_sizes == ()
-    assert clusters.tables == ()
+    assert clusters.tables.shape == (0, len(fam.monomials))
 
 
 # ------------------------------------------------------------ properties

@@ -1,14 +1,12 @@
 """File format layer: system files, solution files, templates, CSV."""
 
 import json
-import math
 
 import pytest
 
 from toricsolve.errors import InputError
 from toricsolve.formats import (
     SWEEP_HEADER,
-    SystemFile,
     dump_solution_file,
     eval_scalar,
     load_solution_file,

@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricsolve.lattice import (

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsolve.cox import graded_basis, homogenize
+from toricsolve.cox import graded_basis
 from toricsolve.errors import ClusteringError, InputError, RecoveryError, SpanError
 from toricsolve.lattice import Polytope
 from toricsolve.recovery import (
     EigenvalueTable,
-    Solution,
     _right_inverse,
     recover_boundary_point,
     recover_torus_point,
@@ -24,9 +23,7 @@ from toricsolve.toric import Fan, divisor_of_polytope
 from systems import (
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
-    P2_RAYS,
     PILLOW_RAYS_SOLVE,
-    WP112_RAYS,
     hirzebruch_fan,
     intro_laurent,
     lines27_laurent,

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from toricsolve.cox import graded_basis, homogenize
 from toricsolve.eigensolver import assemble_res
-from toricsolve.errors import InputError, PairSelectionError, RankAmbiguousError
+from toricsolve.errors import (
+    BasepointError,
+    InputError,
+    PairSelectionError,
+    RankAmbiguousError,
+)
 from toricsolve.regularity import (
     Provenance,
     default_pair,
@@ -18,12 +23,14 @@ from toricsolve.regularity import (
     vanishing_pair,
     verify_pair,
 )
+from toricsolve.solver import solve
 from toricsolve.toric import DivisorClass
 
 from systems import (
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
     P2_RAYS,
+    PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
     WP112_RAYS,
     intro_laurent,
@@ -199,10 +206,19 @@ def test_improved_pair_weighted():
     assert pair.provenance is Provenance.WEIGHTED
     assert pair.alpha.degree() == ((1,), ())
     assert pair.alpha0.degree() == ((2,), ())
-    assert pair.needs_runtime_basepoint_check
     verify_pair(system, pair)
     assert pair.verified
     assert pair.delta_plus == 2
+
+
+def test_multiplier_basepoint_raises():
+    # the class (1, 0, 0, 0) has the single section x_0, which vanishes
+    # at the solution (0, 1, 1, 1): N_{h_0} is singular for every h_0
+    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
+    with pytest.raises(BasepointError) as info:
+        solve(system, pair=((2, 2, 2, 2), (1, 0, 0, 0)))
+    assert info.value.stage == "basepoint"
+    assert info.value.exit_code == 3
 
 
 def test_improved_pair_p1_linear_zero_alpha():

@@ -12,8 +12,6 @@ import pytest
 
 from systems import (
     DIAMOND,
-    HIRZEBRUCH_RAYS,
-    LINES27_RAYS,
     PILLOW_RAYS,
     diamond_polytope,
     hirzebruch_fan,
