@@ -44,7 +44,7 @@ class GradedBasis:
     def __init__(self, degree):
         fan = degree.fan
         self.degree = degree
-        self.lattice_points = degree.polytope().lattice_points()
+        self.lattice_points = degree.lattice_points()
         a = degree.a
         mons = []
         for m in self.lattice_points:

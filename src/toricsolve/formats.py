@@ -33,10 +33,10 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
-SWEEP_HEADER = "e,max_res,mean_res,min_res,max_norm,delta_plus,status,wall_ms"
-
 _SWEEP_COLUMNS = ("e", "max_res", "mean_res", "min_res", "max_norm",
                   "delta_plus", "status", "wall_ms")
+
+SWEEP_HEADER = ",".join(_SWEEP_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,11 @@ def _eval_node(node, env):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, env)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float, complex)):
+        # integers become floats, so a huge power overflows at once
+        # instead of building an exact integer with billions of digits
+        if isinstance(node.value, int):
+            return float(node.value)
+        if isinstance(node.value, (float, complex)):
             return node.value
         raise InputError(
             f"non-numeric constant {node.value!r} in coefficient template"
@@ -91,15 +95,20 @@ def eval_scalar(text, env):
     Only arithmetic on numeric literals and names from env is allowed;
     anything else (calls, attributes, subscripts) is rejected.
 
+    Integer literals are evaluated as floats.
+
     Raises:
         InputError: syntax errors, unknown names, non-arithmetic nodes,
-            or division by zero.
+            division by zero, or a value beyond the float range.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise InputError(f"bad coefficient template {text!r}: {exc.msg}") from None
-    value = _eval_node(tree, env)
+    try:
+        value = _eval_node(tree, env)
+    except OverflowError:
+        raise InputError(f"coefficient template {text!r} overflows the float range") from None
     return complex(value) if isinstance(value, complex) else float(value)
 
 

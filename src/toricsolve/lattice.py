@@ -24,8 +24,10 @@ __all__ = [
     "smith_normal_form",
     "snf_diagonal",
     "integer_kernel",
+    "rank_and_index",
     "sublattice_index",
     "solve_rational",
+    "right_inverse",
     "frac_solve_square",
     "frac_rank",
     "convex_hull",
@@ -200,24 +202,24 @@ def integer_kernel(a):
     return out
 
 
+def rank_and_index(vectors):
+    """(rank, index) of the lattice spanned by integer `vectors` inside
+    its saturation: the count and product of the nonzero Smith invariant
+    factors."""
+    nz = [x for x in snf_diagonal([list(vec) for vec in vectors]) if x != 0]
+    return len(nz), math.prod(nz)
+
+
 def sublattice_index(vectors, n=None):
     """Index of the sublattice of Z^n spanned by integer `vectors`.
 
     Returns 0 when the vectors do not span rank n, otherwise the index
     (the product of the Smith invariant factors).
     """
-    if not vectors:
-        return 0 if (n is None or n > 0) else 1
     if n is None:
-        n = len(vectors[0])
-    diag = snf_diagonal([list(vec) for vec in vectors])
-    nz = [x for x in diag if x != 0]
-    if len(nz) < n:
-        return 0
-    idx = 1
-    for x in nz:
-        idx *= x
-    return idx
+        n = len(vectors[0]) if vectors else 1
+    rank, idx = rank_and_index(vectors)
+    return idx if rank >= n else 0
 
 
 def solve_rational(a, b):
@@ -250,6 +252,19 @@ def solve_rational(a, b):
             return None
     x = tuple(sum(Fraction(v[i][j]) * y[j] for j in range(n)) for i in range(n))
     return x, kernel
+
+
+def right_inverse(rows):
+    """Rational right inverse E (c rows of r Fractions) of an r x c
+    integer matrix, via Smith normal form; None when the rank is below r."""
+    r, c = len(rows), len(rows[0])
+    u, d, v = smith_normal_form(rows)
+    if any(d[j][j] == 0 for j in range(r)):
+        return None
+    return [
+        [sum(Fraction(v[i][l], d[l][l]) * u[l][j] for l in range(r)) for j in range(r)]
+        for i in range(c)
+    ]
 
 
 def frac_solve_square(m, rhs):
@@ -515,7 +530,7 @@ class Polytope:
             for `from_inequalities` it is the defining system as given.
     """
 
-    __slots__ = ("n", "dim", "vertices", "ineqs", "_hull")
+    __slots__ = ("n", "dim", "vertices", "ineqs", "_hull", "_points")
 
     def __init__(self, n, dim, vertices, ineqs, hull=None):
         self.n = n
@@ -523,6 +538,7 @@ class Polytope:
         self.vertices = vertices
         self.ineqs = ineqs
         self._hull = hull
+        self._points = None
 
     @classmethod
     def from_points(cls, points):
@@ -582,51 +598,35 @@ class Polytope:
         return los, his
 
     def lattice_points(self):
-        """All integer points of the polytope, lex-sorted."""
+        """All integer points of the polytope, lex-sorted, as a fresh list;
+        the bounding box is scanned once per polytope."""
         if self.is_empty:
             return []
         if self.ineqs is None:
             raise ValueError("lattice point enumeration needs inequality data")
-        los, his = self.bounding_box()
-        ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
-        out = []
-        rows = self.ineqs
-        for m in product(*ranges):
-            if all(dot(g, m) + c >= 0 for g, c in rows):
-                out.append(m)
-        return out
+        if self._points is None:
+            los, his = self.bounding_box()
+            ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
+            rows = self.ineqs
+            self._points = tuple(
+                m for m in product(*ranges) if all(dot(g, m) + c >= 0 for g, c in rows)
+            )
+        return list(self._points)
 
     def relint_lattice_points(self):
         """Integer points in the relative interior, lex-sorted.
 
-        A defining row that vanishes identically on the polytope is an
-        implicit equality and must stay tight; every other row must be
-        strict.
+        A defining row that vanishes on every vertex is an implicit
+        equality and vanishes on every lattice point too; a lattice point
+        is interior when every other row is strict there.
         """
-        if self.is_empty:
-            return []
-        if self.ineqs is None:
-            raise ValueError("relative interior needs inequality data")
-        const_zero = [
-            all(dot(g, v) + c == 0 for v in self.vertices) for g, c in self.ineqs
+        pts = self.lattice_points()
+        if not pts:
+            return pts
+        strict = [
+            (g, c) for g, c in self.ineqs if any(dot(g, v) + c != 0 for v in self.vertices)
         ]
-        los, his = self.bounding_box()
-        ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
-        out = []
-        for m in product(*ranges):
-            ok = True
-            for (g, c), cz in zip(self.ineqs, const_zero):
-                val = dot(g, m) + c
-                if cz:
-                    if val != 0:
-                        ok = False
-                        break
-                elif val <= 0:
-                    ok = False
-                    break
-            if ok:
-                out.append(m)
-        return out
+        return [m for m in pts if all(dot(g, m) + c > 0 for g, c in strict)]
 
     def volume(self):
         """Euclidean volume as an exact Fraction (0 when lower-dimensional)."""

@@ -12,12 +12,11 @@ on the character lattice of the orbit.
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ClusteringError, RecoveryError, SpanError
-from .lattice import dot, integer_kernel, smith_normal_form
+from .lattice import dot, integer_kernel, rank_and_index, right_inverse, smith_normal_form
 from .toric import boundary_stratum_check
 
 __all__ = [
@@ -123,20 +122,6 @@ class Solution:
         return f"Solution(mu={self.multiplicity}, {where}, z={self.z})"
 
 
-def _snf_index(rows):
-    """(rank, index) of the lattice spanned by integer rows inside its
-    saturation."""
-    if not rows:
-        return 0, 1
-    _, d, _ = smith_normal_form([list(r) for r in rows])
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    nz = [abs(x) for x in diag if x != 0]
-    idx = 1
-    for x in nz:
-        idx *= x
-    return len(nz), idx
-
-
 def _solve_binomials(diffs, ratios, errs, n, insufficient, inconsistent):
     """Solve t^{diffs[i]} = ratios[i] for t in (C*)^n.
 
@@ -145,13 +130,13 @@ def _solve_binomials(diffs, ratios, errs, n, insufficient, inconsistent):
     RecoveryError with the provided messages when the differences do not
     span (insufficient) or no branch passes verification (inconsistent).
     """
-    rank_all, _ = _snf_index(diffs)
+    rank_all, _ = rank_and_index(diffs)
     if rank_all < n:
         raise RecoveryError(insufficient)
 
     order = sorted(range(len(diffs)), key=lambda i: errs[i])
     usable = [i for i in order if errs[i] < USABLE_ERR]
-    if _snf_index([diffs[i] for i in usable])[0] < n:
+    if rank_and_index([diffs[i] for i in usable])[0] < n:
         raise RecoveryError(inconsistent)
 
     # greedy selection: climb to full rank on the most accurate rows,
@@ -159,7 +144,7 @@ def _solve_binomials(diffs, ratios, errs, n, insufficient, inconsistent):
     sel = []
     rank, index = 0, 1
     for i in usable:
-        r2, q2 = _snf_index([diffs[j] for j in sel] + [diffs[i]])
+        r2, q2 = rank_and_index([diffs[j] for j in sel] + [diffs[i]])
         if r2 > rank or (rank == n and q2 < index):
             sel.append(i)
             rank, index = r2, q2
@@ -216,23 +201,6 @@ def _solve_binomials(diffs, ratios, errs, n, insufficient, inconsistent):
     return tuple(complex(x) for x in best[1])
 
 
-def _right_inverse(rows, cols):
-    """Rational right inverse E (cols x rows) of an integer matrix with
-    full row rank, via Smith normal form. Returns None when rank drops."""
-    r = len(rows)
-    u, d, v = smith_normal_form([list(x) for x in rows])
-    for j in range(r):
-        if d[j][j] == 0:
-            return None
-    e = [[Fraction(0) for _ in range(r)] for _ in range(cols)]
-    for i in range(cols):
-        for j in range(r):
-            e[i][j] = sum(
-                Fraction(v[i][l], d[l][l]) * u[l][j] for l in range(r)
-            )
-    return e
-
-
 def _power_lift(einv, logs):
     """exp(E . logs) componentwise for a rational matrix E."""
     out = []
@@ -251,8 +219,7 @@ def _cox_lift(fan, t):
     take principal-branch powers, which is harmless because F applied to
     the result reproduces t exactly in exponent arithmetic.
     """
-    f_rows = [[fan.rays[j][i] for j in range(fan.k)] for i in range(fan.n)]
-    einv = _right_inverse(f_rows, fan.k)
+    einv = fan.ray_inverse
     if einv is None:
         raise RecoveryError("fan rays do not span the character lattice")
     return _power_lift(einv, [cmath.log(x) for x in t])
@@ -290,7 +257,7 @@ def recover_torus_point(fan, table):
     """
     pts = table.basis.lattice_points
     geo = [tuple(x - y for x, y in zip(m, pts[0])) for m in pts[1:]]
-    if _snf_index(geo)[0] < fan.n:
+    if rank_and_index(geo)[0] < fan.n:
         raise SpanError(
             "alpha0 insufficient: lattice points do not affinely span"
         )
@@ -364,9 +331,10 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
         return Solution(z, None, table.multiplicity, zero_rays,
                         non_simplicial=not simplicial)
 
+    snf = smith_normal_form(kern)
     items, noise = [], []
     for i in live:
-        coords = _kernel_coordinates(kern, pts[i], pts[live[0]])
+        coords = _kernel_coordinates(snf, pts[i], pts[live[0]])
         if coords is None:
             raise ClusteringError(
                 "inconsistent vanishing pattern: surviving monomials leave the orbit"
@@ -385,7 +353,7 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
 
     free = [j for j in range(fan.k) if j not in zero_rays]
     b_rows = [[dot(fan.rays[j], krow) for j in free] for krow in kern]
-    einv = _right_inverse(b_rows, len(free))
+    einv = right_inverse(b_rows)
     if einv is None:
         raise RecoveryError("alpha0 insufficient on orbit")
     zfree = _power_lift(einv, [cmath.log(x) for x in s])
@@ -396,12 +364,13 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
                     non_simplicial=not simplicial)
 
 
-def _kernel_coordinates(kern, m, m0):
-    """Integer coordinates of m - m0 in the saturated kernel basis, or
-    None when the difference leaves the kernel lattice."""
+def _kernel_coordinates(snf, m, m0):
+    """Integer coordinates of m - m0 in the saturated kernel basis whose
+    Smith normal form (U, S, V) is snf, or None when the difference
+    leaves the kernel lattice."""
     d = [x - y for x, y in zip(m, m0)]
-    u, s, v = smith_normal_form([list(row) for row in kern])
-    r = len(kern)
+    u, s, v = snf
+    r = len(u)
     n = len(d)
     dv = [sum(d[i] * v[i][j] for i in range(n)) for j in range(n)]
     for j in range(r, n):

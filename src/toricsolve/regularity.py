@@ -186,7 +186,7 @@ def profile_system(system):
 def _spans_affinely(div):
     """True when the lattice points of the section polytope affinely
     generate the full character lattice (sublattice index 1)."""
-    pts = div.polytope().lattice_points()
+    pts = div.lattice_points()
     if len(pts) <= div.fan.n:
         return False
     p0 = pts[0]
@@ -213,8 +213,10 @@ def _select_multiplier(system, alpha):
 
     Candidates are the equation degrees themselves and the Minkowski sum
     scaled down by each divisor of the content of its representative.
-    Falls back to the first equation degree when nothing passes the
-    filters; an actual obstruction then surfaces during recovery.
+    They are tried by number of sections, smallest first, ties in that
+    order, and the first that passes the filters wins. Falls back to the
+    first equation degree when none passes; an actual obstruction then
+    surfaces during recovery.
     """
     fan = system.fan
     candidates = list(system.degrees)
@@ -223,17 +225,8 @@ def _select_multiplier(system, alpha):
         for d in range(content, 0, -1):
             if content % d == 0:
                 candidates.append(DivisorClass(fan, tuple(x // d for x in alpha.a)))
-    best = None
-    best_size = None
-    for cand in candidates:
-        if not _multiplier_ok(cand):
-            continue
-        size = len(graded_basis(fan, cand))
-        if best is None or size < best_size:
-            best, best_size = cand, size
-    if best is None:
-        return system.degrees[0]
-    return best
+    candidates.sort(key=lambda cand: len(graded_basis(fan, cand)))
+    return next(filter(_multiplier_ok, candidates), system.degrees[0])
 
 
 def default_pair(system):

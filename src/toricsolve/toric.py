@@ -20,10 +20,12 @@ from itertools import combinations, product
 from .errors import InputError
 from .lattice import (
     Polytope,
+    det_int,
     dot,
     frac_rank,
     integer_kernel,
     primitive,
+    right_inverse,
     smith_normal_form,
     solve_rational,
 )
@@ -55,6 +57,9 @@ class Fan:
         polytope: the source polytope.
         offsets: per-ray facet offsets a_j of the source polytope, so that
             ray_j . x + a_j >= 0 holds on it with equality on facet j.
+
+    The fan owns the section polytope of every divisor representative
+    asked for through DivisorClass.polytope, so each is built once.
     """
 
     def __init__(self, rays, max_cones, polytope=None, offsets=None):
@@ -65,6 +70,8 @@ class Fan:
         self.polytope = polytope
         self.offsets = list(offsets) if offsets is not None else None
         self._class_group = None
+        self._ray_inverse = None
+        self._sections = {}
         for r in self.rays:
             if r != primitive(r):
                 raise InputError(f"fan ray {r} is not primitive")
@@ -110,6 +117,14 @@ class Fan:
         if self._class_group is None:
             self._class_group = ClassGroup(self.rays)
         return self._class_group
+
+    @property
+    def ray_inverse(self):
+        """Rational right inverse of the n x k ray matrix, or None when the
+        rays do not span."""
+        if self._ray_inverse is None:
+            self._ray_inverse = right_inverse([list(col) for col in zip(*self.rays)])
+        return self._ray_inverse
 
     def divisor(self, a):
         return DivisorClass(self, a)
@@ -178,8 +193,19 @@ class DivisorClass:
         return self.fan.class_group.degree(self.a)
 
     def polytope(self):
-        """Section polytope {m : <u_j, m> + a_j >= 0 for all rays u_j}."""
-        return Polytope.from_inequalities(self.fan.rays, self.a)
+        """Section polytope {m : <u_j, m> + a_j >= 0 for all rays u_j}.
+
+        Built on first request and kept by the fan for this
+        representative.
+        """
+        sections = self.fan._sections
+        if self.a not in sections:
+            sections[self.a] = Polytope.from_inequalities(self.fan.rays, self.a)
+        return sections[self.a]
+
+    def lattice_points(self):
+        """Lattice points of the section polytope, lex-sorted (a fresh list)."""
+        return self.polytope().lattice_points()
 
     def __add__(self, other):
         self._check(other)
@@ -280,7 +306,7 @@ def is_nef_cartier(div):
 
 def is_effective(div):
     """Whether the class contains an effective divisor (a section exists)."""
-    return bool(div.polytope().lattice_points())
+    return bool(div.lattice_points())
 
 
 def projective_product_structure(fan):
@@ -317,8 +343,6 @@ def projective_product_structure(fan):
         return None
     # the chosen bases (all rays but the last of each group) must span Z^n
     basis = [fan.rays[j] for g in groups for j in g[:-1]]
-    from .lattice import det_int
-
     if abs(det_int(basis)) != 1:
         return None
     expected = set()
@@ -381,7 +405,7 @@ def cohomology_dims(div):
     n = fan.n
     if nef_witness(div) is not None:
         dims = [0] * (n + 1)
-        dims[0] = len(div.polytope().lattice_points())
+        dims[0] = len(div.lattice_points())
         return dims, "nef"
     if nef_witness(-div) is not None:
         dims = [0] * (n + 1)

@@ -270,6 +270,19 @@ def test_sweep_failure_rows_continue(tmp_path):
     assert statuses[2] == "ok"
 
 
+def test_sweep_overflow_rows_continue(tmp_path):
+    doc = intro_template_doc()
+    doc["equations"][1]["terms"][2]["coeff"] = "5-2*10**(100*e)"
+    path = write_file(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    res = run("sweep", path, "--grid", "0:4:1", "--output", out)
+    assert res.exit_code == 0, res.output
+    statuses = [line.split(",")[6] for line in out.read_text().splitlines()[1:]]
+    assert len(statuses) == 5
+    assert statuses[0] == "ok"
+    assert statuses[4] == "input"
+
+
 def test_sweep_bad_grid_exits_2(tmp_path):
     path = write_file(tmp_path, intro_template_doc())
     res = run("sweep", path, "--grid", "5:1:1")

@@ -136,6 +136,12 @@ def test_eval_scalar_division_by_zero():
         eval_scalar("1/(e-1)", {"e": 1.0})
 
 
+@pytest.mark.parametrize("text", ["10**400", "10.0**400"])
+def test_eval_scalar_overflow(text):
+    with pytest.raises(InputError, match="overflows"):
+        eval_scalar(text, {})
+
+
 def test_template_instantiation(tmp_path):
     eqs = intro_laurent(1.0)
     doc = as_file_dict(eqs, rays=INTRO_RAYS)

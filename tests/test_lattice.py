@@ -273,6 +273,14 @@ def test_lattice_points_match_brute_force(args):
     p = Polytope.from_inequalities(rows, offs)
     expected = brute_lattice_points(rows, offs, lo=-1, hi=8)
     assert p.lattice_points() == expected
+    # relative interior: strict on every row that does not vanish on all
+    # vertices, exact on the implicit equalities
+    flat = [all(dot(g, v) + c == 0 for v in p.vertices) for g, c in zip(rows, offs)]
+    assert p.relint_lattice_points() == [
+        m for m in expected
+        if all((dot(g, m) + c == 0) if eq else (dot(g, m) + c > 0)
+               for g, c, eq in zip(rows, offs, flat))
+    ]
 
 
 def test_from_inequalities_vertices():

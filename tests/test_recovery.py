@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from toricsolve.cox import graded_basis
 from toricsolve.errors import ClusteringError, InputError, RecoveryError, SpanError
-from toricsolve.lattice import Polytope
+from toricsolve.lattice import Polytope, right_inverse
 from toricsolve.recovery import (
     EigenvalueTable,
-    _right_inverse,
     recover_boundary_point,
     recover_torus_point,
 )
@@ -117,7 +116,8 @@ def test_planted_round_trip_random(pick, data):
 def test_right_inverse_exact():
     fan = pillow_fan_solve()
     rows = [[fan.rays[j][i] for j in range(fan.k)] for i in range(fan.n)]
-    e = _right_inverse(rows, fan.k)
+    e = right_inverse(rows)
+    assert fan.ray_inverse == e
     for i in range(fan.n):
         for j in range(fan.n):
             acc = sum(rows[i][l] * e[l][j] for l in range(fan.k))

@@ -1,5 +1,7 @@
 """Degree pair selection, the vanishing test, and corank verification."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from toricsolve.errors import (
     PairSelectionError,
     RankAmbiguousError,
 )
+from toricsolve.lattice import Polytope
 from toricsolve.regularity import (
     Provenance,
     default_pair,
@@ -288,6 +291,24 @@ def test_user_pair_rejects_empty_multiplier():
     system = pillow_system()
     with pytest.raises(PairSelectionError, match="no sections"):
         user_pair(system, (2, 2, 2, 2), (-1, 0, 0, 0))
+
+
+def test_lines27_solve_builds_each_section_polytope_once(monkeypatch):
+    # pair selection, homogenization and assembly all ask for section
+    # polytopes; the fan builds each representative's polytope once
+    built = Counter()
+    from_inequalities = Polytope.from_inequalities.__func__
+
+    def counting(cls, a, b):
+        built[tuple(b)] += 1
+        return from_inequalities(cls, a, b)
+
+    monkeypatch.setattr(Polytope, "from_inequalities", classmethod(counting))
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    result = solve(lines27_laurent(c), rays=LINES27_RAYS, seed=0)
+    assert result.delta_plus == 45
+    assert built and max(built.values()) == 1, built.most_common(3)
 
 
 def test_predicted_shape_matches_assembly():
