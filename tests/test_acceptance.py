@@ -8,6 +8,7 @@ come from the worked examples these systems were built around.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +375,40 @@ def test_deterministic_solution_files(tmp_path):
         doc["metadata"].pop("timings_ms")
         texts.append(json.dumps(doc, sort_keys=True))
     assert texts[0] == texts[1]
+
+
+# ---------------------------------------------------------------------------
+# 8. golden solution files: a refactor must reproduce the committed output
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = ("pillow_seed1", "intro_e3_seed0", "lines27_seed0")
+
+
+def _complex_rows(rows):
+    return np.array([complex(re, im) for re, im in rows or []])
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_solution_files(tmp_path, name):
+    """Counts, pair, multiplicities and zero patterns exactly; coordinates
+    to 1e-9 relative to each solution's largest coordinate; residuals,
+    which are relative already, to 1e-9."""
+    want = json.loads((DATA / f"{name}.solution.json").read_text())
+    out = tmp_path / "sol.json"
+    res = run_cli("solve", DATA / f"{name}.system.json",
+                  "--seed", want["metadata"]["seed"], "--output", out)
+    assert res.exit_code == 0, res.output
+    got = json.loads(out.read_text())
+    got["metadata"].pop("timings_ms")
+    assert got["metadata"] == want["metadata"]
+    assert len(got["solutions"]) == len(want["solutions"])
+    for g, w in zip(got["solutions"], want["solutions"]):
+        for key in ("multiplicity", "zero_pattern", "on_torus", "non_simplicial"):
+            assert g[key] == w[key]
+        assert (g["t"] is None) == (w["t"] is None)
+        for key in ("z", "t"):
+            gz, wz = _complex_rows(g[key]), _complex_rows(w[key])
+            assert gz.shape == wz.shape
+            scale = max(1.0, float(np.abs(wz).max(initial=0.0)))
+            assert np.abs(gz - wz).max(initial=0.0) <= 1e-9 * scale
+        assert np.allclose(g["residuals"], w["residuals"], rtol=0.0, atol=1e-9)
