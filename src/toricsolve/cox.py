@@ -14,10 +14,12 @@ only through coefficient vectors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError
-from .lattice import Polytope, dot
+from .lattice import Polytope
 from .toric import DivisorClass, Fan, divisor_of_polytope
 
 __all__ = [
@@ -32,42 +34,59 @@ __all__ = [
 class GradedBasis:
     """Monomial basis of one graded piece of the Cox ring.
 
+    One row per lattice point m of the section polytope, in lex order (the
+    row/column order used everywhere). x^b in S_alpha times x^c in S_beta is
+    the monomial of S_(alpha+beta) at m_b + m_c: `rows` is the one lookup.
+
     Attributes:
         degree: the DivisorClass (with its chosen representative a).
-        lattice_points: lattice points m of the section polytope, in lex
-            order; this order is the row/column order used everywhere.
-        monomials: exponent tuples F^T m + a, aligned with lattice_points.
+        points: (N x n) int64 array of the lattice points m.
+        exponents: (N x k) int64 array of the Cox exponents F^T m + a.
+        lattice_points: the points as a list of tuples.
+        monomials: the exponents as a list of tuples.
     """
 
-    __slots__ = ("degree", "lattice_points", "monomials", "_pos")
+    __slots__ = ("degree", "points", "exponents", "lattice_points",
+                 "monomials", "_lo", "_radix", "_keys")
 
     def __init__(self, degree):
         fan = degree.fan
         self.degree = degree
-        self.lattice_points = degree.lattice_points()
-        a = degree.a
-        mons = []
-        for m in self.lattice_points:
-            mons.append(tuple(dot(u, m) + a[j] for j, u in enumerate(fan.rays)))
-        self.monomials = mons
-        self._pos = {b: i for i, b in enumerate(mons)}
+        self.points = pts = degree.polytope().lattice_point_array()
+        self.exponents = np.zeros((0, fan.k), dtype=np.int64)
+        self._lo = self._radix = np.zeros(fan.n, dtype=np.int64)
+        if len(pts):
+            self.exponents = pts @ np.array(fan.rays, dtype=np.int64).T + degree.a
+            # mixed-radix key over the box of the points, first coordinate
+            # most significant, so the keys of lex-sorted points ascend
+            self._lo = pts.min(axis=0)
+            size = (pts.max(axis=0) - self._lo + 1).tolist()
+            self._radix = np.array([math.prod(size[j + 1:]) for j in range(fan.n)])
+        self._keys = (pts - self._lo) @ self._radix
+        self.lattice_points = list(map(tuple, pts.tolist()))
+        self.monomials = list(map(tuple, self.exponents.tolist()))
 
-    @property
-    def fan(self):
-        return self.degree.fan
+    def rows(self, points):
+        """Row index of every lattice point in `points` (an int array whose
+        last axis has length n), -1 where the point is not in the basis."""
+        pts = np.asarray(points, dtype=np.int64)
+        if not len(self):
+            return np.full(pts.shape[:-1], -1)
+        at = np.searchsorted(self._keys, (pts - self._lo) @ self._radix)
+        at = np.minimum(at, len(self) - 1)
+        # a point outside the box may share a key; only equality counts
+        return np.where((self.points[at] == pts).all(axis=-1), at, -1)
 
     def position(self, exponent):
         """Index of a monomial given by its exponent tuple, or None."""
-        return self._pos.get(tuple(exponent))
-
-    def exponent_matrix(self):
-        """Exponents as an integer array of shape (len(self), k)."""
-        if not self.monomials:
-            return np.zeros((0, self.degree.fan.k), dtype=np.int64)
-        return np.array(self.monomials, dtype=np.int64)
+        exponent = tuple(exponent)
+        if len(exponent) != self.exponents.shape[1]:
+            return None
+        hit = np.flatnonzero((self.exponents == exponent).all(axis=1))
+        return int(hit[0]) if len(hit) else None
 
     def __len__(self):
-        return len(self.monomials)
+        return len(self.points)
 
     def __repr__(self):
         return f"GradedBasis(degree={self.degree!r}, size={len(self)})"
@@ -141,12 +160,10 @@ class CoxPolynomial:
             normalizer for relative residuals. 0^0 counts as 1.
         """
         z = np.asarray(z, dtype=complex)
-        if z.shape != (self.basis.fan.k,):
-            raise InputError(f"point has shape {z.shape}, expected ({self.basis.fan.k},)")
-        if len(self.basis) == 0:
-            return 0j, 0.0
-        expmat = self.basis.exponent_matrix()
-        monvals = np.prod(z[None, :] ** expmat, axis=1)
+        k = self.basis.exponents.shape[1]
+        if z.shape != (k,):
+            raise InputError(f"point has shape {z.shape}, expected ({k},)")
+        monvals = np.prod(z[None, :] ** self.basis.exponents, axis=1)
         value = complex(np.sum(self.coeffs * monvals))
         scale = float(np.sum(np.abs(self.coeffs) * np.abs(monvals)))
         return value, scale
@@ -257,14 +274,13 @@ def homogenize(equations, rays=None):
     for terms in merged:
         div = divisor_of_polytope(fan, list(terms))
         basis = GradedBasis(div)
+        # the tight representative makes P_a the Newton polytope, so each
+        # exponent m is its own lattice point
+        pos = basis.rows(list(terms))
+        if (pos < 0).any():  # cannot happen: Newton points lie in P_a
+            raise InputError("a support point escaped its section polytope")
         coeffs = np.zeros(len(basis), dtype=complex)
-        a = div.a
-        for m, c in terms.items():
-            exp = tuple(dot(u, m) + a[j] for j, u in enumerate(fan.rays))
-            pos = basis.position(exp)
-            if pos is None:  # cannot happen: Newton points lie in P_a
-                raise InputError(f"support point {m} escaped its section polytope")
-            coeffs[pos] = c
+        coeffs[pos] = list(terms.values())
         polys.append(CoxPolynomial(basis, coeffs))
         degrees.append(div)
     return HomogeneousSystem(fan, polys, degrees)

@@ -26,7 +26,6 @@ from .errors import (
     InputError,
     RankAmbiguousError,
 )
-from .toric import DivisorClass
 
 __all__ = [
     "ResMatrix",
@@ -46,14 +45,6 @@ COND_MAX = 1e8
 RETRIES_MAX = 3
 # largest relative below-block-diagonal norm a clustering may leave
 LEAK_TOL = 1e-6
-
-
-def _as_divisor(fan, deg):
-    if isinstance(deg, DivisorClass):
-        if deg.fan is not fan:
-            raise InputError("divisor class belongs to a different fan")
-        return deg
-    return fan.divisor(deg)
 
 
 class ResMatrix:
@@ -89,8 +80,9 @@ class ResMatrix:
 def assemble_res(system, beta, tol_rank=1e-8, allow_empty=False):
     """Assemble Res at degree beta for a homogeneous system.
 
-    Entry placement is exact index arithmetic: the column of monomial x^c
-    in block i scatters the coefficients of f_i to the rows x^{b + c}.
+    Entry placement is exact index arithmetic: the column of the point
+    m_c in block i scatters the coefficient of f_i at each point m_b to
+    the row of m_b + m_c, one `rows` lookup and one scatter per block.
 
     Args:
         system: HomogeneousSystem.
@@ -108,13 +100,9 @@ def assemble_res(system, beta, tol_rank=1e-8, allow_empty=False):
             allow_empty is False.
     """
     fan = system.fan
-    beta = _as_divisor(fan, beta)
     rows = graded_basis(fan, beta)
-
-    col_blocks = []
-    for i, div in enumerate(system.degrees):
-        diff = tuple(b - a for b, a in zip(beta.a, div.a))
-        col_blocks.append((i, graded_basis(fan, diff)))
+    col_blocks = [(i, graded_basis(fan, rows.degree - div))
+                  for i, div in enumerate(system.degrees)]
     width = sum(len(b) for _, b in col_blocks)
     if len(system) > 0 and width == 0 and not allow_empty:
         raise InputError("degree too low: every column block of Res is empty")
@@ -122,14 +110,14 @@ def assemble_res(system, beta, tol_rank=1e-8, allow_empty=False):
     matrix = np.zeros((len(rows), width), dtype=complex)
     col = 0
     for i, block in col_blocks:
-        fterms = system.polys[i].terms()
-        for cexp in block.monomials:
-            for bexp, coeff in fterms:
-                rexp = tuple(x + y for x, y in zip(bexp, cexp))
-                r = rows.position(rexp)
-                # b + c always lands in P_beta: the section polytopes add
-                matrix[r, col] += coeff
-            col += 1
+        f = system.polys[i]
+        nz = np.flatnonzero(f.coeffs)
+        # b + c always lands in P_beta: the section polytopes add
+        r = rows.rows(block.points[:, None] + f.basis.points[nz][None])
+        if (r < 0).any():
+            raise InputError(f"equation {i} does not have degree {system.degrees[i].a}")
+        matrix[r, col + np.arange(len(block))[:, None]] = f.coeffs[nz]
+        col += len(block)
     return ResMatrix(rows, col_blocks, matrix, tol_rank)
 
 
@@ -234,9 +222,10 @@ def multiplication_family(cok, system, pair, seed=0):
     """Build the multiplication matrices from a cokernel at alpha + alpha0.
 
     The monomial maps N_b: S_alpha -> C^delta are exact column gathers of
-    N (exponent b + a indexes a monomial of S_{alpha+alpha0}); h_0 is a
-    random complex Gaussian combination over S_alpha0, and the invertible
-    restriction is chosen by column-pivoted QR on N_{h_0}.
+    N, all in one: x^b x^a is the monomial of S_{alpha+alpha0} at the
+    point m_b + m_a. h_0 is a random complex Gaussian combination over
+    S_alpha0, and the invertible restriction is chosen by column-pivoted
+    QR on N_{h_0}.
 
     Args:
         cok: CokernelMap computed at degree alpha + alpha0.
@@ -255,18 +244,16 @@ def multiplication_family(cok, system, pair, seed=0):
         alpha, alpha0 = pair.alpha, pair.alpha0
     else:
         alpha, alpha0 = pair
-    alpha = _as_divisor(fan, alpha)
-    alpha0 = _as_divisor(fan, alpha0)
+    s_alpha = graded_basis(fan, alpha)
+    s_alpha0 = graded_basis(fan, alpha0)
     rows = cok.res.rows
-    expected = tuple(x + y for x, y in zip(alpha.a, alpha0.a))
+    expected = tuple(x + y for x, y in zip(s_alpha.degree.a, s_alpha0.degree.a))
     if tuple(rows.degree.a) != expected:
         raise InputError(
             f"cokernel degree {tuple(rows.degree.a)} does not match "
             f"alpha + alpha0 = {expected}"
         )
 
-    s_alpha = graded_basis(fan, alpha)
-    s_alpha0 = graded_basis(fan, alpha0)
     delta = cok.delta_plus
     if len(s_alpha0) == 0:
         raise InputError("S_alpha0 is empty: nothing to multiply by")
@@ -276,17 +263,15 @@ def multiplication_family(cok, system, pair, seed=0):
             "the pair cannot carry an invertible restriction"
         )
 
-    nb = {}
-    for bexp in s_alpha0.monomials:
-        idx = [rows.position(tuple(x + y for x, y in zip(bexp, aexp)))
-               for aexp in s_alpha.monomials]
-        nb[bexp] = cok.N[:, idx]
-    stack = np.stack([nb[b] for b in s_alpha0.monomials])
-
     if delta == 0:
         empty = {b: np.zeros((0, 0), dtype=complex) for b in s_alpha0.monomials}
         coeffs = np.zeros(len(s_alpha0), dtype=complex)
         return MultiplicationFamily(empty, (), coeffs, s_alpha0, 0, 0.0)
+
+    # one gather for all N_b (stack[j] = N_{b_j}); the degree check above puts
+    # every m_b + m_a in P_{alpha+alpha0}, so no index is -1
+    idx = rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])
+    stack = np.moveaxis(cok.N[:, idx], 1, 0)
 
     # stage-specific substream: the same user seed must not reproduce the
     # h_0 draw in other stages (a Schur driver equal to h_0 separates nothing)
@@ -308,9 +293,8 @@ def multiplication_family(cok, system, pair, seed=0):
         )
 
     factor = scipy.linalg.lu_factor(sub)
-    matrices = {}
-    for bexp in s_alpha0.monomials:
-        matrices[bexp] = scipy.linalg.lu_solve(factor, nb[bexp][:, columns])
+    matrices = {b: scipy.linalg.lu_solve(factor, n_b[:, columns])
+                for b, n_b in zip(s_alpha0.monomials, stack)}
     return MultiplicationFamily(matrices, columns, coeffs,
                                 s_alpha0, delta, float(cond))
 

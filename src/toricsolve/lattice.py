@@ -4,6 +4,10 @@ Everything in this module is exact. Matrices are plain lists of Python
 ints (or Fractions where stated), so there is no overflow and no floating
 point anywhere. Ambient dimensions stay small (<= 6 in practice), which
 keeps the straightforward algorithms fast enough without sparse tricks.
+The exception is lattice point enumeration, one int64 matmul over the
+bounding box. It is exact while max|g|_1 * max|m|_inf + max|c| < 2**63
+over the rows g.m + c >= 0 and the box, which also bounds every row
+value and box key derived from the points; past it, InputError.
 
 Conventions:
   * inequality systems are written A m + b >= 0, one row per inequality
@@ -15,7 +19,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+
+import numpy as np
+
+from .errors import InputError
 
 __all__ = [
     "primitive",
@@ -583,35 +591,41 @@ class Polytope:
     def is_empty(self):
         return self.dim < 0
 
-    def contains(self, pt):
-        """Exact membership test (requires inequality data)."""
-        if self.ineqs is None:
-            raise ValueError("no inequality representation available")
-        if self.is_empty:
-            return False
-        return all(dot(g, pt) + c >= 0 for g, c in self.ineqs)
-
     def bounding_box(self):
         """Per-coordinate integer floor/ceil bounds of the vertex set."""
         los = [math.floor(min(v[j] for v in self.vertices)) for j in range(self.n)]
         his = [math.ceil(max(v[j] for v in self.vertices)) for j in range(self.n)]
         return los, his
 
+    def lattice_point_array(self):
+        """All integer points of the polytope as a read-only (N x n) int64
+        array, lex-sorted; the bounding box is scanned once per polytope."""
+        if self._points is None:
+            self._points = self._scan()
+            self._points.flags.writeable = False
+        return self._points
+
     def lattice_points(self):
-        """All integer points of the polytope, lex-sorted, as a fresh list;
-        the bounding box is scanned once per polytope."""
+        """All integer points of the polytope as a fresh lex-sorted list of tuples."""
+        return list(map(tuple, self.lattice_point_array().tolist()))
+
+    def _scan(self):
         if self.is_empty:
-            return []
+            return np.zeros((0, self.n), dtype=np.int64)
         if self.ineqs is None:
             raise ValueError("lattice point enumeration needs inequality data")
-        if self._points is None:
-            los, his = self.bounding_box()
-            ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
-            rows = self.ineqs
-            self._points = tuple(
-                m for m in product(*ranges) if all(dot(g, m) + c >= 0 for g, c in rows)
-            )
-        return list(self._points)
+        los, his = self.bounding_box()
+        # g.m + c >= 0 with g.m integral is g.m >= ceil(-c)
+        thr = [math.ceil(-c) for _, c in self.ineqs]
+        bound = (max(sum(map(abs, g)) for g, _ in self.ineqs)
+                 * max(map(abs, los + his)) + max(map(abs, thr)))
+        if bound >= 2**63:
+            raise InputError("polytope too large for int64 lattice points: max|g|_1 * "
+                             f"max|m|_inf + max|c| = {bound} > 2**63 - 1")
+        sizes = [hi - lo + 1 for lo, hi in zip(los, his)]
+        box = np.indices(sizes, dtype=np.int64).reshape(self.n, -1).T + los
+        g = np.array([g for g, _ in self.ineqs], dtype=np.int64)
+        return box[(box @ g.T >= thr).all(axis=1)]
 
     def relint_lattice_points(self):
         """Integer points in the relative interior, lex-sorted.
@@ -620,13 +634,16 @@ class Polytope:
         equality and vanishes on every lattice point too; a lattice point
         is interior when every other row is strict there.
         """
-        pts = self.lattice_points()
-        if not pts:
-            return pts
+        pts = self.lattice_point_array()
+        if not len(pts):
+            return []
         strict = [
             (g, c) for g, c in self.ineqs if any(dot(g, v) + c != 0 for v in self.vertices)
         ]
-        return [m for m in pts if all(dot(g, m) + c > 0 for g, c in strict)]
+        # g.m + c > 0 with g.m integral is g.m >= floor(-c) + 1
+        g = np.array([g for g, _ in strict], dtype=np.int64).reshape(-1, self.n)
+        inside = (pts @ g.T >= [math.floor(-c) + 1 for _, c in strict]).all(axis=1)
+        return list(map(tuple, pts[inside].tolist()))
 
     def volume(self):
         """Euclidean volume as an exact Fraction (0 when lower-dimensional)."""

@@ -256,8 +256,8 @@ def recover_torus_point(fan, table):
             ratios are rank-deficient or inconsistent.
     """
     pts = table.basis.lattice_points
-    geo = [tuple(x - y for x, y in zip(m, pts[0])) for m in pts[1:]]
-    if rank_and_index(geo)[0] < fan.n:
+    geo = table.basis.points[1:] - table.basis.points[:1]
+    if rank_and_index(geo.tolist())[0] < fan.n:
         raise SpanError(
             "alpha0 insufficient: lattice points do not affinely span"
         )
@@ -304,13 +304,11 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
         raise RecoveryError("empty eigenvalue table")
     thr = zero_tol * top
 
-    mons = table.basis.monomials
     pts = table.basis.lattice_points
-    zero_rays = []
-    for j in range(fan.k):
-        carriers = [i for i, b in enumerate(mons) if b[j] > 0]
-        if carriers and all(abs(table.values[i]) <= thr for i in carriers):
-            zero_rays.append(j)
+    carriers = table.basis.exponents > 0
+    loud = np.abs(table.values) > thr
+    zero_rays = np.flatnonzero(
+        carriers.any(axis=0) & ~(carriers & loud[:, None]).any(axis=0)).tolist()
     if not zero_rays:
         raise ClusteringError(
             "inconsistent vanishing pattern: small eigenvalues match no coordinate"
@@ -323,7 +321,7 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
 
     kern = integer_kernel([fan.rays[j] for j in zero_rays])
     nq = len(kern)
-    live = [i for i in range(len(pts)) if abs(table.values[i]) > thr]
+    live = np.flatnonzero(loud).tolist()
 
     if nq == 0:
         # the orbit is the fixed point of a full-dimensional cone

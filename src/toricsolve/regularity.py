@@ -114,13 +114,9 @@ class RegularityPair:
 
 def predicted_shape(system, pair):
     """(rows, cols) of Res at alpha + alpha0 without assembling it."""
-    fan = system.fan
-    top = pair.top
-    rows = len(graded_basis(fan, top))
-    cols = 0
-    for div in system.degrees:
-        cols += len(graded_basis(fan, top - div))
-    return rows, cols
+    fan, top = system.fan, pair.top
+    cols = sum(len(graded_basis(fan, top - div)) for div in system.degrees)
+    return len(graded_basis(fan, top)), cols
 
 
 class SystemProfile:
@@ -186,12 +182,9 @@ def profile_system(system):
 def _spans_affinely(div):
     """True when the lattice points of the section polytope affinely
     generate the full character lattice (sublattice index 1)."""
-    pts = div.lattice_points()
-    if len(pts) <= div.fan.n:
-        return False
-    p0 = pts[0]
-    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in pts[1:]]
-    return sublattice_index(diffs, div.fan.n) == 1
+    pts = div.polytope().lattice_point_array()
+    return (len(pts) > div.fan.n
+            and sublattice_index((pts[1:] - pts[0]).tolist(), div.fan.n) == 1)
 
 
 def _multiplier_ok(div):
@@ -422,13 +415,8 @@ def improved_pair(system):
         if cand is not None and len(graded_basis(system.fan, cand.alpha)) > 0:
             candidates.append(cand)
     candidates.append(default)
-    best = None
-    best_rows = None
-    for cand in candidates:
-        rows = len(graded_basis(system.fan, cand.top))
-        if best is None or rows < best_rows:
-            best, best_rows = cand, rows
-    return best
+    # min keeps the first of equal sizes, so the default loses ties
+    return min(candidates, key=lambda cand: len(graded_basis(system.fan, cand.top)))
 
 
 def user_pair(system, alpha, alpha0):

@@ -203,10 +203,6 @@ class DivisorClass:
             sections[self.a] = Polytope.from_inequalities(self.fan.rays, self.a)
         return sections[self.a]
 
-    def lattice_points(self):
-        """Lattice points of the section polytope, lex-sorted (a fresh list)."""
-        return self.polytope().lattice_points()
-
     def __add__(self, other):
         self._check(other)
         return DivisorClass(self.fan, tuple(x + y for x, y in zip(self.a, other.a)))
@@ -306,7 +302,7 @@ def is_nef_cartier(div):
 
 def is_effective(div):
     """Whether the class contains an effective divisor (a section exists)."""
-    return bool(div.lattice_points())
+    return len(div.polytope().lattice_point_array()) > 0
 
 
 def projective_product_structure(fan):
@@ -405,7 +401,7 @@ def cohomology_dims(div):
     n = fan.n
     if nef_witness(div) is not None:
         dims = [0] * (n + 1)
-        dims[0] = len(div.lattice_points())
+        dims[0] = len(div.polytope().lattice_point_array())
         return dims, "nef"
     if nef_witness(-div) is not None:
         dims = [0] * (n + 1)

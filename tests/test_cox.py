@@ -94,6 +94,36 @@ def test_lines27_basis_brute_force():
     assert len(basis) == count
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    fan_idx=st.integers(0, len(FAN_POOL) - 1),
+    rep=st.lists(st.integers(-2, 4), min_size=4, max_size=4),
+    probes=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=12),
+)
+def test_rows_match_dict_lookup(fan_idx, rep, probes):
+    fan = FAN_POOL[fan_idx]
+    basis = graded_basis(fan, rep[:fan.k])
+    index = {m: i for i, m in enumerate(basis.lattice_points)}
+    pts = basis.lattice_points + probes
+    got = basis.rows(np.array(pts, dtype=np.int64).reshape(-1, 2))
+    assert got.tolist() == [index.get(p, -1) for p in pts]
+
+
+def test_rows_outside_box_never_alias():
+    basis = graded_basis(pillow_fan(), (2, 2, 2, 2))
+    lo, hi = basis.points.min(axis=0), basis.points.max(axis=0)
+    assert (hi - lo + 1).tolist() == [5, 5]
+    # the first three probes share the key of the centre (0, 0), a basis
+    # point: (-1, 5) and (1, -5) exactly, (2**62, -2**62) after int64
+    # wraparound (5 * 2**62 - 2**62 = 2**64); the last is far outside
+    outside = [(-1, 5), (2**62, -(2**62)), (1, -5), (0, 2**61)]
+    assert basis.rows(outside).tolist() == [-1] * len(outside)
+    assert basis.rows(basis.points[::-1]).tolist() == list(range(len(basis)))[::-1]
+    empty = graded_basis(pillow_fan(), (-1, 0, 0, 0))
+    assert empty.rows(np.zeros((3, 0, 2), dtype=np.int64)).shape == (3, 0)
+    assert empty.rows([(0, 0)]).tolist() == [-1]
+
+
 def test_grading_consistency():
     # every basis monomial of S_alpha has class group image equal to alpha
     for fan, rep in [

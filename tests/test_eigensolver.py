@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import sympy
 
-from toricsolve.cox import HomogeneousSystem, homogenize
+from toricsolve.cox import CoxPolynomial, HomogeneousSystem, graded_basis, homogenize
 from toricsolve.eigensolver import (
     ResMatrix,
     _below_block_norm,
@@ -18,11 +18,14 @@ from toricsolve.eigensolver import (
 )
 from toricsolve.errors import InputError, RankAmbiguousError
 from toricsolve.lattice import mixed_volume
+from toricsolve.regularity import improved_pair
 
 from systems import (
     LINES27_RAYS,
+    P2_RAYS,
     PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
+    WP112_RAYS,
     lines27_laurent,
     pillow_fan,
     pillow_laurent,
@@ -72,6 +75,58 @@ def test_res_pillow_shape():
     res = assemble_res(system, (3, 3, 3, 3))
     assert res.shape == (25, 26)
     assert res.block_widths() == [13, 13]
+
+
+def reference_res(system, beta):
+    """Res by exponent arithmetic, one entry at a time: for every column
+    x^c of every block and every term x^b of f_i, add the coefficient at
+    the row found by looking up the exponent b + c."""
+    fan = system.fan
+    rows = graded_basis(fan, beta)
+    blocks = [graded_basis(fan, tuple(x - y for x, y in zip(rows.degree.a, div.a)))
+              for div in system.degrees]
+    matrix = np.zeros((len(rows), sum(len(b) for b in blocks)), dtype=complex)
+    col = 0
+    for f, block in zip(system.polys, blocks):
+        for cexp in block.monomials:
+            for bexp, coeff in f.terms():
+                matrix[rows.position(tuple(x + y for x, y in zip(bexp, cexp))), col] += coeff
+            col += 1
+    return matrix
+
+
+def random_system(rng, supports, rays):
+    return homogenize(
+        [[(e, complex(*rng.standard_normal(2))) for e in s] for s in supports], rays=rays)
+
+
+def test_res_matches_reference_assembler():
+    rng = np.random.default_rng(5)
+    p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
+    wp112 = [(0, 0), (1, 0), (2, 0), (0, 1)]
+    # the WP(1,1,2) pair has alpha = (1, 0, 0), where both blocks are empty
+    systems = [
+        homogenize(pillow_laurent(), rays=PILLOW_RAYS),
+        lines27_system(),
+        random_system(rng, [p2_dense, p2_dense], P2_RAYS),
+        random_system(rng, [wp112, wp112], WP112_RAYS),
+    ]
+    for system in systems:
+        pair = improved_pair(system)
+        for beta, allow_empty in ((pair.alpha, True), (pair.top, False)):
+            res = assemble_res(system, beta, allow_empty=allow_empty)
+            assert np.array_equal(res.matrix, reference_res(system, beta))
+
+
+def test_res_missing_row_raises():
+    # f lives in degree (1,1,1,1) but the system claims degree 0, so the
+    # products f * S_(1,1,1,1) leave S_(1,1,1,1): no entry may land on row -1
+    fan = pillow_fan()
+    basis = graded_basis(fan, (1, 1, 1, 1))
+    f = CoxPolynomial(basis, np.arange(1, len(basis) + 1))
+    system = HomogeneousSystem(fan, [f], [fan.divisor((0, 0, 0, 0))])
+    with pytest.raises(InputError):
+        assemble_res(system, (1, 1, 1, 1))
 
 
 # --------------------------------------------------------------- cokernel

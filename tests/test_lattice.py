@@ -11,8 +11,10 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricsolve.errors import InputError
 from toricsolve.lattice import (
     Polytope,
     convex_hull,
@@ -248,7 +250,8 @@ def brute_lattice_points(rows, offs, lo=-15, hi=15):
         lambda n: st.tuples(
             st.just(n),
             st.lists(st.tuples(*[st.integers(-6, 6)] * n), min_size=0, max_size=3),
-            st.lists(st.integers(-8, 8), min_size=3, max_size=3),
+            st.lists(st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=4)),
+                     min_size=3, max_size=3),
             st.lists(st.integers(0, 7), min_size=n, max_size=n),
         )
     )
@@ -300,6 +303,16 @@ def test_from_inequalities_empty():
     assert p.is_empty
     assert p.lattice_points() == []
     assert p.relint_lattice_points() == []
+
+
+def test_lattice_points_int64_guard():
+    # a two-point segment far out: exact while the row values fit in int64
+    near = Polytope.from_inequalities([(1,), (-1,)], [-(2**61), 2**61 + 1])
+    assert near.lattice_points() == [(2**61,), (2**61 + 1,)]
+    # at 2**62, |g|_1 * |m| + |c| = 2**63 + 2 would wrap: refused, not wrong
+    far = Polytope.from_inequalities([(1,), (-1,)], [-(2**62), 2**62 + 1])
+    with pytest.raises(InputError, match=r"2\*\*63"):
+        far.lattice_points()
 
 
 def test_hrep_vrep_roundtrip():
