@@ -23,7 +23,6 @@ from .lattice import (
     mixed_volume,
     smith_normal_form,
     snf_diagonal,
-    solve_rational,
     sublattice_index,
 )
 from .toric import (
@@ -31,7 +30,6 @@ from .toric import (
     ClassGroup,
     DivisorClass,
     divisor_of_polytope,
-    irrelevant_generators,
     is_nef_cartier,
     is_effective,
 )

@@ -202,12 +202,21 @@ class SystemFile:
         return out
 
 
+def _is_int(x):
+    """JSON integer test; JSON booleans parse as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_vector(v):
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
 def _parse_coeff(raw, where):
     if isinstance(raw, str):
         _template_names(raw)  # validates syntax early
         return raw
     if (isinstance(raw, (list, tuple)) and len(raw) == 2
-            and all(isinstance(x, (int, float)) for x in raw)):
+            and all(_is_int(x) or isinstance(x, float) for x in raw)):
         return complex(float(raw[0]), float(raw[1]))
     raise InputError(
         f"{where}: coefficient must be an [re, im] pair or a template "
@@ -267,9 +276,10 @@ def load_system_file(path):
             if not isinstance(raw_term, dict):
                 raise InputError(f"{where}: expected an object")
             exp = raw_term.get("exponent")
-            if (not isinstance(exp, list)
-                    or not all(isinstance(x, int) for x in exp)):
-                raise InputError(f"{where}: exponent must be an integer vector")
+            if not _is_int_vector(exp):
+                raise InputError(
+                    f"{where}: exponent must be an integer vector, got {exp!r}"
+                )
             if n is None:
                 n = len(exp)
             if len(exp) != n:
@@ -286,12 +296,11 @@ def load_system_file(path):
     rays = None
     if "fan" in doc:
         fan_doc = doc["fan"]
-        if not isinstance(fan_doc, dict) or "rays" not in fan_doc:
-            raise InputError("fan block must be an object with rays")
+        if not isinstance(fan_doc, dict) or not isinstance(fan_doc.get("rays"), list):
+            raise InputError("fan block must be an object with a list of rays")
         rays = []
         for r in fan_doc["rays"]:
-            if (not isinstance(r, list) or len(r) != n
-                    or not all(isinstance(x, int) for x in r)):
+            if not _is_int_vector(r) or len(r) != n:
                 raise InputError(
                     f"fan ray {r!r} must be an integer vector of length {n}"
                 )
@@ -306,8 +315,7 @@ def load_system_file(path):
         alpha = pair_doc["alpha"]
         alpha0 = pair_doc["alpha0"]
         for name, vec in (("alpha", alpha), ("alpha0", alpha0)):
-            if (not isinstance(vec, list)
-                    or not all(isinstance(x, int) for x in vec)):
+            if not _is_int_vector(vec):
                 raise InputError(f"pair {name} must be an integer vector")
         pair = (tuple(alpha), tuple(alpha0))
 

@@ -1,13 +1,23 @@
 """Exact lattice geometry: integer linear algebra, convex hulls, polytopes.
 
 Everything in this module is exact. Matrices are plain lists of Python
-ints (or Fractions where stated), so there is no overflow and no floating
-point anywhere. Ambient dimensions stay small (<= 6 in practice), which
-keeps the straightforward algorithms fast enough without sparse tricks.
-The exception is lattice point enumeration, one int64 matmul over the
-bounding box. It is exact while max|g|_1 * max|m|_inf + max|c| < 2**63
-over the rows g.m + c >= 0 and the box, which also bounds every row
-value and box key derived from the points; past it, InputError.
+ints, so there is no overflow and no floating point anywhere. Ambient
+dimensions stay small (<= 6 in practice), which keeps the straightforward
+algorithms fast enough without sparse tricks.
+
+Every exact solve, rank and determinant over Q goes through one
+fraction-free Gauss-Jordan elimination (Bareiss), which keeps its
+entries integral; the Smith normal form answers only lattice questions
+(index, kernel, class group, right_inverse). Fractions appear only as
+output values: rational vertices, facet offsets and volumes, and the
+entries of right_inverse. Rational input points and offsets are scaled
+to integers by the lcm of their denominators first.
+
+The exception to arbitrary precision is lattice point enumeration, one
+int64 matmul over the bounding box. It is exact while max|g|_1 *
+max|m|_inf + max|c| < 2**63 over the rows g.m + c >= 0 and the box,
+which also bounds every row value and box key derived from the points;
+past it, InputError.
 
 Conventions:
   * inequality systems are written A m + b >= 0, one row per inequality
@@ -29,15 +39,14 @@ __all__ = [
     "primitive",
     "dot",
     "det_int",
+    "rank_int",
+    "solve_int",
     "smith_normal_form",
     "snf_diagonal",
     "integer_kernel",
     "rank_and_index",
     "sublattice_index",
-    "solve_rational",
     "right_inverse",
-    "frac_solve_square",
-    "frac_rank",
     "convex_hull",
     "Hull",
     "Polytope",
@@ -64,28 +73,70 @@ def _identity(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
+def _eliminate(m, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer
+    rows `m`, in place, pivoting on the first `ncols` columns.
+
+    Every division is exact, so entries stay integers (minors of the
+    input). Afterwards the pivot rows come first, and each is d times a
+    row of the reduced echelon form, d being the last pivot; with full
+    column rank d is the determinant of the row-permuted leading block.
+
+    Returns (pivot columns, d, sign of the row permutation).
+    """
+    r, prev, sign = 0, 1, 1
+    pivots = []
+    for c in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        piv = m[r]
+        pc = piv[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(x * pc - f * y) // prev for x, y in zip(row, piv)]
+        prev = pc
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return pivots, prev, sign
+
+
 def det_int(a):
-    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    """Determinant of a square integer matrix."""
     n = len(a)
     if n == 0:
         return 1
-    m = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    pivots, d, sign = _eliminate([list(map(int, row)) for row in a], n)
+    return sign * d if len(pivots) == n else 0
+
+
+def rank_int(rows):
+    """Rank over Q of a list of integer row vectors."""
+    if not rows:
+        return 0
+    return len(_eliminate([list(map(int, row)) for row in rows], len(rows[0]))[0])
+
+
+def solve_int(a, b):
+    """Exact solution of a x = b for an integer matrix a (m x n) and an
+    integer vector b.
+
+    Returns (d, numerators) with d > 0 and x = numerators / d, or None
+    when a has rank below n or the system is inconsistent.
+    """
+    n = len(a[0])
+    m = [list(map(int, row)) + [int(y)] for row, y in zip(a, b)]
+    pivots, d, _ = _eliminate(m, n)
+    if len(pivots) < n or any(row[n] for row in m[n:]):
+        return None
+    s = 1 if d > 0 else -1
+    return s * d, tuple(s * row[n] for row in m[:n])
 
 
 def smith_normal_form(a):
@@ -230,38 +281,6 @@ def sublattice_index(vectors, n=None):
     return idx if rank >= n else 0
 
 
-def solve_rational(a, b):
-    """Solve a x = b over the rationals.
-
-    Args:
-        a: integer matrix (m x n).
-        b: length-m vector of ints or Fractions.
-
-    Returns:
-        None when the system is inconsistent, else a pair (x, kernel) where
-        x is a particular solution as a tuple of Fractions and kernel is an
-        integer lattice basis of the homogeneous solutions.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u, d, v = smith_normal_form(a)
-    ub = [dot(u[i], b) for i in range(m)]
-    y = [Fraction(0)] * n
-    kernel = []
-    for j in range(n):
-        dj = d[j][j] if j < min(m, n) else 0
-        if dj == 0:
-            kernel.append(tuple(v[i][j] for i in range(n)))
-        else:
-            y[j] = Fraction(ub[j], dj)
-    for i in range(m):
-        di = d[i][i] if i < min(m, n) else 0
-        if di == 0 and ub[i] != 0:
-            return None
-    x = tuple(sum(Fraction(v[i][j]) * y[j] for j in range(n)) for i in range(n))
-    return x, kernel
-
-
 def right_inverse(rows):
     """Rational right inverse E (c rows of r Fractions) of an r x c
     integer matrix, via Smith normal form; None when the rank is below r."""
@@ -275,55 +294,6 @@ def right_inverse(rows):
     ]
 
 
-def frac_solve_square(m, rhs):
-    """Solve a square linear system exactly over the rationals.
-
-    Returns a tuple of Fractions, or None when the matrix is singular.
-    """
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(m, rhs)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if p is None:
-            return None
-        a[c], a[p] = a[p], a[c]
-        pc = a[c][c]
-        a[c] = [x / pc for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return tuple(a[i][n] for i in range(n))
-
-
-def frac_rank(rows):
-    """Rank over Q of a list of int/Fraction row vectors."""
-    ech = []
-    for row in rows:
-        ech = _ech_append(ech, row)[0]
-    return len(ech)
-
-
-def _ech_append(ech, row):
-    """Reduce `row` against an echelon list; append if independent.
-
-    Returns (echelon, added) where added says whether the row increased
-    the rank. The echelon rows are kept with a leading 1.
-    """
-    r = [Fraction(x) for x in row]
-    n = len(r)
-    for e in ech:
-        lead = next(i for i in range(n) if e[i] != 0)
-        if r[lead] != 0:
-            f = r[lead]
-            r = [x - f * y for x, y in zip(r, e)]
-    lead = next((i for i in range(n) if r[i] != 0), None)
-    if lead is None:
-        return ech, False
-    r = [x / r[lead] for x in r]
-    return ech + [r], True
-
-
 def _canon_num(x):
     """Collapse integral Fractions to int so tuples hash and sort cleanly."""
     if isinstance(x, Fraction):
@@ -331,19 +301,24 @@ def _canon_num(x):
     return int(x)
 
 
-def _cross_normal(diffs):
-    """Integer normal to the span of d-1 difference vectors in Z^d.
+def _normal(diffs):
+    """Primitive integer normal, up to sign, to the span of n - 1
+    difference vectors in Z^n; None when they are linearly dependent.
 
-    Generalized cross product via cofactor expansion. Returns the zero
-    vector when the diffs are linearly dependent.
+    The reduced rows are d e_p + x e_f over the pivot columns p and the
+    one free column f, so the kernel is spanned by d e_f - sum x e_p.
     """
-    d = len(diffs) + 1
-    g = []
-    cols = list(range(d))
-    for j in range(d):
-        minor = [[row[c] for c in cols if c != j] for row in diffs]
-        g.append((-1) ** j * det_int(minor))
-    return tuple(g)
+    n = len(diffs) + 1
+    m = [list(row) for row in diffs]
+    pivots, d, _ = _eliminate(m, n)
+    if len(pivots) < n - 1:
+        return None
+    free = next(j for j in range(n) if j not in pivots)
+    g = [0] * n
+    g[free] = d
+    for p, row in zip(pivots, m):
+        g[p] = -row[free]
+    return primitive(g)
 
 
 class Hull:
@@ -411,35 +386,28 @@ def convex_hull(points):
                 scale = scale * x.denominator // math.gcd(scale, x.denominator)
     ip = [tuple(int(x * scale) for x in p) for p in pts]
 
-    # affine dimension via exact echelon on differences from the base point
-    base = ip[0]
-    ech = []
-    basis_rows = []
-    for p in ip[1:]:
-        diff = [p[j] - base[j] for j in range(n)]
-        ech, added = _ech_append(ech, diff)
-        if added:
-            basis_rows.append(diff)
-    dim = len(ech)
+    # affine dimension, and the initial simplex: the first points whose
+    # differences from the base point raise the rank
+    init, basis = [0], []
+    for i in range(1, len(ip)):
+        diff = [ip[i][j] - ip[0][j] for j in range(n)]
+        if rank_int(basis + [diff]) > len(basis):
+            init.append(i)
+            basis.append(diff)
+            if len(basis) == n:
+                break
+    dim = len(basis)
 
     if dim == 0:
         return Hull(pts, 0, [0], None, None, ip, scale)
 
     if dim < n:
-        # project onto exact affine coordinates, hull there, map back
-        bbt = [[dot(r1, r2) for r2 in basis_rows] for r1 in basis_rows]
-        coords = []
-        for p in ip:
-            diff = [p[j] - base[j] for j in range(n)]
-            rhs = [dot(r, diff) for r in basis_rows]
-            y = frac_solve_square(bbt, rhs)
-            coords.append(y)
+        # the pivot coordinates of the differences are an affine injection
+        # on the hull: hull the projected points, map the vertices back
+        pivots = _eliminate(basis, n)[0]
+        coords = [tuple(p[j] for j in pivots) for p in ip]
         sub = convex_hull(coords)
-        # sub.points are sorted coords; map each back to the original index
-        back = {}
-        for i, c in enumerate(coords):
-            key = tuple(_canon_num(x) for x in c)
-            back.setdefault(key, i)
+        back = {c: i for i, c in enumerate(coords)}
         vidx = sorted(back[sub.points[i]] for i in sub.vertex_indices)
         return Hull(pts, dim, vidx, None, None, ip, scale)
 
@@ -452,26 +420,18 @@ def convex_hull(points):
         facets = [(g, _canon_num(c)) for g, c in facets]
         return Hull(pts, 1, sorted({lo, hi}), facets, [(lo,), (hi,)], ip, scale)
 
-    # full-dimensional incremental hull with strict visibility
-    init = [0]
-    ech = []
-    for i in range(1, len(ip)):
-        diff = [ip[i][j] - ip[0][j] for j in range(n)]
-        ech, added = _ech_append(ech, diff)
-        if added:
-            init.append(i)
-        if len(init) == n + 1:
-            break
-    ref = tuple(Fraction(sum(ip[i][j] for i in init), n + 1) for j in range(n))
+    # full-dimensional incremental hull with strict visibility, seen from
+    # the initial simplex's centroid, scaled by n + 1 to stay integral
+    ref = [sum(ip[i][j] for i in init) for j in range(n)]
 
     def make_facet(idx_tuple):
         vs = [ip[i] for i in idx_tuple]
         diffs = [[vs[k][j] - vs[0][j] for j in range(n)] for k in range(1, n)]
-        g = primitive(_cross_normal(diffs))
-        if all(x == 0 for x in g):
+        g = _normal(diffs)
+        if g is None:
             return None
         c = -dot(g, vs[0])
-        val = dot(g, ref) + c
+        val = dot(g, ref) + (n + 1) * c
         if val < 0:
             g = tuple(-x for x in g)
             c = -c
@@ -516,7 +476,7 @@ def convex_hull(points):
     vidx = []
     for i in candidates:
         active = [g for (g, c) in merged if dot(g, ip[i]) + c == 0]
-        if frac_rank(active) == n:
+        if rank_int(active) == n:
             vidx.append(i)
     return Hull(pts, n, vidx, facet_list, simplices, ip, scale)
 
@@ -570,22 +530,26 @@ class Polytope:
         n = len(a[0])
         rows = [tuple(int(x) for x in r) for r in a]
         offs = [_canon_num(Fraction(x)) for x in b]
-        verts = set()
+        # integer offsets: the system scaled by the lcm of the denominators
+        scale = math.lcm(*(c.denominator for c in offs))
+        ioffs = [int(c * scale) for c in offs]
+        # each vertex as a primitive (numerators, d) with d > 0, the point
+        # being numerators / (d * scale)
+        found = set()
         for sub in combinations(range(k), n):
-            m = [rows[i] for i in sub]
-            rhs = [-offs[i] for i in sub]
-            x = frac_solve_square(m, rhs)
-            if x is None:
+            sol = solve_int([rows[i] for i in sub], [-ioffs[i] for i in sub])
+            if sol is None:
                 continue
-            if all(dot(rows[i], x) + offs[i] >= 0 for i in range(k)):
-                verts.add(tuple(_canon_num(v) for v in x))
-        vlist = sorted(verts)
-        if not vlist:
-            return cls(n, -1, [], list(zip(rows, offs)))
-        ech = []
-        for p in vlist[1:]:
-            ech, _ = _ech_append(ech, [p[j] - vlist[0][j] for j in range(n)])
-        return cls(n, len(ech), vlist, list(zip(rows, offs)))
+            d, num = sol
+            if all(dot(rows[i], num) + ioffs[i] * d >= 0 for i in range(k)):
+                found.add(primitive(num + (d,)))
+        ineqs = list(zip(rows, offs))
+        if not found:
+            return cls(n, -1, [], ineqs)
+        vlist = sorted(tuple(_canon_num(Fraction(x, h[n] * scale)) for x in h[:n])
+                       for h in found)
+        # affine dimension: rank of the homogeneous coordinates, minus one
+        return cls(n, rank_int(list(found)) - 1, vlist, ineqs)
 
     @property
     def is_empty(self):

@@ -27,15 +27,12 @@ from .toric import (
     cohomology_dims,
     is_effective,
     is_nef_cartier,
-    projective_product_structure,
     weighted_projective_weights,
 )
 
 __all__ = [
     "Provenance",
     "RegularityPair",
-    "SystemProfile",
-    "profile_system",
     "default_pair",
     "improved_pair",
     "user_pair",
@@ -119,28 +116,6 @@ def predicted_shape(system, pair):
     return len(graded_basis(fan, top)), cols
 
 
-class SystemProfile:
-    """Structural facts about a system that drive pair selection.
-
-    Attributes:
-        is_square: number of equations equals the torus dimension.
-        product_structure: [(ray index tuple, factor dimension)] when the
-            fan is a product of projective spaces, else None.
-        weights: weighted projective weights in ray order, else None.
-        unmixed_base: (base DivisorClass, dilation factors) when every
-            equation degree is an integer dilate of one primitive class,
-            else None.
-    """
-
-    __slots__ = ("is_square", "product_structure", "weights", "unmixed_base")
-
-    def __init__(self, is_square, product_structure, weights, unmixed_base):
-        self.is_square = is_square
-        self.product_structure = product_structure
-        self.weights = weights
-        self.unmixed_base = unmixed_base
-
-
 def _unmixed_base(system):
     """Primitive common base of the equation degrees, or None.
 
@@ -166,17 +141,6 @@ def _unmixed_base(system):
             return None
         dils.append(d)
     return DivisorClass(system.fan, base), tuple(dils)
-
-
-def profile_system(system):
-    """Classify the fan and degrees of a homogeneous system."""
-    fan = system.fan
-    return SystemProfile(
-        is_square=len(system) == fan.n,
-        product_structure=projective_product_structure(fan),
-        weights=weighted_projective_weights(fan),
-        unmixed_base=_unmixed_base(system),
-    )
 
 
 def _spans_affinely(div):
@@ -266,7 +230,7 @@ def vanishing_pair(system, beta):
     return True
 
 
-def _macaulay_candidate(system, profile):
+def _macaulay_candidate(system):
     """Pair for (products of) projective spaces from the Macaulay bound.
 
     Per factor j: c_j = sum_i d_ij - n_j with d_ij the multidegree of
@@ -274,10 +238,10 @@ def _macaulay_candidate(system, profile):
     alpha0 is the (1, ..., 1) class. Skipped when any c_j is negative
     or any equation has a negative multidegree.
     """
-    groups = profile.product_structure
+    fan = system.fan
+    groups = fan.product_structure
     if not groups:
         return None
-    fan = system.fan
     multidegs = []
     for div in system.degrees:
         md = tuple(sum(div.a[j] for j in grp) for grp, _n in groups)
@@ -316,7 +280,7 @@ def _weighted_rep(fan, weights, target):
     return tuple(rep)
 
 
-def _weighted_candidate(system, profile):
+def _weighted_candidate(system):
     """Pair on a weighted projective space P(q).
 
     With l = lcm(q) and deg f_i = k_i * eta, applies only when l | k_i
@@ -326,10 +290,10 @@ def _weighted_candidate(system, profile):
     basepoint makes the restricted N_{h_0} singular for every h_0, so
     multiplication_family raises BasepointError.
     """
-    weights = profile.weights
+    fan = system.fan
+    weights = weighted_projective_weights(fan)
     if not weights:
         return None
-    fan = system.fan
     if fan.class_group.free_rank != 1 or fan.class_group.torsion:
         return None
     ell = math.lcm(*weights)
@@ -352,15 +316,16 @@ def _weighted_candidate(system, profile):
     )
 
 
-def _codegree_candidate(system, profile):
+def _codegree_candidate(system):
     """Pair for degrees that are dilates of one base polytope.
 
     With alpha_i = d_i * alpha0 and c the codegree of the base polytope,
     the pair is ((sum d_i - (c - 1)) * alpha0, alpha0).
     """
-    if not profile.unmixed_base:
+    unmixed = _unmixed_base(system)
+    if not unmixed:
         return None
-    base, dils = profile.unmixed_base
+    base, dils = unmixed
     if not _multiplier_ok(base):
         return None
     c = base.polytope().codegree()
@@ -404,12 +369,11 @@ def improved_pair(system):
         PairSelectionError: the system is not square.
     """
     default = default_pair(system)
-    profile = profile_system(system)
     candidates = []
     for cand in (
-        _macaulay_candidate(system, profile),
-        _weighted_candidate(system, profile),
-        _codegree_candidate(system, profile),
+        _macaulay_candidate(system),
+        _weighted_candidate(system),
+        _codegree_candidate(system),
         _vanishing_candidate(system, default),
     ):
         if cand is not None and len(graded_basis(system.fan, cand.alpha)) > 0:

@@ -22,12 +22,12 @@ from .lattice import (
     Polytope,
     det_int,
     dot,
-    frac_rank,
     integer_kernel,
     primitive,
+    rank_int,
     right_inverse,
     smith_normal_form,
-    solve_rational,
+    solve_int,
 )
 
 __all__ = [
@@ -35,9 +35,7 @@ __all__ = [
     "ClassGroup",
     "DivisorClass",
     "divisor_of_polytope",
-    "irrelevant_generators",
     "nef_witness",
-    "is_nef_qcartier",
     "is_nef_cartier",
     "is_effective",
     "cohomology_dims",
@@ -59,7 +57,8 @@ class Fan:
             ray_j . x + a_j >= 0 holds on it with equality on facet j.
 
     The fan owns the section polytope of every divisor representative
-    asked for through DivisorClass.polytope, so each is built once.
+    asked for through DivisorClass.polytope, so each is built once, and
+    computes its class group and product structure once on first use.
     """
 
     def __init__(self, rays, max_cones, polytope=None, offsets=None):
@@ -71,6 +70,7 @@ class Fan:
         self.offsets = list(offsets) if offsets is not None else None
         self._class_group = None
         self._ray_inverse = None
+        self._product_structure = False  # not computed yet; None is a result
         self._sections = {}
         for r in self.rays:
             if r != primitive(r):
@@ -126,11 +126,15 @@ class Fan:
             self._ray_inverse = right_inverse([list(col) for col in zip(*self.rays)])
         return self._ray_inverse
 
+    @property
+    def product_structure(self):
+        """projective_product_structure of this fan, computed once."""
+        if self._product_structure is False:
+            self._product_structure = projective_product_structure(self)
+        return self._product_structure
+
     def divisor(self, a):
         return DivisorClass(self, a)
-
-    def cone_is_simplicial(self, cone):
-        return frac_rank([self.rays[j] for j in cone]) == len(cone)
 
     def __repr__(self):
         return f"Fan(n={self.n}, rays={self.k}, max_cones={len(self.max_cones)})"
@@ -250,46 +254,26 @@ def divisor_of_polytope(fan, support):
     return DivisorClass(fan, a)
 
 
-def irrelevant_generators(fan):
-    """Exponent tuples of the irrelevant ideal generators, one per max cone.
-
-    The generator for cone sigma is the product of the variables whose
-    rays are *not* in sigma.
-    """
-    out = []
-    for cone in fan.max_cones:
-        inside = set(cone)
-        out.append(tuple(0 if j in inside else 1 for j in range(fan.k)))
-    return out
-
-
 def nef_witness(div):
     """Cone-wise linear support data of a divisor, if it is nef Q-Cartier.
 
     For each maximal cone sigma the system <u_j, m> = -a_j over the rays
     of sigma must have a unique rational solution m_sigma, and every
     m_sigma has to lie in the section polytope. Returns the dict
-    {cone: m_sigma} on success, None otherwise.
+    {cone: (d, numerators)}, m_sigma = numerators / d with d > 0, on
+    success, None otherwise.
     """
     fan = div.fan
     witnesses = {}
     for cone in fan.max_cones:
-        rows = [fan.rays[j] for j in cone]
-        rhs = [-div.a[j] for j in cone]
-        sol = solve_rational(rows, rhs)
+        sol = solve_int([fan.rays[j] for j in cone], [-div.a[j] for j in cone])
         if sol is None:
+            return None  # no solution, or the cone does not determine m
+        d, num = sol
+        if any(dot(u, num) + ai * d < 0 for u, ai in zip(fan.rays, div.a)):
             return None
-        m_sigma, kernel = sol
-        if kernel:
-            return None  # solution not unique, cone does not determine m
-        if any(dot(u, m_sigma) + ai < 0 for u, ai in zip(fan.rays, div.a)):
-            return None
-        witnesses[cone] = m_sigma
+        witnesses[cone] = sol
     return witnesses
-
-
-def is_nef_qcartier(div):
-    return nef_witness(div) is not None
 
 
 def is_nef_cartier(div):
@@ -297,7 +281,7 @@ def is_nef_cartier(div):
     w = nef_witness(div)
     if w is None:
         return False
-    return all(x.denominator == 1 for m in w.values() for x in m)
+    return all(x % d == 0 for d, num in w.values() for x in num)
 
 
 def is_effective(div):
@@ -326,7 +310,7 @@ def projective_product_structure(fan):
             for extra in combinations([r for r in remaining if r != first], size - 1):
                 grp = (first,) + extra
                 if all(sum(fan.rays[j][c] for j in grp) == 0 for c in range(n)):
-                    if frac_rank([fan.rays[j] for j in grp]) == size - 1:
+                    if rank_int([fan.rays[j] for j in grp]) == size - 1:
                         found = grp
                         break
             if found:
@@ -407,7 +391,7 @@ def cohomology_dims(div):
         dims = [0] * (n + 1)
         dims[n] = len((-div).polytope().relint_lattice_points())
         return dims, "anti-nef"
-    prod = projective_product_structure(fan)
+    prod = fan.product_structure
     if prod is not None:
         factors = []
         for grp, nj in prod:
@@ -457,5 +441,5 @@ def boundary_stratum_check(fan, ray_set):
     ]
     if closure != rs:
         return False, False
-    simplicial = frac_rank([fan.rays[j] for j in rs]) == len(rs)
+    simplicial = rank_int([fan.rays[j] for j in rs]) == len(rs)
     return True, simplicial

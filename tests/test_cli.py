@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from toricsolve.cli import main
@@ -90,6 +91,43 @@ def test_solve_nan_coefficient_exits_2(tmp_path):
     res = run("solve", path)
     assert res.exit_code == 2
     assert res.output.startswith("error (input): coefficients must be finite")
+
+
+def _set_exponent(doc):
+    doc["equations"][0]["terms"][1]["exponent"] = [True, 0]
+
+
+def _set_coeff_imag(doc):
+    doc["equations"][1]["terms"][0]["coeff"] = [-2, False]
+
+
+def _set_coeff_real(doc):
+    doc["equations"][1]["terms"][3]["coeff"] = [True, 0.0]
+
+
+def _set_ray(doc):
+    doc["fan"]["rays"][0] = [True, 0]
+
+
+def _set_pair(doc):
+    doc["pair"] = {"alpha": [0, 0, True, 2], "alpha0": [0, 0, 1, 2]}
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_set_exponent, "equation 1, term 2: exponent"),
+    (_set_coeff_imag, "equation 2, term 1: coefficient"),
+    (_set_coeff_real, "equation 2, term 4: coefficient"),
+    (_set_ray, "fan ray [True, 0]"),
+    (_set_pair, "pair alpha"),
+], ids=["exponent", "coeff_imag", "coeff_real", "ray", "pair"])
+def test_solve_json_boolean_exits_2(tmp_path, edit, where):
+    # JSON true/false load as bool, which Python counts as int
+    doc = intro_doc()
+    edit(doc)
+    res = run("solve", write_file(tmp_path, doc))
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error (input): ")
+    assert where in res.output
 
 
 def test_solve_missing_file_exits_2(tmp_path):

@@ -96,6 +96,14 @@ def test_bad_coeff_shape_located(tmp_path):
         load_system_file(write_file(tmp_path, doc))
 
 
+@pytest.mark.parametrize("fan", [{"rays": 5}, {"rays": {}}, {}, [[1, 0]]])
+def test_fan_block_without_ray_list(tmp_path, fan):
+    doc = as_file_dict(pillow_laurent())
+    doc["fan"] = fan
+    with pytest.raises(InputError, match="fan block"):
+        load_system_file(write_file(tmp_path, doc))
+
+
 def test_not_json_is_input_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all {")

@@ -3,12 +3,15 @@
 The Smith form is validated by its defining identities on random
 matrices, hulls against scipy's Qhull and an independent 2d monotone
 chain, lattice point enumeration against brute force, and mixed volumes
-against hand-computable cases (Bezout et al).
+against hand-computable cases (Bezout et al). The integer elimination
+behind every exact solve and rank is checked against the Fraction
+routines below, which the library used before it, and the Leibniz
+formula.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -20,16 +23,100 @@ from toricsolve.lattice import (
     convex_hull,
     det_int,
     dot,
-    frac_rank,
-    frac_solve_square,
     integer_kernel,
     mixed_volume,
     primitive,
+    rank_int,
     smith_normal_form,
     snf_diagonal,
-    solve_rational,
+    solve_int,
     sublattice_index,
 )
+
+
+# --- Fraction reference routines --------------------------------------------
+
+
+def frac_solve_square(m, rhs):
+    """Reference: solve a square system by Gauss-Jordan over Fractions;
+    None when the matrix is singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(m, rhs)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        pc = a[c][c]
+        a[c] = [x / pc for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return tuple(a[i][n] for i in range(n))
+
+
+def _ech_append(ech, row):
+    """Reference: reduce `row` against an echelon list with leading 1s;
+    returns (echelon, whether the row raised the rank)."""
+    r = [Fraction(x) for x in row]
+    n = len(r)
+    for e in ech:
+        lead = next(i for i in range(n) if e[i] != 0)
+        if r[lead] != 0:
+            f = r[lead]
+            r = [x - f * y for x, y in zip(r, e)]
+    lead = next((i for i in range(n) if r[i] != 0), None)
+    if lead is None:
+        return ech, False
+    r = [x / r[lead] for x in r]
+    return ech + [r], True
+
+
+def frac_rank(rows):
+    """Reference: rank over Q of int/Fraction rows."""
+    ech = []
+    for row in rows:
+        ech = _ech_append(ech, row)[0]
+    return len(ech)
+
+
+def solve_rational(a, b):
+    """Reference: (particular solution, integer kernel basis) of a x = b
+    through the Smith form, None when inconsistent."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u, d, v = smith_normal_form(a)
+    ub = [dot(u[i], b) for i in range(m)]
+    y = [Fraction(0)] * n
+    kernel = []
+    for j in range(n):
+        dj = d[j][j] if j < min(m, n) else 0
+        if dj == 0:
+            kernel.append(tuple(v[i][j] for i in range(n)))
+        else:
+            y[j] = Fraction(ub[j], dj)
+    for i in range(m):
+        di = d[i][i] if i < min(m, n) else 0
+        if di == 0 and ub[i] != 0:
+            return None
+    x = tuple(sum(Fraction(v[i][j]) * y[j] for j in range(n)) for i in range(n))
+    return x, kernel
+
+
+def leibniz_det(a):
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+def as_fractions(sol):
+    """The solution x of an (d, numerators) pair from solve_int."""
+    d, num = sol
+    return tuple(Fraction(x, d) for x in num)
 
 
 def mat_mul(a, b):
@@ -104,24 +191,76 @@ def test_sublattice_index():
 @settings(max_examples=200, deadline=None)
 @given(matrices, st.lists(st.integers(-10, 10), min_size=1, max_size=5))
 def test_solve_rational(a, x0):
+    # a consistent system: solved exactly when a has full column rank
     n = len(a[0])
     x0 = (x0 * n)[:n]
     b = [dot(row, x0) for row in a]
-    res = solve_rational(a, b)
-    assert res is not None
-    x, kern = res
-    assert all(dot(row, x) == b[i] for i, row in enumerate(a))
-    for vec in kern:
-        assert all(dot(row, vec) == 0 for row in a)
+    res = solve_int(a, b)
+    ref = solve_rational(a, b)
+    assert ref is not None
+    if ref[1]:
+        assert res is None
+        return
+    d, num = res
+    assert d > 0
+    assert all(dot(row, num) == d * b[i] for i, row in enumerate(a))
+    assert as_fractions(res) == ref[0] == tuple(x0)
 
 
 def test_solve_rational_inconsistent():
-    assert solve_rational([[1, 1], [2, 2]], [1, 3]) is None
+    assert solve_int([[1, 1], [2, 2]], [1, 3]) is None
+    # full column rank, but the third equation contradicts the first two
+    assert solve_int([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
+    assert as_fractions(solve_int([[1, 0], [0, 1], [1, 1]], [1, 1, 2])) == (1, 1)
 
 
 def test_frac_solve_square():
-    assert frac_solve_square([[2, 0], [0, 4]], [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
-    assert frac_solve_square([[1, 1], [2, 2]], [1, 2]) is None
+    assert as_fractions(solve_int([[2, 0], [0, 4]], [1, 1])) == (Fraction(1, 2), Fraction(1, 4))
+    assert solve_int([[1, 1], [2, 2]], [1, 2]) is None
+
+
+small_matrices = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(matrices, small_matrices), st.lists(st.integers(-50, 50), min_size=5, max_size=5))
+def test_solve_int_matches_fractions(a, b):
+    m, n = len(a), len(a[0])
+    b = b[:m]
+    res = solve_int(a, b)
+    ref = solve_rational(a, b)
+    if ref is None or ref[1]:
+        assert res is None
+    else:
+        assert res[0] > 0
+        assert as_fractions(res) == ref[0]
+    if m == n:
+        square = frac_solve_square(a, b)
+        assert (None if res is None else as_fractions(res)) == square
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(matrices, small_matrices))
+def test_rank_int_matches_fractions(a):
+    assert rank_int(a) == frac_rank(a)
+    assert rank_int([row[::-1] for row in a[::-1]]) == frac_rank(a)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.integers(-50, 50), st.integers(-2, 2)),
+                                min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_int_matches_leibniz(a):
+    assert det_int(a) == leibniz_det(a)
+    assert (det_int(a) == 0) == (frac_rank(a) < len(a))
 
 
 def test_primitive():
@@ -212,6 +351,50 @@ def test_hull_nd_volume_matches_qhull(pts):
     assert ours == theirs
 
 
+def ref_hull_vertices(points):
+    """Reference: affine dimension and vertex indices of the hull, by the
+    Gram-matrix projection onto the span of the differences."""
+    pts = sorted(set(points))
+    n = len(pts[0])
+    ech, basis = [], []
+    for p in pts[1:]:
+        diff = [p[j] - pts[0][j] for j in range(n)]
+        ech, added = _ech_append(ech, diff)
+        if added:
+            basis.append(diff)
+    if not basis:
+        return 0, [0]
+    gram = [[dot(r1, r2) for r2 in basis] for r1 in basis]
+    coords = [frac_solve_square(gram, [dot(r, [p[j] - pts[0][j] for j in range(n)])
+                                       for r in basis]) for p in pts]
+    sub = convex_hull(coords)
+    back = {c: i for i, c in enumerate(coords)}
+    return len(basis), sorted(back[sub.points[i]] for i in sub.vertex_indices)
+
+
+affine_sublattice_points = st.integers(3, 4).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            st.tuples(*[st.integers(-5, 5)] * n),
+            st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k),
+            st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=1, max_size=14),
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_sublattice_points)
+def test_hull_on_affine_sublattices_matches_gram_projection(args):
+    base, directions, coefficients = args
+    pts = [tuple(b + sum(c * v[j] for c, v in zip(cs, directions)) for j, b in enumerate(base))
+           for cs in coefficients]
+    h = convex_hull(pts)
+    dim, vidx = ref_hull_vertices(pts)
+    assert h.dim == dim == frac_rank([[p[j] - pts[0][j] for j in range(len(base))] for p in pts])
+    assert h.vertex_indices == vidx
+
+
 def test_hull_lower_dimensional_segment():
     h = convex_hull([(0, 0, 0), (2, 2, 4), (1, 1, 2), (3, 3, 6)])
     assert h.dim == 1
@@ -284,6 +467,55 @@ def test_lattice_points_match_brute_force(args):
         if all((dot(g, m) + c == 0) if eq else (dot(g, m) + c > 0)
                for g, c, eq in zip(rows, offs, flat))
     ]
+
+
+def ref_from_inequalities(rows, offs):
+    """Reference: vertices and affine dimension of {m : rows m + offs >= 0}
+    from Fraction solves of every n x n subsystem."""
+    k, n = len(rows), len(rows[0])
+    verts = set()
+    for sub in combinations(range(k), n):
+        x = frac_solve_square([rows[i] for i in sub], [-offs[i] for i in sub])
+        if x is not None and all(dot(rows[i], x) + offs[i] >= 0 for i in range(k)):
+            verts.add(x)
+    vlist = sorted(verts)
+    if not vlist:
+        return [], -1
+    return vlist, frac_rank([[p[j] - vlist[0][j] for j in range(n)] for p in vlist[1:]])
+
+
+offsets = st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(offsets, offsets), min_size=n, max_size=n),
+            st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * n), offsets),
+                     min_size=0, max_size=4),
+        )
+    )
+)
+def test_from_inequalities_matches_fraction_solves(args):
+    box, cuts = args
+    n = len(box)
+    # a box (possibly flat or empty) keeps the set bounded; cuts on top
+    rows, offs = [], []
+    for j, (lo, hi) in enumerate(box):
+        e = [0] * n
+        e[j] = 1
+        rows += [tuple(e), tuple(-x for x in e)]
+        offs += [-lo, hi]
+    for g, c in cuts:
+        rows.append(g)
+        offs.append(c)
+    p = Polytope.from_inequalities(rows, offs)
+    vlist, dim = ref_from_inequalities(rows, offs)
+    assert p.vertices == vlist
+    assert p.dim == dim
+    # integral coordinates come out as ints
+    assert all(type(x) is int for v in p.vertices for x in v if x == int(x))
 
 
 def test_from_inequalities_vertices():

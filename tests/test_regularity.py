@@ -20,14 +20,14 @@ from toricsolve.regularity import (
     Provenance,
     default_pair,
     improved_pair,
+    _unmixed_base,
     predicted_shape,
-    profile_system,
     user_pair,
     vanishing_pair,
     verify_pair,
 )
 from toricsolve.solver import solve
-from toricsolve.toric import DivisorClass
+from toricsolve.toric import DivisorClass, weighted_projective_weights
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -127,34 +127,31 @@ def test_default_pair_rejects_non_square():
         default_pair(under)
 
 
-# structure profile
+# structure the candidates read
 
 
 def test_profile_lines27_product():
-    profile = profile_system(lines27_system())
-    assert profile.is_square
-    assert profile.product_structure is not None
-    assert sorted(n for _grp, n in profile.product_structure) == [2, 2]
-    assert profile.weights is None
+    system = lines27_system()
+    assert len(system) == system.fan.n
+    assert system.fan.product_structure is not None
+    assert sorted(n for _grp, n in system.fan.product_structure) == [2, 2]
+    assert weighted_projective_weights(system.fan) is None
 
 
 def test_profile_intro_unmixed():
-    profile = profile_system(intro_system())
-    base, dils = profile.unmixed_base
+    base, dils = _unmixed_base(intro_system())
     assert base == DivisorClass(base.fan, (0, 0, 1, 2))
     assert dils == (1, 1)
 
 
 def test_profile_p2_base_with_distinct_dilations():
-    profile = profile_system(p2_system())
-    base, dils = profile.unmixed_base
+    base, dils = _unmixed_base(p2_system())
     assert base.degree() == ((1,), ())
     assert dils == (2, 3)
 
 
 def test_profile_mixed_degrees_have_no_base():
-    profile = profile_system(lines27_system())
-    assert profile.unmixed_base is None
+    assert _unmixed_base(lines27_system()) is None
 
 
 # improved pair

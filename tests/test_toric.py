@@ -9,6 +9,7 @@ implementation existed.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from systems import (
     DIAMOND,
@@ -19,19 +20,20 @@ from systems import (
     lines27_fan,
     p2_fan,
     pillow_fan,
+    pillow_fan_doubled,
+    pillow_fan_solve,
     wp112_fan,
 )
 from toricsolve.errors import InputError
-from toricsolve.lattice import Polytope
+from test_lattice import solve_rational
+from toricsolve.lattice import Polytope, dot
 from toricsolve.toric import (
     Fan,
     boundary_stratum_check,
     cohomology_dims,
     divisor_of_polytope,
-    irrelevant_generators,
     is_effective,
     is_nef_cartier,
-    is_nef_qcartier,
     nef_witness,
     projective_product_structure,
     weighted_projective_weights,
@@ -87,34 +89,16 @@ def test_divisor_of_polytope_tight():
     assert divisor_of_polytope(fan2, DIAMOND).a == (1, 1, 1, 1)
 
 
-def test_irrelevant_generators():
-    fan = pillow_fan()
-    gens = irrelevant_generators(fan)
-    assert sorted(gens) == [
-        (0, 0, 1, 1),
-        (0, 1, 1, 0),
-        (1, 0, 0, 1),
-        (1, 1, 0, 0),
-    ]
-    # on P^2 the irrelevant ideal is generated by the three variables
-    assert sorted(irrelevant_generators(p2_fan())) == [
-        (0, 0, 1),
-        (0, 1, 0),
-        (1, 0, 0),
-    ]
-
-
 def test_nef_pillow_halfintegral_witness():
     fan = pillow_fan()
     d = fan.divisor((0, 1, 0, 1))
     w = nef_witness(d)
     assert w is not None
-    vals = set(w.values())
+    vals = {tuple(Fraction(x, den) for x in num) for den, num in w.values()}
     assert (Fraction(1, 2), Fraction(-1, 2)) in vals or (
         Fraction(-1, 2),
         Fraction(1, 2),
     ) in vals
-    assert is_nef_qcartier(d)
     assert not is_nef_cartier(d)
     assert is_nef_cartier(2 * d)
     assert is_nef_cartier(fan.divisor((1, 1, 1, 1)))
@@ -124,11 +108,49 @@ def test_nef_hirzebruch_counterexample():
     fan = hirzebruch_fan()
     # the class (0,0,2,0) has a one-point section polytope that misses the
     # cone-wise support points, so it is not nef
-    assert not is_nef_qcartier(fan.divisor((0, 0, 2, 0)))
-    assert is_nef_qcartier(fan.divisor((0, 0, 1, 2)))
+    assert nef_witness(fan.divisor((0, 0, 2, 0))) is None
+    assert nef_witness(fan.divisor((0, 0, 1, 2))) is not None
     assert is_nef_cartier(fan.divisor((0, 0, 1, 2)))
     # a fiber class is nef but not ample; still passes the support test
     assert is_nef_cartier(fan.divisor((0, 0, 0, 1)))
+
+
+def ref_nef_witness(div):
+    """Reference: cone-wise support points {cone: m_sigma} from Smith form
+    solves over Fractions, or None when div is not nef Q-Cartier."""
+    fan = div.fan
+    witnesses = {}
+    for cone in fan.max_cones:
+        sol = solve_rational([fan.rays[j] for j in cone], [-div.a[j] for j in cone])
+        if sol is None or sol[1]:
+            return None
+        if any(dot(u, sol[0]) + ai < 0 for u, ai in zip(fan.rays, div.a)):
+            return None
+        witnesses[cone] = sol[0]
+    return witnesses
+
+
+ALL_FANS = [pillow_fan(), pillow_fan_solve(), pillow_fan_doubled(), hirzebruch_fan(),
+            p2_fan(), p2_fan(3), wp112_fan(), lines27_fan()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ALL_FANS).flatmap(
+    lambda fan: st.tuples(st.just(fan), st.lists(st.integers(-3, 3), min_size=fan.k,
+                                                 max_size=fan.k))))
+def test_nef_witness_matches_smith_solve(args):
+    fan, a = args
+    div = fan.divisor(a)
+    w = nef_witness(div)
+    ref = ref_nef_witness(div)
+    if ref is None:
+        assert w is None
+        return
+    assert w.keys() == ref.keys()
+    for cone, (den, num) in w.items():
+        assert den > 0
+        assert tuple(Fraction(x, den) for x in num) == ref[cone]
+    assert is_nef_cartier(div) == all(x.denominator == 1 for m in ref.values() for x in m)
 
 
 def test_effective():
@@ -161,6 +183,9 @@ def test_cohomology_product_structure():
     fan = lines27_fan()
     prod = projective_product_structure(fan)
     assert prod is not None
+    # the fan computes it once and keeps it
+    assert fan.product_structure == prod
+    assert fan.product_structure is fan.product_structure
     groups = sorted(tuple(sorted(g)) for g, _ in prod)
     assert groups == [(0, 2, 4), (1, 3, 5)]
     assert all(nj == 2 for _, nj in prod)
@@ -202,6 +227,7 @@ def test_no_product_structure_on_pillow():
     # the pillow is a finite quotient of P^1 x P^1, not an honest product
     assert projective_product_structure(pillow_fan()) is None
     assert projective_product_structure(hirzebruch_fan()) is None
+    assert pillow_fan().product_structure is None
 
 
 def test_weighted_projective_recognition():
@@ -225,9 +251,3 @@ def test_boundary_stratum_check():
     assert not ok
     ok, simp = boundary_stratum_check(pillow_fan(), [0, 1])
     assert ok and simp
-
-
-def test_cone_is_simplicial():
-    fan = pillow_fan()
-    assert fan.cone_is_simplicial((0, 1))
-    assert not fan.cone_is_simplicial((0, 1, 2))
