@@ -63,6 +63,7 @@ from .recovery import (
     EigenvalueTable,
     Solution,
     recover_torus_point,
+    recover_torus_points,
     recover_boundary_point,
 )
 from .solver import SolutionSet, solve

@@ -163,10 +163,17 @@ class CoxPolynomial:
         k = self.basis.exponents.shape[1]
         if z.shape != (k,):
             raise InputError(f"point has shape {z.shape}, expected ({k},)")
-        monvals = np.prod(z[None, :] ** self.basis.exponents, axis=1)
-        value = complex(np.sum(self.coeffs * monvals))
-        scale = float(np.sum(np.abs(self.coeffs) * np.abs(monvals)))
-        return value, scale
+        value, scale = self._value_scale(z)
+        return complex(value), float(scale)
+
+    def _value_scale(self, z):
+        """evaluate's (value, scale) over the leading axes of z (..., k)."""
+        exps = self.basis.exponents
+        # one power table per coordinate, gathered per monomial
+        powers = z[..., None] ** np.arange(exps.max(initial=0) + 1)
+        monvals = np.prod(powers[..., np.arange(exps.shape[1]), exps], axis=-1)
+        return (np.sum(self.coeffs * monvals, axis=-1),
+                np.sum(np.abs(self.coeffs) * np.abs(monvals), axis=-1))
 
     def __repr__(self):
         parts = []
@@ -209,16 +216,22 @@ class HomogeneousSystem:
     def residuals(self, z):
         """Relative residual |f_i(z)| / sum |c| |z^b| per equation.
 
-        A vanishing scale with a vanishing value counts as residual 0.
+        z is one point of C^k, giving one residual per equation, or a
+        sequence of points, giving one row per point from one array
+        pass. A vanishing scale counts as residual 0 with a vanishing
+        value and as inf otherwise.
         """
-        out = []
-        for f in self.polys:
-            value, scale = f.evaluate(z)
-            if scale == 0.0:
-                out.append(0.0 if value == 0 else float("inf"))
-            else:
-                out.append(abs(value) / scale)
-        return np.array(out)
+        z = np.asarray(z, dtype=complex)
+        if z.ndim not in (1, 2) or z.shape[-1] != self.k:
+            raise InputError(f"points have shape {z.shape}, expected (..., {self.k})")
+        out = np.empty(z.shape[:-1] + (len(self.polys),))
+        for i, f in enumerate(self.polys):
+            value, scale = f._value_scale(z)
+            mag = np.abs(value)
+            flat = scale == 0.0
+            out[..., i] = np.where(flat, np.where(mag == 0.0, 0.0, np.inf),
+                                   mag / np.where(flat, 1.0, scale))
+        return out
 
     def __repr__(self):
         degs = [d.degree() for d in self.degrees]

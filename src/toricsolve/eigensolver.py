@@ -126,7 +126,7 @@ class CokernelMap:
 
     Attributes:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
-            ker N = im Res up to tol_rank.
+            ker N = im Res up to tol_rank; None from a corank-only call.
         delta_plus: corank of Res against its row dimension.
         singular_values: full singular value list, for diagnostics.
         res: the ResMatrix this was computed from.
@@ -144,25 +144,14 @@ class CokernelMap:
         return f"CokernelMap(delta_plus={self.delta_plus})"
 
 
-def cokernel(res):
-    """Compute the cokernel of Res by SVD with a guarded rank decision.
-
-    The rank is the number of singular values above res.tol_rank * sigma_1 and
-    the corank is counted against the row dimension, so a matrix with few
-    columns exposes its structural cokernel too.
+def _rank(s, tol_rank):
+    """Number of singular values s (descending) above tol_rank * s[0].
 
     Raises:
-        RankAmbiguousError: the singular values straddling the cut differ
-            by less than GAP_RATIO, so the corank is not trustworthy.
+        RankAmbiguousError: the values straddling the cut differ by less
+            than GAP_RATIO.
     """
-    A = res.matrix
-    nrows = A.shape[0]
-    if A.shape[1] == 0:
-        return CokernelMap(np.eye(nrows, dtype=complex), nrows,
-                           np.zeros(0), res)
-    full = A.shape[0] > A.shape[1]
-    U, s, _ = np.linalg.svd(A, full_matrices=full)
-    rank = 0 if s[0] == 0.0 else int(np.sum(s > res.tol_rank * s[0]))
+    rank = 0 if s[0] == 0.0 else int(np.sum(s > tol_rank * s[0]))
     if 0 < rank < len(s):
         ratio = np.inf if s[rank] == 0.0 else s[rank - 1] / s[rank]
         if ratio < GAP_RATIO:
@@ -171,9 +160,35 @@ def cokernel(res):
                 f"{s[rank]:.3e} straddle the corank cut with ratio "
                 f"{ratio:.1e} < {GAP_RATIO:.0e}"
             )
-    delta_plus = nrows - rank
-    N = U[:, rank:].conj().T
-    return CokernelMap(N, delta_plus, s, res)
+    return rank
+
+
+def cokernel(res, corank_only=False):
+    """Compute the cokernel of Res by SVD with a guarded rank decision.
+
+    The rank is the number of singular values above res.tol_rank * sigma_1 and
+    the corank is counted against the row dimension, so a matrix with few
+    columns exposes its structural cokernel too.
+
+    With corank_only the SVD computes singular values alone and N is
+    None: the same cut and gap guard give delta_plus at a fraction of
+    the cost, which is all a corank comparison needs.
+
+    Raises:
+        RankAmbiguousError: the singular values straddling the cut differ
+            by less than GAP_RATIO, so the corank is not trustworthy.
+    """
+    A = res.matrix
+    nrows = A.shape[0]
+    if A.shape[1] == 0:
+        N = None if corank_only else np.eye(nrows, dtype=complex)
+        return CokernelMap(N, nrows, np.zeros(0), res)
+    if corank_only:
+        s = np.linalg.svd(A, compute_uv=False)
+        return CokernelMap(None, nrows - _rank(s, res.tol_rank), s, res)
+    U, s, _ = np.linalg.svd(A, full_matrices=A.shape[0] > A.shape[1])
+    rank = _rank(s, res.tol_rank)
+    return CokernelMap(U[:, rank:].conj().T, nrows - rank, s, res)
 
 
 class MultiplicationFamily:
@@ -280,7 +295,7 @@ def multiplication_family(cok, system, pair, seed=0):
         coeffs = (rng.standard_normal(len(s_alpha0))
                   + 1j * rng.standard_normal(len(s_alpha0)))
         n_h0 = np.tensordot(coeffs, stack, axes=(0, 0))
-        _, _, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="economic")
+        _, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="r")
         columns = tuple(sorted(int(p) for p in piv[:delta]))
         sub = n_h0[:, columns]
         cond = np.linalg.cond(sub)

@@ -5,24 +5,32 @@ evaluation x^b / h0 at the underlying point. Ratios of these values are
 pure torus characters t^{m - m0}, so the point is recovered by solving
 an integer-exponent binomial system: moduli by weighted least squares
 in log space, phases by a Smith normal form solve with root-of-unity
-branch enumeration, then a short multiplicative refinement. Boundary
-points first read off their vanishing pattern, then run the same solve
-on the character lattice of the orbit.
+branch enumeration, then a short multiplicative refinement. Clusters
+whose tables share a base point and a pattern of usable ratios share
+the integer work, and their float work runs as stacked array
+operations. Boundary points first read off their vanishing pattern,
+then run the same solve on the character lattice of the orbit.
 """
 
-import cmath
 import math
 
 import numpy as np
 
 from .errors import ClusteringError, RecoveryError, SpanError
-from .lattice import dot, integer_kernel, rank_and_index, right_inverse, smith_normal_form
+from .lattice import (
+    dot,
+    integer_kernel,
+    rank_int,
+    right_inverse,
+    smith_normal_form,
+)
 from .toric import boundary_stratum_check
 
 __all__ = [
     "EigenvalueTable",
     "Solution",
     "recover_torus_point",
+    "recover_torus_points",
     "recover_boundary_point",
 ]
 
@@ -42,36 +50,37 @@ class EigenvalueTable:
 
     Attributes:
         basis: GradedBasis of alpha0 (lattice points m, Cox exponents b).
-        values: complex value per basis monomial, aligned with the basis.
+        values: complex array, one value per basis monomial.
         multiplicity: cluster size mu.
-        noise: absolute error estimate per entry, aligned with the basis.
+        noise: float array, absolute error estimate per entry.
     """
 
     __slots__ = ("basis", "values", "multiplicity", "noise")
 
     def __init__(self, basis, values, multiplicity=1, noise=None):
-        values = [complex(v) for v in values]
-        if len(values) != len(basis):
+        values = np.array(values, dtype=complex)
+        if values.shape != (len(basis),):
             raise RecoveryError("table length does not match the alpha0 basis")
         self.basis = basis
         self.values = values
         self.multiplicity = int(multiplicity)
         if noise is None:
-            top = max(abs(v) for v in values) if values else 0.0
-            noise = [NOISE_CUSHION * np.finfo(float).eps * top] * len(values)
-        self.noise = [float(x) for x in noise]
+            top = np.abs(values).max(initial=0.0)
+            noise = np.full(len(values), NOISE_CUSHION * np.finfo(float).eps * top)
+        self.noise = np.asarray(noise, dtype=float)
 
     @classmethod
-    def from_clustering(cls, family, clustering, i):
-        """Table for cluster i, read from row i of clustering.tables.
+    def from_clustering(cls, family, clustering):
+        """One table per cluster, row i of clustering.tables for cluster i.
 
         Noise floors use the per-monomial maximum modulus across every
-        cluster, a stand-in for the multiplication matrix norm.
+        cluster, a stand-in for the multiplication matrix norm, computed
+        once for the whole clustering.
         """
         tables = clustering.tables
         noise = NOISE_CUSHION * np.finfo(float).eps * np.abs(tables).max(axis=0)
-        return cls(family.alpha0_basis, tables[i], clustering.block_sizes[i],
-                   noise)
+        return [cls(family.alpha0_basis, row, mu, noise)
+                for row, mu in zip(tables, clustering.block_sizes)]
 
     def __len__(self):
         return len(self.values)
@@ -122,125 +131,215 @@ class Solution:
         return f"Solution(mu={self.multiplicity}, {where}, z={self.z})"
 
 
-def _solve_binomials(diffs, ratios, errs, n, insufficient, inconsistent):
-    """Solve t^{diffs[i]} = ratios[i] for t in (C*)^n.
+def _branch_plan(rows, n):
+    """Integer half of a binomial solve over usable rows, most accurate first.
 
-    diffs are integer vectors; errs are relative error estimates used to
-    weight the solve and to scale the final consistency check. Raises
-    RecoveryError with the provided messages when the differences do not
-    span (insufficient) or no branch passes verification (inconsistent).
+    Climbs to rank n greedily on the most accurate rows, then keeps
+    adding rows while they shrink the sublattice index; a rank takes one
+    fraction-free elimination, and the index a Smith form only once
+    rank n is reached. The Smith form of the selected rows gives the
+    phase equations and their root-of-unity branches.
+
+    Returns:
+        (sel, u, dd, v, offsets): selected row positions, the first n
+        rows of U, the invariant factors, V, and 2 pi times every branch
+        vector, all as arrays; None when the rows have rank below n or
+        the index exceeds MAX_BRANCHES.
     """
-    rank_all, _ = rank_and_index(diffs)
-    if rank_all < n:
-        raise RecoveryError(insufficient)
-
-    order = sorted(range(len(diffs)), key=lambda i: errs[i])
-    usable = [i for i in order if errs[i] < USABLE_ERR]
-    if rank_and_index([diffs[i] for i in usable])[0] < n:
-        raise RecoveryError(inconsistent)
-
-    # greedy selection: climb to full rank on the most accurate rows,
-    # then keep adding rows while they shrink the sublattice index
-    sel = []
-    rank, index = 0, 1
-    for i in usable:
-        r2, q2 = rank_and_index([diffs[j] for j in sel] + [diffs[i]])
-        if r2 > rank or (rank == n and q2 < index):
+    rows = rows.tolist()
+    sel, rank, index, snf = [], 0, 1, None
+    for i, row in enumerate(rows):
+        cand = [rows[j] for j in sel] + [row]
+        if rank < n:
+            if rank_int(cand) == rank:
+                continue
             sel.append(i)
-            rank, index = r2, q2
+            rank += 1
+            if rank == n:
+                snf = smith_normal_form(cand)
+                index = math.prod(snf[1][j][j] for j in range(n))
+        else:
+            cand_snf = smith_normal_form(cand)
+            q = math.prod(cand_snf[1][j][j] for j in range(n))
+            if q < index:
+                sel.append(i)
+                index, snf = q, cand_snf
         if rank == n and index == 1:
             break
-    if index > MAX_BRANCHES:
-        raise RecoveryError(inconsistent)
-
-    a = np.array([diffs[i] for i in usable], dtype=float)
-    w = np.array([1.0 / max(errs[i], 1e-15) for i in usable])
-    logr = np.array([math.log(abs(ratios[i])) for i in usable])
-    moduli = np.linalg.lstsq(a * w[:, None], logr * w, rcond=None)[0]
-
-    s_rows = [list(diffs[i]) for i in sel]
-    u, d, v = smith_normal_form(s_rows)
-    args = [math.atan2(ratios[i].imag, ratios[i].real) for i in sel]
-    g = [sum(u[j][l] * args[l] for l in range(len(sel))) for j in range(len(sel))]
+    if rank < n or index > MAX_BRANCHES:
+        return None
+    u, d, v = snf
     dd = [d[j][j] for j in range(n)]
-    varr = np.array(v, dtype=float)
-
-    def branch_theta(c):
-        psi = [(g[j] + 2.0 * math.pi * c[j]) / dd[j] for j in range(n)]
-        return varr @ np.array(psi)
-
     branches = [[]]
     for j in range(n):
         branches = [b + [cj] for b in branches for cj in range(abs(dd[j]))]
-
-    best = None
-    for c in branches:
-        t = np.exp(moduli + 1j * branch_theta(c))
-        for _ in range(3):
-            dev = np.array(
-                [cmath.log(ratios[i] / np.prod(t ** np.array(diffs[i]))) for i in usable]
-            )
-            # principal log keeps each step inside one branch; bad branches
-            # fail verification below instead of being pulled across
-            step = np.linalg.lstsq(a * w[:, None], dev * w, rcond=None)[0]
-            t = t * np.exp(step)
-        score = 0.0
-        ok = True
-        for i in usable:
-            pred = np.prod(t ** np.array(diffs[i]))
-            rel = abs(pred - ratios[i]) / abs(ratios[i])
-            tol = RATIO_TOL + 10.0 * errs[i]
-            if rel > tol:
-                ok = False
-                break
-            score += (rel / tol) ** 2
-        if ok and (best is None or score < best[0]):
-            best = (score, t)
-    if best is None:
-        raise RecoveryError(inconsistent)
-    return tuple(complex(x) for x in best[1])
+    return (np.array(sel), np.array(u[:n], dtype=float), np.array(dd, dtype=float),
+            np.array(v, dtype=float), 2.0 * math.pi * np.array(branches, dtype=float))
 
 
-def _power_lift(einv, logs):
-    """exp(E . logs) componentwise for a rational matrix E."""
-    out = []
-    for row in einv:
-        acc = 0j
-        for coef, lg in zip(row, logs):
-            acc += float(coef) * lg
-        out.append(cmath.exp(acc))
-    return out
+def _monomials(t, a):
+    """t^a for every row of the integer matrix a, over the leading axes of t."""
+    return np.prod(t[..., None, :] ** a, axis=-1)
 
 
-def _cox_lift(fan, t):
-    """Homogeneous coordinates z with z^{F^T m} = t^m for all m.
+def _branch_solve(plan, a, ratios, errs):
+    """Float half of a binomial solve, stacked over clusters and branches.
 
-    Uses a rational right inverse of the ray matrix; fractional entries
-    take principal-branch powers, which is harmless because F applied to
-    the result reproduces t exactly in exponent arithmetic.
+    a (r x n) holds the usable rows in the order the plan was built on;
+    ratios and errs are (G, r). Log-moduli come from weighted least
+    squares, phases from the plan's Smith form, one start per branch;
+    three multiplicative refinement steps follow, and each cluster keeps
+    its verified branch with the smallest score.
+
+    Returns:
+        (t, found): complex (G, n) points and the mask of clusters with
+        a verified branch.
     """
-    einv = fan.ray_inverse
-    if einv is None:
-        raise RecoveryError("fan rays do not span the character lattice")
-    return _power_lift(einv, [cmath.log(x) for x in t])
+    sel, u, dd, v, offsets = plan
+    w = 1.0 / np.maximum(errs, 1e-15)
+    # one pseudoinverse per cluster, transposed, serves the modulus solve
+    # and every step; it drops singular values below lstsq's default cutoff
+    us, sv, vh = np.linalg.svd(a[None] * w[:, :, None], full_matrices=False)
+    keep = sv > max(a.shape) * np.finfo(float).eps * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    pinv_t = (us * inv[:, None, :]) @ vh
+    moduli = (np.log(np.abs(ratios)) * w)[:, None, :] @ pinv_t
+    psi = ((np.angle(ratios[:, sel]) @ u.T)[:, None, :] + offsets) / dd
+    t = np.exp(moduli + 1j * (psi @ v.T))
+    for _ in range(3):
+        # principal log keeps each step inside one branch; bad branches
+        # fail verification below instead of being pulled across
+        dev = np.log(ratios[:, None, :] / _monomials(t, a))
+        t = t * np.exp((dev * w[:, None, :]) @ pinv_t)
+    rel = np.abs(_monomials(t, a) - ratios[:, None, :]) / np.abs(ratios[:, None, :])
+    tol = RATIO_TOL + 10.0 * errs[:, None, :]
+    ok = ~(rel > tol).any(axis=2)
+    score = ((rel / tol) ** 2).sum(axis=2)
+    # the first verified branch, replaced only by a strictly lower score
+    best = np.full(len(ratios), -1)
+    rows = np.arange(len(ratios))
+    for b in range(score.shape[1]):
+        take = ok[:, b] & ((best < 0) | (score[:, b] < score[rows, best]))
+        best[take] = b
+    return t[rows, best], best >= 0
 
 
-def _ratio_data(items, noise):
-    """Base point, difference rows, ratios, and error estimates."""
-    i0 = max(range(len(items)), key=lambda i: abs(items[i][1]))
-    m0, lam0 = items[i0]
-    diffs, ratios, errs = [], [], []
-    for i, (m, lam) in enumerate(items):
-        if i == i0:
-            continue
-        diffs.append(tuple(x - y for x, y in zip(m, m0)))
-        ratios.append(lam / lam0)
-        errs.append(noise[i] / abs(lam) + noise[i0] / abs(lam0))
-    return diffs, ratios, errs
+def _solve_binomials(diffs, ratios, errs, n):
+    """Solve t^{diffs[i]} = ratios[g, i] for t in (C*)^n, for every cluster g.
+
+    diffs is an (r x n) integer array shared by all clusters; ratios and
+    errs (relative error estimates) are (G, r). The errors weight the
+    solve and scale the final consistency check; rows with an error of
+    USABLE_ERR or more are left out. Clusters whose usable rows, in order
+    of accuracy, agree share one integer plan and one stacked float solve.
+
+    Returns:
+        (t, found) as _branch_solve gives them, with found False where
+        the usable rows are rank-deficient, span a sublattice of index
+        above MAX_BRANCHES, or verify on no branch; None when diffs
+        itself has rank below n.
+    """
+    if rank_int(diffs.tolist()) < n:
+        return None
+    t = np.full((len(ratios), n), np.nan, dtype=complex)
+    found = np.zeros(len(ratios), dtype=bool)
+    order = np.argsort(errs, axis=1, kind="stable")
+    # the usable rows are a prefix of each cluster's accuracy order
+    keys = np.where(np.take_along_axis(errs, order, axis=1) < USABLE_ERR, order, -1)
+    for key, members in _groups(keys):
+        use = key[key >= 0]
+        plan = _branch_plan(diffs[use], n)
+        if plan is not None:
+            t[members], found[members] = _branch_solve(
+                plan, diffs[use], ratios[members][:, use], errs[members][:, use])
+    return t, found
+
+
+def _groups(keys):
+    """(key, member indices) for every distinct row of the integer array
+    keys, in order of first appearance."""
+    groups = {}
+    for i, key in enumerate(map(tuple, keys.tolist())):
+        groups.setdefault(key, []).append(i)
+    return [(np.array(key), np.array(members)) for key, members in groups.items()]
+
+
+def _ratio_data(points, values, noise, i0):
+    """Difference rows to the base point i0, the ratios of every row of
+    values (G x len(points)) to its entry at i0, and their error
+    estimates."""
+    rest = np.arange(len(points)) != i0
+    lam0 = values[:, i0:i0 + 1]
+    ratios = values[:, rest] / lam0
+    errs = noise[:, rest] / np.abs(values[:, rest]) + noise[:, i0:i0 + 1] / np.abs(lam0)
+    return points[rest] - points[i0], ratios, errs
+
+
+def recover_torus_points(fan, tables):
+    """Recover torus points from many eigenvalue tables in one pass.
+
+    Each table's base point is its largest entry, and its zero entries
+    drop out. Tables that share a basis, a base point and a pattern of
+    zero entries share their difference rows, so their integer work is
+    done once and their float work runs as stacked array operations.
+
+    Args:
+        fan: the Fan the system lives on.
+        tables: EigenvalueTables, usually one per cluster.
+
+    Returns:
+        list aligned with tables: a Solution with on_torus = True, or
+        None where the cluster is not a torus point (its usable ratios
+        are rank-deficient or inconsistent).
+
+    Raises:
+        SpanError: the exponent differences of an alpha0 basis's lattice
+            points cannot determine t, whatever the cluster.
+    """
+    by_basis = {}
+    for i, table in enumerate(tables):
+        by_basis.setdefault(id(table.basis), (table.basis, []))[1].append(i)
+    for basis, _ in by_basis.values():
+        geo = basis.points[1:] - basis.points[:1]
+        if rank_int(geo.tolist()) < fan.n:
+            raise SpanError(
+                "alpha0 insufficient: lattice points do not affinely span"
+            )
+    out = [None] * len(tables)
+    if fan.ray_inverse is None:  # rays that do not span M lift no torus point
+        return out
+    # z = exp(E log t) for the rational right inverse E of the ray matrix:
+    # fractional entries take principal-branch powers, which is harmless
+    # because F applied to the result reproduces t in exponent arithmetic
+    lift = np.array(fan.ray_inverse, dtype=float).T
+    for basis, members in by_basis.values():
+        members = np.array(members)
+        values = np.array([tables[i].values for i in members])
+        noise = np.array([tables[i].noise for i in members])
+        mags = np.abs(values)
+        # group key: the pattern of nonzero entries, then the base point
+        keys = np.column_stack([mags > 0.0, np.argmax(mags, axis=1)])
+        for key, rows in _groups(keys):
+            live, i0 = key[:-1].astype(bool), key[-1]
+            if np.count_nonzero(live) < 2:
+                continue
+            diffs, ratios, errs = _ratio_data(
+                basis.points[live], values[rows][:, live],
+                noise[rows][:, live], np.count_nonzero(live[:i0]))
+            solved = _solve_binomials(diffs, ratios, errs, fan.n)
+            if solved is None:
+                continue
+            t, found = solved
+            z = np.exp(np.log(t[found]) @ lift)
+            for i, tg, zg in zip(members[rows[found]], t[found], z):
+                out[i] = Solution(zg, tg, tables[i].multiplicity, zero_pattern=())
+    return out
 
 
 def recover_torus_point(fan, table):
     """Recover a torus point from one eigenvalue table row.
+
+    The one-table case of recover_torus_points.
 
     Args:
         fan: the Fan the system lives on.
@@ -255,32 +354,10 @@ def recover_torus_point(fan, table):
         RecoveryError: "cluster is not a torus point" when the usable
             ratios are rank-deficient or inconsistent.
     """
-    pts = table.basis.lattice_points
-    geo = table.basis.points[1:] - table.basis.points[:1]
-    if rank_and_index(geo.tolist())[0] < fan.n:
-        raise SpanError(
-            "alpha0 insufficient: lattice points do not affinely span"
-        )
-    items = [
-        (m, lam) for m, lam in zip(pts, table.values) if abs(lam) > 0.0
-    ]
-    if len(items) < 2:
+    sol = recover_torus_points(fan, [table])[0]
+    if sol is None:
         raise RecoveryError("cluster is not a torus point")
-    noise = [
-        n for (lam, n) in zip(table.values, table.noise) if abs(lam) > 0.0
-    ]
-    diffs, ratios, errs = _ratio_data(items, noise)
-    # the geometry spans, so any rank drop here means vanishing values
-    t = _solve_binomials(
-        diffs,
-        ratios,
-        errs,
-        fan.n,
-        insufficient="cluster is not a torus point",
-        inconsistent="cluster is not a torus point",
-    )
-    z = _cox_lift(fan, t)
-    return Solution(z, t, table.multiplicity, zero_pattern=())
+    return sol
 
 
 def recover_boundary_point(fan, table, zero_tol=1e-6):
@@ -299,7 +376,7 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
             orbit's character lattice, or the orbit ratios are
             inconsistent.
     """
-    top = max(abs(v) for v in table.values)
+    top = np.abs(table.values).max(initial=0.0)
     if top == 0.0:
         raise RecoveryError("empty eigenvalue table")
     thr = zero_tol * top
@@ -330,31 +407,30 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
                         non_simplicial=not simplicial)
 
     snf = smith_normal_form(kern)
-    items, noise = [], []
+    coords = []
     for i in live:
-        coords = _kernel_coordinates(snf, pts[i], pts[live[0]])
-        if coords is None:
+        c = _kernel_coordinates(snf, pts[i], pts[live[0]])
+        if c is None:
             raise ClusteringError(
                 "inconsistent vanishing pattern: surviving monomials leave the orbit"
             )
-        items.append((coords, table.values[i]))
-        noise.append(table.noise[i])
-    diffs, ratios, errs = _ratio_data(items, noise)
-    s = _solve_binomials(
-        diffs,
-        ratios,
-        errs,
-        nq,
-        insufficient="alpha0 insufficient on orbit",
-        inconsistent="inconsistent ratios on the boundary orbit",
-    )
+        coords.append(c)
+    values = table.values[live]
+    diffs, ratios, errs = _ratio_data(
+        np.array(coords, dtype=np.int64), values[None], table.noise[live][None],
+        int(np.argmax(np.abs(values))))
+    solved = _solve_binomials(diffs, ratios, errs, nq)
+    if solved is None:
+        raise RecoveryError("alpha0 insufficient on orbit")
+    if not solved[1][0]:
+        raise RecoveryError("inconsistent ratios on the boundary orbit")
 
     free = [j for j in range(fan.k) if j not in zero_rays]
     b_rows = [[dot(fan.rays[j], krow) for j in free] for krow in kern]
     einv = right_inverse(b_rows)
     if einv is None:
         raise RecoveryError("alpha0 insufficient on orbit")
-    zfree = _power_lift(einv, [cmath.log(x) for x in s])
+    zfree = np.exp(np.log(solved[0][0]) @ np.array(einv, dtype=float).T)
     z = [0j] * fan.k
     for j, val in zip(free, zfree):
         z[j] = val

@@ -399,14 +399,16 @@ def verify_pair(system, pair, tol_rank=1e-8):
     """Numerically verify a pair by comparing coranks of Res.
 
     Assembles Res at alpha and at alpha + alpha0 and checks that the
-    cokernels have equal dimension. Mutates and returns the pair with
-    verified, coranks, and (on success) delta_plus filled in.
+    cokernels have equal dimension; only singular values are computed.
+    Mutates and returns the pair with verified, coranks, and (on
+    success) delta_plus filled in.
 
     Raises:
         RankAmbiguousError: a singular value gap is too shallow to
             trust either corank.
     """
-    lo = cokernel(assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True))
-    hi = cokernel(assemble_res(system, pair.top, tol_rank=tol_rank))
+    lo = cokernel(assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True),
+                  corank_only=True)
+    hi = cokernel(assemble_res(system, pair.top, tol_rank=tol_rank), corank_only=True)
     pair.record_coranks(lo.delta_plus, hi.delta_plus)
     return pair

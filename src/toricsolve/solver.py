@@ -2,9 +2,11 @@
 
 Stages: homogenize into the Cox ring, pick (or accept) a degree pair,
 verify it by corank comparison, build the multiplication family on the
-cokernel basis, cluster the joint Schur form, and recover coordinates
-per cluster. Every stage failure carries its stage tag in the raised
-error; a single seed drives all randomized choices.
+cokernel basis, cluster the joint Schur form, and recover coordinates:
+every cluster's torus solve in one batched pass, then boundary recovery
+for the clusters that are not torus points. Every stage failure carries
+its stage tag in the raised error; a single seed drives all randomized
+choices.
 """
 
 import time
@@ -19,12 +21,15 @@ from .eigensolver import (
     multiplication_family,
     schur_cluster,
 )
-from .errors import PairSelectionError, RecoveryError, SpanError
-from .recovery import (
+from .errors import PairSelectionError
+# recover_torus_point is not called here; it stays importable because the
+# benchmark's tracer (perfbench/tracing.py) patches solver.recover_torus_point
+from .recovery import (  # noqa: F401
     RATIO_TOL,
     EigenvalueTable,
     recover_boundary_point,
     recover_torus_point,
+    recover_torus_points,
 )
 from .regularity import RegularityPair, improved_pair, user_pair
 
@@ -100,13 +105,20 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
         zero_tol: relative size below which a boundary coordinate
             counts as zero.
         verify: compare coranks at alpha and alpha + alpha0 before
-            committing to the pair (recommended; small extra cost).
+            committing to the pair (recommended). The check at alpha
+            computes singular values only; the SVD at alpha + alpha0 is
+            the one that forms the cokernel basis.
 
     Five thresholds are fixed: the singular value gap GAP_RATIO, the h0
     conditioning limit COND_MAX with RETRIES_MAX redraws, the block
     leakage limit LEAK_TOL (all in eigensolver) and the recovery ratio
     tolerance RATIO_TOL (in recovery). SolutionSet.tolerances records
     every value the run used, these included.
+
+    Recovery tries every cluster as a torus point in one pass
+    (recover_torus_points) and sends the clusters that fail there to
+    recover_boundary_point; residuals of all points come from one array
+    pass.
 
     Returns:
         SolutionSet. Sum of multiplicities equals the corank delta+.
@@ -142,7 +154,8 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
     cok = cokernel(assemble_res(system, pair.top, tol_rank=tol_rank))
     if verify:
         lo = cokernel(
-            assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True)
+            assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True),
+            corank_only=True,
         )
         if not pair.record_coranks(lo.delta_plus, cok.delta_plus):
             raise PairSelectionError(
@@ -169,18 +182,16 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
     diagnostics["block_leakage"] = clustering.leakage_by_member
 
     t0 = clock()
-    solutions = []
-    for i in range(len(clustering.block_sizes)):
-        table = EigenvalueTable.from_clustering(family, clustering, i)
-        try:
-            sol = recover_torus_point(system.fan, table)
-        except SpanError:
-            # spanning failures indict alpha0 itself, not this cluster
-            raise
-        except RecoveryError:
-            sol = recover_boundary_point(system.fan, table, zero_tol=zero_tol)
-        sol.residuals = tuple(system.residuals(sol.z))
-        solutions.append(sol)
+    tables = EigenvalueTable.from_clustering(family, clustering)
+    # a SpanError indicts alpha0 itself, not one cluster, so it propagates
+    solutions = recover_torus_points(system.fan, tables)
+    for i, table in enumerate(tables):
+        if solutions[i] is None:
+            solutions[i] = recover_boundary_point(system.fan, table,
+                                                  zero_tol=zero_tol)
+    residuals = system.residuals([sol.z for sol in solutions])
+    for sol, res in zip(solutions, residuals):
+        sol.residuals = tuple(res)
     timings["recover_ms"] = 1e3 * (clock() - t0)
 
     return SolutionSet(solutions, cok.delta_plus, pair, seed, tolerances,

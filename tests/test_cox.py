@@ -243,6 +243,46 @@ def test_zero_over_zero_residual():
     assert system.residuals(np.array([0, 1, 0, 1], dtype=complex))[0] == 0.0
 
 
+def per_point_residuals(system, z):
+    """The residual rules spelled out term by term for one point."""
+    out = []
+    for f in system.polys:
+        value, scale = 0j, 0.0
+        for c, b in zip(f.coeffs, f.basis.monomials):
+            mon = np.prod([complex(x) ** e for x, e in zip(z, b)])
+            value += c * mon
+            scale += abs(c) * abs(mon)
+        out.append(abs(value) / scale if scale else (0.0 if value == 0 else np.inf))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("eqs, rays", [
+    (pillow_laurent(), PILLOW_RAYS),
+    (intro_laurent(0.37), HIRZEBRUCH_RAYS),
+])
+def test_batched_residuals_match_per_point(eqs, rays):
+    system = homogenize(eqs, rays=rays)
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((6, system.k)) + 1j * rng.standard_normal((6, system.k))
+    # zero coordinates: 0^0 counts as 1, and a point where every term of
+    # an equation vanishes has residual 0 there
+    points[1, 0] = 0.0
+    points[2] = 0.0
+    points[3, :2] = 0.0
+    batched = system.residuals(points)
+    assert batched.shape == (6, len(system))
+    for z, row in zip(points, batched):
+        assert np.allclose(row, system.residuals(z), rtol=1e-13, atol=1e-16)
+        assert np.allclose(row, per_point_residuals(system, z), rtol=1e-12, atol=1e-15)
+    assert np.array_equal(batched[2], np.zeros(len(system)))
+
+
+def test_residuals_reject_wrong_length():
+    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
+    with pytest.raises(InputError):
+        system.residuals(np.ones((2, 3)))
+
+
 def test_group_action_invariance():
     # scaling by exp(ker F x C) fixes every relative residual
     rng = np.random.default_rng(11)

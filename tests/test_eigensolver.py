@@ -131,45 +131,61 @@ def test_res_missing_row_raises():
 
 # --------------------------------------------------------------- cokernel
 
-def test_cokernel_pillow_corank():
+# the full path forms U for N; the corank-only path computes singular
+# values alone, with the same cut and the same gap guard
+BOTH_PATHS = pytest.mark.parametrize("corank_only", [False, True],
+                                     ids=["full", "corank_only"])
+
+
+@BOTH_PATHS
+def test_cokernel_pillow_corank(corank_only):
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
     res = assemble_res(system, (3, 3, 3, 3))
     # independent exact-arithmetic oracle: entries are small integers
     exact = sympy.Matrix(res.matrix.real.astype(int).tolist())
     assert exact.rank() == 21
-    cok = cokernel(res)
+    cok = cokernel(res, corank_only=corank_only)
     assert cok.delta_plus == 4
-    assert cok.N.shape == (4, 25)
-    # rows orthonormal and N * Res numerically zero
-    assert np.allclose(cok.N @ cok.N.conj().T, np.eye(4), atol=1e-12)
     sigma1 = cok.singular_values[0]
-    assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * res.tol_rank * sigma1
+    if corank_only:
+        assert cok.N is None
+    else:
+        assert cok.N.shape == (4, 25)
+        # rows orthonormal and N * Res numerically zero
+        assert np.allclose(cok.N @ cok.N.conj().T, np.eye(4), atol=1e-12)
+        assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * res.tol_rank * sigma1
     # same corank one multiplier lower
     res_low = assemble_res(system, (2, 2, 2, 2))
     assert res_low.shape == (13, 10)
-    assert cokernel(res_low).delta_plus == 4
+    assert cokernel(res_low, corank_only=corank_only).delta_plus == 4
 
 
-def test_cokernel_27lines_corank():
+@BOTH_PATHS
+def test_cokernel_27lines_corank(corank_only):
     system = lines27_system()
     res = assemble_res(system, (0, 0, 5, 5, 0, 0))
-    cok = cokernel(res)
+    cok = cokernel(res, corank_only=corank_only)
     assert cok.delta_plus == 45
-    sigma1 = cok.singular_values[0]
-    assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * res.tol_rank * sigma1
+    if not corank_only:
+        sigma1 = cok.singular_values[0]
+        assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * res.tol_rank * sigma1
 
 
-def test_cokernel_zero_system_is_identity():
+@BOTH_PATHS
+def test_cokernel_zero_system_is_identity(corank_only):
     fan = pillow_fan()
     system = HomogeneousSystem(fan, [], [])
     res = assemble_res(system, (1, 1, 1, 1))
     assert res.shape == (5, 0)
-    cok = cokernel(res)
+    cok = cokernel(res, corank_only=corank_only)
     assert cok.delta_plus == 5
-    assert np.array_equal(cok.N, np.eye(5))
+    if corank_only:
+        assert cok.N is None
+    else:
+        assert np.array_equal(cok.N, np.eye(5))
 
 
-def test_cokernel_ambiguous_rank():
+def _crafted_without_gap():
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
     res = assemble_res(system, (3, 3, 3, 3))
     rng = np.random.default_rng(0)
@@ -179,10 +195,28 @@ def test_cokernel_ambiguous_rank():
                         + 1j * rng.standard_normal((26, 26)))
     # smooth geometric decay: no spectral gap anywhere near the cut
     s = np.logspace(0, -12, 25)
-    crafted = ResMatrix(res.rows, res.col_blocks,
-                        u @ (s[:, None] * v[:25].conj()), res.tol_rank)
-    with pytest.raises(RankAmbiguousError):
-        cokernel(crafted)
+    return ResMatrix(res.rows, res.col_blocks,
+                     u @ (s[:, None] * v[:25].conj()), res.tol_rank)
+
+
+@BOTH_PATHS
+def test_cokernel_ambiguous_rank(corank_only):
+    crafted = _crafted_without_gap()
+    with pytest.raises(RankAmbiguousError) as info:
+        cokernel(crafted, corank_only=corank_only)
+    # both paths raise the same message: the same cut on the same values
+    with pytest.raises(RankAmbiguousError) as other:
+        cokernel(crafted, corank_only=not corank_only)
+    assert str(info.value) == str(other.value)
+
+
+def test_cokernel_paths_agree_on_singular_values():
+    system = lines27_system()
+    res = assemble_res(system, (0, 0, 5, 5, 0, 0))
+    full, only = cokernel(res), cokernel(res, corank_only=True)
+    assert full.delta_plus == only.delta_plus
+    assert np.allclose(full.singular_values, only.singular_values,
+                       rtol=1e-12, atol=1e-13 * full.singular_values[0])
 
 
 # ------------------------------------------------- multiplication family

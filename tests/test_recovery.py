@@ -10,11 +10,23 @@ from hypothesis import strategies as st
 
 from toricsolve.cox import graded_basis
 from toricsolve.errors import ClusteringError, InputError, RecoveryError, SpanError
-from toricsolve.lattice import Polytope, right_inverse
+from toricsolve.lattice import (
+    Polytope,
+    rank_and_index,
+    right_inverse,
+    smith_normal_form,
+    sublattice_index,
+)
 from toricsolve.recovery import (
+    MAX_BRANCHES,
+    RATIO_TOL,
+    USABLE_ERR,
     EigenvalueTable,
+    Solution,
+    _branch_plan,
     recover_boundary_point,
     recover_torus_point,
+    recover_torus_points,
 )
 from toricsolve.solver import solve
 from toricsolve.toric import Fan, divisor_of_polytope
@@ -193,6 +205,250 @@ def test_table_length_mismatch():
     basis = graded_basis(fan, (1, 1, 1, 1))
     with pytest.raises(RecoveryError, match="does not match"):
         EigenvalueTable(basis, [1.0, 2.0])
+
+
+# --------------------------------------------- per-cluster reference
+# The torus route as it was before it was batched: one Smith-form
+# greedy selection, one least-squares solve and one branch loop per
+# cluster. recover_torus_points must reproduce it table by table.
+
+
+def reference_solve_binomials(diffs, ratios, errs, n):
+    rank_all, _ = rank_and_index(diffs)
+    if rank_all < n:
+        raise RecoveryError("cluster is not a torus point")
+    order = sorted(range(len(diffs)), key=lambda i: errs[i])
+    usable = [i for i in order if errs[i] < USABLE_ERR]
+    if rank_and_index([diffs[i] for i in usable])[0] < n:
+        raise RecoveryError("cluster is not a torus point")
+    sel = []
+    rank, index = 0, 1
+    for i in usable:
+        r2, q2 = rank_and_index([diffs[j] for j in sel] + [diffs[i]])
+        if r2 > rank or (rank == n and q2 < index):
+            sel.append(i)
+            rank, index = r2, q2
+        if rank == n and index == 1:
+            break
+    if index > MAX_BRANCHES:
+        raise RecoveryError("cluster is not a torus point")
+
+    a = np.array([diffs[i] for i in usable], dtype=float)
+    w = np.array([1.0 / max(errs[i], 1e-15) for i in usable])
+    logr = np.array([math.log(abs(ratios[i])) for i in usable])
+    moduli = np.linalg.lstsq(a * w[:, None], logr * w, rcond=None)[0]
+
+    u, d, v = smith_normal_form([list(diffs[i]) for i in sel])
+    args = [math.atan2(ratios[i].imag, ratios[i].real) for i in sel]
+    g = [sum(u[j][l] * args[l] for l in range(len(sel))) for j in range(len(sel))]
+    dd = [d[j][j] for j in range(n)]
+    varr = np.array(v, dtype=float)
+    branches = [[]]
+    for j in range(n):
+        branches = [b + [cj] for b in branches for cj in range(abs(dd[j]))]
+
+    best = None
+    for c in branches:
+        psi = [(g[j] + 2.0 * math.pi * c[j]) / dd[j] for j in range(n)]
+        t = np.exp(moduli + 1j * (varr @ np.array(psi)))
+        for _ in range(3):
+            dev = np.array([cmath.log(ratios[i] / np.prod(t ** np.array(diffs[i])))
+                            for i in usable])
+            t = t * np.exp(np.linalg.lstsq(a * w[:, None], dev * w, rcond=None)[0])
+        score, ok = 0.0, True
+        for i in usable:
+            rel = abs(np.prod(t ** np.array(diffs[i])) - ratios[i]) / abs(ratios[i])
+            tol = RATIO_TOL + 10.0 * errs[i]
+            if rel > tol:
+                ok = False
+                break
+            score += (rel / tol) ** 2
+        if ok and (best is None or score < best[0]):
+            best = (score, t)
+    if best is None:
+        raise RecoveryError("cluster is not a torus point")
+    return tuple(complex(x) for x in best[1])
+
+
+def reference_ratio_data(table):
+    """Difference rows, ratios and errors over the nonzero entries."""
+    items = [(m, lam, e) for m, lam, e in
+             zip(table.basis.lattice_points, table.values, table.noise) if abs(lam) > 0.0]
+    if len(items) < 2:
+        raise RecoveryError("cluster is not a torus point")
+    i0 = max(range(len(items)), key=lambda i: abs(items[i][1]))
+    m0, lam0, e0 = items[i0]
+    rest = [it for i, it in enumerate(items) if i != i0]
+    diffs = [tuple(x - y for x, y in zip(m, m0)) for m, _, _ in rest]
+    ratios = [complex(lam / lam0) for _, lam, _ in rest]
+    errs = [float(e / abs(lam) + e0 / abs(lam0)) for _, lam, e in rest]
+    return diffs, ratios, errs
+
+
+def reference_recover_torus_point(fan, table):
+    geo = table.basis.points[1:] - table.basis.points[:1]
+    if rank_and_index(geo.tolist())[0] < fan.n:
+        raise SpanError("alpha0 insufficient: lattice points do not affinely span")
+    t = reference_solve_binomials(*reference_ratio_data(table), fan.n)
+    z = [cmath.exp(sum(float(c) * cmath.log(x) for c, x in zip(row, t)))
+         for row in fan.ray_inverse]
+    return Solution(z, t, table.multiplicity, zero_pattern=())
+
+
+def reference_or_none(fan, table):
+    try:
+        return reference_recover_torus_point(fan, table)
+    except SpanError:
+        raise
+    except RecoveryError:
+        return None
+
+
+def usable_index(table):
+    """Index of the sublattice the usable difference rows span (0 below
+    full rank): above 1, the table fixes t only up to a finite group."""
+    try:
+        diffs, _, errs = reference_ratio_data(table)
+    except RecoveryError:
+        return 0
+    rows = [d for d, e in zip(diffs, errs) if e < USABLE_ERR]
+    return sublattice_index(rows, len(diffs[0])) if rows else 0
+
+
+def close(a, b, rel=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    return bool(np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b))))
+
+
+@st.composite
+def planted_batch(draw):
+    """Tables over one basis: planted torus points with random scales,
+    some entries zeroed, some made unusable by their noise, and some
+    tables spoiled so that no torus point fits."""
+    fan, alpha0 = FAN_POOL[draw(st.integers(0, len(FAN_POOL) - 1))]
+    if alpha0 is None:
+        alpha0 = divisor_of_polytope(
+            fan, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        ).a
+    basis = graded_basis(fan, alpha0)
+    size = len(basis)
+    tables = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = [cmath.rect(draw(st.floats(0.2, 5.0)), draw(st.floats(-math.pi, math.pi)))
+             for _ in range(fan.n)]
+        scale = cmath.rect(draw(st.floats(0.1, 10.0)), draw(st.floats(-math.pi, math.pi)))
+        values = scale * np.array([np.prod([complex(x) ** e for x, e in zip(t, m)])
+                                   for m in basis.lattice_points])
+        zeros = draw(st.lists(st.integers(0, size - 1), max_size=size - 1))
+        values[zeros] = 0.0
+        noise = None
+        loud = draw(st.lists(st.integers(0, size - 1), max_size=2))
+        if loud:
+            noise = np.full(size, 1e-14 * np.abs(values).max())
+            noise[loud] = np.abs(values[loud])
+        spoil = draw(st.sampled_from([None, "scale", "conjugate"]))
+        if spoil:
+            j = draw(st.integers(0, size - 1))
+            values[j] = 3.0 * values[j] if spoil == "scale" else np.conj(values[j])
+        tables.append(EigenvalueTable(basis, values, noise=noise))
+    return fan, tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=planted_batch())
+def test_batched_recovery_matches_per_cluster_reference(batch):
+    fan, tables = batch
+    got = recover_torus_points(fan, tables)
+    assert len(got) == len(tables)
+    for table, sol in zip(tables, got):
+        want = reference_or_none(fan, table)
+        # the same tables fail, and recover_torus_point fails on them too
+        assert (sol is None) == (want is None)
+        if sol is None:
+            with pytest.raises(RecoveryError, match="not a torus point"):
+                recover_torus_point(fan, table)
+            continue
+        assert sol.on_torus and sol.multiplicity == want.multiplicity
+        if usable_index(table) == 1:
+            assert close(sol.t, want.t)
+            assert close(sol.z, want.z)
+        else:
+            # every verified branch reproduces the usable ratios, so the
+            # choice among them is rounding: compare what the table fixes
+            diffs, ratios, errs = reference_ratio_data(table)
+            for d, e in zip(diffs, errs):
+                if e < USABLE_ERR:
+                    assert close(np.prod(np.array(sol.t) ** d),
+                                 np.prod(np.array(want.t) ** d), rel=1e-9)
+
+
+def test_batched_recovery_mixes_base_points_and_sublattices():
+    # P^2, alpha0 = 2H: six points; zeroing (1,0), (0,1) and (1,1) leaves
+    # (0,0), (2,0), (0,2), whose differences span a sublattice of index 4
+    fan = p2_fan()
+    basis = graded_basis(fan, (2, 0, 0))
+    tables = []
+    for t in [(2.0, 0.5j), (0.3, -1.5), (1.0 + 1j, 3.0), (-0.7, 0.4 - 0.2j)]:
+        values = np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
+        tables.append(EigenvalueTable(basis, values))
+    sparse = tables[0].values.copy()
+    sparse[[1, 3, 4]] = 0.0
+    tables.append(EigenvalueTable(basis, sparse))
+    # a greedy trap: (2,0) is the most accurate row, so (1,0) adds no rank
+    # and is passed over, and (0,1) closes a sublattice of index 2; of its
+    # two branches only one fits the (1,0) ratio
+    t = (0.5, 0.4)
+    values = np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
+    values[[2, 4]] = 0.0
+    noise = np.array([1e-16, 1e-8, 0.0, 1e-9, 0.0, 1e-16])
+    tables.append(EigenvalueTable(basis, values, noise=noise))
+    assert len(_branch_plan(np.array([(2, 0), (1, 0), (0, 1)]), 2)[4]) == 2
+    bases = {int(np.argmax(np.abs(tab.values))) for tab in tables}
+    assert len(bases) >= 3
+    got = recover_torus_points(fan, tables)
+    for table, sol in zip(tables[:4] + tables[5:], got[:4] + got[5:]):
+        want = reference_recover_torus_point(fan, table)
+        assert close(sol.t, want.t) and close(sol.z, want.z)
+    assert usable_index(tables[5]) == 1 and close(got[5].t, t)
+    # the sparse table fixes t only up to signs: t^(2,0), t^(0,2) agree
+    assert usable_index(tables[4]) == 4
+    want = reference_recover_torus_point(fan, tables[4])
+    for d in [(2, 0), (0, 2)]:
+        assert close(np.prod(np.array(got[4].t) ** d), np.prod(np.array(want.t) ** d))
+
+
+@pytest.mark.parametrize("order, fits", [
+    # (65,0) first, then (0,1): rank 2 at index 65, and (1,0) shrinks it to 1
+    ([(65, 0), (0, 1), (1, 0)], True),
+    # (1,0) right after (65,0) adds no rank and is passed over, so the rows
+    # stop at index 65 > MAX_BRANCHES and the table fails, as it always did
+    ([(65, 0), (1, 0), (0, 1)], False),
+])
+def test_batched_recovery_follows_accuracy_order(order, fits):
+    fan = p2_fan()
+    basis = graded_basis(fan, (65, 0, 0))
+    base = (-65, 0)
+    t = (0.99, 0.9)
+    values = np.zeros(len(basis), dtype=complex)
+    noise = np.zeros(len(basis))
+    for d, err in zip([(0, 0)] + order, [1e-17, 1e-17, 1e-12, 1e-10]):
+        i = basis.lattice_points.index((base[0] + d[0], base[1] + d[1]))
+        values[i] = t[0] ** d[0] * t[1] ** d[1]
+        noise[i] = err * abs(values[i])
+    table = EigenvalueTable(basis, values, noise=noise)
+    got = recover_torus_points(fan, [table])[0]
+    want = reference_or_none(fan, table)
+    assert (got is not None) == (want is not None) == fits
+    if fits:
+        assert close(got.t, want.t) and close(got.t, t, rel=1e-10)
+
+
+def test_batched_recovery_span_error_first():
+    fan = hirzebruch_fan()
+    good = planted_table(fan, (0, 0, 1, 2), (2.0, 3.0))
+    thin = EigenvalueTable(graded_basis(fan, (0, 0, 0, 1)), [1.0, 2.0])
+    with pytest.raises(SpanError):
+        recover_torus_points(fan, [good, thin])
 
 
 # end-to-end solves
