@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .lattice import Polytope
+from .lattice import Polytope, is_int
 from .toric import DivisorClass, Fan, divisor_of_polytope
 
 __all__ = [
@@ -238,16 +238,46 @@ class HomogeneousSystem:
         return f"HomogeneousSystem({len(self.polys)} equations, degrees={degs})"
 
 
-def _merge_terms(terms):
+def _merge_terms(i, terms):
     acc = {}
     for exp, c in terms:
-        key = tuple(int(x) for x in exp)
+        if not all(map(is_int, exp)):
+            raise InputError(
+                f"equation {i}, term {(tuple(exp), c)!r}: exponents must be "
+                "integers (not bools or floats)"
+            )
+        key = tuple(map(int, exp))
         acc[key] = acc.get(key, 0j) + complex(c)
     return {e: c for e, c in acc.items() if c != 0}
 
 
+# number of (supports, rays) keys whose fan, degrees and bases homogenize
+# keeps; inserting one more drops the oldest
+SUPPORTS_MAX = 8
+_supports = {}
+
+
+def _build(merged, rays):
+    """Fan of the Minkowski sum and (tight degree, basis) per equation."""
+    newtons = [Polytope.from_points(list(terms)) for terms in merged]
+    total = newtons[0]
+    for q in newtons[1:]:
+        total = total.minkowski(q)
+    fan = Fan.normal_fan(total, rays=rays)
+    pieces = []
+    for terms in merged:
+        div = divisor_of_polytope(fan, list(terms))
+        pieces.append((div, GradedBasis(div)))
+    return fan, pieces
+
+
 def homogenize(equations, rays=None):
     """Homogenize a Laurent system into the Cox ring of its Minkowski fan.
+
+    Everything but the coefficients depends on the supports alone: the
+    fan, the tight degrees and the graded bases are kept for the last
+    SUPPORTS_MAX distinct (supports, rays) arguments, so a repeat call
+    with new coefficients only scatters them into the kept bases.
 
     Args:
         equations: list of equations; each equation is an iterable of
@@ -261,13 +291,14 @@ def homogenize(equations, rays=None):
         section polytope reproduces the corresponding Newton polytope.
 
     Raises:
-        InputError: empty input, inconsistent dimensions, or a Minkowski
-            sum that is not full-dimensional (the torus direction in the
-            deficient subspace would never compactify).
+        InputError: empty input, an exponent that is not an integer,
+            inconsistent dimensions, or a Minkowski sum that is not
+            full-dimensional (the torus direction in the deficient
+            subspace would never compactify).
     """
     if not equations:
         raise InputError("no equations supplied")
-    merged = [_merge_terms(eq) for eq in equations]
+    merged = [_merge_terms(i, eq) for i, eq in enumerate(equations)]
     for i, terms in enumerate(merged):
         if not terms:
             raise InputError(f"equation {i} has empty support")
@@ -276,17 +307,12 @@ def homogenize(equations, rays=None):
         if any(len(e) != n for e in terms):
             raise InputError(f"equation {i} mixes exponent lengths")
 
-    newtons = [Polytope.from_points(list(terms)) for terms in merged]
-    total = newtons[0]
-    for q in newtons[1:]:
-        total = total.minkowski(q)
-    fan = Fan.normal_fan(total, rays=rays)
+    key = (tuple(tuple(sorted(terms)) for terms in merged),
+           None if rays is None else tuple(tuple(map(int, r)) for r in rays))
+    fan, pieces = entry = _supports.get(key) or _build(merged, rays)
 
     polys = []
-    degrees = []
-    for terms in merged:
-        div = divisor_of_polytope(fan, list(terms))
-        basis = GradedBasis(div)
+    for terms, (_div, basis) in zip(merged, pieces):
         # the tight representative makes P_a the Newton polytope, so each
         # exponent m is its own lattice point
         pos = basis.rows(list(terms))
@@ -295,5 +321,8 @@ def homogenize(equations, rays=None):
         coeffs = np.zeros(len(basis), dtype=complex)
         coeffs[pos] = list(terms.values())
         polys.append(CoxPolynomial(basis, coeffs))
-        degrees.append(div)
-    return HomogeneousSystem(fan, polys, degrees)
+    if key not in _supports:
+        if len(_supports) >= SUPPORTS_MAX:
+            del _supports[next(iter(_supports))]
+        _supports[key] = entry
+    return HomogeneousSystem(fan, polys, [div for div, _basis in pieces])

@@ -17,6 +17,7 @@ import ast
 import json
 
 from .errors import InputError
+from .lattice import is_int
 
 __all__ = [
     "FORMAT_VERSION",
@@ -202,13 +203,8 @@ class SystemFile:
         return out
 
 
-def _is_int(x):
-    """JSON integer test; JSON booleans parse as bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_int_vector(v):
-    return isinstance(v, list) and all(map(_is_int, v))
+    return isinstance(v, list) and all(map(is_int, v))
 
 
 def _parse_coeff(raw, where):
@@ -216,7 +212,7 @@ def _parse_coeff(raw, where):
         _template_names(raw)  # validates syntax early
         return raw
     if (isinstance(raw, (list, tuple)) and len(raw) == 2
-            and all(_is_int(x) or isinstance(x, float) for x in raw)):
+            and all(is_int(x) or isinstance(x, float) for x in raw)):
         return complex(float(raw[0]), float(raw[1]))
     raise InputError(
         f"{where}: coefficient must be an [re, im] pair or a template "

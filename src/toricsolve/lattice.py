@@ -28,6 +28,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,6 +37,7 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
+    "is_int",
     "primitive",
     "dot",
     "det_int",
@@ -52,6 +54,12 @@ __all__ = [
     "Polytope",
     "mixed_volume",
 ]
+
+
+def is_int(x):
+    """True for an integer that is not a bool. numpy integers pass; a bool
+    is refused because it would silently read as 0 or 1."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def dot(u, v):

@@ -365,9 +365,23 @@ def improved_pair(system):
     that applies, and the vanishing-test pair, then keeps the one whose
     Res matrix has the fewest rows. Specialized candidates win ties.
 
+    The choice depends on the fan and the equation degrees alone, so the
+    fan keeps it per tuple of degree representatives; every call returns
+    a fresh, unverified RegularityPair.
+
     Raises:
         PairSelectionError: the system is not square.
     """
+    memo = system.fan._pairs
+    key = tuple(div.a for div in system.degrees)
+    if key not in memo:
+        best = _select_pair(system)
+        memo[key] = (best.alpha, best.alpha0, best.provenance)
+    return RegularityPair(*memo[key])
+
+
+def _select_pair(system):
+    """improved_pair without the memo."""
     default = default_pair(system)
     candidates = []
     for cand in (

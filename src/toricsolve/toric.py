@@ -57,8 +57,10 @@ class Fan:
             ray_j . x + a_j >= 0 holds on it with equality on facet j.
 
     The fan owns the section polytope of every divisor representative
-    asked for through DivisorClass.polytope, so each is built once, and
-    computes its class group and product structure once on first use.
+    asked for through DivisorClass.polytope, so each is built once,
+    computes its class group and product structure once on first use,
+    and holds the automatic degree pair of every tuple of equation
+    degrees it was asked for (regularity.improved_pair).
     """
 
     def __init__(self, rays, max_cones, polytope=None, offsets=None):
@@ -72,6 +74,7 @@ class Fan:
         self._ray_inverse = None
         self._product_structure = False  # not computed yet; None is a result
         self._sections = {}
+        self._pairs = {}
         for r in self.rays:
             if r != primitive(r):
                 raise InputError(f"fan ray {r} is not primitive")

@@ -16,6 +16,7 @@ import scipy.optimize
 import scipy.spatial
 from click.testing import CliRunner
 
+from toricsolve import cox
 from toricsolve.cli import main
 from toricsolve.cox import homogenize
 from toricsolve.eigensolver import (
@@ -425,3 +426,22 @@ def test_golden_solution_files(tmp_path, name):
             scale = max(1.0, float(np.abs(wz).max(initial=0.0)))
             assert np.abs(gz - wz).max(initial=0.0) <= 1e-9 * scale
         assert np.allclose(g["residuals"], w["residuals"], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_cold_and_warm_files_identical(tmp_path, name):
+    """A repeat solve reuses the fan, degrees and pair of the first one
+    and writes the same bytes, timings_ms excepted."""
+    seed = json.loads((DATA / f"{name}.solution.json").read_text())["metadata"]["seed"]
+    texts = []
+    cox._supports.clear()
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.json"
+        res = run_cli("solve", DATA / f"{name}.system.json",
+                      "--seed", seed, "--output", out)
+        assert res.exit_code == 0, res.output
+        doc = json.loads(out.read_text())
+        doc["metadata"].pop("timings_ms")
+        texts.append(json.dumps(doc, sort_keys=True))
+    assert len(cox._supports) == 1
+    assert texts[0] == texts[1]

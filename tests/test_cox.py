@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsolve import cox
 from toricsolve.cox import (
+    SUPPORTS_MAX,
     CoxPolynomial,
     graded_basis,
     homogenize,
 )
 from toricsolve.errors import InputError
 from toricsolve.lattice import dot, integer_kernel
+from toricsolve.regularity import Provenance, improved_pair
+from toricsolve.solver import solve
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -208,6 +212,118 @@ def test_homogenize_merges_duplicate_terms():
 def test_homogenize_ray_order_mismatch():
     with pytest.raises(InputError):
         homogenize(pillow_laurent(), rays=HIRZEBRUCH_RAYS)
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_homogenize_rejects_non_integer_exponent(bad):
+    # int() would read both as 1 and solve a different system
+    eqs = pillow_laurent()
+    eqs[1] = eqs[1] + [((bad, 0), 2.0)]
+    with pytest.raises(InputError, match=r"equation 1, term \(\(" + str(bad)):
+        homogenize(eqs, rays=PILLOW_RAYS)
+    with pytest.raises(InputError, match="equation 1"):
+        solve(eqs, rays=PILLOW_RAYS)
+
+
+def test_homogenize_accepts_numpy_integer_exponents():
+    eqs = [[(tuple(np.array(e, dtype=np.int32)), c) for e, c in eq]
+           for eq in pillow_laurent()]
+    system = homogenize(eqs, rays=PILLOW_RAYS)
+    assert [d.a for d in system.degrees] == [(1, 1, 1, 1)] * 2
+
+
+# --------------------------------------------------- repeat-support cache
+
+@pytest.fixture
+def cold():
+    """An empty support cache before and after the test."""
+    cox._supports.clear()
+    yield cox._supports
+    cox._supports.clear()
+
+
+def _coords(result):
+    return [(s.multiplicity, s.zero_pattern, s.z, s.residuals)
+            for s in result.solutions]
+
+
+def test_repeat_support_reuses_fan_and_bases(cold):
+    a = homogenize(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS)
+    b = homogenize(intro_laurent(0.5), rays=HIRZEBRUCH_RAYS)
+    assert len(cold) == 1
+    assert b.fan is a.fan
+    assert all(f.basis is g.basis for f, g in zip(a.polys, b.polys))
+    # only the coefficients moved
+    assert not np.array_equal(a.polys[1].coeffs, b.polys[1].coeffs)
+    # no rays is a different key, with a fan of its own
+    c = homogenize(intro_laurent(1.0))
+    assert len(cold) == 2 and c.fan is not a.fan
+
+
+def test_warm_cache_permuted_terms_match_cold(cold):
+    eqs = intro_laurent(0.1)
+    permuted = [eq[2:] + eq[:2] for eq in eqs]
+    want = _coords(solve(permuted, rays=HIRZEBRUCH_RAYS, seed=3))
+    cold.clear()
+    solve(eqs, rays=HIRZEBRUCH_RAYS)  # warms the same support
+    assert _coords(solve(permuted, rays=HIRZEBRUCH_RAYS, seed=3)) == want
+    assert len(cold) == 1
+
+
+def test_warm_cache_duplicated_exponent_matches_cold(cold):
+    eqs = intro_laurent(0.1)
+    split = [eqs[0], eqs[1][:-1] + [((1, 1), 2.0), ((1, 1), 3.0)]]
+    cold_res = _coords(solve(split, rays=HIRZEBRUCH_RAYS, seed=5))
+    assert len(cold) == 1
+    cold.clear()
+    solve(intro_laurent(0.7), rays=HIRZEBRUCH_RAYS)  # warms the same support
+    assert _coords(solve(split, rays=HIRZEBRUCH_RAYS, seed=5)) == cold_res
+    assert len(cold) == 1
+
+
+def test_pair_memo_returns_fresh_pairs(cold):
+    first = solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS)
+    assert first.pair.verified and first.pair.coranks == (3, 3)
+    system = homogenize(intro_laurent(0.5), rays=HIRZEBRUCH_RAYS)
+    assert system.fan is first.system.fan
+    again = improved_pair(system)
+    assert again is not first.pair
+    assert again.verified is None and again.coranks is None
+    assert again.delta_plus is None
+    assert (again.alpha.a, again.alpha0.a) == (first.pair.alpha.a, first.pair.alpha0.a)
+    second = solve(intro_laurent(0.5), rays=HIRZEBRUCH_RAYS)
+    assert second.pair is not first.pair and second.pair.verified
+
+
+def test_user_pair_bypasses_pair_memo(cold):
+    auto = solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS)
+    alpha, alpha0 = auto.pair.alpha.a, auto.pair.alpha0.a
+    cold.clear()
+    res = solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS, pair=(alpha, alpha0))
+    assert res.pair.provenance is Provenance.USER_SUPPLIED
+    assert res.system.fan._pairs == {}
+
+
+def test_mismatched_rays_leave_no_entry(cold):
+    for _ in range(2):
+        with pytest.raises(InputError):
+            homogenize(pillow_laurent(), rays=HIRZEBRUCH_RAYS)
+        assert len(cold) == 0
+    with pytest.raises(InputError):
+        homogenize([[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((2, 0), 3)]])
+    assert len(cold) == 0
+
+
+def test_cache_stays_within_bound(cold):
+    systems = [[[((0, 0), 1.0), ((d, 0), 1.0), ((0, 1), 1.0)],
+                [((0, 0), 2.0), ((1, 0), 1.0), ((0, d), 1.0)]]
+               for d in range(1, SUPPORTS_MAX + 4)]
+    fans = [homogenize(eqs).fan for eqs in systems]
+    assert len(cold) == SUPPORTS_MAX
+    # the newest support is kept, the oldest was dropped and is rebuilt
+    assert homogenize(systems[-1]).fan is fans[-1]
+    assert homogenize(systems[0]).fan is not fans[0]
+    assert len(cold) == SUPPORTS_MAX
 
 
 # ------------------------------------------------------------- evaluation
