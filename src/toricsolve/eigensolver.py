@@ -40,7 +40,8 @@ __all__ = [
 
 # least ratio of the singular values straddling the rank cut
 GAP_RATIO = 1e3
-# condition limit on the restricted N_{h_0}, and extra h_0 draws allowed
+# condition limit on the restricted N_{h_0} and on the torus solve of a
+# multiple cluster (recovery's stratum test), and extra h_0 draws allowed
 COND_MAX = 1e8
 RETRIES_MAX = 3
 # largest relative below-block-diagonal norm a clustering may leave
@@ -164,31 +165,78 @@ def _rank(s, tol_rank):
 
 
 def cokernel(res, corank_only=False):
-    """Compute the cokernel of Res by SVD with a guarded rank decision.
+    """Compute the cokernel of Res with a guarded rank decision.
 
     The rank is the number of singular values above res.tol_rank * sigma_1 and
     the corank is counted against the row dimension, so a matrix with few
     columns exposes its structural cokernel too.
 
-    With corank_only the SVD computes singular values alone and N is
-    None: the same cut and gap guard give delta_plus at a fraction of
-    the cost, which is all a corank comparison needs.
+    The full path makes one column-pivoted QR (LAPACK geqp3) of the tall
+    orientation B of Res: Res itself when it has at least as many rows as
+    columns, Res^H otherwise. B P = Q R, so the square triangular factor
+    R has the singular values of Res; a values-only SVD of R gives them
+    to the rank cut. No U is formed. With R11 the leading rank x rank
+    block of R, R12 beside it and R22 the trailing block:
+
+    - tall Res: the left null space is spanned by the trailing columns
+      of Q, which LAPACK unmqr applies to unit vectors;
+    - wide Res: the left null space is the null space of B, which is P
+      times the null space of [R11 R12], spanned by [-R11^{-1} R12; I].
+
+    Both bases treat R22 as zero, so N Res is as small as R22. Pivoted
+    QR keeps R22 near the discarded singular values on all but contrived
+    matrices; when it does not, the call raises instead of returning an
+    N that misses the image.
+
+    With corank_only an SVD of Res computes singular values alone and N
+    is None: the same cut and gap guard give delta_plus, which is all a
+    corank comparison needs.
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
-            by less than GAP_RATIO, so the corank is not trustworthy.
+            by less than GAP_RATIO, so the corank is not trustworthy; or
+            R22 exceeds the cut, so the QR does not reveal the rank.
     """
     A = res.matrix
-    nrows = A.shape[0]
-    if A.shape[1] == 0:
+    nrows, ncols = A.shape
+    if ncols == 0:
         N = None if corank_only else np.eye(nrows, dtype=complex)
         return CokernelMap(N, nrows, np.zeros(0), res)
     if corank_only:
         s = np.linalg.svd(A, compute_uv=False)
         return CokernelMap(None, nrows - _rank(s, res.tol_rank), s, res)
-    U, s, _ = np.linalg.svd(A, full_matrices=A.shape[0] > A.shape[1])
+
+    tall = nrows >= ncols
+    # a Fortran-ordered copy of our own, so LAPACK may overwrite it
+    B = np.array(A, order="F") if tall else A.conj().T
+    m, n = B.shape
+    lwork = scipy.linalg.lapack.zgeqp3(B, lwork=-1, overwrite_a=True)[3][0]
+    qr, jpvt, tau, _, _ = scipy.linalg.lapack.zgeqp3(
+        B, lwork=int(lwork.real), overwrite_a=True)
+    R = np.triu(qr[:n])
+    s = np.linalg.svd(R, compute_uv=False)
     rank = _rank(s, res.tol_rank)
-    return CokernelMap(U[:, rank:].conj().T, nrows - rank, s, res)
+    cut = res.tol_rank * s[0]
+    r22 = np.linalg.norm(R[rank:, rank:])
+    if r22 > cut:
+        raise RankAmbiguousError(
+            f"rank not revealed: the trailing block of the pivoted QR has "
+            f"norm {r22:.3e} above the cut {cut:.3e}"
+        )
+
+    if tall:
+        unit = np.eye(m, m - rank, -rank, dtype=complex, order="F")
+        lwork = scipy.linalg.lapack.zunmqr("L", "N", qr, tau, unit, -1)[1][0]
+        basis, _, _ = scipy.linalg.lapack.zunmqr(
+            "L", "N", qr, tau, unit, int(lwork.real), overwrite_c=True)
+    else:
+        null = np.vstack([
+            scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
+            np.eye(n - rank),
+        ])
+        basis = np.empty((n, n - rank), dtype=complex)
+        basis[jpvt - 1] = np.linalg.qr(null)[0]
+    return CokernelMap(basis.conj().T, nrows - rank, s, res)
 
 
 class MultiplicationFamily:

@@ -54,7 +54,9 @@ class RankAmbiguousError(ToricSolveError):
     """Numerical rank of a resultant map could not be decided safely.
 
     Raised when the singular value gap at the cut is below the configured
-    ratio, so the corank (and with it the solution count) is not trustworthy.
+    ratio, so the corank (and with it the solution count) is not trustworthy,
+    or when the pivoted QR behind a cokernel basis leaves a trailing block
+    above the cut, so the basis would not annihilate the image.
     """
 
     exit_code = 4

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .eigensolver import COND_MAX
 from .errors import ClusteringError, RecoveryError, SpanError
 from .lattice import (
     dot,
@@ -192,8 +193,9 @@ def _branch_solve(plan, a, ratios, errs):
     its verified branch with the smallest score.
 
     Returns:
-        (t, found): complex (G, n) points and the mask of clusters with
-        a verified branch.
+        (t, found, cond): complex (G, n) points, the mask of clusters
+        with a verified branch, and the condition number of each
+        cluster's weighted least squares.
     """
     sel, u, dd, v, offsets = plan
     w = 1.0 / np.maximum(errs, 1e-15)
@@ -221,7 +223,9 @@ def _branch_solve(plan, a, ratios, errs):
     for b in range(score.shape[1]):
         take = ok[:, b] & ((best < 0) | (score[:, b] < score[rows, best]))
         best[take] = b
-    return t[rows, best], best >= 0
+    cond = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf),
+                     where=sv[:, -1] > 0.0)
+    return t[rows, best], best >= 0, cond
 
 
 def _solve_binomials(diffs, ratios, errs, n):
@@ -234,15 +238,17 @@ def _solve_binomials(diffs, ratios, errs, n):
     of accuracy, agree share one integer plan and one stacked float solve.
 
     Returns:
-        (t, found) as _branch_solve gives them, with found False where
-        the usable rows are rank-deficient, span a sublattice of index
-        above MAX_BRANCHES, or verify on no branch; None when diffs
-        itself has rank below n.
+        (t, found, cond) as _branch_solve gives them, with found False
+        and cond infinite where the usable rows are rank-deficient or
+        span a sublattice of index above MAX_BRANCHES, and found False
+        where they verify on no branch; None when diffs itself has rank
+        below n.
     """
     if rank_int(diffs.tolist()) < n:
         return None
     t = np.full((len(ratios), n), np.nan, dtype=complex)
     found = np.zeros(len(ratios), dtype=bool)
+    cond = np.full(len(ratios), np.inf)
     order = np.argsort(errs, axis=1, kind="stable")
     # the usable rows are a prefix of each cluster's accuracy order
     keys = np.where(np.take_along_axis(errs, order, axis=1) < USABLE_ERR, order, -1)
@@ -250,9 +256,9 @@ def _solve_binomials(diffs, ratios, errs, n):
         use = key[key >= 0]
         plan = _branch_plan(diffs[use], n)
         if plan is not None:
-            t[members], found[members] = _branch_solve(
+            t[members], found[members], cond[members] = _branch_solve(
                 plan, diffs[use], ratios[members][:, use], errs[members][:, use])
-    return t, found
+    return t, found, cond
 
 
 def _groups(keys):
@@ -283,6 +289,13 @@ def recover_torus_points(fan, tables):
     zero entries share their difference rows, so their integer work is
     done once and their float work runs as stacked array operations.
 
+    A cluster of multiplicity above one is not a torus point when its
+    weighted least squares is conditioned above COND_MAX. Simple torus
+    points solve with condition numbers of order one to a hundred; a
+    multiple boundary point whose vanishing entries sit at the noise
+    floor passes the ratio check with |t| near the reciprocal of that
+    floor, and its solve is conditioned like 1e12 or worse.
+
     Args:
         fan: the Fan the system lives on.
         tables: EigenvalueTables, usually one per cluster.
@@ -290,7 +303,8 @@ def recover_torus_points(fan, tables):
     Returns:
         list aligned with tables: a Solution with on_torus = True, or
         None where the cluster is not a torus point (its usable ratios
-        are rank-deficient or inconsistent).
+        are rank-deficient or inconsistent, or it fails the stratum
+        test).
 
     Raises:
         SpanError: the exponent differences of an alpha0 basis's lattice
@@ -329,7 +343,10 @@ def recover_torus_points(fan, tables):
             solved = _solve_binomials(diffs, ratios, errs, fan.n)
             if solved is None:
                 continue
-            t, found = solved
+            t, found, cond = solved
+            # the stratum test of the docstring
+            mult = np.array([tables[i].multiplicity for i in members[rows]])
+            found &= (mult == 1) | (cond <= COND_MAX)
             z = np.exp(np.log(t[found]) @ lift)
             for i, tg, zg in zip(members[rows[found]], t[found], z):
                 out[i] = Solution(zg, tg, tables[i].multiplicity, zero_pattern=())
@@ -352,7 +369,8 @@ def recover_torus_point(fan, table):
         SpanError: the exponent differences of the alpha0 lattice points
             cannot determine t, whatever the cluster.
         RecoveryError: "cluster is not a torus point" when the usable
-            ratios are rank-deficient or inconsistent.
+            ratios are rank-deficient or inconsistent, or the cluster
+            fails the stratum test.
     """
     sol = recover_torus_points(fan, [table])[0]
     if sol is None:

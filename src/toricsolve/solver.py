@@ -106,8 +106,8 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
             counts as zero.
         verify: compare coranks at alpha and alpha + alpha0 before
             committing to the pair (recommended). The check at alpha
-            computes singular values only; the SVD at alpha + alpha0 is
-            the one that forms the cokernel basis.
+            computes singular values only; the cokernel basis comes from
+            one pivoted QR at alpha + alpha0.
 
     Five thresholds are fixed: the singular value gap GAP_RATIO, the h0
     conditioning limit COND_MAX with RETRIES_MAX redraws, the block
@@ -116,9 +116,10 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
     every value the run used, these included.
 
     Recovery tries every cluster as a torus point in one pass
-    (recover_torus_points) and sends the clusters that fail there to
-    recover_boundary_point; residuals of all points come from one array
-    pass.
+    (recover_torus_points) and sends the clusters that fail there, a
+    multiple cluster whose solve is conditioned above COND_MAX among
+    them, to recover_boundary_point; residuals of all points come from
+    one array pass.
 
     Returns:
         SolutionSet. Sum of multiplicities equals the corank delta+.

@@ -26,6 +26,7 @@ from toricsolve.eigensolver import (
     multiplication_family,
 )
 from toricsolve.errors import InputError, RankAmbiguousError
+from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope, mixed_volume, smith_normal_form
 from toricsolve.recovery import (
     EigenvalueTable,
@@ -390,23 +391,49 @@ def _complex_rows(rows):
     return np.array([complex(re, im) for re, im in rows or []])
 
 
-def _pair_solutions(got, want):
+def _alpha0_exponents(name, meta):
+    """Cox exponents of the monomials of degree alpha0, a row per monomial."""
+    eqs = load_system_file(DATA / f"{name}.system.json").laurent()
+    fan = homogenize(eqs, rays=meta["rays"]).fan
+    return graded_basis(fan, meta["pair"]["alpha0"]).exponents
+
+
+def _embedding(z, exps):
+    """The monomials of degree alpha0 at z, as a unit vector. The class
+    group scales all of them alike, so up to a unit scalar the vector does
+    not depend on which Cox representative z is."""
+    v = np.prod(_complex_rows(z) ** exps, axis=1)
+    return v / np.linalg.norm(v)
+
+
+def _projective_gap(u, v):
+    """sin of the angle between the complex lines through unit u and v."""
+    return float(np.linalg.norm(u - np.vdot(v, u) * v))
+
+
+def _pair_solutions(got, want, exps):
     """Pair each computed solution with a golden one, by the smallest total
-    gap in Cox coordinates. The list order follows the Schur eigenvalue
-    order, which moves with the rounding of a multithreaded BLAS; the points
-    themselves do not."""
-    gap = np.array([[np.abs(_complex_rows(g["z"]) - _complex_rows(w["z"])).max()
-                     for w in want] for g in got])
+    projective gap between their alpha0 embeddings. The list order follows
+    the Schur eigenvalue order, which moves with the rounding of a
+    multithreaded BLAS; the points themselves do not. Nor does a boundary
+    point's embedding, while its Cox representative is one of several
+    under the class group, picked by a branch score that rounding can
+    tie."""
+    a = [_embedding(g["z"], exps) for g in got]
+    b = [_embedding(w["z"], exps) for w in want]
+    gap = np.array([[_projective_gap(u, v) for v in b] for u in a])
     rows, cols = scipy.optimize.linear_sum_assignment(gap)
-    return [(got[i], want[j]) for i, j in zip(rows, cols)]
+    return [(got[i], want[j], gap[i, j]) for i, j in zip(rows, cols)]
 
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_golden_solution_files(tmp_path, name):
-    """Counts, pair, multiplicities and zero patterns exactly; coordinates
-    to 1e-9 relative to each solution's largest coordinate; residuals,
-    which are relative already, to 1e-9. Solutions are compared as a set:
-    each golden point must be met by exactly one computed point."""
+    """Counts, pair, multiplicities and zero patterns exactly; torus
+    coordinates to 1e-9 relative to each solution's largest coordinate;
+    boundary points, whose Cox coordinates are one representative of the
+    point, by their alpha0 embeddings to 1e-9; residuals, which are
+    relative already, to 1e-9. Solutions are compared as a set: each
+    golden point must be met by exactly one computed point."""
     want = json.loads((DATA / f"{name}.solution.json").read_text())
     out = tmp_path / "sol.json"
     res = run_cli("solve", DATA / f"{name}.system.json",
@@ -416,11 +443,13 @@ def test_golden_solution_files(tmp_path, name):
     got["metadata"].pop("timings_ms")
     assert got["metadata"] == want["metadata"]
     assert len(got["solutions"]) == len(want["solutions"])
-    for g, w in _pair_solutions(got["solutions"], want["solutions"]):
+    exps = _alpha0_exponents(name, want["metadata"])
+    for g, w, gap in _pair_solutions(got["solutions"], want["solutions"], exps):
         for key in ("multiplicity", "zero_pattern", "on_torus", "non_simplicial"):
             assert g[key] == w[key]
         assert (g["t"] is None) == (w["t"] is None)
-        for key in ("z", "t"):
+        assert gap <= 1e-9
+        for key in ("z", "t") if w["on_torus"] else ():
             gz, wz = _complex_rows(g[key]), _complex_rows(w[key])
             assert gz.shape == wz.shape
             scale = max(1.0, float(np.abs(wz).max(initial=0.0)))

@@ -10,6 +10,7 @@ from toricsolve.eigensolver import (
     ResMatrix,
     _below_block_norm,
     _cluster_labels,
+    _rank,
     _reorder,
     assemble_res,
     cokernel,
@@ -131,8 +132,9 @@ def test_res_missing_row_raises():
 
 # --------------------------------------------------------------- cokernel
 
-# the full path forms U for N; the corank-only path computes singular
-# values alone, with the same cut and the same gap guard
+# the full path makes one pivoted QR for N and the singular values; the
+# corank-only path computes singular values alone, with the same cut and
+# the same gap guard
 BOTH_PATHS = pytest.mark.parametrize("corank_only", [False, True],
                                      ids=["full", "corank_only"])
 
@@ -217,6 +219,72 @@ def test_cokernel_paths_agree_on_singular_values():
     assert full.delta_plus == only.delta_plus
     assert np.allclose(full.singular_values, only.singular_values,
                        rtol=1e-12, atol=1e-13 * full.singular_values[0])
+
+
+def svd_cokernel(res):
+    """The reference: the trailing left singular vectors of a full SVD of
+    Res, cut where cokernel cuts."""
+    A = res.matrix
+    U, s, _ = np.linalg.svd(A, full_matrices=A.shape[0] > A.shape[1])
+    return U[:, _rank(s, res.tol_rank):].conj().T, s
+
+
+def _top_res(name):
+    rng = np.random.default_rng(5)
+    if name == "pillow":
+        system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
+    elif name == "lines27":
+        system = lines27_system()
+    elif name == "P2 degree 6":
+        p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
+        system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
+    else:
+        wp112 = [(0, 0), (1, 0), (2, 0), (0, 1)]
+        system = random_system(rng, [wp112, wp112], WP112_RAYS)
+    return assemble_res(system, improved_pair(system).top)
+
+
+# Res at alpha + alpha0: pillow 25 x 26 and lines27 441 x 552 are wide,
+# P^2 degree 6 78 x 42 and WP(1,1,2) 6 x 4 are tall
+@pytest.mark.parametrize("name", ["pillow", "lines27", "P2 degree 6", "WP112"])
+def test_cokernel_matches_svd_reference(name):
+    res = _top_res(name)
+    assert (res.shape[0] < res.shape[1]) == (name in ("pillow", "lines27"))
+    cok = cokernel(res)
+    ref, s = svd_cokernel(res)
+    assert cok.delta_plus == len(ref) > 0
+    assert np.allclose(cok.singular_values, s, rtol=1e-12, atol=1e-13 * s[0])
+    N = cok.N
+    assert N.shape == ref.shape
+    assert np.linalg.norm(N @ res.matrix, 2) <= 10 * res.tol_rank * s[0]
+    assert np.allclose(N @ N.conj().T, np.eye(len(N)), atol=1e-12)
+    angles = scipy.linalg.subspace_angles(N.conj().T, ref.conj().T)
+    assert angles.max() <= 1e-8
+
+
+def _kahan(n, c=0.3):
+    """Kahan's triangular matrix, columns shrunk by 1e-10 per index so
+    that column pivoting keeps their order. Its last singular value is far
+    below its last diagonal entry: pivoted QR does not reveal its rank."""
+    k = (np.diag(np.sqrt(1 - c * c) ** np.arange(n))
+         @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1)))
+    return (k * (1 - 1e-10 * np.arange(n))).astype(complex)
+
+
+@pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+def test_cokernel_kahan_raises(tall):
+    k = np.vstack([_kahan(64), np.zeros((1, 64))])
+    crafted = ResMatrix(None, [], k if tall else k.conj().T, 1e-8)
+    # the SVD sees a clean gap: sigma_64 / sigma_1 is about 1e-9, and
+    # sigma_63 / sigma_64 about 1e7
+    ref, s = svd_cokernel(crafted)
+    assert len(ref) == (2 if tall else 1)
+    assert s[-1] < 1e-8 * s[0] < s[-2] / 1e3
+    # but R22 = r_64,64, near 7.5e-3, is far above the cut
+    with pytest.raises(RankAmbiguousError, match="rank not revealed") as info:
+        cokernel(crafted)
+    assert f"above the cut {1e-8 * s[0]:.3e}" in str(info.value)
+    assert cokernel(crafted, corank_only=True).delta_plus == len(ref)
 
 
 # ------------------------------------------------- multiplication family

@@ -152,6 +152,33 @@ def test_boundary_cluster_rejected_by_torus_recovery():
         recover_torus_point(fan, table)
 
 
+def test_stratum_test_sends_near_boundary_multiple_cluster_to_boundary():
+    # tables of torus points at z = (eps, 1, 1, 1): at eps = 1e-13 the
+    # entries of degree one in z0 sit 1e-13 below the rest, where a
+    # clustered table's noise floor puts the entries of a boundary point
+    fan = pillow_fan_solve()
+    basis = graded_basis(fan, (1, 1, 1, 1))
+
+    def tables(eps, mu):
+        z = (eps, 1.0, 1.0, 1.0)
+        values = [np.prod([z[j] ** b[j] for j in range(4)]) for b in basis.monomials]
+        return EigenvalueTable(basis, values, mu)
+
+    # a simple cluster is read as the torus point it is, however close
+    simple = recover_torus_points(fan, [tables(1e-13, 1)])[0]
+    assert abs(simple.z[0] / simple.z[1] - 1e-13) <= 1e-24
+    # a double one is not: its weighted least squares is conditioned
+    # far above COND_MAX, so it goes on to boundary recovery
+    double = tables(1e-13, 2)
+    assert recover_torus_points(fan, [double]) == [None]
+    sol = recover_boundary_point(fan, double)
+    assert sol.zero_pattern == frozenset({0}) and sol.multiplicity == 2
+    # away from the boundary a double torus point stays one
+    sol = recover_torus_points(fan, [tables(1e-3, 2)])[0]
+    assert sol.on_torus and sol.multiplicity == 2
+    assert abs(sol.z[0] / sol.z[1] - 1e-3) <= 1e-14
+
+
 def test_planted_boundary_point_pillow():
     fan = pillow_fan_solve()
     basis = graded_basis(fan, (1, 1, 1, 1))
@@ -276,7 +303,9 @@ def reference_ratio_data(table):
              zip(table.basis.lattice_points, table.values, table.noise) if abs(lam) > 0.0]
     if len(items) < 2:
         raise RecoveryError("cluster is not a torus point")
-    i0 = max(range(len(items)), key=lambda i: abs(items[i][1]))
+    # numpy's modulus, as recover_torus_points takes it: Python's abs can
+    # differ in the last bit, which moves the base point on a tie
+    i0 = int(np.argmax(np.abs([lam for _, lam, _ in items])))
     m0, lam0, e0 = items[i0]
     rest = [it for i, it in enumerate(items) if i != i0]
     diffs = [tuple(x - y for x, y in zip(m, m0)) for m, _, _ in rest]
@@ -533,3 +562,20 @@ def test_solve_27_lines_counts():
     assert all(s.multiplicity == 6 for s in boundary)
     assert all(s.zero_pattern == frozenset({2, 3}) for s in boundary)
     assert sum(s.multiplicity for s in result.solutions) == 45
+
+
+def test_solve_27_lines_boundary_clusters_stay_on_boundary():
+    # the eighth Gaussian draw from default_rng(15): without the stratum
+    # test two of its three multiplicity-6 boundary clusters passed the
+    # torus ratio check, with |t| near 1e13
+    rng = np.random.default_rng(15)
+    for _ in range(8):
+        c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        seed = int(rng.integers(2 ** 31))
+    result = solve(lines27_laurent(c), rays=LINES27_RAYS, seed=seed)
+    torus = result.on_torus()
+    assert len(torus) == 27
+    assert all(s.multiplicity == 1 for s in torus)
+    assert max(max(s.residuals) for s in torus) <= 1e-8
+    assert sorted((s.multiplicity, s.zero_pattern) for s in result.on_boundary()) \
+        == [(6, frozenset({2, 3}))] * 3
