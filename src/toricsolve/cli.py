@@ -29,6 +29,7 @@ from .regularity import (
     user_pair,
     verify_pair,
 )
+from .solver import check_options
 from .solver import solve as run_solve
 
 __all__ = ["main"]
@@ -194,6 +195,7 @@ def cmd_regpair(input_path, pair_flag, fan_flag, tol_rank, verify):
     degrees) and the improved pair (structure-aware, smaller matrices).
     """
     try:
+        check_options(tol_rank=tol_rank)
         sf = load_system_file(input_path)
         rays = _parse_fan_flag(fan_flag) if fan_flag else sf.rays
         system = homogenize(sf.laurent(), rays=rays)
@@ -249,6 +251,8 @@ def cmd_sweep(input_path, param, grid_flag, output, seed, tol_rank,
     continues.
     """
     try:
+        # a bad flag would fail every row alike
+        check_options(seed, tol_rank, cluster_gap, zero_tol)
         sf = load_system_file(input_path)
         if param not in sf.parameter_names():
             raise InputError(

@@ -37,6 +37,8 @@ class GradedBasis:
     One row per lattice point m of the section polytope, in lex order (the
     row/column order used everywhere). x^b in S_alpha times x^c in S_beta is
     the monomial of S_(alpha+beta) at m_b + m_c: `rows` is the one lookup.
+    The fan keeps one basis per representative (graded_basis), shared by
+    every later solve on it, so the arrays are read-only.
 
     Attributes:
         degree: the DivisorClass (with its chosen representative a).
@@ -63,6 +65,8 @@ class GradedBasis:
             size = (pts.max(axis=0) - self._lo + 1).tolist()
             self._radix = np.array([math.prod(size[j + 1:]) for j in range(fan.n)])
         self._keys = (pts - self._lo) @ self._radix
+        for arr in (self.exponents, self._lo, self._radix, self._keys):
+            arr.flags.writeable = False
         self.lattice_points = list(map(tuple, pts.tolist()))
         self.monomials = list(map(tuple, self.exponents.tolist()))
 
@@ -101,14 +105,19 @@ def graded_basis(fan, alpha):
             vector of length fan.k.
 
     Returns:
-        GradedBasis. An empty basis is a valid result (the degree has no
-        sections at this representative).
+        GradedBasis, built on first request and kept by the fan for this
+        representative, so a repeat call returns the same object. An
+        empty basis is a valid result (the degree has no sections at
+        this representative).
     """
     if not isinstance(alpha, DivisorClass):
         alpha = fan.divisor(alpha)
     elif alpha.fan is not fan:
         raise InputError("divisor class belongs to a different fan")
-    return GradedBasis(alpha)
+    bases = fan._bases
+    if alpha.a not in bases:
+        bases[alpha.a] = GradedBasis(alpha)
+    return bases[alpha.a]
 
 
 class CoxPolynomial:
@@ -267,7 +276,7 @@ def _build(merged, rays):
     pieces = []
     for terms in merged:
         div = divisor_of_polytope(fan, list(terms))
-        pieces.append((div, GradedBasis(div)))
+        pieces.append((div, graded_basis(fan, div)))
     return fan, pieces
 
 

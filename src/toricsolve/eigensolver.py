@@ -243,8 +243,10 @@ class MultiplicationFamily:
     """Commuting multiplication matrices M_{x^b / h_0} for b in S_alpha0.
 
     Attributes:
+        stack: complex (members x delta_plus x delta_plus) array, member j
+            the matrix of the j-th monomial of S_alpha0.
         matrices: {exponent tuple of x^b: delta_plus x delta_plus matrix},
-            in the monomial order of S_alpha0.
+            in the monomial order of S_alpha0; each a view into stack.
         basis_columns: indices into the S_alpha basis selected by pivoted
             QR.
         h0_coeffs: coefficients of the random h_0 over S_alpha0.
@@ -253,12 +255,13 @@ class MultiplicationFamily:
         cond: condition number of the restricted N_{h_0}.
     """
 
-    __slots__ = ("matrices", "basis_columns", "h0_coeffs",
+    __slots__ = ("stack", "matrices", "basis_columns", "h0_coeffs",
                  "alpha0_basis", "delta_plus", "cond")
 
-    def __init__(self, matrices, basis_columns, h0_coeffs,
+    def __init__(self, stack, basis_columns, h0_coeffs,
                  alpha0_basis, delta_plus, cond):
-        self.matrices = matrices
+        self.stack = stack
+        self.matrices = dict(zip(alpha0_basis.monomials, stack))
         self.basis_columns = basis_columns
         self.h0_coeffs = h0_coeffs
         self.alpha0_basis = alpha0_basis
@@ -270,11 +273,13 @@ class MultiplicationFamily:
         return self.alpha0_basis.monomials
 
     def combination(self, coeffs):
-        """Sum of coeffs[j] * M_{b_j / h_0} over the S_alpha0 monomials."""
-        out = np.zeros((self.delta_plus, self.delta_plus), dtype=complex)
-        for c, b in zip(coeffs, self.monomials):
-            out += c * self.matrices[b]
-        return out
+        """Sum of coeffs[j] * M_{b_j / h_0} over the S_alpha0 monomials.
+
+        Summed over the stack's first axis in member order, so the result
+        has the rounding of a loop over the members (a BLAS tensordot
+        does not, and moves the Schur form's last bits).
+        """
+        return (np.asarray(coeffs)[:, None, None] * self.stack).sum(axis=0)
 
     def __repr__(self):
         return (f"MultiplicationFamily({len(self.matrices)} matrices, "
@@ -288,7 +293,9 @@ def multiplication_family(cok, system, pair, seed=0):
     N, all in one: x^b x^a is the monomial of S_{alpha+alpha0} at the
     point m_b + m_a. h_0 is a random complex Gaussian combination over
     S_alpha0, and the invertible restriction is chosen by column-pivoted
-    QR on N_{h_0}.
+    QR on N_{h_0}. One LU factorization of that restriction and one
+    solve on the right-hand sides of every member, side by side, give
+    the whole family as one stacked array.
 
     Args:
         cok: CokernelMap computed at degree alpha + alpha0.
@@ -327,7 +334,7 @@ def multiplication_family(cok, system, pair, seed=0):
         )
 
     if delta == 0:
-        empty = {b: np.zeros((0, 0), dtype=complex) for b in s_alpha0.monomials}
+        empty = np.zeros((len(s_alpha0), 0, 0), dtype=complex)
         coeffs = np.zeros(len(s_alpha0), dtype=complex)
         return MultiplicationFamily(empty, (), coeffs, s_alpha0, 0, 0.0)
 
@@ -355,10 +362,13 @@ def multiplication_family(cok, system, pair, seed=0):
             "alpha0 may have basepoints on the solution set"
         )
 
-    factor = scipy.linalg.lu_factor(sub)
-    matrices = {b: scipy.linalg.lu_solve(factor, n_b[:, columns])
-                for b, n_b in zip(s_alpha0.monomials, stack)}
-    return MultiplicationFamily(matrices, columns, coeffs,
+    # members side by side as one right-hand side (delta x members * delta)
+    members = len(s_alpha0)
+    rhs = np.moveaxis(stack[:, :, columns], 0, 1).reshape(delta, -1)
+    solved = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sub), rhs)
+    family = np.ascontiguousarray(
+        np.moveaxis(solved.reshape(delta, members, delta), 1, 0))
+    return MultiplicationFamily(family, columns, coeffs,
                                 s_alpha0, delta, float(cond))
 
 
@@ -434,8 +444,9 @@ def _reorder(T, Z, labels):
 
 
 def _below_block_norm(Tb, labels):
-    """Frobenius norm of Tb below the diagonal blocks of sorted labels."""
-    return np.linalg.norm(Tb[labels[:, None] > labels[None, :]])
+    """Frobenius norm of Tb below the diagonal blocks of sorted labels,
+    over the leading axes of Tb."""
+    return np.linalg.norm(Tb[..., labels[:, None] > labels[None, :]], axis=-1)
 
 
 _GAP_CEILING = 0.1
@@ -446,7 +457,10 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4):
 
     Takes the complex Schur form of a random member M_{h/h_0}, groups
     nearby diagonal values, reorders them into contiguous blocks with
-    LAPACK trsen, and reads every member through the same unitary.
+    LAPACK trsen, and reads every member through the same unitary Z:
+    one batched product Z^H M Z over the family's stack, one masked norm
+    for every member's leakage and one reduceat over the diagonals for
+    all the tables.
 
     A multiple eigenvalue with a nontrivial Jordan block scatters its
     computed copies over a radius like eps**(1/mu), far wider than any
@@ -471,6 +485,7 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4):
 
     M = family.combination(driver_coeffs)
     T0, Z0 = scipy.linalg.schur(M, output="complex")
+    norms = np.maximum(1.0, np.linalg.norm(family.stack, axis=(1, 2)))
 
     gap = cluster_gap
     while True:
@@ -479,18 +494,14 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4):
         starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
         sizes = np.diff(np.r_[starts, delta])
 
-        tables = np.empty((len(sizes), len(mons)), dtype=complex)
-        by_member = []
-        for j, bexp in enumerate(mons):
-            Mb = family.matrices[bexp]
-            Tb = Z.conj().T @ Mb @ Z
-            low = _below_block_norm(Tb, labels)
-            by_member.append(float(low / max(1.0, np.linalg.norm(Mb))))
-            tables[:, j] = np.add.reduceat(np.diag(Tb), starts) / sizes
-        leakage = max(by_member)
+        Tb = Z.conj().T @ family.stack @ Z
+        by_member = _below_block_norm(Tb, labels) / norms
+        diag = np.diagonal(Tb, axis1=1, axis2=2)
+        tables = (np.add.reduceat(diag, starts, axis=1) / sizes).T
+        leakage = float(by_member.max())
         if leakage <= LEAK_TOL:
             return SchurClustering(tuple(int(mu) for mu in sizes), tables,
-                                   leakage, gap, by_member)
+                                   leakage, gap, by_member.tolist())
         if gap >= _GAP_CEILING:
             raise ClusteringError(
                 f"clustering failed (leakage {leakage:.2e} > "

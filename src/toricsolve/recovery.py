@@ -179,18 +179,35 @@ def _branch_plan(rows, n):
 
 
 def _monomials(t, a):
-    """t^a for every row of the integer matrix a, over the leading axes of t."""
+    """t^a for every row of the integer matrix a, over the leading axes of t
+    and a."""
     return np.prod(t[..., None, :] ** a, axis=-1)
+
+
+def _stack_plans(plans):
+    """One array per plan field, stacked over plans; shorter selections
+    are padded with row 0 and zero columns of U, which add nothing to
+    the phase equations."""
+    width = max(len(plan[0]) for plan in plans)
+    sel = np.zeros((len(plans), width), dtype=int)
+    u = np.zeros((len(plans), len(plans[0][1]), width))
+    for p, plan in enumerate(plans):
+        sel[p, :len(plan[0])] = plan[0]
+        u[p, :, :len(plan[0])] = plan[1]
+    return (sel, u) + tuple(np.array([plan[j] for plan in plans]) for j in (2, 3, 4))
 
 
 def _branch_solve(plan, a, ratios, errs):
     """Float half of a binomial solve, stacked over clusters and branches.
 
-    a (r x n) holds the usable rows in the order the plan was built on;
-    ratios and errs are (G, r). Log-moduli come from weighted least
-    squares, phases from the plan's Smith form, one start per branch;
-    three multiplicative refinement steps follow, and each cluster keeps
-    its verified branch with the smallest score.
+    Every cluster g has its own plan (the fields of _branch_plan stacked
+    over clusters, as _stack_plans gives them) and its own usable rows
+    a[g] (a is G x r x n) in the order its plan was built on; ratios and
+    errs are (G, r) in the same order. All clusters share r and the
+    branch count. Log-moduli come from weighted least squares, phases
+    from the plan's Smith form, one start per branch; three
+    multiplicative refinement steps follow, and each cluster keeps its
+    verified branch with the smallest score.
 
     Returns:
         (t, found, cond): complex (G, n) points, the mask of clusters
@@ -201,13 +218,15 @@ def _branch_solve(plan, a, ratios, errs):
     w = 1.0 / np.maximum(errs, 1e-15)
     # one pseudoinverse per cluster, transposed, serves the modulus solve
     # and every step; it drops singular values below lstsq's default cutoff
-    us, sv, vh = np.linalg.svd(a[None] * w[:, :, None], full_matrices=False)
-    keep = sv > max(a.shape) * np.finfo(float).eps * sv[:, :1]
+    us, sv, vh = np.linalg.svd(a * w[:, :, None], full_matrices=False)
+    keep = sv > max(a.shape[1:]) * np.finfo(float).eps * sv[:, :1]
     inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
     pinv_t = (us * inv[:, None, :]) @ vh
     moduli = (np.log(np.abs(ratios)) * w)[:, None, :] @ pinv_t
-    psi = ((np.angle(ratios[:, sel]) @ u.T)[:, None, :] + offsets) / dd
-    t = np.exp(moduli + 1j * (psi @ v.T))
+    args = np.angle(ratios[np.arange(len(ratios))[:, None], sel])
+    psi = (args[:, None, :] @ np.swapaxes(u, 1, 2) + offsets) / dd[:, None, :]
+    t = np.exp(moduli + 1j * (psi @ np.swapaxes(v, 1, 2)))
+    a = a[:, None]  # one set of rows per cluster, shared by its branches
     for _ in range(3):
         # principal log keeps each step inside one branch; bad branches
         # fail verification below instead of being pulled across
@@ -229,35 +248,51 @@ def _branch_solve(plan, a, ratios, errs):
 
 
 def _solve_binomials(diffs, ratios, errs, n):
-    """Solve t^{diffs[i]} = ratios[g, i] for t in (C*)^n, for every cluster g.
+    """Solve t^{diffs[g, i]} = ratios[g, i] for t in (C*)^n, for every cluster g.
 
-    diffs is an (r x n) integer array shared by all clusters; ratios and
-    errs (relative error estimates) are (G, r). The errors weight the
-    solve and scale the final consistency check; rows with an error of
-    USABLE_ERR or more are left out. Clusters whose usable rows, in order
-    of accuracy, agree share one integer plan and one stacked float solve.
+    diffs (G x r x n) holds each cluster's integer difference rows: the
+    differences of one point set to each cluster's own base point, so
+    every cluster's rows span the same lattice. ratios and errs
+    (relative error estimates) are (G, r). The errors weight the solve
+    and scale the final consistency check; rows with an error of
+    USABLE_ERR or more are left out. Clusters whose usable rows, in
+    order of accuracy, agree share one integer plan; clusters with the
+    same count of usable rows and of branches share one stacked float
+    solve, whatever their plans.
 
     Returns:
         (t, found, cond) as _branch_solve gives them, with found False
         and cond infinite where the usable rows are rank-deficient or
         span a sublattice of index above MAX_BRANCHES, and found False
-        where they verify on no branch; None when diffs itself has rank
+        where they verify on no branch; None when the rows have rank
         below n.
     """
-    if rank_int(diffs.tolist()) < n:
+    if rank_int(diffs[0].tolist()) < n:
         return None
     t = np.full((len(ratios), n), np.nan, dtype=complex)
     found = np.zeros(len(ratios), dtype=bool)
     cond = np.full(len(ratios), np.inf)
     order = np.argsort(errs, axis=1, kind="stable")
-    # the usable rows are a prefix of each cluster's accuracy order
-    keys = np.where(np.take_along_axis(errs, order, axis=1) < USABLE_ERR, order, -1)
+    g = np.arange(len(errs))[:, None]
+    rows = diffs[g, order]
+    usable = errs[g, order] < USABLE_ERR
+    # the usable rows are a prefix of each cluster's accuracy order; the
+    # key is their count and the rows themselves
+    keys = np.column_stack([usable.sum(axis=1),
+                            (rows * usable[:, :, None]).reshape(len(rows), -1)])
+    shapes = {}
     for key, members in _groups(keys):
-        use = key[key >= 0]
-        plan = _branch_plan(diffs[use], n)
+        plan = _branch_plan(rows[members[0], :key[0]], n)
         if plan is not None:
-            t[members], found[members], cond[members] = _branch_solve(
-                plan, diffs[use], ratios[members][:, use], errs[members][:, use])
+            shapes.setdefault((key[0], len(plan[4])), []).append((plan, members))
+    for (r, _), group in shapes.items():
+        plans, parts = zip(*group)
+        members = np.concatenate(parts)
+        which = np.repeat(np.arange(len(parts)), [len(m) for m in parts])
+        use = members[:, None], order[members, :r]
+        t[members], found[members], cond[members] = _branch_solve(
+            [field[which] for field in _stack_plans(plans)], rows[members, :r],
+            ratios[use], errs[use])
     return t, found, cond
 
 
@@ -271,23 +306,29 @@ def _groups(keys):
 
 
 def _ratio_data(points, values, noise, i0):
-    """Difference rows to the base point i0, the ratios of every row of
-    values (G x len(points)) to its entry at i0, and their error
-    estimates."""
-    rest = np.arange(len(points)) != i0
-    lam0 = values[:, i0:i0 + 1]
-    ratios = values[:, rest] / lam0
-    errs = noise[:, rest] / np.abs(values[:, rest]) + noise[:, i0:i0 + 1] / np.abs(lam0)
-    return points[rest] - points[i0], ratios, errs
+    """Each row of values (G x len(points)) against its own base point
+    i0[g]: the difference rows to that point (G x len(points) - 1 x n),
+    the ratios of the other entries to its entry, and their error
+    estimates, the other entries in point order."""
+    g = np.arange(len(values))
+    rest = np.nonzero(np.arange(len(points)) != i0[:, None])[1].reshape(len(g), -1)
+    lam0 = values[g, i0][:, None]
+    lam = values[g[:, None], rest]
+    errs = noise[g[:, None], rest] / np.abs(lam) + noise[g, i0][:, None] / np.abs(lam0)
+    return points[rest] - points[i0][:, None], lam / lam0, errs
 
 
 def recover_torus_points(fan, tables):
     """Recover torus points from many eigenvalue tables in one pass.
 
     Each table's base point is its largest entry, and its zero entries
-    drop out. Tables that share a basis, a base point and a pattern of
-    zero entries share their difference rows, so their integer work is
-    done once and their float work runs as stacked array operations.
+    drop out. Tables are grouped by basis and pattern of zero entries
+    only: one affine rank check per pattern, and each table's base
+    point, difference rows, ratios and errors come out as arrays over
+    the group. The integer plan is made once per distinct usable-row
+    order (which fixes the base point), and the float work runs as one
+    stacked solve per count of usable rows and branches, over clusters
+    whose plans differ.
 
     A cluster of multiplicity above one is not a torus point when its
     weighted least squares is conditioned above COND_MAX. Simple torus
@@ -331,15 +372,13 @@ def recover_torus_points(fan, tables):
         values = np.array([tables[i].values for i in members])
         noise = np.array([tables[i].noise for i in members])
         mags = np.abs(values)
-        # group key: the pattern of nonzero entries, then the base point
-        keys = np.column_stack([mags > 0.0, np.argmax(mags, axis=1)])
-        for key, rows in _groups(keys):
-            live, i0 = key[:-1].astype(bool), key[-1]
+        for live, rows in _groups(mags > 0.0):
+            live = live.astype(bool)
             if np.count_nonzero(live) < 2:
                 continue
             diffs, ratios, errs = _ratio_data(
                 basis.points[live], values[rows][:, live],
-                noise[rows][:, live], np.count_nonzero(live[:i0]))
+                noise[rows][:, live], np.argmax(mags[rows][:, live], axis=1))
             solved = _solve_binomials(diffs, ratios, errs, fan.n)
             if solved is None:
                 continue
@@ -436,7 +475,7 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
     values = table.values[live]
     diffs, ratios, errs = _ratio_data(
         np.array(coords, dtype=np.int64), values[None], table.noise[live][None],
-        int(np.argmax(np.abs(values))))
+        np.argmax(np.abs(values))[None])
     solved = _solve_binomials(diffs, ratios, errs, nq)
     if solved is None:
         raise RecoveryError("alpha0 insufficient on orbit")

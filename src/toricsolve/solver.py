@@ -9,6 +9,8 @@ its stage tag in the raised error; a single seed drives all randomized
 choices.
 """
 
+import math
+import numbers
 import time
 
 from .cox import HomogeneousSystem, homogenize
@@ -21,7 +23,7 @@ from .eigensolver import (
     multiplication_family,
     schur_cluster,
 )
-from .errors import PairSelectionError
+from .errors import InputError, PairSelectionError
 # recover_torus_point is not called here; it stays importable because the
 # benchmark's tracer (perfbench/tracing.py) patches solver.recover_torus_point
 from .recovery import (  # noqa: F401
@@ -89,6 +91,26 @@ class SolutionSet:
                 f"torus={len(self.on_torus())}, boundary={len(self.on_boundary())})")
 
 
+def _check_real(name, value, rule, ok):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and ok(value))):
+        raise InputError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_options(seed=0, tol_rank=1e-8, cluster_gap=1e-4, zero_tol=1e-6):
+    """Raise InputError naming the first of solve's numeric arguments that
+    is outside its range; the command line checks its flags with it."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_real("tol_rank", tol_rank, "finite with 0 < tol_rank < 1",
+                lambda x: 0.0 < x < 1.0)
+    _check_real("cluster_gap", cluster_gap, "finite with cluster_gap > 0",
+                lambda x: x > 0.0)
+    _check_real("zero_tol", zero_tol, "finite with 0 <= zero_tol < 1",
+                lambda x: 0.0 <= x < 1.0)
+
+
 def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
           zero_tol=1e-6, verify=True):
     """Solve a sparse (Laurent) polynomial system with finite solution set.
@@ -99,11 +121,13 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
         rays: optional explicit ray order when `system` is Laurent input.
         pair: None for the automatic improved pair, an (alpha, alpha0)
             tuple of divisor vectors, or a RegularityPair.
-        seed: drives the random multiplier h0 and the Schur shuffle.
-        tol_rank: relative singular value cutoff for the rank of Res.
-        cluster_gap: starting eigenvalue clustering threshold.
+        seed: drives the random multiplier h0 and the Schur shuffle; a
+            non-negative int.
+        tol_rank: relative singular value cutoff for the rank of Res,
+            with 0 < tol_rank < 1.
+        cluster_gap: starting eigenvalue clustering threshold, > 0.
         zero_tol: relative size below which a boundary coordinate
-            counts as zero.
+            counts as zero, with 0 <= zero_tol < 1.
         verify: compare coranks at alpha and alpha + alpha0 before
             committing to the pair (recommended). The check at alpha
             computes singular values only; the cokernel basis comes from
@@ -125,11 +149,14 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
         SolutionSet. Sum of multiplicities equals the corank delta+.
 
     Raises:
-        InputError, PairSelectionError, RankAmbiguousError,
+        InputError (also for a numeric argument outside its range,
+        before any work), PairSelectionError, RankAmbiguousError,
         ClusteringError, RecoveryError: tagged per stage. SpanError, a
         RecoveryError, when the alpha0 lattice points do not affinely
         span the character lattice.
     """
+    check_options(seed, tol_rank, cluster_gap, zero_tol)
+    seed = int(seed)  # a numpy integer would not serialize
     tolerances = {
         "tol_rank": tol_rank, "gap_ratio": GAP_RATIO, "cond_max": COND_MAX,
         "cluster_gap": cluster_gap, "leak_tol": LEAK_TOL,

@@ -57,10 +57,11 @@ class Fan:
             ray_j . x + a_j >= 0 holds on it with equality on facet j.
 
     The fan owns the section polytope of every divisor representative
-    asked for through DivisorClass.polytope, so each is built once,
-    computes its class group and product structure once on first use,
-    and holds the automatic degree pair of every tuple of equation
-    degrees it was asked for (regularity.improved_pair).
+    asked for through DivisorClass.polytope and the graded basis of
+    every representative asked for through cox.graded_basis, so each is
+    built once, computes its class group and product structure once on
+    first use, and holds the automatic degree pair of every tuple of
+    equation degrees it was asked for (regularity.improved_pair).
     """
 
     def __init__(self, rays, max_cones, polytope=None, offsets=None):
@@ -74,6 +75,7 @@ class Fan:
         self._ray_inverse = None
         self._product_structure = False  # not computed yet; None is a result
         self._sections = {}
+        self._bases = {}
         self._pairs = {}
         for r in self.rays:
             if r != primitive(r):

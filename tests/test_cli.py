@@ -261,6 +261,43 @@ def test_regpair_verify_rejects_bad_user_pair(tmp_path):
     assert "coranks=(3, 4)" in res.output
 
 
+# every numeric flag outside its range: (flag, value, argument named)
+BAD_FLAGS = [
+    ("--seed", "-1", "seed"),
+    ("--tol-rank", "-1", "tol_rank"),
+    ("--tol-rank", "0", "tol_rank"),
+    ("--tol-rank", "1", "tol_rank"),
+    ("--tol-rank", "nan", "tol_rank"),
+    ("--cluster-gap", "0", "cluster_gap"),
+    ("--cluster-gap", "-1", "cluster_gap"),
+    ("--cluster-gap", "nan", "cluster_gap"),
+    ("--cluster-gap", "inf", "cluster_gap"),
+    ("--zero-tol", "-1e-9", "zero_tol"),
+    ("--zero-tol", "1", "zero_tol"),
+    ("--zero-tol", "inf", "zero_tol"),
+]
+
+
+@pytest.mark.parametrize("flag, value, name", BAD_FLAGS)
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_numeric_flag_out_of_range_exits_2(tmp_path, command, flag, value, name):
+    if command == "solve":
+        path, extra = write_file(tmp_path, intro_doc()), []
+    else:
+        path, extra = write_file(tmp_path, intro_template_doc()), ["--grid", "0:1:0.5"]
+    res = run(command, path, *extra, flag, value)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error (input): ")
+    assert name in res.output and "Traceback" not in res.output
+
+
+def test_regpair_tol_rank_out_of_range_exits_2(tmp_path):
+    path = write_file(tmp_path, intro_doc())
+    res = run("regpair", path, "--verify", "--tol-rank", "-1")
+    assert res.exit_code == 2, res.output
+    assert "tol_rank" in res.output
+
+
 def test_sweep_small_grid(tmp_path):
     path = write_file(tmp_path, intro_template_doc())
     out = tmp_path / "sweep.csv"

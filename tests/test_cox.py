@@ -66,6 +66,22 @@ def test_basis_position_lookup():
     assert basis.position((9, 9, 9, 9)) is None
 
 
+def test_graded_basis_is_kept_by_the_fan():
+    fan = lines27_fan()
+    a = (0, 0, 2, 2, 0, 0)
+    assert graded_basis(fan, a) is graded_basis(fan, a)
+    assert graded_basis(fan, fan.divisor(a)) is graded_basis(fan, list(a))
+    assert graded_basis(lines27_fan(), a) is not graded_basis(fan, a)
+
+
+@pytest.mark.parametrize("a", [(1, 1, 1, 1), (-1, 0, 0, 0)])
+def test_shared_basis_arrays_are_read_only(a):
+    basis = graded_basis(pillow_fan(), a)
+    for arr in (basis.points, basis.exponents, basis._keys):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
 FAN_POOL = [pillow_fan(), hirzebruch_fan(), wp112_fan()]
 
 
@@ -312,6 +328,22 @@ def test_mismatched_rays_leave_no_entry(cold):
     with pytest.raises(InputError):
         homogenize([[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((2, 0), 3)]])
     assert len(cold) == 0
+
+
+def test_pair_search_then_solve_keeps_the_bases(cold):
+    rng = np.random.default_rng(0)
+    eqs = lines27_laurent(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    system = homogenize(eqs, rays=LINES27_RAYS)
+    pair = improved_pair(system)
+    fan = system.fan
+    kept = dict(fan._bases)
+    assert len(kept) > 0
+    result = solve(eqs, rays=LINES27_RAYS)
+    assert result.system.fan is fan
+    assert (result.pair.alpha.a, result.pair.alpha0.a) == (pair.alpha.a, pair.alpha0.a)
+    # the solve replaced none of the bases the pair search built
+    assert all(fan._bases[a] is basis for a, basis in kept.items())
+    assert all(f.basis is g.basis for f, g in zip(result.system.polys, system.polys))
 
 
 def test_cache_stays_within_bound(cold):

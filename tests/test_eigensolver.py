@@ -7,6 +7,7 @@ import sympy
 
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, graded_basis, homogenize
 from toricsolve.eigensolver import (
+    LEAK_TOL,
     ResMatrix,
     _below_block_norm,
     _cluster_labels,
@@ -22,11 +23,13 @@ from toricsolve.lattice import mixed_volume
 from toricsolve.regularity import improved_pair
 
 from systems import (
+    HIRZEBRUCH_RAYS,
     LINES27_RAYS,
     P2_RAYS,
     PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
     WP112_RAYS,
+    intro_laurent,
     lines27_laurent,
     pillow_fan,
     pillow_laurent,
@@ -540,6 +543,89 @@ def test_zero_solution_family():
     clusters = schur_cluster(fam)
     assert clusters.block_sizes == ()
     assert clusters.tables.shape == (0, len(fam.monomials))
+
+
+# ------------------------------------ stacked family and Schur reads
+# The family and the Schur reads as they were before they were stacked:
+# one lu_solve per member, and one Z^H M Z product, leakage norm and
+# trace table column per member. The stacked code must reproduce them.
+
+
+def reference_family_matrices(cok, system, pair, family):
+    s_alpha = graded_basis(system.fan, pair.alpha)
+    s_alpha0 = family.alpha0_basis
+    rows = cok.res.rows
+    columns = list(family.basis_columns)
+    n_b = [cok.N[:, rows.rows(m + s_alpha.points)] for m in s_alpha0.points]
+    n_h0 = np.tensordot(family.h0_coeffs, np.array(n_b), axes=(0, 0))
+    factor = scipy.linalg.lu_factor(n_h0[:, columns])
+    return {b: scipy.linalg.lu_solve(factor, n[:, columns])
+            for b, n in zip(s_alpha0.monomials, n_b)}
+
+
+def reference_schur_cluster(matrices, monomials, seed, cluster_gap=1e-4):
+    """(block sizes, tables, leakage by member) read member by member."""
+    delta = len(next(iter(matrices.values())))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+    weights = (rng.standard_normal(len(monomials))
+              + 1j * rng.standard_normal(len(monomials)))
+    M = np.zeros((delta, delta), dtype=complex)
+    for c, b in zip(weights, monomials):
+        M += c * matrices[b]
+    T0, Z0 = scipy.linalg.schur(M, output="complex")
+    gap = cluster_gap
+    while True:
+        _, Z, labels = _reorder(T0, Z0, _cluster_labels(np.diag(T0), gap))
+        starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+        sizes = np.diff(np.r_[starts, delta])
+        tables = np.empty((len(sizes), len(monomials)), dtype=complex)
+        by_member = []
+        for j, b in enumerate(monomials):
+            Tb = Z.conj().T @ matrices[b] @ Z
+            low = ref_below_block_norm(Tb, sizes)
+            by_member.append(low / max(1.0, np.linalg.norm(matrices[b])))
+            tables[:, j] = np.add.reduceat(np.diag(Tb), starts) / sizes
+        if max(by_member) <= LEAK_TOL or gap >= 0.1:
+            return tuple(int(mu) for mu in sizes), tables, by_member
+        gap = min(gap * 10.0, 0.1)
+
+
+def _rel_close(got, want, rel=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
+
+
+def _family_case(name):
+    if name == "pillow":
+        system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
+    elif name == "intro e=3":
+        system = homogenize(intro_laurent(1e-3), rays=HIRZEBRUCH_RAYS)
+    else:
+        system = lines27_system(seed=0)
+    pair = improved_pair(system)
+    return system, pair, cokernel(assemble_res(system, pair.top))
+
+
+@pytest.mark.parametrize("name", ["pillow", "intro e=3", "lines27"])
+def test_stacked_family_and_schur_reads_match_per_member(name):
+    system, pair, cok = _family_case(name)
+    family = multiplication_family(cok, system, pair, seed=3)
+    want = reference_family_matrices(cok, system, pair, family)
+    assert list(family.matrices) == list(want) == family.monomials
+    assert family.stack.shape == (len(want), cok.delta_plus, cok.delta_plus)
+    for b, mat in family.matrices.items():
+        assert np.shares_memory(mat, family.stack)
+        assert _rel_close(mat, want[b])
+
+    clustering = schur_cluster(family, seed=3)
+    sizes, tables, by_member = reference_schur_cluster(want, family.monomials, seed=3)
+    assert clustering.block_sizes == sizes
+    if name == "lines27":
+        assert sorted(sizes).count(6) == 3
+    assert _rel_close(clustering.tables, tables)
+    assert len(clustering.leakage_by_member) == len(by_member)
+    for got, ref in zip(clustering.leakage_by_member, by_member):
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 # ------------------------------------------------------------ properties

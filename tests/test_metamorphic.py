@@ -1,9 +1,11 @@
 """Metamorphic checks: changes to the input that must not change the answer.
 
 Scaling one equation by a nonzero constant leaves its zero set alone, so
-delta+, the multiplicities and the points stay put. The seed drives only
-the solver's random choices, so delta+ and the multiplicities stay put
-under a new seed. Every example of a system shares its support, so each
+delta+, the multiplicities and the points stay put. Rescaling the torus,
+t_i -> c_i t_i, moves every torus point t to t / c and every boundary
+point along its own orbit, so delta+, the multiplicities and the zero
+patterns stay put. The seed drives only the solver's random choices, so
+delta+ and the multiplicities stay put under a new seed. Every example of a system shares its support, so each
 solve after the first runs on a warm homogenize cache and pair memo.
 """
 
@@ -39,6 +41,13 @@ scales = st.builds(
 )
 
 
+# torus scale factors within one decade of 1, with random phases
+torus_scales = st.builds(
+    lambda mag, phase: 10.0 ** mag * cmath.exp(1j * phase),
+    st.floats(-1, 1), st.floats(0, 2 * math.pi),
+)
+
+
 def _multiplicities(result):
     return sorted(s.multiplicity for s in result.solutions)
 
@@ -58,13 +67,17 @@ def _projective_gap(u, v):
     return float(np.linalg.norm(u - np.vdot(v, u) * v))
 
 
-def _assert_same_points(got, want):
-    a, b = _embedding(got), _embedding(want)
+def _assert_same_points(got, want, column_scales=1.0):
+    """Match the points of got to those of want; column_scales multiplies
+    got's embedding first. Returns the matched (got, want) solutions."""
+    a, b = _embedding(got) * column_scales, _embedding(want)
     gap = np.array([[_projective_gap(u, v) for v in b] for u in a])
     rows, cols = scipy.optimize.linear_sum_assignment(gap)
     assert gap[rows, cols].max(initial=0.0) <= POINT_TOL
-    for i, j in zip(rows, cols):
-        assert got.solutions[i].multiplicity == want.solutions[j].multiplicity
+    pairs = [(got.solutions[i], want.solutions[j]) for i, j in zip(rows, cols)]
+    for g, w in pairs:
+        assert g.multiplicity == w.multiplicity
+    return pairs
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,6 +92,30 @@ def test_scaling_an_equation_keeps_the_solutions(name, which, scale, seed):
     assert got.delta_plus == want.delta_plus
     assert _multiplicities(got) == _multiplicities(want)
     _assert_same_points(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SYSTEMS)), st.lists(torus_scales, min_size=2, max_size=2),
+       st.integers(0, 2 ** 31 - 1))
+def test_rescaling_the_torus_moves_the_points(name, c, seed):
+    eqs, rays = SYSTEMS[name]
+    c = np.array(c)
+    want = solve(eqs, rays=rays, seed=seed)
+    # t -> c t turns a t^m into (a c^m) t^m
+    scaled = [[(e, coeff * np.prod(c ** np.array(e))) for e, coeff in eq]
+              for eq in eqs]
+    got = solve(scaled, rays=rays, seed=seed)
+    assert got.delta_plus == want.delta_plus
+    assert _multiplicities(got) == _multiplicities(want)
+    assert (sorted(sorted(s.zero_pattern) for s in got.solutions)
+            == sorted(sorted(s.zero_pattern) for s in want.solutions))
+    # a monomial of degree alpha0 at lattice point m scales by c^-m
+    points = graded_basis(got.system.fan, got.pair.alpha0).points
+    pairs = _assert_same_points(got, want, np.prod(c ** points, axis=1))
+    for g, w in pairs:
+        assert g.zero_pattern == w.zero_pattern
+        if w.on_torus:
+            assert np.allclose(np.array(g.t) * c, w.t, rtol=POINT_TOL, atol=0.0)
 
 
 def test_large_scale_keeps_divergent_root():

@@ -28,6 +28,7 @@ from toricsolve.recovery import (
     recover_torus_point,
     recover_torus_points,
 )
+from toricsolve import solver as solver_module
 from toricsolve.solver import solve
 from toricsolve.toric import Fan, divisor_of_polytope
 
@@ -349,18 +350,27 @@ def close(a, b, rel=1e-12):
     return bool(np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b))))
 
 
+# P^2 at 2H has six points, enough for one zero pattern to leave room for
+# several base points, usable-row counts and selections
+BATCH_POOL = FAN_POOL + [(p2_fan(), (2, 0, 0))]
+
+
 @st.composite
 def planted_batch(draw):
     """Tables over one basis: planted torus points with random scales,
     some entries zeroed, some made unusable by their noise, and some
-    tables spoiled so that no torus point fits."""
-    fan, alpha0 = FAN_POOL[draw(st.integers(0, len(FAN_POOL) - 1))]
+    tables spoiled so that no torus point fits. In half the batches
+    every table has the same zero entries, so one zero pattern holds
+    tables with different base points, usable rows and selections."""
+    fan, alpha0 = BATCH_POOL[draw(st.integers(0, len(BATCH_POOL) - 1))]
     if alpha0 is None:
         alpha0 = divisor_of_polytope(
             fan, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
         ).a
     basis = graded_basis(fan, alpha0)
     size = len(basis)
+    shared = draw(st.one_of(
+        st.none(), st.lists(st.integers(0, size - 1), max_size=max(0, size - 3))))
     tables = []
     for _ in range(draw(st.integers(1, 6))):
         t = [cmath.rect(draw(st.floats(0.2, 5.0)), draw(st.floats(-math.pi, math.pi)))
@@ -368,7 +378,9 @@ def planted_batch(draw):
         scale = cmath.rect(draw(st.floats(0.1, 10.0)), draw(st.floats(-math.pi, math.pi)))
         values = scale * np.array([np.prod([complex(x) ** e for x, e in zip(t, m)])
                                    for m in basis.lattice_points])
-        zeros = draw(st.lists(st.integers(0, size - 1), max_size=size - 1))
+        zeros = shared
+        if zeros is None:
+            zeros = draw(st.lists(st.integers(0, size - 1), max_size=size - 1))
         values[zeros] = 0.0
         noise = None
         loud = draw(st.lists(st.integers(0, size - 1), max_size=2))
@@ -444,6 +456,49 @@ def test_batched_recovery_mixes_base_points_and_sublattices():
     want = reference_recover_torus_point(fan, tables[4])
     for d in [(2, 0), (0, 2)]:
         assert close(np.prod(np.array(got[4].t) ** d), np.prod(np.array(want.t) ** d))
+
+
+def _usable_plan(table):
+    """(base point, usable-row count, selected-row count) of a table
+    without zero entries, as the per-cluster reference reads it."""
+    diffs, _, errs = reference_ratio_data(table)
+    order = sorted(range(len(diffs)), key=lambda i: errs[i])
+    usable = [diffs[i] for i in order if errs[i] < USABLE_ERR]
+    base = int(np.argmax(np.abs(table.values)))
+    return base, len(usable), len(_branch_plan(np.array(usable), 2)[0])
+
+
+def test_batched_recovery_one_zero_pattern_mixes_plans():
+    # P^2, alpha0 = 2H, no zero entries: one zero pattern whose tables
+    # differ in base point, in usable-row count and in selected-row count
+    fan = p2_fan()
+    basis = graded_basis(fan, (2, 0, 0))
+
+    def table(t, errors=None):
+        values = np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
+        noise = None if errors is None else np.array(errors) * np.abs(values)
+        return EigenvalueTable(basis, values, noise=noise)
+
+    # points in lex order: (0,0), (0,1), (0,2), (1,0), (1,1), (2,0)
+    tables = [
+        table((2.0, 0.5j)),  # base (2,0)
+        table((0.3, -1.5)),  # base (0,2)
+        table((1.5 - 0.5j, 0.4)),  # base (2,0) again
+        # base (2,0), the (1,1) row unusable
+        table((2.0, 0.7 + 0.2j), [1e-16, 1e-16, 1e-16, 1e-16, 1.0, 1e-16]),
+        # base (0,0); (2,0) then (0,1) close a sublattice of index 2 and
+        # (1,0) shrinks it to 1, so three rows are selected
+        table((0.5, 0.4), [1e-17, 1e-15, 1e-13, 1e-14, 1e-13, 1e-16]),
+    ]
+    plans = [_usable_plan(tab) for tab in tables]
+    assert len({base for base, _, _ in plans}) == 3
+    assert {r for _, r, _ in plans} == {4, 5}
+    assert {s for _, _, s in plans} == {2, 3}
+    got = recover_torus_points(fan, tables)
+    for tab, sol in zip(tables, got):
+        want = reference_recover_torus_point(fan, tab)
+        assert usable_index(tab) == 1
+        assert close(sol.t, want.t) and close(sol.z, want.z)
 
 
 @pytest.mark.parametrize("order, fits", [
@@ -547,6 +602,41 @@ def test_solve_rejects_nonfinite_coefficients(bad):
     eqs[0][1] = ((1, 0), bad)
     with pytest.raises(InputError, match="coefficients must be finite"):
         solve(eqs, rays=HIRZEBRUCH_RAYS, seed=0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"tol_rank": 0.0}, "tol_rank"),
+    ({"tol_rank": 1.0}, "tol_rank"),
+    ({"tol_rank": float("nan")}, "tol_rank"),
+    ({"cluster_gap": 0}, "cluster_gap"),
+    ({"cluster_gap": -1.0}, "cluster_gap"),
+    ({"cluster_gap": float("nan")}, "cluster_gap"),
+    ({"cluster_gap": float("inf")}, "cluster_gap"),
+    ({"zero_tol": -1e-9}, "zero_tol"),
+    ({"zero_tol": 1.0}, "zero_tol"),
+    ({"zero_tol": "1e-6"}, "zero_tol"),
+])
+def test_solve_rejects_numeric_arguments_at_once(monkeypatch, kwargs, name):
+    # the check comes before any work: homogenize is never reached (with
+    # cluster_gap = 0 the widening loop used to run forever)
+    def no_work(*args, **kw):
+        raise AssertionError("solve started working")
+
+    monkeypatch.setattr(solver_module, "homogenize", no_work)
+    rng = np.random.default_rng(0)
+    eqs = lines27_laurent(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    with pytest.raises(InputError, match=f"^{name} must be"):
+        solve(eqs, rays=LINES27_RAYS, **kwargs)
+
+
+def test_solve_accepts_range_edges():
+    result = solve(intro_laurent(1), rays=HIRZEBRUCH_RAYS, seed=np.int64(0),
+                   tol_rank=0.5e-8, cluster_gap=1e-4, zero_tol=0.0)
+    assert result.delta_plus == 3
+    assert type(result.seed) is int
 
 
 def test_solve_27_lines_counts():
