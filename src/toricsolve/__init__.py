@@ -18,11 +18,8 @@ from .errors import (
 )
 from .lattice import (
     Polytope,
-    convex_hull,
     integer_kernel,
-    mixed_volume,
     smith_normal_form,
-    snf_diagonal,
     sublattice_index,
 )
 from .toric import (

@@ -7,6 +7,7 @@ files, malformed flags) with code 2, matching the input category.
 """
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,9 @@ from .solver import check_options
 from .solver import solve as run_solve
 
 __all__ = ["main"]
+
+# most values --grid may expand to; more is refused before any solve
+GRID_MAX = 10**6
 
 
 def _parse_int_vector(text, what):
@@ -76,12 +80,16 @@ def _parse_grid(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise InputError(f"grid bounds must be numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InputError(f"grid bounds must be finite, got {text!r}")
     if step <= 0:
         raise InputError(f"grid step must be positive, got {step}")
     if stop < start:
         raise InputError(f"empty grid: stop {stop} is below start {start}")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step + 1e-9
+    if not steps < GRID_MAX:  # an overflow to inf fails this too
+        raise InputError(f"grid {text!r} has more than {GRID_MAX} values")
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def _fail(exc):

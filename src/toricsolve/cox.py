@@ -15,11 +15,12 @@ only through coefficient vectors.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .errors import InputError
-from .lattice import Polytope, is_int
+from .lattice import Polytope, int_vector, is_int
 from .toric import DivisorClass, Fan, divisor_of_polytope
 
 __all__ = [
@@ -172,10 +173,10 @@ class CoxPolynomial:
         k = self.basis.exponents.shape[1]
         if z.shape != (k,):
             raise InputError(f"point has shape {z.shape}, expected ({k},)")
-        value, scale = self._value_scale(z)
+        value, scale = self._evaluate(z)
         return complex(value), float(scale)
 
-    def _value_scale(self, z):
+    def _evaluate(self, z):
         """evaluate's (value, scale) over the leading axes of z (..., k)."""
         exps = self.basis.exponents
         # one power table per coordinate, gathered per monomial
@@ -235,7 +236,7 @@ class HomogeneousSystem:
             raise InputError(f"points have shape {z.shape}, expected (..., {self.k})")
         out = np.empty(z.shape[:-1] + (len(self.polys),))
         for i, f in enumerate(self.polys):
-            value, scale = f._value_scale(z)
+            value, scale = f._evaluate(z)
             mag = np.abs(value)
             flat = scale == 0.0
             out[..., i] = np.where(flat, np.where(mag == 0.0, 0.0, np.inf),
@@ -248,14 +249,22 @@ class HomogeneousSystem:
 
 
 def _merge_terms(i, terms):
+    def bad(what):
+        return InputError(f"equation {i}, term {term!r}: {what}")
+
     acc = {}
-    for exp, c in terms:
-        if not all(map(is_int, exp)):
-            raise InputError(
-                f"equation {i}, term {(tuple(exp), c)!r}: exponents must be "
-                "integers (not bools or floats)"
-            )
-        key = tuple(map(int, exp))
+    for term in terms:
+        try:
+            exp, c = term
+        except (TypeError, ValueError):
+            raise bad("expected an (exponent tuple, coefficient) pair") from None
+        key = tuple(exp) if np.iterable(exp) else ()
+        if not key or not all(map(is_int, key)):
+            raise bad("the exponent must be a nonempty tuple of integers "
+                      "(not bools or floats)")
+        if isinstance(c, bool) or not isinstance(c, numbers.Number):
+            raise bad("the coefficient must be a number")
+        key = tuple(map(int, key))
         acc[key] = acc.get(key, 0j) + complex(c)
     return {e: c for e, c in acc.items() if c != 0}
 
@@ -300,13 +309,19 @@ def homogenize(equations, rays=None):
         section polytope reproduces the corresponding Newton polytope.
 
     Raises:
-        InputError: empty input, an exponent that is not an integer,
-            inconsistent dimensions, or a Minkowski sum that is not
-            full-dimensional (the torus direction in the deficient
-            subspace would never compactify).
+        InputError: empty input, a term that is not an (exponent,
+            coefficient) pair, an exponent that is not a nonempty tuple of
+            integers, a coefficient that is not a number, a ray entry
+            that is not an integer, inconsistent dimensions, or a
+            Minkowski sum that is not full-dimensional (the torus
+            direction in the deficient subspace would never compactify).
     """
     if not equations:
         raise InputError("no equations supplied")
+    if rays is not None:
+        if not np.iterable(rays):
+            raise InputError(f"rays must be a list of integer vectors, got {rays!r}")
+        rays = [int_vector(r, f"ray {j}") for j, r in enumerate(rays)]
     merged = [_merge_terms(i, eq) for i, eq in enumerate(equations)]
     for i, terms in enumerate(merged):
         if not terms:
@@ -317,7 +332,7 @@ def homogenize(equations, rays=None):
             raise InputError(f"equation {i} mixes exponent lengths")
 
     key = (tuple(tuple(sorted(terms)) for terms in merged),
-           None if rays is None else tuple(tuple(map(int, r)) for r in rays))
+           None if rays is None else tuple(rays))
     fan, pieces = entry = _supports.get(key) or _build(merged, rays)
 
     polys = []

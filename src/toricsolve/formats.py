@@ -385,6 +385,8 @@ def load_solution_file(path):
             f"solution file {path} is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})"
         ) from None
+    if not isinstance(doc, dict):
+        raise InputError("solution file must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise InputError(
             f"unsupported format_version {doc.get('format_version')!r}"

@@ -8,10 +8,13 @@ algorithms fast enough without sparse tricks.
 Every exact solve, rank and determinant over Q goes through one
 fraction-free Gauss-Jordan elimination (Bareiss), which keeps its
 entries integral; the Smith normal form answers only lattice questions
-(index, kernel, class group, right_inverse). Fractions appear only as
-output values: rational vertices, facet offsets and volumes, and the
-entries of right_inverse. Rational input points and offsets are scaled
-to integers by the lcm of their denominators first.
+(index, kernel, class group, right_inverse). Hulls take integer points
+and inequality systems integer rows and offsets; anything else is an
+InputError. Fractions appear only as output values: the rational
+vertices of an inequality system and the entries of right_inverse.
+Nothing here measures a polytope (no Euclidean content, no BKK count):
+the solver reads the fan and the lattice points of polytopes, never
+their size.
 
 The exception to arbitrary precision is lattice point enumeration, one
 int64 matmul over the bounding box. It is exact while max|g|_1 *
@@ -38,21 +41,17 @@ from .errors import InputError
 
 __all__ = [
     "is_int",
+    "int_vector",
     "primitive",
     "dot",
     "det_int",
     "rank_int",
     "solve_int",
     "smith_normal_form",
-    "snf_diagonal",
     "integer_kernel",
-    "rank_and_index",
     "sublattice_index",
     "right_inverse",
-    "convex_hull",
-    "Hull",
     "Polytope",
-    "mixed_volume",
 ]
 
 
@@ -60,6 +59,16 @@ def is_int(x):
     """True for an integer that is not a bool. numpy integers pass; a bool
     is refused because it would silently read as 0 or 1."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def int_vector(v, what):
+    """`v` as a tuple of ints; InputError naming `what` unless `v` is a
+    sequence of integers (is_int: no bools, floats or fractions)."""
+    entries = tuple(v) if np.iterable(v) else None
+    if entries is None or not all(map(is_int, entries)):
+        raise InputError(f"{what} must be a sequence of integers "
+                         f"(not bools or floats), got {v!r}")
+    return tuple(map(int, entries))
 
 
 def dot(u, v):
@@ -246,12 +255,6 @@ def smith_normal_form(a):
     return u, d, v
 
 
-def snf_diagonal(a):
-    """Diagonal of the Smith normal form of `a` (length min(m, n))."""
-    _, d, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
 def integer_kernel(a):
     """Lattice basis of {x in Z^n : a x = 0}.
 
@@ -269,24 +272,17 @@ def integer_kernel(a):
     return out
 
 
-def rank_and_index(vectors):
-    """(rank, index) of the lattice spanned by integer `vectors` inside
-    its saturation: the count and product of the nonzero Smith invariant
-    factors."""
-    nz = [x for x in snf_diagonal([list(vec) for vec in vectors]) if x != 0]
-    return len(nz), math.prod(nz)
-
-
 def sublattice_index(vectors, n=None):
     """Index of the sublattice of Z^n spanned by integer `vectors`.
 
     Returns 0 when the vectors do not span rank n, otherwise the index
-    (the product of the Smith invariant factors).
+    (the product of the nonzero Smith invariant factors).
     """
     if n is None:
         n = len(vectors[0]) if vectors else 1
-    rank, idx = rank_and_index(vectors)
-    return idx if rank >= n else 0
+    _, d, _ = smith_normal_form([list(vec) for vec in vectors])
+    factors = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+    return math.prod(factors) if len(factors) >= n else 0
 
 
 def right_inverse(rows):
@@ -329,76 +325,27 @@ def _normal(diffs):
     return primitive(g)
 
 
-class Hull:
-    """Convex hull of a finite point set, exact.
-
-    Attributes:
-        points: deduplicated, lex-sorted input points (tuples of ints or
-            Fractions).
-        dim: affine dimension of the hull.
-        vertex_indices: indices into `points` of the true vertices.
-        facets: for full-dimensional hulls only, a lex-sorted list of
-            (normal, offset) pairs with primitive integer inner normal g
-            and exact offset c such that g.x + c >= 0 on the hull with
-            equality on the facet. None when dim < ambient dimension.
-    """
-
-    __slots__ = ("points", "dim", "vertex_indices", "facets", "_simplices", "_ipoints", "_scale")
-
-    def __init__(self, points, dim, vertex_indices, facets, simplices, ipoints, scale):
-        self.points = points
-        self.dim = dim
-        self.vertex_indices = vertex_indices
-        self.facets = facets
-        self._simplices = simplices
-        self._ipoints = ipoints
-        self._scale = scale
-
-    def volume(self):
-        """Euclidean volume (exact Fraction); zero when not full-dimensional."""
-        n = len(self.points[0])
-        if self.dim < n:
-            return Fraction(0)
-        if self.dim == 0:
-            return Fraction(1)  # 0-dimensional ambient space, degenerate
-        v0 = self._ipoints[self.vertex_indices[0]]
-        total = 0
-        for simp in self._simplices:
-            if self.vertex_indices[0] in simp:
-                continue
-            rows = [[self._ipoints[i][j] - v0[j] for j in range(n)] for i in simp]
-            total += abs(det_int(rows))
-        return Fraction(total, math.factorial(n) * self._scale**n)
-
-
-def convex_hull(points):
-    """Exact convex hull of integer or rational points.
+def _hull(pts):
+    """Exact convex hull of distinct, lex-sorted integer points.
 
     Handles lower-dimensional inputs (the hull of points in a proper
     affine subspace): vertices are still computed, facets are not.
 
-    Args:
-        points: iterable of equal-length tuples of ints or Fractions.
-
     Returns:
-        a Hull.
+        (dim, vertex_indices, facets): the affine dimension, the sorted
+        indices into `pts` of the true vertices, and for full-dimensional
+        hulls only a lex-sorted list of (normal, offset) pairs with
+        primitive integer inner normal g and integer offset c such that
+        g.x + c >= 0 on the hull with equality on the facet (None when
+        dim < ambient dimension).
     """
-    pts = sorted({tuple(_canon_num(x) for x in p) for p in points})
-    if not pts:
-        raise ValueError("convex hull of an empty point set")
     n = len(pts[0])
-    scale = 1
-    for p in pts:
-        for x in p:
-            if isinstance(x, Fraction):
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    ip = [tuple(int(x * scale) for x in p) for p in pts]
 
     # affine dimension, and the initial simplex: the first points whose
     # differences from the base point raise the rank
     init, basis = [0], []
-    for i in range(1, len(ip)):
-        diff = [ip[i][j] - ip[0][j] for j in range(n)]
+    for i in range(1, len(pts)):
+        diff = [pts[i][j] - pts[0][j] for j in range(n)]
         if rank_int(basis + [diff]) > len(basis):
             init.append(i)
             basis.append(diff)
@@ -407,33 +354,23 @@ def convex_hull(points):
     dim = len(basis)
 
     if dim == 0:
-        return Hull(pts, 0, [0], None, None, ip, scale)
+        return 0, [0], None
 
     if dim < n:
         # the pivot coordinates of the differences are an affine injection
         # on the hull: hull the projected points, map the vertices back
         pivots = _eliminate(basis, n)[0]
-        coords = [tuple(p[j] for j in pivots) for p in ip]
-        sub = convex_hull(coords)
-        back = {c: i for i, c in enumerate(coords)}
-        vidx = sorted(back[sub.points[i]] for i in sub.vertex_indices)
-        return Hull(pts, dim, vidx, None, None, ip, scale)
-
-    if n == 1:
-        lo = min(range(len(ip)), key=lambda i: ip[i][0])
-        hi = max(range(len(ip)), key=lambda i: ip[i][0])
-        facets = sorted(
-            [((1,), -Fraction(ip[lo][0], scale)), ((-1,), Fraction(ip[hi][0], scale))]
-        )
-        facets = [(g, _canon_num(c)) for g, c in facets]
-        return Hull(pts, 1, sorted({lo, hi}), facets, [(lo,), (hi,)], ip, scale)
+        coords = [tuple(p[j] for j in pivots) for p in pts]
+        order = sorted(range(len(pts)), key=coords.__getitem__)
+        sub = _hull([coords[i] for i in order])[1]
+        return dim, sorted(order[i] for i in sub), None
 
     # full-dimensional incremental hull with strict visibility, seen from
     # the initial simplex's centroid, scaled by n + 1 to stay integral
-    ref = [sum(ip[i][j] for i in init) for j in range(n)]
+    ref = [sum(pts[i][j] for i in init) for j in range(n)]
 
     def make_facet(idx_tuple):
-        vs = [ip[i] for i in idx_tuple]
+        vs = [pts[i] for i in idx_tuple]
         diffs = [[vs[k][j] - vs[0][j] for j in range(n)] for k in range(1, n)]
         g = _normal(diffs)
         if g is None:
@@ -453,10 +390,10 @@ def convex_hull(points):
         assert f is not None, "degenerate initial simplex"
         facets.append(f)
 
-    for pi in range(len(ip)):
+    for pi in range(len(pts)):
         if pi in init:
             continue
-        p = ip[pi]
+        p = pts[pi]
         visible = [f for f in facets if dot(f[1], p) + f[2] < 0]
         if not visible:
             continue
@@ -474,19 +411,16 @@ def convex_hull(points):
             assert f is not None, "degenerate horizon facet"
             facets.append(f)
 
-    simplices = [f[0] for f in facets]
     merged = {}
     for verts, g, c in facets:
         merged.setdefault((g, c), set()).update(verts)
-    # g.(x*scale) + c >= 0 on scaled points means g.x + c/scale >= 0 originally
-    facet_list = sorted((g, _canon_num(Fraction(c, scale))) for (g, c) in merged)
     candidates = sorted({i for verts in merged.values() for i in verts})
     vidx = []
     for i in candidates:
-        active = [g for (g, c) in merged if dot(g, ip[i]) + c == 0]
+        active = [g for (g, c) in merged if dot(g, pts[i]) + c == 0]
         if rank_int(active) == n:
             vidx.append(i)
-    return Hull(pts, n, vidx, facet_list, simplices, ip, scale)
+    return n, vidx, sorted(merged)
 
 
 class Polytope:
@@ -506,28 +440,28 @@ class Polytope:
             for `from_inequalities` it is the defining system as given.
     """
 
-    __slots__ = ("n", "dim", "vertices", "ineqs", "_hull", "_points")
+    __slots__ = ("n", "dim", "vertices", "ineqs", "_points")
 
-    def __init__(self, n, dim, vertices, ineqs, hull=None):
+    def __init__(self, n, dim, vertices, ineqs):
         self.n = n
         self.dim = dim
         self.vertices = vertices
         self.ineqs = ineqs
-        self._hull = hull
         self._points = None
 
     @classmethod
     def from_points(cls, points):
-        pts = list(points)
+        """Convex hull of integer points; InputError on any other entry."""
+        pts = sorted({int_vector(p, "hull point") for p in points})
         if not pts:
             return cls(0, -1, [], None)
-        h = convex_hull(pts)
-        verts = [h.points[i] for i in sorted(h.vertex_indices)]
-        return cls(len(pts[0]), h.dim, sorted(verts), h.facets, hull=h)
+        dim, vidx, facets = _hull(pts)
+        return cls(len(pts[0]), dim, [pts[i] for i in vidx], facets)
 
     @classmethod
     def from_inequalities(cls, a, b):
-        """Polytope {m : a m + b >= 0}; `a` integer rows, `b` ints or Fractions.
+        """Polytope {m : a m + b >= 0}; `a` integer rows, `b` integers
+        (InputError otherwise).
 
         Vertices come from exact basic solutions (all n x n subsystems),
         so the input system must define a bounded set.
@@ -535,26 +469,23 @@ class Polytope:
         k = len(a)
         if k == 0:
             raise ValueError("empty inequality system")
-        n = len(a[0])
-        rows = [tuple(int(x) for x in r) for r in a]
-        offs = [_canon_num(Fraction(x)) for x in b]
-        # integer offsets: the system scaled by the lcm of the denominators
-        scale = math.lcm(*(c.denominator for c in offs))
-        ioffs = [int(c * scale) for c in offs]
+        offs = int_vector(b, "inequality offsets")
+        rows = [int_vector(r, "inequality row") for r in a]
+        n = len(rows[0])
         # each vertex as a primitive (numerators, d) with d > 0, the point
-        # being numerators / (d * scale)
+        # being numerators / d
         found = set()
         for sub in combinations(range(k), n):
-            sol = solve_int([rows[i] for i in sub], [-ioffs[i] for i in sub])
+            sol = solve_int([rows[i] for i in sub], [-offs[i] for i in sub])
             if sol is None:
                 continue
             d, num = sol
-            if all(dot(rows[i], num) + ioffs[i] * d >= 0 for i in range(k)):
+            if all(dot(rows[i], num) + offs[i] * d >= 0 for i in range(k)):
                 found.add(primitive(num + (d,)))
         ineqs = list(zip(rows, offs))
         if not found:
             return cls(n, -1, [], ineqs)
-        vlist = sorted(tuple(_canon_num(Fraction(x, h[n] * scale)) for x in h[:n])
+        vlist = sorted(tuple(_canon_num(Fraction(x, h[n])) for x in h[:n])
                        for h in found)
         # affine dimension: rank of the homogeneous coordinates, minus one
         return cls(n, rank_int(list(found)) - 1, vlist, ineqs)
@@ -617,14 +548,6 @@ class Polytope:
         inside = (pts @ g.T >= [math.floor(-c) + 1 for _, c in strict]).all(axis=1)
         return list(map(tuple, pts[inside].tolist()))
 
-    def volume(self):
-        """Euclidean volume as an exact Fraction (0 when lower-dimensional)."""
-        if self.is_empty:
-            return Fraction(0)
-        if self._hull is None:
-            self._hull = convex_hull(self.vertices)
-        return self._hull.volume()
-
     def minkowski(self, other):
         """Minkowski sum with another polytope in the same ambient space."""
         if self.n != other.n:
@@ -663,40 +586,3 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope(n={self.n}, dim={self.dim}, vertices={len(self.vertices)})"
-
-
-def mixed_volume(supports):
-    """Mixed volume of n lattice polytopes in Z^n, BKK-normalized.
-
-    Computed by inclusion-exclusion over Minkowski subsums:
-    MV = sum over nonempty J of (-1)^(n-|J|) vol(sum of P_j, j in J).
-    With this normalization MV of n unit simplices is 1, so the result is
-    the generic torus root count.
-
-    Args:
-        supports: length-n list, each entry a Polytope or an iterable of
-            integer exponent tuples.
-
-    Returns:
-        the mixed volume as an int.
-    """
-    polys = []
-    for s in supports:
-        polys.append(s if isinstance(s, Polytope) else Polytope.from_points(list(s)))
-    n = polys[0].n
-    if len(polys) != n:
-        raise ValueError(f"need exactly {n} supports in dimension {n}, got {len(polys)}")
-    total = Fraction(0)
-    for mask in range(1, 1 << n):
-        members = [polys[j] for j in range(n) if mask >> j & 1]
-        pts = [tuple([0] * n)]
-        for p in members:
-            pts = [
-                tuple(x + y for x, y in zip(s, v)) for s in pts for v in p.vertices
-            ]
-        vol = Polytope.from_points(set(pts)).volume()
-        sign = -1 if (n - len(members)) % 2 else 1
-        total += sign * vol
-    if total.denominator != 1:
-        raise AssertionError(f"mixed volume came out non-integral: {total}")
-    return int(total)

@@ -24,6 +24,7 @@ from .lattice import (
     rank_int,
     right_inverse,
     smith_normal_form,
+    solve_int,
 )
 from .toric import boundary_stratum_check
 
@@ -438,7 +439,7 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
         raise RecoveryError("empty eigenvalue table")
     thr = zero_tol * top
 
-    pts = table.basis.lattice_points
+    pts = table.basis.points
     carriers = table.basis.exponents > 0
     loud = np.abs(table.values) > thr
     zero_rays = np.flatnonzero(
@@ -463,15 +464,17 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
         return Solution(z, None, table.multiplicity, zero_rays,
                         non_simplicial=not simplicial)
 
-    snf = smith_normal_form(kern)
+    # coordinates of m - m0 in the saturated basis K solve K^T c = m - m0;
+    # saturation makes every rational solution integral
+    kern_t = [list(col) for col in zip(*kern)]
     coords = []
     for i in live:
-        c = _kernel_coordinates(snf, pts[i], pts[live[0]])
-        if c is None:
+        sol = solve_int(kern_t, pts[i] - pts[live[0]])
+        if sol is None:
             raise ClusteringError(
                 "inconsistent vanishing pattern: surviving monomials leave the orbit"
             )
-        coords.append(c)
+        coords.append([x // sol[0] for x in sol[1]])
     values = table.values[live]
     diffs, ratios, errs = _ratio_data(
         np.array(coords, dtype=np.int64), values[None], table.noise[live][None],
@@ -493,25 +496,3 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
         z[j] = val
     return Solution(z, None, table.multiplicity, zero_rays,
                     non_simplicial=not simplicial)
-
-
-def _kernel_coordinates(snf, m, m0):
-    """Integer coordinates of m - m0 in the saturated kernel basis whose
-    Smith normal form (U, S, V) is snf, or None when the difference
-    leaves the kernel lattice."""
-    d = [x - y for x, y in zip(m, m0)]
-    u, s, v = snf
-    r = len(u)
-    n = len(d)
-    dv = [sum(d[i] * v[i][j] for i in range(n)) for j in range(n)]
-    for j in range(r, n):
-        if dv[j] != 0:
-            return None
-    c = []
-    for j in range(r):
-        if s[j][j] == 0 or dv[j] % s[j][j] != 0:
-            return None
-        c.append(dv[j] // s[j][j])
-    # c solves c . (U K) scaled; map back through U
-    out = [sum(c[l] * u[l][i] for l in range(r)) for i in range(r)]
-    return tuple(out)

@@ -21,7 +21,7 @@ from itertools import combinations
 from .cox import graded_basis
 from .eigensolver import assemble_res, cokernel
 from .errors import PairSelectionError
-from .lattice import sublattice_index
+from .lattice import int_vector, sublattice_index
 from .toric import (
     DivisorClass,
     cohomology_dims,
@@ -398,10 +398,19 @@ def _select_pair(system):
 
 
 def user_pair(system, alpha, alpha0):
-    """Wrap explicit degree vectors (or classes) as a user pair."""
+    """Wrap explicit degree vectors (or classes) as a user pair.
+
+    Raises:
+        InputError: a vector entry is not an integer (a bool or a float
+            would silently read as another degree), or a vector has the
+            wrong length.
+        PairSelectionError: alpha0 has no sections.
+    """
     fan = system.fan
-    alpha = alpha if isinstance(alpha, DivisorClass) else DivisorClass(fan, alpha)
-    alpha0 = alpha0 if isinstance(alpha0, DivisorClass) else DivisorClass(fan, alpha0)
+    if not isinstance(alpha, DivisorClass):
+        alpha = DivisorClass(fan, int_vector(alpha, "alpha"))
+    if not isinstance(alpha0, DivisorClass):
+        alpha0 = DivisorClass(fan, int_vector(alpha0, "alpha0"))
     if len(graded_basis(fan, alpha0)) == 0:
         raise PairSelectionError(
             f"alpha0 = {alpha0.a} has no sections; multipliers need a nonzero degree piece"

@@ -150,7 +150,8 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
 
     Raises:
         InputError (also for a numeric argument outside its range,
-        before any work), PairSelectionError, RankAmbiguousError,
+        before any work, and for a pair that is not two integer
+        vectors), PairSelectionError, RankAmbiguousError,
         ClusteringError, RecoveryError: tagged per stage. SpanError, a
         RecoveryError, when the alpha0 lattice points do not affinely
         span the character lattice.
@@ -174,7 +175,11 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
     if pair is None:
         pair = improved_pair(system)
     elif not isinstance(pair, RegularityPair):
-        alpha, alpha0 = pair
+        try:
+            alpha, alpha0 = pair
+        except (TypeError, ValueError):
+            raise InputError("pair must be an (alpha, alpha0) pair of degree "
+                             f"vectors, got {pair!r}") from None
         pair = user_pair(system, alpha, alpha0)
     timings["pair_ms"] = 1e3 * (clock() - t0)
 

@@ -5,10 +5,14 @@ surface with torsion in its grading group (the "pillow"), a Hirzebruch
 surface, projective planes, and the classic 4-variable system whose
 compactification is P^2 x P^2. Values asserted against these were
 derived by hand (lattice point counts, Smith forms, volumes) before the
-library existed.
+library existed. The library computes no volumes; `mixed_volume` below
+is the tests' floating-point reference for the BKK count.
 """
 
-from itertools import product
+from itertools import combinations, product
+
+import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from toricsolve.lattice import Polytope
 from toricsolve.toric import Fan
@@ -19,6 +23,28 @@ PILLOW_RAYS = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
 # orbits of the quadric pair below print as (0,1,1,1) and (1,1,0,i)
 PILLOW_RAYS_SOLVE = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
 DIAMOND = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+def mixed_volume(supports):
+    """BKK count of n supports in Z^n from Qhull volumes, rounded to an int.
+
+    Inclusion-exclusion over Minkowski subsums: MV is the sum over
+    nonempty J of (-1)^(n - |J|) vol(sum of P_j, j in J). A subsum that
+    Qhull cannot hull (flat or too few points) has volume 0.
+    """
+    n = len(supports)
+    total = 0.0
+    for k in range(1, n + 1):
+        for members in combinations(supports, k):
+            pts = np.zeros((1, n))
+            for s in members:
+                pts = (pts[:, None] + np.asarray(s, dtype=float)[None]).reshape(-1, n)
+            try:
+                vol = ConvexHull(np.unique(pts, axis=0)).volume
+            except QhullError:
+                vol = 0.0
+            total += (-1) ** (n - k) * vol
+    return int(round(total))
 
 
 def diamond_polytope():

@@ -27,7 +27,7 @@ from toricsolve.eigensolver import (
 )
 from toricsolve.errors import InputError, RankAmbiguousError
 from toricsolve.formats import load_system_file
-from toricsolve.lattice import Polytope, mixed_volume, smith_normal_form
+from toricsolve.lattice import Polytope, smith_normal_form
 from toricsolve.recovery import (
     EigenvalueTable,
     recover_boundary_point,
@@ -44,6 +44,7 @@ from systems import (
     PILLOW_RAYS_SOLVE,
     intro_laurent,
     lines27_laurent,
+    mixed_volume,
     pillow_fan_solve,
     pillow_laurent,
 )

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from toricsolve import cli
 from toricsolve.cli import main
+from toricsolve.errors import InputError
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -362,6 +364,38 @@ def test_sweep_bad_grid_exits_2(tmp_path):
     path = write_file(tmp_path, intro_template_doc())
     res = run("sweep", path, "--grid", "5:1:1")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("grid", ["inf:1:1", "-inf:1:1", "0:inf:1", "0:1:inf",
+                                  "nan:1:1", "0:nan:1", "0:1:nan"])
+def test_sweep_non_finite_grid_exits_2(tmp_path, grid):
+    # used to exit 1 with an OverflowError or ValueError traceback
+    path = write_file(tmp_path, intro_template_doc())
+    res = run("sweep", path, "--grid", grid)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error (input): ") and "finite" in res.output
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1e6:1", "-1e308:1e308:1"])
+def test_sweep_oversized_grid_exits_2_before_solving(tmp_path, monkeypatch, grid):
+    # 0:1:1e-300 used to build 10**300 grid values
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the grid was checked")
+
+    monkeypatch.setattr(cli, "run_solve", no_solve)
+    path = write_file(tmp_path, intro_template_doc())
+    res = run("sweep", path, "--grid", grid)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error (input): ")
+    assert f"more than {cli.GRID_MAX} values" in res.output
+
+
+def test_grid_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "GRID_MAX", 10)
+    assert cli._parse_grid("0:9:1") == [float(x) for x in range(10)]
+    assert len(cli._parse_grid("0:0.9:0.1")) == 10
+    with pytest.raises(InputError, match="more than 10 values"):
+        cli._parse_grid("0:10:1")
 
 
 def test_sweep_emit_csv_diagnostics(tmp_path):

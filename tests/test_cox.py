@@ -241,6 +241,43 @@ def test_homogenize_rejects_non_integer_exponent(bad):
         solve(eqs, rays=PILLOW_RAYS)
 
 
+@pytest.mark.parametrize("term, what", [
+    ((0, 0), "the exponent must be a nonempty tuple"),
+    (5, r"expected an \(exponent tuple, coefficient\) pair"),
+    (((1, 0),), r"expected an \(exponent tuple, coefficient\) pair"),
+    (((1, 0), 2.0, 3.0), r"expected an \(exponent tuple, coefficient\) pair"),
+    ((1, 2.0), "the exponent must be a nonempty tuple"),
+    (((), 2.0), "the exponent must be a nonempty tuple"),
+    (((1, 0), "x"), "the coefficient must be a number"),
+    (((1, 0), "2"), "the coefficient must be a number"),
+    (((1, 0), None), "the coefficient must be a number"),
+], ids=["scalar-exponent-pair", "bare-int", "no-coefficient", "three-entries",
+        "scalar-exponent", "empty-exponent", "word-coefficient", "numeral-coefficient",
+        "none-coefficient"])
+def test_homogenize_rejects_malformed_terms(term, what):
+    # each used to escape as a raw TypeError or ValueError
+    eqs = pillow_laurent()
+    eqs[1] = eqs[1] + [term]
+    with pytest.raises(InputError, match=r"equation 1, term .*: " + what):
+        homogenize(eqs, rays=PILLOW_RAYS)
+    with pytest.raises(InputError, match="equation 1"):
+        solve(eqs, rays=PILLOW_RAYS)
+
+
+@pytest.mark.parametrize("rays, what", [
+    ([(True, 1), (-1, 1), (-1, -1), (1, -1)], "ray 0"),
+    ([(1, 1), (-1.0, 1), (-1, -1), (1, -1)], "ray 1"),
+    ([(1, 1), (-1, 1), 3, (1, -1)], "ray 2"),
+    (5, "rays must be a list"),
+], ids=["bool-entry", "float-entry", "scalar-ray", "scalar-rays"])
+def test_homogenize_rejects_non_integer_rays(rays, what):
+    # True and -1.0 would read as 1 and -1 and solve as the pillow
+    with pytest.raises(InputError, match=what):
+        homogenize(pillow_laurent(), rays=rays)
+    with pytest.raises(InputError, match=what):
+        solve(pillow_laurent(), rays=rays)
+
+
 def test_homogenize_accepts_numpy_integer_exponents():
     eqs = [[(tuple(np.array(e, dtype=np.int32)), c) for e, c in eq]
            for eq in pillow_laurent()]

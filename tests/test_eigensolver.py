@@ -19,7 +19,6 @@ from toricsolve.eigensolver import (
     schur_cluster,
 )
 from toricsolve.errors import InputError, RankAmbiguousError
-from toricsolve.lattice import mixed_volume
 from toricsolve.regularity import improved_pair
 
 from systems import (
@@ -31,6 +30,7 @@ from systems import (
     WP112_RAYS,
     intro_laurent,
     lines27_laurent,
+    mixed_volume,
     pillow_fan,
     pillow_laurent,
 )
@@ -632,7 +632,7 @@ def test_stacked_family_and_schur_reads_match_per_member(name):
 
 def test_corank_equals_mixed_volume():
     # generic coefficients on random small supports: the solution count
-    # on the compactification equals the lattice mixed volume
+    # on the compactification equals the mixed volume (Qhull reference)
     rng = np.random.default_rng(42)
     done = 0
     while done < 5:

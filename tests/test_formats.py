@@ -118,6 +118,15 @@ def test_wrong_format_version(tmp_path):
         load_system_file(write_file(tmp_path, doc))
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"solution"'])
+def test_solution_file_not_an_object(tmp_path, text):
+    # valid JSON of another kind used to raise AttributeError
+    path = tmp_path / "sol.json"
+    path.write_text(text)
+    with pytest.raises(InputError, match="JSON object"):
+        load_solution_file(path)
+
+
 def test_eval_scalar_template_values():
     assert eval_scalar("5-2*10**(-e)", {"e": 0.0}) == pytest.approx(3.0)
     assert eval_scalar("5-2*10**(-e)", {"e": 1.0}) == pytest.approx(4.8)

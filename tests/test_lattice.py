@@ -2,11 +2,12 @@
 
 The Smith form is validated by its defining identities on random
 matrices, hulls against scipy's Qhull and an independent 2d monotone
-chain, lattice point enumeration against brute force, and mixed volumes
-against hand-computable cases (Bezout et al). The integer elimination
-behind every exact solve and rank is checked against the Fraction
-routines below, which the library used before it, and the Leibniz
-formula.
+chain, and lattice point enumeration against brute force. The integer
+elimination behind every exact solve and rank is checked against the
+Fraction routines below, which the library used before it, and the
+Leibniz formula. The library computes no volumes; the Qhull mixed
+volume that other tests take as the BKK count (systems.mixed_volume) is
+checked here against hand-computable cases (Bezout et al).
 """
 
 import math
@@ -20,18 +21,17 @@ from hypothesis import given, settings, strategies as st
 from toricsolve.errors import InputError
 from toricsolve.lattice import (
     Polytope,
-    convex_hull,
     det_int,
     dot,
     integer_kernel,
-    mixed_volume,
     primitive,
     rank_int,
     smith_normal_form,
-    snf_diagonal,
     solve_int,
     sublattice_index,
 )
+
+from systems import mixed_volume
 
 
 # --- Fraction reference routines --------------------------------------------
@@ -164,7 +164,7 @@ def test_smith_normal_form_properties(a):
 def test_smith_normal_form_known():
     _, d, _ = smith_normal_form([[2, 4], [6, 8]])
     assert [d[0][0], d[1][1]] == [2, 4]
-    assert snf_diagonal([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_normal_form([[1, 0], [0, 1]])[1] == [[1, 0], [0, 1]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,8 +177,9 @@ def test_integer_kernel(a):
     # basis size matches the rank-nullity count
     assert len(kern) == n - frac_rank(a)
     if kern:
-        # saturated: the Smith invariants of the basis are all 1
-        assert all(x == 1 for x in snf_diagonal([list(v) for v in kern]) if x != 0)
+        # saturated: the Smith invariants of the (independent) basis are all 1
+        _, d, _ = smith_normal_form([list(v) for v in kern])
+        assert all(d[i][i] == 1 for i in range(len(kern)))
 
 
 def test_sublattice_index():
@@ -300,23 +301,21 @@ points_2d = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(points_2d)
 def test_hull_2d_vertices_match_monotone_chain(pts):
-    h = convex_hull(pts)
-    ours = {h.points[i] for i in h.vertex_indices}
-    assert ours == monotone_chain(pts)
+    assert set(Polytope.from_points(pts).vertices) == monotone_chain(pts)
 
 
 @settings(max_examples=300, deadline=None)
 @given(points_2d)
 def test_hull_2d_facets_contain_all_points(pts):
-    h = convex_hull(pts)
-    if h.facets is None:
+    facets = Polytope.from_points(pts).ineqs
+    if facets is None:
         return
-    for p in h.points:
-        for g, c in h.facets:
+    for p in pts:
+        for g, c in facets:
             assert dot(g, p) + c >= 0
     # every facet is tight on at least dim points
-    for g, c in h.facets:
-        tight = [p for p in h.points if dot(g, p) + c == 0]
+    for g, c in facets:
+        tight = {p for p in pts if dot(g, p) + c == 0}
         assert len(tight) >= 2
 
 
@@ -329,26 +328,30 @@ points_nd = st.integers(3, 4).flatmap(
 
 @settings(max_examples=150, deadline=None)
 @given(points_nd)
-def test_hull_nd_volume_matches_qhull(pts):
+def test_hull_nd_matches_qhull(pts):
     from scipy.spatial import ConvexHull as QHull
     from scipy.spatial import QhullError
 
-    h = convex_hull(pts)
+    p = Polytope.from_points(pts)
     n = len(pts[0])
-    if h.dim < n:
-        # degenerate input: qhull cannot do these without joggling, but our
-        # volume must be exactly zero
-        assert h.volume() == 0
+    if p.dim < n:
+        # degenerate input: qhull cannot do these without joggling, and a
+        # lower-dimensional hull has no facet list
+        assert p.ineqs is None
         return
     try:
         q = QHull(np.array(sorted(set(pts)), dtype=float))
     except QhullError:
         return
-    assert math.isclose(float(h.volume()), q.volume, rel_tol=1e-9, abs_tol=1e-9)
-    # cross-check the vertex sets too
-    ours = {h.points[i] for i in h.vertex_indices}
     theirs = {tuple(int(round(x)) for x in q.points[i]) for i in q.vertices}
-    assert ours == theirs
+    assert set(p.vertices) == theirs
+    # the facet planes: ours (inner normal g, g.x + c >= 0) scaled to
+    # Qhull's outer unit normal e with e.x + o <= 0; every Qhull plane
+    # (one per triangle of a facet) is one of ours and each of ours occurs
+    ours = np.array([[-x for x in g] + [-c] for g, c in p.ineqs], dtype=float)
+    ours /= np.linalg.norm(ours[:, :n], axis=1)[:, None]
+    same = np.all(np.abs(ours[:, None] - q.equations[None]) < 1e-9, axis=2)
+    assert same.any(axis=0).all() and same.any(axis=1).all()
 
 
 def ref_hull_vertices(points):
@@ -367,9 +370,11 @@ def ref_hull_vertices(points):
     gram = [[dot(r1, r2) for r2 in basis] for r1 in basis]
     coords = [frac_solve_square(gram, [dot(r, [p[j] - pts[0][j] for j in range(n)])
                                        for r in basis]) for p in pts]
-    sub = convex_hull(coords)
+    # clear the denominators, which scales the hull without changing it
+    den = math.lcm(*(x.denominator for c in coords for x in c))
+    coords = [tuple(int(x * den) for x in c) for c in coords]
     back = {c: i for i, c in enumerate(coords)}
-    return len(basis), sorted(back[sub.points[i]] for i in sub.vertex_indices)
+    return len(basis), sorted(back[v] for v in Polytope.from_points(coords).vertices)
 
 
 affine_sublattice_points = st.integers(3, 4).flatmap(
@@ -389,33 +394,43 @@ def test_hull_on_affine_sublattices_matches_gram_projection(args):
     base, directions, coefficients = args
     pts = [tuple(b + sum(c * v[j] for c, v in zip(cs, directions)) for j, b in enumerate(base))
            for cs in coefficients]
-    h = convex_hull(pts)
+    p = Polytope.from_points(pts)
     dim, vidx = ref_hull_vertices(pts)
-    assert h.dim == dim == frac_rank([[p[j] - pts[0][j] for j in range(len(base))] for p in pts])
-    assert h.vertex_indices == vidx
+    assert p.dim == dim == frac_rank([[q[j] - pts[0][j] for j in range(len(base))] for q in pts])
+    assert p.vertices == [sorted(set(pts))[i] for i in vidx]
 
 
 def test_hull_lower_dimensional_segment():
-    h = convex_hull([(0, 0, 0), (2, 2, 4), (1, 1, 2), (3, 3, 6)])
-    assert h.dim == 1
-    assert {h.points[i] for i in h.vertex_indices} == {(0, 0, 0), (3, 3, 6)}
-    assert h.facets is None
-    assert h.volume() == 0
+    p = Polytope.from_points([(0, 0, 0), (2, 2, 4), (1, 1, 2), (3, 3, 6)])
+    assert p.dim == 1
+    assert p.vertices == [(0, 0, 0), (3, 3, 6)]
+    assert p.ineqs is None
 
 
 def test_hull_single_point():
-    h = convex_hull([(5, -3)])
-    assert h.dim == 0
-    assert h.vertex_indices == [0]
+    p = Polytope.from_points([(5, -3)])
+    assert p.dim == 0
+    assert p.vertices == [(5, -3)]
 
 
 def test_hull_rational_points():
-    h = convex_hull([(Fraction(1, 2), 0), (0, Fraction(1, 2)), (0, 0), (Fraction(1, 4), Fraction(1, 4))])
-    assert h.dim == 2
-    assert h.volume() == Fraction(1, 8)
+    # hulls take integer points only: every hull the solver builds is
+    # over exponents or sums of them
+    for bad in [Fraction(1, 2), Fraction(2, 1), 0.5, 1.0, True, "1"]:
+        with pytest.raises(InputError, match="hull point must be a sequence of integers"):
+            Polytope.from_points([(0, 0), (1, 0), (0, bad)])
+    assert Polytope.from_points([(np.int64(1), 0), (0, 1), (0, 0)]).vertices == [
+        (0, 0), (0, 1), (1, 0)]
 
 
 # --- polytopes --------------------------------------------------------------
+
+
+def integral_row(g, c):
+    """The inequality g.m + c >= 0 with rational offset c = p/q as the
+    same half-space q g.m + p >= 0 with an integer offset."""
+    c = Fraction(c)
+    return tuple(c.denominator * x for x in g), c.numerator
 
 
 def brute_lattice_points(rows, offs, lo=-15, hi=15):
@@ -454,8 +469,9 @@ def test_lattice_points_match_brute_force(args):
         rows.append(tuple(e2))
         offs.append(box[j])
     for cut, c in zip(cuts, cut_offs):
-        rows.append(cut)
-        offs.append(c)
+        row, off = integral_row(cut, c)
+        rows.append(row)
+        offs.append(off)
     p = Polytope.from_inequalities(rows, offs)
     expected = brute_lattice_points(rows, offs, lo=-1, hi=8)
     assert p.lattice_points() == expected
@@ -502,14 +518,15 @@ def test_from_inequalities_matches_fraction_solves(args):
     n = len(box)
     # a box (possibly flat or empty) keeps the set bounded; cuts on top
     rows, offs = [], []
+    halfspaces = []
     for j, (lo, hi) in enumerate(box):
         e = [0] * n
         e[j] = 1
-        rows += [tuple(e), tuple(-x for x in e)]
-        offs += [-lo, hi]
-    for g, c in cuts:
-        rows.append(g)
-        offs.append(c)
+        halfspaces += [(tuple(e), -lo), (tuple(-x for x in e), hi)]
+    for g, c in halfspaces + cuts:
+        row, off = integral_row(g, c)
+        rows.append(row)
+        offs.append(off)
     p = Polytope.from_inequalities(rows, offs)
     vlist, dim = ref_from_inequalities(rows, offs)
     assert p.vertices == vlist
@@ -528,6 +545,15 @@ def test_from_inequalities_vertices():
     # fractional vertex
     q = Polytope.from_inequalities([(2, 0), (-2, 0), (0, 1), (0, -1)], [1, 1, 0, 0])
     assert (Fraction(-1, 2), 0) in q.vertices and (Fraction(1, 2), 0) in q.vertices
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2, 1), 0.5, 2.0, True])
+def test_from_inequalities_rejects_non_integer_input(bad):
+    # int() would read a row entry 1.5 as 1 and describe another polytope
+    with pytest.raises(InputError, match="offsets must be a sequence of integers"):
+        Polytope.from_inequalities([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, 1, 0, bad])
+    with pytest.raises(InputError, match="row must be a sequence of integers"):
+        Polytope.from_inequalities([(1, 0), (-1, 0), (0, 1), (bad, -1)], [0, 1, 0, 1])
 
 
 def test_from_inequalities_empty():
@@ -583,23 +609,25 @@ def test_codegree():
     assert diamond.codegree() == 1
 
 
-def test_dilate_and_volume():
+def test_dilate():
     simplex = Polytope.from_points([(0, 0), (1, 0), (0, 1)])
-    assert simplex.volume() == Fraction(1, 2)
-    assert simplex.dilate(3).volume() == Fraction(9, 2)
+    tri = simplex.dilate(3)
+    ref = Polytope.from_points([(0, 0), (3, 0), (0, 3)])
+    assert (tri.dim, tri.vertices, tri.ineqs) == (ref.dim, ref.vertices, ref.ineqs)
+    assert len(tri.lattice_points()) == 10
     cube = Polytope.from_points(list(product([0, 1], repeat=3)))
-    assert cube.volume() == 1
+    assert cube.dilate(2).vertices == sorted(product([0, 2], repeat=3))
 
 
 def test_minkowski_sum():
     seg_x = Polytope.from_points([(0, 0), (1, 0)])
     seg_y = Polytope.from_points([(0, 0), (0, 1)])
     sq = seg_x.minkowski(seg_y)
-    assert sq.volume() == 1
     assert sq.dim == 2
+    assert sq.vertices == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-# --- mixed volumes ----------------------------------------------------------
+# --- the Qhull mixed volume the other tests use -----------------------------
 
 
 def test_mixed_volume_simplices():

@@ -12,7 +12,6 @@ from toricsolve.cox import graded_basis
 from toricsolve.errors import ClusteringError, InputError, RecoveryError, SpanError
 from toricsolve.lattice import (
     Polytope,
-    rank_and_index,
     right_inverse,
     smith_normal_form,
     sublattice_index,
@@ -239,6 +238,15 @@ def test_table_length_mismatch():
 # The torus route as it was before it was batched: one Smith-form
 # greedy selection, one least-squares solve and one branch loop per
 # cluster. recover_torus_points must reproduce it table by table.
+
+
+def rank_and_index(vectors):
+    """(rank, index) of the lattice spanned by integer `vectors` inside
+    its saturation: the count and product of the nonzero Smith invariant
+    factors."""
+    _, d, _ = smith_normal_form([list(vec) for vec in vectors])
+    nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+    return len(nz), math.prod(nz)
 
 
 def reference_solve_binomials(diffs, ratios, errs, n):

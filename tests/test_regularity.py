@@ -290,6 +290,26 @@ def test_user_pair_rejects_empty_multiplier():
         user_pair(system, (2, 2, 2, 2), (-1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("pair, what", [
+    (((2.5, 1.5, 0.5, 0.5), (1, 1, 1, 1)), "alpha must be"),
+    (((2, 2, 2, 2), (1, 1, 1, 1.0)), "alpha0 must be"),
+    (((True, 2, 2, 2), (1, 1, 1, 1)), "alpha must be"),
+    (((2, 2, 2, 2), (True, 1, 1, 1)), "alpha0 must be"),
+    (((2, 2, 2, 2), 1), "alpha0 must be"),
+    (5, r"pair must be an \(alpha, alpha0\) pair"),
+    (((2, 2, 2, 2),), r"pair must be an \(alpha, alpha0\) pair"),
+], ids=["float-alpha", "float-alpha0", "bool-alpha", "bool-alpha0", "scalar-alpha0",
+        "scalar-pair", "one-vector"])
+def test_solve_rejects_non_integer_pair(pair, what):
+    # (2.5, 1.5, 0.5, 0.5) used to run as (2, 1, 0, 0) and verify
+    with pytest.raises(InputError, match=what):
+        solve(pillow_laurent(), rays=PILLOW_RAYS_SOLVE, pair=pair)
+    if isinstance(pair, tuple) and len(pair) == 2:
+        system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
+        with pytest.raises(InputError, match=what):
+            user_pair(system, *pair)
+
+
 def test_lines27_solve_builds_each_section_polytope_once(monkeypatch):
     # pair selection, homogenization and assembly all ask for section
     # polytopes; the fan builds each representative's polytope once
