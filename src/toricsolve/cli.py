@@ -115,13 +115,6 @@ def _common_solve_options(fn):
     for option in reversed([
         click.option("--seed", type=int, default=0, show_default=True,
                      help="Seed for every randomized choice in the run."),
-        click.option("--tol-rank", type=float, default=1e-8, show_default=True,
-                     help="Relative singular value cutoff for rank decisions."),
-        click.option("--cluster-gap", type=float, default=1e-4,
-                     show_default=True,
-                     help="Relative eigenvalue grouping threshold."),
-        click.option("--zero-tol", type=float, default=1e-6, show_default=True,
-                     help="Relative threshold calling a coordinate zero."),
         click.option("--pair", "pair_flag", type=str, default=None,
                      metavar='"ALPHA;ALPHA0"',
                      help="Degree pair as divisor vectors, overriding both "
@@ -129,8 +122,6 @@ def _common_solve_options(fn):
         click.option("--fan", "fan_flag", type=str, default=None,
                      metavar='"U1;U2;..."',
                      help="Explicit ray order, overriding the file."),
-        click.option("--verify/--no-verify", default=True, show_default=True,
-                     help="Check coranks at alpha and alpha+alpha0 agree."),
         click.option("--emit-csv", "emit_csv", default=None,
                      type=click.Path(file_okay=False, path_type=Path),
                      help="Directory for diagnostics CSV export."),
@@ -155,18 +146,13 @@ def main():
 @click.option("--output", "-o", type=click.Path(dir_okay=False, path_type=Path),
               default=None, help="Solution file destination (default stdout).")
 @_common_solve_options
-def cmd_solve(input_path, output, seed, tol_rank, cluster_gap, zero_tol,
-              pair_flag, fan_flag, verify, emit_csv):
+def cmd_solve(input_path, output, seed, pair_flag, fan_flag, emit_csv):
     """Solve the system in INPUT_PATH and write a solution file."""
     try:
         sf = load_system_file(input_path)
         rays = _parse_fan_flag(fan_flag) if fan_flag else sf.rays
         pair = _parse_pair_flag(pair_flag) if pair_flag else sf.pair
-        result = run_solve(
-            sf.laurent(), rays=rays, pair=pair, seed=seed,
-            tol_rank=tol_rank, cluster_gap=cluster_gap, zero_tol=zero_tol,
-            verify=verify,
-        )
+        result = run_solve(sf.laurent(), rays=rays, pair=pair, seed=seed)
         if emit_csv is not None:
             _emit_diagnostics(emit_csv, result)
         if output is None:
@@ -192,18 +178,15 @@ def cmd_solve(input_path, output, seed, tol_rank, cluster_gap, zero_tol,
               metavar='"ALPHA;ALPHA0"', help="Report this pair instead.")
 @click.option("--fan", "fan_flag", type=str, default=None,
               metavar='"U1;U2;..."', help="Explicit ray order.")
-@click.option("--tol-rank", type=float, default=1e-8, show_default=True,
-              help="Rank cutoff used with --verify.")
 @click.option("--verify/--no-verify", default=False, show_default=True,
               help="Also compare coranks numerically (assembles Res twice).")
-def cmd_regpair(input_path, pair_flag, fan_flag, tol_rank, verify):
+def cmd_regpair(input_path, pair_flag, fan_flag, verify):
     """Report degree pair choices and predicted matrix shapes.
 
     Without --pair, prints the default pair (sum of the equation
     degrees) and the improved pair (structure-aware, smaller matrices).
     """
     try:
-        check_options(tol_rank=tol_rank)
         sf = load_system_file(input_path)
         rays = _parse_fan_flag(fan_flag) if fan_flag else sf.rays
         system = homogenize(sf.laurent(), rays=rays)
@@ -228,7 +211,7 @@ def cmd_regpair(input_path, pair_flag, fan_flag, tol_rank, verify):
                     f"shape={rows}x{cols}")
             if verify:
                 try:
-                    verify_pair(system, p, tol_rank=tol_rank)
+                    verify_pair(system, p)
                 finally:
                     if p.coranks is not None:
                         line += (f"  verified={p.verified}  "
@@ -249,8 +232,8 @@ def cmd_regpair(input_path, pair_flag, fan_flag, tol_rank, verify):
 @click.option("--output", "-o", type=click.Path(dir_okay=False, path_type=Path),
               default=None, help="CSV destination (default stdout).")
 @_common_solve_options
-def cmd_sweep(input_path, param, grid_flag, output, seed, tol_rank,
-              cluster_gap, zero_tol, pair_flag, fan_flag, verify, emit_csv):
+def cmd_sweep(input_path, param, grid_flag, output, seed, pair_flag, fan_flag,
+              emit_csv):
     """Solve the template in INPUT_PATH over a parameter grid.
 
     Emits one CSV row per grid value with residual statistics, the
@@ -259,8 +242,8 @@ def cmd_sweep(input_path, param, grid_flag, output, seed, tol_rank,
     continues.
     """
     try:
-        # a bad flag would fail every row alike
-        check_options(seed, tol_rank, cluster_gap, zero_tol)
+        # a bad seed would fail every row alike
+        check_options(seed)
         sf = load_system_file(input_path)
         if param not in sf.parameter_names():
             raise InputError(
@@ -277,11 +260,7 @@ def cmd_sweep(input_path, param, grid_flag, output, seed, tol_rank,
         t0 = time.perf_counter()
         try:
             inst = sf.instantiate(param, value)
-            result = run_solve(
-                inst.laurent(), rays=rays, pair=pair, seed=seed,
-                tol_rank=tol_rank, cluster_gap=cluster_gap,
-                zero_tol=zero_tol, verify=verify,
-            )
+            result = run_solve(inst.laurent(), rays=rays, pair=pair, seed=seed)
         except ToricSolveError as exc:
             rows.append({
                 "e": float(value),

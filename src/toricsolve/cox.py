@@ -275,6 +275,14 @@ SUPPORTS_MAX = 8
 _supports = {}
 
 
+def ray_list(rays):
+    """`rays` as a list of integer tuples; InputError unless it is a
+    sequence of integer vectors."""
+    if not np.iterable(rays):
+        raise InputError(f"rays must be a list of integer vectors, got {rays!r}")
+    return [int_vector(r, f"ray {j}") for j, r in enumerate(rays)]
+
+
 def _build(merged, rays):
     """Fan of the Minkowski sum and (tight degree, basis) per equation."""
     newtons = [Polytope.from_points(list(terms)) for terms in merged]
@@ -319,9 +327,7 @@ def homogenize(equations, rays=None):
     if not equations:
         raise InputError("no equations supplied")
     if rays is not None:
-        if not np.iterable(rays):
-            raise InputError(f"rays must be a list of integer vectors, got {rays!r}")
-        rays = [int_vector(r, f"ray {j}") for j, r in enumerate(rays)]
+        rays = ray_list(rays)
     merged = [_merge_terms(i, eq) for i, eq in enumerate(equations)]
     for i, terms in enumerate(merged):
         if not terms:

@@ -38,13 +38,17 @@ __all__ = [
     "schur_cluster",
 ]
 
-# least ratio of the singular values straddling the rank cut
+# relative singular value cutoff for the rank of Res, and the least
+# ratio of the singular values straddling that cut
+TOL_RANK = 1e-8
 GAP_RATIO = 1e3
 # condition limit on the restricted N_{h_0} and on the torus solve of a
 # multiple cluster (recovery's stratum test), and extra h_0 draws allowed
 COND_MAX = 1e8
 RETRIES_MAX = 3
-# largest relative below-block-diagonal norm a clustering may leave
+# relative eigenvalue grouping threshold the clustering starts at, and
+# the largest relative below-block-diagonal norm a clustering may leave
+CLUSTER_GAP = 1e-4
 LEAK_TOL = 1e-6
 
 
@@ -56,16 +60,14 @@ class ResMatrix:
         col_blocks: (equation index, GradedBasis of S_{beta - alpha_i})
             pairs, one per equation, in equation order.
         matrix: dense complex matrix, rows x total block width.
-        tol_rank: relative singular value threshold used downstream.
     """
 
-    __slots__ = ("rows", "col_blocks", "matrix", "tol_rank")
+    __slots__ = ("rows", "col_blocks", "matrix")
 
-    def __init__(self, rows, col_blocks, matrix, tol_rank):
+    def __init__(self, rows, col_blocks, matrix):
         self.rows = rows
         self.col_blocks = col_blocks
         self.matrix = matrix
-        self.tol_rank = tol_rank
 
     @property
     def shape(self):
@@ -78,7 +80,7 @@ class ResMatrix:
         return f"ResMatrix(shape={self.matrix.shape}, blocks={self.block_widths()})"
 
 
-def assemble_res(system, beta, tol_rank=1e-8, allow_empty=False):
+def assemble_res(system, beta, allow_empty=False):
     """Assemble Res at degree beta for a homogeneous system.
 
     Entry placement is exact index arithmetic: the column of the point
@@ -88,7 +90,6 @@ def assemble_res(system, beta, tol_rank=1e-8, allow_empty=False):
     Args:
         system: HomogeneousSystem.
         beta: DivisorClass or representative vector for the row degree.
-        tol_rank: stored on the result for downstream rank decisions.
         allow_empty: accept a Res with zero columns instead of raising.
             Pair verification probes low degrees where that is legitimate
             (the cokernel is then all of S_beta).
@@ -119,7 +120,7 @@ def assemble_res(system, beta, tol_rank=1e-8, allow_empty=False):
             raise InputError(f"equation {i} does not have degree {system.degrees[i].a}")
         matrix[r, col + np.arange(len(block))[:, None]] = f.coeffs[nz]
         col += len(block)
-    return ResMatrix(rows, col_blocks, matrix, tol_rank)
+    return ResMatrix(rows, col_blocks, matrix)
 
 
 class CokernelMap:
@@ -127,7 +128,7 @@ class CokernelMap:
 
     Attributes:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
-            ker N = im Res up to tol_rank; None from a corank-only call.
+            ker N = im Res up to TOL_RANK; None from a corank-only call.
         delta_plus: corank of Res against its row dimension.
         singular_values: full singular value list, for diagnostics.
         res: the ResMatrix this was computed from.
@@ -145,14 +146,14 @@ class CokernelMap:
         return f"CokernelMap(delta_plus={self.delta_plus})"
 
 
-def _rank(s, tol_rank):
-    """Number of singular values s (descending) above tol_rank * s[0].
+def _rank(s):
+    """Number of singular values s (descending) above TOL_RANK * s[0].
 
     Raises:
         RankAmbiguousError: the values straddling the cut differ by less
             than GAP_RATIO.
     """
-    rank = 0 if s[0] == 0.0 else int(np.sum(s > tol_rank * s[0]))
+    rank = 0 if s[0] == 0.0 else int(np.sum(s > TOL_RANK * s[0]))
     if 0 < rank < len(s):
         ratio = np.inf if s[rank] == 0.0 else s[rank - 1] / s[rank]
         if ratio < GAP_RATIO:
@@ -167,7 +168,7 @@ def _rank(s, tol_rank):
 def cokernel(res, corank_only=False):
     """Compute the cokernel of Res with a guarded rank decision.
 
-    The rank is the number of singular values above res.tol_rank * sigma_1 and
+    The rank is the number of singular values above TOL_RANK * sigma_1 and
     the corank is counted against the row dimension, so a matrix with few
     columns exposes its structural cokernel too.
 
@@ -204,7 +205,7 @@ def cokernel(res, corank_only=False):
         return CokernelMap(N, nrows, np.zeros(0), res)
     if corank_only:
         s = np.linalg.svd(A, compute_uv=False)
-        return CokernelMap(None, nrows - _rank(s, res.tol_rank), s, res)
+        return CokernelMap(None, nrows - _rank(s), s, res)
 
     tall = nrows >= ncols
     # a Fortran-ordered copy of our own, so LAPACK may overwrite it
@@ -215,8 +216,8 @@ def cokernel(res, corank_only=False):
         B, lwork=int(lwork.real), overwrite_a=True)
     R = np.triu(qr[:n])
     s = np.linalg.svd(R, compute_uv=False)
-    rank = _rank(s, res.tol_rank)
-    cut = res.tol_rank * s[0]
+    rank = _rank(s)
+    cut = TOL_RANK * s[0]
     r22 = np.linalg.norm(R[rank:, rank:])
     if r22 > cut:
         raise RankAmbiguousError(
@@ -452,7 +453,7 @@ def _below_block_norm(Tb, labels):
 _GAP_CEILING = 0.1
 
 
-def schur_cluster(family, seed=0, cluster_gap=1e-4):
+def schur_cluster(family, seed=0):
     """Cluster the joint spectrum of a multiplication family.
 
     Takes the complex Schur form of a random member M_{h/h_0}, groups
@@ -464,10 +465,11 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4):
 
     A multiple eigenvalue with a nontrivial Jordan block scatters its
     computed copies over a radius like eps**(1/mu), far wider than any
-    fixed grouping threshold.  When the blocks leak, the gap is widened
-    tenfold and the diagonal is regrouped, up to a relative ceiling of
-    0.1; distinct solutions of a random combination sit O(1) apart, so
-    the widening merges scattered copies without fusing true clusters.
+    fixed grouping threshold.  Grouping starts at CLUSTER_GAP; when the
+    blocks leak, the gap is widened tenfold and the diagonal is
+    regrouped, up to a relative ceiling of 0.1; distinct solutions of a
+    random combination sit O(1) apart, so the widening merges scattered
+    copies without fusing true clusters.
 
     Raises:
         ClusteringError: some member leaks below the block diagonal by
@@ -481,13 +483,13 @@ def schur_cluster(family, seed=0, cluster_gap=1e-4):
                      + 1j * rng.standard_normal(len(mons)))
     if delta == 0:
         return SchurClustering((), np.zeros((0, len(mons)), dtype=complex),
-                               0.0, cluster_gap)
+                               0.0, CLUSTER_GAP)
 
     M = family.combination(driver_coeffs)
     T0, Z0 = scipy.linalg.schur(M, output="complex")
     norms = np.maximum(1.0, np.linalg.norm(family.stack, axis=(1, 2)))
 
-    gap = cluster_gap
+    gap = CLUSTER_GAP
     while True:
         labels = _cluster_labels(np.diag(T0), gap)
         _, Z, labels = _reorder(T0, Z0, labels)

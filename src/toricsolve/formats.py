@@ -90,6 +90,22 @@ def _eval_node(node, env):
     )
 
 
+# CPython's parser and the recursive evaluator give up on deep nesting
+# with RecursionError or MemoryError; both are input problems here
+def _too_deep(text):
+    return InputError(f"coefficient template {text[:40]!r}... ({len(text)} "
+                      "characters) nests too deeply to evaluate")
+
+
+def _parse_template(text):
+    try:
+        return ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise InputError(f"bad coefficient template {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise _too_deep(text) from None
+
+
 def eval_scalar(text, env):
     """Evaluate a template like "5-2*10**(-e)" with env = {"e": value}.
 
@@ -100,25 +116,21 @@ def eval_scalar(text, env):
 
     Raises:
         InputError: syntax errors, unknown names, non-arithmetic nodes,
-            division by zero, or a value beyond the float range.
+            division by zero, a value beyond the float range, or nesting
+            too deep to parse or evaluate.
     """
     try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise InputError(f"bad coefficient template {text!r}: {exc.msg}") from None
-    try:
-        value = _eval_node(tree, env)
+        value = _eval_node(_parse_template(text), env)
     except OverflowError:
         raise InputError(f"coefficient template {text!r} overflows the float range") from None
+    except RecursionError:
+        raise _too_deep(text) from None
     return complex(value) if isinstance(value, complex) else float(value)
 
 
 def _template_names(text):
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise InputError(f"bad coefficient template {text!r}: {exc.msg}") from None
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {node.id for node in ast.walk(_parse_template(text))
+            if isinstance(node, ast.Name)}
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ MAX_BRANCHES = 64
 # relative tolerance of the final ratio consistency check, widened per
 # ratio by its own error estimate
 RATIO_TOL = 1e-6
+# table values below this, relative to the largest, count as zero in
+# boundary recovery
+ZERO_TOL = 1e-6
 
 
 class EigenvalueTable:
@@ -418,11 +421,11 @@ def recover_torus_point(fan, table):
     return sol
 
 
-def recover_boundary_point(fan, table, zero_tol=1e-6):
+def recover_boundary_point(fan, table):
     """Recover a boundary point: vanishing pattern plus an orbit solve.
 
     A Cox coordinate is declared zero when every basis monomial with a
-    positive exponent there is below zero_tol relative to the largest
+    positive exponent there is below ZERO_TOL relative to the largest
     table value. The declared rays must span a cone of the fan; the
     remaining values are characters of that cone's orbit torus and go
     through the same binomial solve on the quotient lattice.
@@ -437,7 +440,7 @@ def recover_boundary_point(fan, table, zero_tol=1e-6):
     top = np.abs(table.values).max(initial=0.0)
     if top == 0.0:
         raise RecoveryError("empty eigenvalue table")
-    thr = zero_tol * top
+    thr = ZERO_TOL * top
 
     pts = table.basis.points
     carriers = table.basis.exponents > 0

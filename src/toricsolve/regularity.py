@@ -418,7 +418,7 @@ def user_pair(system, alpha, alpha0):
     return RegularityPair(alpha, alpha0, Provenance.USER_SUPPLIED)
 
 
-def verify_pair(system, pair, tol_rank=1e-8):
+def verify_pair(system, pair):
     """Numerically verify a pair by comparing coranks of Res.
 
     Assembles Res at alpha and at alpha + alpha0 and checks that the
@@ -430,8 +430,8 @@ def verify_pair(system, pair, tol_rank=1e-8):
         RankAmbiguousError: a singular value gap is too shallow to
             trust either corank.
     """
-    lo = cokernel(assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True),
+    lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
                   corank_only=True)
-    hi = cokernel(assemble_res(system, pair.top, tol_rank=tol_rank), corank_only=True)
+    hi = cokernel(assemble_res(system, pair.top), corank_only=True)
     pair.record_coranks(lo.delta_plus, hi.delta_plus)
     return pair

@@ -9,15 +9,16 @@ its stage tag in the raised error; a single seed drives all randomized
 choices.
 """
 
-import math
 import numbers
 import time
 
-from .cox import HomogeneousSystem, homogenize
+from .cox import HomogeneousSystem, homogenize, ray_list
 from .eigensolver import (
+    CLUSTER_GAP,
     COND_MAX,
     GAP_RATIO,
     LEAK_TOL,
+    TOL_RANK,
     assemble_res,
     cokernel,
     multiplication_family,
@@ -28,6 +29,7 @@ from .errors import InputError, PairSelectionError
 # benchmark's tracer (perfbench/tracing.py) patches solver.recover_torus_point
 from .recovery import (  # noqa: F401
     RATIO_TOL,
+    ZERO_TOL,
     EigenvalueTable,
     recover_boundary_point,
     recover_torus_point,
@@ -91,53 +93,38 @@ class SolutionSet:
                 f"torus={len(self.on_torus())}, boundary={len(self.on_boundary())})")
 
 
-def _check_real(name, value, rule, ok):
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and ok(value))):
-        raise InputError(f"{name} must be {rule}, got {value!r}")
-
-
-def check_options(seed=0, tol_rank=1e-8, cluster_gap=1e-4, zero_tol=1e-6):
-    """Raise InputError naming the first of solve's numeric arguments that
-    is outside its range; the command line checks its flags with it."""
+def check_options(seed):
+    """Raise InputError unless seed is a non-negative integer; the sweep
+    command checks its --seed with it once, before the first row."""
     if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
             or seed < 0):
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    _check_real("tol_rank", tol_rank, "finite with 0 < tol_rank < 1",
-                lambda x: 0.0 < x < 1.0)
-    _check_real("cluster_gap", cluster_gap, "finite with cluster_gap > 0",
-                lambda x: x > 0.0)
-    _check_real("zero_tol", zero_tol, "finite with 0 <= zero_tol < 1",
-                lambda x: 0.0 <= x < 1.0)
 
 
-def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
-          zero_tol=1e-6, verify=True):
+def solve(system, rays=None, pair=None, seed=0):
     """Solve a sparse (Laurent) polynomial system with finite solution set.
 
     Args:
         system: HomogeneousSystem, or a list of Laurent equations
             (each a list of (exponent tuple, coefficient) terms).
-        rays: optional explicit ray order when `system` is Laurent input.
+        rays: optional explicit ray order when `system` is Laurent input;
+            with a HomogeneousSystem it must equal the system's rays.
         pair: None for the automatic improved pair, an (alpha, alpha0)
             tuple of divisor vectors, or a RegularityPair.
         seed: drives the random multiplier h0 and the Schur shuffle; a
             non-negative int.
-        tol_rank: relative singular value cutoff for the rank of Res,
-            with 0 < tol_rank < 1.
-        cluster_gap: starting eigenvalue clustering threshold, > 0.
-        zero_tol: relative size below which a boundary coordinate
-            counts as zero, with 0 <= zero_tol < 1.
-        verify: compare coranks at alpha and alpha + alpha0 before
-            committing to the pair (recommended). The check at alpha
-            computes singular values only; the cokernel basis comes from
-            one pivoted QR at alpha + alpha0.
 
-    Five thresholds are fixed: the singular value gap GAP_RATIO, the h0
-    conditioning limit COND_MAX with RETRIES_MAX redraws, the block
-    leakage limit LEAK_TOL (all in eigensolver) and the recovery ratio
-    tolerance RATIO_TOL (in recovery). SolutionSet.tolerances records
-    every value the run used, these included.
+    The pair is always verified: the coranks at alpha and alpha + alpha0
+    must agree before the solve commits to it. The check at alpha
+    computes singular values only; the cokernel basis comes from one
+    pivoted QR at alpha + alpha0.
+
+    Every threshold is a module constant: the rank cut TOL_RANK with its
+    singular value gap GAP_RATIO, the h0 conditioning limit COND_MAX
+    with RETRIES_MAX redraws, the starting cluster gap CLUSTER_GAP and
+    the block leakage limit LEAK_TOL (all in eigensolver), and the
+    recovery ratio tolerance RATIO_TOL and zero threshold ZERO_TOL (in
+    recovery). SolutionSet.tolerances records the values the run used.
 
     Recovery tries every cluster as a torus point in one pass
     (recover_torus_points) and sends the clusters that fail there, a
@@ -149,19 +136,19 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
         SolutionSet. Sum of multiplicities equals the corank delta+.
 
     Raises:
-        InputError (also for a numeric argument outside its range,
-        before any work, and for a pair that is not two integer
-        vectors), PairSelectionError, RankAmbiguousError,
-        ClusteringError, RecoveryError: tagged per stage. SpanError, a
-        RecoveryError, when the alpha0 lattice points do not affinely
-        span the character lattice.
+        InputError (also for a seed outside its range, before any work,
+        for rays that differ from a HomogeneousSystem's, and for a pair
+        that is not two integer vectors), PairSelectionError,
+        RankAmbiguousError, ClusteringError, RecoveryError: tagged per
+        stage. SpanError, a RecoveryError, when the alpha0 lattice
+        points do not affinely span the character lattice.
     """
-    check_options(seed, tol_rank, cluster_gap, zero_tol)
+    check_options(seed)
     seed = int(seed)  # a numpy integer would not serialize
     tolerances = {
-        "tol_rank": tol_rank, "gap_ratio": GAP_RATIO, "cond_max": COND_MAX,
-        "cluster_gap": cluster_gap, "leak_tol": LEAK_TOL,
-        "zero_tol": zero_tol, "ratio_tol": RATIO_TOL,
+        "tol_rank": TOL_RANK, "gap_ratio": GAP_RATIO, "cond_max": COND_MAX,
+        "cluster_gap": CLUSTER_GAP, "leak_tol": LEAK_TOL,
+        "zero_tol": ZERO_TOL, "ratio_tol": RATIO_TOL,
     }
     timings = {}
     clock = time.perf_counter
@@ -169,6 +156,9 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
     t0 = clock()
     if not isinstance(system, HomogeneousSystem):
         system = homogenize(system, rays=rays)
+    elif rays is not None and ray_list(rays) != system.fan.rays:
+        raise InputError("rays differ from the rays of the HomogeneousSystem "
+                         f"{system.fan.rays}; homogenize with them instead")
     timings["homogenize_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
@@ -184,17 +174,14 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
     timings["pair_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    cok = cokernel(assemble_res(system, pair.top, tol_rank=tol_rank))
-    if verify:
-        lo = cokernel(
-            assemble_res(system, pair.alpha, tol_rank=tol_rank, allow_empty=True),
-            corank_only=True,
+    cok = cokernel(assemble_res(system, pair.top))
+    lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
+                  corank_only=True)
+    if not pair.record_coranks(lo.delta_plus, cok.delta_plus):
+        raise PairSelectionError(
+            f"pair failed corank verification: {lo.delta_plus} at alpha vs "
+            f"{cok.delta_plus} at alpha + alpha0"
         )
-        if not pair.record_coranks(lo.delta_plus, cok.delta_plus):
-            raise PairSelectionError(
-                f"pair failed corank verification: {lo.delta_plus} at alpha vs "
-                f"{cok.delta_plus} at alpha + alpha0"
-            )
     timings["cokernel_ms"] = 1e3 * (clock() - t0)
 
     diagnostics = {
@@ -210,7 +197,7 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
     timings["family_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    clustering = schur_cluster(family, seed=seed, cluster_gap=cluster_gap)
+    clustering = schur_cluster(family, seed=seed)
     timings["schur_ms"] = 1e3 * (clock() - t0)
     diagnostics["block_leakage"] = clustering.leakage_by_member
 
@@ -220,8 +207,7 @@ def solve(system, rays=None, pair=None, seed=0, tol_rank=1e-8, cluster_gap=1e-4,
     solutions = recover_torus_points(system.fan, tables)
     for i, table in enumerate(tables):
         if solutions[i] is None:
-            solutions[i] = recover_boundary_point(system.fan, table,
-                                                  zero_tol=zero_tol)
+            solutions[i] = recover_boundary_point(system.fan, table)
     residuals = system.residuals([sol.z for sol in solutions])
     for sol, res in zip(solutions, residuals):
         sol.residuals = tuple(res)

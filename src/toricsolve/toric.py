@@ -22,7 +22,9 @@ from .lattice import (
     Polytope,
     det_int,
     dot,
+    int_vector,
     integer_kernel,
+    is_int,
     primitive,
     rank_int,
     right_inverse,
@@ -65,7 +67,7 @@ class Fan:
     """
 
     def __init__(self, rays, max_cones, polytope=None, offsets=None):
-        self.rays = [tuple(int(x) for x in r) for r in rays]
+        self.rays = [int_vector(r, "fan ray") for r in rays]
         self.n = len(self.rays[0]) if self.rays else 0
         self.k = len(self.rays)
         self.max_cones = [tuple(sorted(c)) for c in max_cones]
@@ -103,7 +105,7 @@ class Fan:
         if rays is None:
             order = computed
         else:
-            order = [tuple(int(x) for x in r) for r in rays]
+            order = [int_vector(r, "fan ray") for r in rays]
             if set(order) != set(computed) or len(order) != len(computed):
                 raise InputError(
                     "supplied rays do not match the facet normals of the "
@@ -193,10 +195,11 @@ class DivisorClass:
     __slots__ = ("fan", "a")
 
     def __init__(self, fan, a):
+        a = int_vector(a, "divisor vector")
         if len(a) != fan.k:
             raise InputError(f"divisor vector has length {len(a)}, expected {fan.k}")
         self.fan = fan
-        self.a = tuple(int(x) for x in a)
+        self.a = a
 
     def degree(self):
         return self.fan.class_group.degree(self.a)
@@ -221,7 +224,9 @@ class DivisorClass:
         return DivisorClass(self.fan, tuple(x - y for x, y in zip(self.a, other.a)))
 
     def __rmul__(self, t):
-        return DivisorClass(self.fan, tuple(int(t) * x for x in self.a))
+        if not is_int(t):
+            raise InputError(f"divisor classes scale by integers, got {t!r}")
+        return DivisorClass(self.fan, tuple(t * x for x in self.a))
 
     def __mul__(self, t):
         return self.__rmul__(t)

@@ -8,6 +8,7 @@ import sympy
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, graded_basis, homogenize
 from toricsolve.eigensolver import (
     LEAK_TOL,
+    TOL_RANK,
     ResMatrix,
     _below_block_norm,
     _cluster_labels,
@@ -158,7 +159,7 @@ def test_cokernel_pillow_corank(corank_only):
         assert cok.N.shape == (4, 25)
         # rows orthonormal and N * Res numerically zero
         assert np.allclose(cok.N @ cok.N.conj().T, np.eye(4), atol=1e-12)
-        assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * res.tol_rank * sigma1
+        assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * TOL_RANK * sigma1
     # same corank one multiplier lower
     res_low = assemble_res(system, (2, 2, 2, 2))
     assert res_low.shape == (13, 10)
@@ -173,7 +174,7 @@ def test_cokernel_27lines_corank(corank_only):
     assert cok.delta_plus == 45
     if not corank_only:
         sigma1 = cok.singular_values[0]
-        assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * res.tol_rank * sigma1
+        assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * TOL_RANK * sigma1
 
 
 @BOTH_PATHS
@@ -201,7 +202,7 @@ def _crafted_without_gap():
     # smooth geometric decay: no spectral gap anywhere near the cut
     s = np.logspace(0, -12, 25)
     return ResMatrix(res.rows, res.col_blocks,
-                     u @ (s[:, None] * v[:25].conj()), res.tol_rank)
+                     u @ (s[:, None] * v[:25].conj()))
 
 
 @BOTH_PATHS
@@ -229,7 +230,7 @@ def svd_cokernel(res):
     Res, cut where cokernel cuts."""
     A = res.matrix
     U, s, _ = np.linalg.svd(A, full_matrices=A.shape[0] > A.shape[1])
-    return U[:, _rank(s, res.tol_rank):].conj().T, s
+    return U[:, _rank(s):].conj().T, s
 
 
 def _top_res(name):
@@ -259,7 +260,7 @@ def test_cokernel_matches_svd_reference(name):
     assert np.allclose(cok.singular_values, s, rtol=1e-12, atol=1e-13 * s[0])
     N = cok.N
     assert N.shape == ref.shape
-    assert np.linalg.norm(N @ res.matrix, 2) <= 10 * res.tol_rank * s[0]
+    assert np.linalg.norm(N @ res.matrix, 2) <= 10 * TOL_RANK * s[0]
     assert np.allclose(N @ N.conj().T, np.eye(len(N)), atol=1e-12)
     angles = scipy.linalg.subspace_angles(N.conj().T, ref.conj().T)
     assert angles.max() <= 1e-8
@@ -277,7 +278,7 @@ def _kahan(n, c=0.3):
 @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
 def test_cokernel_kahan_raises(tall):
     k = np.vstack([_kahan(64), np.zeros((1, 64))])
-    crafted = ResMatrix(None, [], k if tall else k.conj().T, 1e-8)
+    crafted = ResMatrix(None, [], k if tall else k.conj().T)
     # the SVD sees a clean gap: sigma_64 / sigma_1 is about 1e-9, and
     # sigma_63 / sigma_64 about 1e7
     ref, s = svd_cokernel(crafted)

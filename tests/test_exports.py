@@ -7,6 +7,7 @@ a user's import.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -36,3 +37,8 @@ def test_package_exports_are_module_exports():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert hasattr(toricsolve, alias.asname or alias.name), alias.name
+
+
+def test_solve_takes_no_tuning_arguments():
+    # every threshold is a module constant and the pair is always verified
+    assert str(inspect.signature(toricsolve.solve)) == "(system, rays=None, pair=None, seed=0)"

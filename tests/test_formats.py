@@ -159,6 +159,29 @@ def test_eval_scalar_overflow(text):
         eval_scalar(text, {})
 
 
+# deep enough to exhaust CPython's parser (RecursionError, then MemoryError
+# from its stack) or, parsed, the recursive evaluator (RecursionError)
+DEEP_TEMPLATES = {
+    "parse-recursion": "+".join(["e"] * 5000),
+    "parser-stack": "2**" * 3000 + "1",
+    "eval-recursion": "+".join(["e"] * 1200),
+}
+
+
+@pytest.mark.parametrize("text", DEEP_TEMPLATES.values(), ids=DEEP_TEMPLATES.keys())
+def test_eval_scalar_deep_nesting(text):
+    with pytest.raises(InputError, match="nests too deeply"):
+        eval_scalar(text, {"e": 1.0})
+
+
+@pytest.mark.parametrize("name", ["parse-recursion", "parser-stack"])
+def test_deep_template_rejected_at_load(tmp_path, name):
+    doc = as_file_dict(intro_laurent(1.0), rays=INTRO_RAYS)
+    doc["equations"][1]["terms"][2]["coeff"] = DEEP_TEMPLATES[name]
+    with pytest.raises(InputError, match="nests too deeply"):
+        load_system_file(write_file(tmp_path, doc))
+
+
 def test_template_instantiation(tmp_path):
     eqs = intro_laurent(1.0)
     doc = as_file_dict(eqs, rays=INTRO_RAYS)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsolve.cox import graded_basis
+from toricsolve.cox import graded_basis, homogenize
 from toricsolve.errors import ClusteringError, InputError, RecoveryError, SpanError
 from toricsolve.lattice import (
     Polytope,
@@ -216,6 +216,23 @@ def test_boundary_full_cone_fixed_point():
     assert sol.zero_pattern == frozenset({1, 3})
     assert all(sol.z[j] == 0 for j in (1, 3))
     assert all(sol.z[j] == 1 for j in (0, 2))
+
+
+def test_boundary_fixed_point_of_non_simplicial_cone():
+    # the octahedron's normal fan has 8 rays and six cones of four rays;
+    # a table alive only at the vertex (1, 0, 0) is the torus-fixed point
+    # of the cone of the four facets through it
+    octahedron = Polytope.from_points(
+        [tuple(s if i == j else 0 for j in range(3)) for i in range(3) for s in (1, -1)])
+    fan = Fan.normal_fan(octahedron)
+    assert (fan.k, len(fan.max_cones)) == (8, 6)
+    assert all(len(cone) == 4 for cone in fan.max_cones)
+    basis = graded_basis(fan, fan.offsets)
+    values = [1.0 if m == (1, 0, 0) else 0.0 for m in basis.lattice_points]
+    sol = recover_boundary_point(fan, EigenvalueTable(basis, values))
+    assert sol.zero_pattern == frozenset({0, 1, 2, 3})
+    assert sol.non_simplicial and not sol.on_torus
+    assert list(sol.z) == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
 def test_boundary_without_matching_rays_is_clustering_error():
@@ -599,9 +616,18 @@ def test_solve_span_failure_is_typed():
     # read back on the torus, so solve stops instead of trying the boundary
     with pytest.raises(SpanError) as info:
         solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS,
-              pair=((2, 2, 0, 0), (0, 0, 0, 1)), verify=False)
+              pair=((2, 2, 0, 0), (0, 0, 0, 1)))
     assert info.value.stage == "recovery"
     assert info.value.exit_code == 6
+
+
+def test_solve_homogeneous_system_checks_rays():
+    system = homogenize(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS)
+    # other rays would name other coordinates, so they are not ignored
+    with pytest.raises(InputError, match="rays differ"):
+        solve(system, rays=HIRZEBRUCH_RAYS[::-1])
+    same = solve(system, rays=[list(r) for r in HIRZEBRUCH_RAYS], seed=0)
+    assert same.delta_plus == 3
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -616,20 +642,9 @@ def test_solve_rejects_nonfinite_coefficients(bad):
     ({"seed": -1}, "seed"),
     ({"seed": True}, "seed"),
     ({"seed": 1.5}, "seed"),
-    ({"tol_rank": 0.0}, "tol_rank"),
-    ({"tol_rank": 1.0}, "tol_rank"),
-    ({"tol_rank": float("nan")}, "tol_rank"),
-    ({"cluster_gap": 0}, "cluster_gap"),
-    ({"cluster_gap": -1.0}, "cluster_gap"),
-    ({"cluster_gap": float("nan")}, "cluster_gap"),
-    ({"cluster_gap": float("inf")}, "cluster_gap"),
-    ({"zero_tol": -1e-9}, "zero_tol"),
-    ({"zero_tol": 1.0}, "zero_tol"),
-    ({"zero_tol": "1e-6"}, "zero_tol"),
 ])
 def test_solve_rejects_numeric_arguments_at_once(monkeypatch, kwargs, name):
-    # the check comes before any work: homogenize is never reached (with
-    # cluster_gap = 0 the widening loop used to run forever)
+    # the check comes before any work: homogenize is never reached
     def no_work(*args, **kw):
         raise AssertionError("solve started working")
 
@@ -641,8 +656,7 @@ def test_solve_rejects_numeric_arguments_at_once(monkeypatch, kwargs, name):
 
 
 def test_solve_accepts_range_edges():
-    result = solve(intro_laurent(1), rays=HIRZEBRUCH_RAYS, seed=np.int64(0),
-                   tol_rank=0.5e-8, cluster_gap=1e-4, zero_tol=0.0)
+    result = solve(intro_laurent(1), rays=HIRZEBRUCH_RAYS, seed=np.int64(0))
     assert result.delta_plus == 3
     assert type(result.seed) is int
 

@@ -8,6 +8,7 @@ implementation existed.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +29,7 @@ from toricsolve.errors import InputError
 from test_lattice import solve_rational
 from toricsolve.lattice import Polytope, dot
 from toricsolve.toric import (
+    DivisorClass,
     Fan,
     boundary_stratum_check,
     cohomology_dims,
@@ -251,3 +253,18 @@ def test_boundary_stratum_check():
     assert not ok
     ok, simp = boundary_stratum_check(pillow_fan(), [0, 1])
     assert ok and simp
+
+
+def test_divisor_class_and_fan_reject_non_integers():
+    fan = pillow_fan()
+    # these used to truncate: (2, 1, 0, 1), (1, 1, 1, 1) and a ray (1, 0)
+    with pytest.raises(InputError, match="divisor vector"):
+        DivisorClass(fan, (2.5, True, 0.9, 1))
+    div = DivisorClass(fan, (1, 1, 1, 1))
+    for scalar in (1.7, True, Fraction(2)):
+        with pytest.raises(InputError, match="scale by integers"):
+            scalar * div
+    scaled = np.int64(2) * div
+    assert scaled.a == (2, 2, 2, 2) and all(type(x) is int for x in scaled.a)
+    with pytest.raises(InputError, match="fan ray"):
+        Fan([(1.9, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
