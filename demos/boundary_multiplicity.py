@@ -17,9 +17,10 @@ rays = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
 
 # inspect the degree pair before solving
 system = homogenize([f1, f2], rays=rays)
-pair = verify_pair(system, improved_pair(system))
+pair = improved_pair(system)
+coranks = verify_pair(system, pair)
 print("pair:", pair)
-print("coranks:", pair.coranks, " total multiplicity:", pair.delta_plus)
+print("coranks:", coranks, " total multiplicity:", coranks[0])
 
 result = solve([f1, f2], rays=rays, seed=0)
 print()

@@ -210,14 +210,10 @@ def cmd_regpair(input_path, pair_flag, fan_flag, verify):
                     f"provenance={p.provenance.value}  "
                     f"shape={rows}x{cols}")
             if verify:
-                try:
-                    verify_pair(system, p)
-                finally:
-                    if p.coranks is not None:
-                        line += (f"  verified={p.verified}  "
-                                 f"coranks={tuple(p.coranks)}")
-                    if p.delta_plus is not None:
-                        line += f"  delta_plus={p.delta_plus}"
+                lo, hi = verify_pair(system, p)
+                line += f"  verified={lo == hi}  coranks={(lo, hi)}"
+                if lo == hi:
+                    line += f"  delta_plus={lo}"
             click.echo(line)
     except ToricSolveError as exc:
         _fail(exc)

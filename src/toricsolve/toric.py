@@ -15,6 +15,7 @@ spaces) is handled exactly.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import InputError
@@ -54,7 +55,6 @@ class Fan:
         rays: list of primitive integer inner normals (order is the
             variable order of the Cox ring).
         max_cones: sorted tuples of ray indices, one per polytope vertex.
-        polytope: the source polytope.
         offsets: per-ray facet offsets a_j of the source polytope, so that
             ray_j . x + a_j >= 0 holds on it with equality on facet j.
 
@@ -66,16 +66,12 @@ class Fan:
     equation degrees it was asked for (regularity.improved_pair).
     """
 
-    def __init__(self, rays, max_cones, polytope=None, offsets=None):
+    def __init__(self, rays, max_cones, offsets=None):
         self.rays = [int_vector(r, "fan ray") for r in rays]
         self.n = len(self.rays[0]) if self.rays else 0
         self.k = len(self.rays)
         self.max_cones = [tuple(sorted(c)) for c in max_cones]
-        self.polytope = polytope
         self.offsets = list(offsets) if offsets is not None else None
-        self._class_group = None
-        self._ray_inverse = None
-        self._product_structure = False  # not computed yet; None is a result
         self._sections = {}
         self._bases = {}
         self._pairs = {}
@@ -117,28 +113,22 @@ class Fan:
                 j for j, g in enumerate(order) if dot(g, v) + offs[g] == 0
             )
             cones.append(active)
-        return cls(order, sorted(set(cones)), polytope, [offs[g] for g in order])
+        return cls(order, sorted(set(cones)), [offs[g] for g in order])
 
-    @property
+    @cached_property
     def class_group(self):
-        if self._class_group is None:
-            self._class_group = ClassGroup(self.rays)
-        return self._class_group
+        return ClassGroup(self.rays)
 
-    @property
+    @cached_property
     def ray_inverse(self):
         """Rational right inverse of the n x k ray matrix, or None when the
         rays do not span."""
-        if self._ray_inverse is None:
-            self._ray_inverse = right_inverse([list(col) for col in zip(*self.rays)])
-        return self._ray_inverse
+        return right_inverse([list(col) for col in zip(*self.rays)])
 
-    @property
+    @cached_property
     def product_structure(self):
         """projective_product_structure of this fan, computed once."""
-        if self._product_structure is False:
-            self._product_structure = projective_product_structure(self)
-        return self._product_structure
+        return projective_product_structure(self)
 
     def divisor(self, a):
         return DivisorClass(self, a)
@@ -425,31 +415,16 @@ def cohomology_dims(div):
 def boundary_stratum_check(fan, ray_set):
     """Validate a declared set of vanishing coordinates against the fan.
 
-    The rays in `ray_set` must span a face of the fan's source polytope:
-    the vertices lying on all the corresponding facets must be nonempty,
-    and the set of facets containing *all* of those vertices must give
-    back exactly `ray_set` (otherwise the declared zeros force more
-    zeros and the pattern is inconsistent).
+    The rays in `ray_set` must span a cone of the fan: at least one
+    maximal cone must contain them, and the intersection of all maximal
+    cones that do must be exactly `ray_set` (otherwise the declared
+    zeros force more zeros and the pattern is inconsistent).
 
     Returns (valid, simplicial) where simplicial reports whether the
     spanned cone is simplicial.
     """
-    rs = sorted(set(ray_set))
-    if fan.polytope is None or fan.offsets is None:
-        raise InputError("fan carries no polytope data for stratum checks")
-    verts = [
-        v
-        for v in fan.polytope.vertices
-        if all(dot(fan.rays[j], v) + fan.offsets[j] == 0 for j in rs)
-    ]
-    if not verts:
+    rs = set(ray_set)
+    cones = [set(c) for c in fan.max_cones if rs <= set(c)]
+    if not cones or set.intersection(*cones) != rs:
         return False, False
-    closure = [
-        j
-        for j in range(fan.k)
-        if all(dot(fan.rays[j], v) + fan.offsets[j] == 0 for v in verts)
-    ]
-    if closure != rs:
-        return False, False
-    simplicial = rank_int([fan.rays[j] for j in rs]) == len(rs)
-    return True, simplicial
+    return True, rank_int([fan.rays[j] for j in rs]) == len(rs)

@@ -136,12 +136,17 @@ def lines27_supports():
     return [cubic_tv, cubic_su, deg_1_2, deg_2_1]
 
 
-def lines27_fan():
+def lines27_polytope():
+    """Minkowski sum of the four Newton polytopes."""
     polys = [Polytope.from_points(s) for s in lines27_supports()]
     total = polys[0]
     for p in polys[1:]:
         total = total.minkowski(p)
-    return Fan.normal_fan(total, rays=LINES27_RAYS)
+    return total
+
+
+def lines27_fan():
+    return Fan.normal_fan(lines27_polytope(), rays=LINES27_RAYS)
 
 
 def pillow_laurent():

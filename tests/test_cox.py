@@ -14,7 +14,7 @@ from toricsolve.cox import (
 )
 from toricsolve.errors import InputError
 from toricsolve.lattice import dot, integer_kernel
-from toricsolve.regularity import Provenance, improved_pair
+from toricsolve.regularity import Provenance, RegularityPair, improved_pair
 from toricsolve.solver import solve
 
 from systems import (
@@ -334,18 +334,16 @@ def test_warm_cache_duplicated_exponent_matches_cold(cold):
     assert len(cold) == 1
 
 
-def test_pair_memo_returns_fresh_pairs(cold):
+def test_pair_memo_returns_the_shared_pair(cold):
     first = solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS)
-    assert first.pair.verified and first.pair.coranks == (3, 3)
+    assert first.delta_plus == 3
     system = homogenize(intro_laurent(0.5), rays=HIRZEBRUCH_RAYS)
     assert system.fan is first.system.fan
-    again = improved_pair(system)
-    assert again is not first.pair
-    assert again.verified is None and again.coranks is None
-    assert again.delta_plus is None
-    assert (again.alpha.a, again.alpha0.a) == (first.pair.alpha.a, first.pair.alpha0.a)
+    # the pair is a value: one solve leaves nothing on it for the next
+    assert improved_pair(system) is first.pair
+    assert RegularityPair.__slots__ == ("alpha", "alpha0", "provenance")
     second = solve(intro_laurent(0.5), rays=HIRZEBRUCH_RAYS)
-    assert second.pair is not first.pair and second.pair.verified
+    assert second.pair is first.pair and second.delta_plus == 3
 
 
 def test_user_pair_bypasses_pair_memo(cold):

@@ -18,6 +18,7 @@ from toricsolve.errors import (
 from toricsolve.lattice import Polytope
 from toricsolve.regularity import (
     Provenance,
+    RegularityPair,
     default_pair,
     improved_pair,
     _unmixed_base,
@@ -175,9 +176,7 @@ def test_improved_pair_p2_macaulay():
     assert pair.alpha == DivisorClass(fan, (0, 0, 3))
     assert pair.alpha0 == DivisorClass(fan, (0, 0, 1))
     assert predicted_shape(system, pair) == (15, 9)
-    verify_pair(system, pair)
-    assert pair.verified
-    assert pair.delta_plus == 6
+    assert verify_pair(system, pair) == (6, 6)
 
 
 def test_improved_pair_pillow_codegree():
@@ -206,9 +205,7 @@ def test_improved_pair_weighted():
     assert pair.provenance is Provenance.WEIGHTED
     assert pair.alpha.degree() == ((1,), ())
     assert pair.alpha0.degree() == ((2,), ())
-    verify_pair(system, pair)
-    assert pair.verified
-    assert pair.delta_plus == 2
+    assert verify_pair(system, pair) == (2, 2)
 
 
 def test_multiplier_basepoint_raises():
@@ -228,9 +225,7 @@ def test_improved_pair_p1_linear_zero_alpha():
     assert pair.provenance is Provenance.MACAULAY
     assert pair.alpha.degree() == ((0,), ())
     assert pair.alpha0.degree() == ((1,), ())
-    verify_pair(system, pair)
-    assert pair.verified
-    assert pair.delta_plus == 1
+    assert verify_pair(system, pair) == (1, 1)
 
 
 # vanishing test
@@ -256,32 +251,45 @@ def test_vanishing_pair_conservative_on_unknown_cohomology():
 def test_verify_pair_detects_bad_multiplier():
     system = intro_system()
     bad = user_pair(system, (0, 0, 2, 4), (0, 0, 2, 0))
-    verify_pair(system, bad)
-    assert bad.coranks == (3, 4)
-    assert bad.verified is False
-    assert bad.delta_plus is None
+    assert verify_pair(system, bad) == (3, 4)
 
     good = user_pair(system, (0, 0, 2, 4), (0, 0, 1, 0))
-    verify_pair(system, good)
-    assert good.coranks == (3, 3)
-    assert good.verified is True
-    assert good.delta_plus == 3
+    assert verify_pair(system, good) == (3, 3)
+
+
+@pytest.mark.parametrize("system, make, delta", [
+    (intro_system(), improved_pair, 3),
+    (intro_system(), default_pair, 3),
+    (pillow_system(), lambda s: user_pair(s, (2, 2, 2, 2), (1, 1, 1, 1)), 4),
+], ids=["improved", "default", "user"])
+def test_solve_leaves_the_pair_as_it_was(system, make, delta):
+    pair = make(system)
+    before = {name: getattr(pair, name) for name in RegularityPair.__slots__}
+    assert verify_pair(system, pair) == (delta, delta)
+    result = solve(system, pair=pair)
+    assert result.pair is pair and result.delta_plus == delta
+    assert {name: getattr(pair, name) for name in RegularityPair.__slots__} == before
+    assert repr(pair).endswith(f"provenance={pair.provenance.value})")
+
+
+def test_improved_pair_is_memoized_per_degrees():
+    system = intro_system()
+    pair = improved_pair(system)
+    assert improved_pair(system) is pair
+    # another system with the same supports reads the same entry
+    assert improved_pair(intro_system(0.5)) is pair
 
 
 def test_verify_improved_lines27():
     system = lines27_system()
-    pair = verify_pair(system, improved_pair(system))
-    assert pair.verified
-    assert pair.delta_plus == 45
+    assert verify_pair(system, improved_pair(system)) == (45, 45)
 
 
 def test_verify_pillow_user_pair():
     system = pillow_system()
     pair = user_pair(system, (2, 2, 2, 2), (1, 1, 1, 1))
     assert pair.provenance is Provenance.USER_SUPPLIED
-    verify_pair(system, pair)
-    assert pair.verified
-    assert pair.delta_plus == 4
+    assert verify_pair(system, pair) == (4, 4)
 
 
 def test_user_pair_rejects_empty_multiplier():
@@ -361,11 +369,11 @@ def test_default_pair_verifies_on_random_squares(picks, seed):
     except InputError:
         assume(False)
     try:
-        pair = verify_pair(system, default_pair(system))
+        pair = default_pair(system)
+        lo, hi = verify_pair(system, pair)
         improved = improved_pair(system)
     except RankAmbiguousError:
         assume(False)
-    assert pair.verified
-    assert pair.delta_plus >= 1
+    assert lo == hi >= 1
     fan = system.fan
     assert len(graded_basis(fan, improved.top)) <= len(graded_basis(fan, pair.top))

@@ -7,6 +7,7 @@ implementation existed.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,11 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from systems import (
     DIAMOND,
+    HIRZEBRUCH_RAYS,
+    LINES27_RAYS,
+    P2_RAYS,
     PILLOW_RAYS,
+    PILLOW_RAYS_SOLVE,
     diamond_polytope,
     hirzebruch_fan,
     hirzebruch_polytope,
     lines27_fan,
+    lines27_polytope,
     p2_fan,
     pillow_fan,
     pillow_fan_doubled,
@@ -253,6 +259,67 @@ def test_boundary_stratum_check():
     assert not ok
     ok, simp = boundary_stratum_check(pillow_fan(), [0, 1])
     assert ok and simp
+
+
+def _vertex_rule(fan, polytope, ray_set):
+    """Reference stratum check through the source polytope: the vertices
+    on every facet of `ray_set` must exist, and the facets through all of
+    those vertices must be exactly `ray_set`."""
+    rs = sorted(set(ray_set))
+    verts = [v for v in polytope.vertices
+             if all(dot(fan.rays[j], v) + fan.offsets[j] == 0 for j in rs)]
+    closure = [j for j in range(fan.k)
+               if all(dot(fan.rays[j], v) + fan.offsets[j] == 0 for v in verts)]
+    if not verts or closure != rs:
+        return False, False
+    return True, np.linalg.matrix_rank(np.array([fan.rays[j] for j in rs]).reshape(
+        len(rs), fan.n)) == len(rs)
+
+
+STRATUM_POLYTOPES = {
+    "pillow": (diamond_polytope, PILLOW_RAYS),
+    "pillow-solve": (diamond_polytope, PILLOW_RAYS_SOLVE),
+    "pillow-doubled": (lambda: diamond_polytope().minkowski(diamond_polytope()), PILLOW_RAYS),
+    "hirzebruch": (hirzebruch_polytope, HIRZEBRUCH_RAYS),
+    "p2": (lambda: Polytope.from_points([(0, 0), (1, 0), (0, 1)]), None),
+    "p2-scale3": (lambda: Polytope.from_points([(0, 0), (3, 0), (0, 3)]), None),
+    "wp112": (lambda: Polytope.from_points([(0, 0), (2, 0), (0, 1)]), None),
+    "lines27": (lines27_polytope, LINES27_RAYS),
+    # the octahedron's normal fan has four rays in each maximal cone
+    "octahedron": (lambda: Polytope.from_points(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]), None),
+    "cube": (lambda: Polytope.from_points(list(product((0, 1), repeat=3))), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATUM_POLYTOPES))
+def test_stratum_check_matches_vertex_rule_on_every_subset(name):
+    make, rays = STRATUM_POLYTOPES[name]
+    polytope = make()
+    fan = Fan.normal_fan(polytope, rays=rays)
+    valid = 0
+    for r in range(fan.k + 1):
+        for subset in combinations(range(fan.k), r):
+            got = boundary_stratum_check(fan, subset)
+            assert got == _vertex_rule(fan, polytope, subset), subset
+            valid += got[0]
+    # a complete fan: every ray and the empty set span cones
+    assert valid >= fan.k + 1
+
+
+def test_stratum_check_needs_no_polytope():
+    # P^2 given by its rays and maximal cones alone
+    fan = Fan(P2_RAYS, [(0, 1), (1, 2), (0, 2)])
+    assert boundary_stratum_check(fan, [0, 1]) == (True, True)
+    assert boundary_stratum_check(fan, [2]) == (True, True)
+    assert boundary_stratum_check(fan, [0, 1, 2]) == (False, False)
+    # the octahedron's fan: two opposite rays of a square cone do not span
+    octa = Fan.normal_fan(STRATUM_POLYTOPES["octahedron"][0]())
+    cone = next(c for c in octa.max_cones if len(c) == 4)
+    bare = Fan(octa.rays, octa.max_cones)
+    assert boundary_stratum_check(bare, cone) == (True, False)
+    pairs = [s for s in combinations(cone, 2) if boundary_stratum_check(bare, s)[0]]
+    assert len(pairs) == 4
 
 
 def test_divisor_class_and_fan_reject_non_integers():
