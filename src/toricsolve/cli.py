@@ -100,8 +100,8 @@ def _fail(exc):
 def _emit_diagnostics(directory, result, prefix=""):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_series_csv(directory / f"{prefix}res_singular_values.csv",
-                     result.diagnostics["res_singular_values"])
+    write_series_csv(directory / f"{prefix}res_r_diagonal.csv",
+                     result.diagnostics["res_r_diagonal"])
     write_series_csv(directory / f"{prefix}block_leakage.csv",
                      result.diagnostics["block_leakage"])
 

@@ -130,17 +130,28 @@ class CokernelMap:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
             ker N = im Res up to TOL_RANK; None from a corank-only call.
         delta_plus: corank of Res against its row dimension.
-        singular_values: full singular value list, for diagnostics.
+        R: triangular factor of the pivoted QR, cut on its |diagonal|.
+        rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
+            of Res at its rank r, the exact pair when the SVD decided.
         res: the ResMatrix this was computed from.
     """
 
-    __slots__ = ("N", "delta_plus", "singular_values", "res")
+    __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "_s")
 
-    def __init__(self, N, delta_plus, singular_values, res):
+    def __init__(self, N, delta_plus, R, rank_bounds, res):
         self.N = N
         self.delta_plus = delta_plus
-        self.singular_values = singular_values
+        self.R = R
+        self.rank_bounds = rank_bounds
         self.res = res
+        self._s = None
+
+    @property
+    def singular_values(self):
+        """Singular values of Res, from R on first read (diagnostics)."""
+        if self._s is None:
+            self._s = np.linalg.svd(self.R, compute_uv=False)
+        return self._s
 
     def __repr__(self):
         return f"CokernelMap(delta_plus={self.delta_plus})"
@@ -165,19 +176,52 @@ def _rank(s):
     return rank
 
 
+def _qr_rank(R, reveal):
+    """(rank, rank_bounds) of Res from the triangular factor R of its QR.
+
+    r counts |r_ii| > TOL_RANK |r_11|. On R / |r_11| (no overflow or
+    underflow), sigma_r >= 1 / ||R11^-1||_F, sigma_{r+1} <= ||R22||_F and
+    sigma_1 <= ||R||_F by interlacing and Weyl. Within the margins below,
+    r is the rank _rank gives on the singular values, and both guards
+    pass. Otherwise a values-only SVD of R decides; with reveal, an R22
+    above the cut raises.
+    """
+    d = np.abs(np.diagonal(R))
+    if d[0] > 0.0:
+        S = R / d[0]
+        rank = int(np.count_nonzero(d > TOL_RANK * d[0]))
+        lower = 1.0 / np.linalg.norm(scipy.linalg.lapack.ztrtri(S[:rank, :rank])[0])
+        upper = np.linalg.norm(S[rank:, rank:])
+        if (lower > 10 * TOL_RANK * np.linalg.norm(S) and 10 * upper <= TOL_RANK
+                and lower >= 1e3 * GAP_RATIO * upper):
+            return rank, (float(lower * d[0]), float(upper * d[0]))
+    s = np.linalg.svd(R, compute_uv=False)
+    rank = _rank(s)
+    cut = TOL_RANK * s[0]
+    r22 = np.linalg.norm(R[rank:, rank:])
+    if reveal and r22 > cut:
+        raise RankAmbiguousError(
+            f"rank not revealed: the trailing block of the pivoted QR has "
+            f"norm {r22:.3e} above the cut {cut:.3e}"
+        )
+    return rank, tuple(float(x) for x in np.r_[np.inf, s, 0.0][rank:rank + 2])
+
+
 def cokernel(res, corank_only=False):
-    """Compute the cokernel of Res with a guarded rank decision.
+    """Compute the cokernel of Res with a certified rank decision.
 
     The rank is the number of singular values above TOL_RANK * sigma_1 and
     the corank is counted against the row dimension, so a matrix with few
     columns exposes its structural cokernel too.
 
-    The full path makes one column-pivoted QR (LAPACK geqp3) of the tall
+    Both paths make one column-pivoted QR (LAPACK geqp3) of the tall
     orientation B of Res: Res itself when it has at least as many rows as
     columns, Res^H otherwise. B P = Q R, so the square triangular factor
-    R has the singular values of Res; a values-only SVD of R gives them
-    to the rank cut. No U is formed. With R11 the leading rank x rank
-    block of R, R12 beside it and R22 the trailing block:
+    R has the singular values of Res. _qr_rank certifies the cut on
+    |diag R| from R; a values-only SVD of R runs only when that fails or
+    CokernelMap.singular_values is read. With R11 the leading rank x rank
+    block of R, R12 beside it and R22 the trailing block, the full path
+    builds N from the same QR, with no U:
 
     - tall Res: the left null space is spanned by the trailing columns
       of Q, which LAPACK unmqr applies to unit vectors;
@@ -186,26 +230,20 @@ def cokernel(res, corank_only=False):
 
     Both bases treat R22 as zero, so N Res is as small as R22. Pivoted
     QR keeps R22 near the discarded singular values on all but contrived
-    matrices; when it does not, the call raises instead of returning an
-    N that misses the image.
-
-    With corank_only an SVD of Res computes singular values alone and N
-    is None: the same cut and gap guard give delta_plus, which is all a
-    corank comparison needs.
+    matrices; when it does not, the full path raises instead of returning
+    an N that misses the image. With corank_only, N is None and only that
+    guard is skipped.
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
             by less than GAP_RATIO, so the corank is not trustworthy; or
-            R22 exceeds the cut, so the QR does not reveal the rank.
+            (full path) R22 exceeds the cut: the QR does not reveal the rank.
     """
     A = res.matrix
     nrows, ncols = A.shape
     if ncols == 0:
         N = None if corank_only else np.eye(nrows, dtype=complex)
-        return CokernelMap(N, nrows, np.zeros(0), res)
-    if corank_only:
-        s = np.linalg.svd(A, compute_uv=False)
-        return CokernelMap(None, nrows - _rank(s), s, res)
+        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res)
 
     tall = nrows >= ncols
     # a Fortran-ordered copy of our own, so LAPACK may overwrite it
@@ -215,15 +253,9 @@ def cokernel(res, corank_only=False):
     qr, jpvt, tau, _, _ = scipy.linalg.lapack.zgeqp3(
         B, lwork=int(lwork.real), overwrite_a=True)
     R = np.triu(qr[:n])
-    s = np.linalg.svd(R, compute_uv=False)
-    rank = _rank(s)
-    cut = TOL_RANK * s[0]
-    r22 = np.linalg.norm(R[rank:, rank:])
-    if r22 > cut:
-        raise RankAmbiguousError(
-            f"rank not revealed: the trailing block of the pivoted QR has "
-            f"norm {r22:.3e} above the cut {cut:.3e}"
-        )
+    rank, bounds = _qr_rank(R, not corank_only)
+    if corank_only:
+        return CokernelMap(None, nrows - rank, R, bounds, res)
 
     if tall:
         unit = np.eye(m, m - rank, -rank, dtype=complex, order="F")
@@ -237,7 +269,7 @@ def cokernel(res, corank_only=False):
         ])
         basis = np.empty((n, n - rank), dtype=complex)
         basis[jpvt - 1] = np.linalg.qr(null)[0]
-    return CokernelMap(basis.conj().T, nrows - rank, s, res)
+    return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res)
 
 
 class MultiplicationFamily:

@@ -322,6 +322,12 @@ def _ratio_data(points, values, noise, i0):
     return points[rest] - points[i0][:, None], lam / lam0, errs
 
 
+def check_span(basis, n):
+    """SpanError unless an alpha0 basis's lattice points affinely span rank n."""
+    if rank_int((basis.points[1:] - basis.points[:1]).tolist()) < n:
+        raise SpanError("alpha0 insufficient: lattice points do not affinely span")
+
+
 def recover_torus_points(fan, tables):
     """Recover torus points from many eigenvalue tables in one pass.
 
@@ -359,11 +365,7 @@ def recover_torus_points(fan, tables):
     for i, table in enumerate(tables):
         by_basis.setdefault(id(table.basis), (table.basis, []))[1].append(i)
     for basis, _ in by_basis.values():
-        geo = basis.points[1:] - basis.points[:1]
-        if rank_int(geo.tolist()) < fan.n:
-            raise SpanError(
-                "alpha0 insufficient: lattice points do not affinely span"
-            )
+        check_span(basis, fan.n)
     out = [None] * len(tables)
     if fan.ray_inverse is None:  # rays that do not span M lift no torus point
         return out

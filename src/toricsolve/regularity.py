@@ -22,6 +22,7 @@ from .cox import graded_basis
 from .eigensolver import assemble_res, cokernel
 from .errors import PairSelectionError
 from .lattice import int_vector, sublattice_index
+from .recovery import check_span
 from .toric import (
     DivisorClass,
     cohomology_dims,
@@ -379,32 +380,36 @@ def user_pair(system, alpha, alpha0):
             would silently read as another degree), or a vector has the
             wrong length.
         PairSelectionError: alpha0 has no sections.
+        SpanError: two or more alpha0 lattice points do not affinely span.
     """
     fan = system.fan
     if not isinstance(alpha, DivisorClass):
         alpha = DivisorClass(fan, int_vector(alpha, "alpha"))
     if not isinstance(alpha0, DivisorClass):
         alpha0 = DivisorClass(fan, int_vector(alpha0, "alpha0"))
-    if len(graded_basis(fan, alpha0)) == 0:
+    basis = graded_basis(fan, alpha0)
+    if len(basis) == 0:
         raise PairSelectionError(
             f"alpha0 = {alpha0.a} has no sections; multipliers need a nonzero degree piece"
         )
+    if len(basis) > 1:  # one section is left to the basepoint test
+        check_span(basis, fan.n)
     return RegularityPair(alpha, alpha0, Provenance.USER_SUPPLIED)
 
 
 def verify_pair(system, pair):
     """Coranks of Res at alpha and at alpha + alpha0.
 
-    Assembles Res at both degrees and computes singular values only. The
-    pair is admissible for this system when the two coranks agree, and
-    then either one is delta+.
+    Assembles Res at both degrees and takes each corank from one pivoted
+    QR with a certified cut, without a basis (eigensolver.cokernel). The
+    pair is admissible when the two coranks agree; either one is delta+.
 
     Returns:
         (corank at alpha, corank at alpha + alpha0).
 
     Raises:
-        RankAmbiguousError: a singular value gap is too shallow to
-            trust either corank.
+        RankAmbiguousError: the certificate fails and a singular value
+            gap is too shallow to trust either corank.
     """
     lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
                   corank_only=True)

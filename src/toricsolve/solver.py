@@ -52,8 +52,8 @@ class SolutionSet:
         tolerances: dict of every tolerance the run used.
         timings: stage name -> wall milliseconds.
         system: the HomogeneousSystem that was solved.
-        diagnostics: numeric traces for export (singular values of the
-            restriction map, per-member block leakage norms).
+        diagnostics: numeric traces for export (|diag R| and the
+            rank_bounds of the pivoted QR of Res, per-member block leakage).
     """
 
     __slots__ = ("solutions", "delta", "delta_plus", "pair", "seed",
@@ -69,8 +69,8 @@ class SolutionSet:
         self.tolerances = dict(tolerances)
         self.timings = dict(timings)
         self.system = system
-        self.diagnostics = dict(diagnostics or
-                                {"res_singular_values": (), "block_leakage": ()})
+        self.diagnostics = dict(diagnostics or {
+            "res_r_diagonal": (), "rank_bounds": (), "block_leakage": ()})
 
     def __len__(self):
         return len(self.solutions)
@@ -116,8 +116,8 @@ def solve(system, rays=None, pair=None, seed=0):
 
     The pair is always verified: the coranks at alpha and alpha + alpha0
     must agree before the solve commits to it; nothing is written onto
-    the pair. The check at alpha computes singular values only; the
-    cokernel basis comes from one pivoted QR at alpha + alpha0.
+    the pair. Both coranks come from a pivoted QR with a certified cut
+    (eigensolver.cokernel); the check at alpha skips only the basis.
 
     Every threshold is a module constant: the rank cut TOL_RANK with its
     singular value gap GAP_RATIO, the h0 conditioning limit COND_MAX
@@ -185,7 +185,8 @@ def solve(system, rays=None, pair=None, seed=0):
     timings["cokernel_ms"] = 1e3 * (clock() - t0)
 
     diagnostics = {
-        "res_singular_values": tuple(float(x) for x in cok.singular_values),
+        "res_r_diagonal": tuple(float(x) for x in abs(cok.R.diagonal())),
+        "rank_bounds": cok.rank_bounds,
         "block_leakage": (),
     }
     if cok.delta_plus == 0:

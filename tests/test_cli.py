@@ -195,10 +195,10 @@ def test_solve_emit_csv_diagnostics(tmp_path):
     out = tmp_path / "sol.json"
     res = run("solve", path, "--output", out, "--emit-csv", diag)
     assert res.exit_code == 0, res.output
-    sigma = (diag / "res_singular_values.csv").read_text().splitlines()
+    r_diag = (diag / "res_r_diagonal.csv").read_text().splitlines()
     leak = (diag / "block_leakage.csv").read_text().splitlines()
-    assert sigma[0] == "index,value" and leak[0] == "index,value"
-    assert len(sigma) > 1 and len(leak) > 1
+    assert r_diag[0] == "index,value" and leak[0] == "index,value"
+    assert len(r_diag) > 1 and len(leak) > 1
 
 
 def test_regpair_lines27(tmp_path):
@@ -261,6 +261,16 @@ def test_regpair_verify_rejects_bad_user_pair(tmp_path):
     assert res.exit_code == 0, res.output
     assert "verified=False" in res.output
     assert "coranks=(3, 4)" in res.output
+
+
+def test_regpair_verify_rejects_pair_that_cannot_span(tmp_path):
+    # the two lattice points of alpha0 = [D4] are collinear, so no torus
+    # point could be recovered: refused before the coranks are taken
+    path = write_file(tmp_path, intro_doc())
+    res = run("regpair", path, "--pair", "2,2,0,0;0,0,0,1", "--verify")
+    assert res.exit_code == 6, res.output
+    assert "error (recovery): alpha0 insufficient" in res.output
+    assert "verified=" not in res.output
 
 
 # every numeric flag outside its range: (flag, value, argument named)
@@ -417,5 +427,5 @@ def test_sweep_emit_csv_diagnostics(tmp_path):
     res = run("sweep", path, "--grid", "0:1:1", "--output", tmp_path / "s.csv",
               "--emit-csv", diag)
     assert res.exit_code == 0, res.output
-    assert (diag / "point_000_res_singular_values.csv").exists()
+    assert (diag / "point_000_res_r_diagonal.csv").exists()
     assert (diag / "point_001_block_leakage.csv").exists()

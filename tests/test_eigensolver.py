@@ -1,12 +1,19 @@
 """Res assembly, cokernel ranks, multiplication matrices, Schur clusters."""
 
+import re
+import sys
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.linalg
 import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, graded_basis, homogenize
 from toricsolve.eigensolver import (
+    GAP_RATIO,
     LEAK_TOL,
     TOL_RANK,
     ResMatrix,
@@ -21,6 +28,7 @@ from toricsolve.eigensolver import (
 )
 from toricsolve.errors import InputError, RankAmbiguousError
 from toricsolve.regularity import improved_pair
+from toricsolve.solver import solve
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -136,9 +144,8 @@ def test_res_missing_row_raises():
 
 # --------------------------------------------------------------- cokernel
 
-# the full path makes one pivoted QR for N and the singular values; the
-# corank-only path computes singular values alone, with the same cut and
-# the same gap guard
+# both paths make the same pivoted QR and take the same certified cut; the
+# corank-only path skips the basis and the guard that protects it
 BOTH_PATHS = pytest.mark.parametrize("corank_only", [False, True],
                                      ids=["full", "corank_only"])
 
@@ -289,6 +296,116 @@ def test_cokernel_kahan_raises(tall):
         cokernel(crafted)
     assert f"above the cut {1e-8 * s[0]:.3e}" in str(info.value)
     assert cokernel(crafted, corank_only=True).delta_plus == len(ref)
+
+
+def _planted(seed, rows, cols, kept, decay, gap):
+    """Res-shaped rows x cols matrix U diag(s) V^H: `kept` values from 1
+    down to 10^-decay, then the rest 10^-gap below the last kept value
+    (exact zeros when gap is None)."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    s = np.logspace(0, -decay, kept)
+    tail = np.zeros(k - kept) if gap is None else s[-1] * 10.0 ** -gap * np.logspace(0, -1, k - kept)
+    u = np.linalg.qr(rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, k)) + 1j * rng.standard_normal((cols, k)))[0]
+    return ResMatrix(None, [], (u * np.r_[s, tail]) @ v.conj().T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(2, 30),
+       cols=st.integers(2, 30), kept=st.integers(1, 29),
+       decay=st.floats(0, 7.5), gap=st.one_of(st.none(), st.floats(0, 16)),
+       corank_only=st.booleans())
+# inside the certificate's margin, so the SVD decides: a gap of 10^5.5
+# clears GAP_RATIO but not 1e3 * GAP_RATIO; a last kept value 3e-8 clears
+# the cut but not tenfold; a gap of 10 is ambiguous
+@example(seed=1, rows=20, cols=12, kept=8, decay=6.0, gap=5.5, corank_only=False)
+@example(seed=2, rows=9, cols=25, kept=5, decay=7.5, gap=8.0, corank_only=True)
+@example(seed=3, rows=14, cols=14, kept=9, decay=7.5, gap=1.0, corank_only=False)
+def test_certified_cut_matches_svd_rank(seed, rows, cols, kept, decay, gap,
+                                        corank_only):
+    assume(kept < min(rows, cols))
+    res = _planted(seed, rows, cols, kept, decay, gap)
+    s = np.linalg.svd(res.matrix, compute_uv=False)
+    # a value within rounding of the cut, or a ratio within rounding of
+    # GAP_RATIO, may fall either way between the SVDs of Res and of R
+    assume(not np.isclose(s, TOL_RANK * s[0], rtol=1e-6, atol=0.0).any())
+    r = int(np.sum(s > TOL_RANK * s[0]))
+    assume(not (0 < r < len(s)
+                and np.isclose(s[r - 1], GAP_RATIO * s[r], rtol=1e-6, atol=0.0)))
+    try:
+        want = rows - _rank(s)
+    except RankAmbiguousError as ref:
+        with pytest.raises(RankAmbiguousError) as info:
+            cokernel(res, corank_only=corank_only)
+        # the same message, its two values equal to their last printed digit
+        number = r"\d\.\d+e[+-]\d+"
+        got, want_msg = str(info.value), str(ref)
+        assert re.sub(number, "#", got) == re.sub(number, "#", want_msg)
+        assert np.allclose([float(x) for x in re.findall(number, got)[:2]],
+                           [float(x) for x in re.findall(number, want_msg)[:2]],
+                           rtol=1e-3, atol=0.0)
+        return
+    # a tail just under the cut can leave R22 above it while the SVD sees
+    # a clean gap: the Kahan case below, not a property of the certificate
+    assume(corank_only or not TOL_RANK / 1e3 < s[kept] / s[0] <= TOL_RANK)
+    cok = cokernel(res, corank_only=corank_only)
+    assert cok.delta_plus == want
+    # the bounds bracket the singular values either side of the cut
+    r, slack = rows - want, 1e-13 * s[0]
+    lower, upper = cok.rank_bounds
+    assert lower <= s[r - 1] + slack
+    assert upper >= (s[r] if r < len(s) else 0.0) - slack
+
+
+@pytest.mark.parametrize("gap, exact", [(None, False), (5.5, True)],
+                         ids=["certified", "inside the margin"])
+def test_rank_bounds_certificate_or_exact(gap, exact):
+    res = _planted(1, 20, 12, 8, 6.0, gap)
+    s = np.linalg.svd(res.matrix, compute_uv=False)
+    cok = cokernel(res)
+    assert cok.delta_plus == 12
+    lower, upper = cok.rank_bounds
+    if exact:
+        # the certificate cannot prove a gap of 10^5.5, so the SVD decided
+        assert np.allclose([lower, upper], s[7:9], rtol=1e-12)
+    else:
+        assert lower >= 1e3 * GAP_RATIO * upper
+        assert s[8] <= upper + 1e-13 and lower <= s[7]
+
+
+# at 1e200 and 1e-200 the squares in the norms of R or of R11^-1 would
+# overflow or underflow without the 1 / |r_11| scaling
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-200])
+@pytest.mark.parametrize("corank_only", [False, True], ids=["full", "corank_only"])
+def test_certificate_survives_extreme_scale(scale, corank_only):
+    res = assemble_res(lines27_system(), (0, 0, 5, 5, 0, 0))
+    scaled = ResMatrix(res.rows, res.col_blocks, res.matrix * scale)
+    # warnings are errors in this suite: no overflow, underflow or division
+    cok = cokernel(scaled, corank_only=corank_only)
+    assert cok.delta_plus == 45
+    lower, upper = cok.rank_bounds
+    assert lower >= 1e3 * GAP_RATIO * upper
+    assert 1e-12 * scale < lower < 1e3 * scale
+
+
+def test_benchmark_shaped_res_certifies_without_svd(monkeypatch):
+    svd = np.linalg.svd
+
+    def no_svd_here(*args, **kwargs):
+        # recovery's least squares may still use the SVD; the rank may not
+        if sys._getframe(1).f_globals["__name__"] == "toricsolve.eigensolver":
+            raise AssertionError("the rank cut fell back to an SVD")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd_here)
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    assert solve(lines27_laurent(c), rays=LINES27_RAYS, seed=1).delta_plus == 45
+    cube = [p for p in product(range(4), repeat=3) if sum(p) <= 3]
+    dense = [[(p, rng.standard_normal() + 1j * rng.standard_normal()) for p in cube]
+             for _ in range(3)]
+    assert solve(dense, seed=1).delta_plus == 27
 
 
 # ------------------------------------------------- multiplication family

@@ -287,6 +287,8 @@ def test_write_series_csv(tmp_path):
 
 def test_solution_set_diagnostics_present():
     result = solved_pillow()
-    assert len(result.diagnostics["res_singular_values"]) > 0
+    assert len(result.diagnostics["res_r_diagonal"]) > 0
+    lower, upper = result.diagnostics["rank_bounds"]
+    assert lower > upper
     assert len(result.diagnostics["block_leakage"]) > 0
     assert max(result.diagnostics["block_leakage"]) <= 1e-6

@@ -632,9 +632,14 @@ def test_solve_deterministic():
     assert [s.zero_pattern for s in a.solutions] == [s.zero_pattern for s in b.solutions]
 
 
-def test_solve_span_failure_is_typed():
+def test_solve_span_failure_is_typed(monkeypatch):
     # alpha0 = [D4] has two collinear lattice points: no cluster can be
-    # read back on the torus, so solve stops instead of trying the boundary
+    # read back on the torus, so the user pair is refused before any Res
+    # is assembled, let alone a cokernel, family or Schur form computed
+    def no_res(*args, **kwargs):
+        raise AssertionError("assemble_res called for a pair that cannot span")
+
+    monkeypatch.setattr(solver_module, "assemble_res", no_res)
     with pytest.raises(SpanError) as info:
         solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS,
               pair=((2, 2, 0, 0), (0, 0, 0, 1)))
