@@ -184,8 +184,11 @@ def _qr_rank(R, reveal):
     sigma_1 <= ||R||_F by interlacing and Weyl. Within the margins below,
     r is the rank _rank gives on the singular values, and both guards
     pass. Otherwise a values-only SVD of R decides; with reveal, an R22
-    above the cut raises.
+    above the cut raises. A non-finite R (Res beyond double range) raises.
     """
+    if not np.isfinite(R).all():
+        raise RankAmbiguousError(
+            "Res overflows double precision: its pivoted QR has a non-finite entry")
     d = np.abs(np.diagonal(R))
     if d[0] > 0.0:
         S = R / d[0]
@@ -236,8 +239,9 @@ def cokernel(res, corank_only=False):
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
-            by less than GAP_RATIO, so the corank is not trustworthy; or
-            (full path) R22 exceeds the cut: the QR does not reveal the rank.
+            by less than GAP_RATIO, so the corank is not trustworthy;
+            Res overflows double precision in the QR; or (full path) R22
+            exceeds the cut: the QR does not reveal the rank.
     """
     A = res.matrix
     nrows, ncols = A.shape

@@ -55,8 +55,9 @@ class RankAmbiguousError(ToricSolveError):
 
     Raised when the singular value gap at the cut is below the configured
     ratio, so the corank (and with it the solution count) is not trustworthy,
-    or when the pivoted QR behind a cokernel basis leaves a trailing block
-    above the cut, so the basis would not annihilate the image.
+    when the pivoted QR behind a cokernel basis leaves a trailing block
+    above the cut, so the basis would not annihilate the image, or when
+    Res overflows double precision in that QR.
     """
 
     exit_code = 4

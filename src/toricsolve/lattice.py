@@ -561,28 +561,5 @@ class Polytope:
         }
         return Polytope.from_points(sums)
 
-    def dilate(self, k):
-        """Scale by a positive integer factor."""
-        if k < 1:
-            raise ValueError("dilation factor must be a positive integer")
-        verts = [tuple(_canon_num(k * x) for x in v) for v in self.vertices]
-        ineqs = None
-        if self.ineqs is not None:
-            ineqs = [(g, _canon_num(k * c)) for g, c in self.ineqs]
-        return Polytope(self.n, self.dim, verts, ineqs)
-
-    def codegree(self):
-        """Smallest c >= 1 such that c*P has an interior lattice point.
-
-        Only defined for full-dimensional polytopes; for those it is at
-        most dim + 1.
-        """
-        if self.dim != self.n:
-            raise ValueError("codegree needs a full-dimensional polytope")
-        for c in range(1, self.n + 2):
-            if self.dilate(c).relint_lattice_points():
-                return c
-        raise AssertionError("codegree exceeded dim + 1, input is not a lattice polytope?")
-
     def __repr__(self):
         return f"Polytope(n={self.n}, dim={self.dim}, vertices={len(self.vertices)})"

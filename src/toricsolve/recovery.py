@@ -231,14 +231,17 @@ def _branch_solve(plan, a, ratios, errs):
     psi = (args[:, None, :] @ np.swapaxes(u, 1, 2) + offsets) / dd[:, None, :]
     t = np.exp(moduli + 1j * (psi @ np.swapaxes(v, 1, 2)))
     a = a[:, None]  # one set of rows per cluster, shared by its branches
-    for _ in range(3):
-        # principal log keeps each step inside one branch; bad branches
-        # fail verification below instead of being pulled across
-        dev = np.log(ratios[:, None, :] / _monomials(t, a))
-        t = t * np.exp((dev * w[:, None, :]) @ pinv_t)
-    rel = np.abs(_monomials(t, a) - ratios[:, None, :]) / np.abs(ratios[:, None, :])
+    # a cluster that is no torus point may drive t to 0 or inf, and its
+    # powers to nan; such a branch fails verification, nan included
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(3):
+            # principal log keeps each step inside one branch; bad branches
+            # fail verification below instead of being pulled across
+            dev = np.log(ratios[:, None, :] / _monomials(t, a))
+            t = t * np.exp((dev * w[:, None, :]) @ pinv_t)
+        rel = np.abs(_monomials(t, a) - ratios[:, None, :]) / np.abs(ratios[:, None, :])
     tol = RATIO_TOL + 10.0 * errs[:, None, :]
-    ok = ~(rel > tol).any(axis=2)
+    ok = (rel <= tol).all(axis=2)
     score = ((rel / tol) ** 2).sum(axis=2)
     # the first verified branch, replaced only by a strictly lower score
     best = np.full(len(ratios), -1)

@@ -8,10 +8,13 @@ pairs, exploiting fan structure when it is recognized, and verifies a
 candidate numerically by comparing the two coranks.
 
 Selection strategy: always form the safe sum-of-degrees pair, then try
-every specialized construction that applies (projective space, products
-of projective spaces, weighted projective space, dilates of a common
-base polytope, and a direct cohomology-vanishing search), and keep the
-candidate whose Res matrix at alpha + alpha0 has the fewest rows.
+the closed forms that apply (projective space, products of projective
+spaces, weighted projective space) and a direct cohomology-vanishing
+search, and keep the candidate whose Res matrix at alpha + alpha0 has
+the fewest rows. The search covers unmixed systems, whose degrees are
+d_i * B for one class B: there every class it tests is a multiple of
+B, so its cohomology is decidable, and the walk stops at the codegree
+bound ((sum d_i - c + 1) * B, B), c the codegree of B's polytope.
 """
 
 import math
@@ -47,7 +50,6 @@ class Provenance(Enum):
     """How a degree pair was constructed."""
 
     SUM_OF_DEGREES = "SumOfDegrees"
-    CODEGREE = "Codegree"
     MACAULAY = "Macaulay"
     MULTIHOMOGENEOUS = "Multihomogeneous"
     WEIGHTED = "Weighted"
@@ -94,33 +96,6 @@ def predicted_shape(system, pair):
     fan, top = system.fan, pair.top
     cols = sum(len(graded_basis(fan, top - div)) for div in system.degrees)
     return len(graded_basis(fan, top)), cols
-
-
-def _unmixed_base(system):
-    """Primitive common base of the equation degrees, or None.
-
-    Looks for a vector a0 with every tight representative a_i equal to
-    d_i * a0 for positive integers d_i. Uses the primitive choice (the
-    first representative divided by its content), which maximizes the
-    dilation factors and so gives the finest-grained codegree pair.
-    """
-    if not system.degrees:
-        return None
-    reps = [div.a for div in system.degrees]
-    content = math.gcd(*(abs(x) for x in reps[0]))
-    if content == 0:
-        return None
-    base = tuple(x // content for x in reps[0])
-    pivot = next(j for j, x in enumerate(base) if x != 0)
-    dils = []
-    for rep in reps:
-        if rep[pivot] % base[pivot] != 0:
-            return None
-        d = rep[pivot] // base[pivot]
-        if d <= 0 or rep != tuple(d * x for x in base):
-            return None
-        dils.append(d)
-    return DivisorClass(system.fan, base), tuple(dils)
 
 
 def _spans_affinely(div):
@@ -296,25 +271,6 @@ def _weighted_candidate(system):
     )
 
 
-def _codegree_candidate(system):
-    """Pair for degrees that are dilates of one base polytope.
-
-    With alpha_i = d_i * alpha0 and c the codegree of the base polytope,
-    the pair is ((sum d_i - (c - 1)) * alpha0, alpha0).
-    """
-    unmixed = _unmixed_base(system)
-    if not unmixed:
-        return None
-    base, dils = unmixed
-    if not _multiplier_ok(base):
-        return None
-    c = base.polytope().codegree()
-    t = sum(dils) - (c - 1)
-    if t < 0:
-        return None
-    return RegularityPair(t * base, base, Provenance.CODEGREE)
-
-
 def _vanishing_candidate(system, default):
     """Largest t with sum(alpha_i) - t * alpha0 passing the vanishing test.
 
@@ -341,9 +297,12 @@ def _vanishing_candidate(system, default):
 def improved_pair(system):
     """Best applicable pair: smallest dim S_{alpha + alpha0}.
 
-    Builds the default sum-of-degrees pair, every specialized candidate
+    Builds the default sum-of-degrees pair, every closed-form candidate
     that applies, and the vanishing-test pair, then keeps the one whose
-    Res matrix has the fewest rows. Specialized candidates win ties.
+    Res matrix has the fewest rows. Closed forms win ties, and the
+    default loses them. On unmixed degrees the vanishing search yields
+    the codegree pair, or nothing when the codegree is 1, where that
+    pair is the default.
 
     The choice depends on the fan and the equation degrees alone, so the
     fan keeps it per tuple of degree representatives and every call
@@ -360,7 +319,6 @@ def improved_pair(system):
         for cand in (
             _macaulay_candidate(system),
             _weighted_candidate(system),
-            _codegree_candidate(system),
             _vanishing_candidate(system, default),
         ):
             if cand is not None and len(graded_basis(system.fan, cand.alpha)) > 0:
@@ -409,7 +367,8 @@ def verify_pair(system, pair):
 
     Raises:
         RankAmbiguousError: the certificate fails and a singular value
-            gap is too shallow to trust either corank.
+            gap is too shallow to trust either corank, or Res overflows
+            double precision.
     """
     lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
                   corank_only=True)

@@ -6,16 +6,19 @@ surface, projective planes, and the classic 4-variable system whose
 compactification is P^2 x P^2. Values asserted against these were
 derived by hand (lattice point counts, Smith forms, volumes) before the
 library existed. The library computes no volumes; `mixed_volume` below
-is the tests' floating-point reference for the BKK count.
+is the tests' floating-point reference for the BKK count, and
+`unmixed_base`, `dilate` and `codegree` are the reference for the
+codegree bound, which the library reaches through its vanishing search.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from toricsolve.lattice import Polytope
-from toricsolve.toric import Fan
+from toricsolve.toric import DivisorClass, Fan
 
 # quotient of P^1 x P^1 with class group Z^2 + Z/2; normal fan of the diamond
 PILLOW_RAYS = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
@@ -45,6 +48,59 @@ def mixed_volume(supports):
                 vol = 0.0
             total += (-1) ** (n - k) * vol
     return int(round(total))
+
+
+def _scaled(k, x):
+    x = k * x
+    return int(x) if x == int(x) else x
+
+
+def dilate(poly, k):
+    """k * poly for a positive integer k: vertices and facet offsets scale."""
+    if k < 1:
+        raise ValueError("dilation factor must be a positive integer")
+    verts = [tuple(_scaled(k, x) for x in v) for v in poly.vertices]
+    ineqs = None if poly.ineqs is None else [(g, _scaled(k, c)) for g, c in poly.ineqs]
+    return Polytope(poly.n, poly.dim, verts, ineqs)
+
+
+def codegree(poly):
+    """Smallest c >= 1 such that c * poly has an interior lattice point.
+
+    Only defined for full-dimensional lattice polytopes; for those it is
+    at most dim + 1.
+    """
+    if poly.dim != poly.n:
+        raise ValueError("codegree needs a full-dimensional polytope")
+    for c in range(1, poly.n + 2):
+        if dilate(poly, c).relint_lattice_points():
+            return c
+    raise AssertionError("codegree exceeded dim + 1, input is not a lattice polytope?")
+
+
+def unmixed_base(system):
+    """(B, (d_1, ..., d_s)) with every tight degree vector d_i * B, or None.
+
+    B is primitive (the first representative divided by its content), so
+    the dilation factors are as large as they can be.
+    """
+    if not system.degrees:
+        return None
+    reps = [div.a for div in system.degrees]
+    content = math.gcd(*(abs(x) for x in reps[0]))
+    if content == 0:
+        return None
+    base = tuple(x // content for x in reps[0])
+    pivot = next(j for j, x in enumerate(base) if x != 0)
+    dils = []
+    for rep in reps:
+        if rep[pivot] % base[pivot] != 0:
+            return None
+        d = rep[pivot] // base[pivot]
+        if d <= 0 or rep != tuple(d * x for x in base):
+            return None
+        dils.append(d)
+    return DivisorClass(system.fan, base), tuple(dils)
 
 
 def diamond_polytope():
@@ -158,6 +214,14 @@ def pillow_laurent():
     f1 = [((1, 0), 1), ((0, -1), -1), ((0, 1), 1), ((-1, 0), 1)]
     f2 = [((1, 0), 2), ((0, -1), 1), ((0, 1), -1), ((-1, 0), -1)]
     return [f1, f2]
+
+
+# intro-shaped, with a first equation at the top of double range: Res is
+# finite, its pivoted QR is not
+OVERFLOW_LAURENT = [
+    [((0, 0), 1e308), ((1, 0), 1e308), ((0, 1), 1)],
+    [((0, 0), 1), ((1, 0), 1), ((0, 1), 2)],
+]
 
 
 def intro_laurent(eps):

@@ -14,6 +14,7 @@ from toricsolve.errors import InputError
 from systems import (
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
+    OVERFLOW_LAURENT,
     PILLOW_RAYS_SOLVE,
     intro_laurent,
     lines27_laurent,
@@ -271,6 +272,16 @@ def test_regpair_verify_rejects_pair_that_cannot_span(tmp_path):
     assert res.exit_code == 6, res.output
     assert "error (recovery): alpha0 insufficient" in res.output
     assert "verified=" not in res.output
+
+
+@pytest.mark.parametrize("args", [("solve",), ("regpair", "--verify")],
+                         ids=["solve", "regpair-verify"])
+def test_res_overflow_exits_4(tmp_path, args):
+    # Res is finite but its QR is not: a typed rank error, not a traceback
+    path = write_file(tmp_path, as_file_dict(OVERFLOW_LAURENT))
+    res = run(args[0], path, *args[1:])
+    assert res.exit_code == 4, res.output
+    assert "error (rank): Res overflows double precision" in res.output
 
 
 # every numeric flag outside its range: (flag, value, argument named)

@@ -27,12 +27,13 @@ from toricsolve.eigensolver import (
     schur_cluster,
 )
 from toricsolve.errors import InputError, RankAmbiguousError
-from toricsolve.regularity import improved_pair
+from toricsolve.regularity import improved_pair, verify_pair
 from toricsolve.solver import solve
 
 from systems import (
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
+    OVERFLOW_LAURENT,
     P2_RAYS,
     PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
@@ -387,6 +388,15 @@ def test_certificate_survives_extreme_scale(scale, corank_only):
     lower, upper = cok.rank_bounds
     assert lower >= 1e3 * GAP_RATIO * upper
     assert 1e-12 * scale < lower < 1e3 * scale
+
+
+def test_res_beyond_double_range_is_typed():
+    with pytest.raises(RankAmbiguousError, match="overflows double precision") as info:
+        solve(OVERFLOW_LAURENT)
+    assert (info.value.stage, info.value.exit_code) == ("rank", 4)
+    system = homogenize(OVERFLOW_LAURENT)
+    with pytest.raises(RankAmbiguousError, match="overflows double precision"):
+        verify_pair(system, improved_pair(system))
 
 
 def test_benchmark_shaped_res_certifies_without_svd(monkeypatch):

@@ -1,6 +1,7 @@
 """Degree pair selection, the vanishing test, and corank verification."""
 
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from toricsolve.lattice import Polytope
 from toricsolve.regularity import (
     Provenance,
     RegularityPair,
+    _macaulay_candidate,
+    _multiplier_ok,
+    _vanishing_candidate,
+    _weighted_candidate,
     default_pair,
     improved_pair,
-    _unmixed_base,
     predicted_shape,
     user_pair,
     vanishing_pair,
@@ -37,9 +41,11 @@ from systems import (
     PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
     WP112_RAYS,
+    codegree,
     intro_laurent,
     lines27_laurent,
     pillow_laurent,
+    unmixed_base,
 )
 
 P1_RAYS = [(1,), (-1,)]
@@ -80,6 +86,41 @@ def wp112_system(seed=5):
             [(m, complex(rng.standard_normal(), rng.standard_normal())) for m in support]
         )
     return homogenize(eqs, rays=WP112_RAYS)
+
+
+def pair_vectors(pair):
+    """(alpha, alpha0) as degree vectors, not classes: equal classes may
+    still give different Res matrices."""
+    return pair.alpha.a, pair.alpha0.a
+
+
+def codegree_pair(system):
+    """The codegree bound: with degrees d_i * B, B nef Cartier with
+    spanning lattice points and c the codegree of its polytope, the
+    vectors ((sum d_i - c + 1) * B, B); None where it does not apply."""
+    unmixed = unmixed_base(system)
+    if not unmixed or not _multiplier_ok(unmixed[0]):
+        return None
+    base, dils = unmixed
+    t = sum(dils) - codegree(base.polytope()) + 1
+    return None if t < 0 else ((t * base).a, base.a)
+
+
+def reference_improved_pair(system):
+    """Vectors of the smallest Res among the closed forms, the codegree
+    pair, the vanishing search and the default, earlier ones winning
+    ties: improved_pair as it was with a codegree recipe of its own."""
+    fan = system.fan
+    default = default_pair(system)
+    closed = (_macaulay_candidate(system), _weighted_candidate(system))
+    vanishing = _vanishing_candidate(system, default)
+    pairs = [pair_vectors(p) for p in closed if p]
+    pairs.append(codegree_pair(system))
+    if vanishing:
+        pairs.append(pair_vectors(vanishing))
+    pairs = [p for p in pairs if p and len(graded_basis(fan, p[0])) > 0]
+    pairs.append(pair_vectors(default))
+    return min(pairs, key=lambda p: len(graded_basis(fan, tuple(a + b for a, b in zip(*p)))))
 
 
 # default pair
@@ -140,19 +181,20 @@ def test_profile_lines27_product():
 
 
 def test_profile_intro_unmixed():
-    base, dils = _unmixed_base(intro_system())
+    base, dils = unmixed_base(intro_system())
     assert base == DivisorClass(base.fan, (0, 0, 1, 2))
     assert dils == (1, 1)
+    assert codegree(base.polytope()) == 2
 
 
 def test_profile_p2_base_with_distinct_dilations():
-    base, dils = _unmixed_base(p2_system())
+    base, dils = unmixed_base(p2_system())
     assert base.degree() == ((1,), ())
     assert dils == (2, 3)
 
 
 def test_profile_mixed_degrees_have_no_base():
-    assert _unmixed_base(lines27_system()) is None
+    assert unmixed_base(lines27_system()) is None
 
 
 # improved pair
@@ -179,22 +221,26 @@ def test_improved_pair_p2_macaulay():
     assert verify_pair(system, pair) == (6, 6)
 
 
-def test_improved_pair_pillow_codegree():
+def test_improved_pair_pillow_sum_of_degrees():
+    # the diamond has codegree 1, so the codegree pair is the default one
     system = pillow_system()
     fan = system.fan
     pair = improved_pair(system)
-    assert pair.provenance is Provenance.CODEGREE
+    assert pair.provenance is Provenance.SUM_OF_DEGREES
     assert pair.alpha == DivisorClass(fan, (2, 2, 2, 2))
     assert pair.alpha0 == DivisorClass(fan, (1, 1, 1, 1))
+    assert pair_vectors(pair) == codegree_pair(system)
 
 
-def test_improved_pair_hirzebruch_codegree():
+def test_improved_pair_hirzebruch_vanishing():
+    # unmixed with codegree 2: the vanishing walk stops at the codegree pair
     system = intro_system()
     fan = system.fan
     pair = improved_pair(system)
-    assert pair.provenance is Provenance.CODEGREE
+    assert pair.provenance is Provenance.VANISHING_TEST
     assert pair.alpha == DivisorClass(fan, (0, 0, 1, 2))
     assert pair.alpha0 == DivisorClass(fan, (0, 0, 1, 2))
+    assert pair_vectors(pair) == codegree_pair(system)
     default = default_pair(system)
     assert len(graded_basis(fan, pair.top)) < len(graded_basis(fan, default.top))
 
@@ -377,3 +423,31 @@ def test_default_pair_verifies_on_random_squares(picks, seed):
     assert lo == hi >= 1
     fan = system.fan
     assert len(graded_basis(fan, improved.top)) <= len(graded_basis(fan, pair.top))
+
+
+# unmixed systems: with no codegree recipe, the vanishing search returns
+# the codegree pair, or the default returns it when the codegree is 1
+
+
+def lattice_polytopes(n):
+    box = list(product(range(3), repeat=n))
+    return st.sets(st.sampled_from(box), min_size=n + 1, max_size=n + 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
+        lattice_polytopes(n), st.lists(st.integers(1, 3), min_size=n, max_size=n))),
+    rays=st.none() | st.randoms(use_true_random=False),
+)
+def test_improved_pair_matches_codegree_reference(case, rays):
+    points, dils = case
+    poly = Polytope.from_points(points)
+    assume(poly.dim == poly.n)
+    eqs = [[(tuple(d * x for x in v), 1.0) for v in poly.vertices] for d in dils]
+    if rays is not None:
+        facets = [g for g, _c in poly.ineqs]
+        rays.shuffle(facets)
+        rays = facets
+    system = homogenize(eqs, rays=rays)
+    assert pair_vectors(improved_pair(system)) == reference_improved_pair(system)
