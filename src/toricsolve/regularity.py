@@ -4,17 +4,17 @@ The solver works inside two graded pieces of the Cox ring: eigenvector
 coordinates live in S_alpha and the multiplier h ranges over S_alpha0.
 The pair (alpha, alpha0) is admissible when the cokernel of Res has the
 same dimension at alpha and at alpha + alpha0; this module picks such
-pairs, exploiting fan structure when it is recognized, and verifies a
-candidate numerically by comparing the two coranks.
+pairs and verifies a candidate numerically by comparing the two
+coranks.
 
-Selection strategy: always form the safe sum-of-degrees pair, then try
-the closed forms that apply (projective space, products of projective
-spaces, weighted projective space) and a direct cohomology-vanishing
-search, and keep the candidate whose Res matrix at alpha + alpha0 has
-the fewest rows. The search covers unmixed systems, whose degrees are
-d_i * B for one class B: there every class it tests is a multiple of
-B, so its cohomology is decidable, and the walk stops at the codegree
-bound ((sum d_i - c + 1) * B, B), c the codegree of B's polytope.
+Selection strategy: start at the safe sum-of-degrees pair and walk
+alpha down through the region where the paper's cohomology-vanishing
+criterion holds, one step of alpha0 or of a ray divisor at a time,
+keeping the step whose Res at alpha + alpha0 has the fewest rows. The
+closed forms the paper derives from that criterion (Macaulay on
+projective spaces and their products, weighted projective spaces, the
+codegree bound on unmixed systems) are points of the same region, so
+the walk needs no recipe for any of them.
 """
 
 import math
@@ -31,7 +31,6 @@ from .toric import (
     cohomology_dims,
     is_effective,
     is_nef_cartier,
-    weighted_projective_weights,
 )
 
 __all__ = [
@@ -50,9 +49,6 @@ class Provenance(Enum):
     """How a degree pair was constructed."""
 
     SUM_OF_DEGREES = "SumOfDegrees"
-    MACAULAY = "Macaulay"
-    MULTIHOMOGENEOUS = "Multihomogeneous"
-    WEIGHTED = "Weighted"
     VANISHING_TEST = "VanishingTest"
     USER_SUPPLIED = "UserSupplied"
 
@@ -164,6 +160,28 @@ def default_pair(system):
     return RegularityPair(alpha, _select_multiplier(system, alpha), Provenance.SUM_OF_DEGREES)
 
 
+def _vanishes(system, beta, verdicts):
+    """The vanishing criterion at beta, each class decided once.
+
+    verdicts maps the class of a twist beta - sum_{i in J} alpha_i to
+    whether its higher cohomology is known to vanish; cohomology depends
+    only on the class, so one map serves every beta of a search.
+    """
+    s = len(system)
+    for r in range(s + 1):
+        for J in combinations(range(s), r):
+            diff = beta
+            for i in J:
+                diff = diff - system.degrees[i]
+            key = diff.degree()
+            if key not in verdicts:
+                dims, _reason = cohomology_dims(diff)
+                verdicts[key] = dims is not None and not any(dims[1:])
+            if not verdicts[key]:
+                return False
+    return True
+
+
 def vanishing_pair(system, beta):
     """Check the cohomological criterion for beta to bound the regularity.
 
@@ -171,138 +189,70 @@ def vanishing_pair(system, beta):
     subsets J of the equations. Conservative: any cohomology this code
     cannot decide counts as a failure.
     """
-    fan = system.fan
-    beta = beta if isinstance(beta, DivisorClass) else DivisorClass(fan, beta)
-    s = len(system)
-    for r in range(s + 1):
-        for J in combinations(range(s), r):
-            diff = beta
-            for i in J:
-                diff = diff - system.degrees[i]
-            dims, _reason = cohomology_dims(diff)
-            if dims is None or any(dims[1:]):
-                return False
-    return True
+    if not isinstance(beta, DivisorClass):
+        beta = DivisorClass(system.fan, beta)
+    return _vanishes(system, beta, {})
 
 
-def _macaulay_candidate(system):
-    """Pair for (products of) projective spaces from the Macaulay bound.
+def _walk(system):
+    """Greedy walk from the default pair through the vanishing region.
 
-    Per factor j: c_j = sum_i d_ij - n_j with d_ij the multidegree of
-    f_i on that factor; alpha puts c_j on one ray of each factor and
-    alpha0 is the (1, ..., 1) class. Skipped when any c_j is negative
-    or any equation has a negative multidegree.
+    Each round tries alpha - alpha0, then alpha - D_j for the first ray
+    divisor D_j of each further nonzero class. A step passes when the criterion
+    holds at the candidate and at candidate + alpha0 and the candidate
+    has sections; the passing step with the fewest rows at
+    candidate + alpha0 is taken, the earlier one on ties. Every step
+    subtracts a nonzero effective class from an effective one, so the
+    walk ends.
     """
     fan = system.fan
-    groups = fan.product_structure
-    if not groups:
-        return None
-    multidegs = []
-    for div in system.degrees:
-        md = tuple(sum(div.a[j] for j in grp) for grp, _n in groups)
-        if any(x < 0 for x in md):
-            return None
-        multidegs.append(md)
-    rep = [0] * fan.k
-    rep0 = [0] * fan.k
-    for j, (grp, n_j) in enumerate(groups):
-        c_j = sum(md[j] for md in multidegs) - n_j
-        if c_j < 0:
-            return None
-        rep[grp[0]] = c_j
-        rep0[grp[0]] = 1
-    prov = Provenance.MACAULAY if len(groups) == 1 else Provenance.MULTIHOMOGENEOUS
-    return RegularityPair(DivisorClass(fan, rep), DivisorClass(fan, rep0), prov)
+    default = default_pair(system)
+    alpha, alpha0 = default.alpha, default.alpha0
+    rays = [DivisorClass(fan, tuple(int(i == j) for i in range(fan.k))) for j in range(fan.k)]
+    # a zero alpha0 (the fallback multiplier can be one) would never move
+    steps, seen = [], {(0 * alpha0).degree()}
+    for step in [alpha0] + rays:
+        if step.degree() not in seen:
+            seen.add(step.degree())
+            steps.append(step)
+    verdicts, sizes = {}, {}
 
+    def size(div):
+        key = div.degree()
+        if key not in sizes:
+            sizes[key] = len(graded_basis(fan, div))
+        return sizes[key]
 
-def _weighted_rep(fan, weights, target):
-    """Divisor vector with given weighted degree, by coin-change DP."""
-    if target < 0:
-        return None
-    reach = [None] * (target + 1)
-    reach[0] = []
-    for amount in range(1, target + 1):
-        for j, q in enumerate(weights):
-            if q <= amount and reach[amount - q] is not None:
-                reach[amount] = reach[amount - q] + [j]
-                break
-    picks = reach[target]
-    if picks is None:
-        return None
-    rep = [0] * fan.k
-    for j in picks:
-        rep[j] += 1
-    return tuple(rep)
-
-
-def _weighted_candidate(system):
-    """Pair on a weighted projective space P(q).
-
-    With l = lcm(q) and deg f_i = k_i * eta, applies only when l | k_i
-    for all i; then d_i = k_i / l and the pair is
-    (d_reg * eta, l * eta) with d_reg = l * sum d_i - sum q + 1.
-    Valid only when l * eta has no basepoints on the solution set; a
-    basepoint makes the restricted N_{h_0} singular for every h_0, so
-    multiplication_family raises BasepointError.
-    """
-    fan = system.fan
-    weights = weighted_projective_weights(fan)
-    if not weights:
-        return None
-    if fan.class_group.free_rank != 1 or fan.class_group.torsion:
-        return None
-    ell = math.lcm(*weights)
-    dils = []
-    for div in system.degrees:
-        (free, _tors) = div.degree()
-        k_i = free[0]
-        if k_i <= 0 or k_i % ell != 0:
-            return None
-        dils.append(k_i // ell)
-    d_reg = ell * sum(dils) - sum(weights) + 1
-    rep = _weighted_rep(fan, weights, d_reg)
-    rep0 = _weighted_rep(fan, weights, ell)
-    if rep is None or rep0 is None:
-        return None
-    return RegularityPair(
-        DivisorClass(fan, rep),
-        DivisorClass(fan, rep0),
-        Provenance.WEIGHTED,
-    )
-
-
-def _vanishing_candidate(system, default):
-    """Largest t with sum(alpha_i) - t * alpha0 passing the vanishing test.
-
-    Walks t = 1, 2, ... while the criterion holds and sections remain,
-    so the resulting alpha and alpha + alpha0 both satisfy it. Returns
-    None when even t = 1 fails or cohomology cannot be decided.
-    """
-    alpha0 = default.alpha0
-    best = None
-    t = 1
     while True:
-        cand = default.alpha - t * alpha0
-        if len(graded_basis(system.fan, cand)) == 0:
+        best = None
+        for step in steps:
+            cand = alpha - step
+            top = cand + alpha0
+            # the criterion is cheap; counting sections builds polytopes
+            if not (_vanishes(system, cand, verdicts) and _vanishes(system, top, verdicts)):
+                continue
+            if size(cand) > 0 and (best is None or size(top) < size(best + alpha0)):
+                best = cand
+        if best is None:
             break
-        if not vanishing_pair(system, cand):
-            break
-        best = t
-        t += 1
-    if best is None:
-        return None
-    return RegularityPair(default.alpha - best * alpha0, alpha0, Provenance.VANISHING_TEST)
+        alpha = best
+    if alpha is default.alpha:
+        return default
+    return RegularityPair(alpha, alpha0, Provenance.VANISHING_TEST)
 
 
 def improved_pair(system):
-    """Best applicable pair: smallest dim S_{alpha + alpha0}.
+    """The pair the greedy vanishing walk reaches (_walk).
 
-    Builds the default sum-of-degrees pair, every closed-form candidate
-    that applies, and the vanishing-test pair, then keeps the one whose
-    Res matrix has the fewest rows. Closed forms win ties, and the
-    default loses them. On unmixed degrees the vanishing search yields
-    the codegree pair, or nothing when the codegree is 1, where that
-    pair is the default.
+    The walk starts at the default sum-of-degrees pair and keeps its
+    alpha0. It lowers alpha by alpha0 or by a ray divisor while the
+    cohomology-vanishing criterion holds at alpha and at alpha + alpha0,
+    each time taking the step with the smallest Res at alpha + alpha0.
+    On projective spaces and their products it reaches the Macaulay
+    class; on unmixed degrees d_i * B its Res is no larger than at the
+    codegree pair ((sum d_i - c + 1) * B, B), c the codegree of B's
+    polytope. The result has provenance VanishingTest, or is the default
+    pair itself when no step passes.
 
     The choice depends on the fan and the equation degrees alone, so the
     fan keeps it per tuple of degree representatives and every call
@@ -314,19 +264,7 @@ def improved_pair(system):
     memo = system.fan._pairs
     key = tuple(div.a for div in system.degrees)
     if key not in memo:
-        default = default_pair(system)
-        candidates = []
-        for cand in (
-            _macaulay_candidate(system),
-            _weighted_candidate(system),
-            _vanishing_candidate(system, default),
-        ):
-            if cand is not None and len(graded_basis(system.fan, cand.alpha)) > 0:
-                candidates.append(cand)
-        candidates.append(default)
-        # min keeps the first of equal sizes, so the default loses ties
-        memo[key] = min(candidates,
-                        key=lambda cand: len(graded_basis(system.fan, cand.top)))
+        memo[key] = _walk(system)
     return memo[key]
 
 

@@ -24,7 +24,6 @@ from .lattice import (
     det_int,
     dot,
     int_vector,
-    integer_kernel,
     is_int,
     primitive,
     rank_int,
@@ -43,7 +42,6 @@ __all__ = [
     "is_effective",
     "cohomology_dims",
     "projective_product_structure",
-    "weighted_projective_weights",
     "boundary_stratum_check",
 ]
 
@@ -334,29 +332,6 @@ def projective_product_structure(fan):
     return [(g, len(g) - 1) for g in groups]
 
 
-def weighted_projective_weights(fan):
-    """Weights (q_0, ..., q_n) if the fan is a weighted projective space.
-
-    Requires exactly n+1 rays whose single primitive relation has all
-    positive coefficients. Returns the weight tuple in ray order, or None.
-    """
-    if fan.k != fan.n + 1:
-        return None
-    rel = integer_kernel([[fan.rays[j][c] for j in range(fan.k)] for c in range(fan.n)])
-    if len(rel) != 1:
-        return None
-    q = rel[0]
-    if all(x < 0 for x in q):
-        q = tuple(-x for x in q)
-    if not all(x > 0 for x in q):
-        return None
-    # max cones of P(q) are all n-subsets
-    expected = {tuple(c) for c in combinations(range(fan.k), fan.n)}
-    if set(fan.max_cones) != expected:
-        return None
-    return q
-
-
 def _proj_space_h(d, n):
     """Cohomology dimensions of O(d) on P^n: (h^0, 0, ..., 0, h^n)."""
     h = [0] * (n + 1)
@@ -371,44 +346,39 @@ def cohomology_dims(div):
     """All sheaf cohomology dimensions h^0..h^n of O(div), when decidable.
 
     Three routes, tried in order:
+      * the fan is a product of projective spaces: Kunneth from the
+        one-factor formulas, exact for every class and free of polytopes,
       * div nef Q-Cartier: h^0 counts lattice points of the section
         polytope, higher cohomology vanishes,
-      * -div nef Q-Cartier: only h^n can survive and it counts interior
-        lattice points of the section polytope of -div,
-      * the fan is a product of projective spaces: Kunneth from the
-        one-factor formulas.
+      * -div nef Q-Cartier: only h^p with p the dimension of the section
+        polytope P of -div can survive, and it counts the lattice points
+        in the relative interior of P (h^n when P is full-dimensional).
 
     Returns (dims, reason): dims is a list of length n+1 or None when no
     route applies, and reason says which route fired or why none did.
     """
     fan = div.fan
     n = fan.n
-    if nef_witness(div) is not None:
-        dims = [0] * (n + 1)
-        dims[0] = len(div.polytope().lattice_point_array())
-        return dims, "nef"
-    if nef_witness(-div) is not None:
-        dims = [0] * (n + 1)
-        dims[n] = len((-div).polytope().relint_lattice_points())
-        return dims, "anti-nef"
     prod = fan.product_structure
     if prod is not None:
-        factors = []
-        for grp, nj in prod:
-            dj = sum(div.a[j] for j in grp)
-            factors.append(_proj_space_h(dj, nj))
-        dims = [0] * (n + 1)
-        # Kunneth: convolve the factor tables
+        # Kunneth: convolve the one-factor tables
         acc = [1]
-        for table in factors:
+        for grp, nj in prod:
+            table = _proj_space_h(sum(div.a[j] for j in grp), nj)
             nxt = [0] * (len(acc) + len(table) - 1)
             for i, x in enumerate(acc):
                 for j, y in enumerate(table):
                     nxt[i + j] += x * y
             acc = nxt
-        for i in range(min(len(acc), n + 1)):
-            dims[i] = acc[i]
-        return dims, "product of projective spaces"
+        return acc, "product of projective spaces"
+    dims = [0] * (n + 1)
+    if nef_witness(div) is not None:
+        dims[0] = len(div.polytope().lattice_point_array())
+        return dims, "nef"
+    if nef_witness(-div) is not None:
+        poly = (-div).polytope()
+        dims[poly.dim] = len(poly.relint_lattice_points())
+        return dims, "anti-nef"
     return None, "class is neither nef nor anti-nef and the fan is not a recognized product"
 
 

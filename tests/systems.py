@@ -6,9 +6,11 @@ surface, projective planes, and the classic 4-variable system whose
 compactification is P^2 x P^2. Values asserted against these were
 derived by hand (lattice point counts, Smith forms, volumes) before the
 library existed. The library computes no volumes; `mixed_volume` below
-is the tests' floating-point reference for the BKK count, and
+is the tests' floating-point reference for the BKK count.
 `unmixed_base`, `dilate` and `codegree` are the reference for the
-codegree bound, which the library reaches through its vanishing search.
+codegree bound, and `macaulay_pair`, `weighted_pair` and
+`alpha0_walk_pair` for the Macaulay, weighted and multiple-of-alpha0
+pairs: the closed forms the library reaches through its vanishing walk.
 """
 
 import math
@@ -17,7 +19,9 @@ from itertools import combinations, product
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from toricsolve.lattice import Polytope
+from toricsolve.cox import graded_basis
+from toricsolve.lattice import Polytope, integer_kernel
+from toricsolve.regularity import default_pair, vanishing_pair
 from toricsolve.toric import DivisorClass, Fan
 
 # quotient of P^1 x P^1 with class group Z^2 + Z/2; normal fan of the diamond
@@ -101,6 +105,125 @@ def unmixed_base(system):
             return None
         dils.append(d)
     return DivisorClass(system.fan, base), tuple(dils)
+
+
+def macaulay_pair(system):
+    """Vectors of the Macaulay pair on (products of) projective spaces.
+
+    Per factor j: c_j = sum_i d_ij - n_j with d_ij the multidegree of
+    f_i on that factor; alpha puts c_j on the first ray of each factor
+    and alpha0 is the (1, ..., 1) class. None when the fan is not such a
+    product, any c_j is negative or any equation has a negative
+    multidegree.
+    """
+    fan = system.fan
+    groups = fan.product_structure
+    if not groups:
+        return None
+    multidegs = []
+    for div in system.degrees:
+        md = tuple(sum(div.a[j] for j in grp) for grp, _n in groups)
+        if any(x < 0 for x in md):
+            return None
+        multidegs.append(md)
+    rep = [0] * fan.k
+    rep0 = [0] * fan.k
+    for j, (grp, n_j) in enumerate(groups):
+        c_j = sum(md[j] for md in multidegs) - n_j
+        if c_j < 0:
+            return None
+        rep[grp[0]] = c_j
+        rep0[grp[0]] = 1
+    return tuple(rep), tuple(rep0)
+
+
+def weighted_projective_weights(fan):
+    """Weights (q_0, ..., q_n) if the fan is a weighted projective space.
+
+    Requires exactly n+1 rays whose single primitive relation has all
+    positive coefficients. Returns the weight tuple in ray order, or None.
+    """
+    if fan.k != fan.n + 1:
+        return None
+    rel = integer_kernel([[fan.rays[j][c] for j in range(fan.k)] for c in range(fan.n)])
+    if len(rel) != 1:
+        return None
+    q = rel[0]
+    if all(x < 0 for x in q):
+        q = tuple(-x for x in q)
+    if not all(x > 0 for x in q):
+        return None
+    # max cones of P(q) are all n-subsets
+    expected = {tuple(c) for c in combinations(range(fan.k), fan.n)}
+    if set(fan.max_cones) != expected:
+        return None
+    return q
+
+
+def weighted_rep(k, weights, target):
+    """Divisor vector of length k with given weighted degree, by coin-change DP."""
+    if target < 0:
+        return None
+    reach = [None] * (target + 1)
+    reach[0] = []
+    for amount in range(1, target + 1):
+        for j, q in enumerate(weights):
+            if q <= amount and reach[amount - q] is not None:
+                reach[amount] = reach[amount - q] + [j]
+                break
+    picks = reach[target]
+    if picks is None:
+        return None
+    rep = [0] * k
+    for j in picks:
+        rep[j] += 1
+    return tuple(rep)
+
+
+def weighted_pair(system):
+    """Vectors of the pair on a weighted projective space P(q).
+
+    With l = lcm(q) and deg f_i = k_i * eta, applies only when l | k_i
+    for all i; then d_i = k_i / l and the pair is (d_reg * eta, l * eta)
+    with d_reg = l * sum d_i - sum q + 1. None where it does not apply.
+    """
+    fan = system.fan
+    weights = weighted_projective_weights(fan)
+    if not weights:
+        return None
+    if fan.class_group.free_rank != 1 or fan.class_group.torsion:
+        return None
+    ell = math.lcm(*weights)
+    dils = []
+    for div in system.degrees:
+        (free, _tors) = div.degree()
+        k_i = free[0]
+        if k_i <= 0 or k_i % ell != 0:
+            return None
+        dils.append(k_i // ell)
+    d_reg = ell * sum(dils) - sum(weights) + 1
+    rep = weighted_rep(fan.k, weights, d_reg)
+    rep0 = weighted_rep(fan.k, weights, ell)
+    if rep is None or rep0 is None:
+        return None
+    return rep, rep0
+
+
+def alpha0_walk_pair(system):
+    """Vectors of (sum alpha_i - t * alpha0, alpha0) for the largest t
+    with the vanishing criterion and sections at every step; None when
+    even t = 1 fails. alpha0 is the default pair's."""
+    default = default_pair(system)
+    alpha0 = default.alpha0
+    best = None
+    t = 1
+    while True:
+        cand = default.alpha - t * alpha0
+        if len(graded_basis(system.fan, cand)) == 0 or not vanishing_pair(system, cand):
+            break
+        best = cand
+        t += 1
+    return None if best is None else (best.a, alpha0.a)
 
 
 def diamond_polytope():

@@ -27,7 +27,7 @@ from toricsolve.eigensolver import (
     schur_cluster,
 )
 from toricsolve.errors import InputError, RankAmbiguousError
-from toricsolve.regularity import improved_pair, verify_pair
+from toricsolve.regularity import improved_pair, user_pair, verify_pair
 from toricsolve.solver import solve
 
 from systems import (
@@ -244,8 +244,10 @@ def svd_cokernel(res):
 def _top_res(name):
     rng = np.random.default_rng(5)
     if name == "pillow":
+        # the default pair: the improved one has a tall 12 x 8 Res
         system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
-    elif name == "lines27":
+        return assemble_res(system, user_pair(system, (2, 2, 2, 2), (1, 1, 1, 1)).top)
+    if name == "lines27":
         system = lines27_system()
     elif name == "P2 degree 6":
         p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
@@ -256,8 +258,8 @@ def _top_res(name):
     return assemble_res(system, improved_pair(system).top)
 
 
-# Res at alpha + alpha0: pillow 25 x 26 and lines27 441 x 552 are wide,
-# P^2 degree 6 78 x 42 and WP(1,1,2) 6 x 4 are tall
+# Res at alpha + alpha0: pillow 25 x 26 (its default pair) and lines27
+# 441 x 552 are wide, P^2 degree 6 78 x 42 and WP(1,1,2) 6 x 4 are tall
 @pytest.mark.parametrize("name", ["pillow", "lines27", "P2 degree 6", "WP112"])
 def test_cokernel_matches_svd_reference(name):
     res = _top_res(name)

@@ -223,7 +223,7 @@ def test_solution_file_round_trip(tmp_path):
     meta = doc["metadata"]
     assert meta["seed"] == 0
     assert meta["delta"] == 2 and meta["delta_plus"] == 4
-    assert meta["pair"]["provenance"] == "SumOfDegrees"
+    assert meta["pair"]["provenance"] == "VanishingTest"
     assert meta["tolerances"] == {
         "tol_rank": 1e-8, "gap_ratio": 1e3, "cond_max": 1e8, "cluster_gap": 1e-4,
         "leak_tol": 1e-6, "zero_tol": 1e-6, "ratio_tol": 1e-6,

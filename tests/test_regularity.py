@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toricsolve import cox
 from toricsolve.cox import graded_basis, homogenize
 from toricsolve.eigensolver import assemble_res
 from toricsolve.errors import (
@@ -20,10 +21,7 @@ from toricsolve.lattice import Polytope
 from toricsolve.regularity import (
     Provenance,
     RegularityPair,
-    _macaulay_candidate,
     _multiplier_ok,
-    _vanishing_candidate,
-    _weighted_candidate,
     default_pair,
     improved_pair,
     predicted_shape,
@@ -32,7 +30,7 @@ from toricsolve.regularity import (
     verify_pair,
 )
 from toricsolve.solver import solve
-from toricsolve.toric import DivisorClass, weighted_projective_weights
+from toricsolve.toric import DivisorClass
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -41,11 +39,15 @@ from systems import (
     PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
     WP112_RAYS,
+    alpha0_walk_pair,
     codegree,
     intro_laurent,
     lines27_laurent,
+    macaulay_pair,
     pillow_laurent,
     unmixed_base,
+    weighted_pair,
+    weighted_projective_weights,
 )
 
 P1_RAYS = [(1,), (-1,)]
@@ -107,19 +109,15 @@ def codegree_pair(system):
 
 
 def reference_improved_pair(system):
-    """Vectors of the smallest Res among the closed forms, the codegree
-    pair, the vanishing search and the default, earlier ones winning
-    ties: improved_pair as it was with a codegree recipe of its own."""
+    """Vectors of the smallest Res among the Macaulay and weighted
+    closed forms, the codegree pair, the alpha0 walk and the default,
+    earlier ones winning ties: the pair selection the vanishing walk
+    replaced."""
     fan = system.fan
-    default = default_pair(system)
-    closed = (_macaulay_candidate(system), _weighted_candidate(system))
-    vanishing = _vanishing_candidate(system, default)
-    pairs = [pair_vectors(p) for p in closed if p]
-    pairs.append(codegree_pair(system))
-    if vanishing:
-        pairs.append(pair_vectors(vanishing))
+    pairs = [macaulay_pair(system), weighted_pair(system), codegree_pair(system),
+             alpha0_walk_pair(system)]
     pairs = [p for p in pairs if p and len(graded_basis(fan, p[0])) > 0]
-    pairs.append(pair_vectors(default))
+    pairs.append(pair_vectors(default_pair(system)))
     return min(pairs, key=lambda p: len(graded_basis(fan, tuple(a + b for a, b in zip(*p)))))
 
 
@@ -178,6 +176,7 @@ def test_profile_lines27_product():
     assert system.fan.product_structure is not None
     assert sorted(n for _grp, n in system.fan.product_structure) == [2, 2]
     assert weighted_projective_weights(system.fan) is None
+    assert macaulay_pair(system) == ((4, 4, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0))
 
 
 def test_profile_intro_unmixed():
@@ -204,9 +203,10 @@ def test_improved_pair_lines27():
     system = lines27_system()
     fan = system.fan
     pair = improved_pair(system)
-    assert pair.provenance is Provenance.MULTIHOMOGENEOUS
-    assert pair.alpha == DivisorClass(fan, (0, 0, 4, 4, 0, 0))
-    assert pair.alpha0 == DivisorClass(fan, (0, 0, 1, 1, 0, 0))
+    # the multihomogeneous Macaulay class, reached from the default pair
+    assert pair.provenance is Provenance.VANISHING_TEST
+    assert pair_vectors(pair) == ((0, 0, 4, 4, 0, 0), (0, 0, 1, 1, 0, 0))
+    assert pair.alpha == DivisorClass(fan, macaulay_pair(system)[0])
     assert predicted_shape(system, pair) == (441, 552)
 
 
@@ -214,33 +214,37 @@ def test_improved_pair_p2_macaulay():
     system = p2_system()
     fan = system.fan
     pair = improved_pair(system)
-    assert pair.provenance is Provenance.MACAULAY
-    assert pair.alpha == DivisorClass(fan, (0, 0, 3))
-    assert pair.alpha0 == DivisorClass(fan, (0, 0, 1))
+    assert pair.provenance is Provenance.VANISHING_TEST
+    assert pair_vectors(pair) == ((0, 0, 3), (0, 0, 1))
+    assert pair.alpha == DivisorClass(fan, macaulay_pair(system)[0])
     assert predicted_shape(system, pair) == (15, 9)
     assert verify_pair(system, pair) == (6, 6)
 
 
-def test_improved_pair_pillow_sum_of_degrees():
-    # the diamond has codegree 1, so the codegree pair is the default one
+def test_improved_pair_pillow_vanishing():
+    # the diamond has codegree 1, so the codegree pair is the default one;
+    # ray steps reach a class that is not a multiple of alpha0
     system = pillow_system()
-    fan = system.fan
     pair = improved_pair(system)
-    assert pair.provenance is Provenance.SUM_OF_DEGREES
-    assert pair.alpha == DivisorClass(fan, (2, 2, 2, 2))
-    assert pair.alpha0 == DivisorClass(fan, (1, 1, 1, 1))
-    assert pair_vectors(pair) == codegree_pair(system)
+    assert pair.provenance is Provenance.VANISHING_TEST
+    assert pair_vectors(pair) == ((0, 1, 1, 2), (1, 1, 1, 1))
+    assert codegree_pair(system) == pair_vectors(default_pair(system))
+    assert predicted_shape(system, pair) == (12, 8)
+    assert predicted_shape(system, default_pair(system)) == (25, 26)
+    assert verify_pair(system, pair) == (4, 4)
 
 
 def test_improved_pair_hirzebruch_vanishing():
-    # unmixed with codegree 2: the vanishing walk stops at the codegree pair
+    # unmixed with codegree 2: the walk passes the codegree pair, where
+    # the alpha0 walk stopped, and goes on with a ray step
     system = intro_system()
     fan = system.fan
     pair = improved_pair(system)
     assert pair.provenance is Provenance.VANISHING_TEST
-    assert pair.alpha == DivisorClass(fan, (0, 0, 1, 2))
-    assert pair.alpha0 == DivisorClass(fan, (0, 0, 1, 2))
-    assert pair_vectors(pair) == codegree_pair(system)
+    assert pair_vectors(pair) == ((-1, 0, 1, 2), (0, 0, 1, 2))
+    assert codegree_pair(system) == alpha0_walk_pair(system) == ((0, 0, 1, 2), (0, 0, 1, 2))
+    assert predicted_shape(system, pair) == (9, 6)
+    assert len(graded_basis(fan, (0, 0, 2, 4))) == 12
     default = default_pair(system)
     assert len(graded_basis(fan, pair.top)) < len(graded_basis(fan, default.top))
 
@@ -248,9 +252,12 @@ def test_improved_pair_hirzebruch_vanishing():
 def test_improved_pair_weighted():
     system = wp112_system()
     pair = improved_pair(system)
-    assert pair.provenance is Provenance.WEIGHTED
+    assert pair.provenance is Provenance.VANISHING_TEST
+    assert pair_vectors(pair) == ((-1, 1, 0), (0, 1, 0))
     assert pair.alpha.degree() == ((1,), ())
     assert pair.alpha0.degree() == ((2,), ())
+    fan = system.fan
+    assert (pair.alpha, pair.alpha0) == tuple(DivisorClass(fan, a) for a in weighted_pair(system))
     assert verify_pair(system, pair) == (2, 2)
 
 
@@ -268,10 +275,22 @@ def test_improved_pair_p1_linear_zero_alpha():
     # one linear form on the line: alpha drops all the way to degree 0
     system = homogenize([[((0,), 1.0), ((1,), 2.0)]], rays=P1_RAYS)
     pair = improved_pair(system)
-    assert pair.provenance is Provenance.MACAULAY
+    assert pair.provenance is Provenance.VANISHING_TEST
     assert pair.alpha.degree() == ((0,), ())
     assert pair.alpha0.degree() == ((1,), ())
     assert verify_pair(system, pair) == (1, 1)
+
+
+def test_improved_pair_ends_on_a_zero_multiplier():
+    # two constants and a Reeve tetrahedron, whose points span an index-2
+    # sublattice: no multiplier candidate passes, the fallback alpha0 is
+    # the zero class, and a step by it would never leave alpha
+    reeve = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]
+    system = homogenize([[((0, 0, 0), 1.0)], [(p, 1.0 + i) for i, p in enumerate(reeve)],
+                         [((0, 0, 0), 2.0)]])
+    assert default_pair(system).alpha0.degree() == ((0,), (0, 0))
+    pair = improved_pair(system)
+    assert pair.alpha.degree() == ((0,), (0, 0))
 
 
 # vanishing test
@@ -375,6 +394,8 @@ def test_lines27_solve_builds_each_section_polytope_once(monkeypatch):
         return from_inequalities(cls, a, b)
 
     monkeypatch.setattr(Polytope, "from_inequalities", classmethod(counting))
+    # a fan cached by an earlier solve would build nothing here
+    cox._supports.clear()
     rng = np.random.default_rng(0)
     c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     result = solve(lines27_laurent(c), rays=LINES27_RAYS, seed=0)
@@ -425,8 +446,9 @@ def test_default_pair_verifies_on_random_squares(picks, seed):
     assert len(graded_basis(fan, improved.top)) <= len(graded_basis(fan, pair.top))
 
 
-# unmixed systems: with no codegree recipe, the vanishing search returns
-# the codegree pair, or the default returns it when the codegree is 1
+# shaped square systems: the vanishing walk never needs a larger Res
+# than the closed forms, the codegree pair and the alpha0 walk it
+# replaced, and its pair verifies
 
 
 def lattice_polytopes(n):
@@ -434,20 +456,67 @@ def lattice_polytopes(n):
     return st.sets(st.sampled_from(box), min_size=n + 1, max_size=n + 3)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    case=st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
-        lattice_polytopes(n), st.lists(st.integers(1, 3), min_size=n, max_size=n))),
-    rays=st.none() | st.randoms(use_true_random=False),
-)
-def test_improved_pair_matches_codegree_reference(case, rays):
-    points, dils = case
-    poly = Polytope.from_points(points)
-    assume(poly.dim == poly.n)
-    eqs = [[(tuple(d * x for x in v), 1.0) for v in poly.vertices] for d in dils]
-    if rays is not None:
-        facets = [g for g, _c in poly.ineqs]
-        rays.shuffle(facets)
-        rays = facets
-    system = homogenize(eqs, rays=rays)
-    assert pair_vectors(improved_pair(system)) == reference_improved_pair(system)
+def simplex(n, d):
+    return [(0,) * n] + [tuple(d * (i == j) for i in range(n)) for j in range(n)]
+
+
+def weighted_simplex(n, d):
+    # P(1, ..., 1, 2, 1): the last axis has half the reach of the others
+    return [(0,) * n] + [tuple(2 * d * (i == j) for i in range(n)) for j in range(n - 1)] \
+        + [tuple(d * (i == n - 1) for i in range(n))]
+
+
+def box(sides):
+    return list(product(*[(0, a) for a in sides]))
+
+
+def hirzebruch(n, a, c, h):
+    # trapezoid with sides a > c, normal fan F_1; in 3 variables times [0, h]
+    quad = [(0, 0), (a, 0), (a - c, c), (0, c)]
+    return quad if n == 2 else [q + (z,) for q in quad for z in (0, h)]
+
+
+def shaped_system(n, draw):
+    """Vertex lists of n equations of one shape, each its own size."""
+    top = 3 if n == 2 else 2
+    sizes = st.integers(1, top)
+    shape = draw(st.sampled_from(["dense", "box", "weighted", "hirzebruch", "unmixed"]))
+    if shape == "dense":
+        return [simplex(n, draw(sizes)) for _ in range(n)]
+    if shape == "box":
+        return [box(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+                for _ in range(n)]
+    if shape == "weighted":
+        return [weighted_simplex(n, draw(sizes)) for _ in range(n)]
+    if shape == "hirzebruch":
+        out = []
+        for _ in range(n):
+            c = draw(st.integers(1, top - 1))
+            out.append(hirzebruch(n, draw(st.integers(c + 1, top + 1)), c, draw(st.integers(1, 2))))
+        return out
+    base = Polytope.from_points(draw(lattice_polytopes(n)))
+    assume(base.dim == n)
+    return [[tuple(d * x for x in v) for v in base.vertices]
+            for d in draw(st.lists(sizes, min_size=n, max_size=n))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.sampled_from([2, 3]), shuffle=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_improved_pair_never_larger_than_reference(data, n, shuffle, seed):
+    rng = np.random.default_rng(seed)
+    eqs = []
+    for verts in shaped_system(n, data.draw):
+        points = Polytope.from_points(verts).lattice_points()
+        eqs.append([(m, complex(*rng.standard_normal(2))) for m in points])
+    system = homogenize(eqs)
+    if shuffle:
+        rays = list(system.fan.rays)
+        rng.shuffle(rays)
+        system = homogenize(eqs, rays=rays)
+    fan = system.fan
+    pair = improved_pair(system)
+    ref = reference_improved_pair(system)
+    assert len(graded_basis(fan, pair.top)) <= len(graded_basis(fan, tuple(map(sum, zip(*ref)))))
+    lo, hi = verify_pair(system, pair)
+    assert lo == hi

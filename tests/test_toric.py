@@ -29,6 +29,7 @@ from systems import (
     pillow_fan,
     pillow_fan_doubled,
     pillow_fan_solve,
+    weighted_projective_weights,
     wp112_fan,
 )
 from toricsolve.errors import InputError
@@ -44,7 +45,6 @@ from toricsolve.toric import (
     is_nef_cartier,
     nef_witness,
     projective_product_structure,
-    weighted_projective_weights,
 )
 
 
@@ -176,15 +176,58 @@ def test_cohomology_nef():
 
 
 def test_cohomology_anti_nef():
-    # on P^2, h^2(O(-d)) = C(d-1, 2) by duality with h^0(O(d-3))
+    # on P^2, h^2(O(-d)) = C(d-1, 2) by duality with h^0(O(d-3)); P^2 is a
+    # product of one projective space, so Kunneth answers there
     fan = p2_fan()
     dims, reason = cohomology_dims(fan.divisor((0, 0, -4)))
-    assert reason == "anti-nef"
+    assert reason == "product of projective spaces"
     assert dims == [0, 0, 3]
     dims, _ = cohomology_dims(fan.divisor((0, 0, -3)))
     assert dims == [0, 0, 1]
     dims, _ = cohomology_dims(fan.divisor((0, 0, -2)))
     assert dims == [0, 0, 0]
+    # F_1 is no product: h^2 of minus three times the quad counts the 4 + 3
+    # interior points of the tripled quad, and h^2(K) = h^0(O) = 1
+    fan = hirzebruch_fan()
+    dims, reason = cohomology_dims(fan.divisor((0, 0, -3, -6)))
+    assert reason == "anti-nef"
+    assert dims == [0, 0, 7]
+    assert cohomology_dims(fan.divisor((-1, -1, -1, -1))) == ([0, 0, 1], "anti-nef")
+    # minus twice the fiber class pulls back O(-2) from P^1: h^1 = 1, not h^2
+    assert cohomology_dims(fan.divisor((0, 0, 0, -2))) == ([0, 1, 0], "anti-nef")
+
+
+def divisor_and_shift(fan):
+    """A divisor vector and a character m, small entries."""
+    return st.tuples(st.just(fan),
+                     st.lists(st.integers(-3, 3), min_size=fan.k, max_size=fan.k),
+                     st.lists(st.integers(-2, 2), min_size=fan.n, max_size=fan.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_FANS).flatmap(divisor_and_shift))
+def test_cohomology_dims_is_a_class_function(args):
+    # a + (<u_j, m>)_j is another representative of a's class
+    fan, a, m = args
+    div = fan.divisor(a)
+    other = fan.divisor([x + dot(u, m) for x, u in zip(a, fan.rays)])
+    assert other == div
+    dims, reason = cohomology_dims(div)
+    assert cohomology_dims(other) == (dims, reason)
+    if fan.product_structure is None:
+        return
+    # Kunneth answers every class on a product and agrees with the
+    # lattice-point counts of the nef and anti-nef routes: h^0 counts the
+    # section polytope's points, h^n its interior points (none when it is
+    # flat, whose relative interior points count h^dim instead)
+    assert reason == "product of projective spaces"
+    if nef_witness(div) is not None:
+        assert dims[0] == len(div.polytope().lattice_points())
+    if nef_witness(-div) is not None:
+        poly = (-div).polytope()
+        interior = len(poly.relint_lattice_points())
+        assert dims[fan.n] == (interior if poly.dim == fan.n else 0)
+        assert dims[poly.dim] == interior and sum(dims) == interior
 
 
 def test_cohomology_product_structure():
