@@ -130,20 +130,33 @@ class CokernelMap:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
             ker N = im Res up to TOL_RANK; None from a corank-only call.
         delta_plus: corank of Res against its row dimension.
-        R: triangular factor of the pivoted QR, cut on its |diagonal|.
+        R: square triangular factor of a pivoted QR of Res (of Res^H when
+            Res is wide), cut on its |diagonal|. On the block path it is
+            assembled from two QRs, and its |diagonal| is not monotone
+            across the block boundary.
         rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
             of Res at its rank r, the exact pair when the SVD decided.
         res: the ResMatrix this was computed from.
+        rank: the rank r at the cut, nrows - delta_plus.
+        qr, tau: the geqp3 output (R above the Householder vectors, and
+            their scalars) of a corank-only call on a tall Res, factored
+            in one piece; cokernel(..., block=this) one degree up reuses
+            them. None otherwise.
     """
 
-    __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "_s")
+    __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "rank",
+                 "qr", "tau", "_s")
 
-    def __init__(self, N, delta_plus, R, rank_bounds, res):
+    def __init__(self, N, delta_plus, R, rank_bounds, res, rank,
+                 qr=None, tau=None):
         self.N = N
         self.delta_plus = delta_plus
         self.R = R
         self.rank_bounds = rank_bounds
         self.res = res
+        self.rank = rank
+        self.qr = qr
+        self.tau = tau
         self._s = None
 
     @property
@@ -210,14 +223,110 @@ def _qr_rank(R, reveal):
     return rank, tuple(float(x) for x in np.r_[np.inf, s, 0.0][rank:rank + 2])
 
 
-def cokernel(res, corank_only=False):
+def _geqp3(B):
+    """Column-pivoted QR of B (F-ordered, overwritten): (qr, jpvt, tau)."""
+    lwork = scipy.linalg.lapack.zgeqp3(B, lwork=-1, overwrite_a=True)[3][0]
+    qr, jpvt, tau, _, _ = scipy.linalg.lapack.zgeqp3(
+        B, lwork=int(lwork.real), overwrite_a=True)
+    return qr, jpvt, tau
+
+
+def _unmqr(trans, qr, tau, c):
+    """Q c (trans "N") or Q^H c (trans "C"), Q the unitary of a geqp3."""
+    c = np.asfortranarray(c)
+    lwork = scipy.linalg.lapack.zunmqr("L", trans, qr, tau, c, -1)[1][0]
+    return scipy.linalg.lapack.zunmqr(
+        "L", trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
+
+
+def _embedding(res, lo):
+    """Rows I and columns J of res where x^b0 times Res at a lower degree
+    sits, x^b0 the first monomial of the degree between them.
+
+    Row x^a of lo goes to row x^b0 x^a and column x^c of block i to
+    column x^b0 x^c of block i, so res.matrix[I][:, J] == lo.matrix and
+    the columns J vanish off the rows I.
+
+    Raises:
+        InputError: the degree between has no sections, or lo does not
+            embed (its equations or degrees differ from those of res).
+    """
+    between = graded_basis(res.rows.degree.fan, res.rows.degree - lo.rows.degree)
+    if len(between) == 0 or len(lo.col_blocks) != len(res.col_blocks):
+        raise InputError("the block is not Res at a degree below this one")
+    shift = between.points[0]
+    rows = res.rows.rows(lo.rows.points + shift)
+    cols = [top.rows(low.points + shift)
+            for (_, top), (_, low) in zip(res.col_blocks, lo.col_blocks)]
+    if (rows < 0).any() or any((c < 0).any() for c in cols):
+        raise InputError("the block is not Res at a degree below this one")
+    starts = np.cumsum([0] + res.block_widths())
+    return rows, np.concatenate([s + c for s, c in zip(starts, cols)])
+
+
+def _tall_cokernel(res, corank_only, block=None):
+    """The tall path of cokernel; without a block, the one-QR path.
+
+    With I, J from _embedding, Res[I][:, J] P1 = Q1 R1 is the kept QR of
+    the block at its rank k, and K the other columns. Q1^H on the rows I
+    leaves R1 in the columns J, so only
+
+        W = [[R1[k:, k:], (Q1^H Res[I][:, K])[k:]], [0, Res[~I][:, K]]]
+
+    is left to factor: W P_W = Q_W R_W. Then Res P = Q R with Q =
+    diag(Q1, I) diag(I_k, Q_W) on the rows (I, ~I) and R the n x n
+    triangle [[R1[:k, :k], [R1[:k, k:], (Q1^H Res[I][:, K])[:k]] P_W],
+    [0, R_W]]. Without a block I and J are empty and W is Res.
+    """
+    A = res.matrix
+    m, n = A.shape
+    # slices select without a copy where there is no block
+    rows, rest, other = slice(0), slice(None), slice(None)
+    m1 = n1 = k = 0
+    if block is not None:
+        rows, cols = _embedding(res, block.res)
+        m1, n1, k = len(rows), len(cols), block.rank
+        rest = np.setdiff1d(np.arange(m), rows, assume_unique=True)
+        other = np.setdiff1d(np.arange(n), cols, assume_unique=True)
+
+    # a Fortran-ordered array of our own, so LAPACK may overwrite it
+    W = np.zeros((m - k, n - k), dtype=complex, order="F")
+    W[m1 - k:, n1 - k:] = A[rest][:, other]
+    if m1:
+        turned = _unmqr("C", block.qr, block.tau, A[np.ix_(rows, other)])
+        W[:m1 - k, :n1 - k] = np.triu(block.qr[k:, k:])
+        W[:m1 - k, n1 - k:] = turned[k:]
+    qr, jpvt, tau = _geqp3(W)
+    R = np.triu(qr[:n - k])
+    if k:
+        lead = np.hstack([block.qr[:k, k:], turned[:k]])[:, jpvt - 1]
+        R = np.block([[np.triu(block.qr[:k, :k]), lead],
+                      [np.zeros((n - k, k)), R]])
+    rank, bounds = _qr_rank(R, not corank_only)
+    if corank_only:
+        # only a QR of Res itself is worth keeping for the degree above
+        kept = (qr, tau) if block is None else (None, None)
+        return CokernelMap(None, m - rank, R, bounds, res, rank, *kept)
+
+    # the trailing columns of Q: Q_W on the rows after k, then Q1 on I
+    basis = np.eye(m, m - rank, -rank, dtype=complex, order="F")
+    basis[k:] = _unmqr("N", qr, tau, basis[k:])
+    if m1:
+        basis[:m1] = _unmqr("N", block.qr, block.tau, basis[:m1])
+    N = np.empty((m - rank, m), dtype=complex)
+    N[:, rows] = basis[:m1].conj().T
+    N[:, rest] = basis[m1:].conj().T
+    return CokernelMap(N, m - rank, R, bounds, res, rank)
+
+
+def cokernel(res, corank_only=False, block=None):
     """Compute the cokernel of Res with a certified rank decision.
 
     The rank is the number of singular values above TOL_RANK * sigma_1 and
     the corank is counted against the row dimension, so a matrix with few
     columns exposes its structural cokernel too.
 
-    Both paths make one column-pivoted QR (LAPACK geqp3) of the tall
+    Every path makes one column-pivoted QR (LAPACK geqp3) of the tall
     orientation B of Res: Res itself when it has at least as many rows as
     columns, Res^H otherwise. B P = Q R, so the square triangular factor
     R has the singular values of Res. _qr_rank certifies the cut on
@@ -237,43 +346,49 @@ def cokernel(res, corank_only=False):
     an N that misses the image. With corank_only, N is None and only that
     guard is skipped.
 
+    Block path: a tall Res at alpha + alpha0 holds Res at alpha, times a
+    monomial x^b0 of S_alpha0, as a column block that vanishes off its
+    rows. Given block, the corank-only CokernelMap of a tall Res at alpha
+    that kept its QR, only the columns outside the block and the rows
+    of the block beyond its rank are factored (_tall_cokernel), and the
+    assembled R is certified as above; the cut's proof uses only
+    Res P = Q R, whichever pivots were chosen. If that raises, the one-QR
+    path runs instead. A wide Res, or a block that kept no QR (it was
+    wide, empty or had a basis), takes the path it takes without one.
+
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
             by less than GAP_RATIO, so the corank is not trustworthy;
             Res overflows double precision in the QR; or (full path) R22
             exceeds the cut: the QR does not reveal the rank.
+        InputError: block is not Res at a degree below res's by a
+            degree with sections, for the same equations.
     """
     A = res.matrix
     nrows, ncols = A.shape
     if ncols == 0:
         N = None if corank_only else np.eye(nrows, dtype=complex)
-        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res)
+        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res, 0)
+    if nrows >= ncols:
+        if block is not None and block.qr is not None:
+            try:
+                return _tall_cokernel(res, corank_only, block)
+            except RankAmbiguousError:
+                pass
+        return _tall_cokernel(res, corank_only)
 
-    tall = nrows >= ncols
-    # a Fortran-ordered copy of our own, so LAPACK may overwrite it
-    B = np.array(A, order="F") if tall else A.conj().T
-    m, n = B.shape
-    lwork = scipy.linalg.lapack.zgeqp3(B, lwork=-1, overwrite_a=True)[3][0]
-    qr, jpvt, tau, _, _ = scipy.linalg.lapack.zgeqp3(
-        B, lwork=int(lwork.real), overwrite_a=True)
-    R = np.triu(qr[:n])
+    qr, jpvt, _ = _geqp3(A.conj().T)
+    R = np.triu(qr[:nrows])
     rank, bounds = _qr_rank(R, not corank_only)
     if corank_only:
-        return CokernelMap(None, nrows - rank, R, bounds, res)
-
-    if tall:
-        unit = np.eye(m, m - rank, -rank, dtype=complex, order="F")
-        lwork = scipy.linalg.lapack.zunmqr("L", "N", qr, tau, unit, -1)[1][0]
-        basis, _, _ = scipy.linalg.lapack.zunmqr(
-            "L", "N", qr, tau, unit, int(lwork.real), overwrite_c=True)
-    else:
-        null = np.vstack([
-            scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
-            np.eye(n - rank),
-        ])
-        basis = np.empty((n, n - rank), dtype=complex)
-        basis[jpvt - 1] = np.linalg.qr(null)[0]
-    return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res)
+        return CokernelMap(None, nrows - rank, R, bounds, res, rank)
+    null = np.vstack([
+        scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
+        np.eye(nrows - rank),
+    ])
+    basis = np.empty((nrows, nrows - rank), dtype=complex)
+    basis[jpvt - 1] = np.linalg.qr(null)[0]
+    return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res, rank)
 
 
 class MultiplicationFamily:
@@ -289,7 +404,10 @@ class MultiplicationFamily:
         h0_coeffs: coefficients of the random h_0 over S_alpha0.
         alpha0_basis: GradedBasis of S_alpha0.
         delta_plus: matrix dimension.
-        cond: condition number of the restricted N_{h_0}.
+        cond: condition number of the restricted N_{h_0}: its 2-norm
+            condition when that needed an SVD, else the upper bound
+            ||R11||_F ||R11^-1||_F from the pivoted QR that chose the
+            columns, which is at least cond_2 and within COND_MAX.
     """
 
     __slots__ = ("stack", "matrices", "basis_columns", "h0_coeffs",
@@ -321,6 +439,26 @@ class MultiplicationFamily:
     def __repr__(self):
         return (f"MultiplicationFamily({len(self.matrices)} matrices, "
                 f"delta_plus={self.delta_plus})")
+
+
+def _restriction_cond(R11, sub):
+    """cond_2 of sub, or a bound on it that settles the COND_MAX test.
+
+    sub is the restriction n_h0[:, columns], and R11 the leading square
+    triangle of the pivoted QR that picked the columns, so the two have
+    the same singular values. cond_2 lies between max|r_ii| / min|r_ii|
+    and ||R11||_F ||R11^-1||_F (LAPACK trtri). The upper bound is
+    returned when it is within COND_MAX, inf when the lower bound
+    exceeds it; the SVD runs only between the two.
+    """
+    d = np.abs(np.diagonal(R11))
+    if not d.max() <= COND_MAX * d.min():
+        return np.inf
+    inverse, info = scipy.linalg.lapack.ztrtri(R11)
+    upper = np.linalg.norm(R11) * np.linalg.norm(inverse)
+    if info == 0 and upper <= COND_MAX:
+        return float(upper)
+    return float(np.linalg.cond(sub))
 
 
 def multiplication_family(cok, system, pair, seed=0):
@@ -387,11 +525,11 @@ def multiplication_family(cok, system, pair, seed=0):
         coeffs = (rng.standard_normal(len(s_alpha0))
                   + 1j * rng.standard_normal(len(s_alpha0)))
         n_h0 = np.tensordot(coeffs, stack, axes=(0, 0))
-        _, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="r")
+        R, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="r")
         columns = tuple(sorted(int(p) for p in piv[:delta]))
         sub = n_h0[:, columns]
-        cond = np.linalg.cond(sub)
-        if np.isfinite(cond) and cond <= COND_MAX:
+        cond = _restriction_cond(R[:, :delta], sub)
+        if cond <= COND_MAX:
             break
     else:
         raise BasepointError(

@@ -296,9 +296,11 @@ def user_pair(system, alpha, alpha0):
 def verify_pair(system, pair):
     """Coranks of Res at alpha and at alpha + alpha0.
 
-    Assembles Res at both degrees and takes each corank from one pivoted
-    QR with a certified cut, without a basis (eigensolver.cokernel). The
-    pair is admissible when the two coranks agree; either one is delta+.
+    Assembles Res at both degrees and takes each corank from a pivoted
+    QR with a certified cut, without a basis (eigensolver.cokernel): the
+    same two calls as solve, alpha first, then alpha + alpha0 with the
+    first as its block. The pair is admissible when the two coranks
+    agree; either one is delta+.
 
     Returns:
         (corank at alpha, corank at alpha + alpha0).
@@ -310,5 +312,5 @@ def verify_pair(system, pair):
     """
     lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
                   corank_only=True)
-    hi = cokernel(assemble_res(system, pair.top), corank_only=True)
+    hi = cokernel(assemble_res(system, pair.top), corank_only=True, block=lo)
     return lo.delta_plus, hi.delta_plus

@@ -53,7 +53,10 @@ class SolutionSet:
         timings: stage name -> wall milliseconds.
         system: the HomogeneousSystem that was solved.
         diagnostics: numeric traces for export (|diag R| and the
-            rank_bounds of the pivoted QR of Res, per-member block leakage).
+            rank_bounds of the pivoted QR of Res at alpha + alpha0,
+            per-member block leakage). On the block path R is assembled
+            from the QR of Res at alpha and of what it leaves, so |diag R|
+            is not monotone across the block boundary.
     """
 
     __slots__ = ("solutions", "delta", "delta_plus", "pair", "seed",
@@ -117,7 +120,11 @@ def solve(system, rays=None, pair=None, seed=0):
     The pair is always verified: the coranks at alpha and alpha + alpha0
     must agree before the solve commits to it; nothing is written onto
     the pair. Both coranks come from a pivoted QR with a certified cut
-    (eigensolver.cokernel); the check at alpha skips only the basis.
+    (eigensolver.cokernel). Res at alpha is factored first, corank only;
+    when it is tall its QR is kept, and the cokernel at alpha + alpha0
+    factors only what that QR leaves over (the block path). So a rank
+    failure may name Res at alpha, before Res at alpha + alpha0 is
+    built; its type and exit code are those of any rank failure.
 
     Every threshold is a module constant: the rank cut TOL_RANK with its
     singular value gap GAP_RATIO, the h0 conditioning limit COND_MAX
@@ -174,9 +181,9 @@ def solve(system, rays=None, pair=None, seed=0):
     timings["pair_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    cok = cokernel(assemble_res(system, pair.top))
     lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
                   corank_only=True)
+    cok = cokernel(assemble_res(system, pair.top), block=lo)
     if lo.delta_plus != cok.delta_plus:
         raise PairSelectionError(
             f"pair failed corank verification: {lo.delta_plus} at alpha vs "

@@ -13,24 +13,30 @@ from hypothesis import strategies as st
 
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, graded_basis, homogenize
 from toricsolve.eigensolver import (
+    COND_MAX,
     GAP_RATIO,
     LEAK_TOL,
     TOL_RANK,
     ResMatrix,
     _below_block_norm,
     _cluster_labels,
+    _embedding,
     _rank,
     _reorder,
+    _restriction_cond,
+    _tall_cokernel,
     assemble_res,
     cokernel,
     multiplication_family,
     schur_cluster,
 )
 from toricsolve.errors import InputError, RankAmbiguousError
+from toricsolve.lattice import Polytope
 from toricsolve.regularity import improved_pair, user_pair, verify_pair
 from toricsolve.solver import solve
 
 from systems import (
+    DIAMOND,
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
     OVERFLOW_LAURENT,
@@ -420,6 +426,154 @@ def test_benchmark_shaped_res_certifies_without_svd(monkeypatch):
     assert solve(dense, seed=1).delta_plus == 27
 
 
+# ------------------------------------------- block path at alpha + alpha0
+
+P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+
+
+def _points(vertices):
+    return Polytope.from_points(vertices).lattice_points()
+
+
+@st.composite
+def tall_systems(draw):
+    """Dense generic square systems on P^2, P^3, P^1 x P^1, F_1 and
+    P(1,1,2), each equation its own degree: full supports of
+    (multiples of) the fan's polytope, Gaussian coefficients."""
+    shape = draw(st.sampled_from(["P2", "P3", "P1xP1", "Hirzebruch", "WP112"]))
+    n = 3 if shape == "P3" else 2
+    sizes = st.integers(1, 2 if shape == "P3" else 4)
+    supports = []
+    for _ in range(n):
+        d = draw(sizes)
+        if shape in ("P2", "P3"):
+            vertices = [(0,) * n] + [tuple(d * (i == j) for i in range(n)) for j in range(n)]
+        elif shape == "P1xP1":
+            vertices = list(product((0, d), (0, draw(sizes))))
+        elif shape == "Hirzebruch":
+            c = draw(st.integers(1, d))
+            vertices = [(0, 0), (d + 1, 0), (d + 1 - c, c), (0, c)]
+        else:
+            vertices = [(0, 0), (2 * d, 0), (0, d)]
+        supports.append(_points(vertices))
+    rays = {"P2": P2_RAYS, "P3": P3_RAYS, "P1xP1": DIAMOND,
+            "Hirzebruch": HIRZEBRUCH_RAYS, "WP112": WP112_RAYS}[shape]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_system(rng, supports, rays)
+
+
+def _unitary_error(U):
+    return np.abs(np.linalg.svd(U, compute_uv=False) - 1.0).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=tall_systems())
+def test_block_path_matches_plain_path(system):
+    pair = improved_pair(system)
+    low = assemble_res(system, pair.alpha, allow_empty=True)
+    top = assemble_res(system, pair.top)
+    assume(top.shape[0] >= top.shape[1] and low.shape[0] >= low.shape[1] > 0)
+    # x^b0 times Res at alpha is a column block of Res at alpha + alpha0
+    rows, cols = _embedding(top, low)
+    assert np.array_equal(top.matrix[np.ix_(rows, cols)], low.matrix)
+    off = np.setdiff1d(np.arange(top.shape[0]), rows)
+    assert not top.matrix[np.ix_(off, cols)].any()
+
+    lo = cokernel(low, corank_only=True)
+    assert lo.qr is not None
+    plain = cokernel(top)
+    # the block path itself, without the fallback to the one-QR path
+    block = _tall_cokernel(top, False, lo)
+    assert block.delta_plus == plain.delta_plus
+    assert cokernel(top, corank_only=True, block=lo).delta_plus == plain.delta_plus
+    assert verify_pair(system, pair) == (lo.delta_plus, plain.delta_plus)
+    s = plain.singular_values
+    assert np.allclose(block.singular_values, s, rtol=1e-10, atol=1e-12 * s[0])
+    if plain.delta_plus:
+        # the same cokernel: N N_plain^H is unitary
+        assert _unitary_error(block.N @ plain.N.conj().T) <= 1e-10
+        assert np.linalg.norm(block.N @ top.matrix, 2) <= 10 * TOL_RANK * s[0]
+
+
+def _same_cokernel(a, b):
+    return (a.delta_plus == b.delta_plus and a.rank_bounds == b.rank_bounds
+            and np.array_equal(a.R, b.R)
+            and (a.N is b.N is None or np.array_equal(a.N, b.N)))
+
+
+def test_block_certificate_failure_falls_back():
+    """Scaling the block's columns by 1e-14 puts them, tiny, at the head
+    of the assembled R: its leading diagonal no longer reveals the rank,
+    and the block path raises. cokernel then returns the one-QR result."""
+    rng = np.random.default_rng(5)
+    p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
+    system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
+    pair = improved_pair(system)
+    low = assemble_res(system, pair.alpha)
+    top = assemble_res(system, pair.top)
+    _, cols = _embedding(top, low)
+    scaled = top.matrix.copy()
+    scaled[:, cols] *= 1e-14
+    top = ResMatrix(top.rows, top.col_blocks, scaled)
+    lo = cokernel(ResMatrix(low.rows, low.col_blocks, low.matrix * 1e-14),
+                  corank_only=True)
+    assert np.array_equal(top.matrix[np.ix_(_embedding(top, low)[0], cols)],
+                          lo.res.matrix)
+    with pytest.raises(RankAmbiguousError, match="rank not revealed"):
+        _tall_cokernel(top, False, lo)
+    assert _same_cokernel(cokernel(top, block=lo), cokernel(top))
+
+
+def test_block_is_ignored_where_it_cannot_help():
+    """A wide Res at alpha + alpha0, or an empty Res at alpha, gives
+    bit-identical results with and without the block."""
+    systems = {
+        "wide": lines27_system(),
+        "empty at alpha": homogenize(intro_laurent(3.0)),
+        "pillow": homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE),
+    }
+    for name, system in systems.items():
+        pair = improved_pair(system)
+        low = assemble_res(system, pair.alpha, allow_empty=True)
+        top = assemble_res(system, pair.top)
+        if name == "wide":
+            assert top.shape[0] < top.shape[1]
+        else:
+            assert low.shape[1] == 0 and top.shape[0] >= top.shape[1]
+        lo = cokernel(low, corank_only=True)
+        for corank_only in (False, True):
+            assert _same_cokernel(cokernel(top, corank_only, block=lo),
+                                  cokernel(top, corank_only)), name
+
+
+def test_only_a_one_piece_tall_qr_is_kept():
+    rng = np.random.default_rng(5)
+    p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
+    system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
+    pair = improved_pair(system)
+    low = assemble_res(system, pair.alpha)
+    top = assemble_res(system, pair.top)
+    lo = cokernel(low, corank_only=True)
+    assert lo.qr.shape == low.shape and lo.rank == low.shape[0] - lo.delta_plus
+    # with a basis, through the block path, or from a wide Res: nothing
+    assert cokernel(low).qr is None
+    assert cokernel(top, corank_only=True, block=lo).qr is None
+    wide = assemble_res(lines27_system(), (0, 0, 5, 5, 0, 0))
+    assert wide.shape[0] < wide.shape[1]
+    assert cokernel(wide, corank_only=True).qr is None
+
+
+def test_block_from_unrelated_degree_rejected():
+    rng = np.random.default_rng(5)
+    p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
+    system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
+    top = assemble_res(system, (0, 0, 11))
+    # S_(-1) has no sections: Res at degree 12 is not a block of Res at 11
+    above = cokernel(assemble_res(system, (0, 0, 12)), corank_only=True)
+    with pytest.raises(InputError, match="not Res at a degree below"):
+        cokernel(top, block=above)
+
+
 # ------------------------------------------------- multiplication family
 
 PILLOW_PAIR = ((2, 2, 2, 2), (1, 1, 1, 1))
@@ -490,6 +644,30 @@ def test_family_fixed_basis_matrices():
     assert mult_exact((0, 2, 2, 0)) == sympy.eye(4)
     assert mult_exact((1, 1, 1, 1)) == sympy.Matrix(
         [[0, 0, 0, 0], [1, 0, 0, -1], [0, 0, 0, 1], [0, 0, 0, 0]])
+
+
+def test_restriction_cond_runs_the_svd_only_between_its_bounds(monkeypatch):
+    """max|r_ii| / min|r_ii| <= cond_2 <= ||R11||_F ||R11^-1||_F: the
+    SVD runs only when the two bounds straddle COND_MAX."""
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or cond(a))
+    rng = np.random.default_rng(0)
+
+    def decide(R):
+        n = len(R)
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        return _restriction_cond(R.astype(complex), q @ R)
+
+    # the Frobenius bound accepts: cond_2 = 1 <= 101 <= COND_MAX
+    assert decide(np.eye(101)) == pytest.approx(101.0) and not calls
+    # the diagonal rejects: 1 / 1e-9 > COND_MAX
+    assert decide(np.diag(np.r_[np.ones(100), 1e-9])) == np.inf and not calls
+    # straddling, accepted: cond_2 = 5e7, the bound about 10 times that
+    straddle = np.diag(np.r_[np.ones(100), 2e-8])
+    assert decide(straddle) == pytest.approx(5e7, rel=1e-9) and len(calls) == 1
+    # straddling, rejected: Kahan's diagonal ratio is 20, cond_2 about 1e9
+    assert COND_MAX < decide(_kahan(64)) < np.inf and len(calls) == 2
 
 
 def test_family_degree_mismatch_rejected():

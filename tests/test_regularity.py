@@ -520,3 +520,18 @@ def test_improved_pair_never_larger_than_reference(data, n, shuffle, seed):
     assert len(graded_basis(fan, pair.top)) <= len(graded_basis(fan, tuple(map(sum, zip(*ref)))))
     lo, hi = verify_pair(system, pair)
     assert lo == hi
+
+
+def test_verify_pair_coranks_are_the_solve_corank():
+    """verify_pair and solve make the same two cokernel calls: a tall Res
+    at alpha first, then the block path one degree up."""
+    rng = np.random.default_rng(5)
+    dense = [p for p in product(range(7), repeat=2) if sum(p) <= 6]
+    system = homogenize([[(p, complex(*rng.standard_normal(2))) for p in dense]
+                         for _ in range(2)])
+    pair = improved_pair(system)
+    low = assemble_res(system, pair.alpha)
+    top = assemble_res(system, pair.top)
+    assert low.shape == (66, 30) and top.shape == (78, 42)
+    delta_plus = solve(system, pair=pair).delta_plus
+    assert verify_pair(system, pair) == (delta_plus, delta_plus) == (36, 36)
