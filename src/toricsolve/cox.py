@@ -97,6 +97,16 @@ class GradedBasis:
         return f"GradedBasis(degree={self.degree!r}, size={len(self)})"
 
 
+def as_divisor(fan, alpha):
+    """alpha as a DivisorClass on fan: a representative vector becomes
+    one, and a class on another fan raises InputError."""
+    if not isinstance(alpha, DivisorClass):
+        return fan.divisor(alpha)
+    if alpha.fan is not fan:
+        raise InputError("divisor class belongs to a different fan")
+    return alpha
+
+
 def graded_basis(fan, alpha):
     """Monomial basis of S_alpha for a divisor class or representative.
 
@@ -111,10 +121,7 @@ def graded_basis(fan, alpha):
         empty basis is a valid result (the degree has no sections at
         this representative).
     """
-    if not isinstance(alpha, DivisorClass):
-        alpha = fan.divisor(alpha)
-    elif alpha.fan is not fan:
-        raise InputError("divisor class belongs to a different fan")
+    alpha = as_divisor(fan, alpha)
     bases = fan._bases
     if alpha.a not in bases:
         bases[alpha.a] = GradedBasis(alpha)
@@ -269,8 +276,9 @@ def _merge_terms(i, terms):
     return {e: c for e, c in acc.items() if c != 0}
 
 
-# number of (supports, rays) keys whose fan, degrees and bases homogenize
-# keeps; inserting one more drops the oldest
+# number of (supports, rays) keys whose fan, degrees, bases and exponent
+# rows homogenize keeps; inserting one more drops the oldest, and with its
+# fan everything the fan keeps
 SUPPORTS_MAX = 8
 _supports = {}
 
@@ -283,17 +291,24 @@ def ray_list(rays):
     return [int_vector(r, f"ray {j}") for j, r in enumerate(rays)]
 
 
-def _build(merged, rays):
-    """Fan of the Minkowski sum and (tight degree, basis) per equation."""
+def _build(merged, exponents, rays):
+    """Fan of the Minkowski sum and, per equation, (tight degree, basis,
+    row of each exponent in `exponents`)."""
     newtons = [Polytope.from_points(list(terms)) for terms in merged]
     total = newtons[0]
     for q in newtons[1:]:
         total = total.minkowski(q)
     fan = Fan.normal_fan(total, rays=rays)
     pieces = []
-    for terms in merged:
+    for terms, exps in zip(merged, exponents):
         div = divisor_of_polytope(fan, list(terms))
-        pieces.append((div, graded_basis(fan, div)))
+        basis = graded_basis(fan, div)
+        # the tight representative makes P_a the Newton polytope, so each
+        # exponent m is its own lattice point
+        pos = basis.rows(list(exps))
+        if (pos < 0).any():  # cannot happen: Newton points lie in P_a
+            raise InputError("a support point escaped its section polytope")
+        pieces.append((div, basis, pos))
     return fan, pieces
 
 
@@ -301,9 +316,10 @@ def homogenize(equations, rays=None):
     """Homogenize a Laurent system into the Cox ring of its Minkowski fan.
 
     Everything but the coefficients depends on the supports alone: the
-    fan, the tight degrees and the graded bases are kept for the last
-    SUPPORTS_MAX distinct (supports, rays) arguments, so a repeat call
-    with new coefficients only scatters them into the kept bases.
+    fan, the tight degrees, the graded bases and the row of every
+    exponent in its basis are kept for the last SUPPORTS_MAX distinct
+    (supports, rays) arguments, so a repeat call with new coefficients
+    only scatters them into the kept rows.
 
     Args:
         equations: list of equations; each equation is an iterable of
@@ -339,20 +355,15 @@ def homogenize(equations, rays=None):
 
     key = (tuple(tuple(sorted(terms)) for terms in merged),
            None if rays is None else tuple(rays))
-    fan, pieces = entry = _supports.get(key) or _build(merged, rays)
+    fan, pieces = entry = _supports.get(key) or _build(merged, key[0], rays)
 
     polys = []
-    for terms, (_div, basis) in zip(merged, pieces):
-        # the tight representative makes P_a the Newton polytope, so each
-        # exponent m is its own lattice point
-        pos = basis.rows(list(terms))
-        if (pos < 0).any():  # cannot happen: Newton points lie in P_a
-            raise InputError("a support point escaped its section polytope")
+    for terms, exps, (_div, basis, pos) in zip(merged, key[0], pieces):
         coeffs = np.zeros(len(basis), dtype=complex)
-        coeffs[pos] = list(terms.values())
+        coeffs[pos] = [terms[e] for e in exps]
         polys.append(CoxPolynomial(basis, coeffs))
     if key not in _supports:
         if len(_supports) >= SUPPORTS_MAX:
             del _supports[next(iter(_supports))]
         _supports[key] = entry
-    return HomogeneousSystem(fan, polys, [div for div, _basis in pieces])
+    return HomogeneousSystem(fan, polys, [div for div, _basis, _pos in pieces])

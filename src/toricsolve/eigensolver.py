@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .cox import graded_basis
+from .cox import as_divisor, graded_basis
 from .errors import (
     BasepointError,
     ClusteringError,
@@ -80,12 +80,48 @@ class ResMatrix:
         return f"ResMatrix(shape={self.matrix.shape}, blocks={self.block_widths()})"
 
 
+def _res_plan(system, beta):
+    """The index data of Res at beta, built once and kept by the fan.
+
+    Returns (rows, col_blocks, width, scatter). Per equation, scatter
+    holds the flat matrix index of the row of m_b + m_c in the column of
+    m_c, for every point m_c of its block (axis 0) and m_b of its
+    polynomial's basis (axis 1), and whether every one of those points
+    lands in rows. They all land when the polynomial has its degree, as
+    the section polytopes add; a point that does not has a negative
+    index. The key is beta's representative, each equation's degree
+    representative and the degree representative of each polynomial's
+    basis.
+    """
+    fan = system.fan
+    beta = as_divisor(fan, beta)
+    key = ("res", beta.a, tuple(div.a for div in system.degrees),
+           tuple(f.basis.degree.a for f in system.polys))
+    plan = fan._plans.get(key)
+    if plan is None:
+        rows = graded_basis(fan, beta)
+        col_blocks = [(i, graded_basis(fan, rows.degree - div))
+                      for i, div in enumerate(system.degrees)]
+        width = sum(len(b) for _, b in col_blocks)
+        scatter, col = [], 0
+        for i, block in col_blocks:
+            r = rows.rows(block.points[:, None] + system.polys[i].basis.points[None])
+            cols = col + np.arange(len(block))[:, None]
+            scatter.append((r * width + cols, bool((r >= 0).all())))
+            col += len(block)
+        plan = fan._plans[key] = (rows, col_blocks, width, scatter)
+    return plan
+
+
 def assemble_res(system, beta, allow_empty=False):
     """Assemble Res at degree beta for a homogeneous system.
 
     Entry placement is exact index arithmetic: the column of the point
-    m_c in block i scatters the coefficient of f_i at each point m_b to
-    the row of m_b + m_c, one `rows` lookup and one scatter per block.
+    m_c in block i holds the coefficient of f_i at each point m_b in the
+    row of m_b + m_c. Those positions depend on the fan and the degrees
+    alone, so the fan keeps them per degree (_res_plan) and a repeat
+    call only writes the nonzero coefficients of each equation through
+    one flat scatter.
 
     Args:
         system: HomogeneousSystem.
@@ -99,27 +135,23 @@ def assemble_res(system, beta, allow_empty=False):
 
     Raises:
         InputError: every column block is empty (degree too low) and
-            allow_empty is False.
+            allow_empty is False, or a nonzero term of an equation does
+            not land in S_beta (its polynomial is not of its degree).
     """
-    fan = system.fan
-    rows = graded_basis(fan, beta)
-    col_blocks = [(i, graded_basis(fan, rows.degree - div))
-                  for i, div in enumerate(system.degrees)]
-    width = sum(len(b) for _, b in col_blocks)
+    rows, col_blocks, width, scatter = _res_plan(system, beta)
     if len(system) > 0 and width == 0 and not allow_empty:
         raise InputError("degree too low: every column block of Res is empty")
 
     matrix = np.zeros((len(rows), width), dtype=complex)
-    col = 0
-    for i, block in col_blocks:
-        f = system.polys[i]
-        nz = np.flatnonzero(f.coeffs)
-        # b + c always lands in P_beta: the section polytopes add
-        r = rows.rows(block.points[:, None] + f.basis.points[nz][None])
-        if (r < 0).any():
+    flat = matrix.reshape(-1)
+    for i, (index, lands) in enumerate(scatter):
+        coeffs = system.polys[i].coeffs
+        nz = np.flatnonzero(coeffs)
+        if len(nz) < len(coeffs):
+            index, coeffs = index[:, nz], coeffs[nz]
+        if not lands and (index < 0).any():
             raise InputError(f"equation {i} does not have degree {system.degrees[i].a}")
-        matrix[r, col + np.arange(len(block))[:, None]] = f.coeffs[nz]
-        col += len(block)
+        flat[index] = coeffs
     return ResMatrix(rows, col_blocks, matrix)
 
 
@@ -231,6 +263,26 @@ def _geqp3(B):
     return qr, jpvt, tau
 
 
+def _gees(a):
+    """Complex Schur form a = Z T Z^H, unsorted: (T, Z), from LAPACK gees
+    with the queried workspace, as scipy.linalg.schur calls it.
+
+    Raises:
+        ClusteringError: the QR algorithm did not converge.
+    """
+    lwork = scipy.linalg.lapack.zgees(_no_select, a, lwork=-1)[-2][0]
+    T, _, _, Z, _, info = scipy.linalg.lapack.zgees(
+        _no_select, a, lwork=int(lwork.real))
+    if info != 0:
+        raise ClusteringError(
+            f"Schur form not found (LAPACK gees info {info}); reseed")
+    return T, Z
+
+
+def _no_select(_value):
+    return None
+
+
 def _unmqr(trans, qr, tau, c):
     """Q c (trans "N") or Q^H c (trans "C"), Q the unitary of a geqp3."""
     c = np.asfortranarray(c)
@@ -264,6 +316,23 @@ def _embedding(res, lo):
     return rows, np.concatenate([s + c for s, c in zip(starts, cols)])
 
 
+def _embedding_plan(res, lo):
+    """I and J of _embedding and the other rows and columns of res, kept
+    by the fan per row degree and column block degrees of res and lo."""
+    fan = res.rows.degree.fan
+    key = ("embed", res.rows.degree.a, lo.rows.degree.a,
+           tuple(b.degree.a for _, b in res.col_blocks),
+           tuple(b.degree.a for _, b in lo.col_blocks))
+    plan = fan._plans.get(key)
+    if plan is None:
+        rows, cols = _embedding(res, lo)
+        m, n = res.shape
+        plan = fan._plans[key] = (
+            rows, cols, np.setdiff1d(np.arange(m), rows, assume_unique=True),
+            np.setdiff1d(np.arange(n), cols, assume_unique=True))
+    return plan
+
+
 def _tall_cokernel(res, corank_only, block=None):
     """The tall path of cokernel; without a block, the one-QR path.
 
@@ -284,10 +353,8 @@ def _tall_cokernel(res, corank_only, block=None):
     rows, rest, other = slice(0), slice(None), slice(None)
     m1 = n1 = k = 0
     if block is not None:
-        rows, cols = _embedding(res, block.res)
+        rows, cols, rest, other = _embedding_plan(res, block.res)
         m1, n1, k = len(rows), len(cols), block.rank
-        rest = np.setdiff1d(np.arange(m), rows, assume_unique=True)
-        other = np.setdiff1d(np.arange(n), cols, assume_unique=True)
 
     # a Fortran-ordered array of our own, so LAPACK may overwrite it
     W = np.zeros((m - k, n - k), dtype=complex, order="F")
@@ -461,16 +528,35 @@ def _restriction_cond(R11, sub):
     return float(np.linalg.cond(sub))
 
 
+def _gather_plan(fan, alpha, alpha0):
+    """(S_alpha, S_alpha0, gather) for a degree pair, kept by the fan:
+    gather[j, a] is the row of S_{alpha+alpha0} holding x^b_j x^a, for
+    b_j in S_alpha0 and a in S_alpha; the section polytopes add, so no
+    index is -1."""
+    alpha, alpha0 = as_divisor(fan, alpha), as_divisor(fan, alpha0)
+    key = ("gather", alpha.a, alpha0.a)
+    plan = fan._plans.get(key)
+    if plan is None:
+        s_alpha, s_alpha0 = graded_basis(fan, alpha), graded_basis(fan, alpha0)
+        rows = graded_basis(fan, alpha + alpha0)
+        plan = fan._plans[key] = (
+            s_alpha, s_alpha0,
+            rows.rows(s_alpha0.points[:, None] + s_alpha.points[None]))
+    return plan
+
+
 def multiplication_family(cok, system, pair, seed=0):
     """Build the multiplication matrices from a cokernel at alpha + alpha0.
 
     The monomial maps N_b: S_alpha -> C^delta are exact column gathers of
     N, all in one: x^b x^a is the monomial of S_{alpha+alpha0} at the
-    point m_b + m_a. h_0 is a random complex Gaussian combination over
-    S_alpha0, and the invertible restriction is chosen by column-pivoted
-    QR on N_{h_0}. One LU factorization of that restriction and one
-    solve on the right-hand sides of every member, side by side, give
-    the whole family as one stacked array.
+    point m_b + m_a. The bases and that gather index depend on the pair
+    alone, so the fan keeps them per pair (_gather_plan). h_0 is a
+    random complex Gaussian combination over S_alpha0, and the
+    invertible restriction is chosen by column-pivoted QR on N_{h_0}
+    (LAPACK geqp3). One LU factorization of that restriction and one
+    solve on the right-hand sides of every member, side by side (LAPACK
+    getrf and getrs), give the whole family as one stacked array.
 
     Args:
         cok: CokernelMap computed at degree alpha + alpha0.
@@ -484,13 +570,11 @@ def multiplication_family(cok, system, pair, seed=0):
             restriction conditioned worse than COND_MAX, which is the
             symptom of alpha0 having basepoints on the solution set.
     """
-    fan = system.fan
     if hasattr(pair, "alpha"):
         alpha, alpha0 = pair.alpha, pair.alpha0
     else:
         alpha, alpha0 = pair
-    s_alpha = graded_basis(fan, alpha)
-    s_alpha0 = graded_basis(fan, alpha0)
+    s_alpha, s_alpha0, idx = _gather_plan(system.fan, alpha, alpha0)
     rows = cok.res.rows
     expected = tuple(x + y for x, y in zip(s_alpha.degree.a, s_alpha0.degree.a))
     if tuple(rows.degree.a) != expected:
@@ -513,9 +597,7 @@ def multiplication_family(cok, system, pair, seed=0):
         coeffs = np.zeros(len(s_alpha0), dtype=complex)
         return MultiplicationFamily(empty, (), coeffs, s_alpha0, 0, 0.0)
 
-    # one gather for all N_b (stack[j] = N_{b_j}); the degree check above puts
-    # every m_b + m_a in P_{alpha+alpha0}, so no index is -1
-    idx = rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])
+    # one gather for all N_b (stack[j] = N_{b_j})
     stack = np.moveaxis(cok.N[:, idx], 1, 0)
 
     # stage-specific substream: the same user seed must not reproduce the
@@ -525,10 +607,11 @@ def multiplication_family(cok, system, pair, seed=0):
         coeffs = (rng.standard_normal(len(s_alpha0))
                   + 1j * rng.standard_normal(len(s_alpha0)))
         n_h0 = np.tensordot(coeffs, stack, axes=(0, 0))
-        R, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="r")
-        columns = tuple(sorted(int(p) for p in piv[:delta]))
+        # geqp3 overwrites its argument: a Fortran copy of n_h0
+        qr, jpvt, _ = _geqp3(np.array(n_h0, order="F"))
+        columns = tuple(sorted(int(p) - 1 for p in jpvt[:delta]))
         sub = n_h0[:, columns]
-        cond = _restriction_cond(R[:, :delta], sub)
+        cond = _restriction_cond(np.triu(qr[:delta, :delta]), sub)
         if cond <= COND_MAX:
             break
     else:
@@ -540,7 +623,9 @@ def multiplication_family(cok, system, pair, seed=0):
     # members side by side as one right-hand side (delta x members * delta)
     members = len(s_alpha0)
     rhs = np.moveaxis(stack[:, :, columns], 0, 1).reshape(delta, -1)
-    solved = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sub), rhs)
+    # the condition test above leaves getrf no zero pivot
+    lu, piv, _ = scipy.linalg.lapack.zgetrf(sub)
+    solved = scipy.linalg.lapack.zgetrs(lu, piv, rhs)[0]
     family = np.ascontiguousarray(
         np.moveaxis(solved.reshape(delta, members, delta), 1, 0))
     return MultiplicationFamily(family, columns, coeffs,
@@ -660,7 +745,7 @@ def schur_cluster(family, seed=0):
                                0.0, CLUSTER_GAP)
 
     M = family.combination(driver_coeffs)
-    T0, Z0 = scipy.linalg.schur(M, output="complex")
+    T0, Z0 = _gees(M)
     norms = np.maximum(1.0, np.linalg.norm(family.stack, axis=(1, 2)))
 
     gap = CLUSTER_GAP

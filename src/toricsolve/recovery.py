@@ -136,14 +136,33 @@ class Solution:
         return f"Solution(mu={self.multiplicity}, {where}, z={self.z})"
 
 
+def _extend_echelon(echelon, row):
+    """Reduce the integer row against echelon, a list of (pivot column,
+    row) pairs whose rows vanish at the pivot columns before their own;
+    append the reduced row, divided by its content, when it is not zero.
+    Returns whether row was independent of the echelon rows."""
+    for c, e in echelon:
+        f = row[c]
+        if f:
+            p = e[c]
+            row = [p * x - f * y for x, y in zip(row, e)]
+    c = next((j for j, x in enumerate(row) if x), None)
+    if c is None:
+        return False
+    g = math.gcd(*row)
+    echelon.append((c, [x // g for x in row]))
+    return True
+
+
 def _branch_plan(rows, n):
     """Integer half of a binomial solve over usable rows, most accurate first.
 
     Climbs to rank n greedily on the most accurate rows, then keeps
-    adding rows while they shrink the sublattice index; a rank takes one
-    fraction-free elimination, and the index a Smith form only once
-    rank n is reached. The Smith form of the selected rows gives the
-    phase equations and their root-of-unity branches.
+    adding rows while they shrink the sublattice index. The selected
+    rows are kept in fraction-free echelon form, so a candidate's rank
+    test is one reduction against it; the index takes a Smith form only
+    once rank n is reached. The Smith form of the selected rows gives
+    the phase equations and their root-of-unity branches.
 
     Returns:
         (sel, u, dd, v, offsets): selected row positions, the first n
@@ -152,26 +171,24 @@ def _branch_plan(rows, n):
         the index exceeds MAX_BRANCHES.
     """
     rows = rows.tolist()
-    sel, rank, index, snf = [], 0, 1, None
+    sel, echelon, index, snf = [], [], 1, None
     for i, row in enumerate(rows):
-        cand = [rows[j] for j in sel] + [row]
-        if rank < n:
-            if rank_int(cand) == rank:
+        if len(echelon) < n:
+            if not _extend_echelon(echelon, row):
                 continue
             sel.append(i)
-            rank += 1
-            if rank == n:
-                snf = smith_normal_form(cand)
+            if len(echelon) == n:
+                snf = smith_normal_form([rows[j] for j in sel])
                 index = math.prod(snf[1][j][j] for j in range(n))
         else:
-            cand_snf = smith_normal_form(cand)
+            cand_snf = smith_normal_form([rows[j] for j in sel] + [row])
             q = math.prod(cand_snf[1][j][j] for j in range(n))
             if q < index:
                 sel.append(i)
                 index, snf = q, cand_snf
-        if rank == n and index == 1:
+        if len(echelon) == n and index == 1:
             break
-    if rank < n or index > MAX_BRANCHES:
+    if len(echelon) < n or index > MAX_BRANCHES:
         return None
     u, d, v = snf
     dd = [d[j][j] for j in range(n)]
@@ -267,15 +284,14 @@ def _solve_binomials(diffs, ratios, errs, n):
     same count of usable rows and of branches share one stacked float
     solve, whatever their plans.
 
+    The rows of every cluster must have rank n; the callers check that.
+
     Returns:
         (t, found, cond) as _branch_solve gives them, with found False
         and cond infinite where the usable rows are rank-deficient or
         span a sublattice of index above MAX_BRANCHES, and found False
-        where they verify on no branch; None when the rows have rank
-        below n.
+        where they verify on no branch.
     """
-    if rank_int(diffs[0].tolist()) < n:
-        return None
     t = np.full((len(ratios), n), np.nan, dtype=complex)
     found = np.zeros(len(ratios), dtype=bool)
     cond = np.full(len(ratios), np.inf)
@@ -326,9 +342,25 @@ def _ratio_data(points, values, noise, i0):
 
 
 def check_span(basis, n):
-    """SpanError unless an alpha0 basis's lattice points affinely span rank n."""
-    if rank_int((basis.points[1:] - basis.points[:1]).tolist()) < n:
+    """SpanError unless an alpha0 basis's lattice points affinely span rank n.
+
+    The verdict is exact and depends on the basis alone, so the fan of
+    its degree keeps it per representative.
+    """
+    plans = basis.degree.fan._plans
+    key = ("span", basis.degree.a, n)
+    if key not in plans:
+        plans[key] = rank_int((basis.points[1:] - basis.points[:1]).tolist()) >= n
+    if not plans[key]:
         raise SpanError("alpha0 insufficient: lattice points do not affinely span")
+
+
+def _lift(fan):
+    """The float transpose of fan.ray_inverse, kept by the fan."""
+    plans = fan._plans
+    if "lift" not in plans:
+        plans["lift"] = np.array(fan.ray_inverse, dtype=float).T
+    return plans["lift"]
 
 
 def recover_torus_points(fan, tables):
@@ -336,7 +368,8 @@ def recover_torus_points(fan, tables):
 
     Each table's base point is its largest entry, and its zero entries
     drop out. Tables are grouped by basis and pattern of zero entries
-    only: one affine rank check per pattern, and each table's base
+    only: one affine rank check per pattern with zero entries (without
+    any, check_span has decided it for the basis), and each table's base
     point, difference rows, ratios and errors come out as arrays over
     the group. The integer plan is made once per distinct usable-row
     order (which fixes the base point), and the float work runs as one
@@ -375,7 +408,7 @@ def recover_torus_points(fan, tables):
     # z = exp(E log t) for the rational right inverse E of the ray matrix:
     # fractional entries take principal-branch powers, which is harmless
     # because F applied to the result reproduces t in exponent arithmetic
-    lift = np.array(fan.ray_inverse, dtype=float).T
+    lift = _lift(fan)
     for basis, members in by_basis.values():
         members = np.array(members)
         values = np.array([tables[i].values for i in members])
@@ -388,10 +421,10 @@ def recover_torus_points(fan, tables):
             diffs, ratios, errs = _ratio_data(
                 basis.points[live], values[rows][:, live],
                 noise[rows][:, live], np.argmax(mags[rows][:, live], axis=1))
-            solved = _solve_binomials(diffs, ratios, errs, fan.n)
-            if solved is None:
+            # with every entry live the rows span what check_span certified
+            if not live.all() and rank_int(diffs[0].tolist()) < fan.n:
                 continue
-            t, found, cond = solved
+            t, found, cond = _solve_binomials(diffs, ratios, errs, fan.n)
             # the stratum test of the docstring
             mult = np.array([tables[i].multiplicity for i in members[rows]])
             found &= (mult == 1) | (cond <= COND_MAX)
@@ -487,9 +520,9 @@ def recover_boundary_point(fan, table):
     diffs, ratios, errs = _ratio_data(
         np.array(coords, dtype=np.int64), values[None], table.noise[live][None],
         np.argmax(np.abs(values))[None])
-    solved = _solve_binomials(diffs, ratios, errs, nq)
-    if solved is None:
+    if rank_int(diffs[0].tolist()) < nq:
         raise RecoveryError("alpha0 insufficient on orbit")
+    solved = _solve_binomials(diffs, ratios, errs, nq)
     if not solved[1][0]:
         raise RecoveryError("inconsistent ratios on the boundary orbit")
 

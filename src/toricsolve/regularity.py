@@ -31,6 +31,7 @@ from .toric import (
     cohomology_dims,
     is_effective,
     is_nef_cartier,
+    nef_witness,
 )
 
 __all__ = [
@@ -160,6 +161,20 @@ def default_pair(system):
     return RegularityPair(alpha, _select_multiplier(system, alpha), Provenance.SUM_OF_DEGREES)
 
 
+def _higher_cohomology_vanishes(div):
+    """Whether h^1..h^n of O(div) are known to vanish.
+
+    On a product of projective spaces Kunneth decides, as in
+    cohomology_dims. Otherwise a nef class has no higher cohomology
+    (Demazure vanishing), which needs no section polytope; only a class
+    that is not nef goes to cohomology_dims.
+    """
+    if div.fan.product_structure is None and nef_witness(div) is not None:
+        return True
+    dims, _reason = cohomology_dims(div)
+    return dims is not None and not any(dims[1:])
+
+
 def _vanishes(system, beta, verdicts):
     """The vanishing criterion at beta, each class decided once.
 
@@ -175,8 +190,7 @@ def _vanishes(system, beta, verdicts):
                 diff = diff - system.degrees[i]
             key = diff.degree()
             if key not in verdicts:
-                dims, _reason = cohomology_dims(diff)
-                verdicts[key] = dims is not None and not any(dims[1:])
+                verdicts[key] = _higher_cohomology_vanishes(diff)
             if not verdicts[key]:
                 return False
     return True

@@ -62,6 +62,17 @@ class Fan:
     built once, computes its class group and product structure once on
     first use, and holds the automatic degree pair of every tuple of
     equation degrees it was asked for (regularity.improved_pair).
+
+    It also keeps the index plans of the numerical stages, each built
+    on the first solve or pair check that asks for it, so a repeat solve
+    on the same supports does only coefficient work (`_plans`, keyed by
+    a tag and degree representatives): where each equation's
+    coefficients land in Res at a degree (eigensolver.assemble_res), the
+    rows and columns of Res at alpha inside Res at alpha + alpha0
+    (eigensolver.cokernel's block path), the gather of the maps N_b
+    (eigensolver.multiplication_family), the span verdict of an alpha0
+    basis (recovery.check_span) and the float lift of ray_inverse
+    (recovery). Homogenization keeps at most cox.SUPPORTS_MAX fans.
     """
 
     def __init__(self, rays, max_cones, offsets=None):
@@ -73,6 +84,7 @@ class Fan:
         self._sections = {}
         self._bases = {}
         self._pairs = {}
+        self._plans = {}
         for r in self.rays:
             if r != primitive(r):
                 raise InputError(f"fan ray {r} is not primitive")

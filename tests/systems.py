@@ -11,6 +11,10 @@ is the tests' floating-point reference for the BKK count.
 codegree bound, and `macaulay_pair`, `weighted_pair` and
 `alpha0_walk_pair` for the Macaulay, weighted and multiple-of-alpha0
 pairs: the closed forms the library reaches through its vanishing walk.
+`assemble_res_reference` scatters Res without the fan's index plans,
+and `branch_plan_reference` re-runs the rank test of a binomial plan
+from scratch for every candidate row: the oracles of the planned and
+incremental code.
 """
 
 import math
@@ -20,7 +24,10 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from toricsolve.cox import graded_basis
-from toricsolve.lattice import Polytope, integer_kernel
+from toricsolve.eigensolver import ResMatrix
+from toricsolve.errors import InputError
+from toricsolve.lattice import Polytope, integer_kernel, rank_int, smith_normal_form
+from toricsolve.recovery import MAX_BRANCHES
 from toricsolve.regularity import default_pair, vanishing_pair
 from toricsolve.toric import DivisorClass, Fan
 
@@ -400,3 +407,59 @@ def lines27_laurent(c):
     if len(c) != 20:
         raise ValueError("need exactly 20 coefficients")
     return [[(e, mult * c[i]) for e, i, mult in eq] for eq in LINES27_TERMS]
+
+
+def assemble_res_reference(system, beta, allow_empty=False):
+    """Res at beta from the bases alone: one rows lookup and one scatter
+    of the nonzero coefficients per block, nothing kept."""
+    fan = system.fan
+    rows = graded_basis(fan, beta)
+    col_blocks = [(i, graded_basis(fan, rows.degree - div))
+                  for i, div in enumerate(system.degrees)]
+    width = sum(len(b) for _, b in col_blocks)
+    if len(system) > 0 and width == 0 and not allow_empty:
+        raise InputError("degree too low: every column block of Res is empty")
+    matrix = np.zeros((len(rows), width), dtype=complex)
+    col = 0
+    for i, block in col_blocks:
+        f = system.polys[i]
+        nz = np.flatnonzero(f.coeffs)
+        r = rows.rows(block.points[:, None] + f.basis.points[nz][None])
+        if (r < 0).any():
+            raise InputError(f"equation {i} does not have degree {system.degrees[i].a}")
+        matrix[r, col + np.arange(len(block))[:, None]] = f.coeffs[nz]
+        col += len(block)
+    return ResMatrix(rows, col_blocks, matrix)
+
+
+def branch_plan_reference(rows, n):
+    """recovery._branch_plan with a from-scratch rank per candidate row."""
+    rows = rows.tolist()
+    sel, rank, index, snf = [], 0, 1, None
+    for i, row in enumerate(rows):
+        cand = [rows[j] for j in sel] + [row]
+        if rank < n:
+            if rank_int(cand) == rank:
+                continue
+            sel.append(i)
+            rank += 1
+            if rank == n:
+                snf = smith_normal_form(cand)
+                index = math.prod(snf[1][j][j] for j in range(n))
+        else:
+            cand_snf = smith_normal_form(cand)
+            q = math.prod(cand_snf[1][j][j] for j in range(n))
+            if q < index:
+                sel.append(i)
+                index, snf = q, cand_snf
+        if rank == n and index == 1:
+            break
+    if rank < n or index > MAX_BRANCHES:
+        return None
+    u, d, v = snf
+    dd = [d[j][j] for j in range(n)]
+    branches = [[]]
+    for j in range(n):
+        branches = [b + [cj] for b in branches for cj in range(abs(dd[j]))]
+    return (np.array(sel), np.array(u[:n], dtype=float), np.array(dd, dtype=float),
+            np.array(v, dtype=float), 2.0 * math.pi * np.array(branches, dtype=float))

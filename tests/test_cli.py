@@ -2,12 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from toricsolve import cli
+from toricsolve import cli, cox
 from toricsolve.cli import main
 from toricsolve.errors import InputError
 
@@ -441,3 +442,31 @@ def test_sweep_emit_csv_diagnostics(tmp_path):
     assert res.exit_code == 0, res.output
     assert (diag / "point_000_res_r_diagonal.csv").exists()
     assert (diag / "point_001_block_leakage.csv").exists()
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_sweep_rows_match_cold_and_warm(tmp_path, monkeypatch):
+    """The sweep of the benchmark's template gives the same CSV, wall_ms
+    aside, whether every row reuses the fan's plans or runs on a cleared
+    support cache with a fresh fan."""
+    path = DATA / "intro_template.system.json"
+
+    def rows(name):
+        out = tmp_path / name
+        res = run("sweep", path, "--param", "e", "--grid", "0:14:0.5", "--output", out)
+        assert res.exit_code == 0, res.output
+        return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+
+    warm = rows("warm.csv")
+    assert len(warm) == 30
+    assert all(line.split(",")[5:7] == ["3", "ok"] for line in warm[1:])
+    solve = cli.run_solve
+
+    def cold_solve(*args, **kwargs):
+        cox._supports.clear()
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_solve", cold_solve)
+    assert rows("cold.csv") == warm

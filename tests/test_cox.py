@@ -9,6 +9,7 @@ from toricsolve import cox
 from toricsolve.cox import (
     SUPPORTS_MAX,
     CoxPolynomial,
+    GradedBasis,
     graded_basis,
     homogenize,
 )
@@ -379,6 +380,34 @@ def test_pair_search_then_solve_keeps_the_bases(cold):
     # the solve replaced none of the bases the pair search built
     assert all(fan._bases[a] is basis for a, basis in kept.items())
     assert all(f.basis is g.basis for f, g in zip(result.system.polys, system.polys))
+
+
+@pytest.mark.parametrize("case", ["intro", "pillow", "lines27"])
+def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
+    """After one solve on a support, a solve with new coefficients looks
+    up no lattice point and adds nothing to the fan's plans."""
+    rng = np.random.default_rng(1)
+    if case == "intro":
+        eqs, rays = [intro_laurent(1.0), intro_laurent(0.3)], HIRZEBRUCH_RAYS
+    elif case == "pillow":
+        eqs, rays = [pillow_laurent(), pillow_laurent()[::-1]], PILLOW_RAYS_SOLVE
+    else:
+        eqs = [lines27_laurent(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+               for _ in range(2)]
+        rays = LINES27_RAYS
+    first = solve(eqs[0], rays=rays)
+    fan = first.system.fan
+    plans = dict(fan._plans)
+    assert plans
+    calls = []
+    rows = GradedBasis.rows
+    monkeypatch.setattr(GradedBasis, "rows",
+                        lambda self, points: calls.append(1) or rows(self, points))
+    second = solve(eqs[1], rays=rays)
+    assert second.system.fan is fan and len(cold) == 1
+    assert calls == []
+    assert fan._plans.keys() == plans.keys()
+    assert all(fan._plans[key] is plan for key, plan in plans.items())
 
 
 def test_cache_stays_within_bound(cold):

@@ -3,6 +3,7 @@
 import re
 import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from toricsolve import eigensolver
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, graded_basis, homogenize
 from toricsolve.eigensolver import (
     COND_MAX,
     GAP_RATIO,
     LEAK_TOL,
+    RETRIES_MAX,
     TOL_RANK,
     ResMatrix,
     _below_block_norm,
@@ -31,6 +34,7 @@ from toricsolve.eigensolver import (
     schur_cluster,
 )
 from toricsolve.errors import InputError, RankAmbiguousError
+from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope
 from toricsolve.regularity import improved_pair, user_pair, verify_pair
 from toricsolve.solver import solve
@@ -44,6 +48,7 @@ from systems import (
     PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
     WP112_RAYS,
+    assemble_res_reference,
     intro_laurent,
     lines27_laurent,
     mixed_volume,
@@ -146,6 +151,29 @@ def test_res_missing_row_raises():
     f = CoxPolynomial(basis, np.arange(1, len(basis) + 1))
     system = HomogeneousSystem(fan, [f], [fan.divisor((0, 0, 0, 0))])
     with pytest.raises(InputError):
+        assemble_res(system, (1, 1, 1, 1))
+
+
+def test_wrong_degree_raises_on_every_call():
+    """A polynomial off its claimed degree raises on the call that builds
+    the fan's plan and on every call that reuses it. One whose nonzero
+    terms all land is assembled as before, from the same plan."""
+    fan = pillow_fan()
+    basis = graded_basis(fan, (1, 1, 1, 1))
+    f = CoxPolynomial(basis, np.arange(1, len(basis) + 1))
+    system = HomogeneousSystem(fan, [f], [fan.divisor((0, 0, 0, 0))])
+    for _ in range(2):
+        with pytest.raises(InputError, match="equation 0 does not have degree"):
+            assemble_res(system, (1, 1, 1, 1))
+    # the center of the diamond lands in S_(1,1,1,1) times S_0 = C
+    center = np.zeros(len(basis))
+    center[basis.rows(np.array([0, 0]))] = 2.0
+    lands = HomogeneousSystem(fan, [CoxPolynomial(basis, center)],
+                              [fan.divisor((0, 0, 0, 0))])
+    for _ in range(2):
+        assert np.array_equal(assemble_res(lands, (1, 1, 1, 1)).matrix,
+                              assemble_res_reference(lands, (1, 1, 1, 1)).matrix)
+    with pytest.raises(InputError, match="equation 0 does not have degree"):
         assemble_res(system, (1, 1, 1, 1))
 
 
@@ -574,6 +602,49 @@ def test_block_from_unrelated_degree_rejected():
         cokernel(top, block=above)
 
 
+# ------------------------------------------------ Res from the fan's plans
+
+@st.composite
+def user_systems(draw):
+    """A tall_systems system rebuilt as a user would: some coefficients
+    set to zero inside the tight basis, and some equations moved to a
+    degree one ray divisor up, with their terms on the same points."""
+    system = draw(tall_systems())
+    fan = system.fan
+    polys, degrees = [], []
+    for f, div in zip(system.polys, system.degrees):
+        keep = np.array(draw(st.lists(st.booleans(), min_size=len(f.basis),
+                                      max_size=len(f.basis))))
+        coeffs = np.where(keep, f.coeffs, 0.0)
+        j = draw(st.integers(-1, fan.k - 1))
+        if j >= 0:
+            div = div + fan.divisor(tuple(int(i == j) for i in range(fan.k)))
+            basis = graded_basis(fan, div)
+            lifted = np.zeros(len(basis), dtype=complex)
+            lifted[basis.rows(f.basis.points)] = coeffs
+            polys.append(CoxPolynomial(basis, lifted))
+        else:
+            polys.append(CoxPolynomial(f.basis, coeffs))
+        degrees.append(div)
+    return HomogeneousSystem(fan, polys, degrees)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=st.one_of(tall_systems(), user_systems()))
+def test_planned_res_matches_reference_scatter(system):
+    """Res from the fan's plan equals the scatter from the bases alone,
+    at alpha and alpha + alpha0, on the call that builds the plan and on
+    the one that reuses it."""
+    pair = improved_pair(system)
+    for beta in (pair.alpha, pair.top):
+        want = assemble_res_reference(system, beta, allow_empty=True)
+        for _ in range(2):
+            got = assemble_res(system, beta, allow_empty=True)
+            assert got.rows is want.rows
+            assert got.col_blocks == want.col_blocks
+            assert np.array_equal(got.matrix, want.matrix)
+
+
 # ------------------------------------------------- multiplication family
 
 PILLOW_PAIR = ((2, 2, 2, 2), (1, 1, 1, 1))
@@ -934,6 +1005,68 @@ def test_stacked_family_and_schur_reads_match_per_member(name):
     assert len(clustering.leakage_by_member) == len(by_member)
     for got, ref in zip(clustering.leakage_by_member, by_member):
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+# ------------------------------------ direct LAPACK calls
+# multiplication_family and schur_cluster call geqp3, getrf, getrs and
+# gees themselves. Through scipy's wrappers the same routines must give
+# the same bits.
+
+DATA = Path(__file__).parent / "data"
+
+
+def _lapack_case(name):
+    if name == "dense_p2_d6_seed0":
+        sf = load_system_file(DATA / f"{name}.system.json")
+        system = homogenize(sf.laurent(), rays=sf.rays)
+        pair = improved_pair(system)
+        lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
+                      corank_only=True)
+        return system, pair, cokernel(assemble_res(system, pair.top), block=lo)
+    return _family_case(name)
+
+
+def scipy_family(cok, system, pair, seed):
+    """(stack, basis_columns, cond) of multiplication_family, with the
+    pivoted QR, LU and solve of scipy.linalg."""
+    s_alpha = graded_basis(system.fan, pair.alpha)
+    s_alpha0 = graded_basis(system.fan, pair.alpha0)
+    idx = cok.res.rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])
+    stack = np.moveaxis(cok.N[:, idx], 1, 0)
+    delta = cok.delta_plus
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    for _ in range(RETRIES_MAX + 1):
+        coeffs = (rng.standard_normal(len(s_alpha0))
+                  + 1j * rng.standard_normal(len(s_alpha0)))
+        n_h0 = np.tensordot(coeffs, stack, axes=(0, 0))
+        R, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="r")
+        columns = tuple(sorted(int(p) for p in piv[:delta]))
+        cond = _restriction_cond(R[:, :delta], n_h0[:, columns])
+        if cond <= COND_MAX:
+            break
+    rhs = np.moveaxis(stack[:, :, columns], 0, 1).reshape(delta, -1)
+    solved = scipy.linalg.lu_solve(scipy.linalg.lu_factor(n_h0[:, columns]), rhs)
+    family = np.moveaxis(solved.reshape(delta, len(s_alpha0), delta), 1, 0)
+    return family, columns, float(cond)
+
+
+@pytest.mark.parametrize("name", ["pillow", "intro e=3", "lines27", "dense_p2_d6_seed0"])
+def test_direct_lapack_calls_match_scipy_bit_for_bit(name, monkeypatch):
+    system, pair, cok = _lapack_case(name)
+    family = multiplication_family(cok, system, pair, seed=3)
+    stack, columns, cond = scipy_family(cok, system, pair, seed=3)
+    assert np.array_equal(family.stack, stack)
+    assert family.basis_columns == columns
+    assert family.cond == cond
+
+    clustering = schur_cluster(family, seed=3)
+    monkeypatch.setattr(eigensolver, "_gees",
+                        lambda M: scipy.linalg.schur(M, output="complex"))
+    want = schur_cluster(family, seed=3)
+    assert clustering.block_sizes == want.block_sizes
+    assert np.array_equal(clustering.tables, want.tables)
+    assert clustering.leakage == want.leakage
+    assert clustering.leakage_by_member == want.leakage_by_member
 
 
 # ------------------------------------------------------------ properties

@@ -35,6 +35,7 @@ from systems import (
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
     PILLOW_RAYS_SOLVE,
+    branch_plan_reference,
     hirzebruch_fan,
     intro_laurent,
     lines27_laurent,
@@ -502,6 +503,32 @@ def test_batched_recovery_mixes_base_points_and_sublattices():
     want = reference_recover_torus_point(fan, tables[4])
     for d in [(2, 0), (0, 2)]:
         assert close(np.prod(np.array(got[4].t) ** d), np.prod(np.array(want.t) ** d))
+
+
+@st.composite
+def integer_row_sets(draw):
+    """(rows, n): up to 8 integer rows of length n = 2..4, small entries
+    so that dependent rows and sublattices of small index are common."""
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=r, max_size=r))
+    return np.array(rows, dtype=np.int64).reshape(r, n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_row_sets())
+@example((np.array([(2, 0), (1, 0), (0, 1)]), 2))
+@example((np.array([(1, 1, 0), (2, 2, 0), (0, 0, 3), (0, 1, 1), (1, 0, 0)]), 3))
+def test_branch_plan_matches_from_scratch_ranks(case):
+    """The echelon kept across candidate rows selects the same rows, and
+    so gives the same Smith form and branches, as a rank from scratch."""
+    rows, n = case
+    got, want = _branch_plan(rows, n), branch_plan_reference(rows, n)
+    assert (got is None) == (want is None)
+    if want is not None:
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def _usable_plan(table):

@@ -18,9 +18,11 @@ from toricsolve.errors import (
     RankAmbiguousError,
 )
 from toricsolve.lattice import Polytope
+from toricsolve import regularity
 from toricsolve.regularity import (
     Provenance,
     RegularityPair,
+    _higher_cohomology_vanishes,
     _multiplier_ok,
     default_pair,
     improved_pair,
@@ -30,7 +32,7 @@ from toricsolve.regularity import (
     verify_pair,
 )
 from toricsolve.solver import solve
-from toricsolve.toric import DivisorClass
+from toricsolve.toric import DivisorClass, cohomology_dims, nef_witness
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -41,13 +43,16 @@ from systems import (
     WP112_RAYS,
     alpha0_walk_pair,
     codegree,
+    hirzebruch_fan,
     intro_laurent,
     lines27_laurent,
     macaulay_pair,
+    pillow_fan_solve,
     pillow_laurent,
     unmixed_base,
     weighted_pair,
     weighted_projective_weights,
+    wp112_fan,
 )
 
 P1_RAYS = [(1,), (-1,)]
@@ -401,6 +406,46 @@ def test_lines27_solve_builds_each_section_polytope_once(monkeypatch):
     result = solve(lines27_laurent(c), rays=LINES27_RAYS, seed=0)
     assert result.delta_plus == 45
     assert built and max(built.values()) == 1, built.most_common(3)
+
+
+def test_cold_pillow_pair_decides_nef_twists_without_polytopes(monkeypatch):
+    """The pillow is no product of projective spaces, so the walk decides
+    a nef twist by Demazure vanishing: only classes that are not nef
+    reach cohomology_dims, and the polytopes built are those of the
+    classes the walk sizes and of the anti-nef twists (38; 56 when every
+    twist went through cohomology_dims)."""
+    built = []
+    from_inequalities = Polytope.from_inequalities.__func__
+    asked = []
+
+    def counting(cls, a, b):
+        built.append(tuple(b))
+        return from_inequalities(cls, a, b)
+
+    def recording(div):
+        asked.append(div)
+        return cohomology_dims(div)
+
+    cox._supports.clear()
+    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
+    monkeypatch.setattr(Polytope, "from_inequalities", classmethod(counting))
+    monkeypatch.setattr(regularity, "cohomology_dims", recording)
+    pair = improved_pair(system)
+    assert (pair.alpha.a, pair.alpha0.a) == ((0, 1, 1, 2), (1, 1, 1, 1))
+    assert system.fan.product_structure is None
+    assert asked and all(nef_witness(div) is None for div in asked)
+    assert len(built) == len(set(built)) == 38
+
+
+@settings(max_examples=150, deadline=None)
+@given(fan=st.sampled_from([hirzebruch_fan, pillow_fan_solve, wp112_fan]),
+       data=st.data())
+def test_vanishing_verdict_matches_cohomology_dims(fan, data):
+    fan = fan()
+    a = data.draw(st.tuples(*[st.integers(-4, 4)] * fan.k))
+    div = DivisorClass(fan, a)
+    dims, _reason = cohomology_dims(div)
+    assert _higher_cohomology_vanishes(div) == (dims is not None and not any(dims[1:]))
 
 
 def test_predicted_shape_matches_assembly():
