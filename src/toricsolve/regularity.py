@@ -28,10 +28,9 @@ from .lattice import int_vector, sublattice_index
 from .recovery import check_span
 from .toric import (
     DivisorClass,
-    cohomology_dims,
+    higher_cohomology_vanishes,
     is_effective,
     is_nef_cartier,
-    nef_witness,
 )
 
 __all__ = [
@@ -161,26 +160,12 @@ def default_pair(system):
     return RegularityPair(alpha, _select_multiplier(system, alpha), Provenance.SUM_OF_DEGREES)
 
 
-def _higher_cohomology_vanishes(div):
-    """Whether h^1..h^n of O(div) are known to vanish.
-
-    On a product of projective spaces Kunneth decides, as in
-    cohomology_dims. Otherwise a nef class has no higher cohomology
-    (Demazure vanishing), which needs no section polytope; only a class
-    that is not nef goes to cohomology_dims.
-    """
-    if div.fan.product_structure is None and nef_witness(div) is not None:
-        return True
-    dims, _reason = cohomology_dims(div)
-    return dims is not None and not any(dims[1:])
-
-
 def _vanishes(system, beta, verdicts):
     """The vanishing criterion at beta, each class decided once.
 
     verdicts maps the class of a twist beta - sum_{i in J} alpha_i to
-    whether its higher cohomology is known to vanish; cohomology depends
-    only on the class, so one map serves every beta of a search.
+    toric.higher_cohomology_vanishes of it; cohomology depends only on
+    the class, so one map serves every beta of a search.
     """
     s = len(system)
     for r in range(s + 1):
@@ -190,7 +175,7 @@ def _vanishes(system, beta, verdicts):
                 diff = diff - system.degrees[i]
             key = diff.degree()
             if key not in verdicts:
-                verdicts[key] = _higher_cohomology_vanishes(diff)
+                verdicts[key] = higher_cohomology_vanishes(diff)
             if not verdicts[key]:
                 return False
     return True
@@ -200,8 +185,10 @@ def vanishing_pair(system, beta):
     """Check the cohomological criterion for beta to bound the regularity.
 
     Requires H^p(beta - sum_{i in J} alpha_i) = 0 for all p > 0 and all
-    subsets J of the equations. Conservative: any cohomology this code
-    cannot decide counts as a failure.
+    subsets J of the equations, each twist decided by
+    toric.higher_cohomology_vanishes (Kunneth on products of projective
+    spaces, then nef, then anti-nef). Conservative: a twist none of its
+    rules decides counts as a failure.
     """
     if not isinstance(beta, DivisorClass):
         beta = DivisorClass(system.fan, beta)

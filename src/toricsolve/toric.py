@@ -1,4 +1,4 @@
-"""Complete fans, divisor classes, and sheaf cohomology dimension counts.
+"""Complete fans, divisor classes, and the vanishing of higher cohomology.
 
 A Fan here is always the normal fan of a full-dimensional lattice
 polytope (the Minkowski sum of the Newton polytopes of a system). Rays
@@ -14,7 +14,6 @@ spaces) is handled exactly.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from itertools import combinations, product
 
@@ -40,7 +39,7 @@ __all__ = [
     "nef_witness",
     "is_nef_cartier",
     "is_effective",
-    "cohomology_dims",
+    "higher_cohomology_vanishes",
     "projective_product_structure",
     "boundary_stratum_check",
 ]
@@ -344,54 +343,33 @@ def projective_product_structure(fan):
     return [(g, len(g) - 1) for g in groups]
 
 
-def _proj_space_h(d, n):
-    """Cohomology dimensions of O(d) on P^n: (h^0, 0, ..., 0, h^n)."""
-    h = [0] * (n + 1)
-    if d >= 0:
-        h[0] = math.comb(d + n, n)
-    if d <= -(n + 1):
-        h[n] = math.comb(-d - 1, n)
-    return h
+def higher_cohomology_vanishes(div):
+    """Whether h^1..h^n of O(div) are known to vanish.
 
-
-def cohomology_dims(div):
-    """All sheaf cohomology dimensions h^0..h^n of O(div), when decidable.
-
-    Three routes, tried in order:
-      * the fan is a product of projective spaces: Kunneth from the
-        one-factor formulas, exact for every class and free of polytopes,
-      * div nef Q-Cartier: h^0 counts lattice points of the section
-        polytope, higher cohomology vanishes,
+    Four rules, tried in order:
+      * the fan is a product of projective spaces: Kunneth in closed
+        form. O(d) on P^m has only h^0 when d >= 0, only h^m when
+        d <= -m - 1 and nothing when -m <= d <= -1, so a product class
+        vanishes when every factor degree is >= 0 or some factor degree
+        lies in [-m, -1],
+      * div nef Q-Cartier: vanishes (Demazure vanishing),
       * -div nef Q-Cartier: only h^p with p the dimension of the section
-        polytope P of -div can survive, and it counts the lattice points
-        in the relative interior of P (h^n when P is full-dimensional).
-
-    Returns (dims, reason): dims is a list of length n+1 or None when no
-    route applies, and reason says which route fired or why none did.
+        polytope P of -div can survive, counting the lattice points in
+        the relative interior of P, so it vanishes when P has no such
+        point (P is never a point here: then div is numerically trivial,
+        so nef, and the rule before has decided it),
+      * anything else is undecided and counts as not vanishing.
     """
-    fan = div.fan
-    n = fan.n
-    prod = fan.product_structure
+    prod = div.fan.product_structure
     if prod is not None:
-        # Kunneth: convolve the one-factor tables
-        acc = [1]
-        for grp, nj in prod:
-            table = _proj_space_h(sum(div.a[j] for j in grp), nj)
-            nxt = [0] * (len(acc) + len(table) - 1)
-            for i, x in enumerate(acc):
-                for j, y in enumerate(table):
-                    nxt[i + j] += x * y
-            acc = nxt
-        return acc, "product of projective spaces"
-    dims = [0] * (n + 1)
+        degrees = [(sum(div.a[j] for j in grp), m) for grp, m in prod]
+        return (all(d >= 0 for d, _ in degrees)
+                or any(-m <= d <= -1 for d, m in degrees))
     if nef_witness(div) is not None:
-        dims[0] = len(div.polytope().lattice_point_array())
-        return dims, "nef"
+        return True
     if nef_witness(-div) is not None:
-        poly = (-div).polytope()
-        dims[poly.dim] = len(poly.relint_lattice_points())
-        return dims, "anti-nef"
-    return None, "class is neither nef nor anti-nef and the fan is not a recognized product"
+        return not (-div).polytope().relint_lattice_points()
+    return False
 
 
 def boundary_stratum_check(fan, ray_set):

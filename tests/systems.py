@@ -11,6 +11,9 @@ is the tests' floating-point reference for the BKK count.
 codegree bound, and `macaulay_pair`, `weighted_pair` and
 `alpha0_walk_pair` for the Macaulay, weighted and multiple-of-alpha0
 pairs: the closed forms the library reaches through its vanishing walk.
+`cohomology_dims` counts h^0..h^n of a class where Kunneth, the nef or
+the anti-nef case decides them: the oracle of the library's yes/no
+vanishing verdict.
 `assemble_res_reference` scatters Res without the fan's index plans,
 and `branch_plan_reference` re-runs the rank test of a binomial plan
 from scratch for every candidate row: the oracles of the planned and
@@ -29,7 +32,7 @@ from toricsolve.errors import InputError
 from toricsolve.lattice import Polytope, integer_kernel, rank_int, smith_normal_form
 from toricsolve.recovery import MAX_BRANCHES
 from toricsolve.regularity import default_pair, vanishing_pair
-from toricsolve.toric import DivisorClass, Fan
+from toricsolve.toric import DivisorClass, Fan, nef_witness
 
 # quotient of P^1 x P^1 with class group Z^2 + Z/2; normal fan of the diamond
 PILLOW_RAYS = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
@@ -231,6 +234,56 @@ def alpha0_walk_pair(system):
         best = cand
         t += 1
     return None if best is None else (best.a, alpha0.a)
+
+
+def _proj_space_h(d, n):
+    """Cohomology dimensions of O(d) on P^n: (h^0, 0, ..., 0, h^n)."""
+    h = [0] * (n + 1)
+    if d >= 0:
+        h[0] = math.comb(d + n, n)
+    if d <= -(n + 1):
+        h[n] = math.comb(-d - 1, n)
+    return h
+
+
+def cohomology_dims(div):
+    """All sheaf cohomology dimensions h^0..h^n of O(div), when decidable.
+
+    Three routes, tried in order:
+      * the fan is a product of projective spaces: Kunneth from the
+        one-factor formulas, exact for every class and free of polytopes,
+      * div nef Q-Cartier: h^0 counts lattice points of the section
+        polytope, higher cohomology vanishes,
+      * -div nef Q-Cartier: only h^p with p the dimension of the section
+        polytope P of -div can survive, and it counts the lattice points
+        in the relative interior of P (h^n when P is full-dimensional).
+
+    Returns (dims, reason): dims is a list of length n+1 or None when no
+    route applies, and reason says which route fired or why none did.
+    """
+    fan = div.fan
+    n = fan.n
+    prod = fan.product_structure
+    if prod is not None:
+        # Kunneth: convolve the one-factor tables
+        acc = [1]
+        for grp, nj in prod:
+            table = _proj_space_h(sum(div.a[j] for j in grp), nj)
+            nxt = [0] * (len(acc) + len(table) - 1)
+            for i, x in enumerate(acc):
+                for j, y in enumerate(table):
+                    nxt[i + j] += x * y
+            acc = nxt
+        return acc, "product of projective spaces"
+    dims = [0] * (n + 1)
+    if nef_witness(div) is not None:
+        dims[0] = len(div.polytope().lattice_point_array())
+        return dims, "nef"
+    if nef_witness(-div) is not None:
+        poly = (-div).polytope()
+        dims[poly.dim] = len(poly.relint_lattice_points())
+        return dims, "anti-nef"
+    return None, "class is neither nef nor anti-nef and the fan is not a recognized product"
 
 
 def diamond_polytope():

@@ -22,7 +22,6 @@ from toricsolve import regularity
 from toricsolve.regularity import (
     Provenance,
     RegularityPair,
-    _higher_cohomology_vanishes,
     _multiplier_ok,
     default_pair,
     improved_pair,
@@ -32,7 +31,8 @@ from toricsolve.regularity import (
     verify_pair,
 )
 from toricsolve.solver import solve
-from toricsolve.toric import DivisorClass, cohomology_dims, nef_witness
+from toricsolve import toric
+from toricsolve.toric import DivisorClass, Fan, higher_cohomology_vanishes, nef_witness
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -43,10 +43,13 @@ from systems import (
     WP112_RAYS,
     alpha0_walk_pair,
     codegree,
+    cohomology_dims,
     hirzebruch_fan,
     intro_laurent,
+    lines27_fan,
     lines27_laurent,
     macaulay_pair,
+    p2_fan,
     pillow_fan_solve,
     pillow_laurent,
     unmixed_base,
@@ -410,42 +413,79 @@ def test_lines27_solve_builds_each_section_polytope_once(monkeypatch):
 
 def test_cold_pillow_pair_decides_nef_twists_without_polytopes(monkeypatch):
     """The pillow is no product of projective spaces, so the walk decides
-    a nef twist by Demazure vanishing: only classes that are not nef
-    reach cohomology_dims, and the polytopes built are those of the
-    classes the walk sizes and of the anti-nef twists (38; 56 when every
-    twist went through cohomology_dims)."""
+    a nef twist by Demazure vanishing: the polytopes built are those of
+    the classes the walk sizes and of the anti-nef twists (38; 56 when
+    every twist counted its cohomology), and the verdict tests each class
+    and its negative for nef at most once (85 nef_witness calls in the
+    pair; 108 when a twist that is not nef was tested twice)."""
     built = []
     from_inequalities = Polytope.from_inequalities.__func__
-    asked = []
+    witnessed, in_verdict = [], []
 
     def counting(cls, a, b):
         built.append(tuple(b))
         return from_inequalities(cls, a, b)
 
-    def recording(div):
-        asked.append(div)
-        return cohomology_dims(div)
+    def recording_witness(div):
+        # (the class the verdict was asked about, whether div is it or
+        # its negative), or None outside the verdict
+        asked = in_verdict[-1] if in_verdict else None
+        witnessed.append(asked and (asked.degree(), div.a == asked.a))
+        return nef_witness(div)
+
+    def recording_verdict(div):
+        in_verdict.append(div)
+        try:
+            return higher_cohomology_vanishes(div)
+        finally:
+            in_verdict.pop()
 
     cox._supports.clear()
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
     monkeypatch.setattr(Polytope, "from_inequalities", classmethod(counting))
-    monkeypatch.setattr(regularity, "cohomology_dims", recording)
+    monkeypatch.setattr(toric, "nef_witness", recording_witness)
+    monkeypatch.setattr(regularity, "higher_cohomology_vanishes", recording_verdict)
     pair = improved_pair(system)
     assert (pair.alpha.a, pair.alpha0.a) == ((0, 1, 1, 2), (1, 1, 1, 1))
     assert system.fan.product_structure is None
-    assert asked and all(nef_witness(div) is None for div in asked)
     assert len(built) == len(set(built)) == 38
+    asked = Counter(key for key in witnessed if key is not None)
+    assert asked and max(asked.values()) == 1, asked.most_common(3)
+    assert len(witnessed) == 85
 
 
-@settings(max_examples=150, deadline=None)
-@given(fan=st.sampled_from([hirzebruch_fan, pillow_fan_solve, wp112_fan]),
-       data=st.data())
+# products of projective spaces (Kunneth) next to fans that are not
+# (nef, anti-nef or undecided)
+VERDICT_FANS = [
+    p2_fan(),
+    Fan.normal_fan(Polytope.from_points(list(product((0, 1), repeat=2)))),
+    Fan.normal_fan(Polytope.from_points(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)])),
+    Fan.normal_fan(Polytope.from_points(list(product((0, 1), repeat=3)))),
+    lines27_fan(),
+    hirzebruch_fan(),
+    pillow_fan_solve(),
+    wp112_fan(),
+    # the octahedron's: not simplicial, four rays in each maximal cone
+    Fan.normal_fan(Polytope.from_points(
+        [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)])),
+]
+
+
+def test_verdict_fans_are_the_named_varieties():
+    # P^2, P^1 x P^1, P^1 x P^2, (P^1)^3, P^2 x P^2, then four that are not
+    factors = [fan.product_structure and sorted(m for _, m in fan.product_structure)
+               for fan in VERDICT_FANS]
+    assert factors == [[2], [1, 1], [1, 2], [1, 1, 1], [2, 2], None, None, None, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fan=st.sampled_from(VERDICT_FANS), data=st.data())
 def test_vanishing_verdict_matches_cohomology_dims(fan, data):
-    fan = fan()
     a = data.draw(st.tuples(*[st.integers(-4, 4)] * fan.k))
     div = DivisorClass(fan, a)
     dims, _reason = cohomology_dims(div)
-    assert _higher_cohomology_vanishes(div) == (dims is not None and not any(dims[1:]))
+    assert higher_cohomology_vanishes(div) == (dims is not None and not any(dims[1:]))
 
 
 def test_predicted_shape_matches_assembly():

@@ -1,4 +1,5 @@
-"""Fans, class groups, divisor predicates, cohomology counts.
+"""Fans, class groups, divisor predicates, the higher-cohomology verdict
+and the cohomology counts of its oracle (systems.cohomology_dims).
 
 Oracle values here were computed by hand from the defining lattice data
 (Smith forms of small ray matrices, lattice point counts of explicit
@@ -20,6 +21,7 @@ from systems import (
     P2_RAYS,
     PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
+    cohomology_dims,
     diamond_polytope,
     hirzebruch_fan,
     hirzebruch_polytope,
@@ -39,8 +41,8 @@ from toricsolve.toric import (
     DivisorClass,
     Fan,
     boundary_stratum_check,
-    cohomology_dims,
     divisor_of_polytope,
+    higher_cohomology_vanishes,
     is_effective,
     is_nef_cartier,
     nef_witness,
@@ -173,6 +175,7 @@ def test_cohomology_nef():
     dims, reason = cohomology_dims(fan.divisor((0, 0, 1, 2)))
     assert reason == "nef"
     assert dims == [5, 0, 0]
+    assert higher_cohomology_vanishes(fan.divisor((0, 0, 1, 2)))
 
 
 def test_cohomology_anti_nef():
@@ -186,6 +189,8 @@ def test_cohomology_anti_nef():
     assert dims == [0, 0, 1]
     dims, _ = cohomology_dims(fan.divisor((0, 0, -2)))
     assert dims == [0, 0, 0]
+    assert not higher_cohomology_vanishes(fan.divisor((0, 0, -3)))
+    assert higher_cohomology_vanishes(fan.divisor((0, 0, -2)))
     # F_1 is no product: h^2 of minus three times the quad counts the 4 + 3
     # interior points of the tripled quad, and h^2(K) = h^0(O) = 1
     fan = hirzebruch_fan()
@@ -195,6 +200,9 @@ def test_cohomology_anti_nef():
     assert cohomology_dims(fan.divisor((-1, -1, -1, -1))) == ([0, 0, 1], "anti-nef")
     # minus twice the fiber class pulls back O(-2) from P^1: h^1 = 1, not h^2
     assert cohomology_dims(fan.divisor((0, 0, 0, -2))) == ([0, 1, 0], "anti-nef")
+    assert not higher_cohomology_vanishes(fan.divisor((0, 0, 0, -2)))
+    # minus the fiber class: a segment with no interior lattice point
+    assert higher_cohomology_vanishes(fan.divisor((0, 0, 0, -1)))
 
 
 def divisor_and_shift(fan):
@@ -214,6 +222,7 @@ def test_cohomology_dims_is_a_class_function(args):
     assert other == div
     dims, reason = cohomology_dims(div)
     assert cohomology_dims(other) == (dims, reason)
+    assert higher_cohomology_vanishes(other) == higher_cohomology_vanishes(div)
     if fan.product_structure is None:
         return
     # Kunneth answers every class on a product and agrees with the
@@ -255,6 +264,10 @@ def test_cohomology_kunneth():
     dims, reason = cohomology_dims(fan.divisor(b))
     assert reason == "product of projective spaces"
     assert dims == [0, 0, 18, 0, 0]
+    assert not higher_cohomology_vanishes(fan.divisor(b))
+    # O(2,-1): the factor O(-1) on P^2 has no cohomology at all
+    b[5] = -1
+    assert higher_cohomology_vanishes(fan.divisor(b))
     # O(5,5) has only sections: 21 * 21
     c = [0] * 6
     c[4], c[5] = 5, 5
@@ -266,6 +279,8 @@ def test_cohomology_unknown_on_hirzebruch():
     fan = hirzebruch_fan()
     # (0,0,-1,1) has nontrivial mixed behavior and F_1 is not a product
     d = fan.divisor((0, -2, 3, -1))
+    # undecided counts as not vanishing
+    assert not higher_cohomology_vanishes(d)
     dims, reason = cohomology_dims(d)
     if dims is None:
         assert "not a recognized product" in reason
