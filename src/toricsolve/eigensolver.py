@@ -162,18 +162,18 @@ class CokernelMap:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
             ker N = im Res up to TOL_RANK; None from a corank-only call.
         delta_plus: corank of Res against its row dimension.
-        R: upper trapezoidal factor, shaped like Res, of a pivoted QR of
-            Res, cut on its |diagonal|. On the block path it is assembled
-            from two QRs, and its |diagonal| is not monotone across the
-            block boundary.
+        R: square triangular factor of a pivoted QR of Res (of Res^H when
+            Res is wide), cut on its |diagonal|. On the block path it is
+            assembled from two QRs, and its |diagonal| is not monotone
+            across the block boundary.
         rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
             of Res at its rank r, the exact pair when the SVD decided.
         res: the ResMatrix this was computed from.
         rank: the rank r at the cut, nrows - delta_plus.
         qr, tau: the geqp3 output (R above the Householder vectors, and
-            their scalars) of a corank-only call without a block, whatever
-            the shape of Res; cokernel(..., block=this) one degree up
-            reuses them. None otherwise.
+            their scalars) of a corank-only call on a tall Res, factored
+            in one piece; cokernel(..., block=this) one degree up reuses
+            them. None otherwise.
     """
 
     __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "rank",
@@ -222,15 +222,14 @@ def _rank(s):
 
 
 def _qr_rank(R, reveal):
-    """(rank, rank_bounds) of Res from the trapezoidal factor R of its QR.
+    """(rank, rank_bounds) of Res from the triangular factor R of its QR.
 
     r counts |r_ii| > TOL_RANK |r_11|. On R / |r_11| (no overflow or
     underflow), sigma_r >= 1 / ||R11^-1||_F, sigma_{r+1} <= ||R22||_F and
-    sigma_1 <= ||R||_F by interlacing and Weyl (R minus R22 has rank r),
-    whether R is tall or wide. Within the margins below, r is the rank
-    _rank gives on the singular values, and both guards pass. Otherwise
-    a values-only SVD of R decides; with reveal, an R22 above the cut
-    raises. A non-finite R (Res beyond double range) raises.
+    sigma_1 <= ||R||_F by interlacing and Weyl. Within the margins below,
+    r is the rank _rank gives on the singular values, and both guards
+    pass. Otherwise a values-only SVD of R decides; with reveal, an R22
+    above the cut raises. A non-finite R (Res beyond double range) raises.
     """
     if not np.isfinite(R).all():
         raise RankAmbiguousError(
@@ -285,9 +284,8 @@ def _no_select(_value):
 
 
 def _unmqr(trans, qr, tau, c):
-    """Q c (trans "N") or Q^H c (trans "C"), Q the unitary of a geqp3;
-    a wide factorization holds its reflectors in its leading columns."""
-    qr, c = qr[:, :len(tau)], np.asfortranarray(c)
+    """Q c (trans "N") or Q^H c (trans "C"), Q the unitary of a geqp3."""
+    c = np.asfortranarray(c)
     lwork = scipy.linalg.lapack.zunmqr("L", trans, qr, tau, c, -1)[1][0]
     return scipy.linalg.lapack.zunmqr(
         "L", trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
@@ -335,8 +333,8 @@ def _embedding_plan(res, lo):
     return plan
 
 
-def _qr_cokernel(res, corank_only, block=None):
-    """cokernel from one pivoted QR, of Res or of what a block leaves.
+def _tall_cokernel(res, corank_only, block=None):
+    """The tall path of cokernel; without a block, the one-QR path.
 
     With I, J from _embedding, Res[I][:, J] P1 = Q1 R1 is the kept QR of
     the block at its rank k, and K the other columns. Q1^H on the rows I
@@ -345,10 +343,9 @@ def _qr_cokernel(res, corank_only, block=None):
         W = [[R1[k:, k:], (Q1^H Res[I][:, K])[k:]], [0, Res[~I][:, K]]]
 
     is left to factor: W P_W = Q_W R_W. Then Res P = Q R with Q =
-    diag(Q1, I) diag(I_k, Q_W) on the rows (I, ~I) and R the upper
-    trapezoid [[R1[:k, :k], [R1[:k, k:], (Q1^H Res[I][:, K])[:k]] P_W],
-    [0, R_W]], m x n like Res. Without a block I and J are empty and W is
-    Res. Any of Res, the block and W may be tall or wide.
+    diag(Q1, I) diag(I_k, Q_W) on the rows (I, ~I) and R the n x n
+    triangle [[R1[:k, :k], [R1[:k, k:], (Q1^H Res[I][:, K])[:k]] P_W],
+    [0, R_W]]. Without a block I and J are empty and W is Res.
     """
     A = res.matrix
     m, n = A.shape
@@ -371,7 +368,7 @@ def _qr_cokernel(res, corank_only, block=None):
     if k:
         lead = np.hstack([block.qr[:k, k:], turned[:k]])[:, jpvt - 1]
         R = np.block([[np.triu(block.qr[:k, :k]), lead],
-                      [np.zeros((len(R), k)), R]])
+                      [np.zeros((n - k, k)), R]])
     rank, bounds = _qr_rank(R, not corank_only)
     if corank_only:
         # only a QR of Res itself is worth keeping for the degree above
@@ -396,28 +393,35 @@ def cokernel(res, corank_only=False, block=None):
     the corank is counted against the row dimension, so a matrix with few
     columns exposes its structural cokernel too.
 
-    Every path makes one column-pivoted QR (LAPACK geqp3) of Res as it
-    stands, tall or wide: Res P = Q R, so the m x n upper trapezoidal
-    factor R has the singular values of Res. _qr_rank certifies the cut
-    on |diag R| from R; a values-only SVD of R runs only when that fails
-    or CokernelMap.singular_values is read. The left null space is
-    spanned by the trailing columns of Q, which LAPACK unmqr applies to
-    unit vectors. That basis treats the trailing block R22 of R as zero,
-    so N Res is as small as R22. Pivoted QR keeps R22 near the discarded
-    singular values on all but contrived matrices; when it does not, the
-    full path raises instead of returning an N that misses the image.
-    With corank_only, N is None, only that guard is skipped, and the QR
-    is kept for cokernel(..., block=this) one degree up.
+    Every path makes one column-pivoted QR (LAPACK geqp3) of the tall
+    orientation B of Res: Res itself when it has at least as many rows as
+    columns, Res^H otherwise. B P = Q R, so the square triangular factor
+    R has the singular values of Res. _qr_rank certifies the cut on
+    |diag R| from R; a values-only SVD of R runs only when that fails or
+    CokernelMap.singular_values is read. With R11 the leading rank x rank
+    block of R, R12 beside it and R22 the trailing block, the full path
+    builds N from the same QR, with no U:
 
-    Block path: Res at alpha + alpha0 holds Res at alpha, times a
+    - tall Res: the left null space is spanned by the trailing columns
+      of Q, which LAPACK unmqr applies to unit vectors;
+    - wide Res: the left null space is the null space of B, which is P
+      times the null space of [R11 R12], spanned by [-R11^{-1} R12; I].
+
+    Both bases treat R22 as zero, so N Res is as small as R22. Pivoted
+    QR keeps R22 near the discarded singular values on all but contrived
+    matrices; when it does not, the full path raises instead of returning
+    an N that misses the image. With corank_only, N is None and only that
+    guard is skipped.
+
+    Block path: a tall Res at alpha + alpha0 holds Res at alpha, times a
     monomial x^b0 of S_alpha0, as a column block that vanishes off its
-    rows. Given block, the corank-only CokernelMap of Res at alpha that
-    kept its QR, only the columns outside the block and the rows of the
-    block beyond its rank are factored (_qr_cokernel), and the assembled
-    R is certified as above; the cut's proof uses only Res P = Q R,
-    whichever pivots were chosen. If that raises, the one-QR path runs
-    instead. A block that kept no QR (it was empty or had a basis) is
-    ignored.
+    rows. Given block, the corank-only CokernelMap of a tall Res at alpha
+    that kept its QR, only the columns outside the block and the rows
+    of the block beyond its rank are factored (_tall_cokernel), and the
+    assembled R is certified as above; the cut's proof uses only
+    Res P = Q R, whichever pivots were chosen. If that raises, the one-QR
+    path runs instead. A wide Res, or a block that kept no QR (it was
+    wide, empty or had a basis), takes the path it takes without one.
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
@@ -428,15 +432,30 @@ def cokernel(res, corank_only=False, block=None):
             degree with sections, for the same equations.
     """
     A = res.matrix
-    if A.shape[1] == 0:
-        N = None if corank_only else np.eye(len(A), dtype=complex)
-        return CokernelMap(N, len(A), np.zeros((0, 0), dtype=complex), (), res, 0)
-    if block is not None and block.qr is not None:
-        try:
-            return _qr_cokernel(res, corank_only, block)
-        except RankAmbiguousError:
-            pass
-    return _qr_cokernel(res, corank_only)
+    nrows, ncols = A.shape
+    if ncols == 0:
+        N = None if corank_only else np.eye(nrows, dtype=complex)
+        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res, 0)
+    if nrows >= ncols:
+        if block is not None and block.qr is not None:
+            try:
+                return _tall_cokernel(res, corank_only, block)
+            except RankAmbiguousError:
+                pass
+        return _tall_cokernel(res, corank_only)
+
+    qr, jpvt, _ = _geqp3(A.conj().T)
+    R = np.triu(qr[:nrows])
+    rank, bounds = _qr_rank(R, not corank_only)
+    if corank_only:
+        return CokernelMap(None, nrows - rank, R, bounds, res, rank)
+    null = np.vstack([
+        scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
+        np.eye(nrows - rank),
+    ])
+    basis = np.empty((nrows, nrows - rank), dtype=complex)
+    basis[jpvt - 1] = np.linalg.qr(null)[0]
+    return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res, rank)
 
 
 class MultiplicationFamily:

@@ -300,9 +300,8 @@ def verify_pair(system, pair):
     Assembles Res at both degrees and takes each corank from a pivoted
     QR with a certified cut, without a basis (eigensolver.cokernel): the
     same two calls as solve, alpha first, then alpha + alpha0 with the
-    first as its block: the QR of Res at alpha, tall or wide, leaves
-    only the rest of Res at alpha + alpha0 to factor. The pair is
-    admissible when the two coranks agree; either one is delta+.
+    first as its block. The pair is admissible when the two coranks
+    agree; either one is delta+.
 
     Returns:
         (corank at alpha, corank at alpha + alpha0).

@@ -120,8 +120,8 @@ def solve(system, rays=None, pair=None, seed=0):
     The pair is always verified: the coranks at alpha and alpha + alpha0
     must agree before the solve commits to it; nothing is written onto
     the pair. Both coranks come from a pivoted QR with a certified cut
-    (eigensolver.cokernel). Res at alpha is factored first, corank only,
-    and its QR is kept whatever its shape; the cokernel at alpha + alpha0
+    (eigensolver.cokernel). Res at alpha is factored first, corank only;
+    when it is tall its QR is kept, and the cokernel at alpha + alpha0
     factors only what that QR leaves over (the block path). So a rank
     failure may name Res at alpha, before Res at alpha + alpha0 is
     built; its type and exit code are those of any rank failure.
