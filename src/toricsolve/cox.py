@@ -122,10 +122,7 @@ def graded_basis(fan, alpha):
         this representative).
     """
     alpha = as_divisor(fan, alpha)
-    bases = fan._bases
-    if alpha.a not in bases:
-        bases[alpha.a] = GradedBasis(alpha)
-    return bases[alpha.a]
+    return fan.kept(("basis", alpha.a), GradedBasis, alpha)
 
 
 class CoxPolynomial:

@@ -97,8 +97,8 @@ def _res_plan(system, beta):
     beta = as_divisor(fan, beta)
     key = ("res", beta.a, tuple(div.a for div in system.degrees),
            tuple(f.basis.degree.a for f in system.polys))
-    plan = fan._plans.get(key)
-    if plan is None:
+
+    def build():
         rows = graded_basis(fan, beta)
         col_blocks = [(i, graded_basis(fan, rows.degree - div))
                       for i, div in enumerate(system.degrees)]
@@ -109,8 +109,8 @@ def _res_plan(system, beta):
             cols = col + np.arange(len(block))[:, None]
             scatter.append((r * width + cols, bool((r >= 0).all())))
             col += len(block)
-        plan = fan._plans[key] = (rows, col_blocks, width, scatter)
-    return plan
+        return rows, col_blocks, width, scatter
+    return fan.kept(key, build)
 
 
 def assemble_res(system, beta, allow_empty=False):
@@ -323,14 +323,13 @@ def _embedding_plan(res, lo):
     key = ("embed", res.rows.degree.a, lo.rows.degree.a,
            tuple(b.degree.a for _, b in res.col_blocks),
            tuple(b.degree.a for _, b in lo.col_blocks))
-    plan = fan._plans.get(key)
-    if plan is None:
+
+    def build():
         rows, cols = _embedding(res, lo)
         m, n = res.shape
-        plan = fan._plans[key] = (
-            rows, cols, np.setdiff1d(np.arange(m), rows, assume_unique=True),
-            np.setdiff1d(np.arange(n), cols, assume_unique=True))
-    return plan
+        return (rows, cols, np.setdiff1d(np.arange(m), rows, assume_unique=True),
+                np.setdiff1d(np.arange(n), cols, assume_unique=True))
+    return fan.kept(key, build)
 
 
 def _tall_cokernel(res, corank_only, block=None):
@@ -534,15 +533,13 @@ def _gather_plan(fan, alpha, alpha0):
     b_j in S_alpha0 and a in S_alpha; the section polytopes add, so no
     index is -1."""
     alpha, alpha0 = as_divisor(fan, alpha), as_divisor(fan, alpha0)
-    key = ("gather", alpha.a, alpha0.a)
-    plan = fan._plans.get(key)
-    if plan is None:
+
+    def build():
         s_alpha, s_alpha0 = graded_basis(fan, alpha), graded_basis(fan, alpha0)
         rows = graded_basis(fan, alpha + alpha0)
-        plan = fan._plans[key] = (
-            s_alpha, s_alpha0,
-            rows.rows(s_alpha0.points[:, None] + s_alpha.points[None]))
-    return plan
+        return (s_alpha, s_alpha0,
+                rows.rows(s_alpha0.points[:, None] + s_alpha.points[None]))
+    return fan.kept(("gather", alpha.a, alpha0.a), build)
 
 
 def multiplication_family(cok, system, pair, seed=0):

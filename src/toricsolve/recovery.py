@@ -24,7 +24,7 @@ from .lattice import (
     rank_int,
     right_inverse,
     smith_normal_form,
-    solve_int,
+    sublattice_index,
 )
 from .toric import boundary_stratum_check
 
@@ -246,11 +246,11 @@ def _branch_solve(plan, a, ratios, errs):
     moduli = (np.log(np.abs(ratios)) * w)[:, None, :] @ pinv_t
     args = np.angle(ratios[np.arange(len(ratios))[:, None], sel])
     psi = (args[:, None, :] @ np.swapaxes(u, 1, 2) + offsets) / dd[:, None, :]
-    t = np.exp(moduli + 1j * (psi @ np.swapaxes(v, 1, 2)))
     a = a[:, None]  # one set of rows per cluster, shared by its branches
     # a cluster that is no torus point may drive t to 0 or inf, and its
     # powers to nan; such a branch fails verification, nan included
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.exp(moduli + 1j * (psi @ np.swapaxes(v, 1, 2)))
         for _ in range(3):
             # principal log keeps each step inside one branch; bad branches
             # fail verification below instead of being pulled across
@@ -341,26 +341,46 @@ def _ratio_data(points, values, noise, i0):
     return points[rest] - points[i0][:, None], lam / lam0, errs
 
 
-def check_span(basis, n):
-    """SpanError unless an alpha0 basis's lattice points affinely span rank n.
+def affine_index(basis):
+    """Index in M of the lattice that a basis's lattice points affinely
+    generate, 0 when they span below rank n.
 
-    The verdict is exact and depends on the basis alone, so the fan of
-    its degree keeps it per representative.
+    The index is exact and depends on the basis alone, so the fan of its
+    degree keeps it per representative.
     """
-    plans = basis.degree.fan._plans
-    key = ("span", basis.degree.a, n)
-    if key not in plans:
-        plans[key] = rank_int((basis.points[1:] - basis.points[:1]).tolist()) >= n
-    if not plans[key]:
+    fan = basis.degree.fan
+    return fan.kept(("span", basis.degree.a), lambda: sublattice_index(
+        (basis.points[1:] - basis.points[:1]).tolist(), fan.n))
+
+
+def check_span(basis):
+    """SpanError unless an alpha0 basis's lattice points affinely span rank n."""
+    if affine_index(basis) == 0:
         raise SpanError("alpha0 insufficient: lattice points do not affinely span")
 
 
-def _lift(fan):
-    """The float transpose of fan.ray_inverse, kept by the fan."""
-    plans = fan._plans
-    if "lift" not in plans:
-        plans["lift"] = np.array(fan.ray_inverse, dtype=float).T
-    return plans["lift"]
+def _orbit_chart(fan, cone):
+    """Exact data of the orbit of a cone (sorted ray indices), kept by the fan.
+
+    Returns (rays, to_coords, lift). A lattice-point difference is a
+    character of the orbit when its products with the cone's rays all
+    vanish, and to_coords (integral, as the kernel basis K is saturated)
+    maps it to its coordinates in K. lift, the float transpose of a
+    right inverse of K times the rays off the cone, takes log t on the
+    orbit to the logs of the free Cox coordinates; it is None when those
+    rays do not span, and for the fixed point of a full-dimensional
+    cone, whose to_coords has no rows. The empty cone's orbit is the torus,
+    and its lift is that of fan.ray_inverse.
+    """
+    rays = np.array([fan.rays[j] for j in cone], dtype=np.int64).reshape(-1, fan.n)
+    # a zero row leaves the whole character lattice for the empty cone
+    kern = integer_kernel(rays.tolist() or [[0] * fan.n])
+    if not kern:
+        return rays, np.zeros((0, fan.n), dtype=np.int64), None
+    to_coords = np.array([[int(x) for x in row] for row in right_inverse(kern)]).T
+    free = [j for j in range(fan.k) if j not in cone]
+    lift = right_inverse([[dot(fan.rays[j], krow) for j in free] for krow in kern])
+    return rays, to_coords, None if lift is None else np.array(lift, dtype=float).T
 
 
 def recover_torus_points(fan, tables):
@@ -401,14 +421,14 @@ def recover_torus_points(fan, tables):
     for i, table in enumerate(tables):
         by_basis.setdefault(id(table.basis), (table.basis, []))[1].append(i)
     for basis, _ in by_basis.values():
-        check_span(basis, fan.n)
+        check_span(basis)
     out = [None] * len(tables)
-    if fan.ray_inverse is None:  # rays that do not span M lift no torus point
-        return out
     # z = exp(E log t) for the rational right inverse E of the ray matrix:
     # fractional entries take principal-branch powers, which is harmless
     # because F applied to the result reproduces t in exponent arithmetic
-    lift = _lift(fan)
+    lift = fan.kept((), _orbit_chart, fan, ())[2]
+    if lift is None:  # rays that do not span M lift no torus point
+        return out
     for basis, members in by_basis.values():
         members = np.array(members)
         values = np.array([tables[i].values for i in members])
@@ -495,9 +515,9 @@ def recover_boundary_point(fan, table):
             f"inconsistent vanishing pattern: rays {zero_rays} span no cone of the fan"
         )
 
-    kern = integer_kernel([fan.rays[j] for j in zero_rays])
-    nq = len(kern)
-    live = np.flatnonzero(loud).tolist()
+    rays, to_coords, lift = fan.kept(tuple(zero_rays), _orbit_chart, fan, zero_rays)
+    nq = len(to_coords)
+    live = np.flatnonzero(loud)
 
     if nq == 0:
         # the orbit is the fixed point of a full-dimensional cone
@@ -505,33 +525,25 @@ def recover_boundary_point(fan, table):
         return Solution(z, None, table.multiplicity, zero_rays,
                         non_simplicial=not simplicial)
 
-    # coordinates of m - m0 in the saturated basis K solve K^T c = m - m0;
-    # saturation makes every rational solution integral
-    kern_t = [list(col) for col in zip(*kern)]
-    coords = []
-    for i in live:
-        sol = solve_int(kern_t, pts[i] - pts[live[0]])
-        if sol is None:
-            raise ClusteringError(
-                "inconsistent vanishing pattern: surviving monomials leave the orbit"
-            )
-        coords.append([x // sol[0] for x in sol[1]])
+    steps = pts[live] - pts[live[0]]
+    if (steps @ rays.T).any():
+        raise ClusteringError(
+            "inconsistent vanishing pattern: surviving monomials leave the orbit"
+        )
     values = table.values[live]
     diffs, ratios, errs = _ratio_data(
-        np.array(coords, dtype=np.int64), values[None], table.noise[live][None],
+        steps @ to_coords.T, values[None], table.noise[live][None],
         np.argmax(np.abs(values))[None])
     if rank_int(diffs[0].tolist()) < nq:
         raise RecoveryError("alpha0 insufficient on orbit")
     solved = _solve_binomials(diffs, ratios, errs, nq)
     if not solved[1][0]:
         raise RecoveryError("inconsistent ratios on the boundary orbit")
+    if lift is None:
+        raise RecoveryError("alpha0 insufficient on orbit")
 
     free = [j for j in range(fan.k) if j not in zero_rays]
-    b_rows = [[dot(fan.rays[j], krow) for j in free] for krow in kern]
-    einv = right_inverse(b_rows)
-    if einv is None:
-        raise RecoveryError("alpha0 insufficient on orbit")
-    zfree = np.exp(np.log(solved[0][0]) @ np.array(einv, dtype=float).T)
+    zfree = np.exp(np.log(solved[0][0]) @ lift)
     z = [0j] * fan.k
     for j, val in zip(free, zfree):
         z[j] = val

@@ -24,8 +24,8 @@ from itertools import combinations
 from .cox import graded_basis
 from .eigensolver import assemble_res, cokernel
 from .errors import PairSelectionError
-from .lattice import int_vector, sublattice_index
-from .recovery import check_span
+from .lattice import int_vector
+from .recovery import affine_index, check_span
 from .toric import (
     DivisorClass,
     higher_cohomology_vanishes,
@@ -94,14 +94,6 @@ def predicted_shape(system, pair):
     return len(graded_basis(fan, top)), cols
 
 
-def _spans_affinely(div):
-    """True when the lattice points of the section polytope affinely
-    generate the full character lattice (sublattice index 1)."""
-    pts = div.polytope().lattice_point_array()
-    return (len(pts) > div.fan.n
-            and sublattice_index((pts[1:] - pts[0]).tolist(), div.fan.n) == 1)
-
-
 def _multiplier_ok(div):
     """Filter for alpha0 candidates.
 
@@ -113,7 +105,7 @@ def _multiplier_ok(div):
         return False
     if not is_nef_cartier(div):
         return False
-    return _spans_affinely(div)
+    return affine_index(graded_basis(div.fan, div)) == 1
 
 
 def _select_multiplier(system, alpha):
@@ -262,11 +254,8 @@ def improved_pair(system):
     Raises:
         PairSelectionError: the system is not square.
     """
-    memo = system.fan._pairs
-    key = tuple(div.a for div in system.degrees)
-    if key not in memo:
-        memo[key] = _walk(system)
-    return memo[key]
+    key = ("pair",) + tuple(div.a for div in system.degrees)
+    return system.fan.kept(key, _walk, system)
 
 
 def user_pair(system, alpha, alpha0):
@@ -290,7 +279,7 @@ def user_pair(system, alpha, alpha0):
             f"alpha0 = {alpha0.a} has no sections; multipliers need a nonzero degree piece"
         )
     if len(basis) > 1:  # one section is left to the basepoint test
-        check_span(basis, fan.n)
+        check_span(basis)
     return RegularityPair(alpha, alpha0, Provenance.USER_SUPPLIED)
 
 

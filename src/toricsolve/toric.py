@@ -14,7 +14,6 @@ spaces) is handled exactly.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, product
 
 from .errors import InputError
@@ -55,23 +54,13 @@ class Fan:
         offsets: per-ray facet offsets a_j of the source polytope, so that
             ray_j . x + a_j >= 0 holds on it with equality on facet j.
 
-    The fan owns the section polytope of every divisor representative
-    asked for through DivisorClass.polytope and the graded basis of
-    every representative asked for through cox.graded_basis, so each is
-    built once, computes its class group and product structure once on
-    first use, and holds the automatic degree pair of every tuple of
-    equation degrees it was asked for (regularity.improved_pair).
-
-    It also keeps the index plans of the numerical stages, each built
-    on the first solve or pair check that asks for it, so a repeat solve
-    on the same supports does only coefficient work (`_plans`, keyed by
-    a tag and degree representatives): where each equation's
-    coefficients land in Res at a degree (eigensolver.assemble_res), the
-    rows and columns of Res at alpha inside Res at alpha + alpha0
-    (eigensolver.cokernel's block path), the gather of the maps N_b
-    (eigensolver.multiplication_family), the span verdict of an alpha0
-    basis (recovery.check_span) and the float lift of ray_inverse
-    (recovery). Homogenization keeps at most cox.SUPPORTS_MAX fans.
+    Everything that depends on the fan alone (its class group, section
+    polytopes, graded bases, automatic pairs, the index plans of the
+    numerical stages, span verdicts and orbit charts) is built on first
+    request through `kept` into one store, keyed by a tag plus divisor
+    representatives or by a cone's sorted ray indices, so a repeat solve
+    on the same supports does only coefficient work. Homogenization
+    keeps at most cox.SUPPORTS_MAX fans.
     """
 
     def __init__(self, rays, max_cones, offsets=None):
@@ -80,10 +69,7 @@ class Fan:
         self.k = len(self.rays)
         self.max_cones = [tuple(sorted(c)) for c in max_cones]
         self.offsets = list(offsets) if offsets is not None else None
-        self._sections = {}
-        self._bases = {}
-        self._pairs = {}
-        self._plans = {}
+        self._store = {}
         for r in self.rays:
             if r != primitive(r):
                 raise InputError(f"fan ray {r} is not primitive")
@@ -124,23 +110,30 @@ class Fan:
             cones.append(active)
         return cls(order, sorted(set(cones)), [offs[g] for g in order])
 
-    @cached_property
+    @property
     def class_group(self):
-        return ClassGroup(self.rays)
+        return self.kept(("class_group",), ClassGroup, self.rays)
 
-    @cached_property
+    @property
     def ray_inverse(self):
         """Rational right inverse of the n x k ray matrix, or None when the
         rays do not span."""
-        return right_inverse([list(col) for col in zip(*self.rays)])
+        return self.kept(("ray_inverse",), right_inverse,
+                         [list(col) for col in zip(*self.rays)])
 
-    @cached_property
+    @property
     def product_structure(self):
-        """projective_product_structure of this fan, computed once."""
-        return projective_product_structure(self)
+        """projective_product_structure of this fan."""
+        return self.kept(("product_structure",), projective_product_structure, self)
 
     def divisor(self, a):
         return DivisorClass(self, a)
+
+    def kept(self, key, build, *args):
+        """The stored value under key, build(*args) on the first request."""
+        if key not in self._store:
+            self._store[key] = build(*args)
+        return self._store[key]
 
     def __repr__(self):
         return f"Fan(n={self.n}, rays={self.k}, max_cones={len(self.max_cones)})"
@@ -209,10 +202,8 @@ class DivisorClass:
         Built on first request and kept by the fan for this
         representative.
         """
-        sections = self.fan._sections
-        if self.a not in sections:
-            sections[self.a] = Polytope.from_inequalities(self.fan.rays, self.a)
-        return sections[self.a]
+        return self.fan.kept(("section", self.a), Polytope.from_inequalities,
+                             self.fan.rays, self.a)
 
     def __add__(self, other):
         self._check(other)

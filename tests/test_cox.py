@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsolve import cox
+from toricsolve import cox, lattice, recovery
 from toricsolve.cox import (
     SUPPORTS_MAX,
     CoxPolynomial,
@@ -353,7 +353,7 @@ def test_user_pair_bypasses_pair_memo(cold):
     cold.clear()
     res = solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS, pair=(alpha, alpha0))
     assert res.pair.provenance is Provenance.USER_SUPPLIED
-    assert res.system.fan._pairs == {}
+    assert not [key for key in res.system.fan._store if key[:1] == ("pair",)]
 
 
 def test_mismatched_rays_leave_no_entry(cold):
@@ -372,20 +372,21 @@ def test_pair_search_then_solve_keeps_the_bases(cold):
     system = homogenize(eqs, rays=LINES27_RAYS)
     pair = improved_pair(system)
     fan = system.fan
-    kept = dict(fan._bases)
+    kept = {key: basis for key, basis in fan._store.items() if key[:1] == ("basis",)}
     assert len(kept) > 0
     result = solve(eqs, rays=LINES27_RAYS)
     assert result.system.fan is fan
     assert (result.pair.alpha.a, result.pair.alpha0.a) == (pair.alpha.a, pair.alpha0.a)
     # the solve replaced none of the bases the pair search built
-    assert all(fan._bases[a] is basis for a, basis in kept.items())
+    assert all(fan._store[key] is basis for key, basis in kept.items())
     assert all(f.basis is g.basis for f, g in zip(result.system.polys, system.polys))
 
 
 @pytest.mark.parametrize("case", ["intro", "pillow", "lines27"])
 def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
     """After one solve on a support, a solve with new coefficients looks
-    up no lattice point and adds nothing to the fan's plans."""
+    up no lattice point, does no exact work for its boundary orbits and
+    adds nothing to the fan's store."""
     rng = np.random.default_rng(1)
     if case == "intro":
         eqs, rays = [intro_laurent(1.0), intro_laurent(0.3)], HIRZEBRUCH_RAYS
@@ -397,17 +398,23 @@ def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
         rays = LINES27_RAYS
     first = solve(eqs[0], rays=rays)
     fan = first.system.fan
-    plans = dict(fan._plans)
-    assert plans
+    store = dict(fan._store)
+    assert store
     calls = []
     rows = GradedBasis.rows
     monkeypatch.setattr(GradedBasis, "rows",
-                        lambda self, points: calls.append(1) or rows(self, points))
+                        lambda self, points: calls.append("rows") or rows(self, points))
+    # recovery need not import all three, so each is set, not replaced
+    for name in ("integer_kernel", "right_inverse", "solve_int"):
+        def counted(*args, name=name, exact=getattr(lattice, name)):
+            calls.append(name)
+            return exact(*args)
+        monkeypatch.setattr(recovery, name, counted, raising=False)
     second = solve(eqs[1], rays=rays)
     assert second.system.fan is fan and len(cold) == 1
     assert calls == []
-    assert fan._plans.keys() == plans.keys()
-    assert all(fan._plans[key] is plan for key, plan in plans.items())
+    assert fan._store.keys() == store.keys()
+    assert all(fan._store[key] is value for key, value in store.items())
 
 
 def test_cache_stays_within_bound(cold):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from toricsolve.cox import graded_basis, homogenize
 from toricsolve.errors import ClusteringError, InputError, RecoveryError, SpanError
 from toricsolve.lattice import (
     Polytope,
+    dot,
+    integer_kernel,
     right_inverse,
     smith_normal_form,
+    solve_int,
     sublattice_index,
 )
 from toricsolve.recovery import (
@@ -23,13 +27,14 @@ from toricsolve.recovery import (
     EigenvalueTable,
     Solution,
     _branch_plan,
+    _orbit_chart,
     recover_boundary_point,
     recover_torus_point,
     recover_torus_points,
 )
 from toricsolve import solver as solver_module
 from toricsolve.solver import solve
-from toricsolve.toric import Fan, divisor_of_polytope
+from toricsolve.toric import Fan, boundary_stratum_check, divisor_of_polytope
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -38,6 +43,7 @@ from systems import (
     branch_plan_reference,
     hirzebruch_fan,
     intro_laurent,
+    lines27_fan,
     lines27_laurent,
     p2_fan,
     pillow_fan_solve,
@@ -135,6 +141,39 @@ def test_right_inverse_exact():
         for j in range(fan.n):
             acc = sum(rows[i][l] * e[l][j] for l in range(fan.k))
             assert acc == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("fan", [fan for fan, _ in FAN_POOL] + [lines27_fan()],
+                         ids=["pillow", "hirzebruch", "p2", "wp112", "cube", "lines27"])
+def test_orbit_charts_match_exact_solves(fan):
+    # every cone's chart gives what the exact solves it replaces give: the
+    # orbit test and coordinates of solve_int against a saturated kernel
+    # basis K, and the float lift of a right inverse, the empty cone's
+    # being that of fan.ray_inverse
+    cones = {tuple(c for c, keep in zip(cone, mask) if keep)
+             for cone in fan.max_cones for mask in product((0, 1), repeat=len(cone))}
+    cones = [c for c in cones if not c or boundary_stratum_check(fan, c)[0]]
+    assert () in cones and len(cones) > len(fan.max_cones)
+    box = list(product(range(-2, 3), repeat=fan.n))
+    identity = [tuple(int(i == j) for j in range(fan.n)) for i in range(fan.n)]
+    for cone in cones:
+        rays, to_coords, lift = _orbit_chart(fan, cone)
+        kern = integer_kernel([fan.rays[j] for j in cone]) if cone else identity
+        assert len(to_coords) == len(kern)
+        if not kern:
+            assert lift is None
+            continue
+        kern_t = [list(col) for col in zip(*kern)]
+        for d in box:
+            sol = solve_int(kern_t, d)
+            assert (sol is not None) == (not (rays @ d).any())
+            if sol is not None:
+                assert (to_coords @ d).tolist() == [x // sol[0] for x in sol[1]]
+        free = [j for j in range(fan.k) if j not in cone]
+        einv = right_inverse([[dot(fan.rays[j], k) for j in free] for k in kern])
+        assert np.array_equal(lift, np.array(einv, dtype=float).T)
+        if not cone:
+            assert np.array_equal(lift, np.array(fan.ray_inverse, dtype=float).T)
 
 
 def test_insufficient_lattice_points():
@@ -625,6 +664,17 @@ def test_batched_recovery_span_error_first():
     thin = EigenvalueTable(graded_basis(fan, (0, 0, 0, 1)), [1.0, 2.0])
     with pytest.raises(SpanError):
         recover_torus_points(fan, [good, thin])
+
+
+def test_overflowing_start_fails_verification():
+    # base point (1,0) and ratios 1e-320 set log|t_1| near 737, past the
+    # largest double's log: the start overflows to inf, which must fail
+    # verification and not escape as a RuntimeWarning
+    fan = p2_fan()
+    basis = graded_basis(fan, (0, 0, 1))
+    values = [1.0 if m == (1, 0) else 1e-320 for m in basis.lattice_points]
+    table = EigenvalueTable(basis, values, noise=np.zeros(len(basis)))
+    assert recover_torus_points(fan, [table]) == [None]
 
 
 # end-to-end solves
