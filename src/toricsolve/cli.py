@@ -156,11 +156,11 @@ def cmd_solve(input_path, output, seed, pair_flag, fan_flag, emit_csv):
         if emit_csv is not None:
             _emit_diagnostics(emit_csv, result)
         if output is None:
-            text = json.dumps(solution_file_dict(result), sort_keys=True,
-                              indent=2)
+            text = json.dumps(solution_file_dict(result, sf.variables),
+                              sort_keys=True, indent=2)
             click.echo(text)
         else:
-            dump_solution_file(result, output)
+            dump_solution_file(result, output, sf.variables)
             click.echo(
                 f"wrote {output}: delta={result.delta} "
                 f"delta_plus={result.delta_plus} "

@@ -338,8 +338,8 @@ def _complex_pair(value):
     return [float(value.real), float(value.imag)]
 
 
-def solution_file_dict(result):
-    """Serialize a SolutionSet as a JSON-ready dict."""
+def solution_file_dict(result, variables=None):
+    """Serialize a SolutionSet as a JSON-ready dict; variables default to t1..tn."""
     pair = result.pair
     meta = {
         "seed": result.seed,
@@ -355,7 +355,7 @@ def solution_file_dict(result):
         },
         "tolerances": dict(result.tolerances),
         "timings_ms": {k: float(v) for k, v in result.timings.items()},
-        "variables": [f"t{i + 1}" for i in range(result.system.fan.n)],
+        "variables": list(variables or (f"t{i + 1}" for i in range(result.system.fan.n))),
         "rays": [list(r) for r in result.system.fan.rays],
     }
     sols = []
@@ -376,9 +376,9 @@ def solution_file_dict(result):
     }
 
 
-def dump_solution_file(result, path_or_file):
+def dump_solution_file(result, path_or_file, variables=None):
     """Write a SolutionSet as a solution file (sorted keys, stable text)."""
-    text = json.dumps(solution_file_dict(result), sort_keys=True, indent=2)
+    text = json.dumps(solution_file_dict(result, variables), sort_keys=True, indent=2)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text + "\n")
     else:

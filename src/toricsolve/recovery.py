@@ -5,11 +5,12 @@ evaluation x^b / h0 at the underlying point. Ratios of these values are
 pure torus characters t^{m - m0}, so the point is recovered by solving
 an integer-exponent binomial system: moduli by weighted least squares
 in log space, phases by a Smith normal form solve with root-of-unity
-branch enumeration, then a short multiplicative refinement. Clusters
-whose tables share a base point and a pattern of usable ratios share
-the integer work, and their float work runs as stacked array
-operations. Boundary points first read off their vanishing pattern,
-then run the same solve on the character lattice of the orbit.
+branch enumeration, then a short multiplicative refinement. Every point
+lies in the orbit of one cone, and one solve on the orbit's character
+lattice serves them all; the torus is the orbit of the empty cone.
+Torus recovery takes every cluster at once, and clusters that share a
+base point and usable ratios share the integer work; boundary recovery
+first reads the cone off a cluster's vanishing pattern.
 """
 
 import math
@@ -328,19 +329,6 @@ def _groups(keys):
     return [(np.array(key), np.array(members)) for key, members in groups.items()]
 
 
-def _ratio_data(points, values, noise, i0):
-    """Each row of values (G x len(points)) against its own base point
-    i0[g]: the difference rows to that point (G x len(points) - 1 x n),
-    the ratios of the other entries to its entry, and their error
-    estimates, the other entries in point order."""
-    g = np.arange(len(values))
-    rest = np.nonzero(np.arange(len(points)) != i0[:, None])[1].reshape(len(g), -1)
-    lam0 = values[g, i0][:, None]
-    lam = values[g[:, None], rest]
-    errs = noise[g[:, None], rest] / np.abs(lam) + noise[g, i0][:, None] / np.abs(lam0)
-    return points[rest] - points[i0][:, None], lam / lam0, errs
-
-
 def affine_index(basis):
     """Index in M of the lattice that a basis's lattice points affinely
     generate, 0 when they span below rank n.
@@ -383,18 +371,51 @@ def _orbit_chart(fan, cone):
     return rays, to_coords, None if lift is None else np.array(lift, dtype=float).T
 
 
+def _orbit_solve(fan, cone, points, values, noise):
+    """Solve one table per row of values (G x len(points)) on the orbit of
+    a cone (sorted ray indices), every row in one _solve_binomials.
+
+    The callers test the rank of the points. Each row is taken against
+    its largest entry, with the absolute errors in noise; a ratio that
+    underflows to zero, or whose error estimate overflows, gets an
+    infinite error and drops out.
+
+    Returns (t, found, cond) as _solve_binomials gives them, and z, the
+    found rows lifted to Cox coordinates with zeros on the cone, or None
+    when the chart has no lift. Where the lift E is fractional,
+    exp(E log t) takes principal-branch powers, which is harmless: the
+    rays map the result back to t in exponent arithmetic.
+    """
+    _, to_coords, lift = fan.kept(tuple(cone), _orbit_chart, fan, cone)
+    coords = points @ to_coords.T
+    g = np.arange(len(values))
+    i0 = np.argmax(np.abs(values), axis=1)
+    rest = np.nonzero(np.arange(len(points)) != i0[:, None])[1].reshape(len(g), -1)
+    lam0 = values[g, i0][:, None]
+    lam = values[g[:, None], rest]
+    ratios = lam / lam0
+    with np.errstate(over="ignore"):
+        errs = noise[g[:, None], rest] / np.abs(lam) + noise[g, i0][:, None] / np.abs(lam0)
+    errs[ratios == 0.0] = np.inf
+    t, found, cond = _solve_binomials(coords[rest] - coords[i0][:, None], ratios, errs,
+                                      len(to_coords))
+    if lift is None:
+        return t, found, cond, None
+    z = np.zeros((np.count_nonzero(found), fan.k), dtype=complex)
+    z[:, [j for j in range(fan.k) if j not in cone]] = np.exp(np.log(t[found]) @ lift)
+    return t, found, cond, z
+
+
 def recover_torus_points(fan, tables):
     """Recover torus points from many eigenvalue tables in one pass.
 
-    Each table's base point is its largest entry, and its zero entries
-    drop out. Tables are grouped by basis and pattern of zero entries
-    only: one affine rank check per pattern with zero entries (without
-    any, check_span has decided it for the basis), and each table's base
-    point, difference rows, ratios and errors come out as arrays over
-    the group. The integer plan is made once per distinct usable-row
-    order (which fixes the base point), and the float work runs as one
-    stacked solve per count of usable rows and branches, over clusters
-    whose plans differ.
+    The torus is the orbit of the empty cone: each table's zero entries
+    drop out, and tables are grouped by basis and pattern of zero
+    entries, one orbit solve per group after an affine rank check per
+    pattern with zero entries (without any, check_span has decided it
+    for the basis). The integer plan is made once per distinct
+    usable-row order (which fixes the base point), and the float work
+    runs as one stacked solve per count of usable rows and branches.
 
     A cluster of multiplicity above one is not a torus point when its
     weighted least squares is conditioned above COND_MAX. Simple torus
@@ -411,7 +432,7 @@ def recover_torus_points(fan, tables):
         list aligned with tables: a Solution with on_torus = True, or
         None where the cluster is not a torus point (its usable ratios
         are rank-deficient or inconsistent, or it fails the stratum
-        test).
+        test), or where the rays lift no torus point.
 
     Raises:
         SpanError: the exponent differences of an alpha0 basis's lattice
@@ -423,33 +444,23 @@ def recover_torus_points(fan, tables):
     for basis, _ in by_basis.values():
         check_span(basis)
     out = [None] * len(tables)
-    # z = exp(E log t) for the rational right inverse E of the ray matrix:
-    # fractional entries take principal-branch powers, which is harmless
-    # because F applied to the result reproduces t in exponent arithmetic
-    lift = fan.kept((), _orbit_chart, fan, ())[2]
-    if lift is None:  # rays that do not span M lift no torus point
-        return out
     for basis, members in by_basis.values():
         members = np.array(members)
         values = np.array([tables[i].values for i in members])
         noise = np.array([tables[i].noise for i in members])
-        mags = np.abs(values)
-        for live, rows in _groups(mags > 0.0):
-            live = live.astype(bool)
-            if np.count_nonzero(live) < 2:
-                continue
-            diffs, ratios, errs = _ratio_data(
-                basis.points[live], values[rows][:, live],
-                noise[rows][:, live], np.argmax(mags[rows][:, live], axis=1))
+        for live, rows in _groups(np.abs(values) > 0.0):
+            points = basis.points[live]
             # with every entry live the rows span what check_span certified
-            if not live.all() and rank_int(diffs[0].tolist()) < fan.n:
+            if not live.all() and rank_int((points[1:] - points[:1]).tolist()) < fan.n:
                 continue
-            t, found, cond = _solve_binomials(diffs, ratios, errs, fan.n)
+            t, found, cond, z = _orbit_solve(fan, (), points, values[rows][:, live],
+                                             noise[rows][:, live])
+            if z is None:  # rays that do not span M lift no torus point
+                return out
             # the stratum test of the docstring
             mult = np.array([tables[i].multiplicity for i in members[rows]])
-            found &= (mult == 1) | (cond <= COND_MAX)
-            z = np.exp(np.log(t[found]) @ lift)
-            for i, tg, zg in zip(members[rows[found]], t[found], z):
+            keep = found & ((mult == 1) | (cond <= COND_MAX))
+            for i, tg, zg in zip(members[rows[keep]], t[keep], z[keep[found]]):
                 out[i] = Solution(zg, tg, tables[i].multiplicity, zero_pattern=())
     return out
 
@@ -509,43 +520,31 @@ def recover_boundary_point(fan, table):
         raise ClusteringError(
             "inconsistent vanishing pattern: small eigenvalues match no coordinate"
         )
-    valid, simplicial = boundary_stratum_check(fan, zero_rays)
+    valid, simplicial = fan.kept(("stratum", tuple(zero_rays)), boundary_stratum_check,
+                                 fan, zero_rays)
     if not valid:
         raise ClusteringError(
             f"inconsistent vanishing pattern: rays {zero_rays} span no cone of the fan"
         )
 
-    rays, to_coords, lift = fan.kept(tuple(zero_rays), _orbit_chart, fan, zero_rays)
-    nq = len(to_coords)
-    live = np.flatnonzero(loud)
-
-    if nq == 0:
-        # the orbit is the fixed point of a full-dimensional cone
-        z = [0.0 if j in zero_rays else 1.0 for j in range(fan.k)]
-        return Solution(z, None, table.multiplicity, zero_rays,
-                        non_simplicial=not simplicial)
-
-    steps = pts[live] - pts[live[0]]
-    if (steps @ rays.T).any():
-        raise ClusteringError(
-            "inconsistent vanishing pattern: surviving monomials leave the orbit"
-        )
-    values = table.values[live]
-    diffs, ratios, errs = _ratio_data(
-        steps @ to_coords.T, values[None], table.noise[live][None],
-        np.argmax(np.abs(values))[None])
-    if rank_int(diffs[0].tolist()) < nq:
-        raise RecoveryError("alpha0 insufficient on orbit")
-    solved = _solve_binomials(diffs, ratios, errs, nq)
-    if not solved[1][0]:
-        raise RecoveryError("inconsistent ratios on the boundary orbit")
-    if lift is None:
-        raise RecoveryError("alpha0 insufficient on orbit")
-
-    free = [j for j in range(fan.k) if j not in zero_rays]
-    zfree = np.exp(np.log(solved[0][0]) @ lift)
-    z = [0j] * fan.k
-    for j, val in zip(free, zfree):
-        z[j] = val
-    return Solution(z, None, table.multiplicity, zero_rays,
+    rays, to_coords, _ = fan.kept(tuple(zero_rays), _orbit_chart, fan, zero_rays)
+    # the orbit of a full-dimensional cone is its fixed point
+    z = [[0.0 if j in zero_rays else 1.0 for j in range(fan.k)]]
+    if len(to_coords):
+        live = np.flatnonzero(loud)
+        steps = pts[live] - pts[live[0]]
+        if (steps @ rays.T).any():
+            raise ClusteringError(
+                "inconsistent vanishing pattern: surviving monomials leave the orbit"
+            )
+        # on the orbit's character lattice to_coords is injective
+        if rank_int(steps.tolist()) < len(to_coords):
+            raise RecoveryError("alpha0 insufficient on orbit")
+        _, found, _, z = _orbit_solve(fan, zero_rays, pts[live], table.values[live][None],
+                                      table.noise[live][None])
+        if not found[0]:
+            raise RecoveryError("inconsistent ratios on the boundary orbit")
+        if z is None:
+            raise RecoveryError("alpha0 insufficient on orbit")
+    return Solution(z[0], None, table.multiplicity, zero_rays,
                     non_simplicial=not simplicial)

@@ -56,7 +56,7 @@ class Fan:
 
     Everything that depends on the fan alone (its class group, section
     polytopes, graded bases, automatic pairs, the index plans of the
-    numerical stages, span verdicts and orbit charts) is built on first
+    numerical stages, span and stratum verdicts, orbit charts) is built on first
     request through `kept` into one store, keyed by a tag plus divisor
     representatives or by a cone's sorted ray indices, so a repeat solve
     on the same supports does only coefficient work. Homogenization

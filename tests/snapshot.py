@@ -9,16 +9,23 @@ as the benchmark makes them. Then come the pillow system at solve seeds
 draw each on P^2 at degree 8 and on P^3 at degree 3.
 
 Every solve writes one JSON line: the solution-file dict without
-`timings_ms`, or the type and message of the error it raised. The last
-line counts the solves that raised. BLAS runs on one thread, so `diff`
-of the outputs of two checkouts is a byte-identity check of everything
-the solver returns, and the count on lines27 seeds is its failure census.
-Each checkout solves with its own `src`.
+`timings_ms`, or the type and message of the error it raised. BLAS runs
+on one thread, so `diff` of the outputs of two checkouts is a
+byte-identity check of everything the solver returns. Each checkout
+solves with its own `src`.
+
+The last lines are the failure census, one line per workload, as the
+benchmark counts it: the solves that raised, by error type, and the
+solves that returned but missed a pin of the benchmark's checks
+(`check_lines27` on lines27, `check_dense` on the dense draws; pillow
+and intro have none). The exit status is 1 when any solve raised
+something other than a ToricSolveError.
 """
 
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -35,44 +42,69 @@ from systems import (  # noqa: E402
     intro_laurent,
     pillow_laurent,
 )
-from toricsolve import solve  # noqa: E402
+from toricsolve import ToricSolveError, solve  # noqa: E402
 from toricsolve.formats import solution_file_dict  # noqa: E402
-from workloads import LINES27_RAYS, Lines27, _seed, dense_system  # noqa: E402
+from workloads import (  # noqa: E402
+    LINES27_RAYS,
+    Lines27,
+    Lines27Expect,
+    _seed,
+    check_dense,
+    check_lines27,
+    dense_system,
+)
 
 LINES27_DRAWS = 17
 
 
 def cases(lines27_seeds):
-    """(label, equations, solve keyword arguments) for every solve."""
+    """(label, equations, solve keyword arguments, check) for every solve;
+    the label starts with the workload's name, and check gives the
+    problems of a result, or is None."""
     for seed in lines27_seeds:
         bench = Lines27(np.random.default_rng(seed), None, None)
         for draw in range(LINES27_DRAWS):
             eqs, solve_seed = bench.draw()
-            yield f"lines27 {seed}/{draw}", eqs, {"rays": LINES27_RAYS, "seed": solve_seed}
+            yield (f"lines27 {seed}/{draw}", eqs, {"rays": LINES27_RAYS, "seed": solve_seed},
+                   lambda result: check_lines27(result, Lines27Expect()))
     for seed in range(4):
-        yield f"pillow {seed}", pillow_laurent(), {"rays": PILLOW_RAYS_SOLVE, "seed": seed}
+        yield (f"pillow {seed}", pillow_laurent(),
+               {"rays": PILLOW_RAYS_SOLVE, "seed": seed}, None)
     for half in range(29):
         e = half / 2
-        yield f"intro e={e}", intro_laurent(10.0 ** -e), {"rays": HIRZEBRUCH_RAYS}
+        yield f"intro e={e}", intro_laurent(10.0 ** -e), {"rays": HIRZEBRUCH_RAYS}, None
     rng = np.random.default_rng(0)
     for n, d in ((2, 8), (3, 3)):
         eqs = dense_system(rng, n, d)
-        yield f"dense P^{n} degree {d}", eqs, {"seed": _seed(rng)}
+        yield (f"dense P^{n} degree {d}", eqs, {"seed": _seed(rng)},
+               lambda result, n=n, d=d: check_dense(result, n, d))
 
 
 def main(argv):
-    raised = total = 0
-    for label, eqs, kwargs in cases([int(a) for a in argv]):
-        total += 1
+    census = {}
+    foreign = False
+    for label, eqs, kwargs, check in cases([int(a) for a in argv]):
+        row = census.setdefault(label.split()[0], [0, Counter(), None if check is None else 0])
+        row[0] += 1
         try:
-            out = solution_file_dict(solve(eqs, **kwargs))
+            result = solve(eqs, **kwargs)
+            out = solution_file_dict(result)
             del out["metadata"]["timings_ms"]
         except Exception as exc:  # a raising solve is part of the snapshot
-            raised += 1
+            row[1][type(exc).__name__] += 1
+            foreign |= not isinstance(exc, ToricSolveError)
             out = {"raised": type(exc).__name__, "message": str(exc)}
+        else:
+            if check is not None:
+                row[2] += bool(check(result))
         print(json.dumps({"case": label, **out}, sort_keys=True), flush=True)
-    print(f"raised {raised} of {total} solves")
+    for workload, (total, raised, missed) in census.items():
+        kinds = ", ".join(f"{name} {count}" for name, count in sorted(raised.items()))
+        print(f"{workload}: {total} solves, raised {raised.total()}"
+              + (f" ({kinds})" if kinds else "")
+              + (", no pins" if missed is None else f", missed a pin {missed}"))
+    return int(foreign)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -79,6 +79,17 @@ def test_solve_intro_exact_roots(tmp_path):
         assert abs(ga - wa) <= 1e-10 and abs(gb - wb) <= 1e-10
 
 
+def test_solve_keeps_the_variable_names(tmp_path):
+    doc = as_file_dict(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS, variables=["x", "y"])
+    path = write_file(tmp_path, doc)
+    out = tmp_path / "sol.json"
+    assert run("solve", path, "--output", out).exit_code == 0
+    assert json.loads(out.read_text())["metadata"]["variables"] == ["x", "y"]
+    res = run("solve", path)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["metadata"]["variables"] == ["x", "y"]
+
+
 def test_solve_empty_equations_exits_2(tmp_path):
     doc = intro_doc()
     doc["equations"] = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsolve import cox, lattice, recovery
+from toricsolve import cox, lattice, recovery, toric
 from toricsolve.cox import (
     SUPPORTS_MAX,
     CoxPolynomial,
@@ -404,12 +404,15 @@ def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
     rows = GradedBasis.rows
     monkeypatch.setattr(GradedBasis, "rows",
                         lambda self, points: calls.append("rows") or rows(self, points))
-    # recovery need not import all three, so each is set, not replaced
-    for name in ("integer_kernel", "right_inverse", "solve_int"):
-        def counted(*args, name=name, exact=getattr(lattice, name)):
-            calls.append(name)
+    # recovery need not import all of them, so each is set, not replaced;
+    # the stratum verdict of a boundary cone is exact work too
+    exact_work = [getattr(lattice, name) for name in
+                  ("integer_kernel", "right_inverse", "solve_int")]
+    for exact in exact_work + [toric.boundary_stratum_check]:
+        def counted(*args, exact=exact):
+            calls.append(exact.__name__)
             return exact(*args)
-        monkeypatch.setattr(recovery, name, counted, raising=False)
+        monkeypatch.setattr(recovery, exact.__name__, counted, raising=False)
     second = solve(eqs[1], rays=rays)
     assert second.system.fan is fan and len(cold) == 1
     assert calls == []

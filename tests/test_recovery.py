@@ -677,6 +677,18 @@ def test_overflowing_start_fails_verification():
     assert recover_torus_points(fan, [table]) == [None]
 
 
+@pytest.mark.parametrize("values, noise", [
+    # the default noise over a subnormal entry overflows its error estimate
+    ([1e-320, 1e-320, 1e10], None),
+    # the ratios underflow to zero, whose log is -inf
+    ([1e-200, 1e-200, 1e200], np.zeros(3)),
+])
+def test_entries_far_below_the_largest_are_unusable(values, noise):
+    fan = p2_fan()
+    table = EigenvalueTable(graded_basis(fan, (0, 0, 1)), values, noise=noise)
+    assert recover_torus_points(fan, [table]) == [None]
+
+
 # end-to-end solves
 
 
