@@ -8,9 +8,16 @@ in log space, phases by a Smith normal form solve with root-of-unity
 branch enumeration, then a short multiplicative refinement. Every point
 lies in the orbit of one cone, and one solve on the orbit's character
 lattice serves them all; the torus is the orbit of the empty cone.
-Torus recovery takes every cluster at once, and clusters that share a
-base point and usable ratios share the integer work; boundary recovery
-first reads the cone off a cluster's vanishing pattern.
+Boundary recovery first reads the cone off a cluster's vanishing
+pattern.
+
+The solve has an integer half and a float half. The integer half, the
+plan, depends only on the difference rows and on which of them are
+usable, never on the coefficients, so the fan keeps one plan per cone,
+basis, live entries, base point and usable mask, and a warm solve does
+no integer work here. The float half takes every cluster of an orbit
+solve at once, one stacked pass per branch count, with the unusable
+rows left in at zero weight.
 """
 
 import math
@@ -118,8 +125,8 @@ class Solution:
 
     def __init__(self, z, t, multiplicity, zero_pattern, residuals=None,
                  non_simplicial=False):
-        self.z = tuple(complex(x) for x in z)
-        self.t = None if t is None else tuple(complex(x) for x in t)
+        self.z = tuple(np.asarray(z, dtype=complex).tolist())
+        self.t = None if t is None else tuple(np.asarray(t, dtype=complex).tolist())
         self.multiplicity = int(multiplicity)
         self.zero_pattern = frozenset(int(j) for j in zero_pattern)
         self.residuals = residuals
@@ -156,14 +163,16 @@ def _extend_echelon(echelon, row):
 
 
 def _branch_plan(rows, n):
-    """Integer half of a binomial solve over usable rows, most accurate first.
+    """Integer half of a binomial solve over usable rows, in their order.
 
-    Climbs to rank n greedily on the most accurate rows, then keeps
-    adding rows while they shrink the sublattice index. The selected
-    rows are kept in fraction-free echelon form, so a candidate's rank
-    test is one reduction against it; the index takes a Smith form only
-    once rank n is reached. The Smith form of the selected rows gives
-    the phase equations and their root-of-unity branches.
+    Climbs to rank n on the rows in order, testing each against the
+    fraction-free echelon form of the rows it has kept, and takes one
+    Smith form there. Then it tries every row it has not kept once, in
+    order, and keeps those that shrink the sublattice index (one Smith
+    form each), until the index is 1. A row passed over on the climb is
+    tried again, so the kept rows span the lattice of all the rows and
+    the branch count is that lattice's index. The Smith form of the
+    kept rows gives the phase equations and their root-of-unity branches.
 
     Returns:
         (sel, u, dd, v, offsets): selected row positions, the first n
@@ -172,24 +181,27 @@ def _branch_plan(rows, n):
         the index exceeds MAX_BRANCHES.
     """
     rows = rows.tolist()
-    sel, echelon, index, snf = [], [], 1, None
+    sel, echelon = [], []
     for i, row in enumerate(rows):
-        if len(echelon) < n:
-            if not _extend_echelon(echelon, row):
-                continue
+        if _extend_echelon(echelon, row):
             sel.append(i)
             if len(echelon) == n:
-                snf = smith_normal_form([rows[j] for j in sel])
-                index = math.prod(snf[1][j][j] for j in range(n))
-        else:
-            cand_snf = smith_normal_form([rows[j] for j in sel] + [row])
-            q = math.prod(cand_snf[1][j][j] for j in range(n))
-            if q < index:
-                sel.append(i)
-                index, snf = q, cand_snf
-        if len(echelon) == n and index == 1:
+                break
+    if len(echelon) < n:
+        return None
+    snf = smith_normal_form([rows[j] for j in sel])
+    index = math.prod(snf[1][j][j] for j in range(n))
+    for i, row in enumerate(rows):
+        if index == 1:
             break
-    if len(echelon) < n or index > MAX_BRANCHES:
+        if i in sel:
+            continue
+        cand_snf = smith_normal_form([rows[j] for j in sel] + [row])
+        q = math.prod(cand_snf[1][j][j] for j in range(n))
+        if q < index:
+            sel.append(i)
+            index, snf = q, cand_snf
+    if index > MAX_BRANCHES:
         return None
     u, d, v = snf
     dd = [d[j][j] for j in range(n)]
@@ -200,133 +212,122 @@ def _branch_plan(rows, n):
             np.array(v, dtype=float), 2.0 * math.pi * np.array(branches, dtype=float))
 
 
+def _phase_plan(diffs, usable):
+    """The plan the fan keeps for one base point and usable mask: the
+    _branch_plan of the usable rows of diffs (r x n), in basis order,
+    as the two float arrays of the phase start.
+
+    With args the phases of all r ratios, the start of branch c is
+    args @ phase + offsets[c], phase (r x n) and offsets (branches x n):
+    U, V and the invariant factors folded into one matrix, zero on the
+    rows the plan did not select. None where _branch_plan gives none.
+    """
+    plan = _branch_plan(diffs[usable], diffs.shape[1])
+    if plan is None:
+        return None
+    sel, u, dd, v, offsets = plan
+    phase = np.zeros(diffs.shape)
+    phase[np.flatnonzero(usable)[sel]] = (u.T / dd) @ v.T
+    return phase, (offsets / dd) @ v.T
+
+
 def _monomials(t, a):
     """t^a for every row of the integer matrix a, over the leading axes of t
     and a."""
-    return np.prod(t[..., None, :] ** a, axis=-1)
+    return (t[..., None, :] ** a).prod(axis=-1)
 
 
 def _stack_plans(plans):
-    """One array per plan field, stacked over plans; shorter selections
-    are padded with row 0 and zero columns of U, which add nothing to
-    the phase equations."""
-    width = max(len(plan[0]) for plan in plans)
-    sel = np.zeros((len(plans), width), dtype=int)
-    u = np.zeros((len(plans), len(plans[0][1]), width))
-    for p, plan in enumerate(plans):
-        sel[p, :len(plan[0])] = plan[0]
-        u[p, :, :len(plan[0])] = plan[1]
-    return (sel, u) + tuple(np.array([plan[j] for plan in plans]) for j in (2, 3, 4))
+    """The phase and offsets of plans that share a branch count, and so
+    the shapes of both, each as one array stacked over the plans."""
+    return np.array([plan[0] for plan in plans]), np.array([plan[1] for plan in plans])
 
 
-def _branch_solve(plan, a, ratios, errs):
+def _branch_solve(plan, a, ratios, errs, usable):
     """Float half of a binomial solve, stacked over clusters and branches.
 
-    Every cluster g has its own plan (the fields of _branch_plan stacked
-    over clusters, as _stack_plans gives them) and its own usable rows
-    a[g] (a is G x r x n) in the order its plan was built on; ratios and
-    errs are (G, r) in the same order. All clusters share r and the
-    branch count. Log-moduli come from weighted least squares, phases
-    from the plan's Smith form, one start per branch; three
+    Every cluster g has its own plan (phase and offsets stacked over
+    clusters, as _stack_plans gives them), its own difference rows a[g]
+    (a is G x r x n) in basis order, and ratios, errs and usable mask
+    (G, r) in the same order. All clusters share r and the branch count.
+    Unusable rows stay in the pass with zero weight, and verification
+    and the score skip them. Log-moduli come from weighted least
+    squares, phases from the plan, one start per branch; three
     multiplicative refinement steps follow, and each cluster keeps its
-    verified branch with the smallest score.
+    verified branch with the smallest score, the first on a tie.
+
+    A cluster that is no torus point may drive t to 0 or inf, and its
+    powers to nan; such a branch fails verification, nan included. The
+    caller, _orbit_solve, ignores the float errors on the way.
 
     Returns:
         (t, found, cond): complex (G, n) points, the mask of clusters
         with a verified branch, and the condition number of each
         cluster's weighted least squares.
     """
-    sel, u, dd, v, offsets = plan
-    w = 1.0 / np.maximum(errs, 1e-15)
-    # one pseudoinverse per cluster, transposed, serves the modulus solve
-    # and every step; it drops singular values below lstsq's default cutoff
+    phase, offsets = plan
+    # an unusable row becomes t^0 = 1 with zero weight: it adds nothing to
+    # the solve, and it verifies with a relative error of 0
+    w = usable / np.maximum(errs, 1e-15)
+    a = a * usable[:, :, None]
+    ratios = np.where(usable, ratios, 1.0)[:, None, :]
+    tol = np.abs(ratios) * (RATIO_TOL + 10.0 * errs[:, None, :])
+    # one weighted pseudoinverse per cluster, transposed, serves the
+    # modulus solve and every step; it drops singular values below
+    # lstsq's default cutoff
     us, sv, vh = np.linalg.svd(a * w[:, :, None], full_matrices=False)
-    keep = sv > max(a.shape[1:]) * np.finfo(float).eps * sv[:, :1]
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
-    pinv_t = (us * inv[:, None, :]) @ vh
-    moduli = (np.log(np.abs(ratios)) * w)[:, None, :] @ pinv_t
-    args = np.angle(ratios[np.arange(len(ratios))[:, None], sel])
-    psi = (args[:, None, :] @ np.swapaxes(u, 1, 2) + offsets) / dd[:, None, :]
+    inv = np.where(sv > max(a.shape[1:]) * np.finfo(float).eps * sv[:, :1], 1.0 / sv, 0.0)
+    step = w[:, :, None] * ((us * inv[:, None, :]) @ vh)
     a = a[:, None]  # one set of rows per cluster, shared by its branches
-    # a cluster that is no torus point may drive t to 0 or inf, and its
-    # powers to nan; such a branch fails verification, nan included
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.exp(moduli + 1j * (psi @ np.swapaxes(v, 1, 2)))
-        for _ in range(3):
-            # principal log keeps each step inside one branch; bad branches
-            # fail verification below instead of being pulled across
-            dev = np.log(ratios[:, None, :] / _monomials(t, a))
-            t = t * np.exp((dev * w[:, None, :]) @ pinv_t)
-        rel = np.abs(_monomials(t, a) - ratios[:, None, :]) / np.abs(ratios[:, None, :])
-    tol = RATIO_TOL + 10.0 * errs[:, None, :]
-    ok = (rel <= tol).all(axis=2)
-    score = ((rel / tol) ** 2).sum(axis=2)
-    # the first verified branch, replaced only by a strictly lower score
-    best = np.full(len(ratios), -1)
-    rows = np.arange(len(ratios))
-    for b in range(score.shape[1]):
-        take = ok[:, b] & ((best < 0) | (score[:, b] < score[rows, best]))
-        best[take] = b
-    cond = np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), np.inf),
-                     where=sv[:, -1] > 0.0)
-    return t[rows, best], best >= 0, cond
+    logs = np.log(ratios)
+    t = np.exp(logs.real @ step + 1j * (logs.imag @ phase + offsets))
+    for _ in range(3):
+        # principal log keeps each step inside one branch; bad branches
+        # fail verification below instead of being pulled across
+        t = t * np.exp(np.log(ratios / _monomials(t, a)) @ step)
+    # each ratio's miss in units of its tolerance
+    miss = np.abs(_monomials(t, a) - ratios) / tol
+    ok = (miss <= 1.0).all(axis=2)
+    best = np.argmin(np.where(ok, (miss * miss).sum(axis=2), np.inf), axis=1)
+    rows = np.arange(len(t))
+    return t[rows, best], ok[rows, best], sv[:, 0] / sv[:, -1]
 
 
-def _solve_binomials(diffs, ratios, errs, n):
+def _solve_binomials(diffs, ratios, errs, usable, plans):
     """Solve t^{diffs[g, i]} = ratios[g, i] for t in (C*)^n, for every cluster g.
 
     diffs (G x r x n) holds each cluster's integer difference rows: the
-    differences of one point set to each cluster's own base point, so
-    every cluster's rows span the same lattice. ratios and errs
-    (relative error estimates) are (G, r). The errors weight the solve
-    and scale the final consistency check; rows with an error of
-    USABLE_ERR or more are left out. Clusters whose usable rows, in
-    order of accuracy, agree share one integer plan; clusters with the
-    same count of usable rows and of branches share one stacked float
-    solve, whatever their plans.
-
-    The rows of every cluster must have rank n; the callers check that.
+    differences of one point set to each cluster's own base point, in
+    basis order, so every cluster's rows span the same lattice. ratios,
+    errs (relative error estimates, infinite where a row is unusable)
+    and usable (errs < USABLE_ERR and the ratio not zero) are (G, r).
+    plans holds each cluster's kept _phase_plan, None where its
+    usable rows are rank-deficient or span a sublattice of index above
+    MAX_BRANCHES. The errors weight the solve and scale the final
+    consistency check. Clusters with the same branch count run as one
+    stacked _branch_solve, whatever their plans and usable rows.
 
     Returns:
         (t, found, cond) as _branch_solve gives them, with found False
-        and cond infinite where the usable rows are rank-deficient or
-        span a sublattice of index above MAX_BRANCHES, and found False
-        where they verify on no branch.
+        and cond infinite where a cluster has no plan, and found False
+        where its usable rows verify on no branch.
     """
-    t = np.full((len(ratios), n), np.nan, dtype=complex)
+    by_count = {}
+    for g, plan in enumerate(plans):
+        if plan is not None:
+            by_count.setdefault(len(plan[1]), []).append(g)
+    if [len(members) for members in by_count.values()] == [len(plans)]:
+        # one pass serves every cluster
+        return _branch_solve(_stack_plans(plans), diffs, ratios, errs, usable)
+    t = np.full((len(ratios), diffs.shape[2]), np.nan, dtype=complex)
     found = np.zeros(len(ratios), dtype=bool)
     cond = np.full(len(ratios), np.inf)
-    order = np.argsort(errs, axis=1, kind="stable")
-    g = np.arange(len(errs))[:, None]
-    rows = diffs[g, order]
-    usable = errs[g, order] < USABLE_ERR
-    # the usable rows are a prefix of each cluster's accuracy order; the
-    # key is their count and the rows themselves
-    keys = np.column_stack([usable.sum(axis=1),
-                            (rows * usable[:, :, None]).reshape(len(rows), -1)])
-    shapes = {}
-    for key, members in _groups(keys):
-        plan = _branch_plan(rows[members[0], :key[0]], n)
-        if plan is not None:
-            shapes.setdefault((key[0], len(plan[4])), []).append((plan, members))
-    for (r, _), group in shapes.items():
-        plans, parts = zip(*group)
-        members = np.concatenate(parts)
-        which = np.repeat(np.arange(len(parts)), [len(m) for m in parts])
-        use = members[:, None], order[members, :r]
+    for members in by_count.values():
+        plan = _stack_plans([plans[g] for g in members])
+        members = np.array(members)
         t[members], found[members], cond[members] = _branch_solve(
-            [field[which] for field in _stack_plans(plans)], rows[members, :r],
-            ratios[use], errs[use])
+            plan, diffs[members], ratios[members], errs[members], usable[members])
     return t, found, cond
-
-
-def _groups(keys):
-    """(key, member indices) for every distinct row of the integer array
-    keys, in order of first appearance."""
-    groups = {}
-    for i, key in enumerate(map(tuple, keys.tolist())):
-        groups.setdefault(key, []).append(i)
-    return [(np.array(key), np.array(members)) for key, members in groups.items()]
 
 
 def affine_index(basis):
@@ -371,51 +372,77 @@ def _orbit_chart(fan, cone):
     return rays, to_coords, None if lift is None else np.array(lift, dtype=float).T
 
 
-def _orbit_solve(fan, cone, points, values, noise):
-    """Solve one table per row of values (G x len(points)) on the orbit of
-    a cone (sorted ray indices), every row in one _solve_binomials.
+def _kept_rows(fan, cone, basis, live):
+    """Exact data of the live entries (a mask) of a basis on the orbit of
+    a cone, kept by the fan under the key returned with it.
 
-    The callers test the rank of the points. Each row is taken against
-    its largest entry, with the absolute errors in noise; a ratio that
-    underflows to zero, or whose error estimate overflows, gets an
-    infinite error and drops out.
-
-    Returns (t, found, cond) as _solve_binomials gives them, and z, the
-    found rows lifted to Cox coordinates with zeros on the cone, or None
-    when the chart has no lift. Where the lift E is fractional,
-    exp(E log t) takes principal-branch powers, which is harmless: the
-    rays map the result back to t in exponent arithmetic.
+    Returns (key, (rest, diffs, rank)): for every choice of base point b,
+    the positions of the other live points in basis order (rest[b]) and
+    their differences to b in orbit coordinates (diffs[b], r x m), and
+    the rank of those differences, which every base point shares.
     """
-    _, to_coords, lift = fan.kept(tuple(cone), _orbit_chart, fan, cone)
-    coords = points @ to_coords.T
-    g = np.arange(len(values))
-    i0 = np.argmax(np.abs(values), axis=1)
-    rest = np.nonzero(np.arange(len(points)) != i0[:, None])[1].reshape(len(g), -1)
-    lam0 = values[g, i0][:, None]
-    lam = values[g[:, None], rest]
-    ratios = lam / lam0
-    with np.errstate(over="ignore"):
-        errs = noise[g[:, None], rest] / np.abs(lam) + noise[g, i0][:, None] / np.abs(lam0)
-    errs[ratios == 0.0] = np.inf
-    t, found, cond = _solve_binomials(coords[rest] - coords[i0][:, None], ratios, errs,
-                                      len(to_coords))
-    if lift is None:
-        return t, found, cond, None
-    z = np.zeros((np.count_nonzero(found), fan.k), dtype=complex)
-    z[:, [j for j in range(fan.k) if j not in cone]] = np.exp(np.log(t[found]) @ lift)
+    key = (tuple(cone), basis.degree.a, live.tobytes())
+
+    def build():
+        coords = basis.points[live] @ fan.kept(key[0], _orbit_chart, fan, cone)[1].T
+        rest = np.nonzero(~np.eye(len(coords), dtype=bool))[1].reshape(len(coords), -1)
+        diffs = coords[rest] - coords[:, None]
+        return rest, diffs, rank_int(diffs[0].tolist()) if len(rest[0]) else 0
+
+    return key, fan.kept(("orbit",) + key, build)
+
+
+def _orbit_solve(fan, cone, basis, live, values, noise):
+    """Solve one table per row of values on the orbit of a cone (sorted
+    ray indices), every row in one _solve_binomials.
+
+    values and noise (G x count of live entries) hold the live entries
+    of each table over basis, live being the mask of them. Each row is
+    taken against its largest entry, with the absolute errors in noise;
+    a ratio that is zero (an entry that vanishes or underflows), or whose
+    error estimate overflows, is unusable. The fan keeps one plan per
+    base point and usable mask under the key of _kept_rows, so a warm
+    solve does no integer work here.
+
+    Returns (t, found, cond) as _solve_binomials gives them, and z, every
+    row lifted to Cox coordinates with zeros on the cone (meaningful
+    where found), or None when the chart has no lift. Where the lift E
+    is fractional, exp(E log t) takes principal-branch powers, which is
+    harmless: the rays map the result back to t in exponent arithmetic.
+    """
+    key, (rest, diffs, _) = _kept_rows(fan, cone, basis, live)
+    mag = np.abs(values)
+    i0 = mag.argmax(axis=1)
+    g, base, rest = np.arange(len(values))[:, None], i0[:, None], rest[i0]
+    # a vanishing entry gives an infinite or nan error, a subnormal one may
+    # overflow it, and a row that vanishes everywhere gives 0 / 0 ratios;
+    # none of them is usable, and the float pass ignores the same errors
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rel = noise / mag
+        ratios = values[g, rest] / values[g, base]
+        errs = rel[g, rest] + rel[g, base]
+        usable = (errs < USABLE_ERR) & (ratios != 0.0)
+        errs = np.where(usable, errs, np.inf)
+        plans = [fan.kept(("plan",) + key + (b, mask.tobytes()), _phase_plan, diffs[b], mask)
+                 for b, mask in zip(i0.tolist(), usable)]
+        t, found, cond = _solve_binomials(diffs[i0], ratios, errs, usable, plans)
+        lift = fan.kept(key[0], _orbit_chart, fan, cone)[2]
+        if lift is None:
+            return t, found, cond, None
+        z = np.zeros((len(t), fan.k), dtype=complex)
+        z[:, [j for j in range(fan.k) if j not in cone]] = np.exp(np.log(t) @ lift)
     return t, found, cond, z
 
 
 def recover_torus_points(fan, tables):
     """Recover torus points from many eigenvalue tables in one pass.
 
-    The torus is the orbit of the empty cone: each table's zero entries
-    drop out, and tables are grouped by basis and pattern of zero
-    entries, one orbit solve per group after an affine rank check per
-    pattern with zero entries (without any, check_span has decided it
-    for the basis). The integer plan is made once per distinct
-    usable-row order (which fixes the base point), and the float work
-    runs as one stacked solve per count of usable rows and branches.
+    The torus is the orbit of the empty cone, and the tables of each
+    basis go through one orbit solve, where a table's zero entries are
+    unusable ratios. The integer plans are kept by the fan, one per base
+    point and usable mask, and the float work runs as one stacked pass
+    per branch count. A table whose usable entries do not span gets no
+    plan and is no torus point.
 
     A cluster of multiplicity above one is not a torus point when its
     weighted least squares is conditioned above COND_MAX. Simple torus
@@ -445,23 +472,16 @@ def recover_torus_points(fan, tables):
         check_span(basis)
     out = [None] * len(tables)
     for basis, members in by_basis.values():
-        members = np.array(members)
-        values = np.array([tables[i].values for i in members])
-        noise = np.array([tables[i].noise for i in members])
-        for live, rows in _groups(np.abs(values) > 0.0):
-            points = basis.points[live]
-            # with every entry live the rows span what check_span certified
-            if not live.all() and rank_int((points[1:] - points[:1]).tolist()) < fan.n:
-                continue
-            t, found, cond, z = _orbit_solve(fan, (), points, values[rows][:, live],
-                                             noise[rows][:, live])
-            if z is None:  # rays that do not span M lift no torus point
-                return out
-            # the stratum test of the docstring
-            mult = np.array([tables[i].multiplicity for i in members[rows]])
-            keep = found & ((mult == 1) | (cond <= COND_MAX))
-            for i, tg, zg in zip(members[rows[keep]], t[keep], z[keep[found]]):
-                out[i] = Solution(zg, tg, tables[i].multiplicity, zero_pattern=())
+        t, found, cond, z = _orbit_solve(
+            fan, (), basis, np.ones(len(basis), dtype=bool),
+            np.array([tables[i].values for i in members]),
+            np.array([tables[i].noise for i in members]))
+        if z is None:  # rays that do not span M lift no torus point
+            return out
+        for i, tg, zg, ok, c in zip(members, t, z, found, cond):
+            mu = tables[i].multiplicity
+            if ok and (mu == 1 or c <= COND_MAX):  # the stratum test above
+                out[i] = Solution(zg, tg, mu, zero_pattern=())
     return out
 
 
@@ -538,10 +558,11 @@ def recover_boundary_point(fan, table):
                 "inconsistent vanishing pattern: surviving monomials leave the orbit"
             )
         # on the orbit's character lattice to_coords is injective
-        if rank_int(steps.tolist()) < len(to_coords):
+        _, (_, _, rank) = _kept_rows(fan, zero_rays, table.basis, loud)
+        if rank < len(to_coords):
             raise RecoveryError("alpha0 insufficient on orbit")
-        _, found, _, z = _orbit_solve(fan, zero_rays, pts[live], table.values[live][None],
-                                      table.noise[live][None])
+        _, found, _, z = _orbit_solve(fan, zero_rays, table.basis, loud,
+                                      table.values[loud][None], table.noise[loud][None])
         if not found[0]:
             raise RecoveryError("inconsistent ratios on the boundary orbit")
         if z is None:

@@ -20,6 +20,17 @@ solves that returned but missed a pin of the benchmark's checks
 (`check_lines27` on lines27, `check_dense` on the dense draws; pillow
 and intro have none). The exit status is 1 when any solve raised
 something other than a ToricSolveError.
+
+    python3 tests/snapshot.py --compare old.jsonl new.jsonl
+
+compares two snapshots numerically, for changes that move the last
+digits and so cannot be byte-identical. Per workload it prints every
+structural difference of a case (the error type it raised, the count
+of solutions, and the multiplicity, zero pattern and torus or boundary
+route of each) and the largest relative move of a Cox coordinate z
+over the points matched between the two sides, each coordinate against
+the larger of its two moduli. The exit status is 1 when any case
+differs structurally.
 """
 
 import json
@@ -106,5 +117,72 @@ def main(argv):
     return int(foreign)
 
 
+def read_snapshot(path):
+    """{case label: solve record} of a snapshot file; census lines skipped."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.startswith("{")]
+    return {record.pop("case"): record for record in records}
+
+
+def _route(sol):
+    return sol["multiplicity"], tuple(sol["zero_pattern"]), sol["on_torus"]
+
+
+def _z(sol):
+    return np.array([complex(*x) for x in sol["z"]])
+
+
+def _move(a, b):
+    """Largest move of a coordinate against the larger of its two moduli;
+    coordinates that vanish on both sides do not move."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.abs(a - b) / np.where(scale > 0.0, scale, 1.0), initial=0.0))
+
+
+def compare_case(old, new):
+    """(structural differences, z moves of the matched points) of one case.
+    Each old point is matched to the nearest unmatched new point on the
+    same route."""
+    raised = old.get("raised"), new.get("raised")
+    if raised != (None, None):
+        return ([] if raised[0] == raised[1] else [f"raised {raised[0]} -> {raised[1]}"]), []
+    olds, news = old["solutions"], new["solutions"]
+    if len(olds) != len(news):
+        return [f"{len(olds)} -> {len(news)} solutions"], []
+    routes = sorted(map(_route, olds)), sorted(map(_route, news))
+    if routes[0] != routes[1]:
+        return [f"routes (multiplicity, zero pattern, on torus) {routes[0]} -> {routes[1]}"], []
+    moves, left = [], list(news)
+    for sol in olds:
+        same = [cand for cand in left if _route(cand) == _route(sol)]
+        best = min(same, key=lambda cand: _move(_z(sol), _z(cand)))
+        moves.append(_move(_z(sol), _z(best)))
+        left.remove(best)
+    return [], moves
+
+
+def compare(old_path, new_path):
+    old, new = read_snapshot(old_path), read_snapshot(new_path)
+    if old.keys() != new.keys():
+        print(f"the snapshots solve other cases: {sorted(old.keys() ^ new.keys())}")
+        return 1
+    report, differs = {}, False
+    for case in old:
+        diffs, moves = compare_case(old[case], new[case])
+        for diff in diffs:
+            print(f"{case}: {diff}")
+        row = report.setdefault(case.split()[0], [0, 0, []])
+        row[0] += 1
+        row[1] += bool(diffs)
+        row[2] += moves
+        differs |= bool(diffs)
+    for workload, (cases, structural, moves) in report.items():
+        print(f"{workload}: {cases} cases, {structural} with structural differences, "
+              f"largest z move {max(moves, default=0.0):.2g} over {len(moves)} points")
+    return int(differs)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        sys.exit(compare(*sys.argv[2:]))
     sys.exit(main(sys.argv[1:]))

@@ -486,27 +486,28 @@ def assemble_res_reference(system, beta, allow_empty=False):
 
 
 def branch_plan_reference(rows, n):
-    """recovery._branch_plan with a from-scratch rank per candidate row."""
+    """recovery._branch_plan with a from-scratch rank per candidate row:
+    climb to rank n in row order, then try every row not selected once."""
     rows = rows.tolist()
     sel, rank, index, snf = [], 0, 1, None
     for i, row in enumerate(rows):
         cand = [rows[j] for j in sel] + [row]
-        if rank < n:
-            if rank_int(cand) == rank:
-                continue
+        if rank_int(cand) > rank:
             sel.append(i)
             rank += 1
             if rank == n:
                 snf = smith_normal_form(cand)
                 index = math.prod(snf[1][j][j] for j in range(n))
-        else:
-            cand_snf = smith_normal_form(cand)
+                break
+    for i, row in enumerate(rows):
+        if rank < n or index == 1:
+            break
+        if i not in sel:
+            cand_snf = smith_normal_form([rows[j] for j in sel] + [row])
             q = math.prod(cand_snf[1][j][j] for j in range(n))
             if q < index:
                 sel.append(i)
                 index, snf = q, cand_snf
-        if rank == n and index == 1:
-            break
     if rank < n or index > MAX_BRANCHES:
         return None
     u, d, v = snf

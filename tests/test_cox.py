@@ -1,5 +1,7 @@
 """Graded bases, homogenization, and evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from toricsolve.cox import (
     homogenize,
 )
 from toricsolve.errors import InputError
+from toricsolve.formats import solution_file_dict
 from toricsolve.lattice import dot, integer_kernel
 from toricsolve.regularity import Provenance, RegularityPair, improved_pair
 from toricsolve.solver import solve
@@ -385,8 +388,13 @@ def test_pair_search_then_solve_keeps_the_bases(cold):
 @pytest.mark.parametrize("case", ["intro", "pillow", "lines27"])
 def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
     """After one solve on a support, a solve with new coefficients looks
-    up no lattice point, does no exact work for its boundary orbits and
-    adds nothing to the fan's store."""
+    up no lattice point, does no exact work for its boundary orbits or
+    its binomial plans, and adds nothing to the fan's store but plans.
+
+    Recovery keeps one integer plan per base point and usable mask. A
+    new draw may meet a (base point, mask) the first solve did not; then,
+    and only then, it adds that plan's key and makes the plan (the
+    lines27 draws here meet three). Solving a draw again makes none."""
     rng = np.random.default_rng(1)
     if case == "intro":
         eqs, rays = [intro_laurent(1.0), intro_laurent(0.3)], HIRZEBRUCH_RAYS
@@ -405,19 +413,52 @@ def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
     monkeypatch.setattr(GradedBasis, "rows",
                         lambda self, points: calls.append("rows") or rows(self, points))
     # recovery need not import all of them, so each is set, not replaced;
-    # the stratum verdict of a boundary cone is exact work too
+    # the stratum verdict of a boundary cone is exact work too, and so are
+    # a binomial plan and the Smith forms it takes
     exact_work = [getattr(lattice, name) for name in
-                  ("integer_kernel", "right_inverse", "solve_int")]
-    for exact in exact_work + [toric.boundary_stratum_check]:
+                  ("integer_kernel", "right_inverse", "solve_int", "rank_int",
+                   "smith_normal_form")]
+    for exact in exact_work + [toric.boundary_stratum_check, recovery._branch_plan]:
         def counted(*args, exact=exact):
             calls.append(exact.__name__)
             return exact(*args)
         monkeypatch.setattr(recovery, exact.__name__, counted, raising=False)
     second = solve(eqs[1], rays=rays)
     assert second.system.fan is fan and len(cold) == 1
+    new = fan._store.keys() - store.keys()
+    assert all(key[0] == "plan" for key in new)
+    assert len(new) == (3 if case == "lines27" else 0)
+    assert calls.count("_branch_plan") == len(new)
+    assert set(calls) <= {"_branch_plan", "smith_normal_form"}
+    assert all(fan._store[key] is value for key, value in store.items())
+    calls.clear()
+    store = dict(fan._store)
+    again = solve(eqs[0], rays=rays)
     assert calls == []
     assert fan._store.keys() == store.keys()
-    assert all(fan._store[key] is value for key, value in store.items())
+    assert _coords(again) == _coords(first)
+
+
+def test_warm_solves_do_not_depend_on_the_order_of_draws(cold):
+    """Two lines27 draws solved as A then B on one fan, and as B then A on
+    a fresh fan, give byte-identical solution files: the plans a draw
+    finds kept are the plans it would have built."""
+    rng = np.random.default_rng(1)
+    draws = [lines27_laurent(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+             for _ in range(2)]
+
+    def files(order):
+        cold.clear()
+        out = {}
+        for i in order:
+            result = solve(draws[i], rays=LINES27_RAYS, seed=i)
+            out[i] = solution_file_dict(result)
+            del out[i]["metadata"]["timings_ms"]
+        return out
+
+    ab, ba = files([0, 1]), files([1, 0])
+    for i in range(2):
+        assert json.dumps(ab[i], sort_keys=True) == json.dumps(ba[i], sort_keys=True)
 
 
 def test_cache_stays_within_bound(cold):
