@@ -20,7 +20,7 @@ import numbers
 import numpy as np
 
 from .errors import InputError
-from .lattice import Polytope, int_vector, is_int
+from .lattice import Polytope, all_int, int_vector
 from .toric import DivisorClass, Fan, divisor_of_polytope
 
 __all__ = [
@@ -47,10 +47,13 @@ class GradedBasis:
         exponents: (N x k) int64 array of the Cox exponents F^T m + a.
         lattice_points: the points as a list of tuples.
         monomials: the exponents as a list of tuples.
+
+    The basis also keeps the index arrays of the power table that
+    evaluation gathers from (_power_index).
     """
 
     __slots__ = ("degree", "points", "exponents", "lattice_points",
-                 "monomials", "_lo", "_radix", "_keys")
+                 "monomials", "_lo", "_radix", "_keys", "_powers", "_coords")
 
     def __init__(self, degree):
         fan = degree.fan
@@ -66,7 +69,9 @@ class GradedBasis:
             size = (pts.max(axis=0) - self._lo + 1).tolist()
             self._radix = np.array([math.prod(size[j + 1:]) for j in range(fan.n)])
         self._keys = (pts - self._lo) @ self._radix
-        for arr in (self.exponents, self._lo, self._radix, self._keys):
+        self._powers, self._coords = _power_index(self.exponents)
+        for arr in (self.exponents, self._lo, self._radix, self._keys,
+                    self._powers, self._coords):
             arr.flags.writeable = False
         self.lattice_points = list(map(tuple, pts.tolist()))
         self.monomials = list(map(tuple, self.exponents.tolist()))
@@ -95,6 +100,12 @@ class GradedBasis:
 
     def __repr__(self):
         return f"GradedBasis(degree={self.degree!r}, size={len(self)})"
+
+
+def _power_index(exponents):
+    """The powers 0..max of the power table that evaluation raises each
+    coordinate to, and the coordinate index that gathers x_j^b_j from it."""
+    return np.arange(exponents.max(initial=0) + 1), np.arange(exponents.shape[1])
 
 
 def as_divisor(fan, alpha):
@@ -182,12 +193,13 @@ class CoxPolynomial:
 
     def _evaluate(self, z):
         """evaluate's (value, scale) over the leading axes of z (..., k)."""
-        exps = self.basis.exponents
-        # one power table per coordinate, gathered per monomial
-        powers = z[..., None] ** np.arange(exps.max(initial=0) + 1)
-        monvals = np.prod(powers[..., np.arange(exps.shape[1]), exps], axis=-1)
-        return (np.sum(self.coeffs * monvals, axis=-1),
-                np.sum(np.abs(self.coeffs) * np.abs(monvals), axis=-1))
+        basis = self.basis
+        # one power table per coordinate, gathered per monomial; the ufunc
+        # reductions are what np.prod and np.sum call
+        powers = z[..., None] ** basis._powers
+        monvals = np.multiply.reduce(powers[..., basis._coords, basis.exponents], axis=-1)
+        return (np.add.reduce(self.coeffs * monvals, axis=-1),
+                np.add.reduce(np.abs(self.coeffs) * np.abs(monvals), axis=-1))
 
     def __repr__(self):
         parts = []
@@ -238,18 +250,22 @@ class HomogeneousSystem:
         z = np.asarray(z, dtype=complex)
         if z.ndim not in (1, 2) or z.shape[-1] != self.k:
             raise InputError(f"points have shape {z.shape}, expected (..., {self.k})")
-        out = np.empty(z.shape[:-1] + (len(self.polys),))
+        value = np.empty(z.shape[:-1] + (len(self.polys),), dtype=complex)
+        scale = np.empty(value.shape)
         for i, f in enumerate(self.polys):
-            value, scale = f._evaluate(z)
-            mag = np.abs(value)
-            flat = scale == 0.0
-            out[..., i] = np.where(flat, np.where(mag == 0.0, 0.0, np.inf),
-                                   mag / np.where(flat, 1.0, scale))
-        return out
+            value[..., i], scale[..., i] = f._evaluate(z)
+        mag = np.abs(value)
+        flat = scale == 0.0
+        return np.where(flat, np.where(mag == 0.0, 0.0, np.inf),
+                        mag / np.where(flat, 1.0, scale))
 
     def __repr__(self):
         degs = [d.degree() for d in self.degrees]
         return f"HomogeneousSystem({len(self.polys)} equations, degrees={degs})"
+
+
+# coefficient types that need no numbers.Number check, an ABC lookup
+_NUMBER_TYPES = (complex, float, int)
 
 
 def _merge_terms(i, terms):
@@ -262,11 +278,12 @@ def _merge_terms(i, terms):
             exp, c = term
         except (TypeError, ValueError):
             raise bad("expected an (exponent tuple, coefficient) pair") from None
-        key = tuple(exp) if np.iterable(exp) else ()
-        if not key or not all(map(is_int, key)):
+        key = exp if type(exp) is tuple else tuple(exp) if np.iterable(exp) else ()
+        if not key or not all_int(key):
             raise bad("the exponent must be a nonempty tuple of integers "
                       "(not bools or floats)")
-        if isinstance(c, bool) or not isinstance(c, numbers.Number):
+        if type(c) not in _NUMBER_TYPES and (
+                isinstance(c, bool) or not isinstance(c, numbers.Number)):
             raise bad("the coefficient must be a number")
         key = tuple(map(int, key))
         acc[key] = acc.get(key, 0j) + complex(c)
@@ -347,10 +364,10 @@ def homogenize(equations, rays=None):
             raise InputError(f"equation {i} has empty support")
     n = len(next(iter(merged[0])))
     for i, terms in enumerate(merged):
-        if any(len(e) != n for e in terms):
+        if set(map(len, terms)) != {n}:
             raise InputError(f"equation {i} mixes exponent lengths")
 
-    key = (tuple(tuple(sorted(terms)) for terms in merged),
+    key = (tuple([tuple(sorted(terms)) for terms in merged]),
            None if rays is None else tuple(rays))
     fan, pieces = entry = _supports.get(key) or _build(merged, key[0], rays)
 

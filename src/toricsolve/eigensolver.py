@@ -16,6 +16,9 @@ whose traces are stable even for multiple points.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 import scipy.linalg
 
@@ -50,6 +53,30 @@ RETRIES_MAX = 3
 # the largest relative below-block-diagonal norm a clustering may leave
 CLUSTER_GAP = 1e-4
 LEAK_TOL = 1e-6
+# number of (seed, stage, size) keys whose seeded draws stay kept
+DRAWS_MAX = 8
+
+
+@functools.lru_cache(maxsize=DRAWS_MAX)
+def _draws(seed, stage, size, count):
+    """The first count complex Gaussian vectors of length size on the
+    substream of stage for seed, read-only.
+
+    Each vector is standard_normal(size) + 1j * standard_normal(size),
+    drawn in turn from default_rng(SeedSequence(seed, spawn_key=(stage,))):
+    the family's h_0 draws and their retries on stage 1, the Schur
+    driver on stage 2. A stage's stream is its own, so the same user seed
+    never reproduces the h_0 draw in another stage (a Schur driver equal
+    to h_0 separates nothing). A sweep solves every row with one seed, so
+    the last DRAWS_MAX keys are kept and the oldest is dropped.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage,)))
+    out = []
+    for _ in range(count):
+        vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        vec.flags.writeable = False
+        out.append(vec)
+    return tuple(out)
 
 
 class ResMatrix:
@@ -146,7 +173,7 @@ def assemble_res(system, beta, allow_empty=False):
     flat = matrix.reshape(-1)
     for i, (index, lands) in enumerate(scatter):
         coeffs = system.polys[i].coeffs
-        nz = np.flatnonzero(coeffs)
+        nz = coeffs.nonzero()[0]
         if len(nz) < len(coeffs):
             index, coeffs = index[:, nz], coeffs[nz]
         if not lands and (index < 0).any():
@@ -234,7 +261,7 @@ def _qr_rank(R, reveal):
     if not np.isfinite(R).all():
         raise RankAmbiguousError(
             "Res overflows double precision: its pivoted QR has a non-finite entry")
-    d = np.abs(np.diagonal(R))
+    d = np.abs(R.diagonal())
     if d[0] > 0.0:
         S = R / d[0]
         rank = int(np.count_nonzero(d > TOL_RANK * d[0]))
@@ -500,7 +527,7 @@ class MultiplicationFamily:
         has the rounding of a loop over the members (a BLAS tensordot
         does not, and moves the Schur form's last bits).
         """
-        return (np.asarray(coeffs)[:, None, None] * self.stack).sum(axis=0)
+        return np.add.reduce(np.asarray(coeffs)[:, None, None] * self.stack, axis=0)
 
     def __repr__(self):
         return (f"MultiplicationFamily({len(self.matrices)} matrices, "
@@ -517,7 +544,7 @@ def _restriction_cond(R11, sub):
     returned when it is within COND_MAX, inf when the lower bound
     exceeds it; the SVD runs only between the two.
     """
-    d = np.abs(np.diagonal(R11))
+    d = np.abs(R11.diagonal())
     if not d.max() <= COND_MAX * d.min():
         return np.inf
     inverse, info = scipy.linalg.lapack.ztrtri(R11)
@@ -573,7 +600,7 @@ def multiplication_family(cok, system, pair, seed=0):
         alpha, alpha0 = pair
     s_alpha, s_alpha0, idx = _gather_plan(system.fan, alpha, alpha0)
     rows = cok.res.rows
-    expected = tuple(x + y for x, y in zip(s_alpha.degree.a, s_alpha0.degree.a))
+    expected = tuple(map(operator.add, s_alpha.degree.a, s_alpha0.degree.a))
     if tuple(rows.degree.a) != expected:
         raise InputError(
             f"cokernel degree {tuple(rows.degree.a)} does not match "
@@ -595,18 +622,17 @@ def multiplication_family(cok, system, pair, seed=0):
         return MultiplicationFamily(empty, (), coeffs, s_alpha0, 0, 0.0)
 
     # one gather for all N_b (stack[j] = N_{b_j})
-    stack = np.moveaxis(cok.N[:, idx], 1, 0)
+    stack = cok.N[:, idx].transpose(1, 0, 2)
 
-    # stage-specific substream: the same user seed must not reproduce the
-    # h_0 draw in other stages (a Schur driver equal to h_0 separates nothing)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    for _ in range(RETRIES_MAX + 1):
-        coeffs = (rng.standard_normal(len(s_alpha0))
-                  + 1j * rng.standard_normal(len(s_alpha0)))
-        n_h0 = np.tensordot(coeffs, stack, axes=(0, 0))
+    # h_0 and its retries continue one stream of the seed (_draws)
+    for coeffs in _draws(seed, 1, len(s_alpha0), RETRIES_MAX + 1):
+        # np.tensordot(coeffs, stack, axes=(0, 0)) without its wrapper: the
+        # same dot of coeffs, as one row, against the flattened members
+        n_h0 = np.dot(coeffs.reshape(1, -1),
+                      stack.reshape(len(coeffs), -1)).reshape(stack.shape[1:])
         # geqp3 overwrites its argument: a Fortran copy of n_h0
         qr, jpvt, _ = _geqp3(np.array(n_h0, order="F"))
-        columns = tuple(sorted(int(p) - 1 for p in jpvt[:delta]))
+        columns = tuple(sorted((jpvt[:delta] - 1).tolist()))
         sub = n_h0[:, columns]
         cond = _restriction_cond(np.triu(qr[:delta, :delta]), sub)
         if cond <= COND_MAX:
@@ -619,12 +645,12 @@ def multiplication_family(cok, system, pair, seed=0):
 
     # members side by side as one right-hand side (delta x members * delta)
     members = len(s_alpha0)
-    rhs = np.moveaxis(stack[:, :, columns], 0, 1).reshape(delta, -1)
+    rhs = stack[:, :, columns].transpose(1, 0, 2).reshape(delta, -1)
     # the condition test above leaves getrf no zero pivot
     lu, piv, _ = scipy.linalg.lapack.zgetrf(sub)
     solved = scipy.linalg.lapack.zgetrs(lu, piv, rhs)[0]
     family = np.ascontiguousarray(
-        np.moveaxis(solved.reshape(delta, members, delta), 1, 0))
+        solved.reshape(delta, members, delta).transpose(1, 0, 2))
     return MultiplicationFamily(family, columns, coeffs,
                                 s_alpha0, delta, float(cond))
 
@@ -665,16 +691,20 @@ def _cluster_labels(values, gap):
     mag = np.abs(values)
     near = (np.abs(values[:, None] - values[None, :])
             <= gap * (1.0 + (mag[:, None] + mag[None, :]) / 2.0))
+    index = np.arange(len(values))
+    if np.count_nonzero(near) == len(values):  # every value its own cluster
+        return index
     # min-label propagation: every label stays the index of a value in
     # its own component, so the fixed point is the component's first index
-    labels = np.arange(len(values))
+    labels = index
     while True:
         new = np.where(near, labels[None, :], len(values)).min(axis=1)
         new = new[new]
         if np.array_equal(new, labels):
             break
         labels = new
-    return np.unique(labels, return_inverse=True)[1]
+    # a component's first index labels itself; count those up to each label
+    return (np.cumsum(labels == index) - 1)[labels]
 
 
 def _reorder(T, Z, labels):
@@ -734,9 +764,7 @@ def schur_cluster(family, seed=0):
     """
     mons = family.monomials
     delta = family.delta_plus
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    driver_coeffs = (rng.standard_normal(len(mons))
-                     + 1j * rng.standard_normal(len(mons)))
+    (driver_coeffs,) = _draws(seed, 2, len(mons), 1)
     if delta == 0:
         return SchurClustering((), np.zeros((0, len(mons)), dtype=complex),
                                0.0, CLUSTER_GAP)
@@ -747,18 +775,18 @@ def schur_cluster(family, seed=0):
 
     gap = CLUSTER_GAP
     while True:
-        labels = _cluster_labels(np.diag(T0), gap)
+        labels = _cluster_labels(T0.diagonal(), gap)
         _, Z, labels = _reorder(T0, Z0, labels)
-        starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
-        sizes = np.diff(np.r_[starts, delta])
+        bounds = np.concatenate(([True], labels[1:] != labels[:-1], [True])).nonzero()[0]
+        starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
 
         Tb = Z.conj().T @ family.stack @ Z
         by_member = _below_block_norm(Tb, labels) / norms
-        diag = np.diagonal(Tb, axis1=1, axis2=2)
+        diag = Tb.diagonal(axis1=1, axis2=2)
         tables = (np.add.reduceat(diag, starts, axis=1) / sizes).T
         leakage = float(by_member.max())
         if leakage <= LEAK_TOL:
-            return SchurClustering(tuple(int(mu) for mu in sizes), tables,
+            return SchurClustering(tuple(sizes.tolist()), tables,
                                    leakage, gap, by_member.tolist())
         if gap >= _GAP_CEILING:
             raise ClusteringError(

@@ -56,8 +56,10 @@ class RankAmbiguousError(ToricSolveError):
     Raised when the singular value gap at the cut is below the configured
     ratio, so the corank (and with it the solution count) is not trustworthy,
     when the pivoted QR behind a cokernel basis leaves a trailing block
-    above the cut, so the basis would not annihilate the image, or when
-    Res overflows double precision in that QR.
+    above the cut, so the basis would not annihilate the image, when
+    Res overflows double precision in that QR, or when the coranks at
+    alpha and alpha + alpha0 disagree on a system with an equation whose
+    coefficient moduli spread beyond 1 / TOL_RANK.
     """
 
     exit_code = 4

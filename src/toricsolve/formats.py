@@ -119,8 +119,13 @@ def eval_scalar(text, env):
             division by zero, a value beyond the float range, or nesting
             too deep to parse or evaluate.
     """
+    return _eval_tree(_parse_template(text), text, env)
+
+
+def _eval_tree(tree, text, env):
+    """eval_scalar on the parsed template `tree` of `text`."""
     try:
-        value = _eval_node(_parse_template(text), env)
+        value = _eval_node(tree, env)
     except OverflowError:
         raise InputError(f"coefficient template {text!r} overflows the float range") from None
     except RecursionError:
@@ -128,9 +133,12 @@ def eval_scalar(text, env):
     return complex(value) if isinstance(value, complex) else float(value)
 
 
+def _names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 def _template_names(text):
-    return {node.id for node in ast.walk(_parse_template(text))
-            if isinstance(node, ast.Name)}
+    return _names(_parse_template(text))
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +155,12 @@ class SystemFile:
             unevaluated template string.
         rays: explicit ray order for the fan, or None.
         pair: (alpha, alpha0) divisor vectors, or None.
+
+    Each template is parsed once per SystemFile (_parsed), so a sweep
+    evaluates the kept syntax trees row after row.
     """
 
-    __slots__ = ("variables", "equations", "rays", "pair")
+    __slots__ = ("variables", "equations", "rays", "pair", "_templates")
 
     def __init__(self, variables, equations, rays=None, pair=None):
         self.variables = tuple(variables)
@@ -157,18 +168,31 @@ class SystemFile:
         self.rays = None if rays is None else tuple(tuple(r) for r in rays)
         self.pair = None if pair is None else (
             tuple(pair[0]), tuple(pair[1]))
+        # template text -> (syntax tree, names it uses), each text parsed once
+        self._templates = {}
 
     @property
     def n(self):
         return len(self.variables)
 
+    def _parsed(self):
+        """{template text: (syntax tree, names it uses)} of every
+        unevaluated coefficient in the equations as they stand."""
+        out = {}
+        for eq in self.equations:
+            for _, coeff in eq:
+                if isinstance(coeff, str) and coeff not in out:
+                    if coeff not in self._templates:
+                        tree = _parse_template(coeff)
+                        self._templates[coeff] = tree, _names(tree)
+                    out[coeff] = self._templates[coeff]
+        return out
+
     def parameter_names(self):
         """Names referenced by any unevaluated coefficient template."""
         names = set()
-        for eq in self.equations:
-            for _, coeff in eq:
-                if isinstance(coeff, str):
-                    names |= _template_names(coeff)
+        for _, used in self._parsed().values():
+            names |= used
         return names
 
     def instantiate(self, name, value):
@@ -183,12 +207,13 @@ class SystemFile:
                 f"parameter not found: no coefficient template uses {name!r}"
             )
         env = {name: value}
+        templates = self._parsed()
         equations = []
         for eq in self.equations:
             terms = []
             for exp, coeff in eq:
                 if isinstance(coeff, str):
-                    coeff = eval_scalar(coeff, env)
+                    coeff = _eval_tree(templates[coeff][0], coeff, env)
                 terms.append((exp, coeff))
             equations.append(terms)
         return SystemFile(self.variables, equations, self.rays, self.pair)

@@ -41,6 +41,7 @@ from .errors import InputError
 
 __all__ = [
     "is_int",
+    "all_int",
     "int_vector",
     "primitive",
     "dot",
@@ -58,14 +59,21 @@ __all__ = [
 def is_int(x):
     """True for an integer that is not a bool. numpy integers pass; a bool
     is refused because it would silently read as 0 or 1."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    # an exact int skips the numbers.Integral check, an ABC lookup
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def all_int(entries):
+    """is_int of every entry of a sequence; entries that are all exact
+    ints pass on their set of types alone."""
+    return set(map(type, entries)) <= {int} or all(map(is_int, entries))
 
 
 def int_vector(v, what):
     """`v` as a tuple of ints; InputError naming `what` unless `v` is a
     sequence of integers (is_int: no bools, floats or fractions)."""
-    entries = tuple(v) if np.iterable(v) else None
-    if entries is None or not all(map(is_int, entries)):
+    entries = v if type(v) is tuple else tuple(v) if np.iterable(v) else None
+    if entries is None or not all_int(entries):
         raise InputError(f"{what} must be a sequence of integers "
                          f"(not bools or floats), got {v!r}")
     return tuple(map(int, entries))

@@ -56,6 +56,7 @@ RATIO_TOL = 1e-6
 # table values below this, relative to the largest, count as zero in
 # boundary recovery
 ZERO_TOL = 1e-6
+_EPS = np.finfo(float).eps
 
 
 class EigenvalueTable:
@@ -79,7 +80,7 @@ class EigenvalueTable:
         self.multiplicity = int(multiplicity)
         if noise is None:
             top = np.abs(values).max(initial=0.0)
-            noise = np.full(len(values), NOISE_CUSHION * np.finfo(float).eps * top)
+            noise = np.full(len(values), NOISE_CUSHION * _EPS * top)
         self.noise = np.asarray(noise, dtype=float)
 
     @classmethod
@@ -91,7 +92,7 @@ class EigenvalueTable:
         once for the whole clustering.
         """
         tables = clustering.tables
-        noise = NOISE_CUSHION * np.finfo(float).eps * np.abs(tables).max(axis=0)
+        noise = NOISE_CUSHION * _EPS * np.abs(tables).max(axis=0)
         return [cls(family.alpha0_basis, row, mu, noise)
                 for row, mu in zip(tables, clustering.block_sizes)]
 
@@ -233,8 +234,8 @@ def _phase_plan(diffs, usable):
 
 def _monomials(t, a):
     """t^a for every row of the integer matrix a, over the leading axes of t
-    and a."""
-    return (t[..., None, :] ** a).prod(axis=-1)
+    and a; a may come cast to complex, the type the power casts it to."""
+    return np.multiply.reduce(t[..., None, :] ** a, axis=-1)
 
 
 def _stack_plans(plans):
@@ -276,9 +277,10 @@ def _branch_solve(plan, a, ratios, errs, usable):
     # modulus solve and every step; it drops singular values below
     # lstsq's default cutoff
     us, sv, vh = np.linalg.svd(a * w[:, :, None], full_matrices=False)
-    inv = np.where(sv > max(a.shape[1:]) * np.finfo(float).eps * sv[:, :1], 1.0 / sv, 0.0)
+    inv = np.where(sv > max(a.shape[1:]) * _EPS * sv[:, :1], 1.0 / sv, 0.0)
     step = w[:, :, None] * ((us * inv[:, None, :]) @ vh)
-    a = a[:, None]  # one set of rows per cluster, shared by its branches
+    # one set of rows per cluster, shared by its branches, cast once
+    a = a[:, None].astype(complex)
     logs = np.log(ratios)
     t = np.exp(logs.real @ step + 1j * (logs.imag @ phase + offsets))
     for _ in range(3):
@@ -287,8 +289,8 @@ def _branch_solve(plan, a, ratios, errs, usable):
         t = t * np.exp(np.log(ratios / _monomials(t, a)) @ step)
     # each ratio's miss in units of its tolerance
     miss = np.abs(_monomials(t, a) - ratios) / tol
-    ok = (miss <= 1.0).all(axis=2)
-    best = np.argmin(np.where(ok, (miss * miss).sum(axis=2), np.inf), axis=1)
+    ok = np.logical_and.reduce(miss <= 1.0, axis=2)
+    best = np.where(ok, np.add.reduce(miss * miss, axis=2), np.inf).argmin(axis=1)
     rows = np.arange(len(t))
     return t[rows, best], ok[rows, best], sv[:, 0] / sv[:, -1]
 

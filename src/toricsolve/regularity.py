@@ -18,6 +18,7 @@ the walk needs no recipe for any of them.
 """
 
 import math
+import operator
 from enum import Enum
 from itertools import combinations
 
@@ -77,8 +78,10 @@ class RegularityPair:
 
     @property
     def top(self):
-        """alpha + alpha0, the row degree of the solver's Res matrix."""
-        return self.alpha + self.alpha0
+        """alpha + alpha0, the row degree of the solver's Res matrix; the
+        fan keeps it per pair of representatives, so a read builds no class."""
+        alpha, alpha0 = self.alpha, self.alpha0
+        return alpha.fan.kept(("top", alpha.a, alpha0.a), operator.add, alpha, alpha0)
 
     def __repr__(self):
         return (

@@ -12,6 +12,8 @@ choices.
 import numbers
 import time
 
+import numpy as np
+
 from .cox import HomogeneousSystem, homogenize, ray_list
 from .eigensolver import (
     CLUSTER_GAP,
@@ -24,7 +26,7 @@ from .eigensolver import (
     multiplication_family,
     schur_cluster,
 )
-from .errors import InputError, PairSelectionError
+from .errors import InputError, PairSelectionError, RankAmbiguousError
 # recover_torus_point is not called here; it stays importable because the
 # benchmark's tracer (perfbench/tracing.py) patches solver.recover_torus_point
 from .recovery import (  # noqa: F401
@@ -99,9 +101,31 @@ class SolutionSet:
 def check_options(seed):
     """Raise InputError unless seed is a non-negative integer; the sweep
     command checks its --seed with it once, before the first row."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+    # an exact int skips the numbers.Integral check, an ABC lookup
+    if (type(seed) is not int and (isinstance(seed, bool)
+                                   or not isinstance(seed, numbers.Integral))
             or seed < 0):
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_scaling(system):
+    """RankAmbiguousError naming the first equation whose nonzero
+    coefficient moduli spread by more than 1 / TOL_RANK.
+
+    Beyond that spread the rank cut at TOL_RANK sees the small
+    coefficients of such an equation as rounding, so two coranks that
+    disagree say more about the scaling than about the pair.
+    """
+    for i, f in enumerate(system.polys):
+        mags = np.abs(f.coeffs[f.coeffs != 0])
+        # Python floats: a spread beyond the float range is inf, not a warning
+        spread = float(mags.max()) / float(mags.min())
+        if spread > 1.0 / TOL_RANK:
+            raise RankAmbiguousError(
+                f"equation {i} has nonzero coefficient moduli spread by "
+                f"{spread:.1e} > 1/TOL_RANK = {1.0 / TOL_RANK:.0e}; the "
+                "corank cut cannot tell its small terms from rounding, so "
+                "rescale the equation or its variables")
 
 
 def solve(system, rays=None, pair=None, seed=0):
@@ -147,7 +171,11 @@ def solve(system, rays=None, pair=None, seed=0):
         for rays that differ from a HomogeneousSystem's, and for a pair
         that is not two integer vectors), PairSelectionError,
         RankAmbiguousError, ClusteringError, RecoveryError: tagged per
-        stage. SpanError, a RecoveryError, when the alpha0 lattice
+        stage. When the two coranks disagree and some equation's nonzero
+        coefficient moduli spread by more than 1 / TOL_RANK, the error is
+        a RankAmbiguousError naming that equation and its spread, not a
+        PairSelectionError: the scaling is at fault, not the pair.
+        SpanError, a RecoveryError, when the alpha0 lattice
         points do not affinely span the character lattice.
     """
     check_options(seed)
@@ -185,6 +213,7 @@ def solve(system, rays=None, pair=None, seed=0):
                   corank_only=True)
     cok = cokernel(assemble_res(system, pair.top), block=lo)
     if lo.delta_plus != cok.delta_plus:
+        _check_scaling(system)
         raise PairSelectionError(
             f"pair failed corank verification: {lo.delta_plus} at alpha vs "
             f"{cok.delta_plus} at alpha + alpha0"
@@ -192,7 +221,7 @@ def solve(system, rays=None, pair=None, seed=0):
     timings["cokernel_ms"] = 1e3 * (clock() - t0)
 
     diagnostics = {
-        "res_r_diagonal": tuple(float(x) for x in abs(cok.R.diagonal())),
+        "res_r_diagonal": tuple(np.abs(cok.R.diagonal()).tolist()),
         "rank_bounds": cok.rank_bounds,
         "block_leakage": (),
     }

@@ -18,9 +18,13 @@ vanishing verdict.
 and `branch_plan_reference` re-runs the rank test of a binomial plan
 from scratch for every candidate row: the oracles of the planned and
 incremental code.
+The `*_reference` helpers at the end keep the old bodies of helpers
+that now make cheaper calls on the same arithmetic (kept indices, ufunc
+reductions, kept draws); tests compare them with `==`, not `allclose`.
 """
 
 import math
+import numbers
 from itertools import combinations, product
 
 import numpy as np
@@ -517,3 +521,60 @@ def branch_plan_reference(rows, n):
         branches = [b + [cj] for b in branches for cj in range(abs(dd[j]))]
     return (np.array(sel), np.array(u[:n], dtype=float), np.array(dd, dtype=float),
             np.array(v, dtype=float), 2.0 * math.pi * np.array(branches, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# replaced helpers, bit for bit
+
+
+def is_int_reference(x):
+    """lattice.is_int before its exact-int fast path."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def evaluate_reference(poly, z):
+    """CoxPolynomial._evaluate before the basis kept its power-table
+    indices: both index arrays rebuilt per call, np.prod and np.sum."""
+    exps = poly.basis.exponents
+    powers = z[..., None] ** np.arange(exps.max(initial=0) + 1)
+    monvals = np.prod(powers[..., np.arange(exps.shape[1]), exps], axis=-1)
+    return (np.sum(poly.coeffs * monvals, axis=-1),
+            np.sum(np.abs(poly.coeffs) * np.abs(monvals), axis=-1))
+
+
+def residuals_reference(system, z):
+    """HomogeneousSystem.residuals before its one pass over all
+    equations: one evaluate_reference and one np.where pass per equation."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape[:-1] + (len(system.polys),))
+    for i, f in enumerate(system.polys):
+        value, scale = evaluate_reference(f, z)
+        mag = np.abs(value)
+        flat = scale == 0.0
+        out[..., i] = np.where(flat, np.where(mag == 0.0, 0.0, np.inf),
+                               mag / np.where(flat, 1.0, scale))
+    return out
+
+
+def cluster_labels_reference(values, gap):
+    """eigensolver._cluster_labels before it renumbered without np.unique."""
+    mag = np.abs(values)
+    near = (np.abs(values[:, None] - values[None, :])
+            <= gap * (1.0 + (mag[:, None] + mag[None, :]) / 2.0))
+    labels = np.arange(len(values))
+    while True:
+        new = np.where(near, labels[None, :], len(values)).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def draws_reference(seed, stage, size, count):
+    """The seeded draws as multiplication_family (stage 1, the h_0 draw
+    and its retries) and schur_cluster (stage 2, the driver) made them
+    before they were kept: a fresh stream for every call."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage,)))
+    return [rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            for _ in range(count)]

@@ -25,7 +25,7 @@ from toricsolve.eigensolver import (
     graded_basis,
     multiplication_family,
 )
-from toricsolve.errors import InputError, RankAmbiguousError
+from toricsolve.errors import InputError, PairSelectionError, RankAmbiguousError
 from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope, smith_normal_form
 from toricsolve.recovery import (
@@ -155,6 +155,23 @@ def test_multiplier_corank_verification():
 
 
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_badly_scaled_equation_is_a_rank_problem(e):
+    """Coranks that disagree on an equation whose coefficients spread by
+    more than 1 / TOL_RANK raise RankAmbiguousError naming the equation
+    and its spread; a disagreement on a well-scaled system stays a pair
+    failure."""
+    # the coefficient 5 - 2 * 10**(100 e) of the second equation
+    with pytest.raises(RankAmbiguousError,
+                       match=rf"^equation 1 has .* spread by 1\.0e\+{100 * e} > "):
+        solve(intro_laurent(10.0 ** (100 * e)), rays=HIRZEBRUCH_RAYS)
+    line = [((1, 0), 1), ((0, 1), 1), ((0, 0), -1)]
+    # (x - 2) times the line: a curve of common solutions
+    curve = [((2, 0), 1), ((1, 1), 1), ((1, 0), -3), ((0, 1), -2), ((0, 0), 2)]
+    with pytest.raises(PairSelectionError, match="3 at alpha vs 4 at alpha"):
+        solve([curve, line])
+
+
 # 5. double pillow: boundary orbits and fixed-basis matrices
 
 

@@ -33,7 +33,9 @@ from systems import (
     lines27_supports,
     pillow_fan,
     pillow_fan_doubled,
+    evaluate_reference,
     pillow_laurent,
+    residuals_reference,
     wp112_fan,
 )
 
@@ -81,7 +83,7 @@ def test_graded_basis_is_kept_by_the_fan():
 @pytest.mark.parametrize("a", [(1, 1, 1, 1), (-1, 0, 0, 0)])
 def test_shared_basis_arrays_are_read_only(a):
     basis = graded_basis(pillow_fan(), a)
-    for arr in (basis.points, basis.exponents, basis._keys):
+    for arr in (basis.points, basis.exponents, basis._keys, basis._powers, basis._coords):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
 
@@ -412,6 +414,13 @@ def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
     rows = GradedBasis.rows
     monkeypatch.setattr(GradedBasis, "rows",
                         lambda self, points: calls.append("rows") or rows(self, points))
+    # no divisor class is built, and no basis rebuilds its power-table index
+    init = toric.DivisorClass.__init__
+    monkeypatch.setattr(toric.DivisorClass, "__init__",
+                        lambda self, *args: calls.append("DivisorClass") or init(self, *args))
+    power_index = cox._power_index
+    monkeypatch.setattr(cox, "_power_index",
+                        lambda exps: calls.append("_power_index") or power_index(exps))
     # recovery need not import all of them, so each is set, not replaced;
     # the stratum verdict of a boundary cone is exact work too, and so are
     # a binomial plan and the Smith forms it takes
@@ -538,6 +547,33 @@ def test_batched_residuals_match_per_point(eqs, rays):
         assert np.allclose(row, system.residuals(z), rtol=1e-13, atol=1e-16)
         assert np.allclose(row, per_point_residuals(system, z), rtol=1e-12, atol=1e-15)
     assert np.array_equal(batched[2], np.zeros(len(system)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fan_idx=st.integers(0, len(FAN_POOL) - 1),
+    rep=st.lists(st.integers(-1, 3), min_size=4, max_size=4),
+    lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_matches_the_old_body_bit_for_bit(fan_idx, rep, lead, seed):
+    """The kept power-table indices and the ufunc reductions give the
+    bits of the old evaluation, on one point or stacks of them, with
+    zero coordinates (0^0 = 1) and zero coefficients."""
+    fan = FAN_POOL[fan_idx]
+    basis = graded_basis(fan, rep[:fan.k])
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    coeffs[rng.random(len(basis)) < 0.3] = 0.0
+    f = CoxPolynomial(basis, coeffs)
+    z = rng.standard_normal(lead + (fan.k,)) + 1j * rng.standard_normal(lead + (fan.k,))
+    z[rng.random(z.shape) < 0.3] = 0.0
+    for got, want in zip(f._evaluate(z), evaluate_reference(f, z)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    if len(lead) < 2:
+        system = cox.HomogeneousSystem(fan, [f, f], [basis.degree] * 2)
+        assert np.array_equal(system.residuals(z), residuals_reference(system, z))
 
 
 def test_residuals_reject_wrong_length():

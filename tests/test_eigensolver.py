@@ -16,6 +16,7 @@ from toricsolve import eigensolver
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, graded_basis, homogenize
 from toricsolve.eigensolver import (
     COND_MAX,
+    DRAWS_MAX,
     GAP_RATIO,
     LEAK_TOL,
     RETRIES_MAX,
@@ -33,7 +34,7 @@ from toricsolve.eigensolver import (
     multiplication_family,
     schur_cluster,
 )
-from toricsolve.errors import InputError, RankAmbiguousError
+from toricsolve.errors import BasepointError, InputError, RankAmbiguousError
 from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope
 from toricsolve.regularity import improved_pair, user_pair, verify_pair
@@ -49,6 +50,8 @@ from systems import (
     PILLOW_RAYS_SOLVE,
     WP112_RAYS,
     assemble_res_reference,
+    cluster_labels_reference,
+    draws_reference,
     intro_laurent,
     lines27_laurent,
     mixed_volume,
@@ -761,6 +764,52 @@ def test_restriction_cond_runs_the_svd_only_between_its_bounds(monkeypatch):
     assert COND_MAX < decide(_kahan(64)) < np.inf and len(calls) == 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**63), size=st.integers(1, 40))
+def test_kept_draws_match_fresh_streams(seed, size):
+    """Every kept draw, on both stages and for every retry, has the bits
+    of a fresh stream, and cannot be written to."""
+    for stage, count in ((1, RETRIES_MAX + 1), (2, 1)):
+        got = eigensolver._draws(seed, stage, size, count)
+        want = draws_reference(seed, stage, size, count)
+        assert len(got) == count
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and not g.flags.writeable
+
+
+def test_kept_draws_stay_bounded_and_follow_the_seed():
+    """The memo holds at most DRAWS_MAX keys, and a seed met again after
+    others gets its own draws back, not the last ones."""
+    for seed in list(range(3 * DRAWS_MAX)) + [0, 5, 1]:
+        got = eigensolver._draws(seed, 2, 7, 1)[0]
+        assert np.array_equal(got, draws_reference(seed, 2, 7, 1)[0])
+        assert eigensolver._draws.cache_info().currsize <= DRAWS_MAX
+
+
+@pytest.mark.parametrize("rejected", range(RETRIES_MAX + 1))
+def test_family_retries_take_the_next_draws_of_the_stream(monkeypatch, rejected):
+    """With the first `rejected` restrictions turned down, h_0 is draw
+    number `rejected` of the seed's stage-1 stream; past the last retry
+    the family raises."""
+    cond = eigensolver._restriction_cond
+    calls = []
+
+    def fail_first(R11, sub):
+        calls.append(1)
+        return np.inf if len(calls) <= rejected else cond(R11, sub)
+
+    monkeypatch.setattr(eigensolver, "_restriction_cond", fail_first)
+    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
+    cok = cokernel(assemble_res(system, (3, 3, 3, 3)))
+    members = len(graded_basis(system.fan, PILLOW_PAIR[1]))
+    family = multiplication_family(cok, system, PILLOW_PAIR, seed=11)
+    want = draws_reference(11, 1, members, rejected + 1)[rejected]
+    assert np.array_equal(family.h0_coeffs, want)
+    monkeypatch.setattr(eigensolver, "_restriction_cond", lambda R11, sub: np.inf)
+    with pytest.raises(BasepointError):
+        multiplication_family(cok, system, PILLOW_PAIR, seed=11)
+
+
 def test_family_degree_mismatch_rejected():
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
     res = assemble_res(system, (2, 2, 2, 2))
@@ -871,6 +920,21 @@ def test_cluster_labels_match_union_find():
         gap = 10.0 ** rng.integers(-4, 0)
         vals = planted_spectrum(rng, gap)
         assert list(_cluster_labels(vals, gap)) == ref_cluster_labels(vals, gap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gap_exp=st.integers(-4, -1))
+def test_cluster_labels_renumber_as_np_unique_did(seed, gap_exp):
+    """Counting the components' first indices gives the labels and the
+    dtype that np.unique's inverse gave."""
+    gap = 10.0 ** gap_exp
+    rng = np.random.default_rng(seed)
+    # planted clusters, and values 1 apart on a ray, each its own cluster
+    spread = np.arange(1, rng.integers(2, 9)) * np.exp(2j * np.pi * rng.uniform())
+    for vals in (planted_spectrum(rng, gap), spread):
+        got, want = _cluster_labels(vals, gap), cluster_labels_reference(vals, gap)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_below_block_norm_matches_loop():

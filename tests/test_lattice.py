@@ -21,9 +21,12 @@ from hypothesis import given, settings, strategies as st
 from toricsolve.errors import InputError
 from toricsolve.lattice import (
     Polytope,
+    all_int,
     det_int,
     dot,
+    int_vector,
     integer_kernel,
+    is_int,
     primitive,
     rank_int,
     smith_normal_form,
@@ -31,7 +34,26 @@ from toricsolve.lattice import (
     sublattice_index,
 )
 
-from systems import codegree, dilate, mixed_volume
+from systems import codegree, dilate, is_int_reference, mixed_volume
+
+
+@pytest.mark.parametrize("x, ok", [
+    (3, True), (-(2**70), True), (np.int32(3), True), (np.int64(-1), True),
+    (np.uint8(2), True), (True, False), (False, False), (np.bool_(True), False),
+    (3.0, False), (np.float64(3.0), False), (Fraction(3), False), ("3", False),
+    (None, False),
+])
+def test_is_int_matches_its_old_body(x, ok):
+    """The exact-int fast path changes no verdict: bools and numpy bools
+    are refused, numpy integers accepted, alone or in a vector."""
+    assert is_int(x) == is_int_reference(x) == ok
+    assert all_int((1, x)) == all_int([x, 1]) == ok
+    if ok:
+        assert int_vector((x, 2), "v") == (int(x), 2)
+        assert all(type(e) is int for e in int_vector((x, 2), "v"))
+    else:
+        with pytest.raises(InputError):
+            int_vector((x, 2), "v")
 
 
 # --- Fraction reference routines --------------------------------------------
