@@ -55,6 +55,9 @@ CLUSTER_GAP = 1e-4
 LEAK_TOL = 1e-6
 # number of (seed, stage, size) keys whose seeded draws stay kept
 DRAWS_MAX = 8
+# the most rows per column a Res below the top of a staircase may have
+# and still be a level of it (cokernel)
+_LEVEL_ASPECT = 2.5
 
 
 @functools.lru_cache(maxsize=DRAWS_MAX)
@@ -190,32 +193,30 @@ class CokernelMap:
             ker N = im Res up to TOL_RANK; None from a corank-only call.
         delta_plus: corank of Res against its row dimension.
         R: square triangular factor of a pivoted QR of Res (of Res^H when
-            Res is wide), cut on its |diagonal|. On the block path it is
-            assembled from two QRs, and its |diagonal| is not monotone
-            across the block boundary.
+            Res is wide), cut on its |diagonal|. On a staircase of more
+            than one level it is assembled from one QR per level, and its
+            |diagonal| is not monotone across the level bounds. None on
+            the map of a block whose cut was certified inside the
+            staircase of the Res above it.
         rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
             of Res at its rank r, the exact pair when the SVD decided.
         res: the ResMatrix this was computed from.
         rank: the rank r at the cut, nrows - delta_plus.
-        qr, tau: the geqp3 output (R above the Householder vectors, and
-            their scalars) of a corank-only call on a tall Res, factored
-            in one piece; cokernel(..., block=this) one degree up reuses
-            them. None otherwise.
+        block: the corank-only CokernelMap of the block passed to
+            cokernel (Res one alpha0 below), None without one.
     """
 
     __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "rank",
-                 "qr", "tau", "_s")
+                 "block", "_s")
 
-    def __init__(self, N, delta_plus, R, rank_bounds, res, rank,
-                 qr=None, tau=None):
+    def __init__(self, N, delta_plus, R, rank_bounds, res, rank, block=None):
         self.N = N
         self.delta_plus = delta_plus
         self.R = R
         self.rank_bounds = rank_bounds
         self.res = res
         self.rank = rank
-        self.qr = qr
-        self.tau = tau
+        self.block = block
         self._s = None
 
     @property
@@ -248,15 +249,24 @@ def _rank(s):
     return rank
 
 
-def _qr_rank(R, reveal):
-    """(rank, rank_bounds) of Res from the triangular factor R of its QR.
+def _qr_rank(R, reveal, lead=None):
+    """(rank, rank_bounds, inverse) of Res from the triangular factor R
+    of its QR.
 
-    r counts |r_ii| > TOL_RANK |r_11|. On R / |r_11| (no overflow or
-    underflow), sigma_r >= 1 / ||R11^-1||_F, sigma_{r+1} <= ||R22||_F and
-    sigma_1 <= ||R||_F by interlacing and Weyl. Within the margins below,
-    r is the rank _rank gives on the singular values, and both guards
-    pass. Otherwise a values-only SVD of R decides; with reveal, an R22
-    above the cut raises. A non-finite R (Res beyond double range) raises.
+    r counts |r_ii| > TOL_RANK |r_11|. On S = R / |r_11| (no overflow or
+    underflow), sigma_r >= 1 / ||S11^-1||_F, sigma_{r+1} <= ||S22||_F and
+    sigma_1 <= ||S||_F by interlacing and Weyl. Within the margins below,
+    r is the rank _rank gives on the singular values, both guards pass,
+    and inverse is the bound on ||S11^-1||_F that certified the cut.
+    Otherwise a values-only SVD of R decides, inverse is None, and with
+    reveal an R22 above the cut raises. A non-finite R (Res beyond double
+    range) raises.
+
+    lead = (k, a) says that S[:k, :k] = A, with ||A^-1||_F <= a, is
+    certified already. Then S11 = [[A, B], [0, C]], and ||S11^-1||_F^2 =
+    ||A^-1||^2 + ||C^-1||^2 + ||A^-1 B C^-1||^2 <= a^2 + c^2 + (a b c)^2
+    with b = ||B||_F and c = ||C^-1||_F, so only C goes to LAPACK trtri.
+    The trtri of all of S11 runs only when that bound misses the margins.
     """
     if not np.isfinite(R).all():
         raise RankAmbiguousError(
@@ -265,11 +275,22 @@ def _qr_rank(R, reveal):
     if d[0] > 0.0:
         S = R / d[0]
         rank = int(np.count_nonzero(d > TOL_RANK * d[0]))
-        lower = 1.0 / np.linalg.norm(scipy.linalg.lapack.ztrtri(S[:rank, :rank])[0])
         upper = np.linalg.norm(S[rank:, rank:])
-        if (lower > 10 * TOL_RANK * np.linalg.norm(S) and 10 * upper <= TOL_RANK
-                and lower >= 1e3 * GAP_RATIO * upper):
-            return rank, (float(lower * d[0]), float(upper * d[0]))
+        floor = 10 * TOL_RANK * np.linalg.norm(S)
+        margin = 1e3 * GAP_RATIO * upper
+        inverse = np.inf
+        if lead is not None and lead[0] <= rank:
+            k, a = lead
+            # Python floats: a product beyond the float range is inf
+            c = (float(np.linalg.norm(scipy.linalg.lapack.ztrtri(S[k:rank, k:rank])[0]))
+                 if k < rank else 0.0)
+            abc = a * float(np.linalg.norm(S[:k, k:rank])) * c
+            inverse = (a * a + c * c + abc * abc) ** 0.5
+        if not (1.0 / inverse > floor and 1.0 / inverse >= margin):
+            inverse = np.linalg.norm(scipy.linalg.lapack.ztrtri(S[:rank, :rank])[0])
+        lower = 1.0 / inverse
+        if lower > floor and 10 * upper <= TOL_RANK and lower >= margin:
+            return rank, (float(lower * d[0]), float(upper * d[0])), float(inverse)
     s = np.linalg.svd(R, compute_uv=False)
     rank = _rank(s)
     cut = TOL_RANK * s[0]
@@ -279,7 +300,7 @@ def _qr_rank(R, reveal):
             f"rank not revealed: the trailing block of the pivoted QR has "
             f"norm {r22:.3e} above the cut {cut:.3e}"
         )
-    return rank, tuple(float(x) for x in np.r_[np.inf, s, 0.0][rank:rank + 2])
+    return rank, tuple(float(x) for x in np.r_[np.inf, s, 0.0][rank:rank + 2]), None
 
 
 def _geqp3(B):
@@ -310,106 +331,220 @@ def _no_select(_value):
     return None
 
 
-def _unmqr(trans, qr, tau, c):
-    """Q c (trans "N") or Q^H c (trans "C"), Q the unitary of a geqp3."""
+def _unmqr(trans, qr, tau, c, side="L"):
+    """Q c (trans "N") or Q^H c (trans "C"), or c Q or c Q^H with side
+    "R", Q the unitary of a geqp3; in place on a Fortran-ordered c."""
     c = np.asfortranarray(c)
-    lwork = scipy.linalg.lapack.zunmqr("L", trans, qr, tau, c, -1)[1][0]
+    lwork = scipy.linalg.lapack.zunmqr(side, trans, qr, tau, c, -1)[1][0]
     return scipy.linalg.lapack.zunmqr(
-        "L", trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
+        side, trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
 
 
-def _embedding(res, lo):
-    """Rows I and columns J of res where x^b0 times Res at a lower degree
-    sits, x^b0 the first monomial of the degree between them.
+def _tall(shape):
+    return shape[0] >= shape[1] > 0
 
-    Row x^a of lo goes to row x^b0 x^a and column x^c of block i to
-    column x^b0 x^c of block i, so res.matrix[I][:, J] == lo.matrix and
-    the columns J vanish off the rows I.
+
+def _one_level(shape):
+    """The plan of a staircase of one level: all of Res, in its order."""
+    return slice(None), [(slice(None), slice(None))], [shape]
+
+
+def _chain(res, step, shift):
+    """The staircase plan of a tall Res at beta down the chain of degrees
+    beta - j step, j = 0, 1, ...: (order, takes, bounds).
+
+    Level j is Res at beta - j step. Multiplying by x^(j b0), b0 = shift
+    the first point of S_step, carries its row x^a to the row x^(j b0) x^a
+    of Res at beta and its column x^c of block i to the column x^(j b0)
+    x^c of block i; those columns vanish off those rows, and level j + 1
+    sits inside level j the same way. In the nested order the rows and
+    columns of the innermost level come first, then those each level
+    adds. order is that order of the rows; bounds[i] the rows and
+    columns of the i-th level from the inside, so bounds[-1] is the
+    shape of Res; takes[i] indexes Res at the rows level i adds and at
+    every column from those it adds on, in nested order. Those rows are
+    zero in the columns of the levels inside.
+
+    Levels go down while Res at the next degree has columns and at least
+    as many rows, but no more than _LEVEL_ASPECT times as many. A level
+    finalizes at most as many rows as it has columns, yet carries the
+    rest of its rows up and applies its reflectors to every column
+    ahead; a taller level costs more in copies and LAPACK calls than the
+    rows it finalizes save.
+    """
+    fan = res.rows.degree.fan
+    starts = np.cumsum([0] + res.block_widths())
+    rows, cols = [np.arange(res.shape[0])], [np.arange(res.shape[1])]
+    while True:
+        j = len(rows)
+        below = graded_basis(fan, res.rows.degree - j * step)
+        blocks = [graded_basis(fan, b.degree - j * step) for _, b in res.col_blocks]
+        shape = len(below), sum(map(len, blocks))
+        if not 0 < shape[1] <= shape[0] <= _LEVEL_ASPECT * shape[1]:
+            break
+        rows.append(res.rows.rows(below.points + j * shift))
+        cols.append(np.concatenate([start + top.rows(low.points + j * shift)
+                                    for start, (_, top), low
+                                    in zip(starts, res.col_blocks, blocks)]))
+    if len(rows) == 1:
+        return _one_level(res.shape)
+    bounds = [(len(r), len(c)) for r, c in zip(rows[::-1], cols[::-1])]
+    # each level's rows and columns in Res order, those of the level
+    # inside it taken out
+    order = np.concatenate([rows[-1]] + [np.setdiff1d(r, s, assume_unique=True)
+                                         for r, s in zip(rows[-2::-1], rows[:0:-1])])
+    col_order = np.concatenate([cols[-1]] + [np.setdiff1d(c, s, assume_unique=True)
+                                             for c, s in zip(cols[-2::-1], cols[:0:-1])])
+    takes, m0, n0 = [], 0, 0
+    for m1, n1 in bounds:
+        takes.append(np.ix_(order[m0:m1], col_order[n0:]))
+        m0, n0 = m1, n1
+    return order, takes, bounds
+
+
+def _staircase_plan(res, block):
+    """(plan of res, plan of block), kept by the fan per row and column
+    bases of res and block (the bases the fan keeps, so a repeat call
+    builds no key of degrees).
+
+    block is Res one degree alpha0 below res. The plan of res is _chain's
+    down by alpha0 when res is tall, else None. When it has more than one
+    level, its second level is block, whose corank the staircase
+    certifies on the way. The plan of block is needed, and made, only
+    when block is tall and is no level of res's staircase.
 
     Raises:
-        InputError: the degree between has no sections, or lo does not
-            embed (its equations or degrees differ from those of res).
+        InputError: alpha0 has no sections, or block is not Res at the
+            degree of res minus alpha0 for the same equation degrees.
     """
-    between = graded_basis(res.rows.degree.fan, res.rows.degree - lo.rows.degree)
-    if len(between) == 0 or len(lo.col_blocks) != len(res.col_blocks):
-        raise InputError("the block is not Res at a degree below this one")
-    shift = between.points[0]
-    rows = res.rows.rows(lo.rows.points + shift)
-    cols = [top.rows(low.points + shift)
-            for (_, top), (_, low) in zip(res.col_blocks, lo.col_blocks)]
-    if (rows < 0).any() or any((c < 0).any() for c in cols):
-        raise InputError("the block is not Res at a degree below this one")
-    starts = np.cumsum([0] + res.block_widths())
-    return rows, np.concatenate([s + c for s, c in zip(starts, cols)])
-
-
-def _embedding_plan(res, lo):
-    """I and J of _embedding and the other rows and columns of res, kept
-    by the fan per row degree and column block degrees of res and lo."""
     fan = res.rows.degree.fan
-    key = ("embed", res.rows.degree.a, lo.rows.degree.a,
-           tuple(b.degree.a for _, b in res.col_blocks),
-           tuple(b.degree.a for _, b in lo.col_blocks))
+    key = ("staircase", res.rows, block.rows, tuple(res.col_blocks),
+           tuple(block.col_blocks))
 
     def build():
-        rows, cols = _embedding(res, lo)
-        m, n = res.shape
-        return (rows, cols, np.setdiff1d(np.arange(m), rows, assume_unique=True),
-                np.setdiff1d(np.arange(n), cols, assume_unique=True))
+        step = res.rows.degree - block.rows.degree
+        between = graded_basis(fan, step)
+        if (len(between) == 0 or [b.degree.a for _, b in block.col_blocks]
+                != [(b.degree - step).a for _, b in res.col_blocks]):
+            raise InputError("the block is not Res at a degree below this one")
+        shift = between.points[0]
+        top = _chain(res, step, shift) if _tall(res.shape) else None
+        low = None
+        if (top is None or len(top[2]) == 1) and _tall(block.shape):
+            low = _chain(block, step, shift)
+        return top, low
     return fan.kept(key, build)
 
 
-def _tall_cokernel(res, corank_only, block=None):
-    """The tall path of cokernel; without a block, the one-QR path.
+def _staircase(A, plan, block=None):
+    """Column-pivoted QR of a tall A, one level of its staircase at a
+    time: (R, levels, below, lead).
 
-    With I, J from _embedding, Res[I][:, J] P1 = Q1 R1 is the kept QR of
-    the block at its rank k, and K the other columns. Q1^H on the rows I
-    leaves R1 in the columns J, so only
+    A is taken in the plan's nested order, innermost level first. Level
+    by level, geqp3 factors W, what the levels inside leave of this
+    level's columns: the rows past the split of the level inside, with
+    the trailing triangle of its R and the reflected columns, over the
+    new rows, zero there. Its reflectors are applied once to the columns
+    ahead. The level's first rows, as far as its |diagonal| runs above
+    TOL_RANK |r_11|, are final rows of R; the rest go up into the next W.
+    The top level is split nowhere. So A P = Q R with R the n x n
+    triangle of the final rows and Q the product of the levels'
+    unitaries, level i acting on the rows levels[i][2]:levels[i][3] of
+    the nested order, innermost first. A plan of one level is one geqp3
+    of all of A.
 
-        W = [[R1[k:, k:], (Q1^H Res[I][:, K])[k:]], [0, Res[~I][:, K]]]
-
-    is left to factor: W P_W = Q_W R_W. Then Res P = Q R with Q =
-    diag(Q1, I) diag(I_k, Q_W) on the rows (I, ~I) and R the n x n
-    triangle [[R1[:k, :k], [R1[:k, k:], (Q1^H Res[I][:, K])[:k]] P_W],
-    [0, R_W]]. Without a block I and J are empty and W is Res.
+    With block, the ResMatrix of the second level from the top, that
+    level's R is certified (_qr_rank, corank only) before its split: the
+    split is at its rank, below is the block's CokernelMap, and lead =
+    (rank, ||S11^-1||_F bound) lets _qr_rank certify the top from it.
+    Otherwise below and lead are None.
     """
-    A = res.matrix
     m, n = A.shape
-    # slices select without a copy where there is no block
-    rows, rest, other = slice(0), slice(None), slice(None)
-    m1 = n1 = k = 0
-    if block is not None:
-        rows, cols, rest, other = _embedding_plan(res, block.res)
-        m1, n1, k = len(rows), len(cols), block.rank
+    _, takes, bounds = plan
+    R = np.zeros((n, n), dtype=complex)
+    levels, below, lead = [], None, None
+    r0 = m0 = n0 = k = w = 0
+    for i, ((m1, n1), take) in enumerate(zip(bounds, takes)):
+        carried = m0 - r0
+        # a Fortran-ordered array of our own, so LAPACK may overwrite it
+        W = np.zeros((m1 - r0, n - r0), dtype=complex, order="F")
+        if carried:
+            W[:carried, :n0 - r0] = np.triu(qr[k:, k:w])
+            W[:carried, n0 - r0:] = turned[k:]
+        W[carried:, n0 - r0:] = A[take]
+        w = n1 - r0
+        # in place on the leading columns, which are Fortran-contiguous
+        qr, jpvt, tau = _geqp3(W[:, :w])
+        if r0:
+            R[:r0, r0:n1] = R[:r0, r0:n1][:, jpvt - 1]
+        levels.append((qr, tau, r0, m1))
+        if n1 == n:
+            R[r0:, r0:] = np.triu(qr[:w])
+            return R, levels, below, lead
+        turned = _unmqr("C", qr, tau, W[:, w:])
+        if i == 0:
+            cut = TOL_RANK * abs(qr[0, 0])
+        if block is not None and i == len(bounds) - 2:
+            R[r0:n1, r0:n1] = np.triu(qr[:w])
+            rank, rank_bounds, inverse = _qr_rank(R[:n1, :n1], False)
+            below = CokernelMap(None, m1 - rank, None, rank_bounds, block, rank)
+            lead = None if inverse is None else (rank, inverse)
+            k = min(max(rank - r0, 0), w)
+        else:
+            above = np.abs(qr.diagonal()) > cut
+            k = w if above.all() else int(above.argmin())
+        R[r0:r0 + k, r0:n1] = np.triu(qr[:k, :w])
+        R[r0:r0 + k, n1:] = turned[:k]
+        r0, m0, n0 = r0 + k, m1, n1
 
-    # a Fortran-ordered array of our own, so LAPACK may overwrite it
-    W = np.zeros((m - k, n - k), dtype=complex, order="F")
-    W[m1 - k:, n1 - k:] = A[rest][:, other]
-    if m1:
-        turned = _unmqr("C", block.qr, block.tau, A[np.ix_(rows, other)])
-        W[:m1 - k, :n1 - k] = np.triu(block.qr[k:, k:])
-        W[:m1 - k, n1 - k:] = turned[k:]
-    qr, jpvt, tau = _geqp3(W)
-    R = np.triu(qr[:n - k])
-    if k:
-        lead = np.hstack([block.qr[:k, k:], turned[:k]])[:, jpvt - 1]
-        R = np.block([[np.triu(block.qr[:k, :k]), lead],
-                      [np.zeros((n - k, k)), R]])
-    rank, bounds = _qr_rank(R, not corank_only)
-    if corank_only:
-        # only a QR of Res itself is worth keeping for the degree above
-        kept = (qr, tau) if block is None else (None, None)
-        return CokernelMap(None, m - rank, R, bounds, res, rank, *kept)
 
-    # the trailing columns of Q: Q_W on the rows after k, then Q1 on I
-    basis = np.eye(m, m - rank, -rank, dtype=complex, order="F")
-    basis[k:] = _unmqr("N", qr, tau, basis[k:])
-    if m1:
-        basis[:m1] = _unmqr("N", block.qr, block.tau, basis[:m1])
-    N = np.empty((m - rank, m), dtype=complex)
-    N[:, rows] = basis[:m1].conj().T
-    N[:, rest] = basis[m1:].conj().T
-    return CokernelMap(N, m - rank, R, bounds, res, rank)
+def _cokernel(res, corank_only, plan, block=None):
+    """cokernel of res, on the staircase plan when res is tall; the
+    block's map is certified on the way when block is its second level."""
+    A = res.matrix
+    nrows, ncols = A.shape
+    if ncols == 0:
+        N = None if corank_only else np.eye(nrows, dtype=complex)
+        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res, 0)
+    if nrows < ncols:
+        qr, jpvt, _ = _geqp3(A.conj().T)
+        R = np.triu(qr[:nrows])
+        rank, bounds, _ = _qr_rank(R, not corank_only)
+        if corank_only:
+            return CokernelMap(None, nrows - rank, R, bounds, res, rank)
+        null = np.vstack([
+            scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
+            np.eye(nrows - rank),
+        ])
+        basis = np.empty((nrows, nrows - rank), dtype=complex)
+        basis[jpvt - 1] = np.linalg.qr(null)[0]
+        return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res, rank)
+
+    R, levels, below, lead = _staircase(A, plan, block)
+    try:
+        rank, bounds, _ = _qr_rank(R, not corank_only, lead)
+    except RankAmbiguousError:
+        if len(levels) == 1:
+            raise
+        plan = _one_level(A.shape)
+        R, levels, _, _ = _staircase(A, plan)
+        rank, bounds, _ = _qr_rank(R, not corank_only)
+    N = None
+    if not corank_only and len(levels) == 1:
+        # the trailing columns of Q
+        qr, tau, _, _ = levels[0]
+        N = _unmqr("N", qr, tau, np.eye(nrows, nrows - rank, -rank, dtype=complex,
+                                         order="F")).conj().T
+    elif not corank_only:
+        # N = E^H Q^H, E those unit vectors: from the right, each level's
+        # Q^H on its own rows of the nested order, which are contiguous
+        # columns of N, the top level's first
+        M = np.eye(nrows - rank, nrows, rank, dtype=complex, order="F")
+        for qr, tau, lo, hi in reversed(levels):
+            M[:, lo:hi] = _unmqr("C", qr, tau, M[:, lo:hi], "R")
+        N = np.empty((nrows - rank, nrows), dtype=complex)
+        N[:, plan[0]] = M
+    return CokernelMap(N, nrows - rank, R, bounds, res, rank, below)
 
 
 def cokernel(res, corank_only=False, block=None):
@@ -419,7 +554,7 @@ def cokernel(res, corank_only=False, block=None):
     the corank is counted against the row dimension, so a matrix with few
     columns exposes its structural cokernel too.
 
-    Every path makes one column-pivoted QR (LAPACK geqp3) of the tall
+    Every path makes a column-pivoted QR (LAPACK geqp3) of the tall
     orientation B of Res: Res itself when it has at least as many rows as
     columns, Res^H otherwise. B P = Q R, so the square triangular factor
     R has the singular values of Res. _qr_rank certifies the cut on
@@ -439,49 +574,37 @@ def cokernel(res, corank_only=False, block=None):
     an N that misses the image. With corank_only, N is None and only that
     guard is skipped.
 
-    Block path: a tall Res at alpha + alpha0 holds Res at alpha, times a
-    monomial x^b0 of S_alpha0, as a column block that vanishes off its
-    rows. Given block, the corank-only CokernelMap of a tall Res at alpha
-    that kept its QR, only the columns outside the block and the rows
-    of the block beyond its rank are factored (_tall_cokernel), and the
-    assembled R is certified as above; the cut's proof uses only
-    Res P = Q R, whichever pivots were chosen. If that raises, the one-QR
-    path runs instead. A wide Res, or a block that kept no QR (it was
-    wide, empty or had a basis), takes the path it takes without one.
+    Staircase: block is Res at alpha, one degree alpha0 below res. res
+    holds it, times a monomial x^b0 of S_alpha0, as a column block that
+    vanishes off its rows; Res at alpha - alpha0 sits in block the same
+    way, and so on down the chain (_chain). A tall res is factored one
+    level of that staircase at a time (_staircase): each QR takes only a
+    level's new columns and the rows the levels inside leave. The cut at
+    alpha, the block's corank, is certified on the way; the cut at the
+    top reuses that certificate and inverts only the top level's own
+    R11. Each proof uses only Res P = Q R, whichever pivots were chosen.
+    If the top cut raises, one QR of all of res runs instead. With one
+    level (no block, or a block without columns, wide, or more than
+    _LEVEL_ASPECT times as tall as wide) the QR is of all of res, and a
+    block that is no level of res is factored on its own. The block's
+    map is the block attribute of the result.
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
             by less than GAP_RATIO, so the corank is not trustworthy;
             Res overflows double precision in the QR; or (full path) R22
-            exceeds the cut: the QR does not reveal the rank.
+            exceeds the cut: the QR does not reveal the rank. Either of
+            the two cuts, at res or at block, may raise.
         InputError: block is not Res at a degree below res's by a
-            degree with sections, for the same equations.
+            degree with sections, for the same equation degrees.
     """
-    A = res.matrix
-    nrows, ncols = A.shape
-    if ncols == 0:
-        N = None if corank_only else np.eye(nrows, dtype=complex)
-        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res, 0)
-    if nrows >= ncols:
-        if block is not None and block.qr is not None:
-            try:
-                return _tall_cokernel(res, corank_only, block)
-            except RankAmbiguousError:
-                pass
-        return _tall_cokernel(res, corank_only)
-
-    qr, jpvt, _ = _geqp3(A.conj().T)
-    R = np.triu(qr[:nrows])
-    rank, bounds = _qr_rank(R, not corank_only)
-    if corank_only:
-        return CokernelMap(None, nrows - rank, R, bounds, res, rank)
-    null = np.vstack([
-        scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
-        np.eye(nrows - rank),
-    ])
-    basis = np.empty((nrows, nrows - rank), dtype=complex)
-    basis[jpvt - 1] = np.linalg.qr(null)[0]
-    return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res, rank)
+    if block is None:
+        return _cokernel(res, corank_only, _one_level(res.shape))
+    top, low = _staircase_plan(res, block)
+    cok = _cokernel(res, corank_only, top, block)
+    if cok.block is None:
+        cok.block = _cokernel(block, True, low)
+    return cok
 
 
 class MultiplicationFamily:

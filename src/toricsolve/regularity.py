@@ -290,10 +290,12 @@ def verify_pair(system, pair):
     """Coranks of Res at alpha and at alpha + alpha0.
 
     Assembles Res at both degrees and takes each corank from a pivoted
-    QR with a certified cut, without a basis (eigensolver.cokernel): the
-    same two calls as solve, alpha first, then alpha + alpha0 with the
-    first as its block. The pair is admissible when the two coranks
-    agree; either one is delta+.
+    QR with a certified cut, without a basis: the call solve makes,
+    eigensolver.cokernel of Res at alpha + alpha0 with Res at alpha as
+    its block, whose map carries the corank at alpha. A tall Res at
+    alpha + alpha0 is factored as a staircase down the alpha0 chain,
+    certifying the cut at alpha on the way. The pair is admissible when
+    the two coranks agree; either one is delta+.
 
     Returns:
         (corank at alpha, corank at alpha + alpha0).
@@ -303,7 +305,6 @@ def verify_pair(system, pair):
             gap is too shallow to trust either corank, or Res overflows
             double precision.
     """
-    lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
-                  corank_only=True)
+    lo = assemble_res(system, pair.alpha, allow_empty=True)
     hi = cokernel(assemble_res(system, pair.top), corank_only=True, block=lo)
-    return lo.delta_plus, hi.delta_plus
+    return hi.block.delta_plus, hi.delta_plus

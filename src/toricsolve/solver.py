@@ -56,9 +56,11 @@ class SolutionSet:
         system: the HomogeneousSystem that was solved.
         diagnostics: numeric traces for export (|diag R| and the
             rank_bounds of the pivoted QR of Res at alpha + alpha0,
-            per-member block leakage). On the block path R is assembled
-            from the QR of Res at alpha and of what it leaves, so |diag R|
-            is not monotone across the block boundary.
+            per-member block leakage). On a staircase of more than one
+            level (eigensolver.cokernel) R is assembled from one QR per
+            level, so |diag R| is not monotone across the level bounds,
+            and the lower bound may come from the certificate kept at
+            alpha, weaker than trtri of all of R11 would give.
     """
 
     __slots__ = ("solutions", "delta", "delta_plus", "pair", "seed",
@@ -143,12 +145,14 @@ def solve(system, rays=None, pair=None, seed=0):
 
     The pair is always verified: the coranks at alpha and alpha + alpha0
     must agree before the solve commits to it; nothing is written onto
-    the pair. Both coranks come from a pivoted QR with a certified cut
-    (eigensolver.cokernel). Res at alpha is factored first, corank only;
-    when it is tall its QR is kept, and the cokernel at alpha + alpha0
-    factors only what that QR leaves over (the block path). So a rank
-    failure may name Res at alpha, before Res at alpha + alpha0 is
-    built; its type and exit code are those of any rank failure.
+    the pair. Both coranks come from one call, eigensolver.cokernel of
+    Res at alpha + alpha0 with Res at alpha as its block, and each from a
+    pivoted QR with a certified cut. A tall Res at alpha + alpha0 is
+    factored as a staircase down the chain alpha, alpha - alpha0, ...:
+    the cut at alpha is certified on the way, the one at the top at the
+    end, and N is built from the same reflectors. A rank failure may
+    name either cut; its type and exit code are those of any rank
+    failure.
 
     Every threshold is a module constant: the rank cut TOL_RANK with its
     singular value gap GAP_RATIO, the h0 conditioning limit COND_MAX
@@ -209,13 +213,12 @@ def solve(system, rays=None, pair=None, seed=0):
     timings["pair_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
-                  corank_only=True)
+    lo = assemble_res(system, pair.alpha, allow_empty=True)
     cok = cokernel(assemble_res(system, pair.top), block=lo)
-    if lo.delta_plus != cok.delta_plus:
+    if cok.block.delta_plus != cok.delta_plus:
         _check_scaling(system)
         raise PairSelectionError(
-            f"pair failed corank verification: {lo.delta_plus} at alpha vs "
+            f"pair failed corank verification: {cok.block.delta_plus} at alpha vs "
             f"{cok.delta_plus} at alpha + alpha0"
         )
     timings["cokernel_ms"] = 1e3 * (clock() - t0)

@@ -21,14 +21,17 @@ from toricsolve.eigensolver import (
     LEAK_TOL,
     RETRIES_MAX,
     TOL_RANK,
+    _LEVEL_ASPECT,
+    CokernelMap,
     ResMatrix,
     _below_block_norm,
     _cluster_labels,
-    _embedding,
+    _qr_rank,
     _rank,
     _reorder,
     _restriction_cond,
-    _tall_cokernel,
+    _staircase,
+    _staircase_plan,
     assemble_res,
     cokernel,
     multiplication_family,
@@ -477,7 +480,7 @@ def test_benchmark_shaped_res_certifies_without_svd(monkeypatch):
     assert solve(dense, seed=1).delta_plus == 27
 
 
-# ------------------------------------------- block path at alpha + alpha0
+# ------------------------------------ staircase down the alpha0 chain
 
 P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 
@@ -513,8 +516,75 @@ def tall_systems(draw):
     return random_system(rng, supports, rays)
 
 
+def one_qr_cokernel(res, corank_only=False):
+    """The reference for a tall Res: one geqp3 of all of Res, the cut
+    certified on its R, N the trailing columns of its Q, as cokernel made
+    them before the staircase. Returns a CokernelMap."""
+    A = res.matrix
+    m, n = A.shape
+    lapack = scipy.linalg.lapack
+    lwork = lapack.zgeqp3(A, lwork=-1)[3][0]
+    qr, _, tau, _, _ = lapack.zgeqp3(np.array(A, order="F"), lwork=int(lwork.real))
+    R = np.triu(qr[:n])
+    rank, bounds, _ = _qr_rank(R, not corank_only)
+    if corank_only:
+        return CokernelMap(None, m - rank, R, bounds, res, rank)
+    basis = np.eye(m, m - rank, -rank, dtype=complex, order="F")
+    lwork = lapack.zunmqr("L", "N", qr, tau, basis, -1)[1][0]
+    basis = lapack.zunmqr("L", "N", qr, tau, basis, int(lwork.real), overwrite_c=True)[0]
+    return CokernelMap(basis.conj().T, m - rank, R, bounds, res, rank)
+
+
 def _unitary_error(U):
     return np.abs(np.linalg.svd(U, compute_uv=False) - 1.0).max()
+
+
+def _tall(res):
+    return res.shape[0] >= res.shape[1] > 0
+
+
+def _check_staircase(system):
+    """The staircase of Res at alpha + alpha0 against its shapes and
+    against one QR of all of it; returns its number of levels."""
+    pair = improved_pair(system)
+    low = assemble_res(system, pair.alpha, allow_empty=True)
+    top = assemble_res(system, pair.top)
+    plan, _ = _staircase_plan(top, low)
+    order, takes, bounds = plan
+    cols = takes[0][1].ravel()
+    assert sorted(order) == list(range(top.shape[0]))
+    assert sorted(cols) == list(range(top.shape[1]))
+    # level i from the top is Res at alpha + alpha0 - i alpha0 (x^(i b0)
+    # keeps the monomial order), and its columns vanish off its rows
+    nested = top.matrix[np.ix_(order, cols)]
+    step = top.rows.degree - low.rows.degree
+    for i, (m, n) in enumerate(bounds[::-1]):
+        level = assemble_res(system, top.rows.degree - i * step, allow_empty=True)
+        assert level.shape == (m, n) and 0 < n <= m <= _LEVEL_ASPECT * n
+        assert np.array_equal(top.matrix[np.ix_(np.sort(order[:m]), np.sort(cols[:n]))],
+                              level.matrix)
+        assert not nested[m:, :n].any()
+    # the chain stops at the first Res that is no level
+    below = assemble_res(system, top.rows.degree - len(bounds) * step, allow_empty=True)
+    assert not 0 < below.shape[1] <= below.shape[0] <= _LEVEL_ASPECT * below.shape[1]
+
+    plain = one_qr_cokernel(top)
+    cok = cokernel(top, block=low)
+    # the staircase's own cut, without the fallback to one QR
+    R, _, lo, lead = _staircase(top.matrix, plan, low)
+    assert _qr_rank(R, True, lead)[0] == plain.rank
+    assert np.array_equal(cok.R, R)
+    assert cok.delta_plus == plain.delta_plus
+    assert cokernel(top, corank_only=True, block=low).delta_plus == plain.delta_plus
+    assert lo.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
+    assert verify_pair(system, pair) == (lo.delta_plus, plain.delta_plus)
+    s = plain.singular_values
+    assert np.allclose(cok.singular_values, s, rtol=1e-10, atol=1e-12 * s[0])
+    if plain.delta_plus:
+        # the same cokernel: N N_plain^H is unitary
+        assert _unitary_error(cok.N @ plain.N.conj().T) <= 1e-10
+        assert np.linalg.norm(cok.N @ top.matrix, 2) <= 10 * TOL_RANK * s[0]
+    return len(bounds)
 
 
 @settings(max_examples=40, deadline=None)
@@ -523,27 +593,20 @@ def test_block_path_matches_plain_path(system):
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha, allow_empty=True)
     top = assemble_res(system, pair.top)
-    assume(top.shape[0] >= top.shape[1] and low.shape[0] >= low.shape[1] > 0)
-    # x^b0 times Res at alpha is a column block of Res at alpha + alpha0
-    rows, cols = _embedding(top, low)
-    assert np.array_equal(top.matrix[np.ix_(rows, cols)], low.matrix)
-    off = np.setdiff1d(np.arange(top.shape[0]), rows)
-    assert not top.matrix[np.ix_(off, cols)].any()
+    assume(_tall(top) and len(_staircase_plan(top, low)[0][2]) > 1)
+    _check_staircase(system)
 
-    lo = cokernel(low, corank_only=True)
-    assert lo.qr is not None
-    plain = cokernel(top)
-    # the block path itself, without the fallback to the one-QR path
-    block = _tall_cokernel(top, False, lo)
-    assert block.delta_plus == plain.delta_plus
-    assert cokernel(top, corank_only=True, block=lo).delta_plus == plain.delta_plus
-    assert verify_pair(system, pair) == (lo.delta_plus, plain.delta_plus)
-    s = plain.singular_values
-    assert np.allclose(block.singular_values, s, rtol=1e-10, atol=1e-12 * s[0])
-    if plain.delta_plus:
-        # the same cokernel: N N_plain^H is unitary
-        assert _unitary_error(block.N @ plain.N.conj().T) <= 1e-10
-        assert np.linalg.norm(block.N @ top.matrix, 2) <= 10 * TOL_RANK * s[0]
+
+def p3_system(degree, seed=5):
+    cube = [p for p in product(range(degree + 1), repeat=3) if sum(p) <= degree]
+    return random_system(np.random.default_rng(seed), [cube] * 3, P3_RAYS)
+
+
+@pytest.mark.parametrize("degree, levels", [(3, 3), (4, 4)])
+def test_staircase_on_p3_has_its_levels(degree, levels):
+    # Res at alpha + alpha0 120 x 105, then 84 x 60 and 56 x 30 (degree 3);
+    # 286 x 252 down to 120 x 60 (degree 4)
+    assert _check_staircase(p3_system(degree)) == levels
 
 
 def _same_cokernel(a, b):
@@ -555,29 +618,35 @@ def _same_cokernel(a, b):
 def test_block_certificate_failure_falls_back():
     """Scaling the block's columns by 1e-14 puts them, tiny, at the head
     of the assembled R: its leading diagonal no longer reveals the rank,
-    and the block path raises. cokernel then returns the one-QR result."""
+    and the staircase's cut raises. cokernel then returns the one-level
+    result, one QR of all of Res."""
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    _, cols = _embedding(top, low)
+    plan, _ = _staircase_plan(top, low)
+    cols = plan[1][0][1].ravel()[:low.shape[1]]
     scaled = top.matrix.copy()
     scaled[:, cols] *= 1e-14
     top = ResMatrix(top.rows, top.col_blocks, scaled)
-    lo = cokernel(ResMatrix(low.rows, low.col_blocks, low.matrix * 1e-14),
-                  corank_only=True)
-    assert np.array_equal(top.matrix[np.ix_(_embedding(top, low)[0], cols)],
-                          lo.res.matrix)
+    low = ResMatrix(low.rows, low.col_blocks, low.matrix * 1e-14)
+    # the block is still x^b0 times Res at alpha, now scaled
+    assert np.array_equal(top.matrix[np.ix_(plan[0][:low.shape[0]], cols)], low.matrix)
+    R, _, _, lead = _staircase(top.matrix, plan, low)
     with pytest.raises(RankAmbiguousError, match="rank not revealed"):
-        _tall_cokernel(top, False, lo)
-    assert _same_cokernel(cokernel(top, block=lo), cokernel(top))
+        _qr_rank(R, True, lead)
+    cok = cokernel(top, block=low)
+    assert _same_cokernel(cok, cokernel(top))
+    assert _same_cokernel(cok, one_qr_cokernel(top))
+    assert cok.block.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
 
 
 def test_block_is_ignored_where_it_cannot_help():
     """A wide Res at alpha + alpha0, or an empty Res at alpha, gives
-    bit-identical results with and without the block."""
+    bit-identical results with and without the block: one level, and a
+    tall one is one QR of all of Res."""
     systems = {
         "wide": lines27_system(),
         "empty at alpha": homogenize(intro_laurent(3.0)),
@@ -591,27 +660,71 @@ def test_block_is_ignored_where_it_cannot_help():
             assert top.shape[0] < top.shape[1]
         else:
             assert low.shape[1] == 0 and top.shape[0] >= top.shape[1]
-        lo = cokernel(low, corank_only=True)
+        plan = _staircase_plan(top, low)[0]
+        assert plan is None if name == "wide" else len(plan[2]) == 1
         for corank_only in (False, True):
-            assert _same_cokernel(cokernel(top, corank_only, block=lo),
-                                  cokernel(top, corank_only)), name
+            cok = cokernel(top, corank_only, block=low)
+            assert _same_cokernel(cok, cokernel(top, corank_only)), name
+            if name != "wide":
+                assert _same_cokernel(cok, one_qr_cokernel(top, corank_only)), name
+            assert cok.block.delta_plus == (low.shape[0] if name != "wide" else 45)
 
 
-def test_only_a_one_piece_tall_qr_is_kept():
+def test_block_map_is_corank_only():
+    """cokernel(res, block=Res at alpha) carries the certified corank-only
+    map of the block: from inside the staircase when the block is a level
+    of it (no R of its own), else from its own factorization."""
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    lo = cokernel(low, corank_only=True)
-    assert lo.qr.shape == low.shape and lo.rank == low.shape[0] - lo.delta_plus
-    # with a basis, through the block path, or from a wide Res: nothing
-    assert cokernel(low).qr is None
-    assert cokernel(top, corank_only=True, block=lo).qr is None
-    wide = assemble_res(lines27_system(), (0, 0, 5, 5, 0, 0))
-    assert wide.shape[0] < wide.shape[1]
-    assert cokernel(wide, corank_only=True).qr is None
+    for corank_only in (False, True):
+        lo = cokernel(top, corank_only, block=low).block
+        assert lo.res is low and lo.N is None and lo.R is None
+        assert lo.rank == low.shape[0] - lo.delta_plus
+        assert lo.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
+        s = np.linalg.svd(low.matrix, compute_uv=False)
+        lower, upper = lo.rank_bounds
+        slack = 1e-13 * s[0]
+        assert lower <= s[lo.rank - 1] + slack
+        assert upper >= (s[lo.rank] if lo.rank < len(s) else 0.0) - slack
+    # without a block there is no block map
+    assert cokernel(low).block is None and cokernel(top).block is None
+    # a wide Res above: the block factored on its own, its R kept
+    system = lines27_system()
+    pair = improved_pair(system)
+    wide = assemble_res(system, pair.top)
+    low = assemble_res(system, pair.alpha)
+    assert wide.shape[0] < wide.shape[1] and _tall(low)
+    lo = cokernel(wide, corank_only=True, block=low).block
+    assert lo.N is None and lo.R.shape == (low.shape[1],) * 2
+    assert lo.rank == low.shape[0] - lo.delta_plus == one_qr_cokernel(low, True).rank
+
+
+def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
+    """The top R11 is [[A, B], [0, C]] with A the R11 certified at alpha:
+    trtri inverts only C, and the bound a^2 + c^2 + (a b c)^2 on
+    ||S11^-1||_F^2 is at least the norm trtri of all of S11 gives."""
+    system = p3_system(3)
+    pair = improved_pair(system)
+    low = assemble_res(system, pair.alpha)
+    top = assemble_res(system, pair.top)
+    plan, _ = _staircase_plan(top, low)
+    R, _, lo, lead = _staircase(top.matrix, plan, low)
+    assert lead[0] == lo.rank
+    trtri, sizes = scipy.linalg.lapack.ztrtri, []
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrtri",
+                        lambda a: sizes.append(len(a)) or trtri(a))
+    rank, bounds, inverse = _qr_rank(R, True, lead)
+    assert sizes == [rank - lo.rank]
+    sizes.clear()
+    assert _qr_rank(R, True)[0] == rank and sizes == [rank]
+    S = R / abs(R[0, 0])
+    assert inverse >= np.linalg.norm(trtri(S[:rank, :rank])[0])
+    s = np.linalg.svd(R, compute_uv=False)
+    assert bounds[0] <= s[rank - 1] and bounds[1] >= s[rank]
 
 
 def test_block_from_unrelated_degree_rejected():
@@ -620,9 +733,14 @@ def test_block_from_unrelated_degree_rejected():
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
     top = assemble_res(system, (0, 0, 11))
     # S_(-1) has no sections: Res at degree 12 is not a block of Res at 11
-    above = cokernel(assemble_res(system, (0, 0, 12)), corank_only=True)
+    above = assemble_res(system, (0, 0, 12))
     with pytest.raises(InputError, match="not Res at a degree below"):
         cokernel(top, block=above)
+    # nor is Res at 10 of another system on the fan: one equation only
+    other = HomogeneousSystem(system.fan, system.polys[:1], system.degrees[:1])
+    with pytest.raises(InputError, match="not Res at a degree below"):
+        cokernel(top, block=assemble_res(other, (0, 0, 10)))
+    assert cokernel(top, block=assemble_res(system, (0, 0, 10))).block.res.shape == (66, 30)
 
 
 # ------------------------------------------------ Res from the fan's plans
@@ -1104,8 +1222,7 @@ def _lapack_case(name):
         sf = load_system_file(DATA / f"{name}.system.json")
         system = homogenize(sf.laurent(), rays=sf.rays)
         pair = improved_pair(system)
-        lo = cokernel(assemble_res(system, pair.alpha, allow_empty=True),
-                      corank_only=True)
+        lo = assemble_res(system, pair.alpha, allow_empty=True)
         return system, pair, cokernel(assemble_res(system, pair.top), block=lo)
     return _family_case(name)
 

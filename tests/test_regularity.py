@@ -608,8 +608,9 @@ def test_improved_pair_never_larger_than_reference(data, n, shuffle, seed):
 
 
 def test_verify_pair_coranks_are_the_solve_corank():
-    """verify_pair and solve make the same two cokernel calls: a tall Res
-    at alpha first, then the block path one degree up."""
+    """verify_pair and solve make the same cokernel call: the tall Res at
+    alpha + alpha0 with Res at alpha as its block, a staircase of two
+    levels here."""
     rng = np.random.default_rng(5)
     dense = [p for p in product(range(7), repeat=2) if sum(p) <= 6]
     system = homogenize([[(p, complex(*rng.standard_normal(2))) for p in dense]
