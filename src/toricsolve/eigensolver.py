@@ -201,21 +201,18 @@ class CokernelMap:
         rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
             of Res at its rank r, the exact pair when the SVD decided.
         res: the ResMatrix this was computed from.
-        rank: the rank r at the cut, nrows - delta_plus.
         block: the corank-only CokernelMap of the block passed to
             cokernel (Res one alpha0 below), None without one.
     """
 
-    __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "rank",
-                 "block", "_s")
+    __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "block", "_s")
 
-    def __init__(self, N, delta_plus, R, rank_bounds, res, rank, block=None):
+    def __init__(self, N, delta_plus, R, rank_bounds, res, block=None):
         self.N = N
         self.delta_plus = delta_plus
         self.R = R
         self.rank_bounds = rank_bounds
         self.res = res
-        self.rank = rank
         self.block = block
         self._s = None
 
@@ -331,13 +328,13 @@ def _no_select(_value):
     return None
 
 
-def _unmqr(trans, qr, tau, c, side="L"):
-    """Q c (trans "N") or Q^H c (trans "C"), or c Q or c Q^H with side
-    "R", Q the unitary of a geqp3; in place on a Fortran-ordered c."""
+def _unmqr(trans, qr, tau, c):
+    """Q c (trans "N") or Q^H c (trans "C"), Q the unitary of a geqp3;
+    in place on a Fortran-ordered c."""
     c = np.asfortranarray(c)
-    lwork = scipy.linalg.lapack.zunmqr(side, trans, qr, tau, c, -1)[1][0]
+    lwork = scipy.linalg.lapack.zunmqr("L", trans, qr, tau, c, -1)[1][0]
     return scipy.linalg.lapack.zunmqr(
-        side, trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
+        "L", trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
 
 
 def _tall(shape):
@@ -487,7 +484,7 @@ def _staircase(A, plan, block=None):
         if block is not None and i == len(bounds) - 2:
             R[r0:n1, r0:n1] = np.triu(qr[:w])
             rank, rank_bounds, inverse = _qr_rank(R[:n1, :n1], False)
-            below = CokernelMap(None, m1 - rank, None, rank_bounds, block, rank)
+            below = CokernelMap(None, m1 - rank, None, rank_bounds, block)
             lead = None if inverse is None else (rank, inverse)
             k = min(max(rank - r0, 0), w)
         else:
@@ -505,20 +502,20 @@ def _cokernel(res, corank_only, plan, block=None):
     nrows, ncols = A.shape
     if ncols == 0:
         N = None if corank_only else np.eye(nrows, dtype=complex)
-        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res, 0)
+        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res)
     if nrows < ncols:
         qr, jpvt, _ = _geqp3(A.conj().T)
         R = np.triu(qr[:nrows])
         rank, bounds, _ = _qr_rank(R, not corank_only)
         if corank_only:
-            return CokernelMap(None, nrows - rank, R, bounds, res, rank)
+            return CokernelMap(None, nrows - rank, R, bounds, res)
         null = np.vstack([
             scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
             np.eye(nrows - rank),
         ])
         basis = np.empty((nrows, nrows - rank), dtype=complex)
         basis[jpvt - 1] = np.linalg.qr(null)[0]
-        return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res, rank)
+        return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res)
 
     R, levels, below, lead = _staircase(A, plan, block)
     try:
@@ -530,21 +527,15 @@ def _cokernel(res, corank_only, plan, block=None):
         R, levels, _, _ = _staircase(A, plan)
         rank, bounds, _ = _qr_rank(R, not corank_only)
     N = None
-    if not corank_only and len(levels) == 1:
-        # the trailing columns of Q
-        qr, tau, _, _ = levels[0]
-        N = _unmqr("N", qr, tau, np.eye(nrows, nrows - rank, -rank, dtype=complex,
-                                         order="F")).conj().T
-    elif not corank_only:
-        # N = E^H Q^H, E those unit vectors: from the right, each level's
-        # Q^H on its own rows of the nested order, which are contiguous
-        # columns of N, the top level's first
-        M = np.eye(nrows - rank, nrows, rank, dtype=complex, order="F")
+    if not corank_only:
+        # N^H = Q E, E the unit vectors past the rank: each level's Q on
+        # its own rows of the nested order, the top level's first
+        X = np.eye(nrows, nrows - rank, -rank, dtype=complex, order="F")
         for qr, tau, lo, hi in reversed(levels):
-            M[:, lo:hi] = _unmqr("C", qr, tau, M[:, lo:hi], "R")
+            X[lo:hi] = _unmqr("N", qr, tau, X[lo:hi])
         N = np.empty((nrows - rank, nrows), dtype=complex)
-        N[:, plan[0]] = M
-    return CokernelMap(N, nrows - rank, R, bounds, res, rank, below)
+        N[:, plan[0]] = X.conj().T
+    return CokernelMap(N, nrows - rank, R, bounds, res, below)
 
 
 def cokernel(res, corank_only=False, block=None):
@@ -564,7 +555,8 @@ def cokernel(res, corank_only=False, block=None):
     builds N from the same QR, with no U:
 
     - tall Res: the left null space is spanned by the trailing columns
-      of Q, which LAPACK unmqr applies to unit vectors;
+      of Q, the product of the staircase levels' unitaries: LAPACK unmqr
+      applies each level's to its own rows of those unit vectors;
     - wide Res: the left null space is the null space of B, which is P
       times the null space of [R11 R12], spanned by [-R11^{-1} R12; I].
 

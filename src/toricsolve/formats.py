@@ -257,6 +257,35 @@ def _parse_coeff(raw, where):
     )
 
 
+def _read_json(path, kind):
+    """The JSON object in the file at path, of format_version "1".
+
+    Raises:
+        InputError: unreadable file, malformed JSON (with line/column),
+            no JSON object, or another format_version; each message names
+            kind, the kind of file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{kind} {path} is not valid JSON: {exc.msg} "
+            f"(line {exc.lineno}, column {exc.colno})"
+        ) from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{kind} must be a JSON object")
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
+        raise InputError(
+            f"{kind} has unsupported format_version {version!r}; expected "
+            f"{FORMAT_VERSION!r}"
+        )
+    return doc
+
+
 def load_system_file(path):
     """Read and validate a system file.
 
@@ -265,25 +294,7 @@ def load_system_file(path):
             wrong format_version, or schema violations, each reported
             with its equation/term location.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read system file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"system file {path} is not valid JSON: {exc.msg} "
-            f"(line {exc.lineno}, column {exc.colno})"
-        ) from None
-    if not isinstance(doc, dict):
-        raise InputError("system file must be a JSON object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise InputError(
-            f"unsupported format_version {version!r}; expected "
-            f"{FORMAT_VERSION!r}"
-        )
-
+    doc = _read_json(path, "system file")
     raw_eqs = doc.get("equations")
     if not isinstance(raw_eqs, list) or not raw_eqs:
         raise InputError("system file needs at least one equation")
@@ -413,23 +424,7 @@ def dump_solution_file(result, path_or_file, variables=None):
 
 def load_solution_file(path):
     """Read a solution file back into a dict, checking the version."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read solution file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"solution file {path} is not valid JSON: {exc.msg} "
-            f"(line {exc.lineno}, column {exc.colno})"
-        ) from None
-    if not isinstance(doc, dict):
-        raise InputError("solution file must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise InputError(
-            f"unsupported format_version {doc.get('format_version')!r}"
-        )
-    return doc
+    return _read_json(path, "solution file")
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,15 @@ def check_options(seed):
 
 def _check_scaling(system):
     """RankAmbiguousError naming the first equation whose nonzero
-    coefficient moduli spread by more than 1 / TOL_RANK.
+    coefficient moduli spread by more than 1 / TOL_RANK, or two equations
+    whose largest moduli differ by a factor of 1 / TOL_RANK or more.
 
     Beyond that spread the rank cut at TOL_RANK sees the small
-    coefficients of such an equation as rounding, so two coranks that
-    disagree say more about the scaling than about the pair.
+    coefficients of such an equation, or the columns of the smaller one,
+    as rounding, so two coranks that disagree say more about the scaling
+    than about the pair.
     """
+    tops = []
     for i, f in enumerate(system.polys):
         mags = np.abs(f.coeffs[f.coeffs != 0])
         # Python floats: a spread beyond the float range is inf, not a warning
@@ -128,6 +131,13 @@ def _check_scaling(system):
                 f"{spread:.1e} > 1/TOL_RANK = {1.0 / TOL_RANK:.0e}; the "
                 "corank cut cannot tell its small terms from rounding, so "
                 "rescale the equation or its variables")
+        tops.append(float(mags.max()))
+    big, small = int(np.argmax(tops)), int(np.argmin(tops))
+    if tops[big] / tops[small] >= 1.0 / TOL_RANK:
+        raise RankAmbiguousError(
+            f"equations {big} and {small} have largest coefficient moduli "
+            f"differing by a factor {tops[big] / tops[small]:.1e} >= 1/TOL_RANK; "
+            f"the corank cut sees equation {small} as rounding, so rescale one")
 
 
 def solve(system, rays=None, pair=None, seed=0):
@@ -176,9 +186,10 @@ def solve(system, rays=None, pair=None, seed=0):
         that is not two integer vectors), PairSelectionError,
         RankAmbiguousError, ClusteringError, RecoveryError: tagged per
         stage. When the two coranks disagree and some equation's nonzero
-        coefficient moduli spread by more than 1 / TOL_RANK, the error is
-        a RankAmbiguousError naming that equation and its spread, not a
-        PairSelectionError: the scaling is at fault, not the pair.
+        coefficient moduli spread by more than 1 / TOL_RANK, or two
+        equations' largest moduli differ by a factor of 1 / TOL_RANK or
+        more, the error is a RankAmbiguousError naming the equations, not
+        a PairSelectionError: the scaling is at fault, not the pair.
         SpanError, a RecoveryError, when the alpha0 lattice
         points do not affinely span the character lattice.
     """

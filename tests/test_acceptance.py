@@ -7,6 +7,7 @@ come from the worked examples these systems were built around.
 
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -170,6 +171,33 @@ def test_badly_scaled_equation_is_a_rank_problem(e):
     curve = [((2, 0), 1), ((1, 1), 1), ((1, 0), -3), ((0, 1), -2), ((0, 0), 2)]
     with pytest.raises(PairSelectionError, match="3 at alpha vs 4 at alpha"):
         solve([curve, line])
+
+
+def scaled_lines(s):
+    """s (x + y - 1) and x - y + 0.5, which meet at (0.25, 0.75)."""
+    return [[((1, 0), s), ((0, 1), s), ((0, 0), -s)],
+            [((1, 0), 1.0), ((0, 1), -1.0), ((0, 0), 0.5)]]
+
+
+@pytest.mark.parametrize("s", [1e4, 1e6, 1e7, 1e-7])
+def test_equation_scale_below_the_cut_solves(s):
+    result = solve(scaled_lines(s))
+    (sol,) = result.solutions
+    assert np.allclose(sol.t, (0.25, 0.75), rtol=0.0, atol=1e-14)
+    assert result.max_residual() < 5e-16
+
+
+@pytest.mark.parametrize("s, big, small", [(1e8, 0, 1), (1e12, 0, 1), (1e300, 0, 1),
+                                           (1e-12, 1, 0)])
+def test_equation_scales_apart_are_a_rank_problem(s, big, small):
+    """Two equations whose largest coefficient moduli differ by 1 / TOL_RANK
+    or more: the coranks disagree, and the error names both equations and
+    the factor, not the pair."""
+    factor = re.escape(f"{max(s, 1 / s):.1e}")
+    with pytest.raises(RankAmbiguousError, match=rf"^equations {big} and {small} have "
+                                                 rf"largest coefficient moduli differing "
+                                                 rf"by a factor {factor} >= "):
+        solve(scaled_lines(s))
 
 
 # 5. double pillow: boundary orbits and fixed-basis matrices

@@ -297,6 +297,17 @@ def test_res_overflow_exits_4(tmp_path, args):
     assert "error (rank): Res overflows double precision" in res.output
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e300])
+def test_equation_scales_apart_exit_4(tmp_path, scale):
+    # s (x + y - 1) beside x - y + 0.5: a rank error naming both
+    # equations, not a failed pair (exit 3)
+    lines = [[((1, 0), scale), ((0, 1), scale), ((0, 0), -scale)],
+             [((1, 0), 1.0), ((0, 1), -1.0), ((0, 0), 0.5)]]
+    res = run("solve", write_file(tmp_path, as_file_dict(lines)))
+    assert res.exit_code == 4, res.output
+    assert "error (rank): equations 0 and 1 have largest coefficient moduli" in res.output
+
+
 # every numeric flag outside its range: (flag, value, argument named)
 BAD_FLAGS = [
     ("--seed", "-1", "seed"),

@@ -127,6 +127,25 @@ def test_solution_file_not_an_object(tmp_path, text):
         load_solution_file(path)
 
 
+@pytest.mark.parametrize("load, kind", [(load_system_file, "system file"),
+                                        (load_solution_file, "solution file")])
+@pytest.mark.parametrize("text, problem", [
+    (None, "cannot read"),
+    ("{", "is not valid JSON"),
+    ("[]", "must be a JSON object"),
+    ('{"format_version": "2"}', "has unsupported format_version '2'; expected '1'"),
+])
+def test_both_readers_name_their_file(tmp_path, load, kind, text, problem):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(InputError) as err:
+        load(path)
+    message = str(err.value)
+    assert message.startswith(kind) or message.startswith(f"cannot read {kind}")
+    assert problem in message
+
+
 def test_eval_scalar_template_values():
     assert eval_scalar("5-2*10**(-e)", {"e": 0.0}) == pytest.approx(3.0)
     assert eval_scalar("5-2*10**(-e)", {"e": 1.0}) == pytest.approx(4.8)
