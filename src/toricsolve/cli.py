@@ -6,10 +6,10 @@ recovery, 1 anything else. Click reports its own usage errors (missing
 files, malformed flags) with code 2, matching the input category.
 """
 
-import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -19,7 +19,7 @@ from .errors import InputError, ToricSolveError
 from .formats import (
     dump_solution_file,
     load_system_file,
-    solution_file_dict,
+    solution_file_text,
     sweep_csv_lines,
     write_series_csv,
 )
@@ -97,13 +97,28 @@ def _fail(exc):
     sys.exit(exc.exit_code)
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError inside into an InputError that names path."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _prepare_outputs(output, emit_csv):
+    """Before any solve: --output's directory exists, --emit-csv's is made."""
+    if output is not None and not output.parent.is_dir():
+        raise InputError(f"cannot write {output}: no directory {output.parent}")
+    if emit_csv is not None:
+        with _writing(emit_csv):
+            emit_csv.mkdir(parents=True, exist_ok=True)
+
+
 def _emit_diagnostics(directory, result, prefix=""):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_series_csv(directory / f"{prefix}res_r_diagonal.csv",
-                     result.diagnostics["res_r_diagonal"])
-    write_series_csv(directory / f"{prefix}block_leakage.csv",
-                     result.diagnostics["block_leakage"])
+    with _writing(directory):
+        for name in ("res_r_diagonal", "block_leakage"):
+            write_series_csv(directory / f"{prefix}{name}.csv", result.diagnostics[name])
 
 
 _INPUT_ARG = click.argument(
@@ -152,15 +167,15 @@ def cmd_solve(input_path, output, seed, pair_flag, fan_flag, emit_csv):
         sf = load_system_file(input_path)
         rays = _parse_fan_flag(fan_flag) if fan_flag else sf.rays
         pair = _parse_pair_flag(pair_flag) if pair_flag else sf.pair
+        _prepare_outputs(output, emit_csv)
         result = run_solve(sf.laurent(), rays=rays, pair=pair, seed=seed)
         if emit_csv is not None:
             _emit_diagnostics(emit_csv, result)
         if output is None:
-            text = json.dumps(solution_file_dict(result, sf.variables),
-                              sort_keys=True, indent=2)
-            click.echo(text)
+            click.echo(solution_file_text(result, sf.variables), nl=False)
         else:
-            dump_solution_file(result, output, sf.variables)
+            with _writing(output):
+                dump_solution_file(result, output, sf.variables)
             click.echo(
                 f"wrote {output}: delta={result.delta} "
                 f"delta_plus={result.delta_plus} "
@@ -248,46 +263,45 @@ def cmd_sweep(input_path, param, grid_flag, output, seed, pair_flag, fan_flag,
         values = _parse_grid(grid_flag)
         rays = _parse_fan_flag(fan_flag) if fan_flag else sf.rays
         pair = _parse_pair_flag(pair_flag) if pair_flag else sf.pair
-    except ToricSolveError as exc:
-        _fail(exc)
-
-    rows = []
-    for index, value in enumerate(values):
-        t0 = time.perf_counter()
-        try:
-            inst = sf.instantiate(param, value)
-            result = run_solve(inst.laurent(), rays=rays, pair=pair, seed=seed)
-        except ToricSolveError as exc:
+        _prepare_outputs(output, emit_csv)
+        rows = []
+        for index, value in enumerate(values):
+            t0 = time.perf_counter()
+            try:
+                inst = sf.instantiate(param, value)
+                result = run_solve(inst.laurent(), rays=rays, pair=pair, seed=seed)
+            except ToricSolveError as exc:
+                rows.append({
+                    "e": float(value),
+                    "status": exc.stage,
+                    "wall_ms": int(round(1e3 * (time.perf_counter() - t0))),
+                })
+                continue
+            wall_ms = int(round(1e3 * (time.perf_counter() - t0)))
+            per_solution = [max(s.residuals) for s in result.solutions]
             rows.append({
                 "e": float(value),
-                "status": exc.stage,
-                "wall_ms": int(round(1e3 * (time.perf_counter() - t0))),
+                "max_res": max(per_solution, default=0.0),
+                "mean_res": sum(per_solution) / len(per_solution) if per_solution else 0.0,
+                "min_res": min(per_solution, default=0.0),
+                "max_norm": max((s.norm for s in result.solutions), default=0.0),
+                "delta_plus": result.delta_plus,
+                "status": "ok",
+                "wall_ms": wall_ms,
             })
-            continue
-        wall_ms = int(round(1e3 * (time.perf_counter() - t0)))
-        per_solution = [max(s.residuals) for s in result.solutions]
-        rows.append({
-            "e": float(value),
-            "max_res": max(per_solution) if per_solution else 0.0,
-            "mean_res": (sum(per_solution) / len(per_solution)
-                         if per_solution else 0.0),
-            "min_res": min(per_solution) if per_solution else 0.0,
-            "max_norm": (max(s.norm for s in result.solutions)
-                         if result.solutions else 0.0),
-            "delta_plus": result.delta_plus,
-            "status": "ok",
-            "wall_ms": wall_ms,
-        })
-        if emit_csv is not None:
-            _emit_diagnostics(emit_csv, result, prefix=f"point_{index:03d}_")
+            if emit_csv is not None:
+                _emit_diagnostics(emit_csv, result, prefix=f"point_{index:03d}_")
 
-    text = "\n".join(sweep_csv_lines(rows)) + "\n"
-    if output is None:
-        click.echo(text, nl=False)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
-        ok = sum(1 for r in rows if r["status"] == "ok")
-        click.echo(f"wrote {output}: {ok}/{len(rows)} points solved")
+        text = "\n".join(sweep_csv_lines(rows)) + "\n"
+        if output is None:
+            click.echo(text, nl=False)
+        else:
+            with _writing(output):
+                output.write_text(text, encoding="utf-8")
+            ok = sum(1 for r in rows if r["status"] == "ok")
+            click.echo(f"wrote {output}: {ok}/{len(rows)} points solved")
+    except ToricSolveError as exc:
+        _fail(exc)
 
 
 if __name__ == "__main__":

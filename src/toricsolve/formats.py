@@ -27,6 +27,7 @@ __all__ = [
     "load_system_file",
     "load_solution_file",
     "solution_file_dict",
+    "solution_file_text",
     "dump_solution_file",
     "sweep_csv_lines",
     "write_series_csv",
@@ -412,14 +413,15 @@ def solution_file_dict(result, variables=None):
     }
 
 
-def dump_solution_file(result, path_or_file, variables=None):
-    """Write a SolutionSet as a solution file (sorted keys, stable text)."""
-    text = json.dumps(solution_file_dict(result, variables), sort_keys=True, indent=2)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text + "\n")
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def solution_file_text(result, variables=None):
+    """solution_file_dict as JSON text: sorted keys, indented, newline-ended."""
+    return json.dumps(solution_file_dict(result, variables), sort_keys=True, indent=2) + "\n"
+
+
+def dump_solution_file(result, path, variables=None):
+    """Write a SolutionSet to path as a solution file (solution_file_text)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(solution_file_text(result, variables))
 
 
 def load_solution_file(path):

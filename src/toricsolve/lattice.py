@@ -8,7 +8,8 @@ algorithms fast enough without sparse tricks.
 Every exact solve, rank and determinant over Q goes through one
 fraction-free Gauss-Jordan elimination (Bareiss), which keeps its
 entries integral; the Smith normal form answers only lattice questions
-(index, kernel, class group, right_inverse). Hulls take integer points
+(kernel, class group, right_inverse, index); generating_rows picks by
+rank the few rows of many that reach one. Hulls take integer points
 and inequality systems integer rows and offsets; anything else is an
 InputError. Fractions appear only as output values: the rational
 vertices of an inequality system and the entries of right_inverse.
@@ -50,6 +51,7 @@ __all__ = [
     "solve_int",
     "smith_normal_form",
     "integer_kernel",
+    "generating_rows",
     "sublattice_index",
     "right_inverse",
     "Polytope",
@@ -280,17 +282,41 @@ def integer_kernel(a):
     return out
 
 
-def sublattice_index(vectors, n=None):
-    """Index of the sublattice of Z^n spanned by integer `vectors`.
+def generating_rows(rows, n):
+    """Rows among the integer `rows` (in Z^n) that generate the lattice
+    of all of them: in row order, each row that raises the rank of the
+    rows kept, up to rank n, then each other row that shrinks the index
+    of their lattice, until it is 1. A row that does not shrink it lies
+    in that lattice, and each row kept past rank n at least halves it.
 
-    Returns 0 when the vectors do not span rank n, otherwise the index
-    (the product of the nonzero Smith invariant factors).
+    Returns (kept row positions in kept order, the Smith form (U, D, V)
+    of the kept rows in that order, the index), or None below rank n.
     """
+    kept = []
+    for i, row in enumerate(rows):
+        if len(kept) < n and rank_int([rows[j] for j in kept] + [row]) > len(kept):
+            kept.append(i)
+    if len(kept) < n:
+        return None
+    snf = smith_normal_form([rows[j] for j in kept])
+    index = math.prod(snf[1][j][j] for j in range(n))
+    for i, row in enumerate(rows):
+        if index > 1 and i not in kept:
+            cand = smith_normal_form([rows[j] for j in kept] + [row])
+            q = math.prod(cand[1][j][j] for j in range(n))
+            if q < index:
+                kept.append(i)
+                index, snf = q, cand
+    return kept, snf, index
+
+
+def sublattice_index(vectors, n=None):
+    """Index of the sublattice of Z^n spanned by integer `vectors`, as
+    generating_rows finds it; 0 when they do not span rank n."""
     if n is None:
         n = len(vectors[0]) if vectors else 1
-    _, d, _ = smith_normal_form([list(vec) for vec in vectors])
-    factors = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-    return math.prod(factors) if len(factors) >= n else 0
+    found = generating_rows(vectors, n)
+    return 0 if found is None else found[2]
 
 
 def right_inverse(rows):

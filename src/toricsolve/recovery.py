@@ -15,12 +15,15 @@ The solve has an integer half and a float half. The integer half, the
 plan, depends only on the difference rows and on which of them are
 usable, never on the coefficients, so the fan keeps one plan per cone,
 basis, live entries, base point and usable mask, and a warm solve does
-no integer work here. The float half takes every cluster of an orbit
-solve at once, one stacked pass per branch count, with the unusable
-rows left in at zero weight.
+no integer work here. Per cone, basis and live entries it keeps only
+the points in orbit coordinates; each solve takes the difference rows
+to its clusters' own base points. The float half takes every cluster
+of an orbit solve at once, one stacked pass per branch count, with the
+unusable rows left in at zero weight.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -28,10 +31,10 @@ from .eigensolver import COND_MAX
 from .errors import ClusteringError, RecoveryError, SpanError
 from .lattice import (
     dot,
+    generating_rows,
     integer_kernel,
     rank_int,
     right_inverse,
-    smith_normal_form,
     sublattice_index,
 )
 from .toric import boundary_stratum_check
@@ -145,35 +148,11 @@ class Solution:
         return f"Solution(mu={self.multiplicity}, {where}, z={self.z})"
 
 
-def _extend_echelon(echelon, row):
-    """Reduce the integer row against echelon, a list of (pivot column,
-    row) pairs whose rows vanish at the pivot columns before their own;
-    append the reduced row, divided by its content, when it is not zero.
-    Returns whether row was independent of the echelon rows."""
-    for c, e in echelon:
-        f = row[c]
-        if f:
-            p = e[c]
-            row = [p * x - f * y for x, y in zip(row, e)]
-    c = next((j for j, x in enumerate(row) if x), None)
-    if c is None:
-        return False
-    g = math.gcd(*row)
-    echelon.append((c, [x // g for x in row]))
-    return True
-
-
 def _branch_plan(rows, n):
-    """Integer half of a binomial solve over usable rows, in their order.
-
-    Climbs to rank n on the rows in order, testing each against the
-    fraction-free echelon form of the rows it has kept, and takes one
-    Smith form there. Then it tries every row it has not kept once, in
-    order, and keeps those that shrink the sublattice index (one Smith
-    form each), until the index is 1. A row passed over on the climb is
-    tried again, so the kept rows span the lattice of all the rows and
-    the branch count is that lattice's index. The Smith form of the
-    kept rows gives the phase equations and their root-of-unity branches.
+    """Integer half of a binomial solve over usable rows, in their order:
+    the rows generating_rows keeps, and their Smith form, which gives
+    the phase equations and one root-of-unity branch per element of the
+    quotient by the lattice of all the rows.
 
     Returns:
         (sel, u, dd, v, offsets): selected row positions, the first n
@@ -181,34 +160,12 @@ def _branch_plan(rows, n):
         vector, all as arrays; None when the rows have rank below n or
         the index exceeds MAX_BRANCHES.
     """
-    rows = rows.tolist()
-    sel, echelon = [], []
-    for i, row in enumerate(rows):
-        if _extend_echelon(echelon, row):
-            sel.append(i)
-            if len(echelon) == n:
-                break
-    if len(echelon) < n:
+    found = generating_rows(rows.tolist(), n)
+    if found is None or found[2] > MAX_BRANCHES:
         return None
-    snf = smith_normal_form([rows[j] for j in sel])
-    index = math.prod(snf[1][j][j] for j in range(n))
-    for i, row in enumerate(rows):
-        if index == 1:
-            break
-        if i in sel:
-            continue
-        cand_snf = smith_normal_form([rows[j] for j in sel] + [row])
-        q = math.prod(cand_snf[1][j][j] for j in range(n))
-        if q < index:
-            sel.append(i)
-            index, snf = q, cand_snf
-    if index > MAX_BRANCHES:
-        return None
-    u, d, v = snf
+    sel, (u, d, v), _ = found
     dd = [d[j][j] for j in range(n)]
-    branches = [[]]
-    for j in range(n):
-        branches = [b + [cj] for b in branches for cj in range(abs(dd[j]))]
+    branches = list(product(*map(range, dd)))
     return (np.array(sel), np.array(u[:n], dtype=float), np.array(dd, dtype=float),
             np.array(v, dtype=float), 2.0 * math.pi * np.array(branches, dtype=float))
 
@@ -238,17 +195,11 @@ def _monomials(t, a):
     return np.multiply.reduce(t[..., None, :] ** a, axis=-1)
 
 
-def _stack_plans(plans):
-    """The phase and offsets of plans that share a branch count, and so
-    the shapes of both, each as one array stacked over the plans."""
-    return np.array([plan[0] for plan in plans]), np.array([plan[1] for plan in plans])
-
-
-def _branch_solve(plan, a, ratios, errs, usable):
+def _branch_solve(plans, a, ratios, errs, usable):
     """Float half of a binomial solve, stacked over clusters and branches.
 
-    Every cluster g has its own plan (phase and offsets stacked over
-    clusters, as _stack_plans gives them), its own difference rows a[g]
+    Every cluster g has its own plan (plans[g], a phase and offsets of
+    the shapes every plan here shares), its own difference rows a[g]
     (a is G x r x n) in basis order, and ratios, errs and usable mask
     (G, r) in the same order. All clusters share r and the branch count.
     Unusable rows stay in the pass with zero weight, and verification
@@ -266,7 +217,7 @@ def _branch_solve(plan, a, ratios, errs, usable):
         with a verified branch, and the condition number of each
         cluster's weighted least squares.
     """
-    phase, offsets = plan
+    phase, offsets = map(np.array, zip(*plans))
     # an unusable row becomes t^0 = 1 with zero weight: it adds nothing to
     # the solve, and it verifies with a relative error of 0
     w = usable / np.maximum(errs, 1e-15)
@@ -320,15 +271,15 @@ def _solve_binomials(diffs, ratios, errs, usable, plans):
             by_count.setdefault(len(plan[1]), []).append(g)
     if [len(members) for members in by_count.values()] == [len(plans)]:
         # one pass serves every cluster
-        return _branch_solve(_stack_plans(plans), diffs, ratios, errs, usable)
+        return _branch_solve(plans, diffs, ratios, errs, usable)
     t = np.full((len(ratios), diffs.shape[2]), np.nan, dtype=complex)
     found = np.zeros(len(ratios), dtype=bool)
     cond = np.full(len(ratios), np.inf)
     for members in by_count.values():
-        plan = _stack_plans([plans[g] for g in members])
+        group = [plans[g] for g in members]
         members = np.array(members)
         t[members], found[members], cond[members] = _branch_solve(
-            plan, diffs[members], ratios[members], errs[members], usable[members])
+            group, diffs[members], ratios[members], errs[members], usable[members])
     return t, found, cond
 
 
@@ -378,18 +329,15 @@ def _kept_rows(fan, cone, basis, live):
     """Exact data of the live entries (a mask) of a basis on the orbit of
     a cone, kept by the fan under the key returned with it.
 
-    Returns (key, (rest, diffs, rank)): for every choice of base point b,
-    the positions of the other live points in basis order (rest[b]) and
-    their differences to b in orbit coordinates (diffs[b], r x m), and
-    the rank of those differences, which every base point shares.
-    """
+    Returns (key, (coords, rank)): the live points in orbit coordinates
+    (L x m, basis order) and the rank of their differences, not the
+    difference rows of every base point, of which a solve uses one per
+    cluster."""
     key = (tuple(cone), basis.degree.a, live.tobytes())
 
     def build():
         coords = basis.points[live] @ fan.kept(key[0], _orbit_chart, fan, cone)[1].T
-        rest = np.nonzero(~np.eye(len(coords), dtype=bool))[1].reshape(len(coords), -1)
-        diffs = coords[rest] - coords[:, None]
-        return rest, diffs, rank_int(diffs[0].tolist()) if len(rest[0]) else 0
+        return coords, rank_int((coords[1:] - coords[:1]).tolist())
 
     return key, fan.kept(("orbit",) + key, build)
 
@@ -400,11 +348,12 @@ def _orbit_solve(fan, cone, basis, live, values, noise):
 
     values and noise (G x count of live entries) hold the live entries
     of each table over basis, live being the mask of them. Each row is
-    taken against its largest entry, with the absolute errors in noise;
-    a ratio that is zero (an entry that vanishes or underflows), or whose
-    error estimate overflows, is unusable. The fan keeps one plan per
-    base point and usable mask under the key of _kept_rows, so a warm
-    solve does no integer work here.
+    taken against its largest entry, its base point, with the absolute
+    errors in noise, and its difference rows are built to that point
+    from the coordinates _kept_rows keeps; a ratio that is zero (an
+    entry that vanishes or underflows), or whose error estimate
+    overflows, is unusable. The fan keeps one plan per base point and
+    usable mask under the key of _kept_rows: no warm integer work here.
 
     Returns (t, found, cond) as _solve_binomials gives them, and z, every
     row lifted to Cox coordinates with zeros on the cone (meaningful
@@ -412,10 +361,14 @@ def _orbit_solve(fan, cone, basis, live, values, noise):
     is fractional, exp(E log t) takes principal-branch powers, which is
     harmless: the rays map the result back to t in exponent arithmetic.
     """
-    key, (rest, diffs, _) = _kept_rows(fan, cone, basis, live)
+    key, (coords, _) = _kept_rows(fan, cone, basis, live)
     mag = np.abs(values)
     i0 = mag.argmax(axis=1)
-    g, base, rest = np.arange(len(values))[:, None], i0[:, None], rest[i0]
+    g, base = np.arange(len(values))[:, None], i0[:, None]
+    # every live position but the base point, in basis order
+    rest = np.arange(len(coords) - 1)
+    rest = rest + (rest >= base)
+    diffs = coords[rest] - coords[base]
     # a vanishing entry gives an infinite or nan error, a subnormal one may
     # overflow it, and a row that vanishes everywhere gives 0 / 0 ratios;
     # none of them is usable, and the float pass ignores the same errors
@@ -425,9 +378,9 @@ def _orbit_solve(fan, cone, basis, live, values, noise):
         errs = rel[g, rest] + rel[g, base]
         usable = (errs < USABLE_ERR) & (ratios != 0.0)
         errs = np.where(usable, errs, np.inf)
-        plans = [fan.kept(("plan",) + key + (b, mask.tobytes()), _phase_plan, diffs[b], mask)
-                 for b, mask in zip(i0.tolist(), usable)]
-        t, found, cond = _solve_binomials(diffs[i0], ratios, errs, usable, plans)
+        plans = [fan.kept(("plan",) + key + (b, mask.tobytes()), _phase_plan, rows, mask)
+                 for b, rows, mask in zip(i0.tolist(), diffs, usable)]
+        t, found, cond = _solve_binomials(diffs, ratios, errs, usable, plans)
         lift = fan.kept(key[0], _orbit_chart, fan, cone)[2]
         if lift is None:
             return t, found, cond, None
@@ -439,12 +392,12 @@ def _orbit_solve(fan, cone, basis, live, values, noise):
 def recover_torus_points(fan, tables):
     """Recover torus points from many eigenvalue tables in one pass.
 
-    The torus is the orbit of the empty cone, and the tables of each
-    basis go through one orbit solve, where a table's zero entries are
-    unusable ratios. The integer plans are kept by the fan, one per base
-    point and usable mask, and the float work runs as one stacked pass
-    per branch count. A table whose usable entries do not span gets no
-    plan and is no torus point.
+    The torus is the orbit of the empty cone, and the tables, all on
+    one alpha0 basis, go through one orbit solve, where a table's zero
+    entries are unusable ratios. The integer plans are kept by the fan,
+    one per base point and usable mask, and the float work runs as one
+    stacked pass per branch count. A table whose usable entries do not
+    span gets no plan and is no torus point.
 
     A cluster of multiplicity above one is not a torus point when its
     weighted least squares is conditioned above COND_MAX. Simple torus
@@ -464,27 +417,26 @@ def recover_torus_points(fan, tables):
         test), or where the rays lift no torus point.
 
     Raises:
-        SpanError: the exponent differences of an alpha0 basis's lattice
-            points cannot determine t, whatever the cluster.
+        SpanError: the exponent differences of the alpha0 basis's
+            lattice points cannot determine t, whatever the cluster.
+        RecoveryError: the tables are not all on one basis.
     """
-    by_basis = {}
-    for i, table in enumerate(tables):
-        by_basis.setdefault(id(table.basis), (table.basis, []))[1].append(i)
-    for basis, _ in by_basis.values():
-        check_span(basis)
-    out = [None] * len(tables)
-    for basis, members in by_basis.values():
-        t, found, cond, z = _orbit_solve(
-            fan, (), basis, np.ones(len(basis), dtype=bool),
-            np.array([tables[i].values for i in members]),
-            np.array([tables[i].noise for i in members]))
-        if z is None:  # rays that do not span M lift no torus point
-            return out
-        for i, tg, zg, ok, c in zip(members, t, z, found, cond):
-            mu = tables[i].multiplicity
-            if ok and (mu == 1 or c <= COND_MAX):  # the stratum test above
-                out[i] = Solution(zg, tg, mu, zero_pattern=())
-    return out
+    if not tables:
+        return []
+    basis = tables[0].basis
+    if any(table.basis is not basis for table in tables):
+        raise RecoveryError("torus recovery takes tables on one alpha0 basis")
+    check_span(basis)
+    t, found, cond, z = _orbit_solve(
+        fan, (), basis, np.ones(len(basis), dtype=bool),
+        np.array([table.values for table in tables]),
+        np.array([table.noise for table in tables]))
+    if z is None:  # rays that do not span M lift no torus point
+        return [None] * len(tables)
+    # the stratum test above
+    return [Solution(zg, tg, table.multiplicity, zero_pattern=())
+            if ok and (table.multiplicity == 1 or c <= COND_MAX) else None
+            for table, tg, zg, ok, c in zip(tables, t, z, found, cond)]
 
 
 def recover_torus_point(fan, table):
@@ -560,7 +512,7 @@ def recover_boundary_point(fan, table):
                 "inconsistent vanishing pattern: surviving monomials leave the orbit"
             )
         # on the orbit's character lattice to_coords is injective
-        _, (_, _, rank) = _kept_rows(fan, zero_rays, table.basis, loud)
+        _, (_, rank) = _kept_rows(fan, zero_rays, table.basis, loud)
         if rank < len(to_coords):
             raise RecoveryError("alpha0 insufficient on orbit")
         _, found, _, z = _orbit_solve(fan, zero_rays, table.basis, loud,

@@ -15,9 +15,9 @@ pairs: the closed forms the library reaches through its vanishing walk.
 the anti-nef case decides them: the oracle of the library's yes/no
 vanishing verdict.
 `assemble_res_reference` scatters Res without the fan's index plans,
-and `branch_plan_reference` re-runs the rank test of a binomial plan
-from scratch for every candidate row: the oracles of the planned and
-incremental code.
+and `sublattice_index_reference` takes the index from one Smith form
+of all the rows: the oracles of the planned code and of the rows
+`lattice.generating_rows` keeps.
 The `*_reference` helpers at the end keep the old bodies of helpers
 that now make cheaper calls on the same arithmetic (kept indices, ufunc
 reductions, kept draws); tests compare them with `==`, not `allclose`.
@@ -33,8 +33,7 @@ from scipy.spatial import ConvexHull, QhullError
 from toricsolve.cox import graded_basis
 from toricsolve.eigensolver import ResMatrix
 from toricsolve.errors import InputError
-from toricsolve.lattice import Polytope, integer_kernel, rank_int, smith_normal_form
-from toricsolve.recovery import MAX_BRANCHES
+from toricsolve.lattice import Polytope, integer_kernel, smith_normal_form
 from toricsolve.regularity import default_pair, vanishing_pair
 from toricsolve.toric import DivisorClass, Fan, nef_witness
 
@@ -489,42 +488,19 @@ def assemble_res_reference(system, beta, allow_empty=False):
     return ResMatrix(rows, col_blocks, matrix)
 
 
-def branch_plan_reference(rows, n):
-    """recovery._branch_plan with a from-scratch rank per candidate row:
-    climb to rank n in row order, then try every row not selected once."""
-    rows = rows.tolist()
-    sel, rank, index, snf = [], 0, 1, None
-    for i, row in enumerate(rows):
-        cand = [rows[j] for j in sel] + [row]
-        if rank_int(cand) > rank:
-            sel.append(i)
-            rank += 1
-            if rank == n:
-                snf = smith_normal_form(cand)
-                index = math.prod(snf[1][j][j] for j in range(n))
-                break
-    for i, row in enumerate(rows):
-        if rank < n or index == 1:
-            break
-        if i not in sel:
-            cand_snf = smith_normal_form([rows[j] for j in sel] + [row])
-            q = math.prod(cand_snf[1][j][j] for j in range(n))
-            if q < index:
-                sel.append(i)
-                index, snf = q, cand_snf
-    if rank < n or index > MAX_BRANCHES:
-        return None
-    u, d, v = snf
-    dd = [d[j][j] for j in range(n)]
-    branches = [[]]
-    for j in range(n):
-        branches = [b + [cj] for b in branches for cj in range(abs(dd[j]))]
-    return (np.array(sel), np.array(u[:n], dtype=float), np.array(dd, dtype=float),
-            np.array(v, dtype=float), 2.0 * math.pi * np.array(branches, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # replaced helpers, bit for bit
+
+
+def sublattice_index_reference(vectors, n=None):
+    """lattice.sublattice_index before generating_rows: the product of
+    the nonzero invariant factors of one Smith form of every row, 0
+    below rank n."""
+    if n is None:
+        n = len(vectors[0]) if vectors else 1
+    _, d, _ = smith_normal_form([list(vec) for vec in vectors])
+    factors = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+    return math.prod(factors) if len(factors) >= n else 0
 
 
 def is_int_reference(x):

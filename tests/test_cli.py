@@ -214,6 +214,53 @@ def test_solve_emit_csv_diagnostics(tmp_path):
     assert len(r_diag) > 1 and len(leak) > 1
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before the output paths were checked")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("flag", ["--output", "--emit-csv"])
+def test_unwritable_output_exits_2_before_solving(tmp_path, monkeypatch, command, flag):
+    # --output under a missing directory, --emit-csv under a regular file
+    monkeypatch.setattr(cli, "run_solve", _no_solve)
+    path = write_file(tmp_path, intro_template_doc() if command == "sweep" else intro_doc())
+    target = (tmp_path / "missing" / "x.json" if flag == "--output"
+              else path / "diag")
+    args = ["--grid", "0:1:1"] if command == "sweep" else []
+    res = run(command, path, *args, flag, target)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error (input): cannot write ")
+    assert str(target) in res.output and len(res.output.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_failed_write_exits_2(tmp_path, monkeypatch, command):
+    # the directory is there when checked, the write fails all the same
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    path = write_file(tmp_path, intro_template_doc() if command == "sweep" else intro_doc())
+    monkeypatch.setattr(cli, "dump_solution_file", refuse)
+    monkeypatch.setattr(Path, "write_text", refuse)
+    args = ["--grid", "0:0:1"] if command == "sweep" else []
+    out = tmp_path / "x.out"
+    res = run(command, path, *args, "--output", out)
+    assert res.exit_code == 2, res.output
+    assert res.output == f"error (input): cannot write {out}: Permission denied\n"
+
+
+def test_solution_file_on_stdout_is_the_file(tmp_path, monkeypatch):
+    path = write_file(tmp_path, intro_doc())
+    result = cli.run_solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS)
+    monkeypatch.setattr(cli, "run_solve", lambda *args, **kwargs: result)
+    out = tmp_path / "sol.json"
+    assert run("solve", path, "--output", out).exit_code == 0
+    res = run("solve", path)
+    assert res.exit_code == 0, res.output
+    assert res.output == out.read_text(encoding="utf-8")
+
+
 def test_regpair_lines27(tmp_path):
     rng = np.random.default_rng(11)
     c = rng.standard_normal(20) + 1j * rng.standard_normal(20)

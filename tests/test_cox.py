@@ -432,10 +432,10 @@ def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
                         lambda exps: calls.append("_power_index") or power_index(exps))
     # recovery need not import all of them, so each is set, not replaced;
     # the stratum verdict of a boundary cone is exact work too, and so are
-    # a binomial plan and the Smith forms it takes
+    # a binomial plan and the rows it keeps
     exact_work = [getattr(lattice, name) for name in
                   ("integer_kernel", "right_inverse", "solve_int", "rank_int",
-                   "smith_normal_form")]
+                   "smith_normal_form", "generating_rows", "sublattice_index")]
     for exact in exact_work + [toric.boundary_stratum_check, recovery._branch_plan]:
         def counted(*args, exact=exact):
             calls.append(exact.__name__)
@@ -447,8 +447,8 @@ def test_repeat_solve_does_only_coefficient_work(cold, monkeypatch, case):
     assert all(key[0] == "plan" for key in new)
     assert new == met[1] - met[0]
     assert bool(new) == (case == "lines27")
-    assert calls.count("_branch_plan") == len(new)
-    assert set(calls) <= {"_branch_plan", "smith_normal_form"}
+    assert calls.count("_branch_plan") == calls.count("generating_rows") == len(new)
+    assert set(calls) <= {"_branch_plan", "generating_rows"}
     assert all(fan._store[key] is value for key, value in store.items())
     calls.clear()
     store = dict(fan._store)

@@ -24,6 +24,7 @@ from toricsolve.lattice import (
     all_int,
     det_int,
     dot,
+    generating_rows,
     int_vector,
     integer_kernel,
     is_int,
@@ -34,7 +35,13 @@ from toricsolve.lattice import (
     sublattice_index,
 )
 
-from systems import codegree, dilate, is_int_reference, mixed_volume
+from systems import (
+    codegree,
+    dilate,
+    is_int_reference,
+    mixed_volume,
+    sublattice_index_reference,
+)
 
 
 @pytest.mark.parametrize("x, ok", [
@@ -209,6 +216,44 @@ def test_sublattice_index():
     assert sublattice_index([(2, 0), (0, 3)]) == 6
     assert sublattice_index([(1, 2), (2, 4)]) == 0
     assert sublattice_index([(1, 1), (1, -1)]) == 2
+    assert sublattice_index([]) == 0
+
+
+@st.composite
+def row_sets(draw):
+    """(rows, n): up to 40 rows of length n = 1..4 drawn from a small pool
+    of rows, scaled, so that repeated rows, zero rows, dependent rows and
+    sublattices of index above 1 are all common."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    pool = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    picks = st.tuples(st.sampled_from(pool), st.sampled_from([0, 1, 1, 2, 3]))
+    rows = [[c * x for x in row] for row, c in draw(st.lists(picks, max_size=40))]
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sets())
+def test_generating_rows_match_one_smith_form_of_every_row(case):
+    """The kept rows generate the lattice of all the rows: their index is
+    the one a Smith form of every row gives, and the Smith form returned
+    is that of the kept rows in kept order."""
+    rows, n = case
+    want = sublattice_index_reference(rows, n)
+    found = generating_rows(rows, n)
+    assert sublattice_index(rows, n) == want
+    assert (found is None) == (want == 0)
+    if found is None:
+        return
+    kept, (u, d, v), index = found
+    assert index == want
+    assert len(set(kept)) == len(kept) and len(kept) >= n
+    sub = [rows[i] for i in kept]
+    # the climb keeps the first n rows that raise the rank, in row order
+    assert kept[:n] == sorted(kept[:n]) and rank_int(sub[:n]) == n
+    assert sublattice_index_reference(sub, n) == want
+    assert mat_mul(mat_mul(u, sub), v) == d
+    assert math.prod(d[j][j] for j in range(n)) == index
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -18,7 +19,6 @@ from toricsolve.lattice import (
     right_inverse,
     smith_normal_form,
     solve_int,
-    sublattice_index,
 )
 from toricsolve.recovery import (
     MAX_BRANCHES,
@@ -40,7 +40,6 @@ from systems import (
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
     PILLOW_RAYS_SOLVE,
-    branch_plan_reference,
     hirzebruch_fan,
     intro_laurent,
     lines27_fan,
@@ -48,6 +47,7 @@ from systems import (
     p2_fan,
     pillow_fan_solve,
     pillow_laurent,
+    sublattice_index_reference,
     wp112_fan,
 )
 
@@ -409,7 +409,7 @@ def usable_index(table):
     except RecoveryError:
         return 0
     rows = [d for d, e in zip(diffs, errs) if e < USABLE_ERR]
-    return sublattice_index(rows, len(diffs[0])) if rows else 0
+    return sublattice_index_reference(rows, len(diffs[0])) if rows else 0
 
 
 def close(a, b, rel=1e-12):
@@ -580,15 +580,19 @@ def integer_row_sets(draw):
 @given(integer_row_sets())
 @example((np.array([(2, 0), (1, 0), (0, 1)]), 2))
 @example((np.array([(1, 1, 0), (2, 2, 0), (0, 0, 3), (0, 1, 1), (1, 0, 0)]), 3))
-def test_branch_plan_matches_from_scratch_ranks(case):
-    """The echelon kept across candidate rows selects the same rows, and
-    so gives the same Smith form and branches, as a rank from scratch."""
+def test_branch_plan_keeps_rows_of_the_full_index(case):
+    """The selected rows span a lattice of the index of all the rows, one
+    Smith form of every row taken as the reference, and the plan has one
+    branch per element of the quotient; no plan below rank n or past
+    MAX_BRANCHES."""
     rows, n = case
-    got, want = _branch_plan(rows, n), branch_plan_reference(rows, n)
-    assert (got is None) == (want is None)
-    if want is not None:
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
+    want = sublattice_index_reference(rows.tolist(), n)
+    plan = _branch_plan(rows, n)
+    assert (plan is None) == (want == 0 or want > MAX_BRANCHES)
+    if plan is not None:
+        sel, _, dd, _, offsets = plan
+        assert sublattice_index_reference(rows[sel].tolist(), n) == want
+        assert np.prod(dd) == len(offsets) == want
 
 
 def _usable_plan(table):
@@ -659,12 +663,40 @@ def test_batched_recovery_either_row_order(order):
     assert len(_branch_plan(rows, 2)[4]) == len(_branch_plan(rows[::-1], 2)[4]) == 1
 
 
-def test_batched_recovery_span_error_first():
+def test_batched_recovery_thin_basis_is_a_span_error():
+    fan = hirzebruch_fan()
+    thin = EigenvalueTable(graded_basis(fan, (0, 0, 0, 1)), [1.0, 2.0])
+    with pytest.raises(SpanError):
+        recover_torus_points(fan, [thin, thin])
+
+
+def test_batched_recovery_takes_one_basis():
     fan = hirzebruch_fan()
     good = planted_table(fan, (0, 0, 1, 2), (2.0, 3.0))
     thin = EigenvalueTable(graded_basis(fan, (0, 0, 0, 1)), [1.0, 2.0])
-    with pytest.raises(SpanError):
-        recover_torus_points(fan, [good, thin])
+    for tables in ([good, thin], [thin, good]):
+        with pytest.raises(RecoveryError, match="one alpha0 basis"):
+            recover_torus_points(fan, tables)
+
+
+def test_cold_recovery_keeps_no_rows_per_base_point():
+    """A cold recovery on the 2211 points of P^2 at 65H: the orbit data
+    kept are the points, not every base point's difference rows (about
+    150 MB), and the spanning rows are found without a Smith form of
+    all of them."""
+    fan = p2_fan()
+    basis = graded_basis(fan, (65, 0, 0))
+    t = (0.99, 0.9)
+    values = [t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points]
+    table = EigenvalueTable(basis, values)
+    tracemalloc.start()
+    try:
+        got = recover_torus_points(fan, [table])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert close(got.t, t, rel=1e-10)
+    assert peak < 16 * 2**20
 
 
 def test_overflowing_start_fails_verification():
