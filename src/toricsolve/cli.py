@@ -92,11 +92,6 @@ def _parse_grid(text):
     return [start + i * step for i in range(int(steps) + 1)]
 
 
-def _fail(exc):
-    click.echo(f"error ({exc.stage}): {exc}")
-    sys.exit(exc.exit_code)
-
-
 @contextmanager
 def _writing(path):
     """Turn an OSError inside into an InputError that names path."""
@@ -119,6 +114,16 @@ def _emit_diagnostics(directory, result, prefix=""):
     with _writing(directory):
         for name in ("res_r_diagonal", "block_leakage"):
             write_series_csv(directory / f"{prefix}{name}.csv", result.diagnostics[name])
+
+
+def _system_file(input_path, fan_flag, pair_flag):
+    """The system file at input_path, with the rays and pair its flags give."""
+    sf = load_system_file(input_path)
+    if fan_flag:
+        sf.rays = _parse_fan_flag(fan_flag)
+    if pair_flag:
+        sf.pair = _parse_pair_flag(pair_flag)
+    return sf
 
 
 _INPUT_ARG = click.argument(
@@ -145,7 +150,18 @@ def _common_solve_options(fn):
     return fn
 
 
-@click.group()
+class _Commands(click.Group):
+    """Group whose commands end a ToricSolveError with one error line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ToricSolveError as exc:
+            click.echo(f"error ({exc.stage}): {exc}")
+            sys.exit(exc.exit_code)
+
+
+@click.group(cls=_Commands)
 def main():
     """Numerical solver for sparse polynomial systems.
 
@@ -163,28 +179,23 @@ def main():
 @_common_solve_options
 def cmd_solve(input_path, output, seed, pair_flag, fan_flag, emit_csv):
     """Solve the system in INPUT_PATH and write a solution file."""
-    try:
-        sf = load_system_file(input_path)
-        rays = _parse_fan_flag(fan_flag) if fan_flag else sf.rays
-        pair = _parse_pair_flag(pair_flag) if pair_flag else sf.pair
-        _prepare_outputs(output, emit_csv)
-        result = run_solve(sf.laurent(), rays=rays, pair=pair, seed=seed)
-        if emit_csv is not None:
-            _emit_diagnostics(emit_csv, result)
-        if output is None:
-            click.echo(solution_file_text(result, sf.variables), nl=False)
-        else:
-            with _writing(output):
-                dump_solution_file(result, output, sf.variables)
-            click.echo(
-                f"wrote {output}: delta={result.delta} "
-                f"delta_plus={result.delta_plus} "
-                f"torus={len(result.on_torus())} "
-                f"boundary={len(result.on_boundary())} "
-                f"max_residual={result.max_residual():.3e}"
-            )
-    except ToricSolveError as exc:
-        _fail(exc)
+    sf = _system_file(input_path, fan_flag, pair_flag)
+    _prepare_outputs(output, emit_csv)
+    result = run_solve(sf.laurent(), rays=sf.rays, pair=sf.pair, seed=seed)
+    if emit_csv is not None:
+        _emit_diagnostics(emit_csv, result)
+    if output is None:
+        click.echo(solution_file_text(result, sf.variables), nl=False)
+    else:
+        with _writing(output):
+            dump_solution_file(result, output, sf.variables)
+        click.echo(
+            f"wrote {output}: delta={result.delta} "
+            f"delta_plus={result.delta_plus} "
+            f"torus={len(result.on_torus())} "
+            f"boundary={len(result.on_boundary())} "
+            f"max_residual={result.max_residual():.3e}"
+        )
 
 
 @main.command("regpair")
@@ -201,37 +212,31 @@ def cmd_regpair(input_path, pair_flag, fan_flag, verify):
     Without --pair, prints the default pair (sum of the equation
     degrees) and the improved pair (structure-aware, smaller matrices).
     """
-    try:
-        sf = load_system_file(input_path)
-        rays = _parse_fan_flag(fan_flag) if fan_flag else sf.rays
-        system = homogenize(sf.laurent(), rays=rays)
-        if pair_flag or sf.pair:
-            alpha, alpha0 = (_parse_pair_flag(pair_flag) if pair_flag
-                             else sf.pair)
-            pairs = [("user", user_pair(system, alpha, alpha0))]
-        else:
-            pairs = [("default", default_pair(system)),
-                     ("improved", improved_pair(system))]
-        k = system.fan.k
-        click.echo(
-            f"system: {len(sf.equations)} equations, {sf.n} variables; "
-            f"fan: {k} rays; class group rank "
-            f"{system.fan.class_group.free_rank}"
-        )
-        for name, p in pairs:
-            rows, cols = predicted_shape(system, p)
-            line = (f"{name:<8}: alpha={tuple(p.alpha.a)}  "
-                    f"alpha0={tuple(p.alpha0.a)}  "
-                    f"provenance={p.provenance.value}  "
-                    f"shape={rows}x{cols}")
-            if verify:
-                lo, hi = verify_pair(system, p)
-                line += f"  verified={lo == hi}  coranks={(lo, hi)}"
-                if lo == hi:
-                    line += f"  delta_plus={lo}"
-            click.echo(line)
-    except ToricSolveError as exc:
-        _fail(exc)
+    sf = _system_file(input_path, fan_flag, pair_flag)
+    system = homogenize(sf.laurent(), rays=sf.rays)
+    if sf.pair:
+        pairs = [("user", user_pair(system, *sf.pair))]
+    else:
+        pairs = [("default", default_pair(system)),
+                 ("improved", improved_pair(system))]
+    k = system.fan.k
+    click.echo(
+        f"system: {len(sf.equations)} equations, {sf.n} variables; "
+        f"fan: {k} rays; class group rank "
+        f"{system.fan.class_group.free_rank}"
+    )
+    for name, p in pairs:
+        rows, cols = predicted_shape(system, p)
+        line = (f"{name:<8}: alpha={tuple(p.alpha.a)}  "
+                f"alpha0={tuple(p.alpha0.a)}  "
+                f"provenance={p.provenance.value}  "
+                f"shape={rows}x{cols}")
+        if verify:
+            lo, hi = verify_pair(system, p)
+            line += f"  verified={lo == hi}  coranks={(lo, hi)}"
+            if lo == hi:
+                line += f"  delta_plus={lo}"
+        click.echo(line)
 
 
 @main.command("sweep")
@@ -252,56 +257,51 @@ def cmd_sweep(input_path, param, grid_flag, output, seed, pair_flag, fan_flag,
     points carry the failure stage in the status column and the run
     continues.
     """
-    try:
-        # a bad seed would fail every row alike
-        check_options(seed)
-        sf = load_system_file(input_path)
-        if param not in sf.parameter_names():
-            raise InputError(
-                f"parameter not found: no coefficient template uses {param!r}"
-            )
-        values = _parse_grid(grid_flag)
-        rays = _parse_fan_flag(fan_flag) if fan_flag else sf.rays
-        pair = _parse_pair_flag(pair_flag) if pair_flag else sf.pair
-        _prepare_outputs(output, emit_csv)
-        rows = []
-        for index, value in enumerate(values):
-            t0 = time.perf_counter()
-            try:
-                inst = sf.instantiate(param, value)
-                result = run_solve(inst.laurent(), rays=rays, pair=pair, seed=seed)
-            except ToricSolveError as exc:
-                rows.append({
-                    "e": float(value),
-                    "status": exc.stage,
-                    "wall_ms": int(round(1e3 * (time.perf_counter() - t0))),
-                })
-                continue
-            wall_ms = int(round(1e3 * (time.perf_counter() - t0)))
-            per_solution = [max(s.residuals) for s in result.solutions]
+    # a bad seed would fail every row alike
+    check_options(seed)
+    sf = _system_file(input_path, fan_flag, pair_flag)
+    if param not in sf.parameter_names():
+        raise InputError(
+            f"parameter not found: no coefficient template uses {param!r}"
+        )
+    values = _parse_grid(grid_flag)
+    _prepare_outputs(output, emit_csv)
+    rows = []
+    for index, value in enumerate(values):
+        t0 = time.perf_counter()
+        try:
+            inst = sf.instantiate(param, value)
+            result = run_solve(inst.laurent(), rays=sf.rays, pair=sf.pair, seed=seed)
+        except ToricSolveError as exc:
             rows.append({
                 "e": float(value),
-                "max_res": max(per_solution, default=0.0),
-                "mean_res": sum(per_solution) / len(per_solution) if per_solution else 0.0,
-                "min_res": min(per_solution, default=0.0),
-                "max_norm": max((s.norm for s in result.solutions), default=0.0),
-                "delta_plus": result.delta_plus,
-                "status": "ok",
-                "wall_ms": wall_ms,
+                "status": exc.stage,
+                "wall_ms": int(round(1e3 * (time.perf_counter() - t0))),
             })
-            if emit_csv is not None:
-                _emit_diagnostics(emit_csv, result, prefix=f"point_{index:03d}_")
+            continue
+        wall_ms = int(round(1e3 * (time.perf_counter() - t0)))
+        per_solution = [max(s.residuals) for s in result.solutions]
+        rows.append({
+            "e": float(value),
+            "max_res": max(per_solution, default=0.0),
+            "mean_res": sum(per_solution) / len(per_solution) if per_solution else 0.0,
+            "min_res": min(per_solution, default=0.0),
+            "max_norm": max((s.norm for s in result.solutions), default=0.0),
+            "delta_plus": result.delta_plus,
+            "status": "ok",
+            "wall_ms": wall_ms,
+        })
+        if emit_csv is not None:
+            _emit_diagnostics(emit_csv, result, prefix=f"point_{index:03d}_")
 
-        text = "\n".join(sweep_csv_lines(rows)) + "\n"
-        if output is None:
-            click.echo(text, nl=False)
-        else:
-            with _writing(output):
-                output.write_text(text, encoding="utf-8")
-            ok = sum(1 for r in rows if r["status"] == "ok")
-            click.echo(f"wrote {output}: {ok}/{len(rows)} points solved")
-    except ToricSolveError as exc:
-        _fail(exc)
+    text = "\n".join(sweep_csv_lines(rows)) + "\n"
+    if output is None:
+        click.echo(text, nl=False)
+    else:
+        with _writing(output):
+            output.write_text(text, encoding="utf-8")
+        ok = sum(1 for r in rows if r["status"] == "ok")
+        click.echo(f"wrote {output}: {ok}/{len(rows)} points solved")
 
 
 if __name__ == "__main__":

@@ -138,10 +138,6 @@ def _names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-def _template_names(text):
-    return _names(_parse_template(text))
-
-
 # ---------------------------------------------------------------------------
 # system files
 
@@ -157,8 +153,11 @@ class SystemFile:
         rays: explicit ray order for the fan, or None.
         pair: (alpha, alpha0) divisor vectors, or None.
 
-    Each template is parsed once per SystemFile (_parsed), so a sweep
-    evaluates the kept syntax trees row after row.
+    Each distinct template is parsed once, when the SystemFile is made,
+    so a sweep evaluates the kept syntax trees row after row.
+
+    Raises:
+        InputError: a template that does not parse.
     """
 
     __slots__ = ("variables", "equations", "rays", "pair", "_templates")
@@ -169,32 +168,21 @@ class SystemFile:
         self.rays = None if rays is None else tuple(tuple(r) for r in rays)
         self.pair = None if pair is None else (
             tuple(pair[0]), tuple(pair[1]))
-        # template text -> (syntax tree, names it uses), each text parsed once
+        # template text -> (syntax tree, names it uses)
         self._templates = {}
+        for eq in self.equations:
+            for _, coeff in eq:
+                if isinstance(coeff, str) and coeff not in self._templates:
+                    tree = _parse_template(coeff)
+                    self._templates[coeff] = tree, _names(tree)
 
     @property
     def n(self):
         return len(self.variables)
 
-    def _parsed(self):
-        """{template text: (syntax tree, names it uses)} of every
-        unevaluated coefficient in the equations as they stand."""
-        out = {}
-        for eq in self.equations:
-            for _, coeff in eq:
-                if isinstance(coeff, str) and coeff not in out:
-                    if coeff not in self._templates:
-                        tree = _parse_template(coeff)
-                        self._templates[coeff] = tree, _names(tree)
-                    out[coeff] = self._templates[coeff]
-        return out
-
     def parameter_names(self):
         """Names referenced by any unevaluated coefficient template."""
-        names = set()
-        for _, used in self._parsed().values():
-            names |= used
-        return names
+        return set().union(*(used for _, used in self._templates.values()))
 
     def instantiate(self, name, value):
         """Substitute the parameter and return a template-free copy.
@@ -208,13 +196,12 @@ class SystemFile:
                 f"parameter not found: no coefficient template uses {name!r}"
             )
         env = {name: value}
-        templates = self._parsed()
         equations = []
         for eq in self.equations:
             terms = []
             for exp, coeff in eq:
                 if isinstance(coeff, str):
-                    coeff = _eval_tree(templates[coeff][0], coeff, env)
+                    coeff = _eval_tree(self._templates[coeff][0], coeff, env)
                 terms.append((exp, coeff))
             equations.append(terms)
         return SystemFile(self.variables, equations, self.rays, self.pair)
@@ -230,7 +217,7 @@ class SystemFile:
             terms = []
             for j, (exp, coeff) in enumerate(eq, start=1):
                 if isinstance(coeff, str):
-                    names = ", ".join(sorted(_template_names(coeff))) or "?"
+                    names = ", ".join(sorted(self._templates[coeff][1])) or "?"
                     raise InputError(
                         f"equation {i}, term {j}: unresolved parameter "
                         f"({names}) in coefficient {coeff!r}; "
@@ -247,7 +234,6 @@ def _is_int_vector(v):
 
 def _parse_coeff(raw, where):
     if isinstance(raw, str):
-        _template_names(raw)  # validates syntax early
         return raw
     if (isinstance(raw, (list, tuple)) and len(raw) == 2
             and all(is_int(x) or isinstance(x, float) for x in raw)):
@@ -293,7 +279,8 @@ def load_system_file(path):
     Raises:
         InputError: unreadable file, malformed JSON (with line/column),
             wrong format_version, or schema violations, each reported
-            with its equation/term location.
+            with its equation/term location; then a template that does
+            not parse.
     """
     doc = _read_json(path, "system file")
     raw_eqs = doc.get("equations")

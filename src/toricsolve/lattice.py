@@ -282,6 +282,19 @@ def integer_kernel(a):
     return out
 
 
+def _rank_climb(rows, n):
+    """Positions, in order, of the integer `rows` that raise the rank of
+    the rows kept before them; the climb stops once n are kept."""
+    kept, basis = [], []
+    for i, row in enumerate(rows):
+        if len(kept) == n:
+            break
+        if rank_int(basis + [row]) > len(kept):
+            kept.append(i)
+            basis.append(row)
+    return kept
+
+
 def generating_rows(rows, n):
     """Rows among the integer `rows` (in Z^n) that generate the lattice
     of all of them: in row order, each row that raises the rank of the
@@ -292,10 +305,7 @@ def generating_rows(rows, n):
     Returns (kept row positions in kept order, the Smith form (U, D, V)
     of the kept rows in that order, the index), or None below rank n.
     """
-    kept = []
-    for i, row in enumerate(rows):
-        if len(kept) < n and rank_int([rows[j] for j in kept] + [row]) > len(kept):
-            kept.append(i)
+    kept = _rank_climb(rows, n)
     if len(kept) < n:
         return None
     snf = smith_normal_form([rows[j] for j in kept])
@@ -375,17 +385,13 @@ def _hull(pts):
     """
     n = len(pts[0])
 
-    # affine dimension, and the initial simplex: the first points whose
-    # differences from the base point raise the rank
-    init, basis = [0], []
-    for i in range(1, len(pts)):
-        diff = [pts[i][j] - pts[0][j] for j in range(n)]
-        if rank_int(basis + [diff]) > len(basis):
-            init.append(i)
-            basis.append(diff)
-            if len(basis) == n:
-                break
-    dim = len(basis)
+    def diff(i):
+        return [pts[i][j] - pts[0][j] for j in range(n)]
+
+    # affine dimension, and the initial simplex: the base point and the
+    # first points whose differences from it raise the rank
+    init = [0] + [i + 1 for i in _rank_climb(map(diff, range(1, len(pts))), n)]
+    dim = len(init) - 1
 
     if dim == 0:
         return 0, [0], None
@@ -393,7 +399,7 @@ def _hull(pts):
     if dim < n:
         # the pivot coordinates of the differences are an affine injection
         # on the hull: hull the projected points, map the vertices back
-        pivots = _eliminate(basis, n)[0]
+        pivots = _eliminate([diff(i) for i in init[1:]], n)[0]
         coords = [tuple(p[j] for j in pivots) for p in pts]
         order = sorted(range(len(pts)), key=coords.__getitem__)
         sub = _hull([coords[i] for i in order])[1]

@@ -118,11 +118,14 @@ def _check_scaling(system):
     Beyond that spread the rank cut at TOL_RANK sees the small
     coefficients of such an equation, or the columns of the smaller one,
     as rounding, so two coranks that disagree say more about the scaling
-    than about the pair.
+    than about the pair. An equation with no nonzero coefficient is an
+    InputError.
     """
     tops = []
     for i, f in enumerate(system.polys):
         mags = np.abs(f.coeffs[f.coeffs != 0])
+        if not mags.size:
+            raise InputError(f"equation {i} has all coefficients zero")
         # Python floats: a spread beyond the float range is inf, not a warning
         spread = float(mags.max()) / float(mags.min())
         if spread > 1.0 / TOL_RANK:

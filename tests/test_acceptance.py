@@ -200,6 +200,17 @@ def test_equation_scales_apart_are_a_rank_problem(s, big, small):
         solve(scaled_lines(s))
 
 
+def test_identically_zero_equation_is_an_input_error():
+    """A HomogeneousSystem whose second equation has only zero
+    coefficients: the coranks disagree, and the scaling check names the
+    equation instead of failing on an empty reduction."""
+    system = homogenize(scaled_lines(1.0))
+    basis = system.polys[1].basis
+    system.polys[1] = cox.CoxPolynomial(basis, np.zeros(len(basis)))
+    with pytest.raises(InputError, match="^equation 1 has all coefficients zero$"):
+        solve(system)
+
+
 # 5. double pillow: boundary orbits and fixed-basis matrices
 
 

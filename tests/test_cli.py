@@ -355,6 +355,19 @@ def test_equation_scales_apart_exit_4(tmp_path, scale):
     assert "error (rank): equations 0 and 1 have largest coefficient moduli" in res.output
 
 
+@pytest.mark.parametrize("flag, value", [("--fan", "1,0;x"), ("--pair", "1,0")])
+@pytest.mark.parametrize("command", ["solve", "regpair", "sweep"])
+def test_malformed_fan_or_pair_flag_exits_2(tmp_path, command, flag, value):
+    doc, extra = intro_doc(), []
+    if command == "sweep":
+        doc, extra = intro_template_doc(), ["--grid", "0:1:1"]
+    res = run(command, write_file(tmp_path, doc), *extra, flag, value)
+    assert res.exit_code == 2, res.output
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error (input): ")
+    assert "Traceback" not in res.output
+
+
 # every numeric flag outside its range: (flag, value, argument named)
 BAD_FLAGS = [
     ("--seed", "-1", "seed"),

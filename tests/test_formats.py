@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from toricsolve import formats
 from toricsolve.errors import InputError
 from toricsolve.formats import (
     SWEEP_HEADER,
@@ -212,6 +213,26 @@ def test_template_instantiation(tmp_path):
     assert inst.equations[1][2][1] == pytest.approx(3.0)
     inst2 = sf.instantiate("e", 2.0)
     assert inst2.equations[1][2][1] == pytest.approx(4.98)
+
+
+def test_templates_are_parsed_once_when_the_file_is_made(tmp_path, monkeypatch):
+    """One parse per distinct template text while loading, repeats
+    included; the parameter names and three instantiated rows parse none."""
+    doc = as_file_dict(intro_laurent(1.0), rays=INTRO_RAYS)
+    doc["equations"][0]["terms"][2]["coeff"] = "5-2*10**(-e)"
+    doc["equations"][1]["terms"][2]["coeff"] = "5-2*10**(-e)"
+    doc["equations"][1]["terms"][4]["coeff"] = "5*e"
+    parsed = []
+    parse = formats._parse_template
+    monkeypatch.setattr(formats, "_parse_template",
+                        lambda text: parsed.append(text) or parse(text))
+    sf = load_system_file(write_file(tmp_path, doc))
+    assert sorted(parsed) == ["5*e", "5-2*10**(-e)"]
+    parsed.clear()
+    assert sf.parameter_names() == {"e"}
+    for e in (0.0, 1.0, 2.0):
+        sf.instantiate("e", e).laurent()
+    assert parsed == []
 
 
 def test_instantiate_without_parameter(tmp_path):
