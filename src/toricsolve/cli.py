@@ -260,10 +260,7 @@ def cmd_sweep(input_path, param, grid_flag, output, seed, pair_flag, fan_flag,
     # a bad seed would fail every row alike
     check_options(seed)
     sf = _system_file(input_path, fan_flag, pair_flag)
-    if param not in sf.parameter_names():
-        raise InputError(
-            f"parameter not found: no coefficient template uses {param!r}"
-        )
+    sf.check_parameter(param)
     values = _parse_grid(grid_flag)
     _prepare_outputs(output, emit_csv)
     rows = []

@@ -184,17 +184,19 @@ class SystemFile:
         """Names referenced by any unevaluated coefficient template."""
         return set().union(*(used for _, used in self._templates.values()))
 
+    def check_parameter(self, name):
+        """InputError unless some coefficient template uses the parameter."""
+        if name not in self.parameter_names():
+            raise InputError(f"parameter not found: no coefficient template uses {name!r}")
+
     def instantiate(self, name, value):
         """Substitute the parameter and return a template-free copy.
 
         Raises:
-            InputError: no template references the parameter, a template
-                references a different name, or evaluation fails.
+            InputError: no template references the parameter (check_parameter),
+                a template references a different name, or evaluation fails.
         """
-        if name not in self.parameter_names():
-            raise InputError(
-                f"parameter not found: no coefficient template uses {name!r}"
-            )
+        self.check_parameter(name)
         env = {name: value}
         equations = []
         for eq in self.equations:

@@ -508,7 +508,7 @@ class Polytope:
         """
         k = len(a)
         if k == 0:
-            raise ValueError("empty inequality system")
+            raise InputError("empty inequality system")
         offs = int_vector(b, "inequality offsets")
         rows = [int_vector(r, "inequality row") for r in a]
         n = len(rows[0])
@@ -556,7 +556,7 @@ class Polytope:
         if self.is_empty:
             return np.zeros((0, self.n), dtype=np.int64)
         if self.ineqs is None:
-            raise ValueError("lattice point enumeration needs inequality data")
+            raise InputError("lattice point enumeration needs inequality data")
         los, his = self.bounding_box()
         # g.m + c >= 0 with g.m integral is g.m >= ceil(-c)
         thr = [math.ceil(-c) for _, c in self.ineqs]
@@ -591,9 +591,9 @@ class Polytope:
     def minkowski(self, other):
         """Minkowski sum with another polytope in the same ambient space."""
         if self.n != other.n:
-            raise ValueError("ambient dimensions differ")
+            raise InputError("ambient dimensions differ")
         if self.is_empty or other.is_empty:
-            raise ValueError("Minkowski sum with an empty polytope")
+            raise InputError("Minkowski sum with an empty polytope")
         sums = {
             tuple(_canon_num(x + y) for x, y in zip(u, v))
             for u in self.vertices

@@ -1,15 +1,15 @@
 """Coordinate recovery from eigenvalue tables.
 
-Each Schur cluster yields one value per monomial of S_alpha0, the
-evaluation x^b / h0 at the underlying point. Ratios of these values are
-pure torus characters t^{m - m0}, so the point is recovered by solving
-an integer-exponent binomial system: moduli by weighted least squares
-in log space, phases by a Smith normal form solve with root-of-unity
-branch enumeration, then a short multiplicative refinement. Every point
-lies in the orbit of one cone, and one solve on the orbit's character
-lattice serves them all; the torus is the orbit of the empty cone.
-Boundary recovery first reads the cone off a cluster's vanishing
-pattern.
+Each Schur cluster yields one row of the clustering's eigenvalue table,
+one value per monomial of S_alpha0: the evaluation x^b / h0 at the
+underlying point. Ratios of these values are pure torus characters
+t^{m - m0}, so the point is recovered by solving an integer-exponent
+binomial system: moduli by weighted least squares in log space, phases
+by a Smith normal form solve with root-of-unity branch enumeration,
+then a short multiplicative refinement. Every point lies in the orbit
+of one cone, and one solve on the orbit's character lattice serves them
+all; the torus is the orbit of the empty cone. Boundary recovery first
+reads the cone off a cluster's vanishing pattern.
 
 The solve has an integer half and a float half. The integer half, the
 plan, depends only on the difference rows and on which of them are
@@ -63,44 +63,49 @@ _EPS = np.finfo(float).eps
 
 
 class EigenvalueTable:
-    """Cluster-averaged eigenvalues over the monomial basis of alpha0.
+    """Cluster-averaged eigenvalues over the monomial basis of alpha0, one
+    row per cluster of one clustering.
+
+    A 1-D values is the table of one cluster.
 
     Attributes:
         basis: GradedBasis of alpha0 (lattice points m, Cox exponents b).
-        values: complex array, one value per basis monomial.
-        multiplicity: cluster size mu.
-        noise: float array, absolute error estimate per entry.
+        values: complex (clusters x monomials) array, one row per cluster.
+        multiplicity: int array of cluster sizes mu, one per row.
+        noise: absolute error estimate per entry, broadcast to the shape
+            of values; by default NOISE_CUSHION epsilons of the largest
+            modulus of each row.
     """
 
     __slots__ = ("basis", "values", "multiplicity", "noise")
 
     def __init__(self, basis, values, multiplicity=1, noise=None):
-        values = np.array(values, dtype=complex)
-        if values.shape != (len(basis),):
+        values = np.asarray(values, dtype=complex)
+        if values.ndim == 1:
+            values = values[None]
+        if values.ndim != 2 or values.shape[1] != len(basis):
             raise RecoveryError("table length does not match the alpha0 basis")
         self.basis = basis
         self.values = values
-        self.multiplicity = int(multiplicity)
+        # assignment broadcasts one way only, as np.broadcast_to does, at less cost
+        self.multiplicity = np.empty(len(values), dtype=int)
+        self.multiplicity[...] = multiplicity
         if noise is None:
-            top = np.abs(values).max(initial=0.0)
-            noise = np.full(len(values), NOISE_CUSHION * _EPS * top)
-        self.noise = np.asarray(noise, dtype=float)
+            noise = NOISE_CUSHION * _EPS * np.abs(values).max(axis=1, initial=0.0, keepdims=True)
+        self.noise = np.empty(values.shape)
+        self.noise[...] = noise
 
     @classmethod
     def from_clustering(cls, family, clustering):
-        """One table per cluster, row i of clustering.tables for cluster i.
+        """The table of a clustering: clustering.tables, read in place.
 
-        Noise floors use the per-monomial maximum modulus across every
-        cluster, a stand-in for the multiplication matrix norm, computed
-        once for the whole clustering.
+        The noise floor of every row is the per-monomial maximum modulus
+        across every cluster, a stand-in for the multiplication matrix
+        norm, kept as one vector.
         """
         tables = clustering.tables
         noise = NOISE_CUSHION * _EPS * np.abs(tables).max(axis=0)
-        return [cls(family.alpha0_basis, row, mu, noise)
-                for row, mu in zip(tables, clustering.block_sizes)]
-
-    def __len__(self):
-        return len(self.values)
+        return cls(family.alpha0_basis, tables, clustering.block_sizes, noise)
 
 
 class Solution:
@@ -389,15 +394,15 @@ def _orbit_solve(fan, cone, basis, live, values, noise):
     return t, found, cond, z
 
 
-def recover_torus_points(fan, tables):
-    """Recover torus points from many eigenvalue tables in one pass.
+def recover_torus_points(fan, table):
+    """Recover the torus points of every row of an eigenvalue table in one pass.
 
-    The torus is the orbit of the empty cone, and the tables, all on
-    one alpha0 basis, go through one orbit solve, where a table's zero
-    entries are unusable ratios. The integer plans are kept by the fan,
-    one per base point and usable mask, and the float work runs as one
-    stacked pass per branch count. A table whose usable entries do not
-    span gets no plan and is no torus point.
+    The torus is the orbit of the empty cone, and the rows go through
+    one orbit solve, where a row's zero entries are unusable ratios. The
+    integer plans are kept by the fan, one per base point and usable
+    mask, and the float work runs as one stacked pass per branch count.
+    A row whose usable entries do not span gets no plan and is no torus
+    point.
 
     A cluster of multiplicity above one is not a torus point when its
     weighted least squares is conditioned above COND_MAX. Simple torus
@@ -408,45 +413,37 @@ def recover_torus_points(fan, tables):
 
     Args:
         fan: the Fan the system lives on.
-        tables: EigenvalueTables, usually one per cluster.
+        table: EigenvalueTable, usually one row per cluster.
 
     Returns:
-        list aligned with tables: a Solution with on_torus = True, or
-        None where the cluster is not a torus point (its usable ratios
-        are rank-deficient or inconsistent, or it fails the stratum
-        test), or where the rays lift no torus point.
+        list aligned with the rows of the table: a Solution with
+        on_torus = True, or None where the cluster is not a torus point
+        (its usable ratios are rank-deficient or inconsistent, or it
+        fails the stratum test), or where the rays lift no torus point.
 
     Raises:
         SpanError: the exponent differences of the alpha0 basis's
             lattice points cannot determine t, whatever the cluster.
-        RecoveryError: the tables are not all on one basis.
     """
-    if not tables:
-        return []
-    basis = tables[0].basis
-    if any(table.basis is not basis for table in tables):
-        raise RecoveryError("torus recovery takes tables on one alpha0 basis")
-    check_span(basis)
-    t, found, cond, z = _orbit_solve(
-        fan, (), basis, np.ones(len(basis), dtype=bool),
-        np.array([table.values for table in tables]),
-        np.array([table.noise for table in tables]))
+    check_span(table.basis)
+    live = np.ones(len(table.basis), dtype=bool)
+    t, found, cond, z = _orbit_solve(fan, (), table.basis, live, table.values, table.noise)
     if z is None:  # rays that do not span M lift no torus point
-        return [None] * len(tables)
+        return [None] * len(table.values)
     # the stratum test above
-    return [Solution(zg, tg, table.multiplicity, zero_pattern=())
-            if ok and (table.multiplicity == 1 or c <= COND_MAX) else None
-            for table, tg, zg, ok, c in zip(tables, t, z, found, cond)]
+    return [Solution(zg, tg, mu, zero_pattern=())
+            if ok and (mu == 1 or c <= COND_MAX) else None
+            for mu, tg, zg, ok, c in zip(table.multiplicity, t, z, found, cond)]
 
 
 def recover_torus_point(fan, table):
-    """Recover a torus point from one eigenvalue table row.
+    """Recover a torus point from the table of one cluster.
 
-    The one-table case of recover_torus_points.
+    The one-row case of recover_torus_points.
 
     Args:
         fan: the Fan the system lives on.
-        table: EigenvalueTable for the cluster.
+        table: EigenvalueTable of one cluster; its row 0 is read.
 
     Returns:
         Solution with on_torus = True.
@@ -458,18 +455,19 @@ def recover_torus_point(fan, table):
             ratios are rank-deficient or inconsistent, or the cluster
             fails the stratum test.
     """
-    sol = recover_torus_points(fan, [table])[0]
+    sol = recover_torus_points(fan, table)[0]
     if sol is None:
         raise RecoveryError("cluster is not a torus point")
     return sol
 
 
-def recover_boundary_point(fan, table):
-    """Recover a boundary point: vanishing pattern plus an orbit solve.
+def recover_boundary_point(fan, table, g=0):
+    """Recover the boundary point of row g of a table (row 0 for the table
+    of one cluster): vanishing pattern plus an orbit solve.
 
     A Cox coordinate is declared zero when every basis monomial with a
     positive exponent there is below ZERO_TOL relative to the largest
-    table value. The declared rays must span a cone of the fan; the
+    value of the row. The declared rays must span a cone of the fan; the
     remaining values are characters of that cone's orbit torus and go
     through the same binomial solve on the quotient lattice.
 
@@ -480,14 +478,15 @@ def recover_boundary_point(fan, table):
             orbit's character lattice, or the orbit ratios are
             inconsistent.
     """
-    top = np.abs(table.values).max(initial=0.0)
+    values, noise = table.values[g], table.noise[g]
+    top = np.abs(values).max(initial=0.0)
     if top == 0.0:
         raise RecoveryError("empty eigenvalue table")
     thr = ZERO_TOL * top
 
     pts = table.basis.points
     carriers = table.basis.exponents > 0
-    loud = np.abs(table.values) > thr
+    loud = np.abs(values) > thr
     zero_rays = np.flatnonzero(
         carriers.any(axis=0) & ~(carriers & loud[:, None]).any(axis=0)).tolist()
     if not zero_rays:
@@ -516,10 +515,10 @@ def recover_boundary_point(fan, table):
         if rank < len(to_coords):
             raise RecoveryError("alpha0 insufficient on orbit")
         _, found, _, z = _orbit_solve(fan, zero_rays, table.basis, loud,
-                                      table.values[loud][None], table.noise[loud][None])
+                                      values[loud][None], noise[loud][None])
         if not found[0]:
             raise RecoveryError("inconsistent ratios on the boundary orbit")
         if z is None:
             raise RecoveryError("alpha0 insufficient on orbit")
-    return Solution(z[0], None, table.multiplicity, zero_rays,
+    return Solution(z[0], None, table.multiplicity[g], zero_rays,
                     non_simplicial=not simplicial)

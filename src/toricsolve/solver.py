@@ -174,11 +174,11 @@ def solve(system, rays=None, pair=None, seed=0):
     recovery ratio tolerance RATIO_TOL and zero threshold ZERO_TOL (in
     recovery). SolutionSet.tolerances records the values the run used.
 
-    Recovery tries every cluster as a torus point in one pass
-    (recover_torus_points) and sends the clusters that fail there, a
-    multiple cluster whose solve is conditioned above COND_MAX among
-    them, to recover_boundary_point; residuals of all points come from
-    one array pass.
+    Recovery tries every row of the clustering's EigenvalueTable, one
+    per cluster, as a torus point in one pass (recover_torus_points) and
+    sends the rows that fail there, a multiple cluster whose solve is
+    conditioned above COND_MAX among them, to recover_boundary_point;
+    residuals of all points come from one array pass.
 
     Returns:
         SolutionSet. Sum of multiplicities equals the corank delta+.
@@ -256,12 +256,12 @@ def solve(system, rays=None, pair=None, seed=0):
     diagnostics["block_leakage"] = clustering.leakage_by_member
 
     t0 = clock()
-    tables = EigenvalueTable.from_clustering(family, clustering)
+    table = EigenvalueTable.from_clustering(family, clustering)
     # a SpanError indicts alpha0 itself, not one cluster, so it propagates
-    solutions = recover_torus_points(system.fan, tables)
-    for i, table in enumerate(tables):
-        if solutions[i] is None:
-            solutions[i] = recover_boundary_point(system.fan, table)
+    solutions = recover_torus_points(system.fan, table)
+    for g, sol in enumerate(solutions):
+        if sol is None:
+            solutions[g] = recover_boundary_point(system.fan, table, g)
     residuals = system.residuals([sol.z for sol in solutions])
     for sol, res in zip(solutions, residuals):
         sol.residuals = tuple(res)

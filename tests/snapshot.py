@@ -26,8 +26,8 @@ something other than a ToricSolveError.
 compares two snapshots numerically, for changes that move the last
 digits and so cannot be byte-identical. Per workload it prints every
 structural difference of a case (the error type it raised, the count
-of solutions, and the multiplicity, zero pattern and torus or boundary
-route of each) and the largest relative move of a Cox coordinate z
+of solutions, and the multiplicity, zero pattern, torus or boundary
+route and non-simplicial flag of each) and the largest relative move of a Cox coordinate z
 over the points matched between the two sides, each coordinate against
 the larger of its two moduli. The exit status is 1 when any case
 differs structurally.
@@ -125,7 +125,8 @@ def read_snapshot(path):
 
 
 def _route(sol):
-    return sol["multiplicity"], tuple(sol["zero_pattern"]), sol["on_torus"]
+    return (sol["multiplicity"], tuple(sol["zero_pattern"]), sol["on_torus"],
+            sol["non_simplicial"])
 
 
 def _z(sol):
@@ -151,7 +152,8 @@ def compare_case(old, new):
         return [f"{len(olds)} -> {len(news)} solutions"], []
     routes = sorted(map(_route, olds)), sorted(map(_route, news))
     if routes[0] != routes[1]:
-        return [f"routes (multiplicity, zero pattern, on torus) {routes[0]} -> {routes[1]}"], []
+        return [f"routes (multiplicity, zero pattern, on torus, non-simplicial) "
+                f"{routes[0]} -> {routes[1]}"], []
     moves, left = [], list(news)
     for sol in olds:
         same = [cand for cand in left if _route(cand) == _route(sol)]

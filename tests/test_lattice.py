@@ -630,6 +630,21 @@ def test_from_inequalities_empty():
     assert p.relint_lattice_points() == []
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Polytope.from_inequalities([], []), "empty inequality system"),
+    (lambda: Polytope(2, 0, [(0, 0)], None).lattice_points(),
+     "lattice point enumeration needs inequality data"),
+    (lambda: Polytope.from_points([(0,), (1,)]).minkowski(Polytope.from_points([(0, 0)])),
+     "ambient dimensions differ"),
+    (lambda: Polytope.from_points([(0, 0)]).minkowski(
+        Polytope.from_inequalities([(1, 0), (-1, 0)], [0, -5])),
+     "Minkowski sum with an empty polytope"),
+], ids=["no inequalities", "no inequality data", "ambient dimensions", "empty summand"])
+def test_polytope_misuse_is_an_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 def test_lattice_points_int64_guard():
     # a two-point segment far out: exact while the row values fit in int64
     near = Polytope.from_inequalities([(1,), (-1,)], [-(2**61), 2**61 + 1])

@@ -3,7 +3,9 @@
 import cmath
 import math
 import tracemalloc
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from toricsolve.cox import graded_basis, homogenize
 from toricsolve.errors import ClusteringError, InputError, RecoveryError, SpanError
+from toricsolve.formats import load_system_file
 from toricsolve.lattice import (
     Polytope,
     dot,
@@ -205,16 +208,16 @@ def test_stratum_test_sends_near_boundary_multiple_cluster_to_boundary():
         return EigenvalueTable(basis, values, mu)
 
     # a simple cluster is read as the torus point it is, however close
-    simple = recover_torus_points(fan, [tables(1e-13, 1)])[0]
+    simple = recover_torus_points(fan, tables(1e-13, 1))[0]
     assert abs(simple.z[0] / simple.z[1] - 1e-13) <= 1e-24
     # a double one is not: its weighted least squares is conditioned
     # far above COND_MAX, so it goes on to boundary recovery
     double = tables(1e-13, 2)
-    assert recover_torus_points(fan, [double]) == [None]
+    assert recover_torus_points(fan, double) == [None]
     sol = recover_boundary_point(fan, double)
     assert sol.zero_pattern == frozenset({0}) and sol.multiplicity == 2
     # away from the boundary a double torus point stays one
-    sol = recover_torus_points(fan, [tables(1e-3, 2)])[0]
+    sol = recover_torus_points(fan, tables(1e-3, 2))[0]
     assert sol.on_torus and sol.multiplicity == 2
     assert abs(sol.z[0] / sol.z[1] - 1e-3) <= 1e-14
 
@@ -289,6 +292,12 @@ def test_table_length_mismatch():
     basis = graded_basis(fan, (1, 1, 1, 1))
     with pytest.raises(RecoveryError, match="does not match"):
         EigenvalueTable(basis, [1.0, 2.0])
+    # multiplicity and noise broadcast to the rows of values, never the
+    # other way: one row takes no second multiplicity or noise row
+    with pytest.raises(ValueError, match="broadcast"):
+        EigenvalueTable(basis, [1.0] * 5, multiplicity=(1, 2))
+    with pytest.raises(ValueError, match="broadcast"):
+        EigenvalueTable(basis, [1.0] * 5, noise=np.ones((2, 5)))
 
 
 # --------------------------------------------- per-cluster reference
@@ -366,9 +375,10 @@ def reference_solve_binomials(diffs, ratios, errs, n):
 
 
 def reference_ratio_data(table):
-    """Difference rows, ratios and errors over the nonzero entries."""
+    """Difference rows, ratios and errors over the nonzero entries of the
+    table of one cluster."""
     items = [(m, lam, e) for m, lam, e in
-             zip(table.basis.lattice_points, table.values, table.noise) if abs(lam) > 0.0]
+             zip(table.basis.lattice_points, table.values[0], table.noise[0]) if abs(lam) > 0.0]
     if len(items) < 2:
         raise RecoveryError("cluster is not a torus point")
     # numpy's modulus, as recover_torus_points takes it: Python's abs can
@@ -389,7 +399,7 @@ def reference_recover_torus_point(fan, table):
     t = reference_solve_binomials(*reference_ratio_data(table), fan.n)
     z = [cmath.exp(sum(float(c) * cmath.log(x) for c, x in zip(row, t)))
          for row in fan.ray_inverse]
-    return Solution(z, t, table.multiplicity, zero_pattern=())
+    return Solution(z, t, table.multiplicity[0], zero_pattern=())
 
 
 def reference_or_none(fan, table):
@@ -412,6 +422,20 @@ def usable_index(table):
     return sublattice_index_reference(rows, len(diffs[0])) if rows else 0
 
 
+def cluster_table(table, g):
+    """Row g of a table, as the table of that one cluster."""
+    return EigenvalueTable(table.basis, table.values[g], table.multiplicity[g], table.noise[g])
+
+
+def batch_table(basis, rows, given):
+    """One table over basis, a row per entry of rows; the noise of row g is
+    given[g] where given has it, and the row's default floor elsewhere."""
+    noise = np.array(EigenvalueTable(basis, rows).noise)
+    for g, row_noise in given.items():
+        noise[g] = row_noise
+    return EigenvalueTable(basis, rows, noise=noise)
+
+
 def close(a, b, rel=1e-12):
     a, b = np.asarray(a), np.asarray(b)
     return bool(np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b))))
@@ -424,11 +448,11 @@ BATCH_POOL = FAN_POOL + [(p2_fan(), (2, 0, 0))]
 
 @st.composite
 def planted_batch(draw):
-    """Tables over one basis: planted torus points with random scales,
-    some entries zeroed, some made unusable by their noise, and some
-    tables spoiled so that no torus point fits. In half the batches
-    every table has the same zero entries, so one zero pattern holds
-    tables with different base points, usable rows and selections."""
+    """One table, a row per cluster: planted torus points with random
+    scales, some entries zeroed, some made unusable by their noise, and
+    some rows spoiled so that no torus point fits. In half the batches
+    every row has the same zero entries, so one zero pattern holds rows
+    with different base points, usable rows and selections."""
     fan, alpha0 = BATCH_POOL[draw(st.integers(0, len(BATCH_POOL) - 1))]
     if alpha0 is None:
         alpha0 = divisor_of_polytope(
@@ -438,8 +462,8 @@ def planted_batch(draw):
     size = len(basis)
     shared = draw(st.one_of(
         st.none(), st.lists(st.integers(0, size - 1), max_size=max(0, size - 3))))
-    tables = []
-    for _ in range(draw(st.integers(1, 6))):
+    rows, given = [], {}
+    for g in range(draw(st.integers(1, 6))):
         t = [cmath.rect(draw(st.floats(0.2, 5.0)), draw(st.floats(-math.pi, math.pi)))
              for _ in range(fan.n)]
         scale = cmath.rect(draw(st.floats(0.1, 10.0)), draw(st.floats(-math.pi, math.pi)))
@@ -449,17 +473,16 @@ def planted_batch(draw):
         if zeros is None:
             zeros = draw(st.lists(st.integers(0, size - 1), max_size=size - 1))
         values[zeros] = 0.0
-        noise = None
         loud = draw(st.lists(st.integers(0, size - 1), max_size=2))
         if loud:
-            noise = np.full(size, 1e-14 * np.abs(values).max())
-            noise[loud] = np.abs(values[loud])
+            given[g] = np.full(size, 1e-14 * np.abs(values).max())
+            given[g][loud] = np.abs(values[loud])
         spoil = draw(st.sampled_from([None, "scale", "conjugate"]))
         if spoil:
             j = draw(st.integers(0, size - 1))
             values[j] = 3.0 * values[j] if spoil == "scale" else np.conj(values[j])
-        tables.append(EigenvalueTable(basis, values, noise=noise))
-    return fan, tables
+        rows.append(values)
+    return fan, batch_table(basis, rows, given)
 
 
 def torus_point_of(fan, z):
@@ -467,26 +490,24 @@ def torus_point_of(fan, z):
     return np.prod(np.asarray(z)[:, None] ** np.array(fan.rays), axis=0)
 
 
-# --hypothesis-seed=17: one table on the pillow where the batched and the
+# --hypothesis-seed=17: one row on the pillow where the batched and the
 # per-cluster lift of the same t differ by the sign of z_1 and z_2, two
 # elements of the finite group that fixes the point
-SEED17_BATCH = (FAN_POOL[0][0], [EigenvalueTable(
+SEED17_BATCH = (FAN_POOL[0][0], EigenvalueTable(
     graded_basis(FAN_POOL[0][0], (1, 1, 1, 1)),
     [0j, 0j, 1.261799724648646 + 5.076246654483916j,
      -1.259335272061441 - 5.0663321102368775j,
-     -3.6358251171155955 - 3.760477943032497j])])
+     -3.6358251171155955 - 3.760477943032497j]))
 
 
-# P^2 at 2H: the two accurate rows of the third table, (-2, 2) and
-# (-1, 1), are parallel, so the other direction of t rests on the row
-# (-2, 1) alone, whose error is 1/3; the weighted solve is ill-conditioned
-# there, and the batched and the per-cluster t differ by 1e-6
+# P^2 at 2H: the two accurate difference rows of the third cluster,
+# (-2, 2) and (-1, 1), are parallel, so the other direction of t rests on
+# the row (-2, 1) alone, whose error is 1/3; the weighted solve is
+# ill-conditioned there, and the batched and the per-cluster t differ by 1e-6
 P2_2H = graded_basis(p2_fan(), (2, 0, 0))
-PARALLEL_BATCH = (p2_fan(), [
-    EigenvalueTable(P2_2H, [0, 1, 1, 0, 1, 1]),
-    EigenvalueTable(P2_2H, [0, 1, 1, 0, 1, 1]),
-    EigenvalueTable(P2_2H, [0, 0.75, 0.25, 0, 0.5, 1],
-                    noise=[1e-14, 0.25, 1e-14, 1e-14, 1e-14, 1e-14])])
+PARALLEL_BATCH = (p2_fan(), batch_table(
+    P2_2H, [[0, 1, 1, 0, 1, 1], [0, 1, 1, 0, 1, 1], [0, 0.75, 0.25, 0, 0.5, 1]],
+    {2: [1e-14, 0.25, 1e-14, 1e-14, 1e-14, 1e-14]}))
 
 
 @settings(max_examples=150, deadline=None)
@@ -494,12 +515,13 @@ PARALLEL_BATCH = (p2_fan(), [
 @example(batch=SEED17_BATCH)
 @example(batch=PARALLEL_BATCH)
 def test_batched_recovery_matches_per_cluster_reference(batch):
-    fan, tables = batch
-    got = recover_torus_points(fan, tables)
-    assert len(got) == len(tables)
-    for table, sol in zip(tables, got):
+    fan, batched = batch
+    got = recover_torus_points(fan, batched)
+    assert len(got) == len(batched.values)
+    for g, sol in enumerate(got):
+        table = cluster_table(batched, g)
         want = reference_or_none(fan, table)
-        # the same tables fail, and recover_torus_point fails on them too
+        # the same rows fail, and recover_torus_point fails on them too
         assert (sol is None) == (want is None)
         if sol is None:
             with pytest.raises(RecoveryError, match="not a torus point"):
@@ -535,30 +557,29 @@ def test_batched_recovery_mixes_base_points_and_sublattices():
     # (0,0), (2,0), (0,2), whose differences span a sublattice of index 4
     fan = p2_fan()
     basis = graded_basis(fan, (2, 0, 0))
-    tables = []
-    for t in [(2.0, 0.5j), (0.3, -1.5), (1.0 + 1j, 3.0), (-0.7, 0.4 - 0.2j)]:
-        values = np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
-        tables.append(EigenvalueTable(basis, values))
-    sparse = tables[0].values.copy()
+    rows = [np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
+            for t in [(2.0, 0.5j), (0.3, -1.5), (1.0 + 1j, 3.0), (-0.7, 0.4 - 0.2j)]]
+    sparse = rows[0].copy()
     sparse[[1, 3, 4]] = 0.0
-    tables.append(EigenvalueTable(basis, sparse))
+    rows.append(sparse)
     # a greedy trap: on the rows (2,0), (1,0), (0,1) in this order, (1,0)
     # adds no rank on the climb and (0,1) closes a sublattice of index 2;
     # (1,0), tried again at rank 2, shrinks it to 1, so one branch is left
     t = (0.5, 0.4)
     values = np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
     values[[2, 4]] = 0.0
-    noise = np.array([1e-16, 1e-8, 0.0, 1e-9, 0.0, 1e-16])
-    tables.append(EigenvalueTable(basis, values, noise=noise))
+    rows.append(values)
+    table = batch_table(basis, rows, {5: [1e-16, 1e-8, 0.0, 1e-9, 0.0, 1e-16]})
     assert len(_branch_plan(np.array([(2, 0), (1, 0), (0, 1)]), 2)[4]) == 1
-    bases = {int(np.argmax(np.abs(tab.values))) for tab in tables}
+    bases = {int(np.argmax(np.abs(row))) for row in table.values}
     assert len(bases) >= 3
-    got = recover_torus_points(fan, tables)
-    for table, sol in zip(tables[:4] + tables[5:], got[:4] + got[5:]):
-        want = reference_recover_torus_point(fan, table)
+    got = recover_torus_points(fan, table)
+    tables = [cluster_table(table, g) for g in range(len(got))]
+    for tab, sol in zip(tables[:4] + tables[5:], got[:4] + got[5:]):
+        want = reference_recover_torus_point(fan, tab)
         assert close(sol.t, want.t) and close(sol.z, want.z)
     assert usable_index(tables[5]) == 1 and close(got[5].t, t)
-    # the sparse table fixes t only up to signs: t^(2,0), t^(0,2) agree
+    # the sparse row fixes t only up to signs: t^(2,0), t^(0,2) agree
     assert usable_index(tables[4]) == 4
     want = reference_recover_torus_point(fan, tables[4])
     for d in [(2, 0), (0, 2)]:
@@ -600,39 +621,40 @@ def _usable_plan(table):
     without zero entries; the plan walks the usable rows in basis order."""
     diffs, _, errs = reference_ratio_data(table)
     usable = [d for d, e in zip(diffs, errs) if e < USABLE_ERR]
-    base = int(np.argmax(np.abs(table.values)))
+    base = int(np.argmax(np.abs(table.values[0])))
     return base, len(usable), len(_branch_plan(np.array(usable), 2)[0])
 
 
 def test_batched_recovery_one_zero_pattern_mixes_plans():
-    # P^2, alpha0 = 2H, no zero entries: one zero pattern whose tables
+    # P^2, alpha0 = 2H, no zero entries: one zero pattern whose rows
     # differ in base point, in usable-row count and in selected-row count
     fan = p2_fan()
     basis = graded_basis(fan, (2, 0, 0))
-
-    def table(t, errors=None):
-        values = np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
-        noise = None if errors is None else np.array(errors) * np.abs(values)
-        return EigenvalueTable(basis, values, noise=noise)
-
     # points in lex order: (0,0), (0,1), (0,2), (1,0), (1,1), (2,0)
-    tables = [
-        table((2.0, 0.5j)),  # base (2,0)
-        table((0.3, -1.5)),  # base (0,2)
-        table((1.5 - 0.5j, 0.4)),  # base (2,0) again
+    points = [
+        (2.0, 0.5j),  # base (2,0)
+        (0.3, -1.5),  # base (0,2)
+        (1.5 - 0.5j, 0.4),  # base (2,0) again
         # base (2,0), the (1,1) row unusable; the rows to (0,0) and (0,1)
         # close a sublattice of index 2 and the row to (1,0) shrinks it to
         # 1, so three rows are selected
-        table((2.0, 0.7 + 0.2j), [1e-16, 1e-16, 1e-16, 1e-16, 1.0, 1e-16]),
+        (2.0, 0.7 + 0.2j),
         # base (0,0); the rows (0,1) and (0,2) are parallel and (1,0) closes
         # index 1, so two rows are selected
-        table((0.5, 0.4), [1e-17, 1e-15, 1e-13, 1e-14, 1e-13, 1e-16]),
+        (0.5, 0.4),
     ]
+    rows = [np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
+            for t in points]
+    errors = {3: [1e-16, 1e-16, 1e-16, 1e-16, 1.0, 1e-16],
+              4: [1e-17, 1e-15, 1e-13, 1e-14, 1e-13, 1e-16]}
+    table = batch_table(basis, rows, {g: np.array(e) * np.abs(rows[g])
+                                      for g, e in errors.items()})
+    tables = [cluster_table(table, g) for g in range(len(rows))]
     plans = [_usable_plan(tab) for tab in tables]
     assert len({base for base, _, _ in plans}) == 3
     assert {r for _, r, _ in plans} == {4, 5}
     assert {s for _, _, s in plans} == {2, 3}
-    got = recover_torus_points(fan, tables)
+    got = recover_torus_points(fan, table)
     for tab, sol in zip(tables, got):
         want = reference_recover_torus_point(fan, tab)
         assert usable_index(tab) == 1
@@ -657,7 +679,7 @@ def test_batched_recovery_either_row_order(order):
         i = basis.lattice_points.index((base[0] + d[0], base[1] + d[1]))
         values[i] = t[0] ** d[0] * t[1] ** d[1]
         noise[i] = err * abs(values[i])
-    got = recover_torus_points(fan, [EigenvalueTable(basis, values, noise=noise)])[0]
+    got = recover_torus_points(fan, EigenvalueTable(basis, values, noise=noise))[0]
     assert close(got.t, t, rel=1e-10)
     rows = np.array(order)
     assert len(_branch_plan(rows, 2)[4]) == len(_branch_plan(rows[::-1], 2)[4]) == 1
@@ -665,18 +687,18 @@ def test_batched_recovery_either_row_order(order):
 
 def test_batched_recovery_thin_basis_is_a_span_error():
     fan = hirzebruch_fan()
-    thin = EigenvalueTable(graded_basis(fan, (0, 0, 0, 1)), [1.0, 2.0])
+    thin = EigenvalueTable(graded_basis(fan, (0, 0, 0, 1)), [[1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(SpanError):
-        recover_torus_points(fan, [thin, thin])
+        recover_torus_points(fan, thin)
 
 
-def test_batched_recovery_takes_one_basis():
-    fan = hirzebruch_fan()
-    good = planted_table(fan, (0, 0, 1, 2), (2.0, 3.0))
-    thin = EigenvalueTable(graded_basis(fan, (0, 0, 0, 1)), [1.0, 2.0])
-    for tables in ([good, thin], [thin, good]):
-        with pytest.raises(RecoveryError, match="one alpha0 basis"):
-            recover_torus_points(fan, tables)
+def test_batched_recovery_of_no_rows():
+    # a table of no clusters goes through the one orbit solve all the same
+    fan = p2_fan()
+    basis = graded_basis(fan, (2, 0, 0))
+    table = EigenvalueTable(basis, np.zeros((0, len(basis))))
+    assert table.noise.shape == (0, len(basis)) and table.multiplicity.shape == (0,)
+    assert recover_torus_points(fan, table) == []
 
 
 def test_cold_recovery_keeps_no_rows_per_base_point():
@@ -691,7 +713,7 @@ def test_cold_recovery_keeps_no_rows_per_base_point():
     table = EigenvalueTable(basis, values)
     tracemalloc.start()
     try:
-        got = recover_torus_points(fan, [table])[0]
+        got = recover_torus_points(fan, table)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -707,7 +729,7 @@ def test_overflowing_start_fails_verification():
     basis = graded_basis(fan, (0, 0, 1))
     values = [1.0 if m == (1, 0) else 1e-320 for m in basis.lattice_points]
     table = EigenvalueTable(basis, values, noise=np.zeros(len(basis)))
-    assert recover_torus_points(fan, [table]) == [None]
+    assert recover_torus_points(fan, table) == [None]
 
 
 @pytest.mark.parametrize("values, noise", [
@@ -719,10 +741,36 @@ def test_overflowing_start_fails_verification():
 def test_entries_far_below_the_largest_are_unusable(values, noise):
     fan = p2_fan()
     table = EigenvalueTable(graded_basis(fan, (0, 0, 1)), values, noise=noise)
-    assert recover_torus_points(fan, [table]) == [None]
+    assert recover_torus_points(fan, table) == [None]
 
 
 # end-to-end solves
+
+
+def test_solve_makes_one_table_and_one_boundary_call_per_boundary_point(monkeypatch):
+    """The recovery entry points that the benchmark's tracer times stay on
+    the solve path: one table read in place off the clustering, one torus
+    pass and one boundary call for each of the pillow's 2 boundary points."""
+    calls, made = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = fn(*args, **kwargs)
+            made.append((args, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(EigenvalueTable, "from_clustering", classmethod(
+        counted("table", EigenvalueTable.from_clustering.__func__)))
+    for name in ("recover_torus_points", "recover_boundary_point"):
+        monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
+    sf = load_system_file(Path(__file__).parent / "data" / "pillow_seed1.system.json")
+    result = solve(sf.laurent(), rays=sf.rays, pair=sf.pair, seed=1)
+    assert sum(not sol.on_torus for sol in result.solutions) == 2
+    assert calls == {"table": 1, "recover_torus_points": 1, "recover_boundary_point": 2}
+    (_, _, clustering), table = made[0]
+    assert table.values is clustering.tables
 
 
 def test_solve_intro_eps_one_roots():

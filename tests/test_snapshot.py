@@ -13,7 +13,7 @@ SNAPSHOT = Path(__file__).with_name("snapshot.py")
 
 def point(z, multiplicity=1, zero_pattern=(), on_torus=True):
     return {"multiplicity": multiplicity, "zero_pattern": list(zero_pattern),
-            "on_torus": on_torus, "z": [[x, 0.0] for x in z]}
+            "on_torus": on_torus, "non_simplicial": False, "z": [[x, 0.0] for x in z]}
 
 
 OLD = {
@@ -63,14 +63,16 @@ def test_moved_z_is_reported_and_passes(tmp_path):
 
 @pytest.mark.parametrize("change, report", [
     (lambda new: new["lines27 11/0"]["solutions"][1].update(multiplicity=1),
-     "lines27 11/0: routes (multiplicity, zero pattern, on torus)"),
+     "lines27 11/0: routes (multiplicity, zero pattern, on torus, non-simplicial)"),
+    (lambda new: new["lines27 11/0"]["solutions"][1].update(non_simplicial=True),
+     "lines27 11/0: routes (multiplicity, zero pattern, on torus, non-simplicial)"),
     (lambda new: new["lines27 11/0"]["solutions"].pop(),
      "lines27 11/0: 2 -> 1 solutions"),
     (lambda new: new["lines27 11/1"].update(raised="RecoveryError"),
      "lines27 11/1: raised ClusteringError -> RecoveryError"),
     (lambda new: new.update({"lines27 11/1": OLD["dense P^2 degree 8"]}),
      "lines27 11/1: raised ClusteringError -> None"),
-], ids=["route", "count", "raised type", "raised to solved"])
+], ids=["route", "non_simplicial", "count", "raised type", "raised to solved"])
 def test_structural_difference_fails(tmp_path, change, report):
     new = copy.deepcopy(OLD)
     change(new)
