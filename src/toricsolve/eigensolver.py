@@ -49,6 +49,9 @@ GAP_RATIO = 1e3
 # multiple cluster (recovery's stratum test), and extra h_0 draws allowed
 COND_MAX = 1e8
 RETRIES_MAX = 3
+# the condition of the restricted N_{h_0} at which a draw is taken
+# without trying the next
+H0_COND_TARGET = 1e5
 # relative eigenvalue grouping threshold the clustering starts at, and
 # the largest relative below-block-diagonal norm a clustering may leave
 CLUSTER_GAP = 1e-4
@@ -195,11 +198,19 @@ class CokernelMap:
         R: square triangular factor of a pivoted QR of Res (of Res^H when
             Res is wide), cut on its |diagonal|. On a staircase of more
             than one level it is assembled from one QR per level, and its
-            |diagonal| is not monotone across the level bounds. None on
-            the map of a block whose cut was certified inside the
-            staircase of the Res above it.
+            |diagonal| is not monotone across the level bounds. On a wide
+            Res reduced by its block it is the factor of the QR of B^H,
+            B the smaller matrix whose cokernel lifts to that of Res; its
+            cut is rank(Res) minus the block's rank. On the map of a
+            block factored by one QR of its adjoint it is that QR's
+            triangle, a trapezoid when the block is tall. None on the map
+            of a block whose cut was certified inside the staircase of
+            the Res above it.
         rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
-            of Res at its rank r, the exact pair when the SVD decided.
+            of Res at its rank r, the exact pair when the SVD decided. On
+            a reduced Res, the pair the cuts of B and of the block
+            certify together, which may be far weaker than the QR of all
+            of Res would give.
         res: the ResMatrix this was computed from.
         block: the corank-only CokernelMap of the block passed to
             cokernel (Res one alpha0 below), None without one.
@@ -218,7 +229,8 @@ class CokernelMap:
 
     @property
     def singular_values(self):
-        """Singular values of Res, from R on first read (diagnostics)."""
+        """Singular values of R on first read (diagnostics): those of Res,
+        or of B on a reduced Res."""
         if self._s is None:
             self._s = np.linalg.svd(self.R, compute_uv=False)
         return self._s
@@ -399,16 +411,33 @@ def _chain(res, step, shift):
     return order, takes, bounds
 
 
+def _cut(res, block, shift):
+    """The reduction of a wide res by block: (I, rest, K), I the rows of
+    x^b0 S_alpha in res, in the order of block's rows, rest the other
+    rows, and K the columns outside x^b0 times block's columns J; res[I,
+    J] is block, and res[rest, J] is zero. None when K or J is empty."""
+    rows = res.rows.rows(block.rows.points + shift)
+    starts = np.cumsum([0] + res.block_widths())
+    cols = np.concatenate([start + top.rows(low.points + shift) for start, (_, top), (_, low)
+                           in zip(starts, res.col_blocks, block.col_blocks)])
+    if not 0 < len(cols) < res.shape[1]:
+        return None
+    rest = np.setdiff1d(np.arange(res.shape[0]), rows, assume_unique=True)
+    return rows, rest, np.setdiff1d(np.arange(res.shape[1]), cols, assume_unique=True)
+
+
 def _staircase_plan(res, block):
     """(plan of res, plan of block), kept by the fan per row and column
     bases of res and block (the bases the fan keeps, so a repeat call
     builds no key of degrees).
 
-    block is Res one degree alpha0 below res. The plan of res is _chain's
-    down by alpha0 when res is tall, else None. When it has more than one
-    level, its second level is block, whose corank the staircase
-    certifies on the way. The plan of block is needed, and made, only
-    when block is tall and is no level of res's staircase.
+    block is Res one degree alpha0 below res. The plan of a tall res is
+    _chain's down by alpha0; when it has more than one level, its second
+    level is block, whose corank the staircase certifies on the way. The
+    plan of a wide res is its reduction by block (_cut), or None; block's
+    cokernel then comes from one QR of its adjoint (_reduced). The plan
+    of block is needed, and made, only when block is tall and res has
+    neither a staircase of more than one level nor a reduction.
 
     Raises:
         InputError: alpha0 has no sections, or block is not Res at the
@@ -425,10 +454,13 @@ def _staircase_plan(res, block):
                 != [(b.degree - step).a for _, b in res.col_blocks]):
             raise InputError("the block is not Res at a degree below this one")
         shift = between.points[0]
-        top = _chain(res, step, shift) if _tall(res.shape) else None
-        low = None
-        if (top is None or len(top[2]) == 1) and _tall(block.shape):
-            low = _chain(block, step, shift)
+        if _tall(res.shape):
+            top = _chain(res, step, shift)
+            alone = len(top[2]) == 1
+        else:
+            top = _cut(res, block, shift)
+            alone = top is None
+        low = _chain(block, step, shift) if alone and _tall(block.shape) else None
         return top, low
     return fan.kept(key, build)
 
@@ -495,6 +527,37 @@ def _staircase(A, plan, block=None):
         r0, m0, n0 = r0 + k, m1, n1
 
 
+def _fro(x):
+    """Frobenius norm of x, scaled against overflow (BLAS nrm2)."""
+    return float(scipy.linalg.blas.dznrm2(x.reshape(-1))) if x.size else 0.0
+
+
+def _adjoint_qr(A, reveal):
+    """One column-pivoted QR of A^H: (R, jpvt, rank, rank_bounds) of A.
+
+    R is the triangle of the leading rows, square when A is wide and a
+    trapezoid when A is tall; _qr_rank certifies the cut on it.
+    """
+    qr, jpvt, _ = _geqp3(A.conj().T)
+    R = np.triu(qr[:min(qr.shape)])
+    rank, bounds, _ = _qr_rank(R, reveal)
+    return R, jpvt, rank, bounds
+
+
+def _null_rows(R, jpvt, rank):
+    """Orthonormal rows spanning the left null space of A, from the QR
+    of A^H (_adjoint_qr): P times the null space of [R11 R12], spanned by
+    [-R11^-1 R12; I], so R22 is taken as zero."""
+    n = len(jpvt)
+    null = np.vstack([
+        scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
+        np.eye(n - rank),
+    ])
+    basis = np.empty((n, n - rank), dtype=complex)
+    basis[jpvt - 1] = np.linalg.qr(null)[0]
+    return basis.conj().T
+
+
 def _cokernel(res, corank_only, plan, block=None):
     """cokernel of res, on the staircase plan when res is tall; the
     block's map is certified on the way when block is its second level."""
@@ -504,18 +567,9 @@ def _cokernel(res, corank_only, plan, block=None):
         N = None if corank_only else np.eye(nrows, dtype=complex)
         return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res)
     if nrows < ncols:
-        qr, jpvt, _ = _geqp3(A.conj().T)
-        R = np.triu(qr[:nrows])
-        rank, bounds, _ = _qr_rank(R, not corank_only)
-        if corank_only:
-            return CokernelMap(None, nrows - rank, R, bounds, res)
-        null = np.vstack([
-            scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
-            np.eye(nrows - rank),
-        ])
-        basis = np.empty((nrows, nrows - rank), dtype=complex)
-        basis[jpvt - 1] = np.linalg.qr(null)[0]
-        return CokernelMap(basis.conj().T, nrows - rank, R, bounds, res)
+        R, jpvt, rank, bounds = _adjoint_qr(A, not corank_only)
+        N = None if corank_only else _null_rows(R, jpvt, rank)
+        return CokernelMap(N, nrows - rank, R, bounds, res)
 
     R, levels, below, lead = _staircase(A, plan, block)
     try:
@@ -538,6 +592,99 @@ def _cokernel(res, corank_only, plan, block=None):
     return CokernelMap(N, nrows - rank, R, bounds, res, below)
 
 
+def _coupling(R, jpvt, rank, X):
+    """||Z||_F, Z = R11^-H V with V the least-squares solution of
+    P [I; L] V = X, L^H = R11^-1 R12, from the QR of block^H (_adjoint_qr)
+    and X = res[I, K]: the coupling C1^-1 X of _reduced."""
+    Lh = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
+    T = X[jpvt - 1]
+    V = T[:rank] + Lh @ T[rank:]
+    # (I + L^H L)^-1 by Woodbury, through the small I + L L^H
+    gram = np.eye(Lh.shape[1]) + Lh.conj().T @ Lh
+    V -= Lh @ np.linalg.solve(gram, Lh.conj().T @ V)
+    return _fro(scipy.linalg.solve_triangular(R[:rank, :rank], V, trans="C"))
+
+
+def _reduce(res, corank_only, cut, low):
+    """The map of a wide res from the cokernel of B, or None when B's
+    cut raises or the top cut is not certified (_reduced); low is the
+    _adjoint_qr of the block."""
+    I, rest, K = cut
+    R_lo, jpvt_lo, r_lo, (lower_lo, _) = low
+    scale = float(abs(R_lo[0, 0]))
+    weyl_lo = _fro(R_lo[r_lo:, r_lo:])
+    if not (scale > 0.0 and lower_lo > 2 * weyl_lo and len(I) - r_lo + len(rest)):
+        return None
+    N_lo = _null_rows(R_lo, jpvt_lo, r_lo)
+    A = res.matrix
+    IK = A[np.ix_(I, K)]
+    NK = N_lo @ IK
+    B = np.vstack([NK, A[np.ix_(rest, K)]])
+    try:
+        R, jpvt, rank, (lower_b, upper_b) = _adjoint_qr(B, not corank_only)
+    except RankAmbiguousError:
+        return None
+    # in units of the block's |r_11|; Python floats, so a product beyond
+    # the float range is inf, not a warning
+    a = scale / (lower_lo - 2 * weyl_lo)
+    c = scale / lower_b
+    upper = (upper_b + weyl_lo) / scale
+    if not 10 * upper <= TOL_RANK * max(1.0, abs(R[0, 0]) / scale):
+        return None
+    floor = max(10 * TOL_RANK * _fro(A) / scale, 1e3 * GAP_RATIO * upper)
+
+    def lower(coupling):
+        kc = coupling * c
+        return 1.0 / (a * a + c * c + kc * kc) ** 0.5 - upper
+
+    t, p = _fro(IK) / scale, _fro(NK) / scale
+    bound = lower(a * max(t * t - p * p, 0.0) ** 0.5)
+    if not bound > floor:
+        bound = lower(_coupling(R_lo, jpvt_lo, r_lo, IK))
+        if not bound > floor:
+            return None
+    N = None
+    if not corank_only:
+        C = _null_rows(R, jpvt, rank)
+        N = np.empty((len(C), A.shape[0]), dtype=complex)
+        N[:, I] = C[:, :len(N_lo)] @ N_lo
+        N[:, rest] = C[:, len(N_lo):]
+    return CokernelMap(N, len(B) - rank, R, (bound * scale, upper * scale), res)
+
+
+def _reduced(res, corank_only, block, cut):
+    """cokernel of a wide res with its block, by the cokernel of B.
+
+    Rows I of res hold block in the columns J, which vanish off I; K are
+    the other columns (_cut). Let N_lo be block's cokernel, R-based from
+    one geqp3 of its adjoint, block^H P = Q R, and B = [N_lo res[I, K];
+    res[rest, K]]. A left null vector y of res has y_I in the cokernel of
+    block, so the cokernel of res is that of B, lifted back: y[I] = c_I
+    N_lo, y[rest] = c_rest. Orthonormal rows c give orthonormal rows y.
+
+    The cut at the top is r_lo + rank(B). Turning the rows I by a unitary
+    [N_perp; N_lo] and the columns J by Q makes res [[C1, X], [0, B]]
+    plus columns of norm at most u_lo = ||R22||_F of block's QR, with C1
+    = N_perp P [I; L] R11^H square (L^H = R11^-1 R12) and X = N_perp
+    res[I, K]. So sigma_{r+1}(res) <= u_B + u_lo, and a {1}-inverse of
+    [[C1, X], [0, B_r]] gives sigma_r(res) >= 1 / sqrt(a^2 + c^2 + (k
+    c)^2) - u_B - u_lo. Here 1 / a = sigma_{r_lo}(block) - 2 u_lo <=
+    sigma_min(C1), c and u_B are the bounds at B's cut, and k >=
+    ||C1^-1 X||: first a ||X||_F, ||X||_F^2 = ||res[I, K]||_F^2 -
+    ||N_lo res[I, K]||_F^2, and when that product of norms misses the
+    margins of _qr_rank, ||C1^-1 X||_F itself (_coupling). When that
+    misses too, or B's cut raises, one QR of res^H runs instead.
+    """
+    low = _adjoint_qr(block.matrix, False)
+    R_lo, _, r_lo, bounds_lo = low
+    below = CokernelMap(None, block.shape[0] - r_lo, R_lo, bounds_lo, block)
+    cok = _reduce(res, corank_only, cut, low)
+    if cok is None:
+        cok = _cokernel(res, corank_only, None)
+    cok.block = below
+    return cok
+
+
 def cokernel(res, corank_only=False, block=None):
     """Compute the cokernel of Res with a certified rank decision.
 
@@ -546,8 +693,8 @@ def cokernel(res, corank_only=False, block=None):
     columns exposes its structural cokernel too.
 
     Every path makes a column-pivoted QR (LAPACK geqp3) of the tall
-    orientation B of Res: Res itself when it has at least as many rows as
-    columns, Res^H otherwise. B P = Q R, so the square triangular factor
+    orientation T of Res: Res itself when it has at least as many rows as
+    columns, Res^H otherwise. T P = Q R, so the square triangular factor
     R has the singular values of Res. _qr_rank certifies the cut on
     |diag R| from R; a values-only SVD of R runs only when that fails or
     CokernelMap.singular_values is read. With R11 the leading rank x rank
@@ -557,7 +704,7 @@ def cokernel(res, corank_only=False, block=None):
     - tall Res: the left null space is spanned by the trailing columns
       of Q, the product of the staircase levels' unitaries: LAPACK unmqr
       applies each level's to its own rows of those unit vectors;
-    - wide Res: the left null space is the null space of B, which is P
+    - wide Res: the left null space is the null space of T, which is P
       times the null space of [R11 R12], spanned by [-R11^{-1} R12; I].
 
     Both bases treat R22 as zero, so N Res is as small as R22. Pivoted
@@ -581,6 +728,18 @@ def cokernel(res, corank_only=False, block=None):
     block that is no level of res is factored on its own. The block's
     map is the block attribute of the result.
 
+    Reduction: a wide res is reduced by its block when the block has
+    columns and res has others (_reduced). One QR of block^H gives the
+    block's corank and its R-based cokernel N_lo. With I the rows of
+    x^b0 S_alpha, rest the other rows and K the columns outside x^b0
+    times the block's, the cokernel of res is that of B = [N_lo res[I,
+    K]; res[rest, K]], lifted back: on the 27 lines B is 261 x 342 where
+    res is 441 x 552. B goes through the wide path above, and its rows
+    lift to orthonormal rows with no second QR. The cut at the top is
+    certified from the two cuts; when that bound misses the margins, or
+    B's cut raises, one QR of res^H runs instead. With corank_only the
+    call stops after B's cut.
+
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
             by less than GAP_RATIO, so the corank is not trustworthy;
@@ -593,6 +752,8 @@ def cokernel(res, corank_only=False, block=None):
     if block is None:
         return _cokernel(res, corank_only, _one_level(res.shape))
     top, low = _staircase_plan(res, block)
+    if top is not None and not _tall(res.shape):
+        return _reduced(res, corank_only, block, top)
     cok = _cokernel(res, corank_only, top, block)
     if cok.block is None:
         cok.block = _cokernel(block, True, low)
@@ -704,6 +865,10 @@ def multiplication_family(cok, system, pair, seed=0):
             or any object with .alpha / .alpha0 attributes.
         seed: seeds the h_0 draw; retries continue the same stream.
 
+    The first h_0 draw whose restriction is conditioned within
+    H0_COND_TARGET is taken; when none of the 1 + RETRIES_MAX draws is,
+    the best-conditioned one.
+
     Raises:
         BasepointError: every one of the 1 + RETRIES_MAX h_0 draws had a
             restriction conditioned worse than COND_MAX, which is the
@@ -739,7 +904,9 @@ def multiplication_family(cok, system, pair, seed=0):
     # one gather for all N_b (stack[j] = N_{b_j})
     stack = cok.N[:, idx].transpose(1, 0, 2)
 
-    # h_0 and its retries continue one stream of the seed (_draws)
+    # h_0 and its retries continue one stream of the seed (_draws); the
+    # first draw within H0_COND_TARGET is taken, else the best of them all
+    best = None
     for coeffs in _draws(seed, 1, len(s_alpha0), RETRIES_MAX + 1):
         # np.tensordot(coeffs, stack, axes=(0, 0)) without its wrapper: the
         # same dot of coeffs, as one row, against the flattened members
@@ -750,9 +917,12 @@ def multiplication_family(cok, system, pair, seed=0):
         columns = tuple(sorted((jpvt[:delta] - 1).tolist()))
         sub = n_h0[:, columns]
         cond = _restriction_cond(np.triu(qr[:delta, :delta]), sub)
-        if cond <= COND_MAX:
+        if best is None or cond < best[0]:
+            best = cond, coeffs, columns, sub
+        if cond <= H0_COND_TARGET:
             break
-    else:
+    cond, coeffs, columns, sub = best
+    if not cond <= COND_MAX:
         raise BasepointError(
             f"no well-conditioned multiplier after {RETRIES_MAX + 1} draws; "
             "alpha0 may have basepoints on the solution set"

@@ -87,13 +87,17 @@ class EigenvalueTable:
             raise RecoveryError("table length does not match the alpha0 basis")
         self.basis = basis
         self.values = values
-        # assignment broadcasts one way only, as np.broadcast_to does, at less cost
-        self.multiplicity = np.empty(len(values), dtype=int)
-        self.multiplicity[...] = multiplicity
         if noise is None:
             noise = NOISE_CUSHION * _EPS * np.abs(values).max(axis=1, initial=0.0, keepdims=True)
+        # assignment broadcasts one way only, as np.broadcast_to does, at less cost
+        self.multiplicity = np.empty(len(values), dtype=int)
         self.noise = np.empty(values.shape)
-        self.noise[...] = noise
+        try:
+            self.multiplicity[...] = multiplicity
+            self.noise[...] = noise
+        except ValueError:
+            raise RecoveryError(
+                "multiplicity or noise does not fit the rows of the table") from None
 
     @classmethod
     def from_clustering(cls, family, clustering):

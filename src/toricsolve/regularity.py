@@ -294,7 +294,9 @@ def verify_pair(system, pair):
     eigensolver.cokernel of Res at alpha + alpha0 with Res at alpha as
     its block, whose map carries the corank at alpha. A tall Res at
     alpha + alpha0 is factored as a staircase down the alpha0 chain,
-    certifying the cut at alpha on the way. The pair is admissible when
+    certifying the cut at alpha on the way; a wide one is reduced by the
+    cokernel at alpha, and the call stops after the cut of the smaller
+    matrix it leaves. The pair is admissible when
     the two coranks agree; either one is delta+.
 
     Returns:

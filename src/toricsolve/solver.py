@@ -19,6 +19,7 @@ from .eigensolver import (
     CLUSTER_GAP,
     COND_MAX,
     GAP_RATIO,
+    H0_COND_TARGET,
     LEAK_TOL,
     TOL_RANK,
     assemble_res,
@@ -60,7 +61,9 @@ class SolutionSet:
             level (eigensolver.cokernel) R is assembled from one QR per
             level, so |diag R| is not monotone across the level bounds,
             and the lower bound may come from the certificate kept at
-            alpha, weaker than trtri of all of R11 would give.
+            alpha, weaker than trtri of all of R11 would give. On a wide
+            Res reduced by the cokernel at alpha, R is the factor of the
+            smaller B, and the bounds are those the two cuts certify.
     """
 
     __slots__ = ("solutions", "delta", "delta_plus", "pair", "seed",
@@ -163,16 +166,20 @@ def solve(system, rays=None, pair=None, seed=0):
     pivoted QR with a certified cut. A tall Res at alpha + alpha0 is
     factored as a staircase down the chain alpha, alpha - alpha0, ...:
     the cut at alpha is certified on the way, the one at the top at the
-    end, and N is built from the same reflectors. A rank failure may
-    name either cut; its type and exit code are those of any rank
-    failure.
+    end, and N is built from the same reflectors. A wide one is reduced
+    by the cokernel at alpha to a smaller B whose cokernel lifts back to
+    it; its cut is certified from the two cuts, or one QR of all of it
+    runs. A rank failure may name either cut; its type and exit code are
+    those of any rank failure.
 
     Every threshold is a module constant: the rank cut TOL_RANK with its
     singular value gap GAP_RATIO, the h0 conditioning limit COND_MAX
-    with RETRIES_MAX redraws, the starting cluster gap CLUSTER_GAP and
-    the block leakage limit LEAK_TOL (all in eigensolver), and the
-    recovery ratio tolerance RATIO_TOL and zero threshold ZERO_TOL (in
-    recovery). SolutionSet.tolerances records the values the run used.
+    with RETRIES_MAX redraws and the conditioning H0_COND_TARGET at
+    which a draw is taken without a redraw, the starting cluster gap
+    CLUSTER_GAP and the block leakage limit LEAK_TOL (all in
+    eigensolver), and the recovery ratio tolerance RATIO_TOL and zero
+    threshold ZERO_TOL (in recovery). SolutionSet.tolerances records the
+    values the run used.
 
     Recovery tries every row of the clustering's EigenvalueTable, one
     per cluster, as a torus point in one pass (recover_torus_points) and
@@ -200,7 +207,7 @@ def solve(system, rays=None, pair=None, seed=0):
     seed = int(seed)  # a numpy integer would not serialize
     tolerances = {
         "tol_rank": TOL_RANK, "gap_ratio": GAP_RATIO, "cond_max": COND_MAX,
-        "cluster_gap": CLUSTER_GAP, "leak_tol": LEAK_TOL,
+        "h0_cond_target": H0_COND_TARGET, "cluster_gap": CLUSTER_GAP, "leak_tol": LEAK_TOL,
         "zero_tol": ZERO_TOL, "ratio_tol": RATIO_TOL,
     }
     timings = {}

@@ -14,12 +14,16 @@ on one thread, so `diff` of the outputs of two checkouts is a
 byte-identity check of everything the solver returns. Each checkout
 solves with its own `src`.
 
-The last lines are the failure census, one line per workload, as the
-benchmark counts it: the solves that raised, by error type, and the
-solves that returned but missed a pin of the benchmark's checks
+The last lines are the failure census, as the benchmark counts it.
+Per workload, one line counts the solves that raised, by error type,
+and the solves that returned but missed a pin of the benchmark's checks
 (`check_lines27` on lines27, `check_dense` on the dense draws; pillow
-and intro have none). The exit status is 1 when any solve raised
-something other than a ToricSolveError.
+and intro have none). One line per failing solve follows, its case and
+its cause: the error type it raised, or the pins it missed, named
+without their values. So `diff` of the census lines of two snapshots
+shows which draws joined the failing set and which left it. The exit
+status is 1 when any solve raised something other than a
+ToricSolveError.
 
     python3 tests/snapshot.py --compare old.jsonl new.jsonl
 
@@ -35,6 +39,7 @@ differs structurally.
 
 import json
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -91,11 +96,30 @@ def cases(lines27_seeds):
                lambda result, n=n, d=d: check_dense(result, n, d))
 
 
+def missed(problems):
+    """The cause of a solve that missed pins: the pins, without values."""
+    return "missed " + ", ".join(re.match(r"[^\d\[(]*", text).group().strip()
+                                 for _, text in problems)
+
+
+def census_lines(census):
+    """The census of {workload: (solves, Counter of raised error types,
+    pins missed or None, [(case, cause) of every failing solve])}."""
+    for workload, (total, raised, pins, failing) in census.items():
+        kinds = ", ".join(f"{name} {count}" for name, count in sorted(raised.items()))
+        yield (f"{workload}: {total} solves, raised {raised.total()}"
+               + (f" ({kinds})" if kinds else "")
+               + (", no pins" if pins is None else f", missed a pin {pins}"))
+        for case, cause in failing:
+            yield f"{case}: {cause}"
+
+
 def main(argv):
     census = {}
     foreign = False
     for label, eqs, kwargs, check in cases([int(a) for a in argv]):
-        row = census.setdefault(label.split()[0], [0, Counter(), None if check is None else 0])
+        row = census.setdefault(label.split()[0],
+                                [0, Counter(), None if check is None else 0, []])
         row[0] += 1
         try:
             result = solve(eqs, **kwargs)
@@ -103,17 +127,17 @@ def main(argv):
             del out["metadata"]["timings_ms"]
         except Exception as exc:  # a raising solve is part of the snapshot
             row[1][type(exc).__name__] += 1
+            row[3].append((label, type(exc).__name__))
             foreign |= not isinstance(exc, ToricSolveError)
             out = {"raised": type(exc).__name__, "message": str(exc)}
         else:
-            if check is not None:
-                row[2] += bool(check(result))
+            problems = [] if check is None else check(result)
+            if problems:
+                row[2] += 1
+                row[3].append((label, missed(problems)))
         print(json.dumps({"case": label, **out}, sort_keys=True), flush=True)
-    for workload, (total, raised, missed) in census.items():
-        kinds = ", ".join(f"{name} {count}" for name, count in sorted(raised.items()))
-        print(f"{workload}: {total} solves, raised {raised.total()}"
-              + (f" ({kinds})" if kinds else "")
-              + (", no pins" if missed is None else f", missed a pin {missed}"))
+    for line in census_lines(census):
+        print(line)
     return int(foreign)
 
 

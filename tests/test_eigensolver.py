@@ -19,6 +19,7 @@ from toricsolve.eigensolver import (
     COND_MAX,
     DRAWS_MAX,
     GAP_RATIO,
+    H0_COND_TARGET,
     LEAK_TOL,
     RETRIES_MAX,
     TOL_RANK,
@@ -690,11 +691,9 @@ def test_block_certificate_failure_falls_back():
 
 
 def test_block_is_ignored_where_it_cannot_help():
-    """A wide Res at alpha + alpha0, or an empty Res at alpha, gives
-    bit-identical results with and without the block: one level, and a
-    tall one is one QR of all of Res."""
+    """An empty Res at alpha gives bit-identical results with and without
+    the block: one level, one QR of all of Res."""
     systems = {
-        "wide": lines27_system(),
         "empty at alpha": homogenize(intro_laurent(3.0)),
         "pillow": homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE),
     }
@@ -702,18 +701,13 @@ def test_block_is_ignored_where_it_cannot_help():
         pair = improved_pair(system)
         low = assemble_res(system, pair.alpha, allow_empty=True)
         top = assemble_res(system, pair.top)
-        if name == "wide":
-            assert top.shape[0] < top.shape[1]
-        else:
-            assert low.shape[1] == 0 and top.shape[0] >= top.shape[1]
-        plan = _staircase_plan(top, low)[0]
-        assert plan is None if name == "wide" else len(plan[2]) == 1
+        assert low.shape[1] == 0 and top.shape[0] >= top.shape[1]
+        assert len(_staircase_plan(top, low)[0][2]) == 1
         for corank_only in (False, True):
             cok = cokernel(top, corank_only, block=low)
             assert _same_cokernel(cok, cokernel(top, corank_only)), name
-            if name != "wide":
-                assert _same_cokernel(cok, one_qr_cokernel(top, corank_only)), name
-            assert cok.block.delta_plus == (low.shape[0] if name != "wide" else 45)
+            assert _same_cokernel(cok, one_qr_cokernel(top, corank_only)), name
+            assert cok.block.delta_plus == low.shape[0]
 
 
 @pytest.mark.parametrize("name", ["intro", "pillow", "P2 conics"])
@@ -760,15 +754,81 @@ def test_block_map_is_corank_only():
         assert upper >= (s[rank] if rank < len(s) else 0.0) - slack
     # without a block there is no block map
     assert cokernel(low).block is None and cokernel(top).block is None
-    # a wide Res above: the block factored on its own, its R kept
+    # a wide Res above: the block factored by one QR of its adjoint, the
+    # trapezoid R of that QR kept
     system = lines27_system()
     pair = improved_pair(system)
     wide = assemble_res(system, pair.top)
     low = assemble_res(system, pair.alpha)
     assert wide.shape[0] < wide.shape[1] and _tall(low)
     lo = cokernel(wide, corank_only=True, block=low).block
-    assert lo.N is None and lo.R.shape == (low.shape[1],) * 2
+    assert lo.N is None and lo.R.shape == low.shape[::-1]
     assert lo.delta_plus == one_qr_cokernel(low, True).delta_plus
+
+
+def _lines27_pair(seed):
+    system = lines27_system(seed)
+    pair = improved_pair(system)
+    return assemble_res(system, pair.top), assemble_res(system, pair.alpha)
+
+
+# seed 0 is certified with the coupling a ||X||_F, seeds 1 and 2 need
+# ||C1^-1 X||_F itself
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_res_is_reduced_by_its_block(seed):
+    """On the 27 lines Res at alpha + alpha0 (441 x 552) is wide. With
+    Res at alpha (225 x 210) as its block, cokernel factors B = [N_lo
+    Res[I, K]; Res[rest, K]], 261 x 342, and lifts B's cokernel back: the
+    cokernel the SVD gives, as accurate, and the same coranks on the
+    corank-only path."""
+    top, low = _lines27_pair(seed)
+    I, rest, K = _staircase_plan(top, low)[0]
+    assert (len(I), len(rest), len(K)) == (225, 216, 342)
+    cok = cokernel(top, block=low)
+    # the reduced path, not its fallback to one QR of Res^H
+    assert cok.R.shape == (261, 261)
+    assert cok.delta_plus == cok.block.delta_plus == 45
+    N = cok.N
+    assert np.allclose(N @ N.conj().T, np.eye(45), atol=1e-12)
+    ref, s = svd_cokernel(top)
+    assert np.linalg.norm(N @ top.matrix, 2) <= 10 * TOL_RANK * s[0]
+    assert scipy.linalg.subspace_angles(N.conj().T, ref.conj().T).max() <= 1e-8
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        exact = _exact_cokernel(top.matrix, ref).conj().T
+        error = [scipy.linalg.subspace_angles(B.conj().T, exact).max() for B in (N, ref)]
+        assert error[0] <= 2 * error[1]
+    # the certified pair brackets the singular values at the cut
+    lower, upper = cok.rank_bounds
+    assert lower <= s[395] and upper >= s[396]
+    assert lower >= 1e3 * GAP_RATIO * upper
+    only = cokernel(top, corank_only=True, block=low)
+    assert only.N is None and only.R.shape == (261, 261)
+    assert (only.delta_plus, only.block.delta_plus) == (45, 45)
+
+
+def test_reduction_falls_back_when_its_bound_misses():
+    """A Kahan block (its QR leaves R22 far above the cut) in place of
+    Res at alpha inside Res at alpha + alpha0: the bound on the top cut
+    misses, and cokernel returns exactly the map one QR of Res^H gives,
+    as without the block."""
+    top, low = _lines27_pair(0)
+    I = _staircase_plan(top, low)[0][0]
+    starts = np.cumsum([0] + top.block_widths())
+    shift = top.rows.points[I[0]] - low.rows.points[0]
+    J = np.concatenate([start + hi.rows(lo.points + shift) for start, (_, hi), (_, lo)
+                        in zip(starts, top.col_blocks, low.col_blocks)])
+    assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
+    kahan = np.zeros(low.shape, dtype=complex)
+    kahan[:64, :64] = _kahan(64)
+    planted = top.matrix.copy()
+    planted[np.ix_(I, J)] = kahan
+    top = ResMatrix(top.rows, top.col_blocks, planted)
+    low = ResMatrix(low.rows, low.col_blocks, kahan)
+    for corank_only in (False, True):
+        cok = cokernel(top, corank_only, block=low)
+        assert _same_cokernel(cok, cokernel(top, corank_only))
+        # the SVD of the block's R decides its cut: Kahan's rank is 63
+        assert cok.block.delta_plus == low.shape[0] - 63
 
 
 def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
@@ -993,6 +1053,43 @@ def test_family_retries_take_the_next_draws_of_the_stream(monkeypatch, rejected)
     want = draws_reference(11, 1, members, rejected + 1)[rejected]
     assert np.array_equal(family.h0_coeffs, want)
     monkeypatch.setattr(eigensolver, "_restriction_cond", lambda R11, sub: np.inf)
+    with pytest.raises(BasepointError):
+        multiplication_family(cok, system, PILLOW_PAIR, seed=11)
+
+
+def _planted_conds(monkeypatch, conds):
+    """The restriction of the i-th h_0 draw is conditioned conds[i]; the
+    list returned holds the conditions of the draws tried."""
+    tried = []
+    monkeypatch.setattr(eigensolver, "_restriction_cond",
+                        lambda R11, sub: tried.append(conds[len(tried)]) or tried[-1])
+    return tried
+
+
+@pytest.mark.parametrize("conds, taken", [
+    ((3e6, 2e5, 5e4, 1.0), 2),  # the first draw within H0_COND_TARGET
+    ((3e6, 2e5, 4e6, 1e7), 1),  # none within it: the best of all draws
+    ((2e5, 9e7, 2e5, 3e5), 0),  # of two equal best, the earlier
+])
+def test_family_takes_a_better_later_draw(monkeypatch, conds, taken):
+    """A draw conditioned above H0_COND_TARGET, though within COND_MAX,
+    is taken only when no draw of the stream is within the target and
+    none is better conditioned."""
+    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
+    cok = cokernel(assemble_res(system, (3, 3, 3, 3)))
+    members = len(graded_basis(system.fan, PILLOW_PAIR[1]))
+    tried = _planted_conds(monkeypatch, conds)
+    family = multiplication_family(cok, system, PILLOW_PAIR, seed=11)
+    assert len(tried) == (taken + 1 if conds[taken] <= H0_COND_TARGET else RETRIES_MAX + 1)
+    assert family.cond == conds[taken]
+    assert np.array_equal(family.h0_coeffs,
+                          draws_reference(11, 1, members, taken + 1)[taken])
+    # the family of that draw, as when it is the first one accepted
+    _planted_conds(monkeypatch, [np.inf] * taken + [1.0])
+    assert np.array_equal(family.stack,
+                          multiplication_family(cok, system, PILLOW_PAIR, seed=11).stack)
+    # the best draw beyond COND_MAX is a basepoint, though it is finite
+    _planted_conds(monkeypatch, [np.inf, 5 * COND_MAX, np.inf, np.inf])
     with pytest.raises(BasepointError):
         multiplication_family(cok, system, PILLOW_PAIR, seed=11)
 
@@ -1305,15 +1402,19 @@ def scipy_family(cok, system, pair, seed):
     stack = np.moveaxis(cok.N[:, idx], 1, 0)
     delta = cok.delta_plus
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    draws = []
     for _ in range(RETRIES_MAX + 1):
         coeffs = (rng.standard_normal(len(s_alpha0))
                   + 1j * rng.standard_normal(len(s_alpha0)))
         n_h0 = np.tensordot(coeffs, stack, axes=(0, 0))
         R, piv = scipy.linalg.qr(n_h0, pivoting=True, mode="r")
         columns = tuple(sorted(int(p) for p in piv[:delta]))
-        cond = _restriction_cond(R[:, :delta], n_h0[:, columns])
-        if cond <= COND_MAX:
+        draws.append((_restriction_cond(R[:, :delta], n_h0[:, columns]), columns, n_h0))
+        if draws[-1][0] <= H0_COND_TARGET:
             break
+    # the first draw within the target, else the first best one
+    cond, columns, n_h0 = min(draws, key=lambda draw: draw[0])
+    assert cond <= COND_MAX
     rhs = np.moveaxis(stack[:, :, columns], 0, 1).reshape(delta, -1)
     solved = scipy.linalg.lu_solve(scipy.linalg.lu_factor(n_h0[:, columns]), rhs)
     family = np.moveaxis(solved.reshape(delta, len(s_alpha0), delta), 1, 0)

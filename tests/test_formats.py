@@ -265,8 +265,8 @@ def test_solution_file_round_trip(tmp_path):
     assert meta["delta"] == 2 and meta["delta_plus"] == 4
     assert meta["pair"]["provenance"] == "VanishingTest"
     assert meta["tolerances"] == {
-        "tol_rank": 1e-8, "gap_ratio": 1e3, "cond_max": 1e8, "cluster_gap": 1e-4,
-        "leak_tol": 1e-6, "zero_tol": 1e-6, "ratio_tol": 1e-6,
+        "tol_rank": 1e-8, "gap_ratio": 1e3, "cond_max": 1e8, "h0_cond_target": 1e5,
+        "cluster_gap": 1e-4, "leak_tol": 1e-6, "zero_tol": 1e-6, "ratio_tol": 1e-6,
     }
     assert "timings_ms" in meta
     sols = doc["solutions"]

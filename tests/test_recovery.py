@@ -294,9 +294,9 @@ def test_table_length_mismatch():
         EigenvalueTable(basis, [1.0, 2.0])
     # multiplicity and noise broadcast to the rows of values, never the
     # other way: one row takes no second multiplicity or noise row
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(RecoveryError, match="does not fit the rows"):
         EigenvalueTable(basis, [1.0] * 5, multiplicity=(1, 2))
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(RecoveryError, match="does not fit the rows"):
         EigenvalueTable(basis, [1.0] * 5, noise=np.ones((2, 5)))
 
 

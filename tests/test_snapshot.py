@@ -27,8 +27,9 @@ OLD = {
 def write(path, records):
     lines = [json.dumps({"case": case, **record}, sort_keys=True)
              for case, record in records.items()]
-    # a census line, which the comparison skips
-    lines.append("lines27: 2 solves, raised 1 (ClusteringError 1), missed a pin 0")
+    # census lines, which the comparison skips
+    lines += ["lines27: 2 solves, raised 1 (ClusteringError 1), missed a pin 0",
+              "lines27 11/1: ClusteringError"]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -80,3 +81,32 @@ def test_structural_difference_fails(tmp_path, change, report):
     assert run.returncode == 1, run.stderr
     assert run.stdout.splitlines()[0].startswith(report)
     assert "lines27: 2 cases, 1 with structural differences" in run.stdout
+
+
+CENSUS = """
+import sys
+from collections import Counter
+sys.path.insert(0, sys.argv[1])
+import snapshot
+pins = [("miss", "torus residual 1.2e-08 > 1e-08"), ("miss", "torus multiplicities [1, 2]")]
+census = {
+    "lines27": [3, Counter(ClusteringError=1), 1,
+                [("lines27 11/1", "ClusteringError"), ("lines27 11/2", snapshot.missed(pins))]],
+    "pillow": [4, Counter(), None, []],
+}
+print("\\n".join(snapshot.census_lines(census)))
+"""
+
+
+def test_census_names_every_failing_case_and_its_cause():
+    run = subprocess.run([sys.executable, "-c", CENSUS, str(SNAPSHOT.parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    # the pins are named without their values, so a diff of two censuses
+    # lists only the cases that joined or left the failing set
+    assert run.stdout.splitlines() == [
+        "lines27: 3 solves, raised 1 (ClusteringError 1), missed a pin 1",
+        "lines27 11/1: ClusteringError",
+        "lines27 11/2: missed torus residual, torus multiplicities",
+        "pillow: 4 solves, raised 0, no pins",
+    ]
