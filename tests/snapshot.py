@@ -6,7 +6,8 @@ Each argument is a seed of the benchmark's lines27 workload; 17 draws are
 solved per seed, made by the generator in perfbench/workloads.py exactly
 as the benchmark makes them. Then come the pillow system at solve seeds
 0-3, the intro system at e = 0, 0.5, ..., 14 (eps = 10^-e), and one dense
-draw each on P^2 at degree 8 and on P^3 at degree 3.
+draw each on P^2 at degree 8 and on P^3 at degree 3, then one of each of
+the benchmark's dense shapes, P^2 at degree 20 and P^3 at degree 6.
 
 Every solve writes one JSON line: the solution-file dict without
 `timings_ms`, or the type and message of the error it raised. BLAS runs
@@ -90,7 +91,7 @@ def cases(lines27_seeds):
         e = half / 2
         yield f"intro e={e}", intro_laurent(10.0 ** -e), {"rays": HIRZEBRUCH_RAYS}, None
     rng = np.random.default_rng(0)
-    for n, d in ((2, 8), (3, 3)):
+    for n, d in ((2, 8), (3, 3), (2, 20), (3, 6)):
         eqs = dense_system(rng, n, d)
         yield (f"dense P^{n} degree {d}", eqs, {"seed": _seed(rng)},
                lambda result, n=n, d=d: check_dense(result, n, d))
