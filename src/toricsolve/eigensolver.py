@@ -56,6 +56,12 @@ H0_COND_TARGET = 1e5
 # the largest relative below-block-diagonal norm a clustering may leave
 CLUSTER_GAP = 1e-4
 LEAK_TOL = 1e-6
+# the smallest delta_plus at which schur_cluster reads the members in
+# span{h_0, driver} off I and T: below it the m products Z^H M_b Z cost
+# less than the change of basis (schur_cluster on one BLAS thread with
+# every family read off the span: 5-10 % slower at 45, even at 64,
+# 2-3 % faster at 125 and 144, 7-9 % at 216 and 400)
+SPAN_MIN_DELTA = 100
 # number of (seed, stage, size) keys whose seeded draws stay kept
 DRAWS_MAX = 8
 # the most rows per column a Res below the top of a staircase may have
@@ -768,31 +774,20 @@ def cokernel(res, corank_only=False, block=None):
 
 
 class MultiplicationFamily:
-    """Commuting multiplication matrices M_{x^b / h_0} for b in S_alpha0,
-    kept unsolved.
+    """Commuting multiplication matrices M_{x^b / h_0} for b in S_alpha0.
 
-    With W the chosen columns and sub = N_{h_0}[:, W] the restriction,
-    M_b = sub^-1 N_b[:, W], so sum_b h0_b M_b = I, and every member is a
-    linear function of its coefficient vector over S_alpha0: a
-    combination of members is one solve of the combined right-hand side.
-    The family keeps the LU of sub and every right-hand side and solves
-    only what it is asked for; schur_cluster asks for a random driver and
-    the members outside span{h_0, driver}, never for all of them.
+    M_b is linear in b's coefficient vector over S_alpha0, and
+    sum_b h0_b M_b = I; from delta_plus = SPAN_MIN_DELTA on,
+    schur_cluster reads the members in span{I, M} of its Schur driver M
+    off I and M's Schur form, not off the stack.
 
     Attributes:
-        rhs: complex (members x delta_plus x delta_plus), C-ordered,
-            rhs[j] = N_{b_j}[:, W]^T for the j-th monomial of S_alpha0; so
-            rhs.reshape(-1, delta_plus).T is the Fortran-ordered
-            delta_plus x (members * delta_plus) right-hand side of all
-            members side by side.
-        lu, piv: LAPACK getrf of sub; None when delta_plus is 0.
-        stack: complex (members x delta_plus x delta_plus) array, member
-            j the matrix of the j-th monomial of S_alpha0; solved on
-            first read (tests and diagnostics).
+        stack: complex (members x delta_plus x delta_plus) array, member j
+            the matrix of the j-th monomial of S_alpha0.
         matrices: {exponent tuple of x^b: delta_plus x delta_plus matrix},
             in the monomial order of S_alpha0; each a view into stack.
         basis_columns: indices into the S_alpha basis selected by pivoted
-            QR (W).
+            QR.
         h0_coeffs: coefficients of the random h_0 over S_alpha0.
         alpha0_basis: GradedBasis of S_alpha0.
         delta_plus: matrix dimension.
@@ -802,56 +797,34 @@ class MultiplicationFamily:
             columns, which is at least cond_2 and within COND_MAX.
     """
 
-    __slots__ = ("rhs", "lu", "piv", "basis_columns", "h0_coeffs",
-                 "alpha0_basis", "delta_plus", "cond", "_stack")
+    __slots__ = ("stack", "matrices", "basis_columns", "h0_coeffs",
+                 "alpha0_basis", "delta_plus", "cond")
 
-    def __init__(self, rhs, lu, piv, basis_columns, h0_coeffs,
+    def __init__(self, stack, basis_columns, h0_coeffs,
                  alpha0_basis, delta_plus, cond):
-        self.rhs = rhs
-        self.lu = lu
-        self.piv = piv
+        self.stack = stack
+        self.matrices = dict(zip(alpha0_basis.monomials, stack))
         self.basis_columns = basis_columns
         self.h0_coeffs = h0_coeffs
         self.alpha0_basis = alpha0_basis
         self.delta_plus = delta_plus
         self.cond = cond
-        self._stack = None
 
     @property
     def monomials(self):
         return self.alpha0_basis.monomials
 
     def combination(self, coeffs):
-        """Sum of coeffs[..., j] * M_{b_j / h_0} over the S_alpha0
-        monomials, for every leading index of coeffs.
+        """Sum of coeffs[j] * M_{b_j / h_0} over the S_alpha0 monomials.
 
-        One dot sums the right-hand sides and one getrs solves the sums
-        side by side. A unit coefficient vector picks its member's
-        right-hand side exactly, so stack is the solve of the right-hand
-        sides as they stand. Each returned matrix is Fortran-ordered.
+        Summed over the stack's first axis in member order, so the result
+        has the rounding of a loop over the members (a BLAS tensordot
+        does not, and moves the Schur form's last bits).
         """
-        coeffs = np.asarray(coeffs)
-        members, delta = len(self.rhs), self.delta_plus
-        combined = np.dot(coeffs.reshape(-1, members), self.rhs.reshape(members, -1))
-        # the sums are Fortran-ordered columns, solved in place
-        solved = scipy.linalg.lapack.zgetrs(
-            self.lu, self.piv, combined.reshape(-1, delta).T, overwrite_b=True)[0]
-        return solved.T.reshape(coeffs.shape[:-1] + (delta, delta)).swapaxes(-1, -2)
-
-    @property
-    def stack(self):
-        if self._stack is None:
-            # with delta_plus = 0 there is nothing to solve: rhs is the stack
-            self._stack = (self.combination(np.eye(len(self.rhs)))
-                           if self.delta_plus else self.rhs)
-        return self._stack
-
-    @property
-    def matrices(self):
-        return dict(zip(self.monomials, self.stack))
+        return np.add.reduce(np.asarray(coeffs)[:, None, None] * self.stack, axis=0)
 
     def __repr__(self):
-        return (f"MultiplicationFamily({len(self.rhs)} matrices, "
+        return (f"MultiplicationFamily({len(self.matrices)} matrices, "
                 f"delta_plus={self.delta_plus})")
 
 
@@ -899,11 +872,13 @@ def multiplication_family(cok, system, pair, seed=0):
     alone, so the fan keeps them per pair (_gather_plan). h_0 is a
     random complex Gaussian combination over S_alpha0, and the
     invertible restriction is chosen by column-pivoted QR on N_{h_0}
-    (LAPACK geqp3). The family keeps the LU factorization of that
-    restriction (LAPACK getrf) and every member's right-hand side
-    N_b[:, W], and solves nothing yet: M_b is linear in b's coefficient
-    vector, and sum_b h0_b M_b = I, so schur_cluster solves only a driver
-    and the members outside span{h_0, driver}.
+    (LAPACK geqp3). One LU factorization of that restriction and one
+    solve on the right-hand sides of every member, side by side (LAPACK
+    getrf and getrs), give the whole family as one stacked array. Its
+    members are linear in their coefficient vectors and sum_b h0_b M_b =
+    I: from delta_plus = SPAN_MIN_DELTA on, schur_cluster transforms only
+    the m - 2 members outside span{h_0, driver} and reads the others
+    through an m x m change of basis.
 
     Args:
         cok: CokernelMap computed at degree alpha + alpha0.
@@ -946,18 +921,19 @@ def multiplication_family(cok, system, pair, seed=0):
     if delta == 0:
         empty = np.zeros((len(s_alpha0), 0, 0), dtype=complex)
         coeffs = np.zeros(len(s_alpha0), dtype=complex)
-        return MultiplicationFamily(empty, None, None, (), coeffs, s_alpha0, 0, 0.0)
+        return MultiplicationFamily(empty, (), coeffs, s_alpha0, 0, 0.0)
 
-    # one gather for all N_b, member-major: members[j] is N_{b_j} raveled
-    members = cok.N[np.arange(delta)[:, None], idx[:, None]].reshape(len(s_alpha0), -1)
+    # one gather for all N_b (stack[j] = N_{b_j})
+    stack = cok.N[:, idx].transpose(1, 0, 2)
 
     # h_0 and its retries continue one stream of the seed (_draws); the
     # first draw within H0_COND_TARGET is taken, else the best of them all
     best = None
     for coeffs in _draws(seed, 1, len(s_alpha0), RETRIES_MAX + 1):
-        # np.tensordot over the member axis without its wrapper: the same
-        # dot of coeffs, as one row, against the flattened members
-        n_h0 = np.dot(coeffs.reshape(1, -1), members).reshape(delta, -1)
+        # np.tensordot(coeffs, stack, axes=(0, 0)) without its wrapper: the
+        # same dot of coeffs, as one row, against the flattened members
+        n_h0 = np.dot(coeffs.reshape(1, -1),
+                      stack.reshape(len(coeffs), -1)).reshape(stack.shape[1:])
         # geqp3 overwrites its argument: a Fortran copy of n_h0
         qr, jpvt, _ = _geqp3(np.array(n_h0, order="F"))
         columns = tuple(sorted((jpvt[:delta] - 1).tolist()))
@@ -974,11 +950,15 @@ def multiplication_family(cok, system, pair, seed=0):
             "alpha0 may have basepoints on the solution set"
         )
 
-    # rhs[j] = N_{b_j}[:, W]^T: rows of N^T, one gather
-    rhs = cok.N.T[idx[:, columns]]
+    # members side by side as one right-hand side (delta x members * delta)
+    members = len(s_alpha0)
+    rhs = stack[:, :, columns].transpose(1, 0, 2).reshape(delta, -1)
     # the condition test above leaves getrf no zero pivot
     lu, piv, _ = scipy.linalg.lapack.zgetrf(sub)
-    return MultiplicationFamily(rhs, lu, piv, columns, coeffs,
+    solved = scipy.linalg.lapack.zgetrs(lu, piv, rhs)[0]
+    family = np.ascontiguousarray(
+        solved.reshape(delta, members, delta).transpose(1, 0, 2))
+    return MultiplicationFamily(family, columns, coeffs,
                                 s_alpha0, delta, float(cond))
 
 
@@ -1045,7 +1025,7 @@ def _reorder(T, Z, labels):
     """
     labels = np.asarray(labels)
     for c in range(len(labels)):
-        if (labels[:-1] <= labels[1:]).all():
+        if np.all(labels[:-1] <= labels[1:]):
             break
         select = labels <= c
         T, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(
@@ -1060,9 +1040,7 @@ def _reorder(T, Z, labels):
 def _below_block_norm(Tb, labels):
     """Frobenius norm of Tb below the diagonal blocks of sorted labels,
     over the leading axes of Tb."""
-    below = Tb[..., labels[:, None] > labels[None, :]]
-    # np.linalg.norm(below, axis=-1) without its wrapper
-    return np.sqrt(np.add.reduce((below.conj() * below).real, axis=-1))
+    return np.linalg.norm(Tb[..., labels[:, None] > labels[None, :]], axis=-1)
 
 
 _GAP_CEILING = 0.1
@@ -1072,42 +1050,17 @@ def _span(h0, driver, size):
     """The coordinates (i, j) of S_alpha0 that carry span{h0, driver} in
     schur_cluster's change of basis; (0, 0) with one member.
 
-    size holds each member's size, ||N_b[:, W]||_F: ||M_b||_F up to the
-    condition of the restriction. The span's coordinates are those of
-    the 2 x 2 minor of largest modulus of [h0; driver] with every
-    coordinate scaled by its size. By Cramer's rule the unit vectors of
-    the other coordinates then enter members i and j with coefficients
-    of modulus at most size_i / size_a, so a member read off the span
-    carries errors relative to its own size, and a member that vanishes
-    at every solution, of size at the rounding floor, is solved and
+    size holds each member's size ||M_b||_F. The span's coordinates are
+    those of the 2 x 2 minor of largest modulus of [h0; driver] with
+    every coordinate scaled by its size. By Cramer's rule the unit
+    vectors of the other coordinates then enter members i and j with
+    coefficients of modulus at most size_i / size_a, so a member read off
+    the span carries errors relative to its own size, and a member that
+    vanishes at every solution, of size at the rounding floor, is
     transformed itself.
     """
     products = np.multiply.outer(h0 * size, driver * size)
     return divmod(int(abs(products - products.T).argmax()), len(h0))
-
-
-@functools.lru_cache(maxsize=DRAWS_MAX)
-def _change_of_basis(h0, seed, span):
-    """(G, solve) for a family with multiplier h0, a tuple of its m
-    coefficients, the Schur driver d of seed and the coordinates span
-    (_span); read-only.
-
-    solve holds the coefficient vectors over S_alpha0 of the members
-    schur_cluster solves: d, then the unit vectors of every coordinate
-    but those of span. With h0 in front (sum_b h0_b M_b = I) those make
-    a basis of C^m, and G is the inverse of the matrix of its rows:
-    member b has Z^H M_b Z = sum_k G[b, k] K_k, K = (I, T, Z^H M_a Z for
-    each unit vector e_a)[:m]. With one member K = (I,) and G =
-    [[1 / h0]]. Kept per (h0, seed, span): a sweep solves every row with
-    one seed and one h_0.
-    """
-    h0 = np.array(h0)
-    m = len(h0)
-    (driver,) = _draws(seed, 2, m, 1)
-    solve = np.concatenate(([driver], np.eye(m)[[a for a in range(m) if a not in span]]))
-    G = np.linalg.inv(np.concatenate(([h0], solve))[:m])
-    G.flags.writeable = solve.flags.writeable = False
-    return G, solve
 
 
 def schur_cluster(family, seed=0):
@@ -1120,17 +1073,15 @@ def schur_cluster(family, seed=0):
     one reduceat over the diagonals for all the tables.
 
     Z^H M_b Z is linear in the coefficient vector of b over S_alpha0, and
-    h_0 gives I (sum_b h0_b M_b = I), the driver d gives T. So only the
-    m - 2 members whose unit vectors complete {h_0, d} to a
-    well-conditioned basis of C^m, each member scaled by its size (_span;
-    none when m <= 2), are solved, in one getrs with the driver, and
-    transformed; every member's Z^H M_b Z, its table column and its
-    leakage follow from I, T and those transforms through the m x m
-    change of basis (_change_of_basis). A member
-    read off the span whose table entry cancels to exactly 0.0 is solved
-    and transformed itself in a second getrs, since recovery takes an
-    exact zero for a vanishing coordinate (on pillow, 11 of 9000 seeds).
-    The family's stack is never solved.
+    h_0 gives I (sum_b h0_b M_b = I), the driver d gives T. So from
+    delta_plus = SPAN_MIN_DELTA on, only the m - 2 members whose unit
+    vectors complete {h_0, d} to a basis of C^m, each member scaled by its
+    size (_span; none when m <= 2), are transformed; every member's
+    Z^H M_b Z, its table column and its leakage follow from I, T and those
+    transforms through the inverse G of that basis. A member read off the
+    span whose table entry cancels to exactly 0.0 is transformed itself,
+    since recovery takes an exact zero for a vanishing coordinate. Below
+    SPAN_MIN_DELTA every member is transformed.
 
     A multiple eigenvalue with a nontrivial Jordan block scatters its
     computed copies over a radius like eps**(1/mu), far wider than any
@@ -1147,19 +1098,23 @@ def schur_cluster(family, seed=0):
     """
     mons = family.monomials
     delta, m = family.delta_plus, len(mons)
+    (driver_coeffs,) = _draws(seed, 2, m, 1)
     if delta == 0:
         return SchurClustering((), np.zeros((0, m), dtype=complex),
                                0.0, CLUSTER_GAP)
 
-    (driver,) = _draws(seed, 2, m, 1)
-    rhs = family.rhs
-    # np.linalg.norm(rhs, axis=(1, 2)) without its wrapper
-    size = np.sqrt(np.add.reduce((rhs.conj() * rhs).real, axis=(1, 2)))
-    span = _span(family.h0_coeffs, driver, size)
-    G, solve = _change_of_basis(tuple(family.h0_coeffs.tolist()), seed, span)
-    # the driver, then the members outside span{h_0, driver}: one getrs
-    solved = family.combination(solve)
-    T0, Z0 = _gees(solved[0])
+    M = family.combination(driver_coeffs)
+    T0, Z0 = _gees(M)
+    size = np.linalg.norm(family.stack, axis=(1, 2))
+    norms = np.maximum(1.0, size)
+    stack, span = family.stack, ()
+    if delta >= SPAN_MIN_DELTA:
+        span = _span(family.h0_coeffs, driver_coeffs, size)
+        outside = [a for a in range(m) if a not in span]
+        # rows h_0, d, then the unit vectors outside the span: a basis of C^m
+        G = np.linalg.inv(np.concatenate(([family.h0_coeffs, driver_coeffs],
+                                          np.eye(m)[outside]))[:m])
+        stack = stack[outside]
 
     gap = CLUSTER_GAP
     while True:
@@ -1168,20 +1123,21 @@ def schur_cluster(family, seed=0):
         bounds = np.concatenate(([True], labels[1:] != labels[:-1], [True])).nonzero()[0]
         starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
 
-        # I, T and the transforms of the solved members past the driver
-        K = np.concatenate((np.eye(delta)[None], T[None], Z.conj().T @ solved[1:] @ Z))[:m]
-        Tb = np.dot(G, K.reshape(m, -1)).reshape(m, delta, delta)
+        Tb = Z.conj().T @ stack @ Z
+        if span:
+            # Z^H M_b Z = sum_k G[b, k] K_k, K = (I, T, Z^H M_a Z outside)[:m]
+            K = np.concatenate((np.eye(delta)[None], T[None], Tb))[:m]
+            Tb = np.dot(G, K.reshape(m, -1)).reshape(m, delta, delta)
         diag = Tb.diagonal(axis1=1, axis2=2)
         tables = (np.add.reduceat(diag, starts, axis=1) / sizes).T
         # a member read off the span can cancel to exactly 0.0 where it
         # vanishes, which recovery takes for a vanishing coordinate; the
-        # member read itself gives rounding noise there, as the others do
-        redo = [] if tables.all() else [b for b in set(span) if not tables[:, b].all()]
+        # member transformed itself gives rounding noise there, as the
+        # others do
+        redo = [b for b in set(span) if not tables[:, b].all()]
         if redo:
-            Tb[redo] = Z.conj().T @ family.combination(np.eye(m)[redo]) @ Z
+            Tb[redo] = Z.conj().T @ family.stack[redo] @ Z
             tables = (np.add.reduceat(diag, starts, axis=1) / sizes).T
-        # np.linalg.norm(Tb, axis=(1, 2)) without its wrapper
-        norms = np.maximum(1.0, np.sqrt(np.add.reduce((Tb.conj() * Tb).real, axis=(1, 2))))
         by_member = _below_block_norm(Tb, labels) / norms
         leakage = float(by_member.max())
         if leakage <= LEAK_TOL:

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricsolve import eigensolver
+from toricsolve import eigensolver, solver
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, as_divisor, graded_basis, homogenize
 from toricsolve.eigensolver import (
     COND_MAX,
@@ -22,6 +22,7 @@ from toricsolve.eigensolver import (
     H0_COND_TARGET,
     LEAK_TOL,
     RETRIES_MAX,
+    SPAN_MIN_DELTA,
     TOL_RANK,
     _LEVEL_ASPECT,
     CokernelMap,
@@ -65,6 +66,7 @@ from systems import (
 )
 
 P1_RAYS = [(1,), (-1,)]
+EPS = np.finfo(float).eps
 
 
 def p1_system(terms):
@@ -1295,12 +1297,12 @@ def test_zero_solution_family():
 # ------------------------------------ stacked family and Schur reads
 # The family and the Schur reads as they were before they were stacked:
 # one lu_solve per member, and one Z^H M Z product, leakage norm and
-# trace table column per member. The stacked family must reproduce
-# them. schur_cluster solves its driver from the driver's own
-# right-hand side and reads the members in span{h_0, driver} off I and
-# T, so its Schur form carries other rounding than the reference's:
-# clusters are matched by their tables, and leakages, which are norms
-# at the rounding floor, agree within a factor.
+# trace table column per member. The stacked code must reproduce them.
+# From delta_plus = SPAN_MIN_DELTA on, schur_cluster transforms only the
+# members outside span{h_0, driver} and reads the others off I and T:
+# those carry the rounding of I, T and the transformed members, not of
+# their own product. The tests below lower SPAN_MIN_DELTA to 0 to read
+# small families off the span too.
 
 
 def reference_family_matrices(cok, system, pair, family):
@@ -1347,23 +1349,6 @@ def _rel_close(got, want, rel=1e-13):
     return np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
 
 
-def matched_clusters(clustering, sizes, tables):
-    """For every cluster of clustering, the index of the reference
-    cluster whose table row is nearest; asserts the match is one to one
-    and keeps every multiplicity."""
-    dist = np.abs(clustering.tables[:, None, :] - tables[None]).max(axis=-1)
-    order = dist.argmin(axis=1)
-    assert sorted(order.tolist()) == list(range(len(sizes)))
-    assert [sizes[k] for k in order] == list(clustering.block_sizes)
-    return order
-
-
-def leakages_agree(got, want, factor=4.0, floor=1e-13):
-    """Every pair within factor of each other, or both below floor."""
-    got, want = np.maximum(got, floor), np.maximum(want, floor)
-    return bool(np.all(got <= factor * want) and np.all(want <= factor * got))
-
-
 def _family_case(name):
     if name == "pillow":
         system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
@@ -1388,103 +1373,64 @@ def test_stacked_family_and_schur_reads_match_per_member(name):
 
     clustering = schur_cluster(family, seed=3)
     sizes, tables, by_member = reference_schur_cluster(want, family.monomials, seed=3)
-    order = matched_clusters(clustering, sizes, tables)
+    assert clustering.block_sizes == sizes
     if name == "lines27":
         assert sorted(sizes).count(6) == 3
-    # the means over lines27's multiplicity-6 clusters move by 1.5e-8
-    assert _rel_close(clustering.tables, tables[order],
-                      rel=1e-7 if name == "lines27" else 1e-12)
-    assert len(clustering.leakage_by_member) == len(by_member)
-    assert leakages_agree(clustering.leakage_by_member, by_member)
+    assert_reads_match_per_member(family, clustering, tables, by_member, seed=3)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_schur_reads_after_a_reorder_match_per_member(seed):
-    """On these pillow seeds the two copies of a double point are not
-    adjacent on the Schur diagonal, so trsen reorders T and Z, and the
-    members are read off the reordered T."""
-    system, pair, cok = _family_case("pillow")
-    family = multiplication_family(cok, system, pair, seed=seed)
-    clustering = schur_cluster(family, seed=seed)
-    sizes, tables, by_member = reference_schur_cluster(
-        family.matrices, family.monomials, seed=seed)
-    assert clustering.block_sizes == (2, 2)
-    order = matched_clusters(clustering, sizes, tables)
-    assert _rel_close(clustering.tables, tables[order], rel=1e-12)
-    assert leakages_agree(clustering.leakage_by_member, by_member)
+@pytest.mark.parametrize("name", ["pillow", "intro e=3", "lines27"])
+def test_span_reads_match_per_member(name, monkeypatch):
+    """The families above, read off span{h_0, driver}."""
+    monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
+    system, pair, cok = _family_case(name)
+    family = multiplication_family(cok, system, pair, seed=3)
+    want = reference_family_matrices(cok, system, pair, family)
+    clustering = schur_cluster(family, seed=3)
+    sizes, tables, by_member = reference_schur_cluster(want, family.monomials, seed=3)
+    assert clustering.block_sizes == sizes
+    assert len(reference_span(family, seed=3)) == 2
+    assert_reads_match_per_member(family, clustering, tables, by_member, seed=3)
 
 
-@settings(max_examples=40, deadline=None)
-@given(m=st.integers(1, 12), h0_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
-       sizes=st.lists(st.sampled_from([1e-16, 1e-3, 1.0, 30.0]), min_size=12, max_size=12))
-def test_change_of_basis_inverts_a_well_conditioned_basis(m, h0_seed, seed, sizes):
-    """G inverts the basis h_0, driver, unit vectors; the rows after h_0
-    are what schur_cluster solves; and in the coordinates scaled by the
-    members' sizes every coefficient of a span member over a unit vector
-    has modulus at most 1, the bound the largest scaled 2 x 2 minor
-    gives."""
-    (h0,) = draws_reference(h0_seed, 1, m, 1)
-    (driver,) = draws_reference(seed, 2, m, 1)
-    size = np.array(sizes[:m])
-    span = eigensolver._span(h0, driver, size)
-    G, solve = eigensolver._change_of_basis(tuple(h0.tolist()), seed, span)
-    assert np.array_equal(solve[0], driver)
-    basis = np.concatenate(([h0], solve))[:m]
-    assert np.abs(G @ basis - np.eye(m)).max() <= 1e-12 * np.abs(G).max()
-    units = solve[1:]
-    assert len(units) == max(m - 2, 0)
-    # one entry 1 per row, the rest 0, none in the span's coordinates
-    assert np.count_nonzero(units) == len(units) and (units.sum(axis=1) == 1).all()
-    outside = units.real.argmax(axis=1)
-    assert not set(outside.tolist()) & set(span)
-    span = sorted(set(span))
-    scaled = np.abs(G[span, 2:]) * size[outside] / size[span, None]
-    assert scaled.max(initial=0.0) <= 1.0 + 1e-12
-    assert not G.flags.writeable and not solve.flags.writeable
+def reference_span(family, seed):
+    """The members schur_cluster reads off span{h_0, driver}."""
+    if family.delta_plus < eigensolver.SPAN_MIN_DELTA:
+        return set()
+    (driver,) = draws_reference(seed, 2, len(family.monomials), 1)
+    size = np.linalg.norm(family.stack, axis=(1, 2))
+    return set(eigensolver._span(family.h0_coeffs, driver, size))
 
 
-def test_a_vanishing_member_is_solved_itself():
-    """Pillow's member x^(2,0,2,0) / h_0 vanishes at both points (its
-    right-hand side sits at the rounding floor): it is never read off the
-    span, whose entries carry errors at the scale of the other members."""
-    system, pair, cok = _family_case("pillow")
-    for seed in range(20):
-        family = multiplication_family(cok, system, pair, seed=seed)
-        size = np.linalg.norm(family.rhs, axis=(1, 2))
-        zero = family.monomials.index((2, 0, 2, 0))
-        assert size[zero] <= 1e-14 * size.max()
-        (driver,) = draws_reference(seed, 2, len(size), 1)
-        assert zero not in eigensolver._span(family.h0_coeffs, driver, size)
-
-
-@pytest.mark.parametrize("seed", [2393, 4892])
-def test_an_exactly_zero_span_entry_is_read_per_member(seed, monkeypatch):
-    """On these pillow seeds x^(1,1,1,1) / h_0, which vanishes at both
-    double points, is read off the span and one of its table entries
-    cancels to exactly 0.0. It is solved and transformed itself, in a
-    second getrs, and both points stay boundary points; read off the
-    span, one came back as a torus point with a coordinate of 1e15."""
-    system, pair, cok = _family_case("pillow")
-    family = multiplication_family(cok, system, pair, seed=seed)
-    columns = _count_getrs(monkeypatch)
-    clustering = schur_cluster(family, seed=seed)
-    assert columns == [(len(family.monomials) - 1) * family.delta_plus, family.delta_plus]
-    assert clustering.tables.all()
-    monkeypatch.undo()
-    sizes, tables, by_member = reference_schur_cluster(
-        family.matrices, family.monomials, seed=seed)
-    order = matched_clusters(clustering, sizes, tables)
-    assert _rel_close(clustering.tables, tables[order], rel=1e-12)
-    result = solve(pillow_laurent(), rays=PILLOW_RAYS_SOLVE, seed=seed)
-    assert sorted(tuple(sorted(s.zero_pattern)) for s in result.solutions) == [(0,), (2,)]
+def assert_reads_match_per_member(family, clustering, tables, by_member, seed):
+    """A member transformed itself matches the reference's table column
+    to 1e-13 of the largest table entry and its leakage to rel 1e-13. A
+    member read off the span is held to the rounding of its own size:
+    its table column to 1e-13 ||M_b||_F (on lines27 the members reach
+    ||M_b||_F = 8777 against tables of size 2, and the reference's own
+    product rounds at 5e-13 there), and its leakage also to 10 eps
+    delta_plus absolute, the rounding of one product: T's exact zeros
+    below the blocks stand where the reference's product holds noise."""
+    assert len(clustering.leakage_by_member) == len(by_member) == len(family.monomials)
+    span = reference_span(family, seed)
+    size = np.linalg.norm(family.stack, axis=(1, 2))
+    scale = np.abs(tables).max(initial=0.0)
+    for b, (got, ref) in enumerate(zip(clustering.leakage_by_member, by_member)):
+        error = np.abs(clustering.tables[:, b] - tables[:, b]).max(initial=0.0)
+        if b in span:
+            assert error <= 1e-13 * max(1.0, size[b])
+            assert got == pytest.approx(ref, rel=1e-13, abs=10 * EPS * family.delta_plus)
+        else:
+            assert error <= 1e-13 * scale
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def _family_of_size(system, kind, ray):
-    """A family on system with a chosen multiplier degree, and its
-    cokernel: none (alpha0 = 0, one member), a ray divisor (two members
-    on P^1 x P^1, F_1 and P(1,1,2)), the improved alpha0, or twice it.
-    alpha is the improved pair's top, whose sections carry every
-    restriction; None when the corank moves or h_0 finds basepoints."""
+    """A family on system with a chosen multiplier degree: none (alpha0 =
+    0, one member), a ray divisor (two members on P^1 x P^1, F_1 and
+    P(1,1,2)), the improved alpha0, or twice it. alpha is the improved
+    pair's top, whose sections carry every restriction; None when the
+    corank moves or h_0 finds basepoints."""
     fan = system.fan
     pair = improved_pair(system)
     alpha0 = as_divisor(fan, pair.alpha0)
@@ -1514,36 +1460,52 @@ def _family_of_size(system, kind, ray):
          kind="twice", ray=0, seed=3)
 def test_schur_tables_from_the_span_match_per_member(system, kind, ray, seed):
     """Every member's table column and leakage, read from I, T and the
-    members outside span{h_0, driver}, match the reference that solves
-    the whole stack and transforms each member, for families of one,
-    two, three and more members."""
+    members outside span{h_0, driver}, match the reference that
+    transforms each member of the stack, for families of one, two, three
+    and more members."""
     family = _family_of_size(system, kind, ray)
     assume(family is not None)
-    clustering = schur_cluster(family, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
+        clustering = schur_cluster(family, seed=seed)
+        sizes, tables, by_member = reference_schur_cluster(
+            family.matrices, family.monomials, seed=seed)
+        assert clustering.block_sizes == sizes
+        assert_reads_match_per_member(family, clustering, tables, by_member, seed)
+
+
+def test_a_family_at_the_crossover_is_read_off_the_span():
+    """Dense P^2 at degree 10, delta_plus = SPAN_MIN_DELTA = 100: one of
+    the three members is transformed, the other two are read off I and
+    T, and all match the per-member reference."""
+    system = _dense_system(np.random.default_rng(0), "P2", [(10,), (10,)])
+    family = _family_of_size(system, "alpha0", 0)
+    assert family.delta_plus == eigensolver.SPAN_MIN_DELTA and len(family.monomials) == 3
+    counts = _record_products(family)
+    clustering = schur_cluster(family, seed=0)
+    assert set(counts) == {1}
+    family.stack = family.stack.view(np.ndarray)
     sizes, tables, by_member = reference_schur_cluster(
-        family.matrices, family.monomials, seed=seed)
-    order = matched_clusters(clustering, sizes, tables)
-    assert _rel_close(clustering.tables, tables[order], rel=1e-9)
-    assert len(clustering.leakage_by_member) == len(family.monomials)
-    assert leakages_agree(clustering.leakage_by_member, by_member)
+        family.matrices, family.monomials, seed=0)
+    assert clustering.block_sizes == sizes
+    assert len(reference_span(family, 0)) == 2
+    assert_reads_match_per_member(family, clustering, tables, by_member, 0)
 
 
-def _count_getrs(monkeypatch):
-    """Record the columns of every LAPACK getrs call from now on, and fail
-    on any read of MultiplicationFamily.stack."""
-    columns = []
-    getrs = scipy.linalg.lapack.zgetrs
+def _record_products(family):
+    """Make family.stack record how many of its members enter each matrix
+    product; returns the list of those counts."""
+    counts = []
 
-    def counted(lu, piv, b, *args, **kwargs):
-        columns.append(b.shape[1])
-        return getrs(lu, piv, b, *args, **kwargs)
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                counts.extend(len(x) for x in inputs if isinstance(x, Recorded))
+            plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
 
-    def no_stack(family):
-        pytest.fail("the solve path formed MultiplicationFamily.stack")
-
-    monkeypatch.setattr(scipy.linalg.lapack, "zgetrs", counted)
-    monkeypatch.setattr(eigensolver.MultiplicationFamily, "stack", property(no_stack))
-    return columns
+    family.stack = family.stack.view(Recorded)
+    return counts
 
 
 WARM_CASES = {
@@ -1555,35 +1517,100 @@ WARM_CASES = {
 }
 
 
+@pytest.mark.parametrize("span", [False, True])
 @pytest.mark.parametrize("name", list(WARM_CASES))
-def test_warm_solve_solves_no_stack(name, monkeypatch):
-    """A warm solve never forms the family's stack and makes one getrs
-    of (m - 1) delta columns, the driver and the members outside
-    span{h_0, driver}; with m <= 2 that is the driver alone, so no
-    member is solved or transformed."""
+def test_warm_solve_transforms_only_the_members_outside_the_span(name, span, monkeypatch):
+    """Read off the span, a warm solve's Schur step multiplies Z^H M Z for
+    the m - 2 members outside span{h_0, driver} alone, in one batched
+    product per clustering, and with m <= 2 transforms no member. Below
+    SPAN_MIN_DELTA, as all these families are, it transforms all m."""
+    if span:
+        monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
     eqs, kwargs = WARM_CASES[name]
     if isinstance(eqs, str):
         sf = load_system_file(DATA / f"{eqs}.system.json")
         eqs, kwargs = sf.laurent(), {"rays": sf.rays}
     solve(eqs, **kwargs)
-    columns = _count_getrs(monkeypatch)
+    counts, made = [], multiplication_family
+
+    def recorded(*args, **kw):
+        family = made(*args, **kw)
+        counts.append(_record_products(family))
+        return family
+
+    monkeypatch.setattr(solver, "multiplication_family", recorded)
     result = solve(eqs, **kwargs)
     m = len(graded_basis(result.system.fan, result.pair.alpha0))
-    assert columns == [max(m - 1, 1) * result.delta_plus]
+    assert result.delta_plus < SPAN_MIN_DELTA
+    assert len(counts) == 1 and counts[0]
+    assert set(counts[0]) == {max(m - 2, 0) if span else m}
     if name == "P^1":
-        assert m == 2 and columns == [result.delta_plus]
+        assert m == 2
 
 
-def test_one_member_family_solves_the_driver_alone(monkeypatch):
-    """alpha0 = 0: the one member is I / h0, read off the identity."""
+def test_one_member_family_is_read_off_the_identity(monkeypatch):
+    """alpha0 = 0: the one member is I / h_0, and no member is transformed."""
+    monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
     family = _family_of_size(system, "none", 0)
-    columns = _count_getrs(monkeypatch)
+    counts = _record_products(family)
     clustering = schur_cluster(family, seed=0)
-    assert columns == [family.delta_plus]
+    assert set(counts) == {0}
     assert clustering.block_sizes == (family.delta_plus,)
     assert clustering.tables == pytest.approx(1.0 / family.h0_coeffs[None], rel=1e-15)
     assert clustering.leakage == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 12), h0_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
+       sizes=st.lists(st.sampled_from([1e-16, 1e-3, 1.0, 30.0]), min_size=12, max_size=12))
+def test_span_bounds_the_coefficients_of_the_span_members(m, h0_seed, seed, sizes):
+    """With the span _span picks, every coefficient of a span member over
+    a transformed member has modulus at most their ratio of sizes: a
+    member read off the span carries errors relative to its own size."""
+    (h0,) = draws_reference(h0_seed, 1, m, 1)
+    (driver,) = draws_reference(seed, 2, m, 1)
+    size = np.array(sizes[:m])
+    span = eigensolver._span(h0, driver, size)
+    assert span[0] != span[1]
+    outside = [a for a in range(m) if a not in span]
+    G = np.linalg.inv(np.concatenate(([h0, driver], np.eye(m)[outside])))
+    scaled = np.abs(G[list(span), 2:]) * size[outside] / size[list(span), None]
+    assert scaled.max(initial=0.0) <= 1.0 + 1e-12
+
+
+def test_a_vanishing_member_is_transformed_itself(monkeypatch):
+    """Pillow's member x^(2,0,2,0) / h_0 vanishes at both points (its
+    size sits at the rounding floor): it is never read off the span,
+    whose entries carry errors at the scale of the other members."""
+    monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
+    system, pair, cok = _family_case("pillow")
+    for seed in range(20):
+        family = multiplication_family(cok, system, pair, seed=seed)
+        size = np.linalg.norm(family.stack, axis=(1, 2))
+        zero = family.monomials.index((2, 0, 2, 0))
+        assert size[zero] <= 1e-14 * size.max()
+        assert zero not in reference_span(family, seed)
+
+
+def test_an_exactly_zero_span_entry_is_read_per_member(monkeypatch):
+    """On pillow seed 364 a member read off the span has a table entry
+    that cancels to exactly 0.0. It is transformed itself, and both double
+    points stay boundary points; read off the span, one came back as a
+    point of the torus."""
+    monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
+    system, pair, cok = _family_case("pillow")
+    family = multiplication_family(cok, system, pair, seed=364)
+    counts = _record_products(family)
+    clustering = schur_cluster(family, seed=364)
+    assert counts == [len(family.monomials) - 2, 1]
+    assert clustering.tables.all()
+    family.stack = family.stack.view(np.ndarray)
+    sizes, tables, by_member = reference_schur_cluster(
+        family.matrices, family.monomials, seed=364)
+    assert_reads_match_per_member(family, clustering, tables, by_member, seed=364)
+    result = solve(pillow_laurent(), rays=PILLOW_RAYS_SOLVE, seed=364)
+    assert sorted(tuple(sorted(s.zero_pattern)) for s in result.solutions) == [(0,), (2,)]
 
 
 # ------------------------------------ direct LAPACK calls
