@@ -201,22 +201,11 @@ class CokernelMap:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
             ker N = im Res up to TOL_RANK; None from a corank-only call.
         delta_plus: corank of Res against its row dimension.
-        R: square triangular factor of a pivoted QR of Res (of Res^H when
-            Res is wide), cut on its |diagonal|. On a staircase of more
-            than one level it is assembled from one QR per level, and its
-            |diagonal| is not monotone across the level bounds. On a wide
-            Res reduced by its block it is the factor of the QR of B^H,
-            B the smaller matrix whose cokernel lifts to that of Res; its
-            cut is rank(Res) minus the block's rank. On the map of a
-            block factored by one QR of its adjoint it is that QR's
-            triangle, a trapezoid when the block is tall. None on the map
-            of a block whose cut was certified inside the staircase of
-            the Res above it.
+        R: triangular factor of the pivoted QR the cut was taken on, cut
+            on its |diagonal| (cokernel says which QR each path makes);
+            None on the map of a block certified inside a staircase.
         rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
-            of Res at its rank r, the exact pair when the SVD decided. On
-            a reduced Res, the pair the cuts of B and of the block
-            certify together, which may be far weaker than the QR of all
-            of Res would give.
+            of Res at its rank r, the exact pair when the SVD decided.
         res: the ResMatrix this was computed from.
         block: the corank-only CokernelMap of the block passed to
             cokernel (Res one alpha0 below), None without one.
@@ -264,24 +253,44 @@ def _rank(s):
     return rank
 
 
+def _certify(a, c, k, upper, norm, top=1.0, weyl=0.0):
+    """(lower, inverse) when they certify a rank cut r, else None.
+
+    M = [[A, B], [0, C]] with ||A^-1||_F <= a, ||C^-1||_F <= c and
+    ||A^-1 B||_F <= k has ||M^-1||_F^2 = ||A^-1||^2 + ||C^-1||^2 +
+    ||A^-1 B C^-1||^2 <= inverse^2 = a^2 + c^2 + (k c)^2, so a matrix
+    within weyl in norm of one with M as an r x r submatrix has sigma_r
+    >= lower = 1 / inverse - weyl. With upper >= sigma_{r+1} and norm >=
+    sigma_1 >= top, the cut is certified when lower > 10 TOL_RANK norm,
+    lower >= 1e3 GAP_RATIO upper and 10 upper <= TOL_RANK top: r is then
+    the rank _rank gives on the singular values, and its guard passes.
+    """
+    # Python floats: a product beyond the float range is inf, not a warning
+    kc = k * c
+    inverse = (a * a + c * c + kc * kc) ** 0.5
+    lower = 1.0 / inverse - weyl
+    if (lower > 10 * TOL_RANK * norm and lower >= 1e3 * GAP_RATIO * upper
+            and 10 * upper <= TOL_RANK * top):
+        return lower, inverse
+    return None
+
+
 def _qr_rank(R, reveal, lead=None):
     """(rank, rank_bounds, inverse) of Res from the triangular factor R
     of its QR.
 
     r counts |r_ii| > TOL_RANK |r_11|. On S = R / |r_11| (no overflow or
     underflow), sigma_r >= 1 / ||S11^-1||_F, sigma_{r+1} <= ||S22||_F and
-    sigma_1 <= ||S||_F by interlacing and Weyl. Within the margins below,
-    r is the rank _rank gives on the singular values, both guards pass,
-    and inverse is the bound on ||S11^-1||_F that certified the cut.
+    sigma_1 <= ||S||_F by interlacing and Weyl. When _certify passes on
+    these, inverse is the bound on ||S11^-1||_F that certified the cut.
     Otherwise a values-only SVD of R decides, inverse is None, and with
     reveal an R22 above the cut raises. A non-finite R (Res beyond double
     range) raises.
 
     lead = (k, a) says that S[:k, :k] = A, with ||A^-1||_F <= a, is
-    certified already. Then S11 = [[A, B], [0, C]], and ||S11^-1||_F^2 =
-    ||A^-1||^2 + ||C^-1||^2 + ||A^-1 B C^-1||^2 <= a^2 + c^2 + (a b c)^2
-    with b = ||B||_F and c = ||C^-1||_F, so only C goes to LAPACK trtri.
-    The trtri of all of S11 runs only when that bound misses the margins.
+    certified already. Then S11 = [[A, B], [0, C]] and ||A^-1 B||_F <=
+    a ||B||_F, so only C goes to LAPACK trtri. The trtri of all of S11
+    runs only when that bound misses the margins.
     """
     if not np.isfinite(R).all():
         raise RankAmbiguousError(
@@ -290,22 +299,19 @@ def _qr_rank(R, reveal, lead=None):
     if d[0] > 0.0:
         S = R / d[0]
         rank = int(np.count_nonzero(d > TOL_RANK * d[0]))
-        upper = _norm(S[rank:, rank:])
-        floor = 10 * TOL_RANK * _norm(S)
-        margin = 1e3 * GAP_RATIO * upper
-        inverse = np.inf
+        upper, norm = _norm(S[rank:, rank:]), _norm(S)
+        cert = None
         if lead is not None and lead[0] <= rank:
             k, a = lead
-            # Python floats: a product beyond the float range is inf
             c = (float(_norm(scipy.linalg.lapack.ztrtri(S[k:rank, k:rank])[0]))
                  if k < rank else 0.0)
-            abc = a * float(_norm(S[:k, k:rank])) * c
-            inverse = (a * a + c * c + abc * abc) ** 0.5
-        if not (1.0 / inverse > floor and 1.0 / inverse >= margin):
-            inverse = _norm(scipy.linalg.lapack.ztrtri(S[:rank, :rank])[0])
-        lower = 1.0 / inverse
-        if lower > floor and 10 * upper <= TOL_RANK and lower >= margin:
-            return rank, (float(lower * d[0]), float(upper * d[0])), float(inverse)
+            cert = _certify(a, c, a * float(_norm(S[:k, k:rank])), upper, norm)
+        if cert is None:
+            a = float(_norm(scipy.linalg.lapack.ztrtri(S[:rank, :rank])[0]))
+            cert = _certify(a, 0.0, 0.0, upper, norm)
+        if cert is not None:
+            lower, inverse = cert
+            return rank, (float(lower * d[0]), float(upper * d[0])), inverse
     s = np.linalg.svd(R, compute_uv=False)
     rank = _rank(s)
     cut = TOL_RANK * s[0]
@@ -359,20 +365,29 @@ def _tall(shape):
     return shape[0] >= shape[1] > 0
 
 
-def _one_level(shape):
-    """The plan of a staircase of one level: all of Res, in its order."""
-    return slice(None), [(slice(None), slice(None))], [shape]
+def _place(res, drop, shift):
+    """Where Res at the degree of res minus drop sits in res, times
+    x^shift (shift a point of S_drop): (I, J), I the rows x^shift x^a of
+    res in the row order of that Res, J the columns x^shift x^c of each
+    of its blocks in its column order. res[I, J] is that Res, and every
+    other row of res is zero in the columns J: the column of x^shift x^c
+    in block i holds x^shift x^c f_i, whose terms are all rows in I."""
+    fan = res.rows.degree.fan
+    starts = np.cumsum([0] + res.block_widths())
+    rows = res.rows.rows(graded_basis(fan, res.rows.degree - drop).points + shift)
+    cols = np.concatenate([start + top.rows(graded_basis(fan, top.degree - drop).points + shift)
+                           for start, (_, top) in zip(starts, res.col_blocks)])
+    return rows, cols
 
 
 def _chain(res, step, shift):
     """The staircase plan of a tall Res at beta down the chain of degrees
-    beta - j step, j = 0, 1, ...: (order, takes, bounds).
+    beta - j step, j = 0, 1, ...: (order, takes, bounds), or None when
+    it has one level.
 
-    Level j is Res at beta - j step. Multiplying by x^(j b0), b0 = shift
-    the first point of S_step, carries its row x^a to the row x^(j b0) x^a
-    of Res at beta and its column x^c of block i to the column x^(j b0)
-    x^c of block i; those columns vanish off those rows, and level j + 1
-    sits inside level j the same way. In the nested order the rows and
+    Level j is Res at beta - j step, placed in Res at beta by x^(j b0),
+    b0 = shift the first point of S_step (_place); level j + 1 sits
+    inside level j the same way. In the nested order the rows and
     columns of the innermost level come first, then those each level
     adds. order is that order of the rows; bounds[i] the rows and
     columns of the i-th level from the inside, so bounds[-1] is the
@@ -387,22 +402,16 @@ def _chain(res, step, shift):
     ahead; a taller level costs more in copies and LAPACK calls than the
     rows it finalizes save.
     """
-    fan = res.rows.degree.fan
-    starts = np.cumsum([0] + res.block_widths())
     rows, cols = [np.arange(res.shape[0])], [np.arange(res.shape[1])]
     while True:
         j = len(rows)
-        below = graded_basis(fan, res.rows.degree - j * step)
-        blocks = [graded_basis(fan, b.degree - j * step) for _, b in res.col_blocks]
-        shape = len(below), sum(map(len, blocks))
-        if not 0 < shape[1] <= shape[0] <= _LEVEL_ASPECT * shape[1]:
+        below, blocks = _place(res, j * step, j * shift)
+        if not 0 < len(blocks) <= len(below) <= _LEVEL_ASPECT * len(blocks):
             break
-        rows.append(res.rows.rows(below.points + j * shift))
-        cols.append(np.concatenate([start + top.rows(low.points + j * shift)
-                                    for start, (_, top), low
-                                    in zip(starts, res.col_blocks, blocks)]))
+        rows.append(below)
+        cols.append(blocks)
     if len(rows) == 1:
-        return _one_level(res.shape)
+        return None
     bounds = [(len(r), len(c)) for r, c in zip(rows[::-1], cols[::-1])]
     # each level's rows and columns in Res order, those of the level
     # inside it taken out
@@ -417,33 +426,13 @@ def _chain(res, step, shift):
     return order, takes, bounds
 
 
-def _cut(res, block, shift):
-    """The reduction of a wide res by block: (I, rest, K), I the rows of
-    x^b0 S_alpha in res, in the order of block's rows, rest the other
-    rows, and K the columns outside x^b0 times block's columns J; res[I,
-    J] is block, and res[rest, J] is zero. None when K or J is empty."""
-    rows = res.rows.rows(block.rows.points + shift)
-    starts = np.cumsum([0] + res.block_widths())
-    cols = np.concatenate([start + top.rows(low.points + shift) for start, (_, top), (_, low)
-                           in zip(starts, res.col_blocks, block.col_blocks)])
-    if not 0 < len(cols) < res.shape[1]:
-        return None
-    rest = np.setdiff1d(np.arange(res.shape[0]), rows, assume_unique=True)
-    return rows, rest, np.setdiff1d(np.arange(res.shape[1]), cols, assume_unique=True)
-
-
 def _staircase_plan(res, block):
-    """(plan of res, plan of block), kept by the fan per row and column
-    bases of res and block (the bases the fan keeps, so a repeat call
-    builds no key of degrees).
-
-    block is Res one degree alpha0 below res. The plan of a tall res is
-    _chain's down by alpha0; when it has more than one level, its second
-    level is block, whose corank the staircase certifies on the way. The
-    plan of a wide res is its reduction by block (_cut), or None; block's
-    cokernel then comes from one QR of its adjoint (_reduced). The plan
-    of block is needed, and made, only when block is tall and res has
-    neither a staircase of more than one level nor a reduction.
+    """The structured plan of res with block, Res one degree alpha0 below
+    it, or None: _chain's staircase of a tall res, or the cut (I, rest,
+    K) of a wide one, I and the columns J of block in res from _place,
+    rest the other rows, K the other columns. Kept by the fan per row
+    and column bases of res and block (the bases the fan keeps, so a
+    repeat call builds no key of degrees).
 
     Raises:
         InputError: alpha0 has no sections, or block is not Res at the
@@ -459,15 +448,13 @@ def _staircase_plan(res, block):
         if (len(between) == 0 or [b.degree.a for _, b in block.col_blocks]
                 != [(b.degree - step).a for _, b in res.col_blocks]):
             raise InputError("the block is not Res at a degree below this one")
-        shift = between.points[0]
         if _tall(res.shape):
-            top = _chain(res, step, shift)
-            alone = len(top[2]) == 1
-        else:
-            top = _cut(res, block, shift)
-            alone = top is None
-        low = _chain(block, step, shift) if alone and _tall(block.shape) else None
-        return top, low
+            return _chain(res, step, between.points[0])
+        I, J = _place(res, step, between.points[0])
+        if not 0 < len(J) < res.shape[1]:
+            return None
+        rest = np.setdiff1d(np.arange(res.shape[0]), I, assume_unique=True)
+        return I, rest, np.setdiff1d(np.arange(res.shape[1]), J, assume_unique=True)
     return fan.kept(key, build)
 
 
@@ -571,9 +558,36 @@ def _null_rows(R, jpvt, rank):
     return basis.conj().T
 
 
-def _cokernel(res, corank_only, plan, block=None):
-    """cokernel of res, on the staircase plan when res is tall; the
-    block's map is certified on the way when block is its second level."""
+def _stairs(res, corank_only, plan, block=None):
+    """(map, block's map) of a tall res from its QR on plan (_staircase).
+
+    N^H = Q E, E the unit vectors past the rank: each level's Q turns its
+    own rows of the nested order, the top level's first. With block, the
+    second level from the top, the block's map comes from inside the
+    staircase, and a top cut that raises leaves the map None. On a plan
+    of one level the cut raises.
+    """
+    A = res.matrix
+    R, levels, below, lead = _staircase(A, plan, block)
+    try:
+        rank, bounds, _ = _qr_rank(R, not corank_only, lead)
+    except RankAmbiguousError:
+        if block is None:
+            raise
+        return None, below
+    N = None
+    if not corank_only:
+        X = np.eye(len(A), len(A) - rank, -rank, dtype=complex, order="F")
+        for qr, tau, lo, hi in reversed(levels):
+            X[lo:hi] = _unmqr("N", qr, tau, X[lo:hi])
+        N = np.empty((len(A) - rank, len(A)), dtype=complex)
+        N[:, plan[0]] = X.conj().T
+    return CokernelMap(N, len(A) - rank, R, bounds, res), below
+
+
+def _plain(res, corank_only):
+    """The map of one QR of res, or of res^H when res is wide; its cut
+    raises."""
     A = res.matrix
     nrows, ncols = A.shape
     if ncols == 0:
@@ -583,32 +597,13 @@ def _cokernel(res, corank_only, plan, block=None):
         R, jpvt, rank, bounds = _adjoint_qr(A, not corank_only)
         N = None if corank_only else _null_rows(R, jpvt, rank)
         return CokernelMap(N, nrows - rank, R, bounds, res)
-
-    R, levels, below, lead = _staircase(A, plan, block)
-    try:
-        rank, bounds, _ = _qr_rank(R, not corank_only, lead)
-    except RankAmbiguousError:
-        if len(levels) == 1:
-            raise
-        plan = _one_level(A.shape)
-        R, levels, _, _ = _staircase(A, plan)
-        rank, bounds, _ = _qr_rank(R, not corank_only)
-    N = None
-    if not corank_only:
-        # N^H = Q E, E the unit vectors past the rank: each level's Q on
-        # its own rows of the nested order, the top level's first
-        X = np.eye(nrows, nrows - rank, -rank, dtype=complex, order="F")
-        for qr, tau, lo, hi in reversed(levels):
-            X[lo:hi] = _unmqr("N", qr, tau, X[lo:hi])
-        N = np.empty((nrows - rank, nrows), dtype=complex)
-        N[:, plan[0]] = X.conj().T
-    return CokernelMap(N, nrows - rank, R, bounds, res, below)
+    return _stairs(res, corank_only, (slice(None), [(slice(None),) * 2], [A.shape]))[0]
 
 
 def _coupling(R, jpvt, rank, X):
     """||Z||_F, Z = R11^-H V with V the least-squares solution of
     P [I; L] V = X, L^H = R11^-1 R12, from the QR of block^H (_adjoint_qr)
-    and X = res[I, K]: the coupling C1^-1 X of _reduced."""
+    and X = res[I, K]: the coupling C1^-1 X of _reduce."""
     Lh = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
     T = X[jpvt - 1]
     V = T[:rank] + Lh @ T[rank:]
@@ -618,16 +613,37 @@ def _coupling(R, jpvt, rank, X):
     return _fro(scipy.linalg.solve_triangular(R[:rank, :rank], V, trans="C"))
 
 
-def _reduce(res, corank_only, cut, low):
-    """The map of a wide res from the cokernel of B, or None when B's
-    cut raises or the top cut is not certified (_reduced); low is the
-    _adjoint_qr of the block."""
+def _reduce(res, corank_only, cut, block):
+    """(map, block's map) of a wide res from the cokernel of B; the map is
+    None when the block leaves no margin, B's cut raises or the top cut
+    is not certified.
+
+    Rows I of res hold block in the columns J, which vanish off I; K are
+    the other columns (_staircase_plan). Let N_lo be block's cokernel,
+    R-based from one geqp3 of its adjoint, block^H P = Q R, and B = [N_lo
+    res[I, K]; res[rest, K]]. A left null vector y of res has y_I in the
+    cokernel of block, so the cokernel of res is that of B, lifted back:
+    y[I] = c_I N_lo, y[rest] = c_rest. Orthonormal rows c give
+    orthonormal rows y.
+
+    The cut at the top is r_lo + rank(B). Turning the rows I by a unitary
+    [N_perp; N_lo] and the columns J by Q makes res [[C1, X], [0, B]]
+    plus columns of norm at most u_lo = ||R22||_F of block's QR, with C1
+    = N_perp P [I; L] R11^H square (L^H = R11^-1 R12) and X = N_perp
+    res[I, K]. So sigma_{r+1}(res) <= u_B + u_lo, and _certify bounds
+    sigma_r(res) with weyl = u_B + u_lo. Here 1 / a = sigma_{r_lo}(block)
+    - 2 u_lo <= sigma_min(C1), c and u_B are the bounds at B's cut, and
+    k >= ||C1^-1 X||: first a ||X||_F, ||X||_F^2 = ||res[I, K]||_F^2 -
+    ||N_lo res[I, K]||_F^2, and when that product of norms misses the
+    margins, ||C1^-1 X||_F itself (_coupling).
+    """
     I, rest, K = cut
-    R_lo, jpvt_lo, r_lo, (lower_lo, _) = low
+    R_lo, jpvt_lo, r_lo, bounds_lo = _adjoint_qr(block.matrix, False)
+    below = CokernelMap(None, block.shape[0] - r_lo, R_lo, bounds_lo, block)
     scale = float(abs(R_lo[0, 0]))
     weyl_lo = _fro(R_lo[r_lo:, r_lo:])
-    if not (scale > 0.0 and lower_lo > 2 * weyl_lo and len(I) - r_lo + len(rest)):
-        return None
+    if not (scale > 0.0 and bounds_lo[0] > 2 * weyl_lo and len(I) - r_lo + len(rest)):
+        return None, below
     N_lo = _null_rows(R_lo, jpvt_lo, r_lo)
     A = res.matrix
     IK = A[np.ix_(I, K)]
@@ -636,66 +652,25 @@ def _reduce(res, corank_only, cut, low):
     try:
         R, jpvt, rank, (lower_b, upper_b) = _adjoint_qr(B, not corank_only)
     except RankAmbiguousError:
-        return None
+        return None, below
     # in units of the block's |r_11|; Python floats, so a product beyond
     # the float range is inf, not a warning
-    a = scale / (lower_lo - 2 * weyl_lo)
-    c = scale / lower_b
+    a, c = scale / (bounds_lo[0] - 2 * weyl_lo), scale / lower_b
     upper = (upper_b + weyl_lo) / scale
-    if not 10 * upper <= TOL_RANK * max(1.0, abs(R[0, 0]) / scale):
-        return None
-    floor = max(10 * TOL_RANK * _fro(A) / scale, 1e3 * GAP_RATIO * upper)
-
-    def lower(coupling):
-        kc = coupling * c
-        return 1.0 / (a * a + c * c + kc * kc) ** 0.5 - upper
-
+    margins = {"upper": upper, "norm": _fro(A) / scale,
+               "top": max(1.0, abs(R[0, 0]) / scale), "weyl": upper}
     t, p = _fro(IK) / scale, _fro(NK) / scale
-    bound = lower(a * max(t * t - p * p, 0.0) ** 0.5)
-    if not bound > floor:
-        bound = lower(_coupling(R_lo, jpvt_lo, r_lo, IK))
-        if not bound > floor:
-            return None
+    cert = (_certify(a, c, a * max(t * t - p * p, 0.0) ** 0.5, **margins)
+            or _certify(a, c, _coupling(R_lo, jpvt_lo, r_lo, IK), **margins))
+    if cert is None:
+        return None, below
     N = None
     if not corank_only:
         C = _null_rows(R, jpvt, rank)
         N = np.empty((len(C), A.shape[0]), dtype=complex)
         N[:, I] = C[:, :len(N_lo)] @ N_lo
         N[:, rest] = C[:, len(N_lo):]
-    return CokernelMap(N, len(B) - rank, R, (bound * scale, upper * scale), res)
-
-
-def _reduced(res, corank_only, block, cut):
-    """cokernel of a wide res with its block, by the cokernel of B.
-
-    Rows I of res hold block in the columns J, which vanish off I; K are
-    the other columns (_cut). Let N_lo be block's cokernel, R-based from
-    one geqp3 of its adjoint, block^H P = Q R, and B = [N_lo res[I, K];
-    res[rest, K]]. A left null vector y of res has y_I in the cokernel of
-    block, so the cokernel of res is that of B, lifted back: y[I] = c_I
-    N_lo, y[rest] = c_rest. Orthonormal rows c give orthonormal rows y.
-
-    The cut at the top is r_lo + rank(B). Turning the rows I by a unitary
-    [N_perp; N_lo] and the columns J by Q makes res [[C1, X], [0, B]]
-    plus columns of norm at most u_lo = ||R22||_F of block's QR, with C1
-    = N_perp P [I; L] R11^H square (L^H = R11^-1 R12) and X = N_perp
-    res[I, K]. So sigma_{r+1}(res) <= u_B + u_lo, and a {1}-inverse of
-    [[C1, X], [0, B_r]] gives sigma_r(res) >= 1 / sqrt(a^2 + c^2 + (k
-    c)^2) - u_B - u_lo. Here 1 / a = sigma_{r_lo}(block) - 2 u_lo <=
-    sigma_min(C1), c and u_B are the bounds at B's cut, and k >=
-    ||C1^-1 X||: first a ||X||_F, ||X||_F^2 = ||res[I, K]||_F^2 -
-    ||N_lo res[I, K]||_F^2, and when that product of norms misses the
-    margins of _qr_rank, ||C1^-1 X||_F itself (_coupling). When that
-    misses too, or B's cut raises, one QR of res^H runs instead.
-    """
-    low = _adjoint_qr(block.matrix, False)
-    R_lo, _, r_lo, bounds_lo = low
-    below = CokernelMap(None, block.shape[0] - r_lo, R_lo, bounds_lo, block)
-    cok = _reduce(res, corank_only, cut, low)
-    if cok is None:
-        cok = _cokernel(res, corank_only, None)
-    cok.block = below
-    return cok
+    return CokernelMap(N, len(B) - rank, R, (cert[0] * scale, upper * scale), res), below
 
 
 def cokernel(res, corank_only=False, block=None):
@@ -705,18 +680,18 @@ def cokernel(res, corank_only=False, block=None):
     the corank is counted against the row dimension, so a matrix with few
     columns exposes its structural cokernel too.
 
-    Every path makes a column-pivoted QR (LAPACK geqp3) of the tall
-    orientation T of Res: Res itself when it has at least as many rows as
-    columns, Res^H otherwise. T P = Q R, so the square triangular factor
-    R has the singular values of Res. _qr_rank certifies the cut on
-    |diag R| from R; a values-only SVD of R runs only when that fails or
+    Every path makes column-pivoted QRs (LAPACK geqp3) and no singular
+    vectors. The plain path makes one, of the tall orientation T of Res:
+    Res itself when it has at least as many rows as columns, Res^H
+    otherwise. T P = Q R, so the square triangular factor R has the
+    singular values of Res. _qr_rank certifies the cut on |diag R| from R
+    (_certify); a values-only SVD of R runs only when that fails or
     CokernelMap.singular_values is read. With R11 the leading rank x rank
     block of R, R12 beside it and R22 the trailing block, the full path
-    builds N from the same QR, with no U:
+    builds N from the same QR:
 
     - tall Res: the left null space is spanned by the trailing columns
-      of Q, the product of the staircase levels' unitaries: LAPACK unmqr
-      applies each level's to its own rows of those unit vectors;
+      of Q: LAPACK unmqr applies Q to the unit vectors past the rank;
     - wide Res: the left null space is the null space of T, which is P
       times the null space of [R11 R12], spanned by [-R11^{-1} R12; I].
 
@@ -726,32 +701,37 @@ def cokernel(res, corank_only=False, block=None):
     an N that misses the image. With corank_only, N is None and only that
     guard is skipped.
 
-    Staircase: block is Res at alpha, one degree alpha0 below res. res
-    holds it, times a monomial x^b0 of S_alpha0, as a column block that
-    vanishes off its rows; Res at alpha - alpha0 sits in block the same
-    way, and so on down the chain (_chain). A tall res is factored one
-    level of that staircase at a time (_staircase): each QR takes only a
-    level's new columns and the rows the levels inside leave. The cut at
-    alpha, the block's corank, is certified on the way; the cut at the
-    top reuses that certificate and inverts only the top level's own
-    R11. Each proof uses only Res P = Q R, whichever pivots were chosen.
-    If the top cut raises, one QR of all of res runs instead. With one
-    level (no block, or a block without columns, wide, or more than
-    _LEVEL_ASPECT times as tall as wide) the QR is of all of res, and a
-    block that is no level of res is factored on its own. The block's
-    map is the block attribute of the result.
+    block is Res at alpha, one degree alpha0 below res. res holds it,
+    times a monomial x^b0 of S_alpha0, as a column block that vanishes
+    off its rows (_place); Res at alpha - alpha0 sits in block the same
+    way, and so on down the chain. With a block, cokernel first tries
+    the structured map of _staircase_plan:
 
-    Reduction: a wide res is reduced by its block when the block has
-    columns and res has others (_reduced). One QR of block^H gives the
-    block's corank and its R-based cokernel N_lo. With I the rows of
-    x^b0 S_alpha, rest the other rows and K the columns outside x^b0
-    times the block's, the cokernel of res is that of B = [N_lo res[I,
-    K]; res[rest, K]], lifted back: on the 27 lines B is 261 x 342 where
-    res is 441 x 552. B goes through the wide path above, and its rows
-    lift to orthonormal rows with no second QR. The cut at the top is
-    certified from the two cuts; when that bound misses the margins, or
-    B's cut raises, one QR of res^H runs instead. With corank_only the
-    call stops after B's cut.
+    - staircase: a tall res whose chain has more than one level, block
+      its second (_chain), is factored one level at a time (_staircase):
+      each QR takes only a level's new columns and the rows the levels
+      inside leave. The cut at alpha, the block's corank, is certified
+      on the way; the cut at the top reuses that certificate and inverts
+      only the top level's own R11. R is assembled from one QR per
+      level, so its |diagonal| is not monotone across the level bounds.
+      N is Q E as above, each level's Q on its own rows (_stairs);
+    - reduction: a wide res, when block has columns and res others, is
+      reduced by block (_reduce). One QR of block^H gives the block's
+      corank and its R-based cokernel N_lo. With I the rows of x^b0
+      S_alpha, rest the other rows and K the columns outside x^b0 times
+      the block's, the cokernel of res is that of B = [N_lo res[I, K];
+      res[rest, K]], lifted back: on the 27 lines B is 261 x 342 where
+      res is 441 x 552. B goes through the wide path above, and R and
+      the singular values are those of B. The cut at the top is
+      certified from the two cuts; rank_bounds is then that pair, far
+      weaker than one QR of res^H would give.
+
+    Each proof uses only Res P = Q R, whichever pivots were chosen. When
+    the top cut of the structured map is not certified, the plain map of
+    res runs instead. The block's map, the block attribute of the
+    result, is corank-only: from the staircase or the reduction when
+    either ran (the reduction's keeps the R of its QR of block^H), else
+    the plain map of block.
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
@@ -762,14 +742,14 @@ def cokernel(res, corank_only=False, block=None):
         InputError: block is not Res at a degree below res's by a
             degree with sections, for the same equation degrees.
     """
-    if block is None:
-        return _cokernel(res, corank_only, _one_level(res.shape))
-    top, low = _staircase_plan(res, block)
-    if top is not None and not _tall(res.shape):
-        return _reduced(res, corank_only, block, top)
-    cok = _cokernel(res, corank_only, top, block)
-    if cok.block is None:
-        cok.block = _cokernel(block, True, low)
+    cok = below = None
+    plan = None if block is None else _staircase_plan(res, block)
+    if plan is not None:
+        cok, below = (_stairs if _tall(res.shape) else _reduce)(res, corank_only, plan, block)
+    if cok is None:
+        cok = _plain(res, corank_only)
+    if block is not None:
+        cok.block = below if below is not None else _plain(block, True)
     return cok
 
 

@@ -289,15 +289,11 @@ def user_pair(system, alpha, alpha0):
 def verify_pair(system, pair):
     """Coranks of Res at alpha and at alpha + alpha0.
 
-    Assembles Res at both degrees and takes each corank from a pivoted
-    QR with a certified cut, without a basis: the call solve makes,
-    eigensolver.cokernel of Res at alpha + alpha0 with Res at alpha as
-    its block, whose map carries the corank at alpha. A tall Res at
-    alpha + alpha0 is factored as a staircase down the alpha0 chain,
-    certifying the cut at alpha on the way; a wide one is reduced by the
-    cokernel at alpha, and the call stops after the cut of the smaller
-    matrix it leaves. The pair is admissible when
-    the two coranks agree; either one is delta+.
+    Assembles Res at both degrees and takes both coranks, without a
+    basis, from the call solve makes: eigensolver.cokernel of Res at
+    alpha + alpha0 with Res at alpha as its block, whose map carries the
+    corank at alpha. The pair is admissible when the two coranks agree;
+    either one is delta+.
 
     Returns:
         (corank at alpha, corank at alpha + alpha0).

@@ -56,14 +56,9 @@ class SolutionSet:
         timings: stage name -> wall milliseconds.
         system: the HomogeneousSystem that was solved.
         diagnostics: numeric traces for export (|diag R| and the
-            rank_bounds of the pivoted QR of Res at alpha + alpha0,
-            per-member block leakage). On a staircase of more than one
-            level (eigensolver.cokernel) R is assembled from one QR per
-            level, so |diag R| is not monotone across the level bounds,
-            and the lower bound may come from the certificate kept at
-            alpha, weaker than trtri of all of R11 would give. On a wide
-            Res reduced by the cokernel at alpha, R is the factor of the
-            smaller B, and the bounds are those the two cuts certify.
+            rank_bounds of the cokernel of Res at alpha + alpha0,
+            per-member block leakage); eigensolver.cokernel says which
+            QR gives R on each of its paths.
     """
 
     __slots__ = ("solutions", "delta", "delta_plus", "pair", "seed",
@@ -162,15 +157,9 @@ def solve(system, rays=None, pair=None, seed=0):
     The pair is always verified: the coranks at alpha and alpha + alpha0
     must agree before the solve commits to it; nothing is written onto
     the pair. Both coranks come from one call, eigensolver.cokernel of
-    Res at alpha + alpha0 with Res at alpha as its block, and each from a
-    pivoted QR with a certified cut. A tall Res at alpha + alpha0 is
-    factored as a staircase down the chain alpha, alpha - alpha0, ...:
-    the cut at alpha is certified on the way, the one at the top at the
-    end, and N is built from the same reflectors. A wide one is reduced
-    by the cokernel at alpha to a smaller B whose cokernel lifts back to
-    it; its cut is certified from the two cuts, or one QR of all of it
-    runs. A rank failure may name either cut; its type and exit code are
-    those of any rank failure.
+    Res at alpha + alpha0 with Res at alpha as its block, whose
+    docstring gives its paths. A rank failure may name either cut; its
+    type and exit code are those of any rank failure.
 
     Every threshold is a module constant: the rank cut TOL_RANK with its
     singular value gap GAP_RATIO, the h0 conditioning limit COND_MAX

@@ -32,8 +32,10 @@ compares two snapshots numerically, for changes that move the last
 digits and so cannot be byte-identical. Per workload it prints every
 structural difference of a case (the error type it raised, the count
 of solutions, and the multiplicity, zero pattern, torus or boundary
-route and non-simplicial flag of each) and the largest relative move of a Cox coordinate z
-over the points matched between the two sides, each coordinate against
+route and non-simplicial flag of each) and the largest relative move
+of a point's Cox coordinates z over the points matched between the two
+sides. z is fixed only up to the group that fixes the point, so a move
+is read off what that group keeps (_invariants), each value against
 the larger of its two moduli. The exit status is 1 when any case
 differs structurally.
 """
@@ -61,6 +63,7 @@ from systems import (  # noqa: E402
 )
 from toricsolve import ToricSolveError, solve  # noqa: E402
 from toricsolve.formats import solution_file_dict  # noqa: E402
+from toricsolve.lattice import integer_kernel  # noqa: E402
 from workloads import (  # noqa: E402
     LINES27_RAYS,
     Lines27,
@@ -158,6 +161,27 @@ def _z(sol):
     return np.array([complex(*x) for x in sol["z"]])
 
 
+def _invariants(sol, rays):
+    """What the Cox coordinates z of a point say about it, whichever
+    element of the group that fixes it they were taken at: the moduli
+    |z|, and the torus coordinates t of a torus point, or on a boundary
+    orbit its characters prod_{j not in the cone} z_j^<u_j, m>, m an
+    integer basis of the characters that vanish on the cone."""
+    z = _z(sol)
+    if sol["on_torus"]:
+        return np.abs(z), np.array([complex(*x) for x in sol["t"]])
+    cone = sol["zero_pattern"]
+    basis = np.reshape(integer_kernel([rays[j] for j in cone]), (-1, len(rays[0])))
+    off = [j for j in range(len(z)) if j not in cone]
+    pairings = basis @ np.array(rays)[off].T
+    return np.abs(z), np.array([np.prod(z[off] ** row) for row in pairings])
+
+
+def _moved(a, b, rays):
+    """Largest move of the invariants of two points (_invariants)."""
+    return max(_move(x, y) for x, y in zip(_invariants(a, rays), _invariants(b, rays)))
+
+
 def _move(a, b):
     """Largest move of a coordinate against the larger of its two moduli;
     coordinates that vanish on both sides do not move."""
@@ -168,7 +192,7 @@ def _move(a, b):
 def compare_case(old, new):
     """(structural differences, z moves of the matched points) of one case.
     Each old point is matched to the nearest unmatched new point on the
-    same route."""
+    same route, by the move of its invariants (_moved)."""
     raised = old.get("raised"), new.get("raised")
     if raised != (None, None):
         return ([] if raised[0] == raised[1] else [f"raised {raised[0]} -> {raised[1]}"]), []
@@ -179,11 +203,11 @@ def compare_case(old, new):
     if routes[0] != routes[1]:
         return [f"routes (multiplicity, zero pattern, on torus, non-simplicial) "
                 f"{routes[0]} -> {routes[1]}"], []
-    moves, left = [], list(news)
+    moves, left, rays = [], list(news), old["metadata"]["rays"]
     for sol in olds:
         same = [cand for cand in left if _route(cand) == _route(sol)]
-        best = min(same, key=lambda cand: _move(_z(sol), _z(cand)))
-        moves.append(_move(_z(sol), _z(best)))
+        best = min(same, key=lambda cand: _moved(sol, cand, rays))
+        moves.append(_moved(sol, best, rays))
         left.remove(best)
     return [], moves
 

@@ -29,6 +29,7 @@ from toricsolve.eigensolver import (
     ResMatrix,
     _below_block_norm,
     _cluster_labels,
+    _place,
     _qr_rank,
     _rank,
     _reorder,
@@ -43,7 +44,7 @@ from toricsolve.eigensolver import (
 from toricsolve.errors import BasepointError, InputError, RankAmbiguousError
 from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope
-from toricsolve.regularity import improved_pair, user_pair, verify_pair
+from toricsolve.regularity import default_pair, improved_pair, user_pair, verify_pair
 from toricsolve.solver import solve
 
 from systems import (
@@ -530,13 +531,13 @@ def _dense_system(rng, shape, sizes):
 
 
 def _levels(system):
-    """Levels of the staircase of Res at alpha + alpha0, 0 when it is
-    wide."""
+    """Levels of the staircase of Res at alpha + alpha0 when it has more
+    than one, else 0."""
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha, allow_empty=True)
     top = assemble_res(system, pair.top)
-    plan = _staircase_plan(top, low)[0]
-    return 0 if plan is None else len(plan[2])
+    plan = _staircase_plan(top, low)
+    return 0 if plan is None or not _tall(top) else len(plan[2])
 
 
 @functools.cache
@@ -602,7 +603,7 @@ def _check_staircase(system):
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha, allow_empty=True)
     top = assemble_res(system, pair.top)
-    plan, _ = _staircase_plan(top, low)
+    plan = _staircase_plan(top, low)
     order, takes, bounds = plan
     cols = takes[0][1].ravel()
     assert sorted(order) == list(range(top.shape[0]))
@@ -675,7 +676,7 @@ def test_block_certificate_failure_falls_back():
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan, _ = _staircase_plan(top, low)
+    plan = _staircase_plan(top, low)
     cols = plan[1][0][1].ravel()[:low.shape[1]]
     scaled = top.matrix.copy()
     scaled[:, cols] *= 1e-14
@@ -704,7 +705,7 @@ def test_block_is_ignored_where_it_cannot_help():
         low = assemble_res(system, pair.alpha, allow_empty=True)
         top = assemble_res(system, pair.top)
         assert low.shape[1] == 0 and top.shape[0] >= top.shape[1]
-        assert len(_staircase_plan(top, low)[0][2]) == 1
+        assert _staircase_plan(top, low) is None
         for corank_only in (False, True):
             cok = cokernel(top, corank_only, block=low)
             assert _same_cokernel(cok, cokernel(top, corank_only)), name
@@ -727,7 +728,7 @@ def test_one_level_n_is_the_trailing_columns_of_q(name):
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha, allow_empty=True)
     top = assemble_res(system, pair.top)
-    assert len(_staircase_plan(top, low)[0][2]) == 1
+    assert _staircase_plan(top, low) is None
     want = one_qr_cokernel(top).N
     assert want.shape[0] > 0
     assert np.array_equal(cokernel(top).N, want)
@@ -784,7 +785,7 @@ def test_wide_res_is_reduced_by_its_block(seed):
     cokernel the SVD gives, as accurate, and the same coranks on the
     corank-only path."""
     top, low = _lines27_pair(seed)
-    I, rest, K = _staircase_plan(top, low)[0]
+    I, rest, K = _staircase_plan(top, low)
     assert (len(I), len(rest), len(K)) == (225, 216, 342)
     cok = cokernel(top, block=low)
     # the reduced path, not its fallback to one QR of Res^H
@@ -808,17 +809,53 @@ def test_wide_res_is_reduced_by_its_block(seed):
     assert (only.delta_plus, only.block.delta_plus) == (45, 45)
 
 
+def _placed(top, low):
+    """(I, J) of Res at alpha (low) in Res at alpha + alpha0 (top), from
+    the placement the staircase and the reduction share."""
+    step = top.rows.degree - low.rows.degree
+    return _place(top, step, graded_basis(top.rows.degree.fan, step).points[0])
+
+
+def _golden_pair(name, which):
+    """(Res at alpha + alpha0, Res at alpha) of a golden system's default
+    or improved pair."""
+    sf = load_system_file(DATA / f"{name}.system.json")
+    system = homogenize(sf.laurent(), rays=sf.rays)
+    pair = (default_pair if which == "default" else improved_pair)(system)
+    return assemble_res(system, pair.top), assemble_res(system, pair.alpha, allow_empty=True)
+
+
+# tall tops: a staircase of 4 levels (105 x 72) and of 2 (78 x 42); wide
+# tops, reduced: lines27 441 x 552 and pillow 25 x 26
+@pytest.mark.parametrize("name, which", [
+    ("dense_p2_d6_seed0", "default"), ("dense_p2_d6_seed0", "improved"),
+    ("lines27_seed0", "improved"), ("pillow_seed1", "default")])
+def test_placement_holds_res_at_alpha(name, which):
+    """x^b0 times Res at alpha is res[I, J], and the columns J vanish on
+    every row outside I."""
+    top, low = _golden_pair(name, which)
+    assert _tall(top) == (name == "dense_p2_d6_seed0") and low.shape[1] > 0
+    I, J = _placed(top, low)
+    assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
+    outside = np.ones(top.shape[0], dtype=bool)
+    outside[I] = False
+    assert outside.sum() == top.shape[0] - len(I)
+    assert not top.matrix[outside][:, J].any()
+    if not _tall(top):
+        # the reduction's cut: I, the other rows, the columns outside J
+        plan = _staircase_plan(top, low)
+        assert np.array_equal(plan[0], I) and np.array_equal(plan[1], np.flatnonzero(outside))
+        assert np.array_equal(np.sort(np.r_[J, plan[2]]), np.arange(top.shape[1]))
+
+
 def test_reduction_falls_back_when_its_bound_misses():
-    """A Kahan block (its QR leaves R22 far above the cut) in place of
-    Res at alpha inside Res at alpha + alpha0: the bound on the top cut
-    misses, and cokernel returns exactly the map one QR of Res^H gives,
-    as without the block."""
+    """A Kahan block in place of Res at alpha inside Res at alpha +
+    alpha0: the tail its QR leaves, about 4e-9 of its |r_11|, is too
+    large for the margin 10 upper <= TOL_RANK top of the top cut, so the
+    bound on that cut misses, and cokernel returns exactly the map one
+    QR of Res^H gives, as without the block."""
     top, low = _lines27_pair(0)
-    I = _staircase_plan(top, low)[0][0]
-    starts = np.cumsum([0] + top.block_widths())
-    shift = top.rows.points[I[0]] - low.rows.points[0]
-    J = np.concatenate([start + hi.rows(lo.points + shift) for start, (_, hi), (_, lo)
-                        in zip(starts, top.col_blocks, low.col_blocks)])
+    I, J = _placed(top, low)
     assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
     kahan = np.zeros(low.shape, dtype=complex)
     kahan[:64, :64] = _kahan(64)
@@ -833,6 +870,84 @@ def test_reduction_falls_back_when_its_bound_misses():
         assert cok.block.delta_plus == low.shape[0] - 63
 
 
+# seed 1 needs the coupling ||C1^-1 X||_F to certify its top cut
+@pytest.mark.parametrize("exit", ["no margin", "B raises", "coupling misses",
+                                  "no column", "every column"])
+def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
+    """Wherever the reduction of a wide Res gives up, cokernel returns
+    exactly the map it gives without a block, one QR of Res^H, and the
+    block's corank. On the 27 lines: a block whose adjoint is Kahan's
+    matrix, so that the QR of the adjoint leaves R22 above half the
+    block's sigma_r; a B whose values straddle its cut with no gap, a
+    tenth the scale of Res, whose cut they clear; the coupling bound
+    infinite; and a block with no column (Res at degree 0) or with every
+    column (Res itself), which leaves nothing to reduce."""
+    system = lines27_system(1)
+    pair = improved_pair(system)
+    top = assemble_res(system, pair.top)
+    low = assemble_res(system, pair.alpha)
+    I, J = _placed(top, low)
+    planted = top.matrix.copy()
+    if exit == "no margin":
+        kahan = np.zeros(low.shape, dtype=complex)
+        kahan[:64, :64] = _kahan(64).conj().T
+        planted[np.ix_(I, J)] = kahan
+        low = ResMatrix(low.rows, low.col_blocks, kahan)
+        R, _, rank, (lower, _) = eigensolver._adjoint_qr(kahan, False)
+        assert lower <= 2 * np.linalg.norm(R[rank:, rank:])
+    elif exit == "B raises":
+        rest = np.setdiff1d(np.arange(top.shape[0]), I)
+        K = np.setdiff1d(np.arange(top.shape[1]), J)
+        planted[np.ix_(I, K)] = 0.0
+        planted[np.ix_(rest, K)] = 0.1 * _planted(0, len(rest), len(K), 200, 0.0, 7.5).matrix
+    elif exit == "no column":
+        low = assemble_res(system, [0] * system.k, allow_empty=True)
+    elif exit == "every column":
+        low = top
+    top = ResMatrix(top.rows, top.col_blocks, planted)
+    assert (_staircase_plan(top, low) is None) == exit.endswith("column")
+    couplings, raised = [], []
+    if exit == "coupling misses":
+        monkeypatch.setattr(eigensolver, "_coupling",
+                            lambda *args: couplings.append(args) or np.inf)
+    adjoint_qr = eigensolver._adjoint_qr
+
+    def spied(A, reveal):
+        try:
+            return adjoint_qr(A, reveal)
+        except RankAmbiguousError:
+            raised.append(A.shape)
+            raise
+
+    monkeypatch.setattr(eigensolver, "_adjoint_qr", spied)
+    for corank_only in (False, True):
+        cok = cokernel(top, corank_only, block=low)
+        assert _same_cokernel(cok, cokernel(top, corank_only))
+        assert cok.block.delta_plus == cokernel(low, corank_only=True).delta_plus
+    # B is 261 x 342; its cut raised on both calls, and only its
+    assert raised == [(261, 342)] * 2 * (exit == "B raises")
+    assert len(couplings) == 2 * (exit == "coupling misses")
+
+
+def test_block_that_is_no_level_takes_the_plain_map():
+    """A block that is no level of a staircase and no cut of a wide Res
+    has the map cokernel(block, corank_only=True) gives: one that is too
+    tall to be a level (two conics on P^2: 6 x 2 under 10 x 6), one with
+    no columns under a tall Res (pillow), and a wide Res as its own block
+    (pillow's default pair, 25 x 26)."""
+    system = _dense_system(np.random.default_rng(0), "P2", [(2,), (2,)])
+    pair = improved_pair(system)
+    wide = _golden_pair("pillow_seed1", "default")[0]
+    cases = [(assemble_res(system, pair.top), assemble_res(system, pair.alpha)),
+             _golden_pair("pillow_seed1", "improved"), (wide, wide)]
+    for top, low in cases:
+        assert _staircase_plan(top, low) is None
+        for corank_only in (False, True):
+            lo = cokernel(top, corank_only, block=low).block
+            assert _same_cokernel(lo, cokernel(low, corank_only=True))
+    assert [low.shape for _, low in cases] == [(6, 2), (4, 0), (25, 26)]
+
+
 def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
     """The top R11 is [[A, B], [0, C]] with A the R11 certified at alpha:
     trtri inverts only C, and the bound a^2 + c^2 + (a b c)^2 on
@@ -841,7 +956,7 @@ def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan, _ = _staircase_plan(top, low)
+    plan = _staircase_plan(top, low)
     R, _, lo, lead = _staircase(top.matrix, plan, low)
     low_rank = low.shape[0] - lo.delta_plus
     assert lead[0] == low_rank

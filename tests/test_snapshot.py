@@ -12,15 +12,19 @@ SNAPSHOT = Path(__file__).with_name("snapshot.py")
 
 
 def point(z, multiplicity=1, zero_pattern=(), on_torus=True):
+    # a torus point's t stands for its torus coordinates, which the
+    # comparison reads beside |z|
     return {"multiplicity": multiplicity, "zero_pattern": list(zero_pattern),
-            "on_torus": on_torus, "non_simplicial": False, "z": [[x, 0.0] for x in z]}
+            "on_torus": on_torus, "non_simplicial": False, "z": [[x, 0.0] for x in z],
+            "t": [[x, 0.0] for x in z[:2]] if on_torus else None}
 
 
+P2 = {"rays": [[1, 0], [0, 1], [-1, -1]]}
 OLD = {
-    "lines27 11/0": {"solutions": [point([1.0, 2.0, 3.0]), point([4.0, 0.0, 1.0],
-                                                                 2, [1], False)]},
+    "lines27 11/0": {"metadata": P2, "solutions": [
+        point([1.0, 2.0, 3.0]), point([4.0, 0.0, 1.0], 2, [1], False)]},
     "lines27 11/1": {"raised": "ClusteringError", "message": "no gap"},
-    "dense P^2 degree 8": {"solutions": [point([0.5, -1.0, 1.0])]},
+    "dense P^2 degree 8": {"metadata": P2, "solutions": [point([0.5, -1.0, 1.0])]},
 }
 
 
@@ -81,6 +85,45 @@ def test_structural_difference_fails(tmp_path, change, report):
     assert run.returncode == 1, run.stderr
     assert run.stdout.splitlines()[0].startswith(report)
     assert "lines27: 2 cases, 1 with structural differences" in run.stdout
+
+
+PILLOW = """
+import copy, json, sys
+sys.path.insert(0, sys.argv[1])
+import snapshot
+from systems import PILLOW_RAYS_SOLVE, pillow_laurent
+from toricsolve import solve
+from toricsolve.formats import solution_file_dict
+old = solution_file_dict(solve(pillow_laurent(), rays=PILLOW_RAYS_SOLVE, seed=0))
+new = copy.deepcopy(old)
+for sol in new["solutions"]:
+    for j in (0, 3):
+        sol["z"][j] = [-x for x in sol["z"][j]]
+print(json.dumps({
+    "rays": old["metadata"]["rays"],
+    "boundary": [not sol["on_torus"] for sol in old["solutions"]],
+    "compared": snapshot.compare_case(old, new),
+    "z": [snapshot._move(snapshot._z(a), snapshot._z(b))
+          for a, b in zip(old["solutions"], new["solutions"])],
+}))
+"""
+
+
+def test_group_that_fixes_a_point_does_not_move_it():
+    """z and lambda^q z, q an integer relation sum q_j u_j = 0 among the
+    rays, are one point: the comparison reads no move between them, where
+    the moves of the coordinates of z are 2. Here lambda = -1 and q = (1,
+    0, 0, 1) on pillow's rays, on its two boundary points."""
+    run = subprocess.run([sys.executable, "-c", PILLOW, str(SNAPSHOT.parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    rays = out["rays"]
+    assert [a + b for a, b in zip(rays[0], rays[3])] == [0, 0]
+    assert out["boundary"] == [True, True]
+    diffs, moves = out["compared"]
+    assert diffs == [] and moves == [0.0] * len(out["z"])
+    assert out["z"] == [2.0] * len(out["z"])
 
 
 CENSUS = """
