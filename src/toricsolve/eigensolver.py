@@ -17,7 +17,6 @@ whose traces are stable even for multiple points.
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 import scipy.linalg
@@ -152,7 +151,7 @@ def _res_plan(system, beta):
     return fan.kept(key, build)
 
 
-def assemble_res(system, beta, allow_empty=False):
+def assemble_res(system, beta):
     """Assemble Res at degree beta for a homogeneous system.
 
     Entry placement is exact index arithmetic: the column of the point
@@ -165,20 +164,17 @@ def assemble_res(system, beta, allow_empty=False):
     Args:
         system: HomogeneousSystem.
         beta: DivisorClass or representative vector for the row degree.
-        allow_empty: accept a Res with zero columns instead of raising.
-            Pair verification probes low degrees where that is legitimate
-            (the cokernel is then all of S_beta).
 
     Returns:
         ResMatrix with lexicographic row and column order.
 
     Raises:
-        InputError: every column block is empty (degree too low) and
-            allow_empty is False, or a nonzero term of an equation does
-            not land in S_beta (its polynomial is not of its degree).
+        InputError: every column block is empty (degree too low), or a
+            nonzero term of an equation does not land in S_beta (its
+            polynomial is not of its degree).
     """
     rows, col_blocks, width, scatter = _res_plan(system, beta)
-    if len(system) > 0 and width == 0 and not allow_empty:
+    if len(system) > 0 and width == 0:
         raise InputError("degree too low: every column block of Res is empty")
 
     matrix = np.zeros((len(rows), width), dtype=complex)
@@ -206,14 +202,14 @@ class CokernelMap:
             None on the map of a block certified inside a staircase.
         rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
             of Res at its rank r, the exact pair when the SVD decided.
-        res: the ResMatrix this was computed from.
-        block: the corank-only CokernelMap of the block passed to
-            cokernel (Res one alpha0 below), None without one.
+        res: the ResMatrix this was computed from; None on a block's map.
+        block: the corank-only CokernelMap of Res at alpha, read off res
+            one degree alpha0 below (cokernel); None without alpha0.
     """
 
     __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "block", "_s")
 
-    def __init__(self, N, delta_plus, R, rank_bounds, res, block=None):
+    def __init__(self, N, delta_plus, R, rank_bounds, res=None, block=None):
         self.N = N
         self.delta_plus = delta_plus
         self.R = R
@@ -400,13 +396,16 @@ def _chain(res, step, shift):
     finalizes at most as many rows as it has columns, yet carries the
     rest of its rows up and applies its reflectors to every column
     ahead; a taller level costs more in copies and LAPACK calls than the
-    rows it finalizes save.
+    rows it finalizes save. They stop, too, at a level of the shape of
+    the one above it, which adds no rows and no columns: a step trivial
+    in the class group gives every level that shape.
     """
     rows, cols = [np.arange(res.shape[0])], [np.arange(res.shape[1])]
     while True:
         j = len(rows)
         below, blocks = _place(res, j * step, j * shift)
-        if not 0 < len(blocks) <= len(below) <= _LEVEL_ASPECT * len(blocks):
+        if (not 0 < len(blocks) <= len(below) <= _LEVEL_ASPECT * len(blocks)
+                or (len(below), len(blocks)) == (len(rows[-1]), len(cols[-1]))):
             break
         rows.append(below)
         cols.append(blocks)
@@ -426,39 +425,31 @@ def _chain(res, step, shift):
     return order, takes, bounds
 
 
-def _staircase_plan(res, block):
-    """The structured plan of res with block, Res one degree alpha0 below
-    it, or None: _chain's staircase of a tall res, or the cut (I, rest,
-    K) of a wide one, I and the columns J of block in res from _place,
-    rest the other rows, K the other columns. Kept by the fan per row
-    and column bases of res and block (the bases the fan keeps, so a
-    repeat call builds no key of degrees).
+def _staircase_plan(res, alpha0):
+    """(chain, I, J) of res, Res at some degree beta, for a degree alpha0:
+    res[I, J] is x^b0 times Res at alpha = beta - alpha0, b0 the first
+    point of S_alpha0 (_place), and chain is _chain's staircase of a tall
+    res down the degrees beta - j alpha0, or None. Kept by the fan per
+    row and column bases of res (the bases the fan keeps) and alpha0's
+    representative.
 
     Raises:
-        InputError: alpha0 has no sections, or block is not Res at the
-            degree of res minus alpha0 for the same equation degrees.
+        InputError: alpha0 has no sections.
     """
     fan = res.rows.degree.fan
-    key = ("staircase", res.rows, block.rows, tuple(res.col_blocks),
-           tuple(block.col_blocks))
+    alpha0 = as_divisor(fan, alpha0)
 
     def build():
-        step = res.rows.degree - block.rows.degree
-        between = graded_basis(fan, step)
-        if (len(between) == 0 or [b.degree.a for _, b in block.col_blocks]
-                != [(b.degree - step).a for _, b in res.col_blocks]):
-            raise InputError("the block is not Res at a degree below this one")
-        if _tall(res.shape):
-            return _chain(res, step, between.points[0])
-        I, J = _place(res, step, between.points[0])
-        if not 0 < len(J) < res.shape[1]:
-            return None
-        rest = np.setdiff1d(np.arange(res.shape[0]), I, assume_unique=True)
-        return I, rest, np.setdiff1d(np.arange(res.shape[1]), J, assume_unique=True)
-    return fan.kept(key, build)
+        between = graded_basis(fan, alpha0)
+        if len(between) == 0:
+            raise InputError(f"alpha0 = {alpha0.a} has no sections")
+        shift = between.points[0]
+        chain = _chain(res, alpha0, shift) if _tall(res.shape) else None
+        return (chain,) + _place(res, alpha0, shift)
+    return fan.kept(("staircase", res.rows, tuple(res.col_blocks), alpha0.a), build)
 
 
-def _staircase(A, plan, block=None):
+def _staircase(A, plan):
     """Column-pivoted QR of a tall A, one level of its staircase at a
     time: (R, levels, below, lead).
 
@@ -475,11 +466,11 @@ def _staircase(A, plan, block=None):
     the nested order, innermost first. A plan of one level is one geqp3
     of all of A.
 
-    With block, the ResMatrix of the second level from the top, that
-    level's R is certified (_qr_rank, corank only) before its split: the
-    split is at its rank, below is the block's CokernelMap, and lead =
-    (rank, ||S11^-1||_F bound) lets _qr_rank certify the top from it.
-    Otherwise below and lead are None.
+    The R of the second level from the top, Res at alpha, is certified
+    (_qr_rank, corank only) before its split: the split is at its rank,
+    below is its corank-only CokernelMap, and lead = (rank, ||S11^-1||_F
+    bound) lets _qr_rank certify the top from it. A plan of one level
+    has no such level: below and lead are None.
     """
     m, n = A.shape
     _, takes, bounds = plan
@@ -506,10 +497,10 @@ def _staircase(A, plan, block=None):
         turned = _unmqr("C", qr, tau, W[:, w:])
         if i == 0:
             cut = TOL_RANK * abs(qr[0, 0])
-        if block is not None and i == len(bounds) - 2:
+        if i == len(bounds) - 2:
             R[r0:n1, r0:n1] = np.triu(qr[:w])
             rank, rank_bounds, inverse = _qr_rank(R[:n1, :n1], False)
-            below = CokernelMap(None, m1 - rank, None, rank_bounds, block)
+            below = CokernelMap(None, m1 - rank, None, rank_bounds)
             lead = None if inverse is None else (rank, inverse)
             k = min(max(rank - r0, 0), w)
         else:
@@ -558,21 +549,20 @@ def _null_rows(R, jpvt, rank):
     return basis.conj().T
 
 
-def _stairs(res, corank_only, plan, block=None):
-    """(map, block's map) of a tall res from its QR on plan (_staircase).
+def _stairs(A, corank_only, plan):
+    """(map, block's map) of a tall A from its QR on plan (_staircase).
 
     N^H = Q E, E the unit vectors past the rank: each level's Q turns its
-    own rows of the nested order, the top level's first. With block, the
-    second level from the top, the block's map comes from inside the
+    own rows of the nested order, the top level's first. On a chain, the
+    block's map, of the second level from the top, comes from inside the
     staircase, and a top cut that raises leaves the map None. On a plan
     of one level the cut raises.
     """
-    A = res.matrix
-    R, levels, below, lead = _staircase(A, plan, block)
+    R, levels, below, lead = _staircase(A, plan)
     try:
         rank, bounds, _ = _qr_rank(R, not corank_only, lead)
     except RankAmbiguousError:
-        if block is None:
+        if below is None:
             raise
         return None, below
     N = None
@@ -582,22 +572,20 @@ def _stairs(res, corank_only, plan, block=None):
             X[lo:hi] = _unmqr("N", qr, tau, X[lo:hi])
         N = np.empty((len(A) - rank, len(A)), dtype=complex)
         N[:, plan[0]] = X.conj().T
-    return CokernelMap(N, len(A) - rank, R, bounds, res), below
+    return CokernelMap(N, len(A) - rank, R, bounds), below
 
 
-def _plain(res, corank_only):
-    """The map of one QR of res, or of res^H when res is wide; its cut
-    raises."""
-    A = res.matrix
+def _plain(A, corank_only):
+    """The map of one QR of A, or of A^H when A is wide; its cut raises."""
     nrows, ncols = A.shape
     if ncols == 0:
         N = None if corank_only else np.eye(nrows, dtype=complex)
-        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), (), res)
+        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), ())
     if nrows < ncols:
         R, jpvt, rank, bounds = _adjoint_qr(A, not corank_only)
         N = None if corank_only else _null_rows(R, jpvt, rank)
-        return CokernelMap(N, nrows - rank, R, bounds, res)
-    return _stairs(res, corank_only, (slice(None), [(slice(None),) * 2], [A.shape]))[0]
+        return CokernelMap(N, nrows - rank, R, bounds)
+    return _stairs(A, corank_only, (slice(None), [(slice(None),) * 2], [A.shape]))[0]
 
 
 def _coupling(R, jpvt, rank, X):
@@ -613,13 +601,14 @@ def _coupling(R, jpvt, rank, X):
     return _fro(scipy.linalg.solve_triangular(R[:rank, :rank], V, trans="C"))
 
 
-def _reduce(res, corank_only, cut, block):
-    """(map, block's map) of a wide res from the cokernel of B; the map is
-    None when the block leaves no margin, B's cut raises or the top cut
-    is not certified.
+def _reduce(A, corank_only, I, J):
+    """(map, block's map) of a wide res = A from the cokernel of B; the
+    map is None when the block leaves no margin, B's cut raises or the
+    top cut is not certified.
 
-    Rows I of res hold block in the columns J, which vanish off I; K are
-    the other columns (_staircase_plan). Let N_lo be block's cokernel,
+    Rows I of res hold block = res[I, J] in the columns J, which vanish
+    off I (_staircase_plan); rest are the other rows and K the other
+    columns. Let N_lo be block's cokernel,
     R-based from one geqp3 of its adjoint, block^H P = Q R, and B = [N_lo
     res[I, K]; res[rest, K]]. A left null vector y of res has y_I in the
     cokernel of block, so the cokernel of res is that of B, lifted back:
@@ -637,15 +626,15 @@ def _reduce(res, corank_only, cut, block):
     ||N_lo res[I, K]||_F^2, and when that product of norms misses the
     margins, ||C1^-1 X||_F itself (_coupling).
     """
-    I, rest, K = cut
-    R_lo, jpvt_lo, r_lo, bounds_lo = _adjoint_qr(block.matrix, False)
-    below = CokernelMap(None, block.shape[0] - r_lo, R_lo, bounds_lo, block)
+    R_lo, jpvt_lo, r_lo, bounds_lo = _adjoint_qr(A[np.ix_(I, J)], False)
+    below = CokernelMap(None, len(I) - r_lo, R_lo, bounds_lo)
+    rest = np.setdiff1d(np.arange(A.shape[0]), I, assume_unique=True)
     scale = float(abs(R_lo[0, 0]))
     weyl_lo = _fro(R_lo[r_lo:, r_lo:])
     if not (scale > 0.0 and bounds_lo[0] > 2 * weyl_lo and len(I) - r_lo + len(rest)):
         return None, below
     N_lo = _null_rows(R_lo, jpvt_lo, r_lo)
-    A = res.matrix
+    K = np.setdiff1d(np.arange(A.shape[1]), J, assume_unique=True)
     IK = A[np.ix_(I, K)]
     NK = N_lo @ IK
     B = np.vstack([NK, A[np.ix_(rest, K)]])
@@ -670,10 +659,10 @@ def _reduce(res, corank_only, cut, block):
         N = np.empty((len(C), A.shape[0]), dtype=complex)
         N[:, I] = C[:, :len(N_lo)] @ N_lo
         N[:, rest] = C[:, len(N_lo):]
-    return CokernelMap(N, len(B) - rank, R, (cert[0] * scale, upper * scale), res), below
+    return CokernelMap(N, len(B) - rank, R, (cert[0] * scale, upper * scale)), below
 
 
-def cokernel(res, corank_only=False, block=None):
+def cokernel(res, corank_only=False, alpha0=None):
     """Compute the cokernel of Res with a certified rank decision.
 
     The rank is the number of singular values above TOL_RANK * sigma_1 and
@@ -701,22 +690,25 @@ def cokernel(res, corank_only=False, block=None):
     an N that misses the image. With corank_only, N is None and only that
     guard is skipped.
 
-    block is Res at alpha, one degree alpha0 below res. res holds it,
-    times a monomial x^b0 of S_alpha0, as a column block that vanishes
-    off its rows (_place); Res at alpha - alpha0 sits in block the same
-    way, and so on down the chain. With a block, cokernel first tries
-    the structured map of _staircase_plan:
+    With alpha0, res is Res at alpha + alpha0, alpha its degree minus
+    alpha0, and Res at alpha is read off it, never assembled: times the
+    monomial x^b0 of S_alpha0 that maps S_alpha into S_alpha+alpha0, it
+    is the block res[I, J], whose columns vanish off its rows (_place).
+    Res at alpha - alpha0 sits in the block the same way, and so on down
+    the chain. cokernel then first tries the structured map of
+    _staircase_plan:
 
-    - staircase: a tall res whose chain has more than one level, block
-      its second (_chain), is factored one level at a time (_staircase):
+    - staircase: a tall res whose chain has more than one level, the
+      block its second (_chain), is factored one level at a time
+      (_staircase):
       each QR takes only a level's new columns and the rows the levels
       inside leave. The cut at alpha, the block's corank, is certified
       on the way; the cut at the top reuses that certificate and inverts
       only the top level's own R11. R is assembled from one QR per
       level, so its |diagonal| is not monotone across the level bounds.
       N is Q E as above, each level's Q on its own rows (_stairs);
-    - reduction: a wide res, when block has columns and res others, is
-      reduced by block (_reduce). One QR of block^H gives the block's
+    - reduction: a wide res, when the block has columns and res others,
+      is reduced by the block (_reduce). One QR of block^H gives its
       corank and its R-based cokernel N_lo. With I the rows of x^b0
       S_alpha, rest the other rows and K the columns outside x^b0 times
       the block's, the cokernel of res is that of B = [N_lo res[I, K];
@@ -731,25 +723,28 @@ def cokernel(res, corank_only=False, block=None):
     res runs instead. The block's map, the block attribute of the
     result, is corank-only: from the staircase or the reduction when
     either ran (the reduction's keeps the R of its QR of block^H), else
-    the plain map of block.
+    the plain map of the block res[I, J].
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
             by less than GAP_RATIO, so the corank is not trustworthy;
             Res overflows double precision in the QR; or (full path) R22
             exceeds the cut: the QR does not reveal the rank. Either of
-            the two cuts, at res or at block, may raise.
-        InputError: block is not Res at a degree below res's by a
-            degree with sections, for the same equation degrees.
+            the two cuts, at alpha + alpha0 or at alpha, may raise.
+        InputError: alpha0 has no sections.
     """
     cok = below = None
-    plan = None if block is None else _staircase_plan(res, block)
-    if plan is not None:
-        cok, below = (_stairs if _tall(res.shape) else _reduce)(res, corank_only, plan, block)
+    if alpha0 is not None:
+        chain, I, J = _staircase_plan(res, alpha0)
+        if chain is not None:
+            cok, below = _stairs(res.matrix, corank_only, chain)
+        elif not _tall(res.shape) and 0 < len(J) < res.shape[1]:
+            cok, below = _reduce(res.matrix, corank_only, I, J)
     if cok is None:
-        cok = _plain(res, corank_only)
-    if block is not None:
-        cok.block = below if below is not None else _plain(block, True)
+        cok = _plain(res.matrix, corank_only)
+    cok.res = res
+    if alpha0 is not None:
+        cok.block = below if below is not None else _plain(res.matrix[np.ix_(I, J)], True)
     return cok
 
 
@@ -828,28 +823,28 @@ def _restriction_cond(R11, sub):
     return float(np.linalg.cond(sub))
 
 
-def _gather_plan(fan, alpha, alpha0):
-    """(S_alpha, S_alpha0, gather) for a degree pair, kept by the fan:
-    gather[j, a] is the row of S_{alpha+alpha0} holding x^b_j x^a, for
-    b_j in S_alpha0 and a in S_alpha; the section polytopes add, so no
-    index is -1."""
-    alpha, alpha0 = as_divisor(fan, alpha), as_divisor(fan, alpha0)
+def _gather_plan(top, alpha0):
+    """(S_alpha, S_alpha0, gather) for alpha = top - alpha0, kept by the
+    fan per representatives of top and alpha0: gather[j, a] is the row
+    of S_top holding x^b_j x^a, for b_j in S_alpha0 and a in S_alpha;
+    the section polytopes add, so no index is -1."""
+    fan = top.fan
 
     def build():
-        s_alpha, s_alpha0 = graded_basis(fan, alpha), graded_basis(fan, alpha0)
-        rows = graded_basis(fan, alpha + alpha0)
+        s_alpha, s_alpha0 = graded_basis(fan, top - alpha0), graded_basis(fan, alpha0)
         return (s_alpha, s_alpha0,
-                rows.rows(s_alpha0.points[:, None] + s_alpha.points[None]))
-    return fan.kept(("gather", alpha.a, alpha0.a), build)
+                graded_basis(fan, top).rows(s_alpha0.points[:, None] + s_alpha.points[None]))
+    return fan.kept(("gather", top.a, alpha0.a), build)
 
 
-def multiplication_family(cok, system, pair, seed=0):
+def multiplication_family(cok, alpha0, seed=0):
     """Build the multiplication matrices from a cokernel at alpha + alpha0.
 
-    The monomial maps N_b: S_alpha -> C^delta are exact column gathers of
-    N, all in one: x^b x^a is the monomial of S_{alpha+alpha0} at the
-    point m_b + m_a. The bases and that gather index depend on the pair
-    alone, so the fan keeps them per pair (_gather_plan). h_0 is a
+    alpha is the degree of cok.res minus alpha0. The monomial maps N_b:
+    S_alpha -> C^delta are exact column gathers of N, all in one: x^b x^a
+    is the monomial of S_{alpha+alpha0} at the point m_b + m_a. The bases
+    and that gather index depend on the pair alone, so the fan keeps them
+    per pair (_gather_plan). h_0 is a
     random complex Gaussian combination over S_alpha0, and the
     invertible restriction is chosen by column-pivoted QR on N_{h_0}
     (LAPACK geqp3). One LU factorization of that restriction and one
@@ -862,9 +857,8 @@ def multiplication_family(cok, system, pair, seed=0):
 
     Args:
         cok: CokernelMap computed at degree alpha + alpha0.
-        system: the HomogeneousSystem.
-        pair: (alpha, alpha0) as DivisorClass or representative vectors,
-            or any object with .alpha / .alpha0 attributes.
+        alpha0: DivisorClass or representative vector of the multiplier
+            degree, on the fan of cok.res.
         seed: seeds the h_0 draw; retries continue the same stream.
 
     The first h_0 draw whose restriction is conditioned within
@@ -872,22 +866,14 @@ def multiplication_family(cok, system, pair, seed=0):
     the best-conditioned one.
 
     Raises:
+        InputError: S_alpha0 is empty, or S_alpha has fewer than
+            delta_plus monomials.
         BasepointError: every one of the 1 + RETRIES_MAX h_0 draws had a
             restriction conditioned worse than COND_MAX, which is the
             symptom of alpha0 having basepoints on the solution set.
     """
-    if hasattr(pair, "alpha"):
-        alpha, alpha0 = pair.alpha, pair.alpha0
-    else:
-        alpha, alpha0 = pair
-    s_alpha, s_alpha0, idx = _gather_plan(system.fan, alpha, alpha0)
-    rows = cok.res.rows
-    expected = tuple(map(operator.add, s_alpha.degree.a, s_alpha0.degree.a))
-    if tuple(rows.degree.a) != expected:
-        raise InputError(
-            f"cokernel degree {tuple(rows.degree.a)} does not match "
-            f"alpha + alpha0 = {expected}"
-        )
+    top = cok.res.rows.degree
+    s_alpha, s_alpha0, idx = _gather_plan(top, as_divisor(top.fan, alpha0))
 
     delta = cok.delta_plus
     if len(s_alpha0) == 0:

@@ -156,10 +156,11 @@ def solve(system, rays=None, pair=None, seed=0):
 
     The pair is always verified: the coranks at alpha and alpha + alpha0
     must agree before the solve commits to it; nothing is written onto
-    the pair. Both coranks come from one call, eigensolver.cokernel of
-    Res at alpha + alpha0 with Res at alpha as its block, whose
-    docstring gives its paths. A rank failure may name either cut; its
-    type and exit code are those of any rank failure.
+    the pair. Only Res at alpha + alpha0 is assembled. Both coranks come
+    from one call, eigensolver.cokernel of it with alpha0, which reads
+    Res at alpha off it as a block and whose docstring gives its paths.
+    A rank failure may name either cut; its type and exit code are those
+    of any rank failure.
 
     Every threshold is a module constant: the rank cut TOL_RANK with its
     singular value gap GAP_RATIO, the h0 conditioning limit COND_MAX
@@ -223,8 +224,7 @@ def solve(system, rays=None, pair=None, seed=0):
     timings["pair_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    lo = assemble_res(system, pair.alpha, allow_empty=True)
-    cok = cokernel(assemble_res(system, pair.top), block=lo)
+    cok = cokernel(assemble_res(system, pair.top), alpha0=pair.alpha0)
     if cok.block.delta_plus != cok.delta_plus:
         _check_scaling(system)
         raise PairSelectionError(
@@ -243,7 +243,7 @@ def solve(system, rays=None, pair=None, seed=0):
                            diagnostics)
 
     t0 = clock()
-    family = multiplication_family(cok, system, pair, seed=seed)
+    family = multiplication_family(cok, pair.alpha0, seed=seed)
     timings["family_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()

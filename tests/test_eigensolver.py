@@ -41,7 +41,7 @@ from toricsolve.eigensolver import (
     multiplication_family,
     schur_cluster,
 )
-from toricsolve.errors import BasepointError, InputError, RankAmbiguousError
+from toricsolve.errors import BasepointError, InputError, RankAmbiguousError, SpanError
 from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope
 from toricsolve.regularity import default_pair, improved_pair, user_pair, verify_pair
@@ -149,9 +149,17 @@ def test_res_matches_reference_assembler():
     ]
     for system in systems:
         pair = improved_pair(system)
-        for beta, allow_empty in ((pair.alpha, True), (pair.top, False)):
-            res = assemble_res(system, beta, allow_empty=allow_empty)
-            assert np.array_equal(res.matrix, reference_res(system, beta))
+        top = assemble_res(system, pair.top)
+        assert np.array_equal(top.matrix, reference_res(system, pair.top))
+        # Res at alpha, read off Res at alpha + alpha0, empty blocks and all
+        I, J = _placed(top, pair.alpha0)
+        assert np.array_equal(top.matrix[np.ix_(I, J)], reference_res(system, pair.alpha))
+        if len(J):
+            assert np.array_equal(assemble_res(system, pair.alpha).matrix,
+                                  reference_res(system, pair.alpha))
+        else:
+            with pytest.raises(InputError, match="degree too low"):
+                assemble_res(system, pair.alpha)
 
 
 def test_res_missing_row_raises():
@@ -534,10 +542,8 @@ def _levels(system):
     """Levels of the staircase of Res at alpha + alpha0 when it has more
     than one, else 0."""
     pair = improved_pair(system)
-    low = assemble_res(system, pair.alpha, allow_empty=True)
-    top = assemble_res(system, pair.top)
-    plan = _staircase_plan(top, low)
-    return 0 if plan is None or not _tall(top) else len(plan[2])
+    chain = _staircase_plan(assemble_res(system, pair.top), pair.alpha0)[0]
+    return 0 if chain is None else len(chain[2])
 
 
 @functools.cache
@@ -601,9 +607,9 @@ def _check_staircase(system):
     """The staircase of Res at alpha + alpha0 against its shapes and
     against one QR of all of it; returns its number of levels."""
     pair = improved_pair(system)
-    low = assemble_res(system, pair.alpha, allow_empty=True)
+    low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan = _staircase_plan(top, low)
+    plan = _staircase_plan(top, pair.alpha0)[0]
     order, takes, bounds = plan
     cols = takes[0][1].ravel()
     assert sorted(order) == list(range(top.shape[0]))
@@ -611,25 +617,26 @@ def _check_staircase(system):
     # level i from the top is Res at alpha + alpha0 - i alpha0 (x^(i b0)
     # keeps the monomial order), and its columns vanish off its rows
     nested = top.matrix[np.ix_(order, cols)]
-    step = top.rows.degree - low.rows.degree
+    step = pair.alpha0
     for i, (m, n) in enumerate(bounds[::-1]):
-        level = assemble_res(system, top.rows.degree - i * step, allow_empty=True)
+        level = assemble_res(system, top.rows.degree - i * step)
         assert level.shape == (m, n) and 0 < n <= m <= _LEVEL_ASPECT * n
         assert np.array_equal(top.matrix[np.ix_(np.sort(order[:m]), np.sort(cols[:n]))],
                               level.matrix)
         assert not nested[m:, :n].any()
     # the chain stops at the first Res that is no level
-    below = assemble_res(system, top.rows.degree - len(bounds) * step, allow_empty=True)
+    below = assemble_res_reference(system, top.rows.degree - len(bounds) * step,
+                                   allow_empty=True)
     assert not 0 < below.shape[1] <= below.shape[0] <= _LEVEL_ASPECT * below.shape[1]
 
     plain = one_qr_cokernel(top)
-    cok = cokernel(top, block=low)
+    cok = cokernel(top, alpha0=pair.alpha0)
     # the staircase's own cut, without the fallback to one QR
-    R, _, lo, lead = _staircase(top.matrix, plan, low)
+    R, _, lo, lead = _staircase(top.matrix, plan)
     assert _qr_rank(R, True, lead)[0] == top.shape[0] - plain.delta_plus
     assert np.array_equal(cok.R, R)
     assert cok.delta_plus == plain.delta_plus
-    assert cokernel(top, corank_only=True, block=low).delta_plus == plain.delta_plus
+    assert cokernel(top, corank_only=True, alpha0=pair.alpha0).delta_plus == plain.delta_plus
     assert lo.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
     assert verify_pair(system, pair) == (lo.delta_plus, plain.delta_plus)
     s = plain.singular_values
@@ -676,7 +683,7 @@ def test_block_certificate_failure_falls_back():
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan = _staircase_plan(top, low)
+    plan = _staircase_plan(top, pair.alpha0)[0]
     cols = plan[1][0][1].ravel()[:low.shape[1]]
     scaled = top.matrix.copy()
     scaled[:, cols] *= 1e-14
@@ -684,30 +691,38 @@ def test_block_certificate_failure_falls_back():
     low = ResMatrix(low.rows, low.col_blocks, low.matrix * 1e-14)
     # the block is still x^b0 times Res at alpha, now scaled
     assert np.array_equal(top.matrix[np.ix_(plan[0][:low.shape[0]], cols)], low.matrix)
-    R, _, _, lead = _staircase(top.matrix, plan, low)
+    R, _, _, lead = _staircase(top.matrix, plan)
     with pytest.raises(RankAmbiguousError, match="rank not revealed"):
         _qr_rank(R, True, lead)
-    cok = cokernel(top, block=low)
+    cok = cokernel(top, alpha0=pair.alpha0)
     assert _same_cokernel(cok, cokernel(top))
     assert _same_cokernel(cok, one_qr_cokernel(top))
     assert cok.block.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
 
 
+def _no_structure(top, alpha0):
+    """Whether cokernel(top, alpha0=alpha0) takes the plain map: no
+    staircase of more than one level, and no cut of a wide top to reduce
+    by."""
+    chain, _, J = _staircase_plan(top, alpha0)
+    return chain is None and (_tall(top) or not 0 < len(J) < top.shape[1])
+
+
 def test_block_is_ignored_where_it_cannot_help():
     """An empty Res at alpha gives bit-identical results with and without
-    the block: one level, one QR of all of Res."""
+    alpha0: one level, one QR of all of Res."""
     systems = {
         "empty at alpha": homogenize(intro_laurent(3.0)),
         "pillow": homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE),
     }
     for name, system in systems.items():
         pair = improved_pair(system)
-        low = assemble_res(system, pair.alpha, allow_empty=True)
+        low = assemble_res_reference(system, pair.alpha, allow_empty=True)
         top = assemble_res(system, pair.top)
         assert low.shape[1] == 0 and top.shape[0] >= top.shape[1]
-        assert _staircase_plan(top, low) is None
+        assert _no_structure(top, pair.alpha0)
         for corank_only in (False, True):
-            cok = cokernel(top, corank_only, block=low)
+            cok = cokernel(top, corank_only, alpha0=pair.alpha0)
             assert _same_cokernel(cok, cokernel(top, corank_only)), name
             assert _same_cokernel(cok, one_qr_cokernel(top, corank_only)), name
             assert cok.block.delta_plus == low.shape[0]
@@ -717,7 +732,7 @@ def test_block_is_ignored_where_it_cannot_help():
 def test_one_level_n_is_the_trailing_columns_of_q(name):
     """On a staircase of one level, N is Q E with E the unit vectors past
     the rank, turned by one left zunmqr of the one geqp3 of all of Res:
-    bit for bit what one_qr_cokernel makes, with the block and without.
+    bit for bit what one_qr_cokernel makes, with alpha0 and without.
     Two conics on P^2 have a block with columns (6 x 2 under 10 x 6)
     that is too tall to be a level, and is factored on its own."""
     system = {
@@ -726,19 +741,19 @@ def test_one_level_n_is_the_trailing_columns_of_q(name):
         "P2 conics": lambda: _dense_system(np.random.default_rng(0), "P2", [(2,), (2,)]),
     }[name]()
     pair = improved_pair(system)
-    low = assemble_res(system, pair.alpha, allow_empty=True)
     top = assemble_res(system, pair.top)
-    assert _staircase_plan(top, low) is None
+    assert _no_structure(top, pair.alpha0)
     want = one_qr_cokernel(top).N
     assert want.shape[0] > 0
     assert np.array_equal(cokernel(top).N, want)
-    assert np.array_equal(cokernel(top, block=low).N, want)
+    assert np.array_equal(cokernel(top, alpha0=pair.alpha0).N, want)
 
 
 def test_block_map_is_corank_only():
-    """cokernel(res, block=Res at alpha) carries the certified corank-only
-    map of the block: from inside the staircase when the block is a level
-    of it (no R of its own), else from its own factorization."""
+    """cokernel(res, alpha0=alpha0) carries the certified corank-only map
+    of Res at alpha: from inside the staircase when the block is a level
+    of it (no R of its own), else from its own factorization. The map
+    holds no ResMatrix: the block is read off res."""
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
@@ -746,8 +761,8 @@ def test_block_map_is_corank_only():
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
     for corank_only in (False, True):
-        lo = cokernel(top, corank_only, block=low).block
-        assert lo.res is low and lo.N is None and lo.R is None
+        lo = cokernel(top, corank_only, alpha0=pair.alpha0).block
+        assert lo.res is None and lo.N is None and lo.R is None
         assert lo.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
         rank = low.shape[0] - lo.delta_plus
         s = np.linalg.svd(low.matrix, compute_uv=False)
@@ -755,7 +770,7 @@ def test_block_map_is_corank_only():
         slack = 1e-13 * s[0]
         assert lower <= s[rank - 1] + slack
         assert upper >= (s[rank] if rank < len(s) else 0.0) - slack
-    # without a block there is no block map
+    # without alpha0 there is no block map
     assert cokernel(low).block is None and cokernel(top).block is None
     # a wide Res above: the block factored by one QR of its adjoint, the
     # trapezoid R of that QR kept
@@ -764,15 +779,17 @@ def test_block_map_is_corank_only():
     wide = assemble_res(system, pair.top)
     low = assemble_res(system, pair.alpha)
     assert wide.shape[0] < wide.shape[1] and _tall(low)
-    lo = cokernel(wide, corank_only=True, block=low).block
+    lo = cokernel(wide, corank_only=True, alpha0=pair.alpha0).block
     assert lo.N is None and lo.R.shape == low.shape[::-1]
     assert lo.delta_plus == one_qr_cokernel(low, True).delta_plus
 
 
 def _lines27_pair(seed):
+    """(Res at alpha + alpha0, Res at alpha, alpha0) of lines27's
+    improved pair."""
     system = lines27_system(seed)
     pair = improved_pair(system)
-    return assemble_res(system, pair.top), assemble_res(system, pair.alpha)
+    return assemble_res(system, pair.top), assemble_res(system, pair.alpha), pair.alpha0
 
 
 # seed 0 is certified with the coupling a ||X||_F, seeds 1 and 2 need
@@ -780,14 +797,15 @@ def _lines27_pair(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_wide_res_is_reduced_by_its_block(seed):
     """On the 27 lines Res at alpha + alpha0 (441 x 552) is wide. With
-    Res at alpha (225 x 210) as its block, cokernel factors B = [N_lo
-    Res[I, K]; Res[rest, K]], 261 x 342, and lifts B's cokernel back: the
-    cokernel the SVD gives, as accurate, and the same coranks on the
-    corank-only path."""
-    top, low = _lines27_pair(seed)
-    I, rest, K = _staircase_plan(top, low)
-    assert (len(I), len(rest), len(K)) == (225, 216, 342)
-    cok = cokernel(top, block=low)
+    Res at alpha (225 x 210) read off as its block, cokernel factors B =
+    [N_lo Res[I, K]; Res[rest, K]], 261 x 342, and lifts B's cokernel
+    back: the cokernel the SVD gives, as accurate, and the same coranks
+    on the corank-only path."""
+    top, low, alpha0 = _lines27_pair(seed)
+    chain, I, J = _staircase_plan(top, alpha0)
+    assert chain is None and low.shape == (len(I), len(J))
+    assert (len(I), top.shape[0] - len(I), top.shape[1] - len(J)) == (225, 216, 342)
+    cok = cokernel(top, alpha0=alpha0)
     # the reduced path, not its fallback to one QR of Res^H
     assert cok.R.shape == (261, 261)
     assert cok.delta_plus == cok.block.delta_plus == 45
@@ -804,25 +822,52 @@ def test_wide_res_is_reduced_by_its_block(seed):
     lower, upper = cok.rank_bounds
     assert lower <= s[395] and upper >= s[396]
     assert lower >= 1e3 * GAP_RATIO * upper
-    only = cokernel(top, corank_only=True, block=low)
+    only = cokernel(top, corank_only=True, alpha0=alpha0)
     assert only.N is None and only.R.shape == (261, 261)
     assert (only.delta_plus, only.block.delta_plus) == (45, 45)
 
 
-def _placed(top, low):
-    """(I, J) of Res at alpha (low) in Res at alpha + alpha0 (top), from
-    the placement the staircase and the reduction share."""
-    step = top.rows.degree - low.rows.degree
-    return _place(top, step, graded_basis(top.rows.degree.fan, step).points[0])
+def _placed(top, alpha0):
+    """(I, J) of Res at alpha in Res at alpha + alpha0 (top), from the
+    placement the staircase and the reduction share."""
+    fan = top.rows.degree.fan
+    return _place(top, as_divisor(fan, alpha0), graded_basis(fan, alpha0).points[0])
 
 
 def _golden_pair(name, which):
-    """(Res at alpha + alpha0, Res at alpha) of a golden system's default
-    or improved pair."""
+    """(system, pair) of a golden system's default or improved pair."""
     sf = load_system_file(DATA / f"{name}.system.json")
     system = homogenize(sf.laurent(), rays=sf.rays)
-    pair = (default_pair if which == "default" else improved_pair)(system)
-    return assemble_res(system, pair.top), assemble_res(system, pair.alpha, allow_empty=True)
+    return system, (default_pair if which == "default" else improved_pair)(system)
+
+
+def _check_placement(system, pair):
+    """x^b0 times Res at alpha is res[I, J] of res = Res at alpha +
+    alpha0, bit for bit, at the (I, J) cokernel reads it from, and the
+    columns J vanish on every row outside I. Returns (res, Res at
+    alpha); the latter from the reference when it has no column, where
+    assemble_res refuses it."""
+    top = assemble_res(system, pair.top)
+    I, J = _placed(top, pair.alpha0)
+    _, I_plan, J_plan = _staircase_plan(top, pair.alpha0)
+    assert np.array_equal(I_plan, I) and np.array_equal(J_plan, J)
+    if len(J):
+        low = assemble_res(system, pair.alpha)
+    else:
+        low = assemble_res_reference(system, pair.alpha, allow_empty=True)
+    assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
+    outside = np.ones(top.shape[0], dtype=bool)
+    outside[I] = False
+    assert outside.sum() == top.shape[0] - len(I)
+    assert not top.matrix[outside][:, J].any()
+    return top, low
+
+
+def _dense_pn(n, degree, seed=0):
+    """n dense equations of degree `degree` on P^n, Gaussian."""
+    pts = [p for p in product(range(degree + 1), repeat=n) if sum(p) <= degree]
+    return random_system(np.random.default_rng(seed), [pts] * n,
+                         {2: P2_RAYS, 3: P3_RAYS}[n])
 
 
 # tall tops: a staircase of 4 levels (105 x 72) and of 2 (78 x 42); wide
@@ -833,19 +878,22 @@ def _golden_pair(name, which):
 def test_placement_holds_res_at_alpha(name, which):
     """x^b0 times Res at alpha is res[I, J], and the columns J vanish on
     every row outside I."""
-    top, low = _golden_pair(name, which)
+    top, low = _check_placement(*_golden_pair(name, which))
     assert _tall(top) == (name == "dense_p2_d6_seed0") and low.shape[1] > 0
-    I, J = _placed(top, low)
-    assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
-    outside = np.ones(top.shape[0], dtype=bool)
-    outside[I] = False
-    assert outside.sum() == top.shape[0] - len(I)
-    assert not top.matrix[outside][:, J].any()
-    if not _tall(top):
-        # the reduction's cut: I, the other rows, the columns outside J
-        plan = _staircase_plan(top, low)
-        assert np.array_equal(plan[0], I) and np.array_equal(plan[1], np.flatnonzero(outside))
-        assert np.array_equal(np.sort(np.r_[J, plan[2]]), np.arange(top.shape[1]))
+
+
+# the benchmark's dense shapes: P^2 at degree 20 and P^3 at degree 6
+@pytest.mark.parametrize("n, degree", [(2, 20), (3, 6)])
+def test_placement_holds_on_the_dense_benchmark_shapes(n, degree):
+    system = _dense_pn(n, degree)
+    top, low = _check_placement(system, improved_pair(system))
+    assert _tall(top) and low.shape[1] > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=dense_systems())
+def test_placement_holds_on_dense_systems(system):
+    _check_placement(system, improved_pair(system))
 
 
 def test_reduction_falls_back_when_its_bound_misses():
@@ -854,8 +902,8 @@ def test_reduction_falls_back_when_its_bound_misses():
     large for the margin 10 upper <= TOL_RANK top of the top cut, so the
     bound on that cut misses, and cokernel returns exactly the map one
     QR of Res^H gives, as without the block."""
-    top, low = _lines27_pair(0)
-    I, J = _placed(top, low)
+    top, low, alpha0 = _lines27_pair(0)
+    I, J = _placed(top, alpha0)
     assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
     kahan = np.zeros(low.shape, dtype=complex)
     kahan[:64, :64] = _kahan(64)
@@ -864,7 +912,7 @@ def test_reduction_falls_back_when_its_bound_misses():
     top = ResMatrix(top.rows, top.col_blocks, planted)
     low = ResMatrix(low.rows, low.col_blocks, kahan)
     for corank_only in (False, True):
-        cok = cokernel(top, corank_only, block=low)
+        cok = cokernel(top, corank_only, alpha0=alpha0)
         assert _same_cokernel(cok, cokernel(top, corank_only))
         # the SVD of the block's R decides its cut: Kahan's rank is 63
         assert cok.block.delta_plus == low.shape[0] - 63
@@ -880,13 +928,15 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
     matrix, so that the QR of the adjoint leaves R22 above half the
     block's sigma_r; a B whose values straddle its cut with no gap, a
     tenth the scale of Res, whose cut they clear; the coupling bound
-    infinite; and a block with no column (Res at degree 0) or with every
-    column (Res itself), which leaves nothing to reduce."""
+    infinite; and a block with no column (alpha0 the degree of Res, so
+    Res at degree 0) or with every column (alpha0 = 0, Res itself), which
+    leaves nothing to reduce."""
     system = lines27_system(1)
     pair = improved_pair(system)
     top = assemble_res(system, pair.top)
     low = assemble_res(system, pair.alpha)
-    I, J = _placed(top, low)
+    alpha0 = pair.alpha0
+    I, J = _placed(top, alpha0)
     planted = top.matrix.copy()
     if exit == "no margin":
         kahan = np.zeros(low.shape, dtype=complex)
@@ -901,11 +951,13 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
         planted[np.ix_(I, K)] = 0.0
         planted[np.ix_(rest, K)] = 0.1 * _planted(0, len(rest), len(K), 200, 0.0, 7.5).matrix
     elif exit == "no column":
-        low = assemble_res(system, [0] * system.k, allow_empty=True)
+        alpha0 = pair.top
+        low = assemble_res_reference(system, [0] * system.k, allow_empty=True)
     elif exit == "every column":
+        alpha0 = [0] * system.k
         low = top
     top = ResMatrix(top.rows, top.col_blocks, planted)
-    assert (_staircase_plan(top, low) is None) == exit.endswith("column")
+    assert _no_structure(top, alpha0) == exit.endswith("column")
     couplings, raised = [], []
     if exit == "coupling misses":
         monkeypatch.setattr(eigensolver, "_coupling",
@@ -921,7 +973,7 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
 
     monkeypatch.setattr(eigensolver, "_adjoint_qr", spied)
     for corank_only in (False, True):
-        cok = cokernel(top, corank_only, block=low)
+        cok = cokernel(top, corank_only, alpha0=alpha0)
         assert _same_cokernel(cok, cokernel(top, corank_only))
         assert cok.block.delta_plus == cokernel(low, corank_only=True).delta_plus
     # B is 261 x 342; its cut raised on both calls, and only its
@@ -934,18 +986,21 @@ def test_block_that_is_no_level_takes_the_plain_map():
     has the map cokernel(block, corank_only=True) gives: one that is too
     tall to be a level (two conics on P^2: 6 x 2 under 10 x 6), one with
     no columns under a tall Res (pillow), and a wide Res as its own block
-    (pillow's default pair, 25 x 26)."""
+    (pillow's default pair with alpha0 = 0, 25 x 26)."""
     system = _dense_system(np.random.default_rng(0), "P2", [(2,), (2,)])
     pair = improved_pair(system)
-    wide = _golden_pair("pillow_seed1", "default")[0]
-    cases = [(assemble_res(system, pair.top), assemble_res(system, pair.alpha)),
-             _golden_pair("pillow_seed1", "improved"), (wide, wide)]
-    for top, low in cases:
-        assert _staircase_plan(top, low) is None
+    pillow, improved = _golden_pair("pillow_seed1", "improved")
+    wide = assemble_res(pillow, default_pair(pillow).top)
+    cases = [(assemble_res(system, pair.top), pair.alpha0, assemble_res(system, pair.alpha)),
+             (assemble_res(pillow, improved.top), improved.alpha0,
+              assemble_res_reference(pillow, improved.alpha, allow_empty=True)),
+             (wide, [0] * pillow.k, wide)]
+    for top, alpha0, low in cases:
+        assert _no_structure(top, alpha0)
         for corank_only in (False, True):
-            lo = cokernel(top, corank_only, block=low).block
+            lo = cokernel(top, corank_only, alpha0=alpha0).block
             assert _same_cokernel(lo, cokernel(low, corank_only=True))
-    assert [low.shape for _, low in cases] == [(6, 2), (4, 0), (25, 26)]
+    assert [low.shape for *_, low in cases] == [(6, 2), (4, 0), (25, 26)]
 
 
 def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
@@ -956,8 +1011,8 @@ def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan = _staircase_plan(top, low)
-    R, _, lo, lead = _staircase(top.matrix, plan, low)
+    plan = _staircase_plan(top, pair.alpha0)[0]
+    R, _, lo, lead = _staircase(top.matrix, plan)
     low_rank = low.shape[0] - lo.delta_plus
     assert lead[0] == low_rank
     trtri, sizes = scipy.linalg.lapack.ztrtri, []
@@ -973,20 +1028,55 @@ def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
     assert bounds[0] <= s[rank - 1] and bounds[1] >= s[rank]
 
 
-def test_block_from_unrelated_degree_rejected():
+def test_alpha0_without_sections_rejected():
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
     top = assemble_res(system, (0, 0, 11))
-    # S_(-1) has no sections: Res at degree 12 is not a block of Res at 11
-    above = assemble_res(system, (0, 0, 12))
-    with pytest.raises(InputError, match="not Res at a degree below"):
-        cokernel(top, block=above)
-    # nor is Res at 10 of another system on the fan: one equation only
-    other = HomogeneousSystem(system.fan, system.polys[:1], system.degrees[:1])
-    with pytest.raises(InputError, match="not Res at a degree below"):
-        cokernel(top, block=assemble_res(other, (0, 0, 10)))
-    assert cokernel(top, block=assemble_res(system, (0, 0, 10))).block.res.shape == (66, 30)
+    # S_(-1) has no sections: no Res at degree 12 sits in Res at 11
+    for corank_only in (False, True):
+        with pytest.raises(InputError, match="no sections"):
+            cokernel(top, corank_only, alpha0=(0, 0, -1))
+    # Res at 10 (66 x 30) sits in it by S_1
+    low = assemble_res(system, (0, 0, 10))
+    assert low.shape == (66, 30)
+    assert (cokernel(top, alpha0=(0, 0, 1)).block.delta_plus
+            == cokernel(low, corank_only=True).delta_plus)
+
+
+# the three user pairs with an alpha0 trivial in the class group: on
+# the golden intro file, on intro at eps = 1e-3 and on pillow
+TRIVIAL_ALPHA0 = [
+    ("intro_e3_seed0", ((2, 3, -1, 1), (0, 0, 0, 0))),
+    ("intro", ((0, 3, 1, 0), (2, -1, 1, -1))),
+    ("pillow", ((1, 3, 1, 3), (-1, 1, -1, 1))),
+]
+
+
+@pytest.mark.parametrize("name, pair", TRIVIAL_ALPHA0)
+def test_trivial_alpha0_stops_the_chain(name, pair):
+    """Every Res down a chain of steps alpha0 trivial in the class group
+    has the shape of Res itself: the staircase stops at its first level
+    instead of stepping down forever. verify_pair gives two equal
+    coranks; solve raises SpanError, as the one point of S_alpha0 spans
+    nothing."""
+    if name == "intro":
+        system = homogenize(intro_laurent(1e-3), rays=HIRZEBRUCH_RAYS)
+    elif name == "pillow":
+        system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
+    else:
+        sf = load_system_file(DATA / f"{name}.system.json")
+        system = homogenize(sf.laurent(), rays=sf.rays)
+    alpha0 = system.fan.divisor(pair[1])
+    assert alpha0.degree() == (0 * alpha0).degree()
+    assert len(graded_basis(system.fan, alpha0)) == 1
+    top = assemble_res(system, system.fan.divisor(pair[0]) + alpha0)
+    chain, I, J = _staircase_plan(top, alpha0)
+    assert chain is None and (len(I), len(J)) == top.shape
+    lo, hi = verify_pair(system, user_pair(system, *pair))
+    assert lo == hi == cokernel(top, corank_only=True).delta_plus
+    with pytest.raises(SpanError):
+        solve(system, pair=pair)
 
 
 # ------------------------------------------------ Res from the fan's plans
@@ -1026,7 +1116,12 @@ def test_planned_res_matches_reference_scatter(system):
     for beta in (pair.alpha, pair.top):
         want = assemble_res_reference(system, beta, allow_empty=True)
         for _ in range(2):
-            got = assemble_res(system, beta, allow_empty=True)
+            if want.shape[1] == 0:
+                # too low a degree: the plan is built and reused, and raises
+                with pytest.raises(InputError, match="degree too low"):
+                    assemble_res(system, beta)
+                continue
+            got = assemble_res(system, beta)
             assert got.rows is want.rows
             assert got.col_blocks == want.col_blocks
             assert np.array_equal(got.matrix, want.matrix)
@@ -1041,7 +1136,7 @@ def pillow_family(rays=PILLOW_RAYS_SOLVE, seed=0):
     system = homogenize(pillow_laurent(), rays=rays)
     res = assemble_res(system, (3, 3, 3, 3))
     cok = cokernel(res)
-    return system, multiplication_family(cok, system, PILLOW_PAIR, seed=seed)
+    return system, multiplication_family(cok, PILLOW_PAIR[1], seed=seed)
 
 
 def test_family_identity_and_commutators():
@@ -1166,12 +1261,12 @@ def test_family_retries_take_the_next_draws_of_the_stream(monkeypatch, rejected)
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
     cok = cokernel(assemble_res(system, (3, 3, 3, 3)))
     members = len(graded_basis(system.fan, PILLOW_PAIR[1]))
-    family = multiplication_family(cok, system, PILLOW_PAIR, seed=11)
+    family = multiplication_family(cok, PILLOW_PAIR[1], seed=11)
     want = draws_reference(11, 1, members, rejected + 1)[rejected]
     assert np.array_equal(family.h0_coeffs, want)
     monkeypatch.setattr(eigensolver, "_restriction_cond", lambda R11, sub: np.inf)
     with pytest.raises(BasepointError):
-        multiplication_family(cok, system, PILLOW_PAIR, seed=11)
+        multiplication_family(cok, PILLOW_PAIR[1], seed=11)
 
 
 def _planted_conds(monkeypatch, conds):
@@ -1196,7 +1291,7 @@ def test_family_takes_a_better_later_draw(monkeypatch, conds, taken):
     cok = cokernel(assemble_res(system, (3, 3, 3, 3)))
     members = len(graded_basis(system.fan, PILLOW_PAIR[1]))
     tried = _planted_conds(monkeypatch, conds)
-    family = multiplication_family(cok, system, PILLOW_PAIR, seed=11)
+    family = multiplication_family(cok, PILLOW_PAIR[1], seed=11)
     assert len(tried) == (taken + 1 if conds[taken] <= H0_COND_TARGET else RETRIES_MAX + 1)
     assert family.cond == conds[taken]
     assert np.array_equal(family.h0_coeffs,
@@ -1204,19 +1299,11 @@ def test_family_takes_a_better_later_draw(monkeypatch, conds, taken):
     # the family of that draw, as when it is the first one accepted
     _planted_conds(monkeypatch, [np.inf] * taken + [1.0])
     assert np.array_equal(family.stack,
-                          multiplication_family(cok, system, PILLOW_PAIR, seed=11).stack)
+                          multiplication_family(cok, PILLOW_PAIR[1], seed=11).stack)
     # the best draw beyond COND_MAX is a basepoint, though it is finite
     _planted_conds(monkeypatch, [np.inf, 5 * COND_MAX, np.inf, np.inf])
     with pytest.raises(BasepointError):
-        multiplication_family(cok, system, PILLOW_PAIR, seed=11)
-
-
-def test_family_degree_mismatch_rejected():
-    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
-    res = assemble_res(system, (2, 2, 2, 2))
-    cok = cokernel(res)
-    with pytest.raises(InputError):
-        multiplication_family(cok, system, PILLOW_PAIR)
+        multiplication_family(cok, PILLOW_PAIR[1], seed=11)
 
 
 def test_one_point_system_eigenvalue_ratio():
@@ -1225,7 +1312,7 @@ def test_one_point_system_eigenvalue_ratio():
     res = assemble_res(system, (0, 2))
     cok = cokernel(res)
     assert cok.delta_plus == 1
-    fam = multiplication_family(cok, system, ((0, 1), (0, 1)))
+    fam = multiplication_family(cok, (0, 1))
     lam_x1 = fam.matrices[(1, 0)][0, 0]
     lam_x2 = fam.matrices[(0, 1)][0, 0]
     assert lam_x1 / lam_x2 == pytest.approx(2.0, abs=1e-10)
@@ -1386,7 +1473,7 @@ def test_schur_cluster_pillow_multiplicity():
 def test_schur_cluster_singleton():
     system = p1_system([((1,), 1.0), ((0,), -2.0)])
     res = assemble_res(system, (0, 2))
-    fam = multiplication_family(cokernel(res), system, ((0, 1), (0, 1)))
+    fam = multiplication_family(cokernel(res), (0, 1))
     clusters = schur_cluster(fam, seed=0)
     assert clusters.block_sizes == (1,)
     table = clusters.tables[0]
@@ -1403,7 +1490,7 @@ def test_zero_solution_family():
     res = assemble_res(system, (2, 2, 2, 2))
     cok = cokernel(res)
     assert cok.delta_plus == 0
-    fam = multiplication_family(cok, system, ((1, 1, 1, 1), (1, 1, 1, 1)))
+    fam = multiplication_family(cok, (1, 1, 1, 1))
     clusters = schur_cluster(fam)
     assert clusters.block_sizes == ()
     assert clusters.tables.shape == (0, len(fam.monomials))
@@ -1478,7 +1565,7 @@ def _family_case(name):
 @pytest.mark.parametrize("name", ["pillow", "intro e=3", "lines27"])
 def test_stacked_family_and_schur_reads_match_per_member(name):
     system, pair, cok = _family_case(name)
-    family = multiplication_family(cok, system, pair, seed=3)
+    family = multiplication_family(cok, pair.alpha0, seed=3)
     want = reference_family_matrices(cok, system, pair, family)
     assert list(family.matrices) == list(want) == family.monomials
     assert family.stack.shape == (len(want), cok.delta_plus, cok.delta_plus)
@@ -1499,7 +1586,7 @@ def test_span_reads_match_per_member(name, monkeypatch):
     """The families above, read off span{h_0, driver}."""
     monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
     system, pair, cok = _family_case(name)
-    family = multiplication_family(cok, system, pair, seed=3)
+    family = multiplication_family(cok, pair.alpha0, seed=3)
     want = reference_family_matrices(cok, system, pair, family)
     clustering = schur_cluster(family, seed=3)
     sizes, tables, by_member = reference_schur_cluster(want, family.monomials, seed=3)
@@ -1557,7 +1644,7 @@ def _family_of_size(system, kind, ray):
     if cok.delta_plus != cokernel(assemble_res(system, top), corank_only=True).delta_plus:
         return None
     try:
-        return multiplication_family(cok, system, (top, alpha0), seed=ray)
+        return multiplication_family(cok, alpha0, seed=ray)
     except BasepointError:
         return None
 
@@ -1701,7 +1788,7 @@ def test_a_vanishing_member_is_transformed_itself(monkeypatch):
     monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
     system, pair, cok = _family_case("pillow")
     for seed in range(20):
-        family = multiplication_family(cok, system, pair, seed=seed)
+        family = multiplication_family(cok, pair.alpha0, seed=seed)
         size = np.linalg.norm(family.stack, axis=(1, 2))
         zero = family.monomials.index((2, 0, 2, 0))
         assert size[zero] <= 1e-14 * size.max()
@@ -1715,7 +1802,7 @@ def test_an_exactly_zero_span_entry_is_read_per_member(monkeypatch):
     point of the torus."""
     monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
     system, pair, cok = _family_case("pillow")
-    family = multiplication_family(cok, system, pair, seed=364)
+    family = multiplication_family(cok, pair.alpha0, seed=364)
     counts = _record_products(family)
     clustering = schur_cluster(family, seed=364)
     assert counts == [len(family.monomials) - 2, 1]
@@ -1741,8 +1828,7 @@ def _lapack_case(name):
         sf = load_system_file(DATA / f"{name}.system.json")
         system = homogenize(sf.laurent(), rays=sf.rays)
         pair = improved_pair(system)
-        lo = assemble_res(system, pair.alpha, allow_empty=True)
-        return system, pair, cokernel(assemble_res(system, pair.top), block=lo)
+        return system, pair, cokernel(assemble_res(system, pair.top), alpha0=pair.alpha0)
     return _family_case(name)
 
 
@@ -1777,7 +1863,7 @@ def scipy_family(cok, system, pair, seed):
 @pytest.mark.parametrize("name", ["pillow", "intro e=3", "lines27", "dense_p2_d6_seed0"])
 def test_direct_lapack_calls_match_scipy_bit_for_bit(name, monkeypatch):
     system, pair, cok = _lapack_case(name)
-    family = multiplication_family(cok, system, pair, seed=3)
+    family = multiplication_family(cok, pair.alpha0, seed=3)
     stack, columns, cond = scipy_family(cok, system, pair, seed=3)
     assert np.array_equal(family.stack, stack)
     assert family.basis_columns == columns
@@ -1820,7 +1906,7 @@ def test_corank_equals_mixed_volume():
         cok = cokernel(assemble_res(system, beta))
         assert cok.delta_plus == mixed_volume(supports)
         if cok.delta_plus > 0:
-            fam = multiplication_family(cok, system, (alpha, alpha))
+            fam = multiplication_family(cok, alpha)
             mats = list(fam.matrices.values())
             for a in mats[:4]:
                 for b in mats[:4]:
