@@ -205,7 +205,7 @@ def cmd_solve(input_path, output, seed, pair_flag, fan_flag, emit_csv):
 @click.option("--fan", "fan_flag", type=str, default=None,
               metavar='"U1;U2;..."', help="Explicit ray order.")
 @click.option("--verify/--no-verify", default=False, show_default=True,
-              help="Also compare coranks numerically (assembles Res twice).")
+              help="Also compare coranks numerically (assembles one Res).")
 def cmd_regpair(input_path, pair_flag, fan_flag, verify):
     """Report degree pair choices and predicted matrix shapes.
 

@@ -63,9 +63,11 @@ LEAK_TOL = 1e-6
 SPAN_MIN_DELTA = 100
 # number of (seed, stage, size) keys whose seeded draws stay kept
 DRAWS_MAX = 8
-# the most rows per column a Res below the top of a staircase may have
-# and still be a level of it (cokernel)
-_LEVEL_ASPECT = 2.5
+# the most rows per column a Res below the block may have and still be
+# reduced by: a level below it pays for its lift while it finalizes
+# enough of the rows it turns (P^2 degree 20 and P^3 degree 6 are
+# fastest at depths 5 to 7, BENCH_reduction_chain.json)
+_LEVEL_ASPECT = 3.0
 
 
 @functools.lru_cache(maxsize=DRAWS_MAX)
@@ -197,14 +199,15 @@ class CokernelMap:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
             ker N = im Res up to TOL_RANK; None from a corank-only call.
         delta_plus: corank of Res against its row dimension.
-        R: triangular factor of the pivoted QR the cut was taken on, cut
-            on its |diagonal| (cokernel says which QR each path makes);
-            None on the map of a block certified inside a staircase.
+        R: triangular factor the cut was taken on, cut on its
+            |diagonal|: of one pivoted QR of Res or Res^H, of B on a wide
+            reduction, assembled level by level on a tall one (cokernel).
         rank_bounds: (lower bound on sigma_r, upper bound on sigma_{r+1})
             of Res at its rank r, the exact pair when the SVD decided.
         res: the ResMatrix this was computed from; None on a block's map.
         block: the corank-only CokernelMap of Res at alpha, read off res
-            one degree alpha0 below (cokernel); None without alpha0.
+            one degree alpha0 below, with the R of the block's own QR or
+            reduction (cokernel); None without alpha0.
     """
 
     __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "block", "_s")
@@ -250,7 +253,7 @@ def _rank(s):
 
 
 def _certify(a, c, k, upper, norm, top=1.0, weyl=0.0):
-    """(lower, inverse) when they certify a rank cut r, else None.
+    """lower when it certifies a rank cut r, else None.
 
     M = [[A, B], [0, C]] with ||A^-1||_F <= a, ||C^-1||_F <= c and
     ||A^-1 B||_F <= k has ||M^-1||_F^2 = ||A^-1||^2 + ||C^-1||^2 +
@@ -267,26 +270,19 @@ def _certify(a, c, k, upper, norm, top=1.0, weyl=0.0):
     lower = 1.0 / inverse - weyl
     if (lower > 10 * TOL_RANK * norm and lower >= 1e3 * GAP_RATIO * upper
             and 10 * upper <= TOL_RANK * top):
-        return lower, inverse
+        return lower
     return None
 
 
-def _qr_rank(R, reveal, lead=None):
-    """(rank, rank_bounds, inverse) of Res from the triangular factor R
-    of its QR.
+def _qr_rank(R, reveal):
+    """(rank, rank_bounds) of Res from the triangular factor R of its QR.
 
     r counts |r_ii| > TOL_RANK |r_11|. On S = R / |r_11| (no overflow or
-    underflow), sigma_r >= 1 / ||S11^-1||_F, sigma_{r+1} <= ||S22||_F and
-    sigma_1 <= ||S||_F by interlacing and Weyl. When _certify passes on
-    these, inverse is the bound on ||S11^-1||_F that certified the cut.
-    Otherwise a values-only SVD of R decides, inverse is None, and with
-    reveal an R22 above the cut raises. A non-finite R (Res beyond double
-    range) raises.
-
-    lead = (k, a) says that S[:k, :k] = A, with ||A^-1||_F <= a, is
-    certified already. Then S11 = [[A, B], [0, C]] and ||A^-1 B||_F <=
-    a ||B||_F, so only C goes to LAPACK trtri. The trtri of all of S11
-    runs only when that bound misses the margins.
+    underflow), sigma_r >= 1 / ||S11^-1||_F (LAPACK trtri), sigma_{r+1}
+    <= ||S22||_F and sigma_1 <= ||S||_F by interlacing and Weyl, and
+    _certify decides the cut on these. Otherwise a values-only SVD of R
+    decides, and with reveal an R22 above the cut raises. A non-finite R
+    (Res beyond double range) raises.
     """
     if not np.isfinite(R).all():
         raise RankAmbiguousError(
@@ -296,18 +292,10 @@ def _qr_rank(R, reveal, lead=None):
         S = R / d[0]
         rank = int(np.count_nonzero(d > TOL_RANK * d[0]))
         upper, norm = _norm(S[rank:, rank:]), _norm(S)
-        cert = None
-        if lead is not None and lead[0] <= rank:
-            k, a = lead
-            c = (float(_norm(scipy.linalg.lapack.ztrtri(S[k:rank, k:rank])[0]))
-                 if k < rank else 0.0)
-            cert = _certify(a, c, a * float(_norm(S[:k, k:rank])), upper, norm)
-        if cert is None:
-            a = float(_norm(scipy.linalg.lapack.ztrtri(S[:rank, :rank])[0]))
-            cert = _certify(a, 0.0, 0.0, upper, norm)
-        if cert is not None:
-            lower, inverse = cert
-            return rank, (float(lower * d[0]), float(upper * d[0])), inverse
+        a = float(_norm(scipy.linalg.lapack.ztrtri(S[:rank, :rank])[0]))
+        lower = _certify(a, 0.0, 0.0, upper, norm)
+        if lower is not None:
+            return rank, (float(lower * d[0]), float(upper * d[0]))
     s = np.linalg.svd(R, compute_uv=False)
     rank = _rank(s)
     cut = TOL_RANK * s[0]
@@ -317,7 +305,7 @@ def _qr_rank(R, reveal, lead=None):
             f"rank not revealed: the trailing block of the pivoted QR has "
             f"norm {r22:.3e} above the cut {cut:.3e}"
         )
-    return rank, tuple(float(x) for x in np.r_[np.inf, s, 0.0][rank:rank + 2]), None
+    return rank, tuple(float(x) for x in np.r_[np.inf, s, 0.0][rank:rank + 2])
 
 
 def _geqp3(B):
@@ -348,15 +336,6 @@ def _no_select(_value):
     return None
 
 
-def _unmqr(trans, qr, tau, c):
-    """Q c (trans "N") or Q^H c (trans "C"), Q the unitary of a geqp3;
-    in place on a Fortran-ordered c."""
-    c = np.asfortranarray(c)
-    lwork = scipy.linalg.lapack.zunmqr("L", trans, qr, tau, c, -1)[1][0]
-    return scipy.linalg.lapack.zunmqr(
-        "L", trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
-
-
 def _tall(shape):
     return shape[0] >= shape[1] > 0
 
@@ -376,62 +355,21 @@ def _place(res, drop, shift):
     return rows, cols
 
 
-def _chain(res, step, shift):
-    """The staircase plan of a tall Res at beta down the chain of degrees
-    beta - j step, j = 0, 1, ...: (order, takes, bounds), or None when
-    it has one level.
+def _descent(res, alpha0):
+    """The nested order of res down its alpha0 chain: (rows, cols,
+    shapes), kept by the fan per row and column bases of res (the bases
+    the fan keeps) and alpha0's representative.
 
-    Level j is Res at beta - j step, placed in Res at beta by x^(j b0),
-    b0 = shift the first point of S_step (_place); level j + 1 sits
-    inside level j the same way. In the nested order the rows and
-    columns of the innermost level come first, then those each level
-    adds. order is that order of the rows; bounds[i] the rows and
-    columns of the i-th level from the inside, so bounds[-1] is the
-    shape of Res; takes[i] indexes Res at the rows level i adds and at
-    every column from those it adds on, in nested order. Those rows are
-    zero in the columns of the levels inside.
-
-    Levels go down while Res at the next degree has columns and at least
-    as many rows, but no more than _LEVEL_ASPECT times as many. A level
-    finalizes at most as many rows as it has columns, yet carries the
-    rest of its rows up and applies its reflectors to every column
-    ahead; a taller level costs more in copies and LAPACK calls than the
-    rows it finalizes save. They stop, too, at a level of the shape of
-    the one above it, which adds no rows and no columns: a step trivial
-    in the class group gives every level that shape.
-    """
-    rows, cols = [np.arange(res.shape[0])], [np.arange(res.shape[1])]
-    while True:
-        j = len(rows)
-        below, blocks = _place(res, j * step, j * shift)
-        if (not 0 < len(blocks) <= len(below) <= _LEVEL_ASPECT * len(blocks)
-                or (len(below), len(blocks)) == (len(rows[-1]), len(cols[-1]))):
-            break
-        rows.append(below)
-        cols.append(blocks)
-    if len(rows) == 1:
-        return None
-    bounds = [(len(r), len(c)) for r, c in zip(rows[::-1], cols[::-1])]
-    # each level's rows and columns in Res order, those of the level
-    # inside it taken out
-    order = np.concatenate([rows[-1]] + [np.setdiff1d(r, s, assume_unique=True)
-                                         for r, s in zip(rows[-2::-1], rows[:0:-1])])
-    col_order = np.concatenate([cols[-1]] + [np.setdiff1d(c, s, assume_unique=True)
-                                             for c, s in zip(cols[-2::-1], cols[:0:-1])])
-    takes, m0, n0 = [], 0, 0
-    for m1, n1 in bounds:
-        takes.append(np.ix_(order[m0:m1], col_order[n0:]))
-        m0, n0 = m1, n1
-    return order, takes, bounds
-
-
-def _staircase_plan(res, alpha0):
-    """(chain, I, J) of res, Res at some degree beta, for a degree alpha0:
-    res[I, J] is x^b0 times Res at alpha = beta - alpha0, b0 the first
-    point of S_alpha0 (_place), and chain is _chain's staircase of a tall
-    res down the degrees beta - j alpha0, or None. Kept by the fan per
-    row and column bases of res (the bases the fan keeps) and alpha0's
-    representative.
+    Level j is Res at the degree of res minus j alpha0, times x^(j b0),
+    b0 the first point of S_alpha0: _place(res, j alpha0, j b0) places it
+    in res, and level j + 1 sits in level j the same way. res[rows][:,
+    cols] has every level as a leading block: the rows and columns of the
+    deepest level first, in their order, then those each level adds,
+    each in order. shapes[j - 1] is the shape of level j, the first that
+    of the block. The levels go on below the block only under a tall res,
+    while the level below pays for its lift (_pays); a step trivial in
+    the class group gives every level the shape of res, which stops
+    them.
 
     Raises:
         InputError: alpha0 has no sections.
@@ -444,71 +382,25 @@ def _staircase_plan(res, alpha0):
         if len(between) == 0:
             raise InputError(f"alpha0 = {alpha0.a} has no sections")
         shift = between.points[0]
-        chain = _chain(res, alpha0, shift) if _tall(res.shape) else None
-        return (chain,) + _place(res, alpha0, shift)
-    return fan.kept(("staircase", res.rows, tuple(res.col_blocks), alpha0.a), build)
+        levels = [_place(res, alpha0, shift)]
+        while _tall(res.shape):
+            below = _place(res, (len(levels) + 1) * alpha0, (len(levels) + 1) * shift)
+            if not _pays(*[(len(I), len(J)) for I, J in (levels[-1], below)]):
+                break
+            levels.append(below)
+        rows, cols = levels[-1]
+        for I, J in levels[-2::-1] + [(np.arange(res.shape[0]), np.arange(res.shape[1]))]:
+            rows = np.concatenate([rows, np.setdiff1d(I, rows, assume_unique=True)])
+            cols = np.concatenate([cols, np.setdiff1d(J, cols, assume_unique=True)])
+        return rows, cols, [(len(I), len(J)) for I, J in levels]
+    return fan.kept(("chain", res.rows, tuple(res.col_blocks), alpha0.a), build)
 
 
-def _staircase(A, plan):
-    """Column-pivoted QR of a tall A, one level of its staircase at a
-    time: (R, levels, below, lead).
-
-    A is taken in the plan's nested order, innermost level first. Level
-    by level, geqp3 factors W, what the levels inside leave of this
-    level's columns: the rows past the split of the level inside, with
-    the trailing triangle of its R and the reflected columns, over the
-    new rows, zero there. Its reflectors are applied once to the columns
-    ahead. The level's first rows, as far as its |diagonal| runs above
-    TOL_RANK |r_11|, are final rows of R; the rest go up into the next W.
-    The top level is split nowhere. So A P = Q R with R the n x n
-    triangle of the final rows and Q the product of the levels'
-    unitaries, level i acting on the rows levels[i][2]:levels[i][3] of
-    the nested order, innermost first. A plan of one level is one geqp3
-    of all of A.
-
-    The R of the second level from the top, Res at alpha, is certified
-    (_qr_rank, corank only) before its split: the split is at its rank,
-    below is its corank-only CokernelMap, and lead = (rank, ||S11^-1||_F
-    bound) lets _qr_rank certify the top from it. A plan of one level
-    has no such level: below and lead are None.
-    """
-    m, n = A.shape
-    _, takes, bounds = plan
-    R = np.zeros((n, n), dtype=complex)
-    levels, below, lead = [], None, None
-    r0 = m0 = n0 = k = w = 0
-    for i, ((m1, n1), take) in enumerate(zip(bounds, takes)):
-        carried = m0 - r0
-        # a Fortran-ordered array of our own, so LAPACK may overwrite it
-        W = np.zeros((m1 - r0, n - r0), dtype=complex, order="F")
-        if carried:
-            W[:carried, :n0 - r0] = np.triu(qr[k:, k:w])
-            W[:carried, n0 - r0:] = turned[k:]
-        W[carried:, n0 - r0:] = A[take]
-        w = n1 - r0
-        # in place on the leading columns, which are Fortran-contiguous
-        qr, jpvt, tau = _geqp3(W[:, :w])
-        if r0:
-            R[:r0, r0:n1] = R[:r0, r0:n1][:, jpvt - 1]
-        levels.append((qr, tau, r0, m1))
-        if n1 == n:
-            R[r0:, r0:] = np.triu(qr[:w])
-            return R, levels, below, lead
-        turned = _unmqr("C", qr, tau, W[:, w:])
-        if i == 0:
-            cut = TOL_RANK * abs(qr[0, 0])
-        if i == len(bounds) - 2:
-            R[r0:n1, r0:n1] = np.triu(qr[:w])
-            rank, rank_bounds, inverse = _qr_rank(R[:n1, :n1], False)
-            below = CokernelMap(None, m1 - rank, None, rank_bounds)
-            lead = None if inverse is None else (rank, inverse)
-            k = min(max(rank - r0, 0), w)
-        else:
-            above = np.abs(qr.diagonal()) > cut
-            k = w if above.all() else int(above.argmin())
-        R[r0:r0 + k, r0:n1] = np.triu(qr[:k, :w])
-        R[r0:r0 + k, n1:] = turned[:k]
-        r0, m0, n0 = r0 + k, m1, n1
+def _pays(upper, lower):
+    """Whether reducing the level of shape upper by the level of shape
+    lower inside it pays for its lift: lower is tall, with fewer columns
+    than upper and at most _LEVEL_ASPECT rows per column."""
+    return 0 < lower[1] < upper[1] and lower[1] <= lower[0] <= _LEVEL_ASPECT * lower[1]
 
 
 def _fro(x):
@@ -523,21 +415,9 @@ def _norm(x):
     return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _adjoint_qr(A, reveal):
-    """One column-pivoted QR of A^H: (R, jpvt, rank, rank_bounds) of A.
-
-    R is the triangle of the leading rows, square when A is wide and a
-    trapezoid when A is tall; _qr_rank certifies the cut on it.
-    """
-    qr, jpvt, _ = _geqp3(A.conj().T)
-    R = np.triu(qr[:min(qr.shape)])
-    rank, bounds, _ = _qr_rank(R, reveal)
-    return R, jpvt, rank, bounds
-
-
 def _null_rows(R, jpvt, rank):
     """Orthonormal rows spanning the left null space of A, from the QR
-    of A^H (_adjoint_qr): P times the null space of [R11 R12], spanned by
+    of A^H: P times the null space of [R11 R12], spanned by
     [-R11^-1 R12; I], so R22 is taken as zero."""
     n = len(jpvt)
     null = np.vstack([
@@ -549,48 +429,64 @@ def _null_rows(R, jpvt, rank):
     return basis.conj().T
 
 
-def _stairs(A, corank_only, plan):
-    """(map, block's map) of a tall A from its QR on plan (_staircase).
+def _factor(A, tall, reveal):
+    """One column-pivoted QR of A when tall, else of A^H: (R, rank,
+    rank_bounds, qr, jpvt, tau), R the triangle of its leading rows, with
+    the singular values of A, and the cut certified on it (_qr_rank)."""
+    qr, jpvt, tau = _geqp3(np.array(A, order="F") if tall else A.conj().T)
+    R = np.triu(qr[:min(qr.shape)])
+    return (R,) + _qr_rank(R, reveal) + (qr, jpvt, tau)
 
-    N^H = Q E, E the unit vectors past the rank: each level's Q turns its
-    own rows of the nested order, the top level's first. On a chain, the
-    block's map, of the second level from the top, comes from inside the
-    staircase, and a top cut that raises leaves the map None. On a plan
-    of one level the cut raises.
-    """
-    R, levels, below, lead = _staircase(A, plan)
-    try:
-        rank, bounds, _ = _qr_rank(R, not corank_only, lead)
-    except RankAmbiguousError:
-        if below is None:
-            raise
-        return None, below
-    N = None
-    if not corank_only:
-        X = np.eye(len(A), len(A) - rank, -rank, dtype=complex, order="F")
-        for qr, tau, lo, hi in reversed(levels):
-            X[lo:hi] = _unmqr("N", qr, tau, X[lo:hi])
-        N = np.empty((len(A) - rank, len(A)), dtype=complex)
-        N[:, plan[0]] = X.conj().T
-    return CokernelMap(N, len(A) - rank, R, bounds), below
+
+def _unmqr(side, trans, qr, tau, c):
+    """Q c (trans "N") or Q^H c (trans "C"), c from the left (side "L")
+    or from the right ("R"), Q the unitary of a geqp3; in place on a
+    Fortran-ordered c."""
+    qr = qr[:, :len(tau)]
+    lwork = scipy.linalg.lapack.zunmqr(side, trans, qr, tau, c, -1)[1][0]
+    return scipy.linalg.lapack.zunmqr(
+        side, trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
+
+
+def _turn(fac, Y):
+    """Q^H Y in place, Q the unitary of the QR of a tall level in nested
+    order (_stack): fac lists one (qr, tau, lo, hi) per level, innermost
+    first, its unitary acting on the rows lo:hi."""
+    for qr, tau, lo, hi in fac:
+        Y[lo:hi] = _unmqr("L", "C", qr, tau, np.asfortranarray(Y[lo:hi]))
+    return Y
+
+
+def _basis(fac, m, rank):
+    """N = E^H Q^H (_turn), E the unit vectors past the rank: each
+    level's unitary applied from the right to its own columns, the top
+    level first, so that every slice is contiguous."""
+    N = np.eye(m - rank, m, rank, dtype=complex, order="F")
+    for qr, tau, lo, hi in fac[::-1]:
+        N[:, lo:hi] = _unmqr("R", "C", qr, tau, N[:, lo:hi])
+    return N
 
 
 def _plain(A, corank_only):
     """The map of one QR of A, or of A^H when A is wide; its cut raises."""
-    nrows, ncols = A.shape
-    if ncols == 0:
-        N = None if corank_only else np.eye(nrows, dtype=complex)
-        return CokernelMap(N, nrows, np.zeros((0, 0), dtype=complex), ())
-    if nrows < ncols:
-        R, jpvt, rank, bounds = _adjoint_qr(A, not corank_only)
-        N = None if corank_only else _null_rows(R, jpvt, rank)
-        return CokernelMap(N, nrows - rank, R, bounds)
-    return _stairs(A, corank_only, (slice(None), [(slice(None),) * 2], [A.shape]))[0]
+    m = len(A)
+    if A.shape[1] == 0:
+        N = None if corank_only else np.eye(m, dtype=complex)
+        return CokernelMap(N, m, np.zeros((0, 0), dtype=complex), ())
+    tall = _tall(A.shape)
+    R, rank, bounds, qr, jpvt, tau = _factor(A, tall, not corank_only)
+    N = None
+    if not corank_only and tall:
+        E = np.eye(m, m - rank, -rank, dtype=complex, order="F")
+        N = _unmqr("L", "N", qr, tau, E).conj().T
+    elif not corank_only:
+        N = _null_rows(R, jpvt, rank)
+    return CokernelMap(N, m - rank, R, bounds)
 
 
 def _coupling(R, jpvt, rank, X):
     """||Z||_F, Z = R11^-H V with V the least-squares solution of
-    P [I; L] V = X, L^H = R11^-1 R12, from the QR of block^H (_adjoint_qr)
+    P [I; L] V = X, L^H = R11^-1 R12, from the QR of block^H (_factor)
     and X = res[I, K]: the coupling C1^-1 X of _reduce."""
     Lh = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
     T = X[jpvt - 1]
@@ -601,45 +497,102 @@ def _coupling(R, jpvt, rank, X):
     return _fro(scipy.linalg.solve_triangular(R[:rank, :rank], V, trans="C"))
 
 
-def _reduce(A, corank_only, I, J):
-    """(map, block's map) of a wide res = A from the cokernel of B; the
-    map is None when the block leaves no margin, B's cut raises or the
-    top cut is not certified.
+def _assemble(R_lo, r_lo, X, R_B, jpvt):
+    """R of a tall A P = Q R reduced by its block: [[R11_lo, X, R12_lo],
+    [0, R_B, 0]] with X in B's pivot order, square, the block's R22
+    taken as zero (_reduce)."""
+    k = R_B.shape[1]
+    n = R_lo.shape[1] + k
+    R = np.zeros((n, n), dtype=complex)
+    R[:r_lo, :r_lo] = R_lo[:r_lo, :r_lo]
+    R[:r_lo, r_lo:r_lo + k] = X[:, jpvt - 1]
+    R[:r_lo, r_lo + k:] = R_lo[:r_lo, r_lo:]
+    R[r_lo:r_lo + k, r_lo:r_lo + k] = R_B
+    return R
 
-    Rows I of res hold block = res[I, J] in the columns J, which vanish
-    off I (_staircase_plan); rest are the other rows and K the other
-    columns. Let N_lo be block's cokernel,
-    R-based from one geqp3 of its adjoint, block^H P = Q R, and B = [N_lo
-    res[I, K]; res[rest, K]]. A left null vector y of res has y_I in the
-    cokernel of block, so the cokernel of res is that of B, lifted back:
-    y[I] = c_I N_lo, y[rest] = c_rest. Orthonormal rows c give
-    orthonormal rows y.
 
-    The cut at the top is r_lo + rank(B). Turning the rows I by a unitary
-    [N_perp; N_lo] and the columns J by Q makes res [[C1, X], [0, B]]
-    plus columns of norm at most u_lo = ||R22||_F of block's QR, with C1
-    = N_perp P [I; L] R11^H square (L^H = R11^-1 R12) and X = N_perp
-    res[I, K]. So sigma_{r+1}(res) <= u_B + u_lo, and _certify bounds
-    sigma_r(res) with weyl = u_B + u_lo. Here 1 / a = sigma_{r_lo}(block)
-    - 2 u_lo <= sigma_min(C1), c and u_B are the bounds at B's cut, and
-    k >= ||C1^-1 X||: first a ||X||_F, ||X||_F^2 = ||res[I, K]||_F^2 -
-    ||N_lo res[I, K]||_F^2, and when that product of norms misses the
-    margins, ||C1^-1 X||_F itself (_coupling).
+def _stack(A, rows, cols, shapes):
+    """(fac, R, weyl) of the tall level A[rows[:m]][:, cols[:n]], (m, n)
+    = shapes[0], in the nested order rows, cols (_descent), reduced down
+    the levels of shapes as _reduce reduces a tall Res, but uncertified:
+    each level splits at its count of |r_ii| > TOL_RANK |r_11|, and weyl
+    bounds the R22 the levels drop. One geqp3 when shapes has one level."""
+    m, n = shapes[-1]
+    qr, _, tau = _geqp3(np.asfortranarray(A[np.ix_(rows[:m], cols[:n])]))
+    fac, R, weyl = [(qr, tau, 0, m)], np.triu(qr[:n]), 0.0
+    for m1, n1 in shapes[-2::-1]:
+        d = np.abs(R.diagonal())
+        r = int(np.count_nonzero(d > TOL_RANK * d[0]))
+        T = _turn(fac, np.asfortranarray(A[np.ix_(rows[:m1], cols[n:n1])]))
+        qr, jpvt, tau = _geqp3(np.array(T[r:], order="F"))
+        weyl += _fro(R[r:, r:])
+        R = _assemble(R, r, T[:r], np.triu(qr[:n1 - n]), jpvt)
+        fac.append((qr, tau, r, m1))
+        m, n = m1, n1
+    return fac, R, weyl
+
+
+def _reduce(A, corank_only, plan, tall):
+    """(map, block's map) of A from the cokernel of B; the map None when
+    the block leaves no margin, B's cut raises or the cut of A is not
+    certified.
+
+    In the nested order of plan (_descent), the block is A[:m1, :n1] and
+    its columns vanish on the other rows, rest; K are the other columns.
+    The block is factored in A's orientation: a tall A's by its own
+    reduction down the levels of plan (_stack), a wide A's by one geqp3
+    of its adjoint. Its cut r_lo is certified on its R with one trtri of
+    all of R11 (_qr_rank), and N_lo, the rows past r_lo of Q^H, is taken
+    as its cokernel: its R22, and the parts the levels inside drop, are
+    at most weyl_lo. B = [N_lo A[:m1, K]; A[rest, K]] gets one geqp3 (of
+    B^H for a wide A). A left null vector y of A has y[:m1] in the
+    cokernel of the block, so the cokernel of A is that of B, lifted
+    back: y[:m1] = c[:d_lo] N_lo, y[rest] = c[d_lo:]; orthonormal rows c
+    give orthonormal rows y. A wide A lifts explicitly, with N_lo from
+    the R of the block's adjoint (_null_rows). A tall A keeps every
+    unitary (_turn): A P = Q R with R = [[R11_lo, X, R12_lo], [0, R_B,
+    0]], X the first r_lo rows of Q_lo^H A[:m1, K], and N = (Q E)^H.
+
+    The cut of A is r_lo + rank(B). Turning the block's rows by Q_lo^H
+    (N_lo its last rows) and its columns by its pivots makes A [[C1, X],
+    [0, B]] plus columns of norm at most weyl_lo, C1 square. So
+    sigma_{r+1}(A) <= u_B + weyl_lo, u_B the upper bound at B's cut, and
+    _certify bounds sigma_r(A) with that weyl. Here 1 / a =
+    sigma_{r_lo}(block) - 2 weyl_lo <= sigma_min(C1), c is the bound at
+    B's cut, and k >= ||C1^-1 X||: first a ||X||_F, ||X||_F^2 = ||A[:m1,
+    K]||_F^2 - ||N_lo A[:m1, K]||_F^2, and, when that product of norms
+    misses the margins, solved for: ||C1^-1 X||_F itself under a wide A
+    (_coupling), ||R11_lo^-1 X||_F under a tall one, at least ||C1^-1
+    X||_F = ||[R11_lo R12_lo]^+ X||_F = ||(I + L L^H)^-1/2 R11_lo^-1
+    X||_F, L = R11_lo^-1 R12_lo. The one trtri of the block's whole R11
+    keeps a within a factor of the block's true 1 / sigma_{r_lo}, where
+    a bound carried up from the levels inside would lose that factor
+    again at every level.
     """
-    R_lo, jpvt_lo, r_lo, bounds_lo = _adjoint_qr(A[np.ix_(I, J)], False)
-    below = CokernelMap(None, len(I) - r_lo, R_lo, bounds_lo)
-    rest = np.setdiff1d(np.arange(A.shape[0]), I, assume_unique=True)
-    scale = float(abs(R_lo[0, 0]))
-    weyl_lo = _fro(R_lo[r_lo:, r_lo:])
-    if not (scale > 0.0 and bounds_lo[0] > 2 * weyl_lo and len(I) - r_lo + len(rest)):
-        return None, below
-    N_lo = _null_rows(R_lo, jpvt_lo, r_lo)
-    K = np.setdiff1d(np.arange(A.shape[1]), J, assume_unique=True)
+    rows, cols, shapes = plan
+    (m1, n1), m = shapes[0], len(A)
+    I, K = rows[:m1], cols[n1:]
     IK = A[np.ix_(I, K)]
-    NK = N_lo @ IK
-    B = np.vstack([NK, A[np.ix_(rest, K)]])
+    if tall:
+        fac_lo, R_lo, weyl_lo = _stack(A, rows, cols, shapes)
+        r_lo, bounds_lo = _qr_rank(R_lo, False)
+    else:
+        R_lo, r_lo, bounds_lo, _, jpvt_lo, _ = _factor(A[np.ix_(I, cols[:n1])], False, False)
+        weyl_lo = 0.0
+    below = CokernelMap(None, m1 - r_lo, R_lo, bounds_lo)
+    weyl_lo += _fro(R_lo[r_lo:, r_lo:])
+    scale = float(abs(R_lo[0, 0]))
+    if not (scale > 0.0 and bounds_lo[0] > 2 * weyl_lo and m - r_lo):
+        return None, below
+    if tall:
+        T = _turn(fac_lo, np.asfortranarray(A[np.ix_(rows, K)]))
+        X, NK, B = T[:r_lo], T[r_lo:m1], T[r_lo:]
+    else:
+        N_lo = _null_rows(R_lo, jpvt_lo, r_lo)
+        NK = N_lo @ IK
+        B = np.vstack([NK, A[np.ix_(rows[m1:], K)]])
     try:
-        R, jpvt, rank, (lower_b, upper_b) = _adjoint_qr(B, not corank_only)
+        R, rank, (lower_b, upper_b), qr, jpvt, tau = _factor(B, tall, not corank_only)
     except RankAmbiguousError:
         return None, below
     # in units of the block's |r_11|; Python floats, so a product beyond
@@ -650,16 +603,25 @@ def _reduce(A, corank_only, I, J):
                "top": max(1.0, abs(R[0, 0]) / scale), "weyl": upper}
     t, p = _fro(IK) / scale, _fro(NK) / scale
     cert = (_certify(a, c, a * max(t * t - p * p, 0.0) ** 0.5, **margins)
-            or _certify(a, c, _coupling(R_lo, jpvt_lo, r_lo, IK), **margins))
-    if cert is None:
+            or _certify(a, c, _fro(scipy.linalg.solve_triangular(R_lo[:r_lo, :r_lo], X))
+                        if tall else _coupling(R_lo, jpvt_lo, r_lo, IK), **margins))
+    if not cert:
         return None, below
+    if tall:
+        R = _assemble(R_lo, r_lo, X, R, jpvt)
+        if not corank_only:
+            nested = _basis(fac_lo + [(qr, tau, r_lo, m)], m, r_lo + rank)
+    elif not corank_only:
+        C = _null_rows(R, jpvt, rank)
+        nested = np.empty((len(C), m), dtype=complex)
+        nested[:, :m1] = C[:, :len(N_lo)] @ N_lo
+        nested[:, m1:] = C[:, len(N_lo):]
     N = None
     if not corank_only:
-        C = _null_rows(R, jpvt, rank)
-        N = np.empty((len(C), A.shape[0]), dtype=complex)
-        N[:, I] = C[:, :len(N_lo)] @ N_lo
-        N[:, rest] = C[:, len(N_lo):]
-    return CokernelMap(N, len(B) - rank, R, (cert[0] * scale, upper * scale)), below
+        # back from the nested order to the rows of A
+        N = np.empty(nested.shape, dtype=complex)
+        N[:, rows] = nested
+    return CokernelMap(N, m - r_lo - rank, R, (cert * scale, upper * scale)), below
 
 
 def cokernel(res, corank_only=False, alpha0=None):
@@ -695,35 +657,33 @@ def cokernel(res, corank_only=False, alpha0=None):
     monomial x^b0 of S_alpha0 that maps S_alpha into S_alpha+alpha0, it
     is the block res[I, J], whose columns vanish off its rows (_place).
     Res at alpha - alpha0 sits in the block the same way, and so on down
-    the chain. cokernel then first tries the structured map of
-    _staircase_plan:
+    the chain. When the block has columns and is not all of res, cokernel
+    first reduces res by it (_reduce). With rest the other rows and K the
+    other columns, the cokernel of res is that of B = [N_lo res[I, K];
+    res[rest, K]], N_lo the block's cokernel, lifted back. The block and
+    B are factored in the orientation of res:
 
-    - staircase: a tall res whose chain has more than one level, the
-      block its second (_chain), is factored one level at a time
-      (_staircase):
-      each QR takes only a level's new columns and the rows the levels
-      inside leave. The cut at alpha, the block's corank, is certified
-      on the way; the cut at the top reuses that certificate and inverts
-      only the top level's own R11. R is assembled from one QR per
-      level, so its |diagonal| is not monotone across the level bounds.
-      N is Q E as above, each level's Q on its own rows (_stairs);
-    - reduction: a wide res, when the block has columns and res others,
-      is reduced by the block (_reduce). One QR of block^H gives its
-      corank and its R-based cokernel N_lo. With I the rows of x^b0
-      S_alpha, rest the other rows and K the columns outside x^b0 times
-      the block's, the cokernel of res is that of B = [N_lo res[I, K];
-      res[rest, K]], lifted back: on the 27 lines B is 261 x 342 where
-      res is 441 x 552. B goes through the wide path above, and R and
-      the singular values are those of B. The cut at the top is
-      certified from the two cuts; rank_bounds is then that pair, far
-      weaker than one QR of res^H would give.
+    - wide res: one QR of block^H gives the block's corank and its
+      R-based N_lo, and B goes through the wide path above: on the 27
+      lines B is 261 x 342 where res is 441 x 552. R and the singular
+      values are those of B;
+    - tall res: the block is itself reduced by its own block, and so on
+      down the chain while each level below pays for its lift
+      (_descent): on P^2 at degree 20, six levels from 780 x 380 down to
+      595 x 210. Each QR takes only a level's new columns and the rows
+      the levels inside leave, R is assembled from one QR per level (its
+      |diagonal| is not monotone across the level bounds), and N is Q E
+      as above, each level's Q on its own rows.
 
-    Each proof uses only Res P = Q R, whichever pivots were chosen. When
-    the top cut of the structured map is not certified, the plain map of
-    res runs instead. The block's map, the block attribute of the
-    result, is corank-only: from the staircase or the reduction when
-    either ran (the reduction's keeps the R of its QR of block^H), else
-    the plain map of the block res[I, J].
+    The cut at alpha, the block's corank, is certified on the block's R
+    with one trtri of all of its R11; the cut at the top reuses that
+    bound and inverts only B's R11 (_certify). rank_bounds is then that
+    pair, weaker than one QR of res would give. Each proof uses only
+    res P = Q R, whichever pivots were chosen. When the top cut is not
+    certified, the plain map of res runs instead. The block's map, the
+    block attribute of the result, is corank-only: from the reduction
+    when it ran, with the R of the block's own QR or reduction, else the
+    plain map of the block res[I, J].
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
@@ -735,16 +695,16 @@ def cokernel(res, corank_only=False, alpha0=None):
     """
     cok = below = None
     if alpha0 is not None:
-        chain, I, J = _staircase_plan(res, alpha0)
-        if chain is not None:
-            cok, below = _stairs(res.matrix, corank_only, chain)
-        elif not _tall(res.shape) and 0 < len(J) < res.shape[1]:
-            cok, below = _reduce(res.matrix, corank_only, I, J)
+        plan = _descent(res, alpha0)
+        rows, cols, ((m1, n1), *_) = plan
+        if 0 < n1 < res.shape[1]:
+            cok, below = _reduce(res.matrix, corank_only, plan, _tall(res.shape))
     if cok is None:
         cok = _plain(res.matrix, corank_only)
     cok.res = res
     if alpha0 is not None:
-        cok.block = below if below is not None else _plain(res.matrix[np.ix_(I, J)], True)
+        cok.block = below if below is not None else _plain(
+            res.matrix[np.ix_(rows[:m1], cols[:n1])], True)
     return cok
 
 

@@ -269,7 +269,8 @@ def user_pair(system, alpha, alpha0):
             would silently read as another degree), or a vector has the
             wrong length.
         PairSelectionError: alpha0 has no sections.
-        SpanError: two or more alpha0 lattice points do not affinely span.
+        SpanError: the alpha0 lattice points do not affinely span M (one
+            point spans nothing), so no torus point could be read back.
     """
     fan = system.fan
     if not isinstance(alpha, DivisorClass):
@@ -281,8 +282,7 @@ def user_pair(system, alpha, alpha0):
         raise PairSelectionError(
             f"alpha0 = {alpha0.a} has no sections; multipliers need a nonzero degree piece"
         )
-    if len(basis) > 1:  # one section is left to the basepoint test
-        check_span(basis)
+    check_span(basis)
     return RegularityPair(alpha, alpha0, Provenance.USER_SUPPLIED)
 
 

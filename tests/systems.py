@@ -26,6 +26,7 @@ reductions, kept draws); tests compare them with `==`, not `allclose`.
 import math
 import numbers
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -33,6 +34,7 @@ from scipy.spatial import ConvexHull, QhullError
 from toricsolve.cox import graded_basis
 from toricsolve.eigensolver import ResMatrix
 from toricsolve.errors import InputError
+from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope, integer_kernel, smith_normal_form
 from toricsolve.regularity import default_pair, vanishing_pair
 from toricsolve.toric import DivisorClass, Fan, nef_witness
@@ -419,6 +421,26 @@ def intro_laurent(eps):
     f1 = [((0, 0), -1), ((1, 0), 1), ((2, 0), 1), ((0, 1), 1), ((1, 1), 1)]
     f2 = [((0, 0), -2), ((1, 0), 2), ((2, 0), 5 - 2 * eps), ((0, 1), 4), ((1, 1), 5)]
     return [f1, f2]
+
+
+# the three user pairs with an alpha0 trivial in the class group, whose
+# one section spans nothing: on the golden intro file, on intro at eps =
+# 1e-3 and on pillow
+TRIVIAL_ALPHA0 = [
+    ("intro_e3_seed0", ((2, 3, -1, 1), (0, 0, 0, 0))),
+    ("intro", ((0, 3, 1, 0), (2, -1, 1, -1))),
+    ("pillow", ((1, 3, 1, 3), (-1, 1, -1, 1))),
+]
+
+
+def trivial_alpha0_laurent(name):
+    """(Laurent equations, rays) of a TRIVIAL_ALPHA0 system."""
+    if name == "intro":
+        return intro_laurent(1e-3), HIRZEBRUCH_RAYS
+    if name == "pillow":
+        return pillow_laurent(), PILLOW_RAYS_SOLVE
+    sf = load_system_file(Path(__file__).parent / "data" / f"{name}.system.json")
+    return sf.laurent(), sf.rays
 
 
 # Term tables of the cubic-surface line count system: exponent in

@@ -34,7 +34,13 @@ from toricsolve.recovery import (
     recover_boundary_point,
     recover_torus_point,
 )
-from toricsolve.regularity import default_pair, improved_pair, user_pair, verify_pair
+from toricsolve.regularity import (
+    Provenance,
+    RegularityPair,
+    default_pair,
+    improved_pair,
+    verify_pair,
+)
 from toricsolve.solver import solve
 from toricsolve.toric import DivisorClass
 
@@ -146,13 +152,15 @@ def test_unit_parameter_exact_roots():
 
 def test_multiplier_corank_verification():
     system = homogenize(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS)
-    alpha = (0, 0, 2, 4)
+    alpha = DivisorClass(system.fan, (0, 0, 2, 4))
 
-    bad = user_pair(system, alpha, (0, 0, 2, 0))
-    assert verify_pair(system, bad) == (3, 4)
+    # both multipliers have one section, which user_pair refuses: the
+    # pairs are built directly
+    def pair(alpha0):
+        return RegularityPair(alpha, DivisorClass(system.fan, alpha0), Provenance.USER_SUPPLIED)
 
-    good = user_pair(system, alpha, (0, 0, 1, 0))
-    assert verify_pair(system, good) == (3, 3)
+    assert verify_pair(system, pair((0, 0, 2, 0))) == (3, 4)
+    assert verify_pair(system, pair((0, 0, 1, 0))) == (3, 3)
 
 
 # ---------------------------------------------------------------------------

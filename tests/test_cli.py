@@ -168,8 +168,9 @@ def test_solve_pair_flag_and_provenance(tmp_path):
 
 
 def test_solve_bad_pair_exits_3(tmp_path):
+    # alpha0 = [D2] has three points that span; the coranks are 3 and 4
     path = write_file(tmp_path, intro_doc())
-    res = run("solve", path, "--pair", "0,0,2,4;0,0,2,0")
+    res = run("solve", path, "--pair", "0,0,1,1;0,1,0,0")
     assert res.exit_code == 3
     assert "pair" in res.output
 
@@ -318,7 +319,7 @@ def test_regpair_verify_flag_reports_delta_plus(tmp_path):
 
 def test_regpair_verify_rejects_bad_user_pair(tmp_path):
     path = write_file(tmp_path, intro_doc())
-    res = run("regpair", path, "--pair", "0,0,2,4;0,0,2,0", "--verify")
+    res = run("regpair", path, "--pair", "0,0,1,1;0,1,0,0", "--verify")
     assert res.exit_code == 0, res.output
     assert "verified=False" in res.output
     assert "coranks=(3, 4)" in res.output
@@ -331,6 +332,19 @@ def test_regpair_verify_rejects_pair_that_cannot_span(tmp_path):
     res = run("regpair", path, "--pair", "2,2,0,0;0,0,0,1", "--verify")
     assert res.exit_code == 6, res.output
     assert "error (recovery): alpha0 insufficient" in res.output
+    assert "verified=" not in res.output
+
+
+@pytest.mark.parametrize("command", ["regpair", "solve"])
+def test_pair_with_one_section_exits_6(command):
+    # alpha0 = 0 has one section, which spans nothing: both commands
+    # refuse the pair at the pair stage with one recovery error line
+    args = [command, "--pair", "2,3,-1,1;0,0,0,0"] + (["--verify"] if command == "regpair" else [])
+    res = run(*args, str(DATA / "intro_e3_seed0.system.json"))
+    assert res.exit_code == 6, res.output
+    assert [line for line in res.output.splitlines()
+            if line.startswith("error (recovery): ")] == [
+        "error (recovery): alpha0 insufficient: lattice points do not affinely span"]
     assert "verified=" not in res.output
 
 

@@ -24,18 +24,18 @@ from toricsolve.eigensolver import (
     RETRIES_MAX,
     SPAN_MIN_DELTA,
     TOL_RANK,
-    _LEVEL_ASPECT,
     CokernelMap,
     ResMatrix,
     _below_block_norm,
+    _descent,
     _cluster_labels,
+    _pays,
     _place,
     _qr_rank,
     _rank,
+    _reduce,
     _reorder,
     _restriction_cond,
-    _staircase,
-    _staircase_plan,
     assemble_res,
     cokernel,
     multiplication_family,
@@ -44,7 +44,14 @@ from toricsolve.eigensolver import (
 from toricsolve.errors import BasepointError, InputError, RankAmbiguousError, SpanError
 from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope
-from toricsolve.regularity import default_pair, improved_pair, user_pair, verify_pair
+from toricsolve.regularity import (
+    Provenance,
+    RegularityPair,
+    default_pair,
+    improved_pair,
+    user_pair,
+    verify_pair,
+)
 from toricsolve.solver import solve
 
 from systems import (
@@ -55,6 +62,7 @@ from systems import (
     P2_RAYS,
     PILLOW_RAYS,
     PILLOW_RAYS_SOLVE,
+    TRIVIAL_ALPHA0,
     WP112_RAYS,
     assemble_res_reference,
     cluster_labels_reference,
@@ -64,6 +72,7 @@ from systems import (
     mixed_volume,
     pillow_fan,
     pillow_laurent,
+    trivial_alpha0_laurent,
 )
 
 P1_RAYS = [(1,), (-1,)]
@@ -493,7 +502,7 @@ def test_benchmark_shaped_res_certifies_without_svd(monkeypatch):
     assert solve(dense, seed=1).delta_plus == 27
 
 
-# ------------------------------------ staircase down the alpha0 chain
+# ------------------------------------ reduction down the alpha0 chain
 
 P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 
@@ -538,22 +547,28 @@ def _dense_system(rng, shape, sizes):
     return random_system(rng, supports, DENSE_RAYS[shape])
 
 
-def _levels(system):
-    """Levels of the staircase of Res at alpha + alpha0 when it has more
-    than one, else 0."""
-    pair = improved_pair(system)
-    chain = _staircase_plan(assemble_res(system, pair.top), pair.alpha0)[0]
-    return 0 if chain is None else len(chain[2])
+def _depth(top, alpha0):
+    """The levels cokernel(top, alpha0=alpha0) reduces by, 0 when it
+    takes the plain map: no block with columns, or the block is all of
+    Res."""
+    shapes = _descent(top, alpha0)[2]
+    return len(shapes) if 0 < shapes[0][1] < top.shape[1] else 0
 
 
 @functools.cache
-def _staircase_sizes():
-    """(shape, sizes) of every dense_systems support whose staircase has
-    two or more levels. The levels follow from the supports alone, so
-    one draw of coefficients decides each."""
-    return [(shape, sizes) for shape in DENSE_RAYS
-            for sizes in product(_sizes(shape), repeat=3 if shape == "P3" else 2)
-            if _levels(_dense_system(np.random.default_rng(0), shape, sizes)) > 1]
+def _reduced_sizes():
+    """(shape, sizes) of every dense_systems support whose Res at alpha +
+    alpha0 is tall and reduced by its block. The depth follows from the
+    supports alone, so one draw of coefficients decides each."""
+    found = []
+    for shape in DENSE_RAYS:
+        for sizes in product(_sizes(shape), repeat=3 if shape == "P3" else 2):
+            system = _dense_system(np.random.default_rng(0), shape, sizes)
+            pair = improved_pair(system)
+            top = assemble_res(system, pair.top)
+            if _tall(top) and _depth(top, pair.alpha0):
+                found.append((shape, sizes))
+    return found
 
 
 @st.composite
@@ -569,24 +584,24 @@ def dense_systems(draw):
 
 @st.composite
 def tall_systems(draw):
-    """dense_systems whose Res at alpha + alpha0 is tall with a staircase
-    of two or more levels."""
-    shape, sizes = draw(st.sampled_from(_staircase_sizes()))
+    """dense_systems whose Res at alpha + alpha0 is tall and reduced by
+    its block."""
+    shape, sizes = draw(st.sampled_from(_reduced_sizes()))
     return _dense_system(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
                          shape, sizes)
 
 
 def one_qr_cokernel(res, corank_only=False):
     """The reference for a tall Res: one geqp3 of all of Res, the cut
-    certified on its R, N the trailing columns of its Q, as cokernel made
-    them before the staircase. Returns a CokernelMap."""
+    certified on its R, N the trailing columns of its Q, as cokernel's
+    plain map makes them. Returns a CokernelMap."""
     A = res.matrix
     m, n = A.shape
     lapack = scipy.linalg.lapack
     lwork = lapack.zgeqp3(A, lwork=-1)[3][0]
     qr, _, tau, _, _ = lapack.zgeqp3(np.array(A, order="F"), lwork=int(lwork.real))
     R = np.triu(qr[:n])
-    rank, bounds, _ = _qr_rank(R, not corank_only)
+    rank, bounds = _qr_rank(R, not corank_only)
     if corank_only:
         return CokernelMap(None, m - rank, R, bounds, res)
     basis = np.eye(m, m - rank, -rank, dtype=complex, order="F")
@@ -603,38 +618,38 @@ def _tall(res):
     return res.shape[0] >= res.shape[1] > 0
 
 
-def _check_staircase(system):
-    """The staircase of Res at alpha + alpha0 against its shapes and
-    against one QR of all of it; returns its number of levels."""
+def _check_reduction(system):
+    """The reduction of Res at alpha + alpha0 down its chain against the
+    shapes of its levels and against one QR of all of it; returns its
+    depth."""
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan = _staircase_plan(top, pair.alpha0)[0]
-    order, takes, bounds = plan
-    cols = takes[0][1].ravel()
-    assert sorted(order) == list(range(top.shape[0]))
-    assert sorted(cols) == list(range(top.shape[1]))
-    # level i from the top is Res at alpha + alpha0 - i alpha0 (x^(i b0)
-    # keeps the monomial order), and its columns vanish off its rows
-    nested = top.matrix[np.ix_(order, cols)]
-    step = pair.alpha0
-    for i, (m, n) in enumerate(bounds[::-1]):
-        level = assemble_res(system, top.rows.degree - i * step)
-        assert level.shape == (m, n) and 0 < n <= m <= _LEVEL_ASPECT * n
-        assert np.array_equal(top.matrix[np.ix_(np.sort(order[:m]), np.sort(cols[:n]))],
-                              level.matrix)
-        assert not nested[m:, :n].any()
-    # the chain stops at the first Res that is no level
-    below = assemble_res_reference(system, top.rows.degree - len(bounds) * step,
+    rows, cols, shapes = plan = _descent(top, pair.alpha0)
+    # level j is x^(j b0) times Res at alpha + alpha0 - j alpha0, the
+    # leading block of the plan's nested order, and its columns vanish
+    # off its rows; every level below the block pays for its lift
+    above = (top.shape[0], top.shape[1])
+    for j, (m, n) in enumerate(shapes, 1):
+        level = assemble_res(system, top.rows.degree - j * pair.alpha0)
+        I, J = _placed(top, pair.alpha0, j)
+        assert level.shape == (m, n) == (len(I), len(J))
+        assert np.array_equal(top.matrix[np.ix_(I, J)], level.matrix)
+        assert np.array_equal(np.sort(rows[:m]), I) and np.array_equal(np.sort(cols[:n]), J)
+        assert not top.matrix[np.ix_(rows[m:], cols[:n])].any()
+        assert j == 1 or _pays(above, (m, n))
+        above = (m, n)
+    # the chain stops at the first level below that would not pay
+    below = assemble_res_reference(system, top.rows.degree - (len(shapes) + 1) * pair.alpha0,
                                    allow_empty=True)
-    assert not 0 < below.shape[1] <= below.shape[0] <= _LEVEL_ASPECT * below.shape[1]
+    assert not _pays(above, below.shape)
 
     plain = one_qr_cokernel(top)
     cok = cokernel(top, alpha0=pair.alpha0)
-    # the staircase's own cut, without the fallback to one QR
-    R, _, lo, lead = _staircase(top.matrix, plan)
-    assert _qr_rank(R, True, lead)[0] == top.shape[0] - plain.delta_plus
-    assert np.array_equal(cok.R, R)
+    # the reduction's own map, without the fallback to one QR
+    reduced, lo = _reduce(top.matrix, False, plan, True)
+    assert reduced is not None
+    assert np.array_equal(cok.R, reduced.R) and np.array_equal(cok.N, reduced.N)
     assert cok.delta_plus == plain.delta_plus
     assert cokernel(top, corank_only=True, alpha0=pair.alpha0).delta_plus == plain.delta_plus
     assert lo.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
@@ -645,13 +660,13 @@ def _check_staircase(system):
         # the same cokernel: N N_plain^H is unitary
         assert _unitary_error(cok.N @ plain.N.conj().T) <= 1e-10
         assert np.linalg.norm(cok.N @ top.matrix, 2) <= 10 * TOL_RANK * s[0]
-    return len(bounds)
+    return len(shapes)
 
 
 @settings(max_examples=40, deadline=None)
 @given(system=tall_systems())
 def test_block_path_matches_plain_path(system):
-    assert _check_staircase(system) > 1
+    assert _check_reduction(system) >= 1
 
 
 def p3_system(degree, seed=5):
@@ -659,11 +674,12 @@ def p3_system(degree, seed=5):
     return random_system(np.random.default_rng(seed), [cube] * 3, P3_RAYS)
 
 
-@pytest.mark.parametrize("degree, levels", [(3, 3), (4, 4)])
-def test_staircase_on_p3_has_its_levels(degree, levels):
-    # Res at alpha + alpha0 120 x 105, then 84 x 60 and 56 x 30 (degree 3);
-    # 286 x 252 down to 120 x 60 (degree 4)
-    assert _check_staircase(p3_system(degree)) == levels
+@pytest.mark.parametrize("degree, depth", [(3, 3), (4, 4)])
+def test_reduction_on_p3_has_its_depth(degree, depth):
+    # Res at alpha + alpha0 120 x 105, then 84 x 60 down to 35 x 12,
+    # where 20 x 3 below would not pay (degree 3); 286 x 252 down to
+    # 84 x 30 (degree 4)
+    assert _check_reduction(p3_system(degree)) == depth
 
 
 def _same_cokernel(a, b):
@@ -673,27 +689,25 @@ def _same_cokernel(a, b):
 
 
 def test_block_certificate_failure_falls_back():
-    """Scaling the block's columns by 1e-14 puts them, tiny, at the head
-    of the assembled R: its leading diagonal no longer reveals the rank,
-    and the staircase's cut raises. cokernel then returns the one-level
-    result, one QR of all of Res."""
+    """Scaling the block's columns by 1e-14 leaves the block's cut in
+    units of a |r_11| far below the norm of Res, so the top cut misses
+    the floor of its margin and the reduction gives up. cokernel then
+    returns the plain map, one QR of all of Res."""
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan = _staircase_plan(top, pair.alpha0)[0]
-    cols = plan[1][0][1].ravel()[:low.shape[1]]
+    plan = _descent(top, pair.alpha0)
+    rows, cols = _placed(top, pair.alpha0)
     scaled = top.matrix.copy()
     scaled[:, cols] *= 1e-14
     top = ResMatrix(top.rows, top.col_blocks, scaled)
     low = ResMatrix(low.rows, low.col_blocks, low.matrix * 1e-14)
     # the block is still x^b0 times Res at alpha, now scaled
-    assert np.array_equal(top.matrix[np.ix_(plan[0][:low.shape[0]], cols)], low.matrix)
-    R, _, _, lead = _staircase(top.matrix, plan)
-    with pytest.raises(RankAmbiguousError, match="rank not revealed"):
-        _qr_rank(R, True, lead)
+    assert np.array_equal(top.matrix[np.ix_(rows, cols)], low.matrix)
+    assert _reduce(top.matrix, False, plan, True)[0] is None
     cok = cokernel(top, alpha0=pair.alpha0)
     assert _same_cokernel(cok, cokernel(top))
     assert _same_cokernel(cok, one_qr_cokernel(top))
@@ -701,16 +715,15 @@ def test_block_certificate_failure_falls_back():
 
 
 def _no_structure(top, alpha0):
-    """Whether cokernel(top, alpha0=alpha0) takes the plain map: no
-    staircase of more than one level, and no cut of a wide top to reduce
+    """Whether cokernel(top, alpha0=alpha0) takes the plain map: the
+    block has no columns or all of them, and there is nothing to reduce
     by."""
-    chain, _, J = _staircase_plan(top, alpha0)
-    return chain is None and (_tall(top) or not 0 < len(J) < top.shape[1])
+    return _depth(top, alpha0) == 0
 
 
 def test_block_is_ignored_where_it_cannot_help():
     """An empty Res at alpha gives bit-identical results with and without
-    alpha0: one level, one QR of all of Res."""
+    alpha0: no reduction, one QR of all of Res."""
     systems = {
         "empty at alpha": homogenize(intro_laurent(3.0)),
         "pillow": homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE),
@@ -730,11 +743,13 @@ def test_block_is_ignored_where_it_cannot_help():
 
 @pytest.mark.parametrize("name", ["intro", "pillow", "P2 conics"])
 def test_one_level_n_is_the_trailing_columns_of_q(name):
-    """On a staircase of one level, N is Q E with E the unit vectors past
-    the rank, turned by one left zunmqr of the one geqp3 of all of Res:
-    bit for bit what one_qr_cokernel makes, with alpha0 and without.
-    Two conics on P^2 have a block with columns (6 x 2 under 10 x 6)
-    that is too tall to be a level, and is factored on its own."""
+    """The plain map's N is Q E with E the unit vectors past the rank,
+    turned by one left zunmqr of the one geqp3 of all of Res: bit for bit
+    what one_qr_cokernel makes. Every top has that map without alpha0;
+    intro and pillow, whose block has no columns, have it with alpha0
+    too. Two conics on P^2 have a block with columns (6 x 2 under 10 x
+    6), so with alpha0 they are reduced by it, at depth 1, to the same
+    cokernel."""
     system = {
         "intro": lambda: homogenize(intro_laurent(3.0)),
         "pillow": lambda: homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE),
@@ -742,18 +757,23 @@ def test_one_level_n_is_the_trailing_columns_of_q(name):
     }[name]()
     pair = improved_pair(system)
     top = assemble_res(system, pair.top)
-    assert _no_structure(top, pair.alpha0)
     want = one_qr_cokernel(top).N
     assert want.shape[0] > 0
     assert np.array_equal(cokernel(top).N, want)
-    assert np.array_equal(cokernel(top, alpha0=pair.alpha0).N, want)
+    got = cokernel(top, alpha0=pair.alpha0).N
+    if name == "P2 conics":
+        assert _depth(top, pair.alpha0) == 1
+        assert _unitary_error(got @ want.conj().T) <= 1e-12
+    else:
+        assert _no_structure(top, pair.alpha0)
+        assert np.array_equal(got, want)
 
 
 def test_block_map_is_corank_only():
     """cokernel(res, alpha0=alpha0) carries the certified corank-only map
-    of Res at alpha: from inside the staircase when the block is a level
-    of it (no R of its own), else from its own factorization. The map
-    holds no ResMatrix: the block is read off res."""
+    of Res at alpha, with the R its cut was certified on: one QR of the
+    block when it is factored plain, else the R of its own reduction. The
+    map holds no ResMatrix: the block is read off res."""
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
@@ -762,10 +782,16 @@ def test_block_map_is_corank_only():
     top = assemble_res(system, pair.top)
     for corank_only in (False, True):
         lo = cokernel(top, corank_only, alpha0=pair.alpha0).block
-        assert lo.res is None and lo.N is None and lo.R is None
+        assert lo.res is None and lo.N is None
+        # the block of this tall top is reduced by its own block (depth
+        # 2): R is the triangle of that reduction, with the block's
+        # singular values
+        assert _depth(top, pair.alpha0) == 2
+        assert np.array_equal(lo.R, np.triu(lo.R)) and lo.R.shape == (low.shape[1],) * 2
+        s = np.linalg.svd(low.matrix, compute_uv=False)
+        assert np.allclose(lo.singular_values, s, rtol=1e-10, atol=1e-12 * s[0])
         assert lo.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
         rank = low.shape[0] - lo.delta_plus
-        s = np.linalg.svd(low.matrix, compute_uv=False)
         lower, upper = lo.rank_bounds
         slack = 1e-13 * s[0]
         assert lower <= s[rank - 1] + slack
@@ -802,8 +828,10 @@ def test_wide_res_is_reduced_by_its_block(seed):
     back: the cokernel the SVD gives, as accurate, and the same coranks
     on the corank-only path."""
     top, low, alpha0 = _lines27_pair(seed)
-    chain, I, J = _staircase_plan(top, alpha0)
-    assert chain is None and low.shape == (len(I), len(J))
+    rows, cols, shapes = _descent(top, alpha0)
+    I, J = _placed(top, alpha0)
+    assert shapes == [low.shape] == [(len(I), len(J))]
+    assert np.array_equal(rows[:len(I)], I) and np.array_equal(cols[:len(J)], J)
     assert (len(I), top.shape[0] - len(I), top.shape[1] - len(J)) == (225, 216, 342)
     cok = cokernel(top, alpha0=alpha0)
     # the reduced path, not its fallback to one QR of Res^H
@@ -827,11 +855,13 @@ def test_wide_res_is_reduced_by_its_block(seed):
     assert (only.delta_plus, only.block.delta_plus) == (45, 45)
 
 
-def _placed(top, alpha0):
+def _placed(top, alpha0, times=1):
     """(I, J) of Res at alpha in Res at alpha + alpha0 (top), from the
-    placement the staircase and the reduction share."""
+    placement _descent makes: of x^(times b0) times Res at the degree of
+    top minus times alpha0, b0 the first point of S_alpha0."""
     fan = top.rows.degree.fan
-    return _place(top, as_divisor(fan, alpha0), graded_basis(fan, alpha0).points[0])
+    alpha0 = as_divisor(fan, alpha0)
+    return _place(top, times * alpha0, times * graded_basis(fan, alpha0).points[0])
 
 
 def _golden_pair(name, which):
@@ -849,8 +879,8 @@ def _check_placement(system, pair):
     assemble_res refuses it."""
     top = assemble_res(system, pair.top)
     I, J = _placed(top, pair.alpha0)
-    _, I_plan, J_plan = _staircase_plan(top, pair.alpha0)
-    assert np.array_equal(I_plan, I) and np.array_equal(J_plan, J)
+    rows, cols, ((m1, n1), *_) = _descent(top, pair.alpha0)
+    assert np.array_equal(np.sort(rows[:m1]), I) and np.array_equal(np.sort(cols[:n1]), J)
     if len(J):
         low = assemble_res(system, pair.alpha)
     else:
@@ -870,7 +900,7 @@ def _dense_pn(n, degree, seed=0):
                          {2: P2_RAYS, 3: P3_RAYS}[n])
 
 
-# tall tops: a staircase of 4 levels (105 x 72) and of 2 (78 x 42); wide
+# tall tops, reduced at depth 4 (105 x 72) and 2 (78 x 42); wide
 # tops, reduced: lines27 441 x 552 and pillow 25 x 26
 @pytest.mark.parametrize("name, which", [
     ("dense_p2_d6_seed0", "default"), ("dense_p2_d6_seed0", "improved"),
@@ -888,6 +918,30 @@ def test_placement_holds_on_the_dense_benchmark_shapes(n, degree):
     system = _dense_pn(n, degree)
     top, low = _check_placement(system, improved_pair(system))
     assert _tall(top) and low.shape[1] > 0
+
+
+# the reduction's depth on them: P^2 at degree 20 goes down to 595 x 210,
+# P^3 at degree 6 to 286 x 105
+@pytest.mark.parametrize("n, degree, depth", [(2, 20, 6), (3, 6, 6)])
+def test_reduction_on_the_dense_benchmark_shapes(n, degree, depth):
+    """The reduced N of the dense benchmark shapes is orthonormal, and
+    annihilates Res, to 1e-13; delta+ and the block's corank are those
+    of the plain maps."""
+    system = _dense_pn(n, degree)
+    pair = improved_pair(system)
+    top = assemble_res(system, pair.top)
+    plan = _descent(top, pair.alpha0)
+    assert _tall(top) and _depth(top, pair.alpha0) == depth
+    cok = cokernel(top, alpha0=pair.alpha0)
+    # the reduction's map, not the fallback to one QR
+    assert np.array_equal(cok.N, _reduce(top.matrix, False, plan, True)[0].N)
+    N = cok.N
+    assert np.abs(N @ N.conj().T - np.eye(len(N))).max() <= 1e-13
+    assert np.linalg.norm(N @ top.matrix) <= 1e-13 * np.linalg.norm(top.matrix)
+    I, J = _placed(top, pair.alpha0)
+    assert cok.delta_plus == eigensolver._plain(top.matrix, True).delta_plus == degree ** n
+    assert (cok.block.delta_plus
+            == eigensolver._plain(top.matrix[np.ix_(I, J)], True).delta_plus)
 
 
 @settings(max_examples=30, deadline=None)
@@ -943,7 +997,7 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
         kahan[:64, :64] = _kahan(64).conj().T
         planted[np.ix_(I, J)] = kahan
         low = ResMatrix(low.rows, low.col_blocks, kahan)
-        R, _, rank, (lower, _) = eigensolver._adjoint_qr(kahan, False)
+        R, rank, (lower, _) = eigensolver._factor(kahan, False, False)[:3]
         assert lower <= 2 * np.linalg.norm(R[rank:, rank:])
     elif exit == "B raises":
         rest = np.setdiff1d(np.arange(top.shape[0]), I)
@@ -962,16 +1016,16 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
     if exit == "coupling misses":
         monkeypatch.setattr(eigensolver, "_coupling",
                             lambda *args: couplings.append(args) or np.inf)
-    adjoint_qr = eigensolver._adjoint_qr
+    factor = eigensolver._factor
 
-    def spied(A, reveal):
+    def spied(A, tall, reveal):
         try:
-            return adjoint_qr(A, reveal)
+            return factor(A, tall, reveal)
         except RankAmbiguousError:
             raised.append(A.shape)
             raise
 
-    monkeypatch.setattr(eigensolver, "_adjoint_qr", spied)
+    monkeypatch.setattr(eigensolver, "_factor", spied)
     for corank_only in (False, True):
         cok = cokernel(top, corank_only, alpha0=alpha0)
         assert _same_cokernel(cok, cokernel(top, corank_only))
@@ -982,11 +1036,12 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
 
 
 def test_block_that_is_no_level_takes_the_plain_map():
-    """A block that is no level of a staircase and no cut of a wide Res
-    has the map cokernel(block, corank_only=True) gives: one that is too
-    tall to be a level (two conics on P^2: 6 x 2 under 10 x 6), one with
-    no columns under a tall Res (pillow), and a wide Res as its own block
-    (pillow's default pair with alpha0 = 0, 25 x 26)."""
+    """A block that is factored by one QR has the map cokernel(block,
+    corank_only=True) gives: one under a tall Res reduced at depth 1
+    (two conics on P^2: 6 x 2 under 10 x 6, whose block 3 x 0 has no
+    columns), one with no columns under a tall Res (pillow), and a wide
+    Res as its own block (pillow's default pair with alpha0 = 0, 25 x
+    26); the latter two take the plain map."""
     system = _dense_system(np.random.default_rng(0), "P2", [(2,), (2,)])
     pair = improved_pair(system)
     pillow, improved = _golden_pair("pillow_seed1", "improved")
@@ -995,8 +1050,8 @@ def test_block_that_is_no_level_takes_the_plain_map():
              (assemble_res(pillow, improved.top), improved.alpha0,
               assemble_res_reference(pillow, improved.alpha, allow_empty=True)),
              (wide, [0] * pillow.k, wide)]
+    assert [_depth(top, alpha0) for top, alpha0, _ in cases] == [1, 0, 0]
     for top, alpha0, low in cases:
-        assert _no_structure(top, alpha0)
         for corank_only in (False, True):
             lo = cokernel(top, corank_only, alpha0=alpha0).block
             assert _same_cokernel(lo, cokernel(low, corank_only=True))
@@ -1004,28 +1059,29 @@ def test_block_that_is_no_level_takes_the_plain_map():
 
 
 def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
-    """The top R11 is [[A, B], [0, C]] with A the R11 certified at alpha:
-    trtri inverts only C, and the bound a^2 + c^2 + (a b c)^2 on
-    ||S11^-1||_F^2 is at least the norm trtri of all of S11 gives."""
+    """The top R11 is [[A, X], [0, C]] with A the R11 certified at alpha,
+    the block's: trtri inverts all of A, then only C, B's, never the top
+    R11 whole, and the bound a^2 + c^2 + (a ||X|| c)^2 on its inverse
+    makes a lower bound at most 1 / ||R11^-1||_F."""
     system = p3_system(3)
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan = _staircase_plan(top, pair.alpha0)[0]
-    R, _, lo, lead = _staircase(top.matrix, plan)
-    low_rank = low.shape[0] - lo.delta_plus
-    assert lead[0] == low_rank
+    assert _depth(top, pair.alpha0) == 3
     trtri, sizes = scipy.linalg.lapack.ztrtri, []
     monkeypatch.setattr(scipy.linalg.lapack, "ztrtri",
                         lambda a: sizes.append(len(a)) or trtri(a))
-    rank, bounds, inverse = _qr_rank(R, True, lead)
-    assert sizes == [rank - low_rank]
-    sizes.clear()
-    assert _qr_rank(R, True)[0] == rank and sizes == [rank]
-    S = R / abs(R[0, 0])
-    assert inverse >= np.linalg.norm(trtri(S[:rank, :rank])[0])
-    s = np.linalg.svd(R, compute_uv=False)
-    assert bounds[0] <= s[rank - 1] and bounds[1] >= s[rank]
+    cok = cokernel(top, alpha0=pair.alpha0)
+    rank = top.shape[0] - cok.delta_plus
+    low_rank = low.shape[0] - cok.block.delta_plus
+    assert 0 < low_rank < rank
+    assert sizes == [low_rank, rank - low_rank]
+    R11 = cok.R[:rank, :rank]
+    assert np.array_equal(R11, np.triu(R11))
+    lower, upper = cok.rank_bounds
+    assert lower <= 1 / np.linalg.norm(trtri(R11)[0])
+    s = np.linalg.svd(cok.R, compute_uv=False)
+    assert lower <= s[rank - 1] and upper >= s[rank]
 
 
 def test_alpha0_without_sections_rejected():
@@ -1044,37 +1100,26 @@ def test_alpha0_without_sections_rejected():
             == cokernel(low, corank_only=True).delta_plus)
 
 
-# the three user pairs with an alpha0 trivial in the class group: on
-# the golden intro file, on intro at eps = 1e-3 and on pillow
-TRIVIAL_ALPHA0 = [
-    ("intro_e3_seed0", ((2, 3, -1, 1), (0, 0, 0, 0))),
-    ("intro", ((0, 3, 1, 0), (2, -1, 1, -1))),
-    ("pillow", ((1, 3, 1, 3), (-1, 1, -1, 1))),
-]
-
-
 @pytest.mark.parametrize("name, pair", TRIVIAL_ALPHA0)
 def test_trivial_alpha0_stops_the_chain(name, pair):
     """Every Res down a chain of steps alpha0 trivial in the class group
-    has the shape of Res itself: the staircase stops at its first level
-    instead of stepping down forever. verify_pair gives two equal
-    coranks; solve raises SpanError, as the one point of S_alpha0 spans
+    has the shape of Res itself: the block is all of Res, so the chain
+    stops at it and cokernel takes the plain map. On the pair built
+    directly, verify_pair gives two equal coranks; user_pair, and so
+    solve, refuses it with SpanError, as the one point of S_alpha0 spans
     nothing."""
-    if name == "intro":
-        system = homogenize(intro_laurent(1e-3), rays=HIRZEBRUCH_RAYS)
-    elif name == "pillow":
-        system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
-    else:
-        sf = load_system_file(DATA / f"{name}.system.json")
-        system = homogenize(sf.laurent(), rays=sf.rays)
+    laurent, rays = trivial_alpha0_laurent(name)
+    system = homogenize(laurent, rays=rays)
     alpha0 = system.fan.divisor(pair[1])
     assert alpha0.degree() == (0 * alpha0).degree()
     assert len(graded_basis(system.fan, alpha0)) == 1
     top = assemble_res(system, system.fan.divisor(pair[0]) + alpha0)
-    chain, I, J = _staircase_plan(top, alpha0)
-    assert chain is None and (len(I), len(J)) == top.shape
-    lo, hi = verify_pair(system, user_pair(system, *pair))
+    assert _descent(top, alpha0)[2] == [top.shape]
+    built = RegularityPair(system.fan.divisor(pair[0]), alpha0, Provenance.USER_SUPPLIED)
+    lo, hi = verify_pair(system, built)
     assert lo == hi == cokernel(top, corank_only=True).delta_plus
+    with pytest.raises(SpanError):
+        user_pair(system, *pair)
     with pytest.raises(SpanError):
         solve(system, pair=pair)
 

@@ -43,6 +43,7 @@ from systems import (
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
     PILLOW_RAYS_SOLVE,
+    TRIVIAL_ALPHA0,
     hirzebruch_fan,
     intro_laurent,
     lines27_fan,
@@ -51,6 +52,7 @@ from systems import (
     pillow_fan_solve,
     pillow_laurent,
     sublattice_index_reference,
+    trivial_alpha0_laurent,
     wp112_fan,
 )
 
@@ -822,18 +824,21 @@ def test_solve_deterministic():
 
 
 def test_solve_span_failure_is_typed(monkeypatch):
-    # alpha0 = [D4] has two collinear lattice points: no cluster can be
-    # read back on the torus, so the user pair is refused before any Res
-    # is assembled, let alone a cokernel, family or Schur form computed
+    # alpha0 = [D4] has two collinear lattice points, and an alpha0
+    # trivial in the class group one point: no cluster can be read back
+    # on the torus, so the user pair is refused before any Res is
+    # assembled, let alone a cokernel, family or Schur form computed
     def no_res(*args, **kwargs):
         raise AssertionError("assemble_res called for a pair that cannot span")
 
     monkeypatch.setattr(solver_module, "assemble_res", no_res)
-    with pytest.raises(SpanError) as info:
-        solve(intro_laurent(1.0), rays=HIRZEBRUCH_RAYS,
-              pair=((2, 2, 0, 0), (0, 0, 0, 1)))
-    assert info.value.stage == "recovery"
-    assert info.value.exit_code == 6
+    cases = [((intro_laurent(1.0), HIRZEBRUCH_RAYS), ((2, 2, 0, 0), (0, 0, 0, 1)))]
+    cases += [(trivial_alpha0_laurent(name), pair) for name, pair in TRIVIAL_ALPHA0]
+    for (laurent, rays), pair in cases:
+        with pytest.raises(SpanError) as info:
+            solve(laurent, rays=rays, pair=pair)
+        assert info.value.stage == "recovery"
+        assert info.value.exit_code == 6
 
 
 def test_solve_homogeneous_system_checks_rays():

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from toricsolve import cox
 from toricsolve.cox import graded_basis, homogenize
-from toricsolve.eigensolver import assemble_res
+from toricsolve.eigensolver import assemble_res, cokernel, multiplication_family
 from toricsolve.errors import (
     BasepointError,
     InputError,
     PairSelectionError,
     RankAmbiguousError,
+    SpanError,
 )
 from toricsolve.lattice import Polytope
 from toricsolve import regularity
@@ -271,10 +272,15 @@ def test_improved_pair_weighted():
 
 def test_multiplier_basepoint_raises():
     # the class (1, 0, 0, 0) has the single section x_0, which vanishes
-    # at the solution (0, 1, 1, 1): N_{h_0} is singular for every h_0
+    # at the solution (0, 1, 1, 1): N_{h_0} is singular for every h_0.
+    # One section spans nothing, so user_pair (and solve) refuse the pair
+    # first; the family is built on its cokernel directly
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
-    with pytest.raises(BasepointError) as info:
+    with pytest.raises(SpanError):
         solve(system, pair=((2, 2, 2, 2), (1, 0, 0, 0)))
+    cok = cokernel(assemble_res(system, (3, 2, 2, 2)), alpha0=(1, 0, 0, 0))
+    with pytest.raises(BasepointError) as info:
+        multiplication_family(cok, (1, 0, 0, 0))
     assert info.value.stage == "basepoint"
     assert info.value.exit_code == 3
 
@@ -322,12 +328,17 @@ def test_vanishing_pair_conservative_on_unknown_cohomology():
 
 
 def test_verify_pair_detects_bad_multiplier():
+    # both multipliers have one section, which user_pair refuses: the
+    # pairs are built directly
     system = intro_system()
-    bad = user_pair(system, (0, 0, 2, 4), (0, 0, 2, 0))
-    assert verify_pair(system, bad) == (3, 4)
 
-    good = user_pair(system, (0, 0, 2, 4), (0, 0, 1, 0))
-    assert verify_pair(system, good) == (3, 3)
+    def pair(alpha0):
+        fan = system.fan
+        return RegularityPair(DivisorClass(fan, (0, 0, 2, 4)), DivisorClass(fan, alpha0),
+                              Provenance.USER_SUPPLIED)
+
+    assert verify_pair(system, pair((0, 0, 2, 0))) == (3, 4)
+    assert verify_pair(system, pair((0, 0, 1, 0))) == (3, 3)
 
 
 @pytest.mark.parametrize("system, make, delta", [
@@ -609,8 +620,8 @@ def test_improved_pair_never_larger_than_reference(data, n, shuffle, seed):
 
 def test_verify_pair_coranks_are_the_solve_corank():
     """verify_pair and solve make the same cokernel call: the tall Res at
-    alpha + alpha0 with Res at alpha as its block, a staircase of two
-    levels here."""
+    alpha + alpha0 with Res at alpha as its block, reduced down its
+    alpha0 chain by two levels here."""
     rng = np.random.default_rng(5)
     dense = [p for p in product(range(7), repeat=2) if sum(p) <= 6]
     system = homogenize([[(p, complex(*rng.standard_normal(2))) for p in dense]
