@@ -448,19 +448,12 @@ def _unmqr(side, trans, qr, tau, c):
         side, trans, qr, tau, c, int(lwork.real), overwrite_c=True)[0]
 
 
-def _turn(fac, Y):
-    """Q^H Y in place, Q the unitary of the QR of a tall level in nested
-    order (_stack): fac lists one (qr, tau, lo, hi) per level, innermost
-    first, its unitary acting on the rows lo:hi."""
-    for qr, tau, lo, hi in fac:
-        Y[lo:hi] = _unmqr("L", "C", qr, tau, np.asfortranarray(Y[lo:hi]))
-    return Y
-
-
 def _basis(fac, m, rank):
-    """N = E^H Q^H (_turn), E the unit vectors past the rank: each
-    level's unitary applied from the right to its own columns, the top
-    level first, so that every slice is contiguous."""
+    """N = E^H Q^H, Q the unitary of a tall level in nested order with
+    one (qr, tau, lo, hi) per level in fac (_stack), E the unit vectors
+    past the rank: each level's unitary applied from the right to its own
+    columns lo:hi, the top level first, so that every slice is
+    contiguous."""
     N = np.eye(m - rank, m, rank, dtype=complex, order="F")
     for qr, tau, lo, hi in fac[::-1]:
         N[:, lo:hi] = _unmqr("R", "C", qr, tau, N[:, lo:hi])
@@ -511,24 +504,25 @@ def _assemble(R_lo, r_lo, X, R_B, jpvt):
     return R
 
 
-def _stack(A, rows, cols, shapes):
-    """(fac, R, weyl) of the tall level A[rows[:m]][:, cols[:n]], (m, n)
-    = shapes[0], in the nested order rows, cols (_descent), reduced down
-    the levels of shapes as _reduce reduces a tall Res, but uncertified:
-    each level splits at its count of |r_ii| > TOL_RANK |r_11|, and weyl
-    bounds the R22 the levels drop. One geqp3 when shapes has one level."""
-    m, n = shapes[-1]
-    qr, _, tau = _geqp3(np.asfortranarray(A[np.ix_(rows[:m], cols[:n])]))
-    fac, R, weyl = [(qr, tau, 0, m)], np.triu(qr[:n]), 0.0
-    for m1, n1 in shapes[-2::-1]:
-        d = np.abs(R.diagonal())
-        r = int(np.count_nonzero(d > TOL_RANK * d[0]))
-        T = _turn(fac, np.asfortranarray(A[np.ix_(rows[:m1], cols[n:n1])]))
-        qr, jpvt, tau = _geqp3(np.array(T[r:], order="F"))
+def _stack(W, shapes):
+    """(fac, R, weyl) of the tall level W[:m, :n], (m, n) = shapes[0], W
+    in the nested order of _descent, reduced down the levels of shapes as
+    _reduce reduces a tall Res, but uncertified. From the innermost level
+    out, each level's geqp3 takes its new columns on the rows below the
+    rank of the levels inside, and its unitary turns every column ahead
+    in W in place, those outside the level included; the level then
+    splits at its count of |r_ii| > TOL_RANK |r_11|, and weyl bounds the
+    R22 the levels drop. fac lists one (qr, tau, lo, hi) per level,
+    innermost first, its unitary acting on the rows lo:hi."""
+    fac, R, weyl, r, n = [], np.zeros((0, 0), dtype=complex), 0.0, 0, 0
+    for m1, n1 in shapes[::-1]:
+        qr, jpvt, tau = _geqp3(np.array(W[r:m1, n:n1], order="F"))
+        W[r:m1, n1:] = _unmqr("L", "C", qr, tau, np.array(W[r:m1, n1:], order="F"))
         weyl += _fro(R[r:, r:])
-        R = _assemble(R, r, T[:r], np.triu(qr[:n1 - n]), jpvt)
+        R = _assemble(R, r, W[:r, n:n1], np.triu(qr[:n1 - n]), jpvt)
         fac.append((qr, tau, r, m1))
-        m, n = m1, n1
+        d = np.abs(R.diagonal())
+        r, n = int(np.count_nonzero(d > TOL_RANK * d[0])), n1
     return fac, R, weyl
 
 
@@ -537,11 +531,12 @@ def _reduce(A, corank_only, plan, tall):
     the block leaves no margin, B's cut raises or the cut of A is not
     certified.
 
-    In the nested order of plan (_descent), the block is A[:m1, :n1] and
-    its columns vanish on the other rows, rest; K are the other columns.
-    The block is factored in A's orientation: a tall A's by its own
-    reduction down the levels of plan (_stack), a wide A's by one geqp3
-    of its adjoint. Its cut r_lo is certified on its R with one trtri of
+    A is gathered once, W, in the nested order of plan (_descent): the
+    block is W[:m1, :n1] and its columns vanish on the other rows, rest;
+    K are the other columns, W[:, n1:]. The block is factored in A's
+    orientation: a tall A's by its own reduction down the levels of plan
+    (_stack), which turns W in place, a wide A's by one geqp3 of its
+    adjoint. Its cut r_lo is certified on its R with one trtri of
     all of R11 (_qr_rank), and N_lo, the rows past r_lo of Q^H, is taken
     as its cokernel: its R22, and the parts the levels inside drop, are
     at most weyl_lo. B = [N_lo A[:m1, K]; A[rest, K]] gets one geqp3 (of
@@ -550,8 +545,10 @@ def _reduce(A, corank_only, plan, tall):
     back: y[:m1] = c[:d_lo] N_lo, y[rest] = c[d_lo:]; orthonormal rows c
     give orthonormal rows y. A wide A lifts explicitly, with N_lo from
     the R of the block's adjoint (_null_rows). A tall A keeps every
-    unitary (_turn): A P = Q R with R = [[R11_lo, X, R12_lo], [0, R_B,
-    0]], X the first r_lo rows of Q_lo^H A[:m1, K], and N = (Q E)^H.
+    level's unitary: A P = Q R with R = [[R11_lo, X, R12_lo], [0, R_B,
+    0]], X the first r_lo rows of Q_lo^H A[:m1, K], and N = (Q E)^H. The
+    levels leave Q_lo^H A[:m1, K] in W, so X, N_lo A[:m1, K] and B are
+    slices of W, and ||A[:m1, K]||_F is taken before they turn it.
 
     The cut of A is r_lo + rank(B). Turning the block's rows by Q_lo^H
     (N_lo its last rows) and its columns by its pivots makes A [[C1, X],
@@ -571,13 +568,14 @@ def _reduce(A, corank_only, plan, tall):
     """
     rows, cols, shapes = plan
     (m1, n1), m = shapes[0], len(A)
-    I, K = rows[:m1], cols[n1:]
-    IK = A[np.ix_(I, K)]
+    W = A[np.ix_(rows, cols)]
+    IK = W[:m1, n1:]
+    t = _fro(IK)  # before the levels of a tall A turn it
     if tall:
-        fac_lo, R_lo, weyl_lo = _stack(A, rows, cols, shapes)
+        fac_lo, R_lo, weyl_lo = _stack(W, shapes)
         r_lo, bounds_lo = _qr_rank(R_lo, False)
     else:
-        R_lo, r_lo, bounds_lo, _, jpvt_lo, _ = _factor(A[np.ix_(I, cols[:n1])], False, False)
+        R_lo, r_lo, bounds_lo, _, jpvt_lo, _ = _factor(W[:m1, :n1], False, False)
         weyl_lo = 0.0
     below = CokernelMap(None, m1 - r_lo, R_lo, bounds_lo)
     weyl_lo += _fro(R_lo[r_lo:, r_lo:])
@@ -585,12 +583,11 @@ def _reduce(A, corank_only, plan, tall):
     if not (scale > 0.0 and bounds_lo[0] > 2 * weyl_lo and m - r_lo):
         return None, below
     if tall:
-        T = _turn(fac_lo, np.asfortranarray(A[np.ix_(rows, K)]))
-        X, NK, B = T[:r_lo], T[r_lo:m1], T[r_lo:]
+        X, NK, B = W[:r_lo, n1:], W[r_lo:m1, n1:], W[r_lo:, n1:]
     else:
         N_lo = _null_rows(R_lo, jpvt_lo, r_lo)
         NK = N_lo @ IK
-        B = np.vstack([NK, A[np.ix_(rows[m1:], K)]])
+        B = np.vstack([NK, W[m1:, n1:]])
     try:
         R, rank, (lower_b, upper_b), qr, jpvt, tau = _factor(B, tall, not corank_only)
     except RankAmbiguousError:
@@ -601,7 +598,7 @@ def _reduce(A, corank_only, plan, tall):
     upper = (upper_b + weyl_lo) / scale
     margins = {"upper": upper, "norm": _fro(A) / scale,
                "top": max(1.0, abs(R[0, 0]) / scale), "weyl": upper}
-    t, p = _fro(IK) / scale, _fro(NK) / scale
+    t, p = t / scale, _fro(NK) / scale
     cert = (_certify(a, c, a * max(t * t - p * p, 0.0) ** 0.5, **margins)
             or _certify(a, c, _fro(scipy.linalg.solve_triangular(R_lo[:r_lo, :r_lo], X))
                         if tall else _coupling(R_lo, jpvt_lo, r_lo, IK), **margins))
@@ -670,10 +667,13 @@ def cokernel(res, corank_only=False, alpha0=None):
     - tall res: the block is itself reduced by its own block, and so on
       down the chain while each level below pays for its lift
       (_descent): on P^2 at degree 20, six levels from 780 x 380 down to
-      595 x 210. Each QR takes only a level's new columns and the rows
-      the levels inside leave, R is assembled from one QR per level (its
-      |diagonal| is not monotone across the level bounds), and N is Q E
-      as above, each level's Q on its own rows.
+      595 x 210. Res is gathered once in that nested order, and the
+      levels are factored from the innermost out: each QR takes only a
+      level's new columns and the rows the levels inside leave, and its
+      Q^H turns every column ahead of it once, in place. R is assembled
+      from one QR per level (its |diagonal| is not monotone across the
+      level bounds), and N is Q E as above, each level's Q on its own
+      rows.
 
     The cut at alpha, the block's corank, is certified on the block's R
     with one trtri of all of its R11; the cut at the top reuses that

@@ -26,6 +26,20 @@ shows which draws joined the failing set and which left it. The exit
 status is 1 when any solve raised something other than a
 ToricSolveError.
 
+    python3 tests/snapshot.py --rotate 2 11 12 13 > snapshot.jsonl
+
+also solves each lines27 draw K = 2 more times, with the cokernel basis N
+that solve takes left-multiplied by a seeded Haar unitary, seed k for the
+k-th rotation (rotated). In exact arithmetic the solutions do not depend
+on which orthonormal basis of the cokernel N is, so a rotation moves only
+the rounding. The JSON lines stay those of the unrotated solves, and
+`--rotate 0` prints exactly what no flag prints. With K >= 1 the lines27
+census line adds two counts, draws that fail in every one of the K + 1
+orientations ("stable") and draws that fail in some of them
+("sensitive"), and a failing draw is one that fails in any orientation:
+its line gives the cause of the unrotated solve ("ok" when that passed),
+then in how many orientations it fails and with which causes.
+
     python3 tests/snapshot.py --compare old.jsonl new.jsonl
 
 compares two snapshots numerically, for changes that move the last
@@ -40,6 +54,7 @@ the larger of its two moduli. The exit status is 1 when any case
 differs structurally.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -61,7 +76,7 @@ from systems import (  # noqa: E402
     intro_laurent,
     pillow_laurent,
 )
-from toricsolve import ToricSolveError, solve  # noqa: E402
+from toricsolve import ToricSolveError, solve, solver  # noqa: E402
 from toricsolve.formats import solution_file_dict  # noqa: E402
 from toricsolve.lattice import integer_kernel  # noqa: E402
 from workloads import (  # noqa: E402
@@ -108,37 +123,97 @@ def missed(problems):
 
 def census_lines(census):
     """The census of {workload: (solves, Counter of raised error types,
-    pins missed or None, [(case, cause) of every failing solve])}."""
-    for workload, (total, raised, pins, failing) in census.items():
+    pins missed or None, [(case, cause) of every failing solve][,
+    Counter of stable and sensitive draws])}; the last only when the
+    workload's draws were rotated."""
+    for workload, (total, raised, pins, failing, *split) in census.items():
         kinds = ", ".join(f"{name} {count}" for name, count in sorted(raised.items()))
         yield (f"{workload}: {total} solves, raised {raised.total()}"
                + (f" ({kinds})" if kinds else "")
-               + (", no pins" if pins is None else f", missed a pin {pins}"))
+               + (", no pins" if pins is None else f", missed a pin {pins}")
+               + "".join(f", stable {s['stable']}, sensitive {s['sensitive']}" for s in split))
         for case, cause in failing:
             yield f"{case}: {cause}"
 
 
-def main(argv):
+def haar(size, seed):
+    """A Haar-distributed size x size unitary, the same for the same seed:
+    the Q of the QR of a complex Gaussian, each column turned by the phase
+    of its diagonal entry of R (Mezzadri, "How to generate random matrices
+    from the classical compact groups", Notices AMS 54, 2007)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((size, size))
+                        + 1j * rng.standard_normal((size, size)))
+    d = r.diagonal()
+    return q * (d / np.abs(d))
+
+
+@contextlib.contextmanager
+def rotated(k):
+    """Within the block, the cokernel map that solve takes has its N
+    left-multiplied by haar(delta+, k), by a wrapper at the name solve
+    calls it by (solver.cokernel), as perfbench/tracing.py wraps
+    callables; k = 0 leaves it alone."""
+    cokernel = solver.cokernel
+
+    def turned(*args, **kwargs):
+        cok = cokernel(*args, **kwargs)
+        if cok.N is not None:
+            cok.N = haar(len(cok.N), k) @ cok.N
+        return cok
+
+    if k:
+        solver.cokernel = turned
+    try:
+        yield
+    finally:
+        solver.cokernel = cokernel
+
+
+def outcome(eqs, kwargs, check):
+    """(record, error, cause) of one solve: the solution-file dict without
+    timings_ms, or the type and message of the error it raised; that
+    error or None; and why it failed, the error's type or the pins it
+    missed (missed), or None when it passed."""
+    try:
+        result = solve(eqs, **kwargs)
+        out = solution_file_dict(result)
+        del out["metadata"]["timings_ms"]
+    except Exception as exc:  # a raising solve is part of the snapshot
+        return {"raised": type(exc).__name__, "message": str(exc)}, exc, type(exc).__name__
+    problems = [] if check is None else check(result)
+    return out, None, missed(problems) if problems else None
+
+
+def main(argv, rotate=0):
     census = {}
     foreign = False
     for label, eqs, kwargs, check in cases([int(a) for a in argv]):
-        row = census.setdefault(label.split()[0],
-                                [0, Counter(), None if check is None else 0, []])
+        workload = label.split()[0]
+        turns = rotate if workload == "lines27" else 0
+        row = census.setdefault(workload, [0, Counter(), None if check is None else 0, []]
+                                + [Counter()] * bool(turns))
+        outcomes = []
+        for k in range(turns + 1):
+            with rotated(k):
+                outcomes.append(outcome(eqs, kwargs, check))
+        foreign |= any(exc is not None and not isinstance(exc, ToricSolveError)
+                       for _, exc, _ in outcomes)
+        out, exc, cause = outcomes[0]
         row[0] += 1
-        try:
-            result = solve(eqs, **kwargs)
-            out = solution_file_dict(result)
-            del out["metadata"]["timings_ms"]
-        except Exception as exc:  # a raising solve is part of the snapshot
+        if exc is not None:
             row[1][type(exc).__name__] += 1
-            row[3].append((label, type(exc).__name__))
-            foreign |= not isinstance(exc, ToricSolveError)
-            out = {"raised": type(exc).__name__, "message": str(exc)}
-        else:
-            problems = [] if check is None else check(result)
-            if problems:
-                row[2] += 1
-                row[3].append((label, missed(problems)))
+        elif cause:
+            row[2] += 1
+        causes = Counter(why for *_, why in outcomes if why)
+        if causes and turns:
+            fails = causes.total()
+            row[4]["stable" if fails == turns + 1 else "sensitive"] += 1
+            kinds = ", ".join(f"{why} {count}" for why, count in sorted(causes.items()))
+            row[3].append((label, f"{cause or 'ok'}, fails in {fails} of {turns + 1} "
+                                  f"orientations ({kinds})"))
+        elif causes:
+            row[3].append((label, cause))
         print(json.dumps({"case": label, **out}, sort_keys=True), flush=True)
     for line in census_lines(census):
         print(line)
@@ -236,4 +311,6 @@ def compare(old_path, new_path):
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
         sys.exit(compare(*sys.argv[2:]))
+    if sys.argv[1:2] == ["--rotate"]:
+        sys.exit(main(sys.argv[3:], rotate=int(sys.argv[2])))
     sys.exit(main(sys.argv[1:]))

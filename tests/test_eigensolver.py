@@ -682,6 +682,52 @@ def test_reduction_on_p3_has_its_depth(degree, depth):
     assert _check_reduction(p3_system(degree)) == depth
 
 
+@pytest.mark.parametrize("case, depth", [("P3 degree 3", 3), ("P3 degree 4", 4),
+                                         ("dense_p2_d6_seed0 default", 4)])
+def test_tall_reduction_turns_once_per_level(case, depth, monkeypatch):
+    """Each level of a tall reduction turns every column ahead of it with
+    one left zunmqr, so a reduction of depth L makes L of them, with and
+    without corank_only; N is built from the right."""
+    if case.startswith("P3"):
+        system = p3_system(int(case[-1]))
+        pair = improved_pair(system)
+    else:
+        system, pair = _golden_pair(*case.split())
+    top = assemble_res(system, pair.top)
+    plan = _descent(top, pair.alpha0)
+    assert _tall(top) and _depth(top, pair.alpha0) == depth
+    sides = []
+    unmqr = eigensolver._unmqr
+    monkeypatch.setattr(eigensolver, "_unmqr",
+                        lambda side, *args: sides.append(side) or unmqr(side, *args))
+    for corank_only in (False, True):
+        reduced = _reduce(top.matrix, corank_only, plan, True)[0]
+        assert reduced is not None
+        assert sides.count("L") == depth
+        sides.clear()
+        # cokernel takes that map, with no fallback to one QR
+        cok = cokernel(top, corank_only, alpha0=pair.alpha0)
+        assert np.array_equal(cok.R, reduced.R)
+        assert sides.count("L") == depth
+        sides.clear()
+
+
+# a tall top reduced at depth 4, a wide one reduced by its block (25 x
+# 26) and one that takes the plain map
+@pytest.mark.parametrize("name, which, depth", [
+    ("dense_p2_d6_seed0", "default", 4), ("pillow_seed1", "default", 1),
+    ("pillow_seed1", "improved", 0)])
+def test_cokernel_leaves_res_as_it_was(name, which, depth):
+    """The reduction turns its own copy of Res in place, never res.matrix."""
+    system, pair = _golden_pair(name, which)
+    top = assemble_res(system, pair.top)
+    assert _depth(top, pair.alpha0) == depth
+    before = top.matrix.tobytes()
+    for corank_only in (False, True):
+        cokernel(top, corank_only, alpha0=pair.alpha0)
+        assert top.matrix.tobytes() == before
+
+
 def _same_cokernel(a, b):
     return (a.delta_plus == b.delta_plus and a.rank_bounds == b.rank_bounds
             and np.array_equal(a.R, b.R)

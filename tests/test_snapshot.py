@@ -153,3 +153,64 @@ def test_census_names_every_failing_case_and_its_cause():
         "lines27 11/2: missed torus residual, torus multiplicities",
         "pillow: 4 solves, raised 0, no pins",
     ]
+
+
+def test_rotated_census_counts_stable_and_sensitive_draws():
+    """A rotated workload's census line adds its stable and sensitive
+    draws; an unrotated one's stays as it was."""
+    census = CENSUS.replace(
+        '("lines27 11/2", snapshot.missed(pins))]],',
+        '("lines27 11/2", "ok, fails in 1 of 3 orientations (ClusteringError 1)")],'
+        ' Counter(stable=1, sensitive=1)],')
+    run = subprocess.run([sys.executable, "-c", census, str(SNAPSHOT.parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "lines27: 3 solves, raised 1 (ClusteringError 1), missed a pin 1, stable 1, sensitive 1",
+        "lines27 11/1: ClusteringError",
+        "lines27 11/2: ok, fails in 1 of 3 orientations (ClusteringError 1)",
+        "pillow: 4 solves, raised 0, no pins",
+    ]
+
+
+ROTATION = """
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import snapshot
+from systems import PILLOW_RAYS_SOLVE, pillow_laurent
+from toricsolve import eigensolver, solver
+from toricsolve.cox import homogenize
+from toricsolve.eigensolver import assemble_res
+from toricsolve.regularity import improved_pair
+
+U = snapshot.haar(45, 1)
+system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
+pair = improved_pair(system)
+res = assemble_res(system, pair.top)
+N = solver.cokernel(res, alpha0=pair.alpha0).N
+with snapshot.rotated(2):
+    turned = solver.cokernel(res, alpha0=pair.alpha0).N
+print(json.dumps({
+    "unitary": float(np.abs(U.conj().T @ U - np.eye(45)).max()),
+    "repeats": bool(np.array_equal(U, snapshot.haar(45, 1))),
+    "seeded": bool(not np.allclose(U, snapshot.haar(45, 2))),
+    "rows": len(N),
+    "turned": bool(np.array_equal(turned, snapshot.haar(len(N), 2) @ N)),
+    "span": float(np.abs(turned.conj().T @ turned - N.conj().T @ N).max()),
+    "restored": solver.cokernel is eigensolver.cokernel,
+}))
+"""
+
+
+def test_rotation_is_a_seeded_unitary_of_the_same_span():
+    """--rotate turns N by a Haar unitary that repeats per seed: the
+    rotated N spans the same rows, and the wrapper is gone after use."""
+    run = subprocess.run([sys.executable, "-c", ROTATION, str(SNAPSHOT.parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["unitary"] <= 1e-13
+    assert out["repeats"] and out["seeded"] and out["turned"] and out["restored"]
+    assert out["rows"] == 4 and out["span"] <= 1e-13
