@@ -319,10 +319,7 @@ def _build(merged, exponents, rays):
         basis = graded_basis(fan, div)
         # the tight representative makes P_a the Newton polytope, so each
         # exponent m is its own lattice point
-        pos = basis.rows(list(exps))
-        if (pos < 0).any():  # cannot happen: Newton points lie in P_a
-            raise InputError("a support point escaped its section polytope")
-        pieces.append((div, basis, pos))
+        pieces.append((div, basis, basis.rows(list(exps))))
     return fan, pieces
 
 

@@ -14,6 +14,7 @@ All documents carry format_version "1".
 """
 
 import ast
+import cmath
 import json
 
 from .errors import InputError
@@ -63,15 +64,10 @@ def _eval_node(node, env):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, env)
     if isinstance(node, ast.Constant):
-        # integers become floats, so a huge power overflows at once
-        # instead of building an exact integer with billions of digits
-        if isinstance(node.value, int):
-            return float(node.value)
-        if isinstance(node.value, (float, complex)):
-            return node.value
-        raise InputError(
-            f"non-numeric constant {node.value!r} in coefficient template"
-        )
+        # _parse_template lets numbers through only; integers become floats,
+        # so a huge power overflows at once instead of building an exact
+        # integer with billions of digits
+        return float(node.value) if type(node.value) is int else node.value
     if isinstance(node, ast.Name):
         if node.id in env:
             return env[node.id]
@@ -98,13 +94,24 @@ def _too_deep(text):
                       "characters) nests too deeply to evaluate")
 
 
+def _overflows(text):
+    return InputError(f"coefficient template {text!r} overflows the float range")
+
+
 def _parse_template(text):
     try:
-        return ast.parse(text, mode="eval")
+        tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise InputError(f"bad coefficient template {text!r}: {exc.msg}") from None
     except (RecursionError, MemoryError):
         raise _too_deep(text) from None
+    for value in [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]:
+        # a bool is an int to Python, but no coefficient anywhere else
+        if type(value) not in (int, float, complex):
+            raise InputError(f"non-numeric constant {value!r} in coefficient template {text!r}")
+        if type(value) is not int and not cmath.isfinite(value):
+            raise _overflows(text)
+    return tree
 
 
 def eval_scalar(text, env):
@@ -116,9 +123,9 @@ def eval_scalar(text, env):
     Integer literals are evaluated as floats.
 
     Raises:
-        InputError: syntax errors, unknown names, non-arithmetic nodes,
-            division by zero, a value beyond the float range, or nesting
-            too deep to parse or evaluate.
+        InputError: syntax errors, bool or non-numeric constants, unknown
+            names, non-arithmetic nodes, division by zero, a value beyond
+            the float range, or nesting too deep to parse or evaluate.
     """
     return _eval_tree(_parse_template(text), text, env)
 
@@ -128,10 +135,13 @@ def _eval_tree(tree, text, env):
     try:
         value = _eval_node(tree, env)
     except OverflowError:
-        raise InputError(f"coefficient template {text!r} overflows the float range") from None
+        raise _overflows(text) from None
     except RecursionError:
         raise _too_deep(text) from None
-    return complex(value) if isinstance(value, complex) else float(value)
+    value = complex(value) if isinstance(value, complex) else float(value)
+    if not cmath.isfinite(value):  # a float product overflows to inf silently
+        raise _overflows(text)
+    return value
 
 
 def _names(tree):
@@ -157,7 +167,8 @@ class SystemFile:
     so a sweep evaluates the kept syntax trees row after row.
 
     Raises:
-        InputError: a template that does not parse.
+        InputError: a template that does not parse or holds a bool,
+            non-numeric or non-finite constant.
     """
 
     __slots__ = ("variables", "equations", "rays", "pair", "_templates")
@@ -282,7 +293,7 @@ def load_system_file(path):
         InputError: unreadable file, malformed JSON (with line/column),
             wrong format_version, or schema violations, each reported
             with its equation/term location; then a template that does
-            not parse.
+            not parse or holds a bool, non-numeric or non-finite constant.
     """
     doc = _read_json(path, "system file")
     raw_eqs = doc.get("equations")

@@ -311,27 +311,31 @@ def check_span(basis):
 
 
 def _orbit_chart(fan, cone):
-    """Exact data of the orbit of a cone (sorted ray indices), kept by the fan.
+    """Exact data of the orbit of a cone (sorted ray indices).
 
-    Returns (rays, to_coords, lift). A lattice-point difference is a
-    character of the orbit when its products with the cone's rays all
-    vanish, and to_coords (integral, as the kernel basis K is saturated)
-    maps it to its coordinates in K. lift, the float transpose of a
-    right inverse of K times the rays off the cone, takes log t on the
-    orbit to the logs of the free Cox coordinates; it is None when those
-    rays do not span, and for the fixed point of a full-dimensional
-    cone, whose to_coords has no rows. The empty cone's orbit is the torus,
-    and its lift is that of fan.ray_inverse.
+    Returns (to_coords, lift). A lattice-point difference that is a
+    character of the orbit (its products with the cone's rays all
+    vanish) has its coordinates in the saturated kernel basis K under
+    the integral to_coords. lift, the float transpose of a right inverse
+    of K times the rays off the cone, takes log t on the orbit to the
+    logs of the free Cox coordinates; it is None when those rays do not
+    span, and for the fixed point of a full-dimensional cone, whose
+    to_coords has no rows. The empty cone's orbit is the torus, and its
+    lift is the float transpose of a right inverse of the ray matrix.
     """
-    rays = np.array([fan.rays[j] for j in cone], dtype=np.int64).reshape(-1, fan.n)
     # a zero row leaves the whole character lattice for the empty cone
-    kern = integer_kernel(rays.tolist() or [[0] * fan.n])
+    kern = integer_kernel([fan.rays[j] for j in cone] or [[0] * fan.n])
     if not kern:
-        return rays, np.zeros((0, fan.n), dtype=np.int64), None
+        return np.zeros((0, fan.n), dtype=np.int64), None
     to_coords = np.array([[int(x) for x in row] for row in right_inverse(kern)]).T
     free = [j for j in range(fan.k) if j not in cone]
     lift = right_inverse([[dot(fan.rays[j], krow) for j in free] for krow in kern])
-    return rays, to_coords, None if lift is None else np.array(lift, dtype=float).T
+    return to_coords, None if lift is None else np.array(lift, dtype=float).T
+
+
+def _chart(fan, cone):
+    """_orbit_chart of a cone, kept by the fan under ("chart", cone)."""
+    return fan.kept(("chart", tuple(cone)), _orbit_chart, fan, cone)
 
 
 def _kept_rows(fan, cone, basis, live):
@@ -345,7 +349,7 @@ def _kept_rows(fan, cone, basis, live):
     key = (tuple(cone), basis.degree.a, live.tobytes())
 
     def build():
-        coords = basis.points[live] @ fan.kept(key[0], _orbit_chart, fan, cone)[1].T
+        coords = basis.points[live] @ _chart(fan, cone)[0].T
         return coords, rank_int((coords[1:] - coords[:1]).tolist())
 
     return key, fan.kept(("orbit",) + key, build)
@@ -390,7 +394,7 @@ def _orbit_solve(fan, cone, basis, live, values, noise):
         plans = [fan.kept(("plan",) + key + (b, mask.tobytes()), _phase_plan, rows, mask)
                  for b, rows, mask in zip(i0.tolist(), diffs, usable)]
         t, found, cond = _solve_binomials(diffs, ratios, errs, usable, plans)
-        lift = fan.kept(key[0], _orbit_chart, fan, cone)[2]
+        lift = _chart(fan, cone)[1]
         if lift is None:
             return t, found, cond, None
         z = np.zeros((len(t), fan.k), dtype=complex)
@@ -471,16 +475,17 @@ def recover_boundary_point(fan, table, g=0):
 
     A Cox coordinate is declared zero when every basis monomial with a
     positive exponent there is below ZERO_TOL relative to the largest
-    value of the row. The declared rays must span a cone of the fan; the
-    remaining values are characters of that cone's orbit torus and go
+    value of the row. The declared rays must span a cone of the fan. The
+    surviving monomials have exponent 0 on those rays, so their ratios
+    are characters of the cone's orbit torus by construction and go
     through the same binomial solve on the quotient lattice.
 
     Raises:
-        ClusteringError: the vanishing pattern is not a cone (the
-            cluster mixes points from different strata).
-        RecoveryError: the surviving lattice points do not span the
-            orbit's character lattice, or the orbit ratios are
-            inconsistent.
+        ClusteringError: no coordinate is declared zero, or the declared
+            rays span no cone (the cluster mixes strata).
+        RecoveryError: an all-zero row, surviving lattice points that do
+            not span the orbit's character lattice or lift to no Cox
+            point, or inconsistent orbit ratios.
     """
     values, noise = table.values[g], table.noise[g]
     top = np.abs(values).max(initial=0.0)
@@ -488,7 +493,6 @@ def recover_boundary_point(fan, table, g=0):
         raise RecoveryError("empty eigenvalue table")
     thr = ZERO_TOL * top
 
-    pts = table.basis.points
     carriers = table.basis.exponents > 0
     loud = np.abs(values) > thr
     zero_rays = np.flatnonzero(
@@ -504,16 +508,10 @@ def recover_boundary_point(fan, table, g=0):
             f"inconsistent vanishing pattern: rays {zero_rays} span no cone of the fan"
         )
 
-    rays, to_coords, _ = fan.kept(tuple(zero_rays), _orbit_chart, fan, zero_rays)
+    to_coords, _ = _chart(fan, zero_rays)
     # the orbit of a full-dimensional cone is its fixed point
     z = [[0.0 if j in zero_rays else 1.0 for j in range(fan.k)]]
     if len(to_coords):
-        live = np.flatnonzero(loud)
-        steps = pts[live] - pts[live[0]]
-        if (steps @ rays.T).any():
-            raise ClusteringError(
-                "inconsistent vanishing pattern: surviving monomials leave the orbit"
-            )
         # on the orbit's character lattice to_coords is injective
         _, (_, rank) = _kept_rows(fan, zero_rays, table.basis, loud)
         if rank < len(to_coords):

@@ -25,7 +25,6 @@ from .lattice import (
     is_int,
     primitive,
     rank_int,
-    right_inverse,
     smith_normal_form,
     solve_int,
 )
@@ -57,10 +56,10 @@ class Fan:
     Everything that depends on the fan alone (its class group, section
     polytopes, graded bases, automatic pairs, the index plans of the
     numerical stages, span and stratum verdicts, orbit charts) is built on first
-    request through `kept` into one store, keyed by a tag plus divisor
-    representatives or by a cone's sorted ray indices, so a repeat solve
-    on the same supports does only coefficient work. Homogenization
-    keeps at most cox.SUPPORTS_MAX fans.
+    request through `kept` into one store. Every key is a tuple that
+    starts with a tag, followed by divisor representatives or a cone's
+    sorted ray indices, so a repeat solve on the same supports does only
+    coefficient work. Homogenization keeps at most cox.SUPPORTS_MAX fans.
     """
 
     def __init__(self, rays, max_cones, offsets=None):
@@ -113,13 +112,6 @@ class Fan:
     @property
     def class_group(self):
         return self.kept(("class_group",), ClassGroup, self.rays)
-
-    @property
-    def ray_inverse(self):
-        """Rational right inverse of the n x k ray matrix, or None when the
-        rays do not span."""
-        return self.kept(("ray_inverse",), right_inverse,
-                         [list(col) for col in zip(*self.rays)])
 
     @property
     def product_structure(self):

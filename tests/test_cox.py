@@ -1,10 +1,11 @@
 """Graded bases, homogenization, and evaluation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricsolve import cox, lattice, recovery, toric
@@ -16,7 +17,7 @@ from toricsolve.cox import (
     homogenize,
 )
 from toricsolve.errors import InputError
-from toricsolve.formats import solution_file_dict
+from toricsolve.formats import load_system_file, solution_file_dict
 from toricsolve.lattice import dot, integer_kernel
 from toricsolve.regularity import Provenance, RegularityPair, improved_pair
 from toricsolve.solver import solve
@@ -231,6 +232,41 @@ def test_homogenize_merges_duplicate_terms():
     assert dict(system.polys[0].terms())[(2, 0, 0, 2)] == 3
 
 
+@st.composite
+def laurent_systems(draw):
+    """n in {2, 3} and n equations of 2 to 6 terms each, exponents in
+    [-2, 2]^n (repeats allowed) and nonzero integer coefficients."""
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    return [draw(st.lists(st.tuples(exps, coeffs), min_size=2, max_size=6))
+            for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(eqs=laurent_systems())
+def test_homogenize_puts_every_term_at_its_own_monomial(eqs):
+    """Each nonzero entry of a homogenized equation sits at the lattice
+    point of one merged input term and carries its coefficient: the tight
+    degree puts every support point in its section polytope."""
+    merged = []
+    for eq in eqs:
+        terms = {}
+        for e, c in eq:
+            terms[e] = terms.get(e, 0) + c
+        merged.append({e: c for e, c in terms.items() if c != 0})
+    assume(all(merged))
+    n = len(eqs)
+    # the Minkowski sum is full-dimensional when the difference vectors
+    # of all supports together span
+    diffs = [np.subtract(e, next(iter(terms))).tolist() for terms in merged for e in terms]
+    assume(lattice.rank_int(diffs) == n)
+    system = homogenize(eqs)
+    for poly, terms in zip(system.polys, merged):
+        nonzero = np.flatnonzero(poly.coeffs)
+        assert {poly.basis.lattice_points[i]: poly.coeffs[i] for i in nonzero} == terms
+
+
 def test_homogenize_ray_order_mismatch():
     with pytest.raises(InputError):
         homogenize(pillow_laurent(), rays=HIRZEBRUCH_RAYS)
@@ -385,6 +421,26 @@ def test_pair_search_then_solve_keeps_the_bases(cold):
     # the solve replaced none of the bases the pair search built
     assert all(fan._store[key] is basis for key, basis in kept.items())
     assert all(f.basis is g.basis for f, g in zip(result.system.polys, system.polys))
+
+
+def test_every_key_the_fan_keeps_is_tagged(cold):
+    """Every key in a fan's store is a tuple that starts with a str tag,
+    orbit charts included: the torus chart and each boundary cone's are
+    kept under ("chart", cone), not under the bare cone."""
+    data = Path(__file__).parent / "data"
+    fans = {}
+    for name in ("lines27_seed0", "pillow_seed1", "intro_e3_seed0"):
+        sf = load_system_file(data / f"{name}.system.json")
+        result = solve(sf.laurent(), rays=sf.rays, seed=0)
+        fans[name] = result.system.fan
+        if name == "lines27_seed0":
+            boundary = [sorted(s.zero_pattern) for s in result.solutions if not s.on_torus]
+            assert boundary == [[2, 3]] * 3
+    assert len({id(fan) for fan in fans.values()}) == 3
+    for fan in fans.values():
+        assert all(isinstance(key, tuple) and key and isinstance(key[0], str)
+                   for key in fan._store)
+    assert {("chart", ()), ("chart", (2, 3))} <= fans["lines27_seed0"]._store.keys()
 
 
 @pytest.mark.parametrize("case", ["intro", "pillow", "lines27"])

@@ -179,6 +179,43 @@ def test_eval_scalar_overflow(text):
         eval_scalar(text, {})
 
 
+@pytest.mark.parametrize("text", ["True", "e + True", "False * e", "5 - 2 * 10 ** -True"])
+def test_eval_scalar_rejects_bools(text):
+    # a bool is an int to Python; every other coefficient reader refuses it
+    with pytest.raises(InputError, match="non-numeric constant") as exc:
+        eval_scalar(text, {"e": 1.0})
+    assert repr(text) in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "1e400j", "9" * 400,
+                                  "1e308*10", "e*1e308*10", "1e308*10-1e308*10"])
+def test_eval_scalar_rejects_non_finite_values(text):
+    # a float literal beyond the range parses to inf, and a float product
+    # overflows to inf without raising
+    with pytest.raises(InputError, match="overflows the float range") as exc:
+        eval_scalar(text, {"e": 1.0})
+    assert repr(text) in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["e + True", "1e400*e"])
+def test_bool_and_non_finite_constants_rejected_at_load(tmp_path, text):
+    doc = as_file_dict(intro_laurent(1.0), rays=INTRO_RAYS)
+    doc["equations"][1]["terms"][2]["coeff"] = text
+    with pytest.raises(InputError, match="coefficient template") as exc:
+        load_system_file(write_file(tmp_path, doc))
+    assert repr(text) in str(exc.value)
+
+
+def test_non_finite_value_rejected_at_instantiation(tmp_path):
+    doc = as_file_dict(intro_laurent(1.0), rays=INTRO_RAYS)
+    doc["equations"][1]["terms"][2]["coeff"] = "5-1e300*e"
+    sf = load_system_file(write_file(tmp_path, doc))
+    assert sf.instantiate("e", 1.0).equations[1][2][1] == pytest.approx(-1e300)
+    with pytest.raises(InputError, match="overflows the float range") as exc:
+        sf.instantiate("e", 1e10)
+    assert "'5-1e300*e'" in str(exc.value)
+
+
 # deep enough to exhaust CPython's parser (RecursionError, then MemoryError
 # from its stack) or, parsed, the recursive evaluator (RecursionError)
 DEEP_TEMPLATES = {
