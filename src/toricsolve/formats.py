@@ -46,106 +46,95 @@ SWEEP_HEADER = ",".join(_SWEEP_COLUMNS)
 # safe scalar expressions
 
 
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a ** b,
-}
-
-_UNARYOPS = {
-    ast.UAdd: lambda a: +a,
-    ast.USub: lambda a: -a,
-}
-
-
-def _eval_node(node, env):
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, env)
-    if isinstance(node, ast.Constant):
-        # _parse_template lets numbers through only; integers become floats,
-        # so a huge power overflows at once instead of building an exact
-        # integer with billions of digits
-        return float(node.value) if type(node.value) is int else node.value
-    if isinstance(node, ast.Name):
-        if node.id in env:
-            return env[node.id]
-        raise InputError(f"parameter not found: {node.id!r}")
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        left = _eval_node(node.left, env)
-        right = _eval_node(node.right, env)
-        try:
-            return _BINOPS[type(node.op)](left, right)
-        except ZeroDivisionError:
-            raise InputError("coefficient template divides by zero") from None
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
-        return _UNARYOPS[type(node.op)](_eval_node(node.operand, env))
-    raise InputError(
-        f"unsupported syntax {type(node).__name__!r} in coefficient template; "
-        "allowed: numbers, parameter name, + - * / ** and parentheses"
-    )
-
-
-# CPython's parser and the recursive evaluator give up on deep nesting
-# with RecursionError or MemoryError; both are input problems here
-def _too_deep(text):
-    return InputError(f"coefficient template {text[:40]!r}... ({len(text)} "
-                      "characters) nests too deeply to evaluate")
-
-
 def _overflows(text):
     return InputError(f"coefficient template {text!r} overflows the float range")
 
 
 def _parse_template(text):
+    """Check template `text` and compile it: (code, set of names it uses).
+
+    Integer literals become floats, so a huge power overflows at once
+    instead of building an exact integer with billions of digits.
+
+    Raises:
+        InputError: a syntax error; a node other than a number, a name,
+            + - * / ** or parentheses; a bool, non-numeric or non-finite
+            constant; or nesting too deep to parse or compile.
+    """
     try:
         tree = ast.parse(text, mode="eval")
+        names = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Expression, ast.Constant, ast.Name, ast.Load,
+                                     ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult,
+                                     ast.Div, ast.Pow, ast.UAdd, ast.USub)):
+                raise InputError(
+                    f"unsupported syntax {type(node).__name__!r} in coefficient template "
+                    f"{text!r}; allowed: numbers, parameter name, + - * / ** and parentheses"
+                )
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Constant):
+                # a bool is an int to Python, but no coefficient anywhere else
+                if type(node.value) not in (int, float, complex):
+                    raise InputError(
+                        f"non-numeric constant {node.value!r} in coefficient template {text!r}")
+                if type(node.value) is int:
+                    node.value = float(node.value)
+                if not cmath.isfinite(node.value):
+                    raise _overflows(text)
+        return compile(tree, "<template>", "eval"), names
     except SyntaxError as exc:
         raise InputError(f"bad coefficient template {text!r}: {exc.msg}") from None
-    except (RecursionError, MemoryError):
-        raise _too_deep(text) from None
-    for value in [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]:
-        # a bool is an int to Python, but no coefficient anywhere else
-        if type(value) not in (int, float, complex):
-            raise InputError(f"non-numeric constant {value!r} in coefficient template {text!r}")
-        if type(value) is not int and not cmath.isfinite(value):
-            raise _overflows(text)
-    return tree
+    except OverflowError:
+        raise _overflows(text) from None
+    except (RecursionError, MemoryError):  # how CPython's parser and compiler give up
+        raise InputError(f"coefficient template {text[:40]!r}... ({len(text)} "
+                         "characters) nests too deeply to evaluate") from None
 
 
 def eval_scalar(text, env):
     """Evaluate a template like "5-2*10**(-e)" with env = {"e": value}.
 
     Only arithmetic on numeric literals and names from env is allowed;
-    anything else (calls, attributes, subscripts) is rejected.
-
-    Integer literals are evaluated as floats.
+    anything else (calls, attributes, subscripts, comparisons, % and //)
+    is refused before evaluation. Integer literals are evaluated as floats.
 
     Raises:
-        InputError: syntax errors, bool or non-numeric constants, unknown
-            names, non-arithmetic nodes, division by zero, a value beyond
-            the float range, or nesting too deep to parse or evaluate.
+        InputError: a template that _parse_template refuses; a name not
+            in env; a parameter value that is a bool, not a number, or not
+            finite; division by zero; or a value beyond the float range.
     """
     return _eval_tree(_parse_template(text), text, env)
 
 
-def _eval_tree(tree, text, env):
-    """eval_scalar on the parsed template `tree` of `text`."""
+def _eval_tree(template, text, env):
+    """eval_scalar on the compiled template (code, names) of `text`.
+
+    eval is safe here: its code holds only the nodes _parse_template lets
+    through, every name it loads is in env, and its builtins are empty, so
+    no call, attribute, subscript, `:=`, lambda or comparison, and neither
+    __import__ nor __builtins__, can run.
+    """
+    code, names = template
+    for name in sorted(names):
+        if name not in env:
+            raise InputError(f"parameter not found: {name!r} in coefficient template {text!r}")
+        value = env[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
+            raise InputError(f"parameter {name!r} must be a number, got {value!r}")
+        if type(value) is not int and not cmath.isfinite(value):
+            raise InputError(f"parameter {name!r} is not finite: {value!r}")
     try:
-        value = _eval_node(tree, env)
+        value = eval(code, {"__builtins__": {}}, env)
+        value = complex(value) if isinstance(value, complex) else float(value)
+    except ZeroDivisionError:
+        raise InputError(f"coefficient template {text!r} divides by zero") from None
     except OverflowError:
         raise _overflows(text) from None
-    except RecursionError:
-        raise _too_deep(text) from None
-    value = complex(value) if isinstance(value, complex) else float(value)
     if not cmath.isfinite(value):  # a float product overflows to inf silently
         raise _overflows(text)
     return value
-
-
-def _names(tree):
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +152,14 @@ class SystemFile:
         rays: explicit ray order for the fan, or None.
         pair: (alpha, alpha0) divisor vectors, or None.
 
-    Each distinct template is parsed once, when the SystemFile is made,
-    so a sweep evaluates the kept syntax trees row after row.
+    Each distinct template is checked and compiled once, when the
+    SystemFile is made, so a sweep evaluates the kept code row after row
+    and only a template's value at a parameter can fail a row.
 
     Raises:
-        InputError: a template that does not parse or holds a bool,
-            non-numeric or non-finite constant.
+        InputError: a template that _parse_template refuses: a syntax
+            error, unsupported syntax, a bool, non-numeric or non-finite
+            constant, or nesting too deep.
     """
 
     __slots__ = ("variables", "equations", "rays", "pair", "_templates")
@@ -179,13 +170,12 @@ class SystemFile:
         self.rays = None if rays is None else tuple(tuple(r) for r in rays)
         self.pair = None if pair is None else (
             tuple(pair[0]), tuple(pair[1]))
-        # template text -> (syntax tree, names it uses)
+        # template text -> (compiled code, names it uses)
         self._templates = {}
         for eq in self.equations:
             for _, coeff in eq:
                 if isinstance(coeff, str) and coeff not in self._templates:
-                    tree = _parse_template(coeff)
-                    self._templates[coeff] = tree, _names(tree)
+                    self._templates[coeff] = _parse_template(coeff)
 
     @property
     def n(self):
@@ -196,16 +186,23 @@ class SystemFile:
         return set().union(*(used for _, used in self._templates.values()))
 
     def check_parameter(self, name):
-        """InputError unless some coefficient template uses the parameter."""
+        """InputError unless some coefficient template uses the parameter
+        and no template uses another name."""
         if name not in self.parameter_names():
             raise InputError(f"parameter not found: no coefficient template uses {name!r}")
+        for text, (_, used) in self._templates.items():
+            others = sorted(used - {name})
+            if others:
+                raise InputError(f"parameter not found: {others[0]!r} in coefficient "
+                                 f"template {text!r}; the parameter is {name!r}")
 
     def instantiate(self, name, value):
         """Substitute the parameter and return a template-free copy.
 
         Raises:
-            InputError: no template references the parameter (check_parameter),
-                a template references a different name, or evaluation fails.
+            InputError: no template references the parameter, or one
+                references a different name (check_parameter); or the
+                evaluation at value fails (eval_scalar).
         """
         self.check_parameter(name)
         env = {name: value}
@@ -214,7 +211,7 @@ class SystemFile:
             terms = []
             for exp, coeff in eq:
                 if isinstance(coeff, str):
-                    coeff = _eval_tree(self._templates[coeff][0], coeff, env)
+                    coeff = _eval_tree(self._templates[coeff], coeff, env)
                 terms.append((exp, coeff))
             equations.append(terms)
         return SystemFile(self.variables, equations, self.rays, self.pair)
@@ -292,8 +289,9 @@ def load_system_file(path):
     Raises:
         InputError: unreadable file, malformed JSON (with line/column),
             wrong format_version, or schema violations, each reported
-            with its equation/term location; then a template that does
-            not parse or holds a bool, non-numeric or non-finite constant.
+            with its equation/term location; then a template that
+            SystemFile refuses, so every structural template error is
+            raised here.
     """
     doc = _read_json(path, "system file")
     raw_eqs = doc.get("equations")

@@ -473,15 +473,30 @@ def test_sweep_deep_template_exits_2_at_load(tmp_path):
     assert "nests too deeply" in res.output
 
 
-def test_sweep_deep_template_rows_are_input(tmp_path):
-    # parses at load time, but its evaluation recurses too deep in every row
+def test_sweep_template_too_deep_to_compile_exits_2_at_load(tmp_path):
+    # parses, but nests too deeply to compile: refused once, before any row
     doc = intro_template_doc()
     doc["equations"][1]["terms"][2]["coeff"] = "+".join(["e"] * 1200)
     out = tmp_path / "sweep.csv"
     res = run("sweep", write_file(tmp_path, doc), "--grid", "0:1:1", "--output", out)
-    assert res.exit_code == 0, res.output
-    statuses = [line.split(",")[6] for line in out.read_text().splitlines()[1:]]
-    assert statuses == ["input", "input"]
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error (input): ")
+    assert "nests too deeply" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coeffs", [{2: "e.real"}, {2: "5-2*10**(-x)", 4: "4*e"}],
+                         ids=["attribute", "other-parameter"])
+def test_sweep_structural_template_error_exits_2_once(tmp_path, coeffs):
+    # unsupported syntax, or a name that is not the swept parameter, would
+    # fail every row alike: one error line before any row is solved
+    doc = intro_template_doc()
+    for j, text in coeffs.items():
+        doc["equations"][1]["terms"][j]["coeff"] = text
+    res = run("sweep", write_file(tmp_path, doc), "--param", "e", "--grid", "0:1:1")
+    assert res.exit_code == 2, res.output
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error (input): ")
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "regpair"])

@@ -1,6 +1,7 @@
 """File format layer: system files, solution files, templates, CSV."""
 
 import json
+import math
 
 import pytest
 
@@ -155,8 +156,16 @@ def test_eval_scalar_template_values():
 
 
 def test_eval_scalar_unknown_name():
-    with pytest.raises(InputError, match="parameter not found"):
+    with pytest.raises(InputError, match="parameter not found") as exc:
         eval_scalar("5-2*10**(-x)", {"e": 1.0})
+    assert "'x' in coefficient template '5-2*10**(-x)'" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["__import__", "__builtins__", "__builtins__ + e"])
+def test_names_outside_env_are_input_errors(text):
+    # eval sees empty builtins, and only after every name is found in env
+    with pytest.raises(InputError, match="parameter not found"):
+        eval_scalar(text, {"e": 1.0})
 
 
 def test_eval_scalar_rejects_calls_and_attributes():
@@ -169,8 +178,22 @@ def test_eval_scalar_rejects_calls_and_attributes():
 
 
 def test_eval_scalar_division_by_zero():
-    with pytest.raises(InputError, match="divide"):
+    with pytest.raises(InputError, match="divide") as exc:
         eval_scalar("1/(e-1)", {"e": 1.0})
+    assert "'1/(e-1)'" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["3", True, None, [1.0]], ids=repr)
+def test_eval_scalar_rejects_non_numeric_parameter_values(value):
+    with pytest.raises(InputError, match="parameter 'e' must be a number"):
+        eval_scalar("5-2*e", {"e": value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
+                         ids=repr)
+def test_eval_scalar_rejects_non_finite_parameter_values(value):
+    with pytest.raises(InputError, match="parameter 'e' is not finite"):
+        eval_scalar("5-2*e", {"e": value})
 
 
 @pytest.mark.parametrize("text", ["10**400", "10.0**400"])
@@ -217,7 +240,7 @@ def test_non_finite_value_rejected_at_instantiation(tmp_path):
 
 
 # deep enough to exhaust CPython's parser (RecursionError, then MemoryError
-# from its stack) or, parsed, the recursive evaluator (RecursionError)
+# from its stack) or, parsed, its compiler (RecursionError)
 DEEP_TEMPLATES = {
     "parse-recursion": "+".join(["e"] * 5000),
     "parser-stack": "2**" * 3000 + "1",
@@ -231,12 +254,23 @@ def test_eval_scalar_deep_nesting(text):
         eval_scalar(text, {"e": 1.0})
 
 
-@pytest.mark.parametrize("name", ["parse-recursion", "parser-stack"])
+@pytest.mark.parametrize("name", DEEP_TEMPLATES.keys())
 def test_deep_template_rejected_at_load(tmp_path, name):
     doc = as_file_dict(intro_laurent(1.0), rays=INTRO_RAYS)
     doc["equations"][1]["terms"][2]["coeff"] = DEEP_TEMPLATES[name]
     with pytest.raises(InputError, match="nests too deeply"):
         load_system_file(write_file(tmp_path, doc))
+
+
+# syntax outside numbers, names, + - * / ** and parentheses
+@pytest.mark.parametrize("text", ["e.real", "abs(e)", "[1, 2][0]", "(e := 1)", "e % 2",
+                                  "e // 2", "e < 1", "lambda: e", "e if e else 1"])
+def test_unsupported_syntax_rejected_at_load(tmp_path, text):
+    doc = as_file_dict(intro_laurent(1.0), rays=INTRO_RAYS)
+    doc["equations"][1]["terms"][2]["coeff"] = text
+    with pytest.raises(InputError, match="unsupported syntax") as exc:
+        load_system_file(write_file(tmp_path, doc))
+    assert repr(text) in str(exc.value)
 
 
 def test_template_instantiation(tmp_path):
@@ -270,6 +304,25 @@ def test_templates_are_parsed_once_when_the_file_is_made(tmp_path, monkeypatch):
     for e in (0.0, 1.0, 2.0):
         sf.instantiate("e", e).laurent()
     assert parsed == []
+
+
+def test_instantiate_checks_the_parameter_value(tmp_path):
+    doc = as_file_dict(intro_laurent(1.0), rays=INTRO_RAYS)
+    doc["equations"][1]["terms"][2]["coeff"] = "e"
+    sf = load_system_file(write_file(tmp_path, doc))
+    with pytest.raises(InputError, match="parameter 'e' must be a number"):
+        sf.instantiate("e", "3")
+
+
+def test_instantiate_refuses_a_template_in_another_parameter(tmp_path):
+    doc = as_file_dict(intro_laurent(1.0), rays=INTRO_RAYS)
+    doc["equations"][0]["terms"][2]["coeff"] = "4*e"
+    doc["equations"][1]["terms"][2]["coeff"] = "5-2*10**(-x)"
+    sf = load_system_file(write_file(tmp_path, doc))
+    for check in (sf.check_parameter, lambda name: sf.instantiate(name, 1.0)):
+        with pytest.raises(InputError, match="parameter not found") as exc:
+            check("e")
+        assert "'x' in coefficient template '5-2*10**(-x)'" in str(exc.value)
 
 
 def test_instantiate_without_parameter(tmp_path):
