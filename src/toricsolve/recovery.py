@@ -199,9 +199,12 @@ def _phase_plan(diffs, usable):
 
 
 def _monomials(t, a):
-    """t^a for every row of the integer matrix a, over the leading axes of t
-    and a; a may come cast to complex, the type the power casts it to."""
-    return np.multiply.reduce(t[..., None, :] ** a, axis=-1)
+    """t^a for every column of the integer matrix a, per leading index of
+    t and a, as exp(log t @ a): a point far from 1 whose coordinate powers
+    overflow or underflow one by one (|t| near (1e30, 1e21) against the
+    exponents (-12, 17)) still has a monomial of moderate size. Integer
+    exponents make the branch of log immaterial."""
+    return np.exp(np.log(t) @ a)
 
 
 def _branch_solve(plans, a, ratios, errs, usable):
@@ -239,8 +242,9 @@ def _branch_solve(plans, a, ratios, errs, usable):
     us, sv, vh = np.linalg.svd(a * w[:, :, None], full_matrices=False)
     inv = np.where(sv > max(a.shape[1:]) * _EPS * sv[:, :1], 1.0 / sv, 0.0)
     step = w[:, :, None] * ((us * inv[:, None, :]) @ vh)
-    # one set of rows per cluster, shared by its branches, cast once
-    a = a[:, None].astype(complex)
+    # one set of rows per cluster, shared by its branches: exponents by
+    # columns, for _monomials
+    a = np.swapaxes(a, 1, 2).astype(float)
     logs = np.log(ratios)
     t = np.exp(logs.real @ step + 1j * (logs.imag @ phase + offsets))
     for _ in range(3):

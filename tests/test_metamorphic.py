@@ -141,6 +141,9 @@ def _unimodular(swap, negate, shears):
 # a boundary cluster whose branch solve overflows to nan used to pass
 # the ratio check and come back as a torus point
 @example("pillow", False, False, [(0, -1), (0, -2), (1, -2)], 0)
+# the divergent root moves to |t| near (1e30, 1e21), whose coordinate
+# powers used to overflow one by one in the ratio check
+@example("intro e=3", False, False, [(1, -2), (0, -2), (1, -1)], 0)
 @given(st.sampled_from(sorted(SYSTEMS)), st.booleans(), st.booleans(),
        st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 2)), max_size=3),
        st.integers(0, 2 ** 31 - 1))
