@@ -103,9 +103,14 @@ class GradedBasis:
 
 
 def _power_index(exponents):
-    """The powers 0..max of the power table that evaluation raises each
-    coordinate to, and the coordinate index that gathers x_j^b_j from it."""
-    return np.arange(exponents.max(initial=0) + 1), np.arange(exponents.shape[1])
+    """The powers that evaluation raises each coordinate to, one row per
+    coordinate: 0..P with P the largest exponent of any coordinate, each
+    row clipped at its own coordinate's largest exponent, so no
+    coordinate is raised past a power it is gathered at. Also the
+    coordinate index that gathers x_j^b_j from the table."""
+    top = exponents.max(axis=0, initial=0)
+    powers = np.minimum(np.arange(top.max(initial=0) + 1), top[:, None])
+    return powers, np.arange(exponents.shape[1])
 
 
 def as_divisor(fan, alpha):

@@ -46,7 +46,6 @@ __all__ = [
     "int_vector",
     "primitive",
     "dot",
-    "det_int",
     "rank_int",
     "solve_int",
     "smith_normal_form",
@@ -109,9 +108,9 @@ def _eliminate(m, ncols):
     row of the reduced echelon form, d being the last pivot; with full
     column rank d is the determinant of the row-permuted leading block.
 
-    Returns (pivot columns, d, sign of the row permutation).
+    Returns (pivot columns, d).
     """
-    r, prev, sign = 0, 1, 1
+    r, prev = 0, 1
     pivots = []
     for c in range(ncols):
         p = next((i for i in range(r, len(m)) if m[i][c]), None)
@@ -119,7 +118,6 @@ def _eliminate(m, ncols):
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
-            sign = -sign
         piv = m[r]
         pc = piv[c]
         for i, row in enumerate(m):
@@ -131,16 +129,7 @@ def _eliminate(m, ncols):
         r += 1
         if r == len(m):
             break
-    return pivots, prev, sign
-
-
-def det_int(a):
-    """Determinant of a square integer matrix."""
-    n = len(a)
-    if n == 0:
-        return 1
-    pivots, d, sign = _eliminate([list(map(int, row)) for row in a], n)
-    return sign * d if len(pivots) == n else 0
+    return pivots, prev
 
 
 def rank_int(rows):
@@ -159,7 +148,7 @@ def solve_int(a, b):
     """
     n = len(a[0])
     m = [list(map(int, row)) + [int(y)] for row, y in zip(a, b)]
-    pivots, d, _ = _eliminate(m, n)
+    pivots, d = _eliminate(m, n)
     if len(pivots) < n or any(row[n] for row in m[n:]):
         return None
     s = 1 if d > 0 else -1
@@ -358,7 +347,7 @@ def _normal(diffs):
     """
     n = len(diffs) + 1
     m = [list(row) for row in diffs]
-    pivots, d, _ = _eliminate(m, n)
+    pivots, d = _eliminate(m, n)
     if len(pivots) < n - 1:
         return None
     free = next(j for j in range(n) if j not in pivots)

@@ -14,12 +14,11 @@ spaces) is handled exactly.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from .errors import InputError
 from .lattice import (
     Polytope,
-    det_int,
     dot,
     int_vector,
     is_int,
@@ -282,46 +281,35 @@ def is_effective(div):
 
 
 def projective_product_structure(fan):
-    """Recognize a product of projective spaces.
+    """Recognize a product of projective spaces from the class group.
 
-    Looks for a partition of the rays into groups that each sum to zero,
-    span a subspace of dimension (size - 1), and together split the
-    lattice unimodularly, with the maximal cones being exactly the
-    drop-one-ray-per-group selections. That data identifies the variety
-    with P^{n_1} x ... x P^{n_g} (honest product, no finite quotient).
+    The Cox ring of P^{n_1} x ... x P^{n_g} is graded by Z^g, the
+    variables of factor j have degree e_j, and the irrelevant ideal is
+    the product of the factors' maximal ideals; that data determines
+    the variety (Cox 1995). So the rays are grouped by the class of
+    their unit divisor, and the fan is such a product, with no finite
+    quotient, exactly when the class group is torsion-free, there are
+    as many classes as its rank g, and the maximal cones are the
+    drop-one-ray-of-each-class selections. The ray classes generate the
+    class group, so the g classes are a basis of it: every relation
+    among the rays is constant on each group, so each group sums to
+    zero with rank size - 1, and as the rays span the lattice (no
+    torsion), those left after dropping one of each group are a basis.
 
-    Returns a list of (ray index tuple, n_j) per factor, or None.
+    Returns a list of (ray index tuple, n_j) per factor, in the order of
+    each group's first ray, or None.
     """
-    k, n = fan.k, fan.n
-    remaining = list(range(k))
-    groups = []
-    while remaining:
-        first = remaining[0]
-        found = None
-        for size in range(2, len(remaining) + 1):
-            for extra in combinations([r for r in remaining if r != first], size - 1):
-                grp = (first,) + extra
-                if all(sum(fan.rays[j][c] for j in grp) == 0 for c in range(n)):
-                    if rank_int([fan.rays[j] for j in grp]) == size - 1:
-                        found = grp
-                        break
-            if found:
-                break
-        if not found:
-            return None
-        groups.append(found)
-        remaining = [r for r in remaining if r not in found]
-    if sum(len(g) - 1 for g in groups) != n:
+    cl = fan.class_group
+    if cl.torsion:
         return None
-    # the chosen bases (all rays but the last of each group) must span Z^n
-    basis = [fan.rays[j] for g in groups for j in g[:-1]]
-    if abs(det_int(basis)) != 1:
+    groups = {}
+    for j in range(fan.k):
+        groups.setdefault(cl.degree([int(i == j) for i in range(fan.k)]), []).append(j)
+    if len(groups) != cl.free_rank:
         return None
-    expected = set()
-    for drop in product(*groups):
-        dropped = set(drop)
-        expected.add(tuple(j for j in range(k) if j not in dropped))
-    if expected != set(fan.max_cones):
+    groups = [tuple(g) for g in groups.values()]
+    drops = {tuple(j for j in range(fan.k) if j not in d) for d in product(*groups)}
+    if drops != set(fan.max_cones):
         return None
     return [(g, len(g) - 1) for g in groups]
 
@@ -330,8 +318,10 @@ def higher_cohomology_vanishes(div):
     """Whether h^1..h^n of O(div) are known to vanish.
 
     Four rules, tried in order:
-      * the fan is a product of projective spaces: Kunneth in closed
-        form. O(d) on P^m has only h^0 when d >= 0, only h^m when
+      * the fan is a product of projective spaces (product_structure,
+        read off its class group): Kunneth in closed form, the degree
+        of a factor being the sum of div.a over its rays. O(d) on P^m
+        has only h^0 when d >= 0, only h^m when
         d <= -m - 1 and nothing when -m <= d <= -1, so a product class
         vanishes when every factor degree is >= 0 or some factor degree
         lies in [-m, -1],

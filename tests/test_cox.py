@@ -642,6 +642,24 @@ def test_evaluate_matches_the_old_body_bit_for_bit(fan_idx, rep, lead, seed):
         assert np.array_equal(system.residuals(z), residuals_reference(system, z))
 
 
+def test_evaluate_raises_no_coordinate_past_its_largest_exponent():
+    """O(1, 40) on P^2 x P^2: x1 appears at most to the first power, so
+    x1 = 1e20 is evaluated without overflow although other coordinates
+    reach the power 40 (1e20 ** 40 overflows and warns, an error here)."""
+    fan = lines27_fan()
+    a = [0] * 6
+    a[4], a[5] = 1, 40
+    basis = graded_basis(fan, a)
+    assert len(basis) == 2583
+    assert basis.exponents.max(axis=0).tolist() == [1, 40, 1, 40, 1, 40]
+    z = np.ones(6)
+    z[0] = 1e20
+    value, scale = CoxPolynomial(basis, np.ones(len(basis))).evaluate(z)
+    # 861 monomials have x1, the other 1722 evaluate to 1
+    assert value == pytest.approx(861e20 + 1722)
+    assert scale == pytest.approx(861e20 + 1722)
+
+
 def test_residuals_reject_wrong_length():
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
     with pytest.raises(InputError):

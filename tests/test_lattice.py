@@ -1,13 +1,14 @@
 """Exact lattice layer, checked against independent oracles.
 
 The Smith form is validated by its defining identities on random
-matrices, hulls against scipy's Qhull and an independent 2d monotone
-chain, and lattice point enumeration against brute force. The integer
-elimination behind every exact solve and rank is checked against the
-Fraction routines below, which the library used before it, and the
-Leibniz formula. The library computes no volumes; the Qhull mixed
-volume that other tests take as the BKK count (systems.mixed_volume) is
-checked here against hand-computable cases (Bezout et al).
+matrices (its transforms unimodular by the Leibniz formula), hulls
+against scipy's Qhull and an independent 2d monotone chain, and lattice
+point enumeration against brute force. The integer elimination behind
+every exact solve and rank is checked against the Fraction routines
+below, which the library used before it. The library computes no
+volumes; the Qhull mixed volume that other tests take as the BKK count
+(systems.mixed_volume) is checked here against hand-computable cases
+(Bezout et al).
 """
 
 import math
@@ -22,7 +23,6 @@ from toricsolve.errors import InputError
 from toricsolve.lattice import (
     Polytope,
     all_int,
-    det_int,
     dot,
     generating_rows,
     int_vector,
@@ -171,8 +171,8 @@ def test_smith_normal_form_properties(a):
     # defining identity
     assert mat_mul(mat_mul(u, a), v) == d
     # transforms are unimodular
-    assert abs(det_int(u)) == 1
-    assert abs(det_int(v)) == 1
+    assert abs(leibniz_det(u)) == 1
+    assert abs(leibniz_det(v)) == 1
     # diagonal, nonnegative, divisibility chain
     diag = []
     for i in range(m):
@@ -320,15 +320,6 @@ def test_solve_int_matches_fractions(a, b):
 def test_rank_int_matches_fractions(a):
     assert rank_int(a) == frac_rank(a)
     assert rank_int([row[::-1] for row in a[::-1]]) == frac_rank(a)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.lists(st.one_of(st.integers(-50, 50), st.integers(-2, 2)),
-                                min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_det_int_matches_leibniz(a):
-    assert det_int(a) == leibniz_det(a)
-    assert (det_int(a) == 0) == (frac_rank(a) < len(a))
 
 
 def test_primitive():

@@ -422,6 +422,31 @@ def test_lines27_solve_builds_each_section_polytope_once(monkeypatch):
     assert built and max(built.values()) == 1, built.most_common(3)
 
 
+RAYS25_SUPPORTS = [
+    [(0, 0, 0), (1, 2, 3), (2, 0, 2), (2, 1, 2)],
+    [(0, 0, 0), (0, 1, 2), (2, 3, 0), (3, 2, 0)],
+    [(0, 0, 0), (0, 1, 2), (1, 0, 1), (1, 0, 3), (2, 0, 2)],
+]
+
+
+def test_cold_pair_on_a_fan_of_25_rays():
+    """A sparse system in 3 variables whose fan has 25 rays: the fan is
+    recognized as no product of projective spaces from its class group,
+    where a search over subsets of rays took about 35 s."""
+    rng = np.random.default_rng(0)
+    eqs = [[(m, complex(*rng.standard_normal(2))) for m in support]
+           for support in RAYS25_SUPPORTS]
+    # a fan cached by an earlier solve would select no pair here
+    cox._supports.clear()
+    result = solve(eqs, seed=0)
+    assert result.system.fan.k == 25
+    assert result.system.fan.product_structure is None
+    assert result.delta_plus == 36
+    assert len(result.on_torus()) == 36
+    assert result.max_residual() < 1e-10
+    assert result.timings["pair_ms"] < 5000
+
+
 def test_cold_pillow_pair_decides_nef_twists_without_polytopes(monkeypatch):
     """The pillow is no product of projective spaces, so the walk decides
     a nef twist by Demazure vanishing: the polytopes built are those of

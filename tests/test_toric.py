@@ -35,7 +35,7 @@ from systems import (
     wp112_fan,
 )
 from toricsolve.errors import InputError
-from test_lattice import solve_rational
+from test_lattice import frac_rank, leibniz_det, solve_rational
 from toricsolve.lattice import Polytope, dot
 from toricsolve.toric import (
     DivisorClass,
@@ -294,6 +294,64 @@ def test_no_product_structure_on_pillow():
     assert projective_product_structure(pillow_fan()) is None
     assert projective_product_structure(hirzebruch_fan()) is None
     assert pillow_fan().product_structure is None
+
+
+def mixing_map(n, det):
+    """A fixed integer n x n matrix of determinant 1, or of determinant -2
+    when det is 2. That one mixes the first two coordinates, as the
+    rescaling of one factor would leave the normal fan as it is."""
+    rng = np.random.default_rng(n)
+    low = np.tril(rng.integers(-2, 3, (n, n)), -1) + np.eye(n, dtype=int)
+    up = np.triu(rng.integers(-2, 3, (n, n)), 1) + np.eye(n, dtype=int)
+    m = low @ up
+    if det == 2:
+        mix = np.eye(n, dtype=int)
+        mix[:2, :2] = [[1, 1], [1, -1]]
+        m = m @ mix
+    return m
+
+
+def simplex_product_fan(dims, m):
+    """Normal fan of the image under m of the product of the standard
+    simplices of dimensions dims."""
+    blocks = [[tuple(int(i == j) for i in range(d)) for j in range(-1, d)] for d in dims]
+    points = [tuple(int(x) for x in m @ sum(v, ())) for v in product(*blocks)]
+    return Fan.normal_fan(Polytope.from_points(points))
+
+
+PRODUCT_DIMS = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("dims", PRODUCT_DIMS)
+def test_product_structure_of_unimodular_images_of_simplex_products(dims):
+    m = mixing_map(sum(dims), 1)
+    fan = simplex_product_fan(dims, m)
+    # a ray u of the image is the normal m^T u of the product, which lives
+    # in the coordinates of one factor
+    starts = np.cumsum((0,) + dims)
+    groups = {}
+    for j, u in enumerate(fan.rays):
+        f = int(np.searchsorted(starts, np.flatnonzero(m.T @ u)[0], side="right")) - 1
+        groups.setdefault(f, []).append(j)
+    prod = projective_product_structure(fan)
+    assert prod == [(tuple(g), dims[f]) for f, g in groups.items()]
+    assert sorted(len(g) for g, _ in prod) == sorted(d + 1 for d in dims)
+    # the data that identifies the product: each group sums to zero with
+    # rank size - 1, and the rays left by dropping the last of each group
+    # are a lattice basis
+    rays = np.array(fan.rays)
+    for g, nj in prod:
+        assert not rays[list(g)].sum(axis=0).any()
+        assert frac_rank(rays[list(g)].tolist()) == nj
+    assert abs(leibniz_det([fan.rays[j] for g, _ in prod for j in g[:-1]])) == 1
+
+
+@pytest.mark.parametrize("dims", [d for d in PRODUCT_DIMS if sum(d) > 1])
+def test_no_product_structure_on_determinant_two_images(dims):
+    # a finite quotient or a weighted space, no product (a segment has the
+    # fan of P^1 under any map, so dimension 1 has no such image)
+    fan = simplex_product_fan(dims, mixing_map(sum(dims), 2))
+    assert projective_product_structure(fan) is None
 
 
 def test_weighted_projective_recognition():
