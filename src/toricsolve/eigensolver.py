@@ -96,18 +96,25 @@ class ResMatrix:
     """The stacked multiplication-by-f_i map at one degree.
 
     Attributes:
-        rows: GradedBasis of S_beta; row order is its monomial order.
+        rows: GradedBasis of S_beta.
         col_blocks: (equation index, GradedBasis of S_{beta - alpha_i})
             pairs, one per equation, in equation order.
-        matrix: dense complex matrix, rows x total block width.
+        matrix: dense complex matrix, rows x total block width, in the
+            order `order` gives.
+        order: None when matrix is in lexicographic order: its rows in
+            the monomial order of rows, its columns block by block, each
+            in its basis's monomial order. Else the plan (rows, cols,
+            shapes) of _descent it was assembled in: matrix is the
+            lexicographic Res at rows order[0] and columns order[1].
     """
 
-    __slots__ = ("rows", "col_blocks", "matrix")
+    __slots__ = ("rows", "col_blocks", "matrix", "order")
 
-    def __init__(self, rows, col_blocks, matrix):
+    def __init__(self, rows, col_blocks, matrix, order=None):
         self.rows = rows
         self.col_blocks = col_blocks
         self.matrix = matrix
+        self.order = order
 
     @property
     def shape(self):
@@ -116,12 +123,23 @@ class ResMatrix:
     def block_widths(self):
         return [len(b) for _, b in self.col_blocks]
 
+    def lexicographic(self):
+        """matrix in lexicographic order: matrix itself when it is, else
+        a copy scattered back from its order."""
+        if self.order is None:
+            return self.matrix
+        rows, cols, _ = self.order
+        out = np.empty_like(self.matrix)
+        out[np.ix_(rows, cols)] = self.matrix
+        return out
+
     def __repr__(self):
         return f"ResMatrix(shape={self.matrix.shape}, blocks={self.block_widths()})"
 
 
 def _res_plan(system, beta):
-    """The index data of Res at beta, built once and kept by the fan.
+    """The index data of Res at beta, built once and kept by the fan
+    (assemble_res).
 
     Returns (rows, col_blocks, width, scatter). Per equation, scatter
     holds the flat matrix index of the row of m_b + m_c in the column of
@@ -129,31 +147,50 @@ def _res_plan(system, beta):
     polynomial's basis (axis 1), and whether every one of those points
     lands in rows. They all land when the polynomial has its degree, as
     the section polytopes add; a point that does not has a negative
-    index. The key is beta's representative, each equation's degree
-    representative and the degree representative of each polynomial's
-    basis.
+    index.
     """
     fan = system.fan
-    beta = as_divisor(fan, beta)
-    key = ("res", beta.a, tuple(div.a for div in system.degrees),
-           tuple(f.basis.degree.a for f in system.polys))
-
-    def build():
-        rows = graded_basis(fan, beta)
-        col_blocks = [(i, graded_basis(fan, rows.degree - div))
-                      for i, div in enumerate(system.degrees)]
-        width = sum(len(b) for _, b in col_blocks)
-        scatter, col = [], 0
-        for i, block in col_blocks:
-            r = rows.rows(block.points[:, None] + system.polys[i].basis.points[None])
-            cols = col + np.arange(len(block))[:, None]
-            scatter.append((r * width + cols, bool((r >= 0).all())))
-            col += len(block)
-        return rows, col_blocks, width, scatter
-    return fan.kept(key, build)
+    rows = graded_basis(fan, beta)
+    col_blocks = [(i, graded_basis(fan, rows.degree - div))
+                  for i, div in enumerate(system.degrees)]
+    width = sum(len(b) for _, b in col_blocks)
+    scatter, col = [], 0
+    for i, block in col_blocks:
+        r = rows.rows(block.points[:, None] + system.polys[i].basis.points[None])
+        cols = col + np.arange(len(block))[:, None]
+        scatter.append((r * width + cols, bool((r >= 0).all())))
+        col += len(block)
+    return rows, col_blocks, width, scatter
 
 
-def assemble_res(system, beta):
+def _nest(res, scatter, alpha0):
+    """(scatter, order) of res in the nested order of _descent down
+    alpha0: every flat index of scatter moved to the place its entry has
+    in res[rows][:, cols], a point that does not land kept negative, and
+    the plan as the order. (scatter, None) when the block has no columns
+    or all of them: there is nothing to reduce by, and res stays
+    lexicographic."""
+    plan = _descent(res, alpha0)
+    rows, cols, ((_, n1), *_) = plan
+    n = res.shape[1]
+    if not 0 < n1 < n:
+        return scatter, None
+    at_row, at_col = _inverse(rows), _inverse(cols)
+    nested = []
+    for index, lands in scatter:
+        r, c = np.divmod(index, n)
+        nested.append((np.where(r >= 0, at_row[r] * n + at_col[c], -1), lands))
+    return nested, plan
+
+
+def _inverse(order):
+    """The inverse permutation of order: at[order[k]] = k."""
+    at = np.empty(len(order), dtype=np.intp)
+    at[order] = np.arange(len(order))
+    return at
+
+
+def assemble_res(system, beta, alpha0=None):
     """Assemble Res at degree beta for a homogeneous system.
 
     Entry placement is exact index arithmetic: the column of the point
@@ -163,24 +200,45 @@ def assemble_res(system, beta):
     call only writes the nonzero coefficients of each equation through
     one flat scatter.
 
+    With alpha0, and when Res at beta - alpha0, the block cokernel reduces
+    by, has columns and is not all of Res, every coefficient is written
+    straight to its place in the nested order of _descent down alpha0,
+    the order cokernel reads the reduction in. The fan keeps that
+    composed scatter beside the plan, per beta, the equations' degrees
+    and alpha0, and the result records the order. Otherwise the order is
+    lexicographic, as without alpha0.
+
     Args:
         system: HomogeneousSystem.
         beta: DivisorClass or representative vector for the row degree.
+        alpha0: optional DivisorClass or representative vector: the
+            multiplier degree cokernel will take.
 
     Returns:
-        ResMatrix with lexicographic row and column order.
+        ResMatrix, in lexicographic order or the recorded nested one.
 
     Raises:
-        InputError: every column block is empty (degree too low), or a
-            nonzero term of an equation does not land in S_beta (its
-            polynomial is not of its degree).
+        InputError: every column block is empty (degree too low, checked
+            first), alpha0 has no sections, or a nonzero term of an
+            equation does not land in S_beta (its polynomial is not of
+            its degree).
     """
-    rows, col_blocks, width, scatter = _res_plan(system, beta)
+    fan = system.fan
+    beta = as_divisor(fan, beta)
+    # beta's representative, each equation's degree representative and
+    # the degree representative of each polynomial's basis
+    key = (beta.a, tuple(div.a for div in system.degrees),
+           tuple(f.basis.degree.a for f in system.polys))
+    rows, col_blocks, width, scatter = fan.kept(("res",) + key, _res_plan, system, beta)
     if len(system) > 0 and width == 0:
         raise InputError("degree too low: every column block of Res is empty")
 
-    matrix = np.zeros((len(rows), width), dtype=complex)
-    flat = matrix.reshape(-1)
+    res = ResMatrix(rows, col_blocks, np.zeros((len(rows), width), dtype=complex))
+    if alpha0 is not None:
+        alpha0 = as_divisor(fan, alpha0)
+        scatter, res.order = fan.kept(("res order",) + key + (alpha0.a,),
+                                      _nest, res, scatter, alpha0)
+    flat = res.matrix.reshape(-1)
     for i, (index, lands) in enumerate(scatter):
         coeffs = system.polys[i].coeffs
         nz = coeffs.nonzero()[0]
@@ -189,7 +247,7 @@ def assemble_res(system, beta):
         if not lands and (index < 0).any():
             raise InputError(f"equation {i} does not have degree {system.degrees[i].a}")
         flat[index] = coeffs
-    return ResMatrix(rows, col_blocks, matrix)
+    return res
 
 
 class CokernelMap:
@@ -198,6 +256,9 @@ class CokernelMap:
     Attributes:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
             ker N = im Res up to TOL_RANK; None from a corank-only call.
+        order: None when the columns of N are in the monomial order of
+            S_beta, else the rows of the nested order they are in
+            (_descent): column k of N belongs to monomial order[k].
         delta_plus: corank of Res against its row dimension.
         R: triangular factor the cut was taken on, cut on its
             |diagonal|: of one pivoted QR of Res or Res^H, of B on a wide
@@ -210,10 +271,11 @@ class CokernelMap:
             reduction (cokernel); None without alpha0.
     """
 
-    __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "block", "_s")
+    __slots__ = ("N", "order", "delta_plus", "R", "rank_bounds", "res", "block", "_s")
 
     def __init__(self, N, delta_plus, R, rank_bounds, res=None, block=None):
         self.N = N
+        self.order = None
         self.delta_plus = delta_plus
         self.R = R
         self.rank_bounds = rank_bounds
@@ -358,7 +420,9 @@ def _place(res, drop, shift):
 def _descent(res, alpha0):
     """The nested order of res down its alpha0 chain: (rows, cols,
     shapes), kept by the fan per row and column bases of res (the bases
-    the fan keeps) and alpha0's representative.
+    the fan keeps) and alpha0's representative. assemble_res writes Res
+    in this order, and cokernel reduces it in it; only the bases and the
+    shape of res are read, never its matrix.
 
     Level j is Res at the degree of res minus j alpha0, times x^(j b0),
     b0 the first point of S_alpha0: _place(res, j alpha0, j b0) places it
@@ -429,11 +493,12 @@ def _null_rows(R, jpvt, rank):
     return basis.conj().T
 
 
-def _factor(A, tall, reveal):
-    """One column-pivoted QR of A when tall, else of A^H: (R, rank,
+def _factor(T, reveal):
+    """One column-pivoted QR of T, the tall orientation of a matrix A: A
+    when A is tall, else A^H, F-ordered and overwritten. (R, rank,
     rank_bounds, qr, jpvt, tau), R the triangle of its leading rows, with
     the singular values of A, and the cut certified on it (_qr_rank)."""
-    qr, jpvt, tau = _geqp3(np.array(A, order="F") if tall else A.conj().T)
+    qr, jpvt, tau = _geqp3(T)
     R = np.triu(qr[:min(qr.shape)])
     return (R,) + _qr_rank(R, reveal) + (qr, jpvt, tau)
 
@@ -467,7 +532,8 @@ def _plain(A, corank_only):
         N = None if corank_only else np.eye(m, dtype=complex)
         return CokernelMap(N, m, np.zeros((0, 0), dtype=complex), ())
     tall = _tall(A.shape)
-    R, rank, bounds, qr, jpvt, tau = _factor(A, tall, not corank_only)
+    R, rank, bounds, qr, jpvt, tau = _factor(
+        np.array(A, order="F") if tall else A.conj().T, not corank_only)
     N = None
     if not corank_only and tall:
         E = np.eye(m, m - rank, -rank, dtype=complex, order="F")
@@ -526,29 +592,30 @@ def _stack(W, shapes):
     return fac, R, weyl
 
 
-def _reduce(A, corank_only, plan, tall):
+def _reduce(W, corank_only, shapes, tall):
     """(map, block's map) of A from the cokernel of B; the map None when
     the block leaves no margin, B's cut raises or the cut of A is not
-    certified.
+    certified. N is in the row order of W.
 
-    A is gathered once, W, in the nested order of plan (_descent): the
-    block is W[:m1, :n1] and its columns vanish on the other rows, rest;
-    K are the other columns, W[:, n1:]. The block is factored in A's
-    orientation: a tall A's by its own reduction down the levels of plan
-    (_stack), which turns W in place, a wide A's by one geqp3 of its
-    adjoint. Its cut r_lo is certified on its R with one trtri of
-    all of R11 (_qr_rank), and N_lo, the rows past r_lo of Q^H, is taken
-    as its cokernel: its R22, and the parts the levels inside drop, are
-    at most weyl_lo. B = [N_lo A[:m1, K]; A[rest, K]] gets one geqp3 (of
-    B^H for a wide A). A left null vector y of A has y[:m1] in the
-    cokernel of the block, so the cokernel of A is that of B, lifted
-    back: y[:m1] = c[:d_lo] N_lo, y[rest] = c[d_lo:]; orthonormal rows c
-    give orthonormal rows y. A wide A lifts explicitly, with N_lo from
-    the R of the block's adjoint (_null_rows). A tall A keeps every
-    level's unitary: A P = Q R with R = [[R11_lo, X, R12_lo], [0, R_B,
-    0]], X the first r_lo rows of Q_lo^H A[:m1, K], and N = (Q E)^H. The
-    levels leave Q_lo^H A[:m1, K] in W, so X, N_lo A[:m1, K] and B are
-    slices of W, and ||A[:m1, K]||_F is taken before they turn it.
+    W is A in the nested order of _descent, whose levels have shapes: the
+    block is W[:m1, :n1] and its columns vanish on the other rows, rest; K
+    are the other columns, W[:, n1:]. The block is factored in A's
+    orientation: a tall A's by its own reduction down the levels (_stack),
+    which turns W in place, a wide A's by one geqp3 of its adjoint, which
+    leaves W as it is. Its cut r_lo is certified on its R with one trtri
+    of all of R11 (_qr_rank), and N_lo, the rows past r_lo of Q^H, is
+    taken as its cokernel: its R22, and the parts the levels inside drop,
+    are at most weyl_lo. B = [N_lo A[:m1, K]; A[rest, K]] gets one geqp3
+    (of B^H for a wide A, written once). A left null vector y of A has
+    y[:m1] in the cokernel of the block, so the cokernel of A is that of
+    B, lifted back: y[:m1] = c[:d_lo] N_lo, y[rest] = c[d_lo:];
+    orthonormal rows c give orthonormal rows y. A wide A lifts explicitly,
+    with N_lo from the R of the block's adjoint (_null_rows). A tall A
+    keeps every level's unitary: A P = Q R with R = [[R11_lo, X, R12_lo],
+    [0, R_B, 0]], X the first r_lo rows of Q_lo^H A[:m1, K], and N = (Q
+    E)^H. The levels leave Q_lo^H A[:m1, K] in W, so X, N_lo A[:m1, K] and
+    B are slices of W, and ||A[:m1, K]||_F and ||A||_F are taken before
+    they turn it.
 
     The cut of A is r_lo + rank(B). Turning the block's rows by Q_lo^H
     (N_lo its last rows) and its columns by its pivots makes A [[C1, X],
@@ -566,16 +633,15 @@ def _reduce(A, corank_only, plan, tall):
     a bound carried up from the levels inside would lose that factor
     again at every level.
     """
-    rows, cols, shapes = plan
-    (m1, n1), m = shapes[0], len(A)
-    W = A[np.ix_(rows, cols)]
+    (m1, n1), m = shapes[0], len(W)
     IK = W[:m1, n1:]
-    t = _fro(IK)  # before the levels of a tall A turn it
+    # before the levels of a tall A turn W
+    t, norm = _fro(IK), _fro(W)
     if tall:
         fac_lo, R_lo, weyl_lo = _stack(W, shapes)
         r_lo, bounds_lo = _qr_rank(R_lo, False)
     else:
-        R_lo, r_lo, bounds_lo, _, jpvt_lo, _ = _factor(W[:m1, :n1], False, False)
+        R_lo, r_lo, bounds_lo, _, jpvt_lo, _ = _factor(W[:m1, :n1].conj().T, False)
         weyl_lo = 0.0
     below = CokernelMap(None, m1 - r_lo, R_lo, bounds_lo)
     weyl_lo += _fro(R_lo[r_lo:, r_lo:])
@@ -583,20 +649,25 @@ def _reduce(A, corank_only, plan, tall):
     if not (scale > 0.0 and bounds_lo[0] > 2 * weyl_lo and m - r_lo):
         return None, below
     if tall:
-        X, NK, B = W[:r_lo, n1:], W[r_lo:m1, n1:], W[r_lo:, n1:]
+        X, NK = W[:r_lo, n1:], W[r_lo:m1, n1:]
+        T = np.array(W[r_lo:, n1:], order="F")
     else:
         N_lo = _null_rows(R_lo, jpvt_lo, r_lo)
         NK = N_lo @ IK
-        B = np.vstack([NK, W[m1:, n1:]])
+        # B^H written once, as the rows of its conjugate: no copy of B
+        conj = np.empty((len(NK) + m - m1, NK.shape[1]), dtype=complex)
+        np.conjugate(NK, out=conj[:len(NK)])
+        np.conjugate(W[m1:, n1:], out=conj[len(NK):])
+        T = conj.T
     try:
-        R, rank, (lower_b, upper_b), qr, jpvt, tau = _factor(B, tall, not corank_only)
+        R, rank, (lower_b, upper_b), qr, jpvt, tau = _factor(T, not corank_only)
     except RankAmbiguousError:
         return None, below
     # in units of the block's |r_11|; Python floats, so a product beyond
     # the float range is inf, not a warning
     a, c = scale / (bounds_lo[0] - 2 * weyl_lo), scale / lower_b
     upper = (upper_b + weyl_lo) / scale
-    margins = {"upper": upper, "norm": _fro(A) / scale,
+    margins = {"upper": upper, "norm": norm / scale,
                "top": max(1.0, abs(R[0, 0]) / scale), "weyl": upper}
     t, p = t / scale, _fro(NK) / scale
     cert = (_certify(a, c, a * max(t * t - p * p, 0.0) ** 0.5, **margins)
@@ -604,20 +675,16 @@ def _reduce(A, corank_only, plan, tall):
                         if tall else _coupling(R_lo, jpvt_lo, r_lo, IK), **margins))
     if not cert:
         return None, below
+    N = None
     if tall:
         R = _assemble(R_lo, r_lo, X, R, jpvt)
         if not corank_only:
-            nested = _basis(fac_lo + [(qr, tau, r_lo, m)], m, r_lo + rank)
+            N = _basis(fac_lo + [(qr, tau, r_lo, m)], m, r_lo + rank)
     elif not corank_only:
         C = _null_rows(R, jpvt, rank)
-        nested = np.empty((len(C), m), dtype=complex)
-        nested[:, :m1] = C[:, :len(N_lo)] @ N_lo
-        nested[:, m1:] = C[:, len(N_lo):]
-    N = None
-    if not corank_only:
-        # back from the nested order to the rows of A
-        N = np.empty(nested.shape, dtype=complex)
-        N[:, rows] = nested
+        N = np.empty((len(C), m), dtype=complex)
+        N[:, :m1] = C[:, :len(N_lo)] @ N_lo
+        N[:, m1:] = C[:, len(N_lo):]
     return CokernelMap(N, m - r_lo - rank, R, (cert * scale, upper * scale)), below
 
 
@@ -667,23 +734,33 @@ def cokernel(res, corank_only=False, alpha0=None):
     - tall res: the block is itself reduced by its own block, and so on
       down the chain while each level below pays for its lift
       (_descent): on P^2 at degree 20, six levels from 780 x 380 down to
-      595 x 210. Res is gathered once in that nested order, and the
-      levels are factored from the innermost out: each QR takes only a
-      level's new columns and the rows the levels inside leave, and its
-      Q^H turns every column ahead of it once, in place. R is assembled
-      from one QR per level (its |diagonal| is not monotone across the
-      level bounds), and N is Q E as above, each level's Q on its own
-      rows.
+      595 x 210. The levels are factored from the innermost out: each
+      QR takes only a level's new columns and the rows the levels inside
+      leave, and its Q^H turns every column ahead of it once, in place.
+      R is assembled from one QR per level (its |diagonal| is not
+      monotone across the level bounds), and N is Q E as above, each
+      level's Q on its own rows.
+
+    Both orientations read res in the nested order of _descent, every
+    level a leading block. A res that assemble_res wrote in that order
+    (res.order, with this alpha0) is read in place when wide and copied
+    once, contiguously, when tall, for the levels to turn; any other res
+    is gathered once into it. res.matrix is never written. N is left in
+    the nested row order, recorded in cok.order, when res was in it, and
+    put back in monomial order otherwise.
 
     The cut at alpha, the block's corank, is certified on the block's R
     with one trtri of all of its R11; the cut at the top reuses that
     bound and inverts only B's R11 (_certify). rank_bounds is then that
     pair, weaker than one QR of res would give. Each proof uses only
     res P = Q R, whichever pivots were chosen. When the top cut is not
-    certified, the plain map of res runs instead. The block's map, the
-    block attribute of the result, is corank-only: from the reduction
-    when it ran, with the R of the block's own QR or reduction, else the
-    plain map of the block res[I, J].
+    certified, the plain map of res runs instead, on res in
+    lexicographic order (one scatter back when res is nested), so its N
+    is in monomial order. The block's map, the block attribute of the
+    result, is corank-only: from the reduction when it ran, with the R
+    of the block's own QR or reduction, which reads the block as the
+    leading [:m1, :n1] of the nested matrix; else the plain map of the
+    block res[I, J].
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
@@ -696,15 +773,31 @@ def cokernel(res, corank_only=False, alpha0=None):
     cok = below = None
     if alpha0 is not None:
         plan = _descent(res, alpha0)
-        rows, cols, ((m1, n1), *_) = plan
+        rows, cols, shapes = plan
+        m1, n1 = shapes[0]
         if 0 < n1 < res.shape[1]:
-            cok, below = _reduce(res.matrix, corank_only, plan, _tall(res.shape))
+            tall = _tall(res.shape)
+            nested = res.order is plan
+            if nested:
+                # the reduction turns a tall W in place; res.matrix stays
+                W = res.matrix.copy() if tall else res.matrix
+            else:
+                W = res.lexicographic()[np.ix_(rows, cols)]
+            cok, below = _reduce(W, corank_only, shapes, tall)
+            if cok is not None and cok.N is not None:
+                if nested:
+                    cok.order = rows
+                else:
+                    # back from the nested order to monomial order
+                    N = np.empty(cok.N.shape, dtype=complex)
+                    N[:, rows] = cok.N
+                    cok.N = N
     if cok is None:
-        cok = _plain(res.matrix, corank_only)
+        cok = _plain(res.lexicographic(), corank_only)
     cok.res = res
     if alpha0 is not None:
         cok.block = below if below is not None else _plain(
-            res.matrix[np.ix_(rows[:m1], cols[:n1])], True)
+            res.lexicographic()[np.ix_(rows[:m1], cols[:n1])], True)
     return cok
 
 
@@ -783,18 +876,40 @@ def _restriction_cond(R11, sub):
     return float(np.linalg.cond(sub))
 
 
-def _gather_plan(top, alpha0):
-    """(S_alpha, S_alpha0, gather) for alpha = top - alpha0, kept by the
-    fan per representatives of top and alpha0: gather[j, a] is the row
-    of S_top holding x^b_j x^a, for b_j in S_alpha0 and a in S_alpha;
-    the section polytopes add, so no index is -1."""
+def _gather_plan(cok, alpha0):
+    """(S_alpha, S_alpha0, gather) for alpha = top - alpha0, top the
+    degree of cok.res: gather[j, a] is the column of cok.N holding x^b_j
+    x^a, for b_j in S_alpha0 and a in S_alpha; the section polytopes add,
+    so no index is -1.
+
+    Kept by the fan per representatives of top and alpha0, with the
+    columns of an N in monomial order; for an N in the nested order of
+    _descent down alpha0, composed with that order once and kept per
+    the column blocks of cok.res too.
+
+    Raises:
+        InputError: N is in the nested order of another alpha0.
+    """
+    res = cok.res
+    top = res.rows.degree
     fan = top.fan
 
     def build():
         s_alpha, s_alpha0 = graded_basis(fan, top - alpha0), graded_basis(fan, alpha0)
-        return (s_alpha, s_alpha0,
-                graded_basis(fan, top).rows(s_alpha0.points[:, None] + s_alpha.points[None]))
-    return fan.kept(("gather", top.a, alpha0.a), build)
+        gather = graded_basis(fan, top).rows(s_alpha0.points[:, None] + s_alpha.points[None])
+        order = None
+        if cok.order is not None:
+            order = _descent(res, alpha0)[0]
+            gather = _inverse(order)[gather]
+        return s_alpha, s_alpha0, gather, order
+
+    key = ("gather", top.a, alpha0.a)
+    if cok.order is not None:
+        key += (tuple(res.col_blocks),)
+    s_alpha, s_alpha0, gather, order = fan.kept(key, build)
+    if order is not cok.order:
+        raise InputError("the cokernel map is in the nested order of another alpha0")
+    return s_alpha, s_alpha0, gather
 
 
 def multiplication_family(cok, alpha0, seed=0):
@@ -802,9 +917,11 @@ def multiplication_family(cok, alpha0, seed=0):
 
     alpha is the degree of cok.res minus alpha0. The monomial maps N_b:
     S_alpha -> C^delta are exact column gathers of N, all in one: x^b x^a
-    is the monomial of S_{alpha+alpha0} at the point m_b + m_a. The bases
-    and that gather index depend on the pair alone, so the fan keeps them
-    per pair (_gather_plan). h_0 is a
+    is the monomial of S_{alpha+alpha0} at the point m_b + m_a, whose
+    column of N is its position in cok.order when N is nested. The bases
+    and that gather index depend on the pair alone (and the order on the
+    column blocks of cok.res), so the fan keeps them per pair, composed
+    with the order once (_gather_plan). h_0 is a
     random complex Gaussian combination over S_alpha0, and the
     invertible restriction is chosen by column-pivoted QR on N_{h_0}
     (LAPACK geqp3). One LU factorization of that restriction and one
@@ -826,14 +943,14 @@ def multiplication_family(cok, alpha0, seed=0):
     the best-conditioned one.
 
     Raises:
-        InputError: S_alpha0 is empty, or S_alpha has fewer than
-            delta_plus monomials.
+        InputError: S_alpha0 is empty, S_alpha has fewer than
+            delta_plus monomials, or N is in the nested order of another
+            alpha0 than this one.
         BasepointError: every one of the 1 + RETRIES_MAX h_0 draws had a
             restriction conditioned worse than COND_MAX, which is the
             symptom of alpha0 having basepoints on the solution set.
     """
-    top = cok.res.rows.degree
-    s_alpha, s_alpha0, idx = _gather_plan(top, as_divisor(top.fan, alpha0))
+    s_alpha, s_alpha0, idx = _gather_plan(cok, as_divisor(cok.res.rows.degree.fan, alpha0))
 
     delta = cok.delta_plus
     if len(s_alpha0) == 0:

@@ -38,7 +38,7 @@ from .recovery import (  # noqa: F401
     recover_torus_point,
     recover_torus_points,
 )
-from .regularity import RegularityPair, improved_pair, user_pair
+from .regularity import Provenance, RegularityPair, improved_pair, user_pair
 
 __all__ = ["SolutionSet", "solve"]
 
@@ -156,9 +156,10 @@ def solve(system, rays=None, pair=None, seed=0):
 
     The pair is always verified: the coranks at alpha and alpha + alpha0
     must agree before the solve commits to it; nothing is written onto
-    the pair. Only Res at alpha + alpha0 is assembled. Both coranks come
-    from one call, eigensolver.cokernel of it with alpha0, which reads
-    Res at alpha off it as a block and whose docstring gives its paths.
+    the pair. Only Res at alpha + alpha0 is assembled, with alpha0, so
+    in the order its reduction reads it. Both coranks come from one
+    call, eigensolver.cokernel of it with alpha0, which reads Res at
+    alpha off it as a block and whose docstring gives its paths.
     A rank failure may name either cut; its type and exit code are those
     of any rank failure.
 
@@ -189,7 +190,9 @@ def solve(system, rays=None, pair=None, seed=0):
         coefficient moduli spread by more than 1 / TOL_RANK, or two
         equations' largest moduli differ by a factor of 1 / TOL_RANK or
         more, the error is a RankAmbiguousError naming the equations, not
-        a PairSelectionError: the scaling is at fault, not the pair.
+        a PairSelectionError: the scaling is at fault, not the pair. A
+        PairSelectionError whose corank grows from alpha to alpha +
+        alpha0 says so, as the sign of a solution set that is not finite.
         SpanError, a RecoveryError, when the alpha0 lattice
         points do not affinely span the character lattice.
     """
@@ -224,13 +227,18 @@ def solve(system, rays=None, pair=None, seed=0):
     timings["pair_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    cok = cokernel(assemble_res(system, pair.top), alpha0=pair.alpha0)
+    cok = cokernel(assemble_res(system, pair.top, pair.alpha0), alpha0=pair.alpha0)
     if cok.block.delta_plus != cok.delta_plus:
         _check_scaling(system)
-        raise PairSelectionError(
-            f"pair failed corank verification: {cok.block.delta_plus} at alpha vs "
-            f"{cok.delta_plus} at alpha + alpha0"
-        )
+        message = (f"pair failed corank verification: {cok.block.delta_plus} at alpha vs "
+                   f"{cok.delta_plus} at alpha + alpha0")
+        if cok.delta_plus > cok.block.delta_plus:
+            message += ("; a corank that grows with the degree is what a solution set "
+                        "that is not finite gives, which breaks the assumption of a "
+                        "zero-dimensional (finite) solution set")
+            if pair.provenance is Provenance.USER_SUPPLIED:
+                message += "; on a pair given by hand, alpha may also be too low"
+        raise PairSelectionError(message)
     timings["cokernel_ms"] = 1e3 * (clock() - t0)
 
     diagnostics = {

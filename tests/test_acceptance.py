@@ -164,6 +164,15 @@ def test_multiplier_corank_verification():
 
 
 # ---------------------------------------------------------------------------
+CURVE_MESSAGE = (
+    "pair failed corank verification: 3 at alpha vs 4 at alpha + alpha0; a corank "
+    "that grows with the degree is what a solution set that is not finite gives, "
+    "which breaks the assumption of a zero-dimensional (finite) solution set")
+# (x - 2)(x + y - 1) and x + y - 1: the line x + y = 1 is a curve of common solutions
+CURVE = [[((2, 0), 1), ((1, 1), 1), ((1, 0), -3), ((0, 1), -2), ((0, 0), 2)],
+         [((1, 0), 1), ((0, 1), 1), ((0, 0), -1)]]
+
+
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_badly_scaled_equation_is_a_rank_problem(e):
     """Coranks that disagree on an equation whose coefficients spread by
@@ -174,11 +183,16 @@ def test_badly_scaled_equation_is_a_rank_problem(e):
     with pytest.raises(RankAmbiguousError,
                        match=rf"^equation 1 has .* spread by 1\.0e\+{100 * e} > "):
         solve(intro_laurent(10.0 ** (100 * e)), rays=HIRZEBRUCH_RAYS)
-    line = [((1, 0), 1), ((0, 1), 1), ((0, 0), -1)]
-    # (x - 2) times the line: a curve of common solutions
-    curve = [((2, 0), 1), ((1, 1), 1), ((1, 0), -3), ((0, 1), -2), ((0, 0), 2)]
-    with pytest.raises(PairSelectionError, match="3 at alpha vs 4 at alpha"):
-        solve([curve, line])
+    # the corank grows with the degree: the message names the assumption
+    with pytest.raises(PairSelectionError, match=re.escape(CURVE_MESSAGE) + "$"):
+        solve(CURVE)
+
+
+def test_curve_of_solutions_exits_3_naming_the_assumption(tmp_path):
+    """The command line reports the same pair failure, with exit 3."""
+    res = CliRunner().invoke(main, ["solve", str(write_file(tmp_path, as_file_dict(CURVE)))])
+    assert res.exit_code == 3, res.output
+    assert f"error (pair): {CURVE_MESSAGE}" in res.output
 
 
 def scaled_lines(s):

@@ -3,6 +3,7 @@
 import functools
 import re
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -185,24 +186,40 @@ def test_res_missing_row_raises():
 def test_wrong_degree_raises_on_every_call():
     """A polynomial off its claimed degree raises on the call that builds
     the fan's plan and on every call that reuses it. One whose nonzero
-    terms all land is assembled as before, from the same plan."""
+    terms all land is assembled as before, from the same plan. Both hold
+    in lexicographic order and in the nested order of alpha0 = (1, 1, 1,
+    1), whose block is 1 x 1 in the 5 x 5 Res."""
     fan = pillow_fan()
     basis = graded_basis(fan, (1, 1, 1, 1))
     f = CoxPolynomial(basis, np.arange(1, len(basis) + 1))
     system = HomogeneousSystem(fan, [f], [fan.divisor((0, 0, 0, 0))])
-    for _ in range(2):
-        with pytest.raises(InputError, match="equation 0 does not have degree"):
-            assemble_res(system, (1, 1, 1, 1))
     # the center of the diamond lands in S_(1,1,1,1) times S_0 = C
     center = np.zeros(len(basis))
     center[basis.rows(np.array([0, 0]))] = 2.0
     lands = HomogeneousSystem(fan, [CoxPolynomial(basis, center)],
                               [fan.divisor((0, 0, 0, 0))])
+    for alpha0 in ((), ((1, 1, 1, 1),)):
+        for _ in range(2):
+            with pytest.raises(InputError, match="equation 0 does not have degree"):
+                assemble_res(system, (1, 1, 1, 1), *alpha0)
+        for _ in range(2):
+            res = assemble_res(lands, (1, 1, 1, 1), *alpha0)
+            assert (res.order is None) == (not alpha0)
+            assert np.array_equal(res.lexicographic(),
+                                  assemble_res_reference(lands, (1, 1, 1, 1)).matrix)
+        with pytest.raises(InputError, match="equation 0 does not have degree"):
+            assemble_res(system, (1, 1, 1, 1), *alpha0)
+
+
+def test_degree_too_low_is_checked_before_alpha0():
+    """A Res with no columns raises "degree too low" even when alpha0 has
+    no sections; with columns, that alpha0 raises "no sections"."""
+    system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
     for _ in range(2):
-        assert np.array_equal(assemble_res(lands, (1, 1, 1, 1)).matrix,
-                              assemble_res_reference(lands, (1, 1, 1, 1)).matrix)
-    with pytest.raises(InputError, match="equation 0 does not have degree"):
-        assemble_res(system, (1, 1, 1, 1))
+        with pytest.raises(InputError, match="degree too low"):
+            assemble_res(system, (0, 0, 0, 0), (-1, 0, 0, 0))
+        with pytest.raises(InputError, match="no sections"):
+            assemble_res(system, (3, 3, 3, 3), (-1, 0, 0, 0))
 
 
 # --------------------------------------------------------------- cokernel
@@ -610,6 +627,19 @@ def one_qr_cokernel(res, corank_only=False):
     return CokernelMap(basis.conj().T, m - rank, R, bounds, res)
 
 
+def _reduced(top, plan, corank_only=False):
+    """The reduction's own map of a lexicographic top, without the
+    fallback to one QR: _reduce of top gathered in the nested order of
+    plan (_descent), N put back in the rows of top."""
+    rows, cols, shapes = plan
+    cok, lo = _reduce(top.matrix[np.ix_(rows, cols)], corank_only, shapes, _tall(top))
+    if cok is not None and cok.N is not None:
+        N = np.empty_like(cok.N)
+        N[:, rows] = cok.N
+        cok.N = N
+    return cok, lo
+
+
 def _unitary_error(U):
     return np.abs(np.linalg.svd(U, compute_uv=False) - 1.0).max()
 
@@ -647,7 +677,7 @@ def _check_reduction(system):
     plain = one_qr_cokernel(top)
     cok = cokernel(top, alpha0=pair.alpha0)
     # the reduction's own map, without the fallback to one QR
-    reduced, lo = _reduce(top.matrix, False, plan, True)
+    reduced, lo = _reduced(top, plan)
     assert reduced is not None
     assert np.array_equal(cok.R, reduced.R) and np.array_equal(cok.N, reduced.N)
     assert cok.delta_plus == plain.delta_plus
@@ -701,7 +731,7 @@ def test_tall_reduction_turns_once_per_level(case, depth, monkeypatch):
     monkeypatch.setattr(eigensolver, "_unmqr",
                         lambda side, *args: sides.append(side) or unmqr(side, *args))
     for corank_only in (False, True):
-        reduced = _reduce(top.matrix, corank_only, plan, True)[0]
+        reduced = _reduced(top, plan, corank_only)[0]
         assert reduced is not None
         assert sides.count("L") == depth
         sides.clear()
@@ -718,14 +748,37 @@ def test_tall_reduction_turns_once_per_level(case, depth, monkeypatch):
     ("dense_p2_d6_seed0", "default", 4), ("pillow_seed1", "default", 1),
     ("pillow_seed1", "improved", 0)])
 def test_cokernel_leaves_res_as_it_was(name, which, depth):
-    """The reduction turns its own copy of Res in place, never res.matrix."""
+    """The reduction turns its own copy of Res in place, never res.matrix,
+    in lexicographic order and in the nested order assemble_res writes
+    with alpha0; the nested maps are the lexicographic ones bit for bit,
+    N up to its column order."""
     system, pair = _golden_pair(name, which)
     top = assemble_res(system, pair.top)
+    nested = assemble_res(system, pair.top, pair.alpha0)
     assert _depth(top, pair.alpha0) == depth
-    before = top.matrix.tobytes()
-    for corank_only in (False, True):
-        cokernel(top, corank_only, alpha0=pair.alpha0)
-        assert top.matrix.tobytes() == before
+    assert (nested.order is None) == (depth == 0)
+    for res in (top, nested):
+        before = res.matrix.tobytes()
+        for corank_only in (False, True):
+            cok = cokernel(res, corank_only, alpha0=pair.alpha0)
+            assert res.matrix.tobytes() == before
+            _check_same_map(cok, cokernel(top, corank_only, alpha0=pair.alpha0))
+
+
+def _check_same_map(got, want):
+    """got is the map want, bit for bit, its N up to the column order
+    got records, its block's map too."""
+    assert got.delta_plus == want.delta_plus and got.rank_bounds == want.rank_bounds
+    assert np.array_equal(got.R, want.R)
+    if want.N is None:
+        assert got.N is None and got.order is None
+    else:
+        assert want.order is None
+        order = slice(None) if got.order is None else got.order
+        assert np.array_equal(got.N, want.N[:, order])
+    if want.block is not None:
+        assert got.block.delta_plus == want.block.delta_plus
+        assert np.array_equal(got.block.R, want.block.R)
 
 
 def _same_cokernel(a, b):
@@ -753,7 +806,7 @@ def test_block_certificate_failure_falls_back():
     low = ResMatrix(low.rows, low.col_blocks, low.matrix * 1e-14)
     # the block is still x^b0 times Res at alpha, now scaled
     assert np.array_equal(top.matrix[np.ix_(rows, cols)], low.matrix)
-    assert _reduce(top.matrix, False, plan, True)[0] is None
+    assert _reduced(top, plan)[0] is None
     cok = cokernel(top, alpha0=pair.alpha0)
     assert _same_cokernel(cok, cokernel(top))
     assert _same_cokernel(cok, one_qr_cokernel(top))
@@ -980,7 +1033,7 @@ def test_reduction_on_the_dense_benchmark_shapes(n, degree, depth):
     assert _tall(top) and _depth(top, pair.alpha0) == depth
     cok = cokernel(top, alpha0=pair.alpha0)
     # the reduction's map, not the fallback to one QR
-    assert np.array_equal(cok.N, _reduce(top.matrix, False, plan, True)[0].N)
+    assert np.array_equal(cok.N, _reduced(top, plan)[0].N)
     N = cok.N
     assert np.abs(N @ N.conj().T - np.eye(len(N))).max() <= 1e-13
     assert np.linalg.norm(N @ top.matrix) <= 1e-13 * np.linalg.norm(top.matrix)
@@ -1016,6 +1069,28 @@ def test_reduction_falls_back_when_its_bound_misses():
         assert _same_cokernel(cok, cokernel(top, corank_only))
         # the SVD of the block's R decides its cut: Kahan's rank is 63
         assert cok.block.delta_plus == low.shape[0] - 63
+    # in the nested order assemble_res writes with alpha0, and on a tall
+    # top whose block's columns are scaled by 1e-14 (as in
+    # test_block_certificate_failure_falls_back): the fallback runs on
+    # Res put back in lexicographic order, so its map is the plain map of
+    # the lexicographic top bit for bit, N in monomial order
+    p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
+    system = random_system(np.random.default_rng(5), [p2_dense, p2_dense], P2_RAYS)
+    pair = improved_pair(system)
+    tall = assemble_res(system, pair.top)
+    scaled = tall.matrix.copy()
+    scaled[:, _placed(tall, pair.alpha0)[1]] *= 1e-14
+    tall = ResMatrix(tall.rows, tall.col_blocks, scaled)
+    for lex, alpha0 in ((top, alpha0), (tall, pair.alpha0)):
+        plan = _descent(lex, alpha0)
+        rows, cols, _ = plan
+        nested = ResMatrix(lex.rows, lex.col_blocks, lex.matrix[np.ix_(rows, cols)], plan)
+        assert np.array_equal(nested.lexicographic(), lex.matrix)
+        for corank_only in (False, True):
+            cok = cokernel(nested, corank_only, alpha0=alpha0)
+            assert cok.order is None
+            assert _same_cokernel(cok, cokernel(lex, corank_only))
+            _check_same_map(cok, cokernel(lex, corank_only, alpha0=alpha0))
 
 
 # seed 1 needs the coupling ||C1^-1 X||_F to certify its top cut
@@ -1043,7 +1118,7 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
         kahan[:64, :64] = _kahan(64).conj().T
         planted[np.ix_(I, J)] = kahan
         low = ResMatrix(low.rows, low.col_blocks, kahan)
-        R, rank, (lower, _) = eigensolver._factor(kahan, False, False)[:3]
+        R, rank, (lower, _) = eigensolver._factor(kahan.conj().T, False)[:3]
         assert lower <= 2 * np.linalg.norm(R[rank:, rank:])
     elif exit == "B raises":
         rest = np.setdiff1d(np.arange(top.shape[0]), I)
@@ -1064,11 +1139,11 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
                             lambda *args: couplings.append(args) or np.inf)
     factor = eigensolver._factor
 
-    def spied(A, tall, reveal):
+    def spied(T, reveal):
         try:
-            return factor(A, tall, reveal)
+            return factor(T, reveal)
         except RankAmbiguousError:
-            raised.append(A.shape)
+            raised.append(T.shape)
             raise
 
     monkeypatch.setattr(eigensolver, "_factor", spied)
@@ -1076,8 +1151,9 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
         cok = cokernel(top, corank_only, alpha0=alpha0)
         assert _same_cokernel(cok, cokernel(top, corank_only))
         assert cok.block.delta_plus == cokernel(low, corank_only=True).delta_plus
-    # B is 261 x 342; its cut raised on both calls, and only its
-    assert raised == [(261, 342)] * 2 * (exit == "B raises")
+    # B is 261 x 342, factored as B^H; its cut raised on both calls, and
+    # only its
+    assert raised == [(342, 261)] * 2 * (exit == "B raises")
     assert len(couplings) == 2 * (exit == "coupling misses")
 
 
@@ -1216,6 +1292,111 @@ def test_planned_res_matches_reference_scatter(system):
             assert got.rows is want.rows
             assert got.col_blocks == want.col_blocks
             assert np.array_equal(got.matrix, want.matrix)
+
+
+def _family_outcome(cok, alpha0):
+    """The family of cok at seed 0, or the type of the error it raised."""
+    try:
+        return multiplication_family(cok, alpha0, seed=0)
+    except (InputError, BasepointError) as exc:
+        return type(exc)
+
+
+def _check_nested_order(system, pair):
+    """Res assembled with alpha0 is the lexicographic Res at the order it
+    records, bit for bit, on the call that builds the fan's composed
+    scatter and on the one that reuses it; it is nested exactly where
+    cokernel reduces. Its maps are the lexicographic Res's, N up to that
+    column order, and its family is the same bit for bit."""
+    fan = system.fan
+    for key in [k for k in fan._store if k[0] in ("res order", "gather")]:
+        del fan._store[key]
+    lex = assemble_res(system, pair.top)
+    assert lex.order is None
+    for _ in range(2):
+        res = assemble_res(system, pair.top, pair.alpha0)
+        assert res.rows is lex.rows and res.col_blocks == lex.col_blocks
+        if _depth(lex, pair.alpha0):
+            rows, cols, _ = res.order
+            assert res.order is _descent(lex, pair.alpha0)
+            assert np.array_equal(res.matrix, lex.matrix[np.ix_(rows, cols)])
+        else:
+            assert res.order is None and np.array_equal(res.matrix, lex.matrix)
+        assert np.array_equal(res.lexicographic(), lex.matrix)
+    for corank_only in (True, False):
+        got = cokernel(res, corank_only, alpha0=pair.alpha0)
+        want = cokernel(lex, corank_only, alpha0=pair.alpha0)
+        _check_same_map(got, want)
+    if got.order is not None:
+        assert got.order is res.order[0]
+    if want.delta_plus:
+        a, b = (_family_outcome(cok, pair.alpha0) for cok in (got, want))
+        if isinstance(b, type):
+            assert a is b
+        else:
+            assert np.array_equal(a.stack, b.stack)
+            assert a.basis_columns == b.basis_columns and a.cond == b.cond
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=st.one_of(dense_systems(), tall_systems()))
+def test_nested_res_is_the_lexicographic_res_permuted(system):
+    _check_nested_order(system, improved_pair(system))
+
+
+@pytest.mark.parametrize("name, which", [
+    ("dense_p2_d6_seed0", "default"), ("dense_p2_d6_seed0", "improved"),
+    ("lines27_seed0", "improved"), ("pillow_seed1", "default")])
+def test_nested_res_on_the_golden_pairs(name, which):
+    _check_nested_order(*_golden_pair(name, which))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nested_res_on_lines27(seed):
+    """On the 27 lines solve reads Res in place: the wide top is nested,
+    and N stays in its order."""
+    system = lines27_system(seed)
+    pair = improved_pair(system)
+    _check_nested_order(system, pair)
+    cok = cokernel(assemble_res(system, pair.top, pair.alpha0), alpha0=pair.alpha0)
+    assert cok.order is not None and cok.R.shape == (261, 261)
+
+
+# the most a warm lines27 solve may hold at once, in units of the bytes of
+# Res: it holds Res and a working set of about 1.4 Res (9.4 MB against
+# the 3.9 MB of the 441 x 552 Res); a second Res-sized array alive in the
+# cokernel's working set, as a gather of Res into the nested order was,
+# puts the peak at 3.4 Res or more
+PEAK_RES_MAX = 3.0
+
+
+def test_warm_lines27_solve_holds_no_second_res():
+    """One fixed warm lines27 solve under tracemalloc, which numpy reports
+    its buffers to: the traced peak stays below PEAK_RES_MAX times the
+    bytes of Res."""
+    system = lines27_system(0)
+    pair = improved_pair(system)
+    res_bytes = assemble_res(system, pair.top, pair.alpha0).matrix.nbytes
+    solve(system, seed=0)
+    tracemalloc.start()
+    try:
+        solve(system, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_RES_MAX * res_bytes, f"peak {peak / res_bytes:.2f} Res"
+
+
+def test_family_refuses_n_nested_by_another_alpha0():
+    """N in the nested order of one alpha0 cannot be read with the gather
+    of another."""
+    system = p3_system(3)
+    pair = improved_pair(system)
+    cok = cokernel(assemble_res(system, pair.top, pair.alpha0), alpha0=pair.alpha0)
+    assert cok.order is not None
+    other = tuple(int(x) for x in np.zeros(system.fan.k))
+    with pytest.raises(InputError, match="nested order of another alpha0"):
+        multiplication_family(cok, other)
 
 
 # ------------------------------------------------- multiplication family
