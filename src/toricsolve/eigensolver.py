@@ -104,17 +104,23 @@ class ResMatrix:
         order: None when matrix is in lexicographic order: its rows in
             the monomial order of rows, its columns block by block, each
             in its basis's monomial order. Else the plan (rows, cols,
-            shapes) of _descent it was assembled in: matrix is the
-            lexicographic Res at rows order[0] and columns order[1].
+            shapes) of _descent down alpha0 it was assembled in: matrix
+            is the lexicographic Res at rows order[0] and columns
+            order[1], and cokernel reduces it in that order.
+        alpha0: DivisorClass of the multiplier degree it was assembled
+            with, or None: cokernel reads the block at the degree of rows
+            minus alpha0 off it, and multiplication_family multiplies by
+            S_alpha0.
     """
 
-    __slots__ = ("rows", "col_blocks", "matrix", "order")
+    __slots__ = ("rows", "col_blocks", "matrix", "order", "alpha0")
 
-    def __init__(self, rows, col_blocks, matrix, order=None):
+    def __init__(self, rows, col_blocks, matrix, order=None, alpha0=None):
         self.rows = rows
         self.col_blocks = col_blocks
         self.matrix = matrix
         self.order = order
+        self.alpha0 = alpha0
 
     @property
     def shape(self):
@@ -200,10 +206,12 @@ def assemble_res(system, beta, alpha0=None):
     call only writes the nonzero coefficients of each equation through
     one flat scatter.
 
-    With alpha0, and when Res at beta - alpha0, the block cokernel reduces
-    by, has columns and is not all of Res, every coefficient is written
-    straight to its place in the nested order of _descent down alpha0,
-    the order cokernel reads the reduction in. The fan keeps that
+    With alpha0, the multiplier degree, the result records it: cokernel
+    then also gives the corank at beta - alpha0, and multiplication_family
+    multiplies by S_alpha0. When Res at beta - alpha0, the block cokernel
+    reduces by, has columns and is not all of Res, every coefficient is
+    written straight to its place in the nested order of _descent down
+    alpha0, the order cokernel reads the reduction in. The fan keeps that
     composed scatter beside the plan, per beta, the equations' degrees
     and alpha0, and the result records the order. Otherwise the order is
     lexicographic, as without alpha0.
@@ -211,11 +219,12 @@ def assemble_res(system, beta, alpha0=None):
     Args:
         system: HomogeneousSystem.
         beta: DivisorClass or representative vector for the row degree.
-        alpha0: optional DivisorClass or representative vector: the
-            multiplier degree cokernel will take.
+        alpha0: optional DivisorClass or representative vector of the
+            multiplier degree.
 
     Returns:
-        ResMatrix, in lexicographic order or the recorded nested one.
+        ResMatrix, in lexicographic order or the recorded nested one,
+        with alpha0 recorded as a DivisorClass.
 
     Raises:
         InputError: every column block is empty (degree too low, checked
@@ -235,9 +244,9 @@ def assemble_res(system, beta, alpha0=None):
 
     res = ResMatrix(rows, col_blocks, np.zeros((len(rows), width), dtype=complex))
     if alpha0 is not None:
-        alpha0 = as_divisor(fan, alpha0)
-        scatter, res.order = fan.kept(("res order",) + key + (alpha0.a,),
-                                      _nest, res, scatter, alpha0)
+        res.alpha0 = as_divisor(fan, alpha0)
+        scatter, res.order = fan.kept(("res order",) + key + (res.alpha0.a,),
+                                      _nest, res, scatter, res.alpha0)
     flat = res.matrix.reshape(-1)
     for i, (index, lands) in enumerate(scatter):
         coeffs = system.polys[i].coeffs
@@ -267,8 +276,8 @@ class CokernelMap:
             of Res at its rank r, the exact pair when the SVD decided.
         res: the ResMatrix this was computed from; None on a block's map.
         block: the corank-only CokernelMap of Res at alpha, read off res
-            one degree alpha0 below, with the R of the block's own QR or
-            reduction (cokernel); None without alpha0.
+            one degree res.alpha0 below, with the R of the block's own QR
+            or reduction (cokernel); None when res has no alpha0.
     """
 
     __slots__ = ("N", "order", "delta_plus", "R", "rank_bounds", "res", "block", "_s")
@@ -418,11 +427,12 @@ def _place(res, drop, shift):
 
 
 def _descent(res, alpha0):
-    """The nested order of res down its alpha0 chain: (rows, cols,
-    shapes), kept by the fan per row and column bases of res (the bases
-    the fan keeps) and alpha0's representative. assemble_res writes Res
-    in this order, and cokernel reduces it in it; only the bases and the
-    shape of res are read, never its matrix.
+    """The nested order of res down its chain of steps alpha0, a
+    DivisorClass: (rows, cols, shapes), kept by the fan per row and
+    column bases of res (the bases the fan keeps) and alpha0's
+    representative. assemble_res writes Res in this order, and cokernel
+    reduces it in it; only the bases and the shape of res are read, never
+    its matrix.
 
     Level j is Res at the degree of res minus j alpha0, times x^(j b0),
     b0 the first point of S_alpha0: _place(res, j alpha0, j b0) places it
@@ -439,7 +449,6 @@ def _descent(res, alpha0):
         InputError: alpha0 has no sections.
     """
     fan = res.rows.degree.fan
-    alpha0 = as_divisor(fan, alpha0)
 
     def build():
         between = graded_basis(fan, alpha0)
@@ -688,7 +697,7 @@ def _reduce(W, corank_only, shapes, tall):
     return CokernelMap(N, m - r_lo - rank, R, (cert * scale, upper * scale)), below
 
 
-def cokernel(res, corank_only=False, alpha0=None):
+def cokernel(res, corank_only=False):
     """Compute the cokernel of Res with a certified rank decision.
 
     The rank is the number of singular values above TOL_RANK * sigma_1 and
@@ -716,16 +725,18 @@ def cokernel(res, corank_only=False, alpha0=None):
     an N that misses the image. With corank_only, N is None and only that
     guard is skipped.
 
-    With alpha0, res is Res at alpha + alpha0, alpha its degree minus
-    alpha0, and Res at alpha is read off it, never assembled: times the
-    monomial x^b0 of S_alpha0 that maps S_alpha into S_alpha+alpha0, it
-    is the block res[I, J], whose columns vanish off its rows (_place).
-    Res at alpha - alpha0 sits in the block the same way, and so on down
-    the chain. When the block has columns and is not all of res, cokernel
-    first reduces res by it (_reduce). With rest the other rows and K the
-    other columns, the cokernel of res is that of B = [N_lo res[I, K];
-    res[rest, K]], N_lo the block's cokernel, lifted back. The block and
-    B are factored in the orientation of res:
+    When res was assembled with alpha0 (res.alpha0), it is Res at alpha +
+    alpha0, alpha its degree minus alpha0, and Res at alpha is read off
+    it, never assembled: times the monomial x^b0 of S_alpha0 that maps
+    S_alpha into S_alpha+alpha0, it is the block res[I, J], whose columns
+    vanish off its rows (_place). Res at alpha - alpha0 sits in the block
+    the same way, and so on down the chain. When the block has columns
+    and is not all of res, assemble_res wrote res in the nested order of
+    that chain (res.order), and cokernel first reduces res by the block
+    (_reduce). With rest the other rows and K the other columns, the
+    cokernel of res is that of B = [N_lo res[I, K]; res[rest, K]], N_lo
+    the block's cokernel, lifted back. The block and B are factored in
+    the orientation of res:
 
     - wide res: one QR of block^H gives the block's corank and its
       R-based N_lo, and B goes through the wide path above: on the 27
@@ -741,13 +752,10 @@ def cokernel(res, corank_only=False, alpha0=None):
       monotone across the level bounds), and N is Q E as above, each
       level's Q on its own rows.
 
-    Both orientations read res in the nested order of _descent, every
-    level a leading block. A res that assemble_res wrote in that order
-    (res.order, with this alpha0) is read in place when wide and copied
-    once, contiguously, when tall, for the levels to turn; any other res
-    is gathered once into it. res.matrix is never written. N is left in
-    the nested row order, recorded in cok.order, when res was in it, and
-    put back in monomial order otherwise.
+    Both orientations read res.matrix in its nested order, every level a
+    leading block: in place when wide, and copied once, contiguously,
+    when tall, for the levels to turn. res.matrix is never written. N is
+    left in the nested row order, recorded in cok.order.
 
     The cut at alpha, the block's corank, is certified on the block's R
     with one trtri of all of its R11; the cut at the top reuses that
@@ -755,8 +763,8 @@ def cokernel(res, corank_only=False, alpha0=None):
     pair, weaker than one QR of res would give. Each proof uses only
     res P = Q R, whichever pivots were chosen. When the top cut is not
     certified, the plain map of res runs instead, on res in
-    lexicographic order (one scatter back when res is nested), so its N
-    is in monomial order. The block's map, the block attribute of the
+    lexicographic order (one scatter back from the nested order), so its
+    N is in monomial order. The block's map, the block attribute of the
     result, is corank-only: from the reduction when it ran, with the R
     of the block's own QR or reduction, which reads the block as the
     leading [:m1, :n1] of the nested matrix; else the plain map of the
@@ -768,36 +776,23 @@ def cokernel(res, corank_only=False, alpha0=None):
             Res overflows double precision in the QR; or (full path) R22
             exceeds the cut: the QR does not reveal the rank. Either of
             the two cuts, at alpha + alpha0 or at alpha, may raise.
-        InputError: alpha0 has no sections.
     """
     cok = below = None
-    if alpha0 is not None:
-        plan = _descent(res, alpha0)
-        rows, cols, shapes = plan
-        m1, n1 = shapes[0]
-        if 0 < n1 < res.shape[1]:
-            tall = _tall(res.shape)
-            nested = res.order is plan
-            if nested:
-                # the reduction turns a tall W in place; res.matrix stays
-                W = res.matrix.copy() if tall else res.matrix
-            else:
-                W = res.lexicographic()[np.ix_(rows, cols)]
-            cok, below = _reduce(W, corank_only, shapes, tall)
-            if cok is not None and cok.N is not None:
-                if nested:
-                    cok.order = rows
-                else:
-                    # back from the nested order to monomial order
-                    N = np.empty(cok.N.shape, dtype=complex)
-                    N[:, rows] = cok.N
-                    cok.N = N
+    if res.order is not None:
+        tall = _tall(res.shape)
+        # the reduction turns a tall W in place; res.matrix stays
+        W = res.matrix.copy() if tall else res.matrix
+        cok, below = _reduce(W, corank_only, res.order[2], tall)
+        if cok is not None and cok.N is not None:
+            cok.order = res.order[0]
     if cok is None:
         cok = _plain(res.lexicographic(), corank_only)
     cok.res = res
-    if alpha0 is not None:
-        cok.block = below if below is not None else _plain(
-            res.lexicographic()[np.ix_(rows[:m1], cols[:n1])], True)
+    if below is None and res.alpha0 is not None:
+        # no reduction ran, so res is lexicographic
+        rows, cols, ((m1, n1), *_) = _descent(res, res.alpha0)
+        below = _plain(res.matrix[np.ix_(rows[:m1], cols[:n1])], True)
+    cok.block = below
     return cok
 
 
@@ -876,46 +871,39 @@ def _restriction_cond(R11, sub):
     return float(np.linalg.cond(sub))
 
 
-def _gather_plan(cok, alpha0):
-    """(S_alpha, S_alpha0, gather) for alpha = top - alpha0, top the
-    degree of cok.res: gather[j, a] is the column of cok.N holding x^b_j
-    x^a, for b_j in S_alpha0 and a in S_alpha; the section polytopes add,
-    so no index is -1.
+def _gather_plan(cok):
+    """(S_alpha, S_alpha0, gather) for alpha0 = cok.res.alpha0 and alpha
+    = top - alpha0, top the degree of cok.res: gather[j, a] is the column
+    of cok.N holding x^b_j x^a, for b_j in S_alpha0 and a in S_alpha; the
+    section polytopes add, so no index is -1.
 
     Kept by the fan per representatives of top and alpha0, with the
     columns of an N in monomial order; for an N in the nested order of
-    _descent down alpha0, composed with that order once and kept per
-    the column blocks of cok.res too.
-
-    Raises:
-        InputError: N is in the nested order of another alpha0.
+    cok.res (cok.order), composed with that order once and kept per the
+    column blocks of cok.res too, which with top and alpha0 fix it.
     """
     res = cok.res
-    top = res.rows.degree
+    top, alpha0 = res.rows.degree, res.alpha0
     fan = top.fan
 
     def build():
         s_alpha, s_alpha0 = graded_basis(fan, top - alpha0), graded_basis(fan, alpha0)
         gather = graded_basis(fan, top).rows(s_alpha0.points[:, None] + s_alpha.points[None])
-        order = None
         if cok.order is not None:
-            order = _descent(res, alpha0)[0]
-            gather = _inverse(order)[gather]
-        return s_alpha, s_alpha0, gather, order
+            gather = _inverse(cok.order)[gather]
+        return s_alpha, s_alpha0, gather
 
     key = ("gather", top.a, alpha0.a)
     if cok.order is not None:
         key += (tuple(res.col_blocks),)
-    s_alpha, s_alpha0, gather, order = fan.kept(key, build)
-    if order is not cok.order:
-        raise InputError("the cokernel map is in the nested order of another alpha0")
-    return s_alpha, s_alpha0, gather
+    return fan.kept(key, build)
 
 
-def multiplication_family(cok, alpha0, seed=0):
+def multiplication_family(cok, seed=0):
     """Build the multiplication matrices from a cokernel at alpha + alpha0.
 
-    alpha is the degree of cok.res minus alpha0. The monomial maps N_b:
+    alpha0 is the multiplier degree cok.res was assembled with, and alpha
+    the degree of cok.res minus alpha0. The monomial maps N_b:
     S_alpha -> C^delta are exact column gathers of N, all in one: x^b x^a
     is the monomial of S_{alpha+alpha0} at the point m_b + m_a, whose
     column of N is its position in cok.order when N is nested. The bases
@@ -933,9 +921,8 @@ def multiplication_family(cok, alpha0, seed=0):
     through an m x m change of basis.
 
     Args:
-        cok: CokernelMap computed at degree alpha + alpha0.
-        alpha0: DivisorClass or representative vector of the multiplier
-            degree, on the fan of cok.res.
+        cok: CokernelMap, not corank-only, of a Res assembled with alpha0
+            (assemble_res).
         seed: seeds the h_0 draw; retries continue the same stream.
 
     The first h_0 draw whose restriction is conditioned within
@@ -943,18 +930,22 @@ def multiplication_family(cok, alpha0, seed=0):
     the best-conditioned one.
 
     Raises:
-        InputError: S_alpha0 is empty, S_alpha has fewer than
-            delta_plus monomials, or N is in the nested order of another
-            alpha0 than this one.
+        InputError: cok is corank-only (it has no N), its Res was
+            assembled without alpha0, or S_alpha has fewer than
+            delta_plus monomials.
         BasepointError: every one of the 1 + RETRIES_MAX h_0 draws had a
             restriction conditioned worse than COND_MAX, which is the
             symptom of alpha0 having basepoints on the solution set.
     """
-    s_alpha, s_alpha0, idx = _gather_plan(cok, as_divisor(cok.res.rows.degree.fan, alpha0))
+    if cok.N is None:
+        raise InputError("the cokernel map is corank-only: it has no N to "
+                         "read the multiplication maps off")
+    if cok.res.alpha0 is None:
+        raise InputError("Res was assembled without alpha0: there is no "
+                         "multiplier degree to read the family at")
+    s_alpha, s_alpha0, idx = _gather_plan(cok)
 
     delta = cok.delta_plus
-    if len(s_alpha0) == 0:
-        raise InputError("S_alpha0 is empty: nothing to multiply by")
     if len(s_alpha) < delta:
         raise InputError(
             f"dim S_alpha = {len(s_alpha)} < delta_plus = {delta}; "

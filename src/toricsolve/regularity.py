@@ -289,12 +289,12 @@ def user_pair(system, alpha, alpha0):
 def verify_pair(system, pair):
     """Coranks of Res at alpha and at alpha + alpha0.
 
-    Assembles Res at alpha + alpha0 only, in the order the reduction by
-    Res at alpha reads it (assemble_res with alpha0), and takes both
-    coranks, without a basis, from the call solve makes:
-    eigensolver.cokernel of it with alpha0, which reads Res at alpha off
-    it as a block whose map carries the corank at alpha. The pair is admissible when the two coranks
-    agree; either one is delta+.
+    Assembles Res at alpha + alpha0 only, with alpha0, which the
+    ResMatrix records, in the order the reduction by Res at alpha reads
+    it, and takes both coranks, without a basis, from the call solve
+    makes: eigensolver.cokernel of it, which reads Res at alpha off it as
+    a block whose map carries the corank at alpha. The pair is admissible
+    when the two coranks agree; either one is delta+.
 
     Returns:
         (corank at alpha, corank at alpha + alpha0).
@@ -304,6 +304,5 @@ def verify_pair(system, pair):
             gap is too shallow to trust either corank, or Res overflows
             double precision.
     """
-    hi = cokernel(assemble_res(system, pair.top, pair.alpha0), corank_only=True,
-                  alpha0=pair.alpha0)
+    hi = cokernel(assemble_res(system, pair.top, pair.alpha0), corank_only=True)
     return hi.block.delta_plus, hi.delta_plus

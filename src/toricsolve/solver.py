@@ -156,10 +156,10 @@ def solve(system, rays=None, pair=None, seed=0):
 
     The pair is always verified: the coranks at alpha and alpha + alpha0
     must agree before the solve commits to it; nothing is written onto
-    the pair. Only Res at alpha + alpha0 is assembled, with alpha0, so
-    in the order its reduction reads it. Both coranks come from one
-    call, eigensolver.cokernel of it with alpha0, which reads Res at
-    alpha off it as a block and whose docstring gives its paths.
+    the pair. Only Res at alpha + alpha0 is assembled, with alpha0, which
+    the ResMatrix records, so in the order its reduction reads it. Both
+    coranks come from one call, eigensolver.cokernel of it, which reads
+    Res at alpha off it as a block and whose docstring gives its paths.
     A rank failure may name either cut; its type and exit code are those
     of any rank failure.
 
@@ -227,7 +227,7 @@ def solve(system, rays=None, pair=None, seed=0):
     timings["pair_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()
-    cok = cokernel(assemble_res(system, pair.top, pair.alpha0), alpha0=pair.alpha0)
+    cok = cokernel(assemble_res(system, pair.top, pair.alpha0))
     if cok.block.delta_plus != cok.delta_plus:
         _check_scaling(system)
         message = (f"pair failed corank verification: {cok.block.delta_plus} at alpha vs "
@@ -251,7 +251,7 @@ def solve(system, rays=None, pair=None, seed=0):
                            diagnostics)
 
     t0 = clock()
-    family = multiplication_family(cok, pair.alpha0, seed=seed)
+    family = multiplication_family(cok, seed=seed)
     timings["family_ms"] = 1e3 * (clock() - t0)
 
     t0 = clock()

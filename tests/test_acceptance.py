@@ -407,7 +407,7 @@ def test_multiplication_family_commutators():
         lo, hi = verify_pair(system, pair)
         assert lo == hi
         family = multiplication_family(
-            cokernel(assemble_res(system, pair.top)), pair.alpha0, seed=0
+            cokernel(assemble_res(system, pair.top, pair.alpha0)), seed=0
         )
         mats = [family.matrices[b] for b in family.monomials]
         for a in mats:

@@ -565,11 +565,32 @@ def _dense_system(rng, shape, sizes):
 
 
 def _depth(top, alpha0):
-    """The levels cokernel(top, alpha0=alpha0) reduces by, 0 when it
-    takes the plain map: no block with columns, or the block is all of
-    Res."""
-    shapes = _descent(top, alpha0)[2]
+    """The levels cokernel reduces top by when top is assembled with
+    alpha0 (a vector or a class), 0 when it takes the plain map: no block
+    with columns, or the block is all of Res."""
+    shapes = _descent(top, as_divisor(top.rows.degree.fan, alpha0))[2]
     return len(shapes) if 0 < shapes[0][1] < top.shape[1] else 0
+
+
+def _nested(lex, alpha0):
+    """lex as assemble_res writes it with alpha0, from its own matrix,
+    which a test may have planted: in the nested order of _descent where
+    cokernel reduces, else as it is; alpha0 recorded."""
+    alpha0 = as_divisor(lex.rows.degree.fan, alpha0)
+    if not _depth(lex, alpha0):
+        return ResMatrix(lex.rows, lex.col_blocks, lex.matrix, None, alpha0)
+    plan = _descent(lex, alpha0)
+    rows, cols, _ = plan
+    return ResMatrix(lex.rows, lex.col_blocks, lex.matrix[np.ix_(rows, cols)], plan, alpha0)
+
+
+def _monomial(cok):
+    """cok.N with its columns in the monomial order of S_beta."""
+    if cok.order is None:
+        return cok.N
+    N = np.empty_like(cok.N)
+    N[:, cok.order] = cok.N
+    return N
 
 
 @functools.cache
@@ -675,21 +696,23 @@ def _check_reduction(system):
     assert not _pays(above, below.shape)
 
     plain = one_qr_cokernel(top)
-    cok = cokernel(top, alpha0=pair.alpha0)
+    nested = assemble_res(system, pair.top, pair.alpha0)
+    cok = cokernel(nested)
+    N = _monomial(cok)
     # the reduction's own map, without the fallback to one QR
     reduced, lo = _reduced(top, plan)
     assert reduced is not None
-    assert np.array_equal(cok.R, reduced.R) and np.array_equal(cok.N, reduced.N)
+    assert np.array_equal(cok.R, reduced.R) and np.array_equal(N, reduced.N)
     assert cok.delta_plus == plain.delta_plus
-    assert cokernel(top, corank_only=True, alpha0=pair.alpha0).delta_plus == plain.delta_plus
+    assert cokernel(nested, corank_only=True).delta_plus == plain.delta_plus
     assert lo.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
     assert verify_pair(system, pair) == (lo.delta_plus, plain.delta_plus)
     s = plain.singular_values
     assert np.allclose(cok.singular_values, s, rtol=1e-10, atol=1e-12 * s[0])
     if plain.delta_plus:
         # the same cokernel: N N_plain^H is unitary
-        assert _unitary_error(cok.N @ plain.N.conj().T) <= 1e-10
-        assert np.linalg.norm(cok.N @ top.matrix, 2) <= 10 * TOL_RANK * s[0]
+        assert _unitary_error(N @ plain.N.conj().T) <= 1e-10
+        assert np.linalg.norm(N @ top.matrix, 2) <= 10 * TOL_RANK * s[0]
     return len(shapes)
 
 
@@ -724,6 +747,7 @@ def test_tall_reduction_turns_once_per_level(case, depth, monkeypatch):
     else:
         system, pair = _golden_pair(*case.split())
     top = assemble_res(system, pair.top)
+    nested = assemble_res(system, pair.top, pair.alpha0)
     plan = _descent(top, pair.alpha0)
     assert _tall(top) and _depth(top, pair.alpha0) == depth
     sides = []
@@ -736,7 +760,7 @@ def test_tall_reduction_turns_once_per_level(case, depth, monkeypatch):
         assert sides.count("L") == depth
         sides.clear()
         # cokernel takes that map, with no fallback to one QR
-        cok = cokernel(top, corank_only, alpha0=pair.alpha0)
+        cok = cokernel(nested, corank_only)
         assert np.array_equal(cok.R, reduced.R)
         assert sides.count("L") == depth
         sides.clear()
@@ -748,10 +772,11 @@ def test_tall_reduction_turns_once_per_level(case, depth, monkeypatch):
     ("dense_p2_d6_seed0", "default", 4), ("pillow_seed1", "default", 1),
     ("pillow_seed1", "improved", 0)])
 def test_cokernel_leaves_res_as_it_was(name, which, depth):
-    """The reduction turns its own copy of Res in place, never res.matrix,
-    in lexicographic order and in the nested order assemble_res writes
-    with alpha0; the nested maps are the lexicographic ones bit for bit,
-    N up to its column order."""
+    """Neither the plain map of the lexicographic Res nor the reduction of
+    the Res assemble_res writes with alpha0, which turns its own copy in
+    place, writes res.matrix; the latter's maps are those the
+    lexicographic Res gives (_reference_map) bit for bit, N up to its
+    column order."""
     system, pair = _golden_pair(name, which)
     top = assemble_res(system, pair.top)
     nested = assemble_res(system, pair.top, pair.alpha0)
@@ -760,9 +785,32 @@ def test_cokernel_leaves_res_as_it_was(name, which, depth):
     for res in (top, nested):
         before = res.matrix.tobytes()
         for corank_only in (False, True):
-            cok = cokernel(res, corank_only, alpha0=pair.alpha0)
+            cok = cokernel(res, corank_only)
             assert res.matrix.tobytes() == before
-            _check_same_map(cok, cokernel(top, corank_only, alpha0=pair.alpha0))
+            if res is nested:
+                _check_same_map(cok, _reference_map(top, pair.alpha0, corank_only))
+
+
+def _reference_map(lex, alpha0, corank_only=False):
+    """The map cokernel gives Res assembled with alpha0, made from the
+    lexicographic Res lex: the reduction's own map (_reduced) where the
+    Res is reduced and its cut certified, else the plain map of lex; the
+    block's map from the reduction, or where none ran the plain map of
+    the block. N is in monomial order, and the map's res is lex with
+    alpha0 recorded and no order."""
+    alpha0 = as_divisor(lex.rows.degree.fan, alpha0)
+    rows, cols, shapes = plan = _descent(lex, alpha0)
+    cok = below = None
+    if _depth(lex, alpha0):
+        cok, below = _reduced(lex, plan, corank_only)
+    if cok is None:
+        cok = eigensolver._plain(lex.matrix, corank_only)
+    if below is None:
+        m1, n1 = shapes[0]
+        below = eigensolver._plain(lex.matrix[np.ix_(rows[:m1], cols[:n1])], True)
+    cok.res = ResMatrix(lex.rows, lex.col_blocks, lex.matrix, None, alpha0)
+    cok.block = below
+    return cok
 
 
 def _check_same_map(got, want):
@@ -807,16 +855,16 @@ def test_block_certificate_failure_falls_back():
     # the block is still x^b0 times Res at alpha, now scaled
     assert np.array_equal(top.matrix[np.ix_(rows, cols)], low.matrix)
     assert _reduced(top, plan)[0] is None
-    cok = cokernel(top, alpha0=pair.alpha0)
+    cok = cokernel(_nested(top, pair.alpha0))
     assert _same_cokernel(cok, cokernel(top))
     assert _same_cokernel(cok, one_qr_cokernel(top))
     assert cok.block.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
 
 
 def _no_structure(top, alpha0):
-    """Whether cokernel(top, alpha0=alpha0) takes the plain map: the
-    block has no columns or all of them, and there is nothing to reduce
-    by."""
+    """Whether cokernel takes the plain map of top assembled with alpha0:
+    the block has no columns or all of them, and there is nothing to
+    reduce by."""
     return _depth(top, alpha0) == 0
 
 
@@ -833,8 +881,10 @@ def test_block_is_ignored_where_it_cannot_help():
         top = assemble_res(system, pair.top)
         assert low.shape[1] == 0 and top.shape[0] >= top.shape[1]
         assert _no_structure(top, pair.alpha0)
+        with_alpha0 = assemble_res(system, pair.top, pair.alpha0)
+        assert with_alpha0.order is None
         for corank_only in (False, True):
-            cok = cokernel(top, corank_only, alpha0=pair.alpha0)
+            cok = cokernel(with_alpha0, corank_only)
             assert _same_cokernel(cok, cokernel(top, corank_only)), name
             assert _same_cokernel(cok, one_qr_cokernel(top, corank_only)), name
             assert cok.block.delta_plus == low.shape[0]
@@ -859,7 +909,7 @@ def test_one_level_n_is_the_trailing_columns_of_q(name):
     want = one_qr_cokernel(top).N
     assert want.shape[0] > 0
     assert np.array_equal(cokernel(top).N, want)
-    got = cokernel(top, alpha0=pair.alpha0).N
+    got = _monomial(cokernel(assemble_res(system, pair.top, pair.alpha0)))
     if name == "P2 conics":
         assert _depth(top, pair.alpha0) == 1
         assert _unitary_error(got @ want.conj().T) <= 1e-12
@@ -869,18 +919,19 @@ def test_one_level_n_is_the_trailing_columns_of_q(name):
 
 
 def test_block_map_is_corank_only():
-    """cokernel(res, alpha0=alpha0) carries the certified corank-only map
-    of Res at alpha, with the R its cut was certified on: one QR of the
-    block when it is factored plain, else the R of its own reduction. The
-    map holds no ResMatrix: the block is read off res."""
+    """The cokernel of a Res assembled with alpha0 carries the certified
+    corank-only map of Res at alpha, with the R its cut was certified on:
+    one QR of the block when it is factored plain, else the R of its own
+    reduction. The map holds no ResMatrix: the block is read off res."""
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
+    nested = assemble_res(system, pair.top, pair.alpha0)
     for corank_only in (False, True):
-        lo = cokernel(top, corank_only, alpha0=pair.alpha0).block
+        lo = cokernel(nested, corank_only).block
         assert lo.res is None and lo.N is None
         # the block of this tall top is reduced by its own block (depth
         # 2): R is the triangle of that reduction, with the block's
@@ -901,10 +952,10 @@ def test_block_map_is_corank_only():
     # trapezoid R of that QR kept
     system = lines27_system()
     pair = improved_pair(system)
-    wide = assemble_res(system, pair.top)
+    wide = assemble_res(system, pair.top, pair.alpha0)
     low = assemble_res(system, pair.alpha)
     assert wide.shape[0] < wide.shape[1] and _tall(low)
-    lo = cokernel(wide, corank_only=True, alpha0=pair.alpha0).block
+    lo = cokernel(wide, corank_only=True).block
     assert lo.N is None and lo.R.shape == low.shape[::-1]
     assert lo.delta_plus == one_qr_cokernel(low, True).delta_plus
 
@@ -932,11 +983,12 @@ def test_wide_res_is_reduced_by_its_block(seed):
     assert shapes == [low.shape] == [(len(I), len(J))]
     assert np.array_equal(rows[:len(I)], I) and np.array_equal(cols[:len(J)], J)
     assert (len(I), top.shape[0] - len(I), top.shape[1] - len(J)) == (225, 216, 342)
-    cok = cokernel(top, alpha0=alpha0)
+    nested = _nested(top, alpha0)
+    cok = cokernel(nested)
     # the reduced path, not its fallback to one QR of Res^H
     assert cok.R.shape == (261, 261)
     assert cok.delta_plus == cok.block.delta_plus == 45
-    N = cok.N
+    N = _monomial(cok)
     assert np.allclose(N @ N.conj().T, np.eye(45), atol=1e-12)
     ref, s = svd_cokernel(top)
     assert np.linalg.norm(N @ top.matrix, 2) <= 10 * TOL_RANK * s[0]
@@ -949,7 +1001,7 @@ def test_wide_res_is_reduced_by_its_block(seed):
     lower, upper = cok.rank_bounds
     assert lower <= s[395] and upper >= s[396]
     assert lower >= 1e3 * GAP_RATIO * upper
-    only = cokernel(top, corank_only=True, alpha0=alpha0)
+    only = cokernel(nested, corank_only=True)
     assert only.N is None and only.R.shape == (261, 261)
     assert (only.delta_plus, only.block.delta_plus) == (45, 45)
 
@@ -1031,10 +1083,10 @@ def test_reduction_on_the_dense_benchmark_shapes(n, degree, depth):
     top = assemble_res(system, pair.top)
     plan = _descent(top, pair.alpha0)
     assert _tall(top) and _depth(top, pair.alpha0) == depth
-    cok = cokernel(top, alpha0=pair.alpha0)
+    cok = cokernel(assemble_res(system, pair.top, pair.alpha0))
+    N = _monomial(cok)
     # the reduction's map, not the fallback to one QR
-    assert np.array_equal(cok.N, _reduced(top, plan)[0].N)
-    N = cok.N
+    assert np.array_equal(N, _reduced(top, plan)[0].N)
     assert np.abs(N @ N.conj().T - np.eye(len(N))).max() <= 1e-13
     assert np.linalg.norm(N @ top.matrix) <= 1e-13 * np.linalg.norm(top.matrix)
     I, J = _placed(top, pair.alpha0)
@@ -1054,7 +1106,12 @@ def test_reduction_falls_back_when_its_bound_misses():
     alpha0: the tail its QR leaves, about 4e-9 of its |r_11|, is too
     large for the margin 10 upper <= TOL_RANK top of the top cut, so the
     bound on that cut misses, and cokernel returns exactly the map one
-    QR of Res^H gives, as without the block."""
+    QR of Res^H gives, as without the block. Likewise on a tall top whose
+    block's columns are scaled by 1e-14 (as in
+    test_block_certificate_failure_falls_back). Both Res are in the
+    nested order assemble_res writes with alpha0: the fallback runs on
+    Res put back in lexicographic order, so its map is the plain map of
+    the lexicographic top bit for bit, N in monomial order."""
     top, low, alpha0 = _lines27_pair(0)
     I, J = _placed(top, alpha0)
     assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
@@ -1063,17 +1120,6 @@ def test_reduction_falls_back_when_its_bound_misses():
     planted = top.matrix.copy()
     planted[np.ix_(I, J)] = kahan
     top = ResMatrix(top.rows, top.col_blocks, planted)
-    low = ResMatrix(low.rows, low.col_blocks, kahan)
-    for corank_only in (False, True):
-        cok = cokernel(top, corank_only, alpha0=alpha0)
-        assert _same_cokernel(cok, cokernel(top, corank_only))
-        # the SVD of the block's R decides its cut: Kahan's rank is 63
-        assert cok.block.delta_plus == low.shape[0] - 63
-    # in the nested order assemble_res writes with alpha0, and on a tall
-    # top whose block's columns are scaled by 1e-14 (as in
-    # test_block_certificate_failure_falls_back): the fallback runs on
-    # Res put back in lexicographic order, so its map is the plain map of
-    # the lexicographic top bit for bit, N in monomial order
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(np.random.default_rng(5), [p2_dense, p2_dense], P2_RAYS)
     pair = improved_pair(system)
@@ -1082,15 +1128,17 @@ def test_reduction_falls_back_when_its_bound_misses():
     scaled[:, _placed(tall, pair.alpha0)[1]] *= 1e-14
     tall = ResMatrix(tall.rows, tall.col_blocks, scaled)
     for lex, alpha0 in ((top, alpha0), (tall, pair.alpha0)):
-        plan = _descent(lex, alpha0)
-        rows, cols, _ = plan
-        nested = ResMatrix(lex.rows, lex.col_blocks, lex.matrix[np.ix_(rows, cols)], plan)
+        nested = _nested(lex, alpha0)
+        assert nested.order is not None
         assert np.array_equal(nested.lexicographic(), lex.matrix)
         for corank_only in (False, True):
-            cok = cokernel(nested, corank_only, alpha0=alpha0)
+            cok = cokernel(nested, corank_only)
             assert cok.order is None
             assert _same_cokernel(cok, cokernel(lex, corank_only))
-            _check_same_map(cok, cokernel(lex, corank_only, alpha0=alpha0))
+            _check_same_map(cok, _reference_map(lex, alpha0, corank_only))
+            if lex is top:
+                # the SVD of the block's R decides its cut: Kahan's rank is 63
+                assert cok.block.delta_plus == low.shape[0] - 63
 
 
 # seed 1 needs the coupling ||C1^-1 X||_F to certify its top cut
@@ -1147,8 +1195,9 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
             raise
 
     monkeypatch.setattr(eigensolver, "_factor", spied)
+    nested = _nested(top, alpha0)
     for corank_only in (False, True):
-        cok = cokernel(top, corank_only, alpha0=alpha0)
+        cok = cokernel(nested, corank_only)
         assert _same_cokernel(cok, cokernel(top, corank_only))
         assert cok.block.delta_plus == cokernel(low, corank_only=True).delta_plus
     # B is 261 x 342, factored as B^H; its cut raised on both calls, and
@@ -1175,7 +1224,7 @@ def test_block_that_is_no_level_takes_the_plain_map():
     assert [_depth(top, alpha0) for top, alpha0, _ in cases] == [1, 0, 0]
     for top, alpha0, low in cases:
         for corank_only in (False, True):
-            lo = cokernel(top, corank_only, alpha0=alpha0).block
+            lo = cokernel(_nested(top, alpha0), corank_only).block
             assert _same_cokernel(lo, cokernel(low, corank_only=True))
     assert [low.shape for *_, low in cases] == [(6, 2), (4, 0), (25, 26)]
 
@@ -1188,12 +1237,12 @@ def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
     system = p3_system(3)
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
-    top = assemble_res(system, pair.top)
+    top = assemble_res(system, pair.top, pair.alpha0)
     assert _depth(top, pair.alpha0) == 3
     trtri, sizes = scipy.linalg.lapack.ztrtri, []
     monkeypatch.setattr(scipy.linalg.lapack, "ztrtri",
                         lambda a: sizes.append(len(a)) or trtri(a))
-    cok = cokernel(top, alpha0=pair.alpha0)
+    cok = cokernel(top)
     rank = top.shape[0] - cok.delta_plus
     low_rank = low.shape[0] - cok.block.delta_plus
     assert 0 < low_rank < rank
@@ -1210,15 +1259,14 @@ def test_alpha0_without_sections_rejected():
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
-    top = assemble_res(system, (0, 0, 11))
     # S_(-1) has no sections: no Res at degree 12 sits in Res at 11
-    for corank_only in (False, True):
+    for _ in range(2):
         with pytest.raises(InputError, match="no sections"):
-            cokernel(top, corank_only, alpha0=(0, 0, -1))
+            assemble_res(system, (0, 0, 11), (0, 0, -1))
     # Res at 10 (66 x 30) sits in it by S_1
     low = assemble_res(system, (0, 0, 10))
     assert low.shape == (66, 30)
-    assert (cokernel(top, alpha0=(0, 0, 1)).block.delta_plus
+    assert (cokernel(assemble_res(system, (0, 0, 11), (0, 0, 1))).block.delta_plus
             == cokernel(low, corank_only=True).delta_plus)
 
 
@@ -1294,10 +1342,10 @@ def test_planned_res_matches_reference_scatter(system):
             assert np.array_equal(got.matrix, want.matrix)
 
 
-def _family_outcome(cok, alpha0):
+def _family_outcome(cok):
     """The family of cok at seed 0, or the type of the error it raised."""
     try:
-        return multiplication_family(cok, alpha0, seed=0)
+        return multiplication_family(cok, seed=0)
     except (InputError, BasepointError) as exc:
         return type(exc)
 
@@ -1306,8 +1354,9 @@ def _check_nested_order(system, pair):
     """Res assembled with alpha0 is the lexicographic Res at the order it
     records, bit for bit, on the call that builds the fan's composed
     scatter and on the one that reuses it; it is nested exactly where
-    cokernel reduces. Its maps are the lexicographic Res's, N up to that
-    column order, and its family is the same bit for bit."""
+    cokernel reduces, and it records alpha0. Its maps are those the
+    lexicographic Res gives (_reference_map), N up to that column order,
+    and its family is the same bit for bit."""
     fan = system.fan
     for key in [k for k in fan._store if k[0] in ("res order", "gather")]:
         del fan._store[key]
@@ -1316,6 +1365,7 @@ def _check_nested_order(system, pair):
     for _ in range(2):
         res = assemble_res(system, pair.top, pair.alpha0)
         assert res.rows is lex.rows and res.col_blocks == lex.col_blocks
+        assert res.alpha0 is pair.alpha0
         if _depth(lex, pair.alpha0):
             rows, cols, _ = res.order
             assert res.order is _descent(lex, pair.alpha0)
@@ -1324,13 +1374,13 @@ def _check_nested_order(system, pair):
             assert res.order is None and np.array_equal(res.matrix, lex.matrix)
         assert np.array_equal(res.lexicographic(), lex.matrix)
     for corank_only in (True, False):
-        got = cokernel(res, corank_only, alpha0=pair.alpha0)
-        want = cokernel(lex, corank_only, alpha0=pair.alpha0)
+        got = cokernel(res, corank_only)
+        want = _reference_map(lex, pair.alpha0, corank_only)
         _check_same_map(got, want)
     if got.order is not None:
         assert got.order is res.order[0]
     if want.delta_plus:
-        a, b = (_family_outcome(cok, pair.alpha0) for cok in (got, want))
+        a, b = (_family_outcome(cok) for cok in (got, want))
         if isinstance(b, type):
             assert a is b
         else:
@@ -1358,7 +1408,7 @@ def test_nested_res_on_lines27(seed):
     system = lines27_system(seed)
     pair = improved_pair(system)
     _check_nested_order(system, pair)
-    cok = cokernel(assemble_res(system, pair.top, pair.alpha0), alpha0=pair.alpha0)
+    cok = cokernel(assemble_res(system, pair.top, pair.alpha0))
     assert cok.order is not None and cok.R.shape == (261, 261)
 
 
@@ -1387,18 +1437,6 @@ def test_warm_lines27_solve_holds_no_second_res():
     assert peak < PEAK_RES_MAX * res_bytes, f"peak {peak / res_bytes:.2f} Res"
 
 
-def test_family_refuses_n_nested_by_another_alpha0():
-    """N in the nested order of one alpha0 cannot be read with the gather
-    of another."""
-    system = p3_system(3)
-    pair = improved_pair(system)
-    cok = cokernel(assemble_res(system, pair.top, pair.alpha0), alpha0=pair.alpha0)
-    assert cok.order is not None
-    other = tuple(int(x) for x in np.zeros(system.fan.k))
-    with pytest.raises(InputError, match="nested order of another alpha0"):
-        multiplication_family(cok, other)
-
-
 # ------------------------------------------------- multiplication family
 
 PILLOW_PAIR = ((2, 2, 2, 2), (1, 1, 1, 1))
@@ -1406,9 +1444,9 @@ PILLOW_PAIR = ((2, 2, 2, 2), (1, 1, 1, 1))
 
 def pillow_family(rays=PILLOW_RAYS_SOLVE, seed=0):
     system = homogenize(pillow_laurent(), rays=rays)
-    res = assemble_res(system, (3, 3, 3, 3))
+    res = assemble_res(system, (3, 3, 3, 3), PILLOW_PAIR[1])
     cok = cokernel(res)
-    return system, multiplication_family(cok, PILLOW_PAIR[1], seed=seed)
+    return system, multiplication_family(cok, seed=seed)
 
 
 def test_family_identity_and_commutators():
@@ -1531,14 +1569,14 @@ def test_family_retries_take_the_next_draws_of_the_stream(monkeypatch, rejected)
 
     monkeypatch.setattr(eigensolver, "_restriction_cond", fail_first)
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
-    cok = cokernel(assemble_res(system, (3, 3, 3, 3)))
+    cok = cokernel(assemble_res(system, (3, 3, 3, 3), PILLOW_PAIR[1]))
     members = len(graded_basis(system.fan, PILLOW_PAIR[1]))
-    family = multiplication_family(cok, PILLOW_PAIR[1], seed=11)
+    family = multiplication_family(cok, seed=11)
     want = draws_reference(11, 1, members, rejected + 1)[rejected]
     assert np.array_equal(family.h0_coeffs, want)
     monkeypatch.setattr(eigensolver, "_restriction_cond", lambda R11, sub: np.inf)
     with pytest.raises(BasepointError):
-        multiplication_family(cok, PILLOW_PAIR[1], seed=11)
+        multiplication_family(cok, seed=11)
 
 
 def _planted_conds(monkeypatch, conds):
@@ -1560,10 +1598,10 @@ def test_family_takes_a_better_later_draw(monkeypatch, conds, taken):
     is taken only when no draw of the stream is within the target and
     none is better conditioned."""
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
-    cok = cokernel(assemble_res(system, (3, 3, 3, 3)))
+    cok = cokernel(assemble_res(system, (3, 3, 3, 3), PILLOW_PAIR[1]))
     members = len(graded_basis(system.fan, PILLOW_PAIR[1]))
     tried = _planted_conds(monkeypatch, conds)
-    family = multiplication_family(cok, PILLOW_PAIR[1], seed=11)
+    family = multiplication_family(cok, seed=11)
     assert len(tried) == (taken + 1 if conds[taken] <= H0_COND_TARGET else RETRIES_MAX + 1)
     assert family.cond == conds[taken]
     assert np.array_equal(family.h0_coeffs,
@@ -1571,23 +1609,38 @@ def test_family_takes_a_better_later_draw(monkeypatch, conds, taken):
     # the family of that draw, as when it is the first one accepted
     _planted_conds(monkeypatch, [np.inf] * taken + [1.0])
     assert np.array_equal(family.stack,
-                          multiplication_family(cok, PILLOW_PAIR[1], seed=11).stack)
+                          multiplication_family(cok, seed=11).stack)
     # the best draw beyond COND_MAX is a basepoint, though it is finite
     _planted_conds(monkeypatch, [np.inf, 5 * COND_MAX, np.inf, np.inf])
     with pytest.raises(BasepointError):
-        multiplication_family(cok, PILLOW_PAIR[1], seed=11)
+        multiplication_family(cok, seed=11)
 
 
 def test_one_point_system_eigenvalue_ratio():
     # x1 - 2 x2 vanishes at t = 2; the family eigenvalues are x_i / h0
     system = p1_system([((1,), 1.0), ((0,), -2.0)])
-    res = assemble_res(system, (0, 2))
+    res = assemble_res(system, (0, 2), (0, 1))
     cok = cokernel(res)
     assert cok.delta_plus == 1
-    fam = multiplication_family(cok, (0, 1))
+    fam = multiplication_family(cok)
     lam_x1 = fam.matrices[(1, 0)][0, 0]
     lam_x2 = fam.matrices[(0, 1)][0, 0]
     assert lam_x1 / lam_x2 == pytest.approx(2.0, abs=1e-10)
+
+
+def test_family_refuses_a_map_it_cannot_read():
+    """The family needs N and the multiplier degree: a corank-only map,
+    the block's map among them, and the map of a Res assembled without
+    alpha0 raise an InputError that names which is missing."""
+    sf = load_system_file(DATA / "pillow_seed1.system.json")
+    system = homogenize(sf.laurent(), rays=sf.rays)
+    pair = improved_pair(system)
+    res = assemble_res(system, pair.top, pair.alpha0)
+    for cok in (cokernel(res, corank_only=True), cokernel(res).block):
+        with pytest.raises(InputError, match="corank-only: it has no N"):
+            multiplication_family(cok)
+    with pytest.raises(InputError, match="assembled without alpha0"):
+        multiplication_family(cokernel(assemble_res(system, pair.top)))
 
 
 # --------------------------------------------------------- schur clusters
@@ -1744,8 +1797,8 @@ def test_schur_cluster_pillow_multiplicity():
 
 def test_schur_cluster_singleton():
     system = p1_system([((1,), 1.0), ((0,), -2.0)])
-    res = assemble_res(system, (0, 2))
-    fam = multiplication_family(cokernel(res), (0, 1))
+    res = assemble_res(system, (0, 2), (0, 1))
+    fam = multiplication_family(cokernel(res))
     clusters = schur_cluster(fam, seed=0)
     assert clusters.block_sizes == (1,)
     table = clusters.tables[0]
@@ -1759,10 +1812,10 @@ def test_zero_solution_family():
         [((0, 0), 1.0)],
         pillow_laurent()[0],
     ], rays=PILLOW_RAYS)
-    res = assemble_res(system, (2, 2, 2, 2))
+    res = assemble_res(system, (2, 2, 2, 2), (1, 1, 1, 1))
     cok = cokernel(res)
     assert cok.delta_plus == 0
-    fam = multiplication_family(cok, (1, 1, 1, 1))
+    fam = multiplication_family(cok)
     clusters = schur_cluster(fam)
     assert clusters.block_sizes == ()
     assert clusters.tables.shape == (0, len(fam.monomials))
@@ -1782,9 +1835,9 @@ def test_zero_solution_family():
 def reference_family_matrices(cok, system, pair, family):
     s_alpha = graded_basis(system.fan, pair.alpha)
     s_alpha0 = family.alpha0_basis
-    rows = cok.res.rows
+    rows, N = cok.res.rows, _monomial(cok)
     columns = list(family.basis_columns)
-    n_b = [cok.N[:, rows.rows(m + s_alpha.points)] for m in s_alpha0.points]
+    n_b = [N[:, rows.rows(m + s_alpha.points)] for m in s_alpha0.points]
     n_h0 = np.tensordot(family.h0_coeffs, np.array(n_b), axes=(0, 0))
     factor = scipy.linalg.lu_factor(n_h0[:, columns])
     return {b: scipy.linalg.lu_solve(factor, n[:, columns])
@@ -1831,13 +1884,13 @@ def _family_case(name):
     else:
         system = lines27_system(seed=0)
     pair = improved_pair(system)
-    return system, pair, cokernel(assemble_res(system, pair.top))
+    return system, pair, cokernel(assemble_res(system, pair.top, pair.alpha0))
 
 
 @pytest.mark.parametrize("name", ["pillow", "intro e=3", "lines27"])
 def test_stacked_family_and_schur_reads_match_per_member(name):
     system, pair, cok = _family_case(name)
-    family = multiplication_family(cok, pair.alpha0, seed=3)
+    family = multiplication_family(cok, seed=3)
     want = reference_family_matrices(cok, system, pair, family)
     assert list(family.matrices) == list(want) == family.monomials
     assert family.stack.shape == (len(want), cok.delta_plus, cok.delta_plus)
@@ -1858,7 +1911,7 @@ def test_span_reads_match_per_member(name, monkeypatch):
     """The families above, read off span{h_0, driver}."""
     monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
     system, pair, cok = _family_case(name)
-    family = multiplication_family(cok, pair.alpha0, seed=3)
+    family = multiplication_family(cok, seed=3)
     want = reference_family_matrices(cok, system, pair, family)
     clustering = schur_cluster(family, seed=3)
     sizes, tables, by_member = reference_schur_cluster(want, family.monomials, seed=3)
@@ -1912,11 +1965,11 @@ def _family_of_size(system, kind, ray):
               "ray": fan.divisor(tuple(int(i == ray % fan.k) for i in range(fan.k))),
               "alpha0": alpha0, "twice": 2 * alpha0}[kind]
     top = as_divisor(fan, pair.top)
-    cok = cokernel(assemble_res(system, top + alpha0))
+    cok = cokernel(assemble_res(system, top + alpha0, alpha0))
     if cok.delta_plus != cokernel(assemble_res(system, top), corank_only=True).delta_plus:
         return None
     try:
-        return multiplication_family(cok, alpha0, seed=ray)
+        return multiplication_family(cok, seed=ray)
     except BasepointError:
         return None
 
@@ -2060,7 +2113,7 @@ def test_a_vanishing_member_is_transformed_itself(monkeypatch):
     monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
     system, pair, cok = _family_case("pillow")
     for seed in range(20):
-        family = multiplication_family(cok, pair.alpha0, seed=seed)
+        family = multiplication_family(cok, seed=seed)
         size = np.linalg.norm(family.stack, axis=(1, 2))
         zero = family.monomials.index((2, 0, 2, 0))
         assert size[zero] <= 1e-14 * size.max()
@@ -2074,7 +2127,7 @@ def test_an_exactly_zero_span_entry_is_read_per_member(monkeypatch):
     point of the torus."""
     monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
     system, pair, cok = _family_case("pillow")
-    family = multiplication_family(cok, pair.alpha0, seed=364)
+    family = multiplication_family(cok, seed=364)
     counts = _record_products(family)
     clustering = schur_cluster(family, seed=364)
     assert counts == [len(family.monomials) - 2, 1]
@@ -2100,7 +2153,7 @@ def _lapack_case(name):
         sf = load_system_file(DATA / f"{name}.system.json")
         system = homogenize(sf.laurent(), rays=sf.rays)
         pair = improved_pair(system)
-        return system, pair, cokernel(assemble_res(system, pair.top), alpha0=pair.alpha0)
+        return system, pair, cokernel(assemble_res(system, pair.top, pair.alpha0))
     return _family_case(name)
 
 
@@ -2110,7 +2163,7 @@ def scipy_family(cok, system, pair, seed):
     s_alpha = graded_basis(system.fan, pair.alpha)
     s_alpha0 = graded_basis(system.fan, pair.alpha0)
     idx = cok.res.rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])
-    stack = np.moveaxis(cok.N[:, idx], 1, 0)
+    stack = np.moveaxis(_monomial(cok)[:, idx], 1, 0)
     delta = cok.delta_plus
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     draws = []
@@ -2135,7 +2188,7 @@ def scipy_family(cok, system, pair, seed):
 @pytest.mark.parametrize("name", ["pillow", "intro e=3", "lines27", "dense_p2_d6_seed0"])
 def test_direct_lapack_calls_match_scipy_bit_for_bit(name, monkeypatch):
     system, pair, cok = _lapack_case(name)
-    family = multiplication_family(cok, pair.alpha0, seed=3)
+    family = multiplication_family(cok, seed=3)
     stack, columns, cond = scipy_family(cok, system, pair, seed=3)
     assert np.array_equal(family.stack, stack)
     assert family.basis_columns == columns
@@ -2175,10 +2228,10 @@ def test_corank_equals_mixed_volume():
         alpha = tuple(sum(d.a[j] for d in system.degrees)
                       for j in range(system.k))
         beta = tuple(2 * x for x in alpha)
-        cok = cokernel(assemble_res(system, beta))
+        cok = cokernel(assemble_res(system, beta, alpha))
         assert cok.delta_plus == mixed_volume(supports)
         if cok.delta_plus > 0:
-            fam = multiplication_family(cok, alpha)
+            fam = multiplication_family(cok)
             mats = list(fam.matrices.values())
             for a in mats[:4]:
                 for b in mats[:4]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import toricsolve
+from toricsolve import eigensolver
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(toricsolve.__path__))
 
@@ -42,3 +43,10 @@ def test_package_exports_are_module_exports():
 def test_solve_takes_no_tuning_arguments():
     # every threshold is a module constant and the pair is always verified
     assert str(inspect.signature(toricsolve.solve)) == "(system, rays=None, pair=None, seed=0)"
+
+
+def test_alpha0_is_told_once():
+    # the multiplier degree is recorded on the Res by assemble_res; the
+    # cokernel and the family read it from there
+    assert str(inspect.signature(eigensolver.cokernel)) == "(res, corank_only=False)"
+    assert str(inspect.signature(eigensolver.multiplication_family)) == "(cok, seed=0)"

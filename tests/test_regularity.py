@@ -278,9 +278,9 @@ def test_multiplier_basepoint_raises():
     system = homogenize(pillow_laurent(), rays=PILLOW_RAYS)
     with pytest.raises(SpanError):
         solve(system, pair=((2, 2, 2, 2), (1, 0, 0, 0)))
-    cok = cokernel(assemble_res(system, (3, 2, 2, 2)), alpha0=(1, 0, 0, 0))
+    cok = cokernel(assemble_res(system, (3, 2, 2, 2), (1, 0, 0, 0)))
     with pytest.raises(BasepointError) as info:
-        multiplication_family(cok, (1, 0, 0, 0))
+        multiplication_family(cok)
     assert info.value.stage == "basepoint"
     assert info.value.exit_code == 3
 

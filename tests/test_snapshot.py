@@ -188,10 +188,10 @@ from toricsolve.regularity import improved_pair
 U = snapshot.haar(45, 1)
 system = homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE)
 pair = improved_pair(system)
-res = assemble_res(system, pair.top)
-N = solver.cokernel(res, alpha0=pair.alpha0).N
+res = assemble_res(system, pair.top, pair.alpha0)
+N = solver.cokernel(res).N
 with snapshot.rotated(2):
-    turned = solver.cokernel(res, alpha0=pair.alpha0).N
+    turned = solver.cokernel(res).N
 print(json.dumps({
     "unitary": float(np.abs(U.conj().T @ U - np.eye(45)).max()),
     "repeats": bool(np.array_equal(U, snapshot.haar(45, 1))),
