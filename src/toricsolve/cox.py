@@ -153,7 +153,7 @@ class CoxPolynomial:
                 f"coefficient vector has length {coeffs.shape}, "
                 f"basis has {len(basis)} monomials"
             )
-        if not np.isfinite(coeffs).all():
+        if not np.logical_and.reduce(np.isfinite(coeffs)):
             raise InputError("coefficients must be finite (found NaN or inf)")
         self.basis = basis
         self.coeffs = coeffs

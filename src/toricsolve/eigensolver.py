@@ -17,6 +17,7 @@ whose traces are stable even for multiple points.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -136,7 +137,7 @@ class ResMatrix:
             return self.matrix
         rows, cols, _ = self.order
         out = np.empty_like(self.matrix)
-        out[np.ix_(rows, cols)] = self.matrix
+        out[rows[:, None], cols] = self.matrix
         return out
 
     def __repr__(self):
@@ -348,22 +349,30 @@ def _certify(a, c, k, upper, norm, top=1.0, weyl=0.0):
 def _qr_rank(R, reveal):
     """(rank, rank_bounds) of Res from the triangular factor R of its QR.
 
-    r counts |r_ii| > TOL_RANK |r_11|. On S = R / |r_11| (no overflow or
-    underflow), sigma_r >= 1 / ||S11^-1||_F (LAPACK trtri), sigma_{r+1}
-    <= ||S22||_F and sigma_1 <= ||S||_F by interlacing and Weyl, and
-    _certify decides the cut on these. Otherwise a values-only SVD of R
-    decides, and with reveal an R22 above the cut raises. A non-finite R
-    (Res beyond double range) raises.
+    r counts |r_ii| > TOL_RANK |r_11|. In units of |r_11| (S = R /
+    |r_11|), sigma_r >= 1 / ||S11^-1||_F (LAPACK trtri), sigma_{r+1} <=
+    ||S22||_F and sigma_1 <= ||S||_F by interlacing and Weyl, and
+    _certify decides the cut on these. R is upper triangular, so S =
+    [[S11, S12], [0, S22]], and S is never written whole: S11 is written
+    once, F-ordered, and trtri inverts it in place, and ||S||_F joins its
+    norm to that of the thin columns [S12; S22] past the cut.
+    Otherwise a values-only SVD of R decides, and with reveal an R22
+    above the cut raises. A non-finite R (Res beyond double range)
+    raises.
     """
-    if not np.isfinite(R).all():
+    if not np.logical_and.reduce(np.isfinite(R), axis=None):
         raise RankAmbiguousError(
             "Res overflows double precision: its pivoted QR has a non-finite entry")
     d = np.abs(R.diagonal())
     if d[0] > 0.0:
-        S = R / d[0]
-        rank = int(np.count_nonzero(d > TOL_RANK * d[0]))
-        upper, norm = _norm(S[rank:, rank:]), _norm(S)
-        a = float(_norm(scipy.linalg.lapack.ztrtri(S[:rank, :rank])[0]))
+        rank = int(np.add.reduce(d > TOL_RANK * d[0]))
+        S11 = np.empty((rank, rank), dtype=complex, order="F")
+        np.divide(R[:rank, :rank], d[0], out=S11)
+        # the columns past the cut, S12 over S22
+        tail = R[:, rank:] / d[0]
+        upper = float(_norm(tail[rank:]))
+        norm = math.hypot(_norm(S11), _norm(tail))
+        a = float(_norm(scipy.linalg.lapack.ztrtri(S11, overwrite_c=True)[0]))
         lower = _certify(a, 0.0, 0.0, upper, norm)
         if lower is not None:
             return rank, (float(lower * d[0]), float(upper * d[0]))
@@ -488,15 +497,62 @@ def _norm(x):
     return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
+def _norms(x, axis):
+    """np.linalg.norm(x, axis=axis) of a complex x without its wrapper:
+    the sum of squares it reduces along axis, so the same bits."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
+def _triu(x):
+    """np.triu(x) of a 2-D x without its wrapper: the same where on the
+    same mask, every entry below the diagonal replaced by a zero of x's
+    dtype, so the same values, dtype and layout."""
+    rows, cols = x.shape
+    below = np.greater.outer(np.arange(rows), np.arange(cols))
+    return np.where(below, np.zeros(1, x.dtype), x)
+
+
+def _eye(rows, cols, k=0, dtype=complex, order="C"):
+    """np.eye(rows, cols, k, dtype, order) without its wrapper: zeros with
+    ones on the k-th diagonal."""
+    out = np.zeros((rows, cols), dtype=dtype, order=order)
+    i = np.arange(max(0, -k), min(rows, cols - k))
+    out[i, i + k] = 1
+    return out
+
+
+def _trtrs(a, b, trans=0):
+    """scipy.linalg.solve_triangular(a, b, trans=trans) of an upper
+    triangular complex a and complex b, without its wrapper: the same
+    LAPACK trtrs call, on a^T with the flags flipped when a is not
+    F-ordered and trans is not 2, as the wrapper makes it. Its
+    finiteness scans are left out: _qr_rank refuses a non-finite R, and
+    every a here is a leading block of one.
+
+    Raises:
+        LinAlgError: a has an exact zero on its diagonal, as the wrapper
+            raises it.
+    """
+    if not b.size:
+        return np.empty_like(b)
+    if a.flags.f_contiguous or trans == 2:
+        x, info = scipy.linalg.lapack.ztrtrs(a, b, trans=trans)
+    else:
+        x, info = scipy.linalg.lapack.ztrtrs(a.T, b, lower=True, trans=not trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def _null_rows(R, jpvt, rank):
     """Orthonormal rows spanning the left null space of A, from the QR
     of A^H: P times the null space of [R11 R12], spanned by
     [-R11^-1 R12; I], so R22 is taken as zero."""
     n = len(jpvt)
-    null = np.vstack([
-        scipy.linalg.solve_triangular(R[:rank, :rank], -R[:rank, rank:]),
-        np.eye(n - rank),
-    ])
+    top = _trtrs(R[:rank, :rank], -R[:rank, rank:])
+    null = _eye(n, n - rank, -rank)
+    null[:rank] = top
     basis = np.empty((n, n - rank), dtype=complex)
     basis[jpvt - 1] = np.linalg.qr(null)[0]
     return basis.conj().T
@@ -508,7 +564,7 @@ def _factor(T, reveal):
     rank_bounds, qr, jpvt, tau), R the triangle of its leading rows, with
     the singular values of A, and the cut certified on it (_qr_rank)."""
     qr, jpvt, tau = _geqp3(T)
-    R = np.triu(qr[:min(qr.shape)])
+    R = _triu(qr[:min(qr.shape)])
     return (R,) + _qr_rank(R, reveal) + (qr, jpvt, tau)
 
 
@@ -528,7 +584,7 @@ def _basis(fac, m, rank):
     past the rank: each level's unitary applied from the right to its own
     columns lo:hi, the top level first, so that every slice is
     contiguous."""
-    N = np.eye(m - rank, m, rank, dtype=complex, order="F")
+    N = _eye(m - rank, m, rank, order="F")
     for qr, tau, lo, hi in fac[::-1]:
         N[:, lo:hi] = _unmqr("R", "C", qr, tau, N[:, lo:hi])
     return N
@@ -538,14 +594,14 @@ def _plain(A, corank_only):
     """The map of one QR of A, or of A^H when A is wide; its cut raises."""
     m = len(A)
     if A.shape[1] == 0:
-        N = None if corank_only else np.eye(m, dtype=complex)
+        N = None if corank_only else _eye(m, m)
         return CokernelMap(N, m, np.zeros((0, 0), dtype=complex), ())
     tall = _tall(A.shape)
     R, rank, bounds, qr, jpvt, tau = _factor(
         np.array(A, order="F") if tall else A.conj().T, not corank_only)
     N = None
     if not corank_only and tall:
-        E = np.eye(m, m - rank, -rank, dtype=complex, order="F")
+        E = _eye(m, m - rank, -rank, order="F")
         N = _unmqr("L", "N", qr, tau, E).conj().T
     elif not corank_only:
         N = _null_rows(R, jpvt, rank)
@@ -556,13 +612,13 @@ def _coupling(R, jpvt, rank, X):
     """||Z||_F, Z = R11^-H V with V the least-squares solution of
     P [I; L] V = X, L^H = R11^-1 R12, from the QR of block^H (_factor)
     and X = res[I, K]: the coupling C1^-1 X of _reduce."""
-    Lh = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
+    Lh = _trtrs(R[:rank, :rank], R[:rank, rank:])
     T = X[jpvt - 1]
     V = T[:rank] + Lh @ T[rank:]
     # (I + L^H L)^-1 by Woodbury, through the small I + L L^H
-    gram = np.eye(Lh.shape[1]) + Lh.conj().T @ Lh
+    gram = _eye(Lh.shape[1], Lh.shape[1], dtype=float) + Lh.conj().T @ Lh
     V -= Lh @ np.linalg.solve(gram, Lh.conj().T @ V)
-    return _fro(scipy.linalg.solve_triangular(R[:rank, :rank], V, trans="C"))
+    return _fro(_trtrs(R[:rank, :rank], V, trans=2))
 
 
 def _assemble(R_lo, r_lo, X, R_B, jpvt):
@@ -594,10 +650,10 @@ def _stack(W, shapes):
         qr, jpvt, tau = _geqp3(np.array(W[r:m1, n:n1], order="F"))
         W[r:m1, n1:] = _unmqr("L", "C", qr, tau, np.array(W[r:m1, n1:], order="F"))
         weyl += _fro(R[r:, r:])
-        R = _assemble(R, r, W[:r, n:n1], np.triu(qr[:n1 - n]), jpvt)
+        R = _assemble(R, r, W[:r, n:n1], _triu(qr[:n1 - n]), jpvt)
         fac.append((qr, tau, r, m1))
         d = np.abs(R.diagonal())
-        r, n = int(np.count_nonzero(d > TOL_RANK * d[0])), n1
+        r, n = int(np.add.reduce(d > TOL_RANK * d[0])), n1
     return fac, R, weyl
 
 
@@ -680,7 +736,7 @@ def _reduce(W, corank_only, shapes, tall):
                "top": max(1.0, abs(R[0, 0]) / scale), "weyl": upper}
     t, p = t / scale, _fro(NK) / scale
     cert = (_certify(a, c, a * max(t * t - p * p, 0.0) ** 0.5, **margins)
-            or _certify(a, c, _fro(scipy.linalg.solve_triangular(R_lo[:r_lo, :r_lo], X))
+            or _certify(a, c, _fro(_trtrs(R_lo[:r_lo, :r_lo], X))
                         if tall else _coupling(R_lo, jpvt_lo, r_lo, IK), **margins))
     if not cert:
         return None, below
@@ -791,7 +847,10 @@ def cokernel(res, corank_only=False):
     if below is None and res.alpha0 is not None:
         # no reduction ran, so res is lexicographic
         rows, cols, ((m1, n1), *_) = _descent(res, res.alpha0)
-        below = _plain(res.matrix[np.ix_(rows[:m1], cols[:n1])], True)
+        # a block with no columns needs no gather: its map is its row count
+        block = (res.matrix[rows[:m1, None], cols[:n1]] if n1
+                 else np.empty((m1, 0), dtype=complex))
+        below = _plain(block, True)
     cok.block = below
     return cok
 
@@ -862,7 +921,7 @@ def _restriction_cond(R11, sub):
     exceeds it; the SVD runs only between the two.
     """
     d = np.abs(R11.diagonal())
-    if not d.max() <= COND_MAX * d.min():
+    if not np.maximum.reduce(d) <= COND_MAX * np.minimum.reduce(d):
         return np.inf
     inverse, info = scipy.linalg.lapack.ztrtri(R11)
     upper = _norm(R11) * _norm(inverse)
@@ -972,7 +1031,7 @@ def multiplication_family(cok, seed=0):
         qr, jpvt, _ = _geqp3(np.array(n_h0, order="F"))
         columns = tuple(sorted((jpvt[:delta] - 1).tolist()))
         sub = n_h0[:, columns]
-        cond = _restriction_cond(np.triu(qr[:delta, :delta]), sub)
+        cond = _restriction_cond(_triu(qr[:delta, :delta]), sub)
         if best is None or cond < best[0]:
             best = cond, coeffs, columns, sub
         if cond <= H0_COND_TARGET:
@@ -1033,19 +1092,19 @@ def _cluster_labels(values, gap):
     near = (np.abs(values[:, None] - values[None, :])
             <= gap * (1.0 + (mag[:, None] + mag[None, :]) / 2.0))
     index = np.arange(len(values))
-    if np.count_nonzero(near) == len(values):  # every value its own cluster
+    if np.add.reduce(near, axis=None) == len(values):  # every value its own cluster
         return index
     # min-label propagation: every label stays the index of a value in
     # its own component, so the fixed point is the component's first index
     labels = index
     while True:
-        new = np.where(near, labels[None, :], len(values)).min(axis=1)
+        new = np.minimum.reduce(np.where(near, labels[None, :], len(values)), axis=1)
         new = new[new]
-        if np.array_equal(new, labels):
+        if np.logical_and.reduce(new == labels):
             break
         labels = new
     # a component's first index labels itself; count those up to each label
-    return (np.cumsum(labels == index) - 1)[labels]
+    return (np.add.accumulate(labels == index) - 1)[labels]
 
 
 def _reorder(T, Z, labels):
@@ -1059,7 +1118,7 @@ def _reorder(T, Z, labels):
     """
     labels = np.asarray(labels)
     for c in range(len(labels)):
-        if np.all(labels[:-1] <= labels[1:]):
+        if np.logical_and.reduce(labels[:-1] <= labels[1:]):
             break
         select = labels <= c
         T, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(
@@ -1074,7 +1133,7 @@ def _reorder(T, Z, labels):
 def _below_block_norm(Tb, labels):
     """Frobenius norm of Tb below the diagonal blocks of sorted labels,
     over the leading axes of Tb."""
-    return np.linalg.norm(Tb[..., labels[:, None] > labels[None, :]], axis=-1)
+    return _norms(Tb[..., labels[:, None] > labels[None, :]], -1)
 
 
 _GAP_CEILING = 0.1
@@ -1139,7 +1198,7 @@ def schur_cluster(family, seed=0):
 
     M = family.combination(driver_coeffs)
     T0, Z0 = _gees(M)
-    size = np.linalg.norm(family.stack, axis=(1, 2))
+    size = _norms(family.stack, (1, 2))
     norms = np.maximum(1.0, size)
     stack, span = family.stack, ()
     if delta >= SPAN_MIN_DELTA:
@@ -1147,33 +1206,39 @@ def schur_cluster(family, seed=0):
         outside = [a for a in range(m) if a not in span]
         # rows h_0, d, then the unit vectors outside the span: a basis of C^m
         G = np.linalg.inv(np.concatenate(([family.h0_coeffs, driver_coeffs],
-                                          np.eye(m)[outside]))[:m])
+                                          _eye(m, m, dtype=float)[outside]))[:m])
         stack = stack[outside]
 
-    gap = CLUSTER_GAP
+    gap, basis = CLUSTER_GAP, None
     while True:
         labels = _cluster_labels(T0.diagonal(), gap)
         T, Z, labels = _reorder(T0, Z0, labels)
         bounds = np.concatenate(([True], labels[1:] != labels[:-1], [True])).nonzero()[0]
         starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
 
-        Tb = Z.conj().T @ stack @ Z
-        if span:
-            # Z^H M_b Z = sum_k G[b, k] K_k, K = (I, T, Z^H M_a Z outside)[:m]
-            K = np.concatenate((np.eye(delta)[None], T[None], Tb))[:m]
-            Tb = np.dot(G, K.reshape(m, -1)).reshape(m, delta, delta)
-        diag = Tb.diagonal(axis1=1, axis2=2)
-        tables = (np.add.reduceat(diag, starts, axis=1) / sizes).T
+        # the members in the Schur basis Z, transformed once per basis: a
+        # gap whose reordering swaps nothing keeps Z0, and regroups only
+        # the tables and the leakage
+        if Z is not basis:
+            basis, members = Z, Z.conj().T @ stack @ Z
+            if span:
+                # Z^H M_b Z = sum_k G[b, k] K_k, K = (I, T, Z^H M_a Z outside)[:m]
+                K = np.concatenate((_eye(delta, delta, dtype=float)[None], T[None],
+                                    members))[:m]
+                members = np.dot(G, K.reshape(m, -1)).reshape(m, delta, delta)
+        Tb = members
+        tables = (np.add.reduceat(Tb.diagonal(axis1=1, axis2=2), starts, axis=1) / sizes).T
         # a member read off the span can cancel to exactly 0.0 where it
         # vanishes, which recovery takes for a vanishing coordinate; the
         # member transformed itself gives rounding noise there, as the
-        # others do
-        redo = [b for b in set(span) if not tables[:, b].all()]
+        # others do. On a copy: another gap may redo other members
+        redo = [b for b in set(span) if not np.logical_and.reduce(tables[:, b])]
         if redo:
+            Tb = members.copy()
             Tb[redo] = Z.conj().T @ family.stack[redo] @ Z
-            tables = (np.add.reduceat(diag, starts, axis=1) / sizes).T
+            tables = (np.add.reduceat(Tb.diagonal(axis1=1, axis2=2), starts, axis=1) / sizes).T
         by_member = _below_block_norm(Tb, labels) / norms
-        leakage = float(by_member.max())
+        leakage = float(np.maximum.reduce(by_member))
         if leakage <= LEAK_TOL:
             return SchurClustering(tuple(sizes.tolist()), tables,
                                    leakage, gap, by_member.tolist())

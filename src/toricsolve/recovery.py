@@ -27,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .eigensolver import COND_MAX
+from .eigensolver import COND_MAX, _norm
 from .errors import ClusteringError, RecoveryError, SpanError
 from .lattice import (
     dot,
@@ -88,7 +88,8 @@ class EigenvalueTable:
         self.basis = basis
         self.values = values
         if noise is None:
-            noise = NOISE_CUSHION * _EPS * np.abs(values).max(axis=1, initial=0.0, keepdims=True)
+            noise = NOISE_CUSHION * _EPS * np.maximum.reduce(
+                np.abs(values), axis=1, keepdims=True, initial=0.0)
         # assignment broadcasts one way only, as np.broadcast_to does, at less cost
         self.multiplicity = np.empty(len(values), dtype=int)
         self.noise = np.empty(values.shape)
@@ -108,7 +109,7 @@ class EigenvalueTable:
         norm, kept as one vector.
         """
         tables = clustering.tables
-        noise = NOISE_CUSHION * _EPS * np.abs(tables).max(axis=0)
+        noise = NOISE_CUSHION * _EPS * np.maximum.reduce(np.abs(tables), axis=0)
         return cls(family.alpha0_basis, tables, clustering.block_sizes, noise)
 
 
@@ -149,8 +150,7 @@ class Solution:
     @property
     def norm(self):
         """2-norm of the torus point, or of z off the torus."""
-        vec = self.t if self.on_torus else self.z
-        return float(np.linalg.norm(np.array(vec)))
+        return float(_norm(np.array(self.t if self.on_torus else self.z)))
 
     def __repr__(self):
         where = "torus" if self.on_torus else f"zeros={sorted(self.zero_pattern)}"
@@ -244,7 +244,7 @@ def _branch_solve(plans, a, ratios, errs, usable):
     step = w[:, :, None] * ((us * inv[:, None, :]) @ vh)
     # one set of rows per cluster, shared by its branches: exponents by
     # columns, for _monomials
-    a = np.swapaxes(a, 1, 2).astype(float)
+    a = a.transpose(0, 2, 1).astype(float)
     logs = np.log(ratios)
     t = np.exp(logs.real @ step + 1j * (logs.imag @ phase + offsets))
     for _ in range(3):
@@ -438,7 +438,8 @@ def recover_torus_points(fan, table):
             lattice points cannot determine t, whatever the cluster.
     """
     check_span(table.basis)
-    live = np.ones(len(table.basis), dtype=bool)
+    live = np.zeros(len(table.basis), dtype=bool)
+    live[:] = True
     t, found, cond, z = _orbit_solve(fan, (), table.basis, live, table.values, table.noise)
     if z is None:  # rays that do not span M lift no torus point
         return [None] * len(table.values)
@@ -492,15 +493,16 @@ def recover_boundary_point(fan, table, g=0):
             point, or inconsistent orbit ratios.
     """
     values, noise = table.values[g], table.noise[g]
-    top = np.abs(values).max(initial=0.0)
+    mag = np.abs(values)
+    top = np.maximum.reduce(mag, initial=0.0)
     if top == 0.0:
         raise RecoveryError("empty eigenvalue table")
     thr = ZERO_TOL * top
 
     carriers = table.basis.exponents > 0
-    loud = np.abs(values) > thr
-    zero_rays = np.flatnonzero(
-        carriers.any(axis=0) & ~(carriers & loud[:, None]).any(axis=0)).tolist()
+    loud = mag > thr
+    zero_rays = (np.logical_or.reduce(carriers, axis=0)
+                 & ~np.logical_or.reduce(carriers & loud[:, None], axis=0)).nonzero()[0].tolist()
     if not zero_rays:
         raise ClusteringError(
             "inconsistent vanishing pattern: small eigenvalues match no coordinate"

@@ -8,11 +8,13 @@ come from the worked examples these systems were built around.
 import json
 import math
 import re
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.spatial
 from click.testing import CliRunner
@@ -550,3 +552,98 @@ def test_golden_cold_and_warm_files_identical(tmp_path, name):
         texts.append(json.dumps(doc, sort_keys=True))
     assert len(cox._supports) == 1
     assert texts[0] == texts[1]
+
+
+# ---------------------------------------------------------------------------
+# 9. the warm solve path calls no numpy or scipy wrapper that it replaced
+
+# Python-level numpy and scipy helpers whose ufunc, indexing or LAPACK call
+# the warm path makes itself, by function name; ndarray methods such as
+# .max and .all enter numpy's _methods module, every function of which counts
+REPLACED = {"triu", "tri", "eye", "ix_", "norm", "ones", "count_nonzero", "all",
+            "any", "swapaxes", "vstack", "solve_triangular"}
+# the wrappers that stay, whose own helpers do not count: numpy's SVD, QR,
+# inverse, solve and condition number (their gufuncs are private to numpy)
+# and np.errstate
+KEPT = {("numpy.linalg._linalg", name) for name in ("svd", "qr", "inv", "solve", "cond")}
+
+
+def _module(frame):
+    return frame.f_globals.get("__name__", "")
+
+
+def _foreign(module):
+    return module.split(".")[0] in ("numpy", "scipy")
+
+
+def replaced_helpers_entered(fn):
+    """Run fn under sys.setprofile and count, by (module, function name),
+    the replaced helpers entered from toricsolve: straight from one of its
+    frames or through numpy or scipy frames that are no kept wrapper (a
+    decorator, as around scipy.linalg.solve_triangular). Calls only, no
+    timing."""
+    entered = {}
+
+    def profile(frame, event, arg):
+        module = _module(frame)
+        if event != "call" or not _foreign(module):
+            return
+        name = frame.f_code.co_name
+        if name not in REPLACED and not module.endswith("._methods"):
+            return
+        caller = frame.f_back
+        while caller is not None and _foreign(_module(caller)):
+            if (_module(caller), caller.f_code.co_name) in KEPT:
+                return
+            caller = caller.f_back
+        if caller is not None and _module(caller).startswith("toricsolve"):
+            entered[module, name] = entered.get((module, name), 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_warm_solves_enter_no_replaced_helper(tmp_path):
+    """One warm solve each of a sweep row (its row statistics included), a
+    lines27 system and dense_p2_d6_seed0: the first solve of each warms
+    the support, the second is watched."""
+    def sweep_row():
+        res = run_cli("sweep", DATA / "intro_template.system.json",
+                      "--param", "e", "--grid", "6:6:1", "--seed", 1)
+        assert res.exit_code == 0 and res.output.count(",ok,") == 1, res.output
+
+    def solver(name):
+        sf = load_system_file(DATA / f"{name}.system.json")
+        return lambda: solve(sf.laurent(), rays=sf.rays, seed=0)
+
+    for fn in (sweep_row, solver("lines27_seed0"), solver("dense_p2_d6_seed0")):
+        fn()
+        assert replaced_helpers_entered(fn) == {}
+
+
+# a stand-in for a module of the package, which the watch counts entries from
+_PROBE = """
+def probe():
+    x = np.ones((2, 2)) + 1j
+    solve_triangular(np.triu(x), x)
+    x.max()
+    np.linalg.qr(x)
+"""
+
+
+def test_the_watch_sees_replaced_helpers():
+    """A call straight from the package, one through scipy's decorator
+    and an ndarray method are seen; the triu inside np.linalg.qr, a kept
+    wrapper, is not, and neither is a call from outside the package."""
+    namespace = {"__name__": "toricsolve.probe", "np": np,
+                 "solve_triangular": scipy.linalg.solve_triangular}
+    exec(_PROBE, namespace)
+    entered = replaced_helpers_entered(namespace["probe"])
+    names = [name for _, name in entered]
+    assert {"ones", "triu", "solve_triangular", "_amax"} <= set(names)
+    assert sum(n for (_, name), n in entered.items() if name == "triu") == 1
+    assert replaced_helpers_entered(lambda: np.triu(np.ones((2, 2)))) == {}

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from toricsolve import eigensolver, solver
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, as_divisor, graded_basis, homogenize
 from toricsolve.eigensolver import (
+    CLUSTER_GAP,
     COND_MAX,
     DRAWS_MAX,
     GAP_RATIO,
@@ -1241,7 +1242,7 @@ def test_top_cut_reuses_the_certificate_at_alpha(monkeypatch):
     assert _depth(top, pair.alpha0) == 3
     trtri, sizes = scipy.linalg.lapack.ztrtri, []
     monkeypatch.setattr(scipy.linalg.lapack, "ztrtri",
-                        lambda a: sizes.append(len(a)) or trtri(a))
+                        lambda a, **kwargs: sizes.append(len(a)) or trtri(a, **kwargs))
     cok = cokernel(top)
     rank = top.shape[0] - cok.delta_plus
     low_rank = low.shape[0] - cok.block.delta_plus
@@ -1413,7 +1414,7 @@ def test_nested_res_on_lines27(seed):
 
 
 # the most a warm lines27 solve may hold at once, in units of the bytes of
-# Res: it holds Res and a working set of about 1.4 Res (9.4 MB against
+# Res: it holds Res and a working set of about 1.35 Res (9.2 MB against
 # the 3.9 MB of the 441 x 552 Res); a second Res-sized array alive in the
 # cokernel's working set, as a gather of Res into the nested order was,
 # puts the peak at 3.4 Res or more
@@ -1920,6 +1921,36 @@ def test_span_reads_match_per_member(name, monkeypatch):
     assert_reads_match_per_member(family, clustering, tables, by_member, seed=3)
 
 
+@pytest.mark.parametrize("span", [False, True], ids=["members", "span"])
+def test_schur_transforms_members_once_per_basis(span, monkeypatch):
+    """The lines27 family widens its gap; a reordering that swaps nothing
+    keeps Z0, and the next attempt reads the members the last one
+    transformed. The clustering is bit for bit the one that transforms
+    them afresh on every attempt (a copy of each Z forces that)."""
+    if span:
+        monkeypatch.setattr(eigensolver, "SPAN_MIN_DELTA", 0)
+    _, _, cok = _family_case("lines27")
+    family = multiplication_family(cok, seed=3)
+    reads, below, reorder = [], eigensolver._below_block_norm, eigensolver._reorder
+    monkeypatch.setattr(eigensolver, "_below_block_norm",
+                        lambda Tb, labels: reads.append(Tb) or below(Tb, labels))
+    kept = schur_cluster(family, seed=3)
+    assert kept.cluster_gap > CLUSTER_GAP
+    assert len({id(Tb) for Tb in reads}) < len(reads)
+
+    def afresh(T, Z, labels):
+        T, Z, labels = reorder(T, Z, labels)
+        return T, Z.copy(), labels
+
+    monkeypatch.setattr(eigensolver, "_reorder", afresh)
+    reads.clear()
+    fresh = schur_cluster(family, seed=3)
+    assert len({id(Tb) for Tb in reads}) == len(reads) > 1
+    assert (kept.block_sizes, kept.cluster_gap, kept.leakage, kept.leakage_by_member) == (
+        fresh.block_sizes, fresh.cluster_gap, fresh.leakage, fresh.leakage_by_member)
+    assert kept.tables.tobytes() == fresh.tables.tobytes()
+
+
 def reference_span(family, seed):
     """The members schur_cluster reads off span{h_0, driver}."""
     if family.delta_plus < eigensolver.SPAN_MIN_DELTA:
@@ -2202,6 +2233,84 @@ def test_direct_lapack_calls_match_scipy_bit_for_bit(name, monkeypatch):
     assert np.array_equal(clustering.tables, want.tables)
     assert clustering.leakage == want.leakage
     assert clustering.leakage_by_member == want.leakage_by_member
+
+
+# ------------------------------------ numpy and scipy wrappers, replaced
+# The warm path makes the ufunc, indexing or LAPACK call of a wrapper
+# itself, on the same operands; the wrapper must give the same bits.
+
+def _same_array(got, want):
+    """Equal dtype, shape, strides and bytes: the same values, -0.0 and
+    nan payloads included, in the same layout."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.strides == want.strides
+            and got.tobytes(order="A") == want.tobytes(order="A"))
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (7, 3), (3, 7), (1, 1), (0, 4), (4, 0), (0, 0)],
+                         ids=["square", "tall", "wide", "one", "no rows", "no columns", "empty"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_triu_matches_numpy(shape, order):
+    rng = np.random.default_rng(1)
+    x = np.array(_complex(rng, shape), order=order)
+    x[x.real < 0] *= -0.0  # signed zeros must keep their sign above the diagonal
+    # the leading rows of a taller factor, as _factor reads a geqp3's qr
+    taller = np.array(_complex(rng, (shape[0] + 2, shape[1])), order=order)[:shape[0]]
+    for a in (x, taller, x.real.copy(order=order)):
+        assert _same_array(eigensolver._triu(a), np.triu(a))
+
+
+@pytest.mark.parametrize("args", [(4, 4, 0, "C"), (5, 3, -2, "F"), (3, 5, 2, "F"),
+                                  (4, 4, 0, "F"), (3, 3, 5, "C"), (0, 2, 0, "C")])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_eye_matches_numpy(args, dtype):
+    rows, cols, k, order = args
+    assert _same_array(eigensolver._eye(rows, cols, k, dtype, order),
+                       np.eye(rows, cols, k, dtype=dtype, order=order))
+
+
+def test_norms_match_numpy():
+    rng = np.random.default_rng(2)
+    x = _complex(rng, (3, 4, 5))
+    assert _same_array(eigensolver._norms(x, (1, 2)), np.linalg.norm(x, axis=(1, 2)))
+    assert _same_array(eigensolver._norms(x, -1), np.linalg.norm(x, axis=-1))
+    assert eigensolver._norm(x) == np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("name", ["pillow_seed1", "intro_e3_seed0", "lines27_seed0",
+                                  "dense_p2_d6_seed0"])
+def test_trtrs_matches_solve_triangular(name):
+    """On the R factors of the golden systems' Res and blocks (default
+    and improved pair), with their own R12 and a random right-hand side,
+    for trans 0 and 2: the leading block of a C- and of an F-ordered R,
+    and contiguous copies, which take the wrapper's other branch."""
+    sf = load_system_file(DATA / f"{name}.system.json")
+    system = homogenize(sf.laurent(), rays=sf.rays)
+    rng = np.random.default_rng(3)
+    checked = 0
+    for pair in (default_pair(system), improved_pair(system)):
+        cok = cokernel(assemble_res(system, pair.top, pair.alpha0), corank_only=True)
+        for R in (cok.R, cok.block.R):
+            if not len(R):
+                continue
+            d = np.abs(R.diagonal())
+            rank = int(np.count_nonzero(d > TOL_RANK * d[0]))
+            for layout in (R, np.asfortranarray(R)):
+                R11 = layout[:rank, :rank]
+                for a in (R11, np.ascontiguousarray(R11), np.asfortranarray(R11)):
+                    for b in (-R[:rank, rank:], _complex(rng, (rank, 3))):
+                        if not b.size:
+                            continue
+                        for trans in (0, 2):
+                            got = eigensolver._trtrs(a, b, trans)
+                            want = scipy.linalg.solve_triangular(a, b, trans=trans)
+                            assert _same_array(got, want)
+                            checked += 1
+    assert checked >= 24
 
 
 # ------------------------------------------------------------ properties
