@@ -102,12 +102,13 @@ class ResMatrix:
             pairs, one per equation, in equation order.
         matrix: dense complex matrix, rows x total block width, in the
             order `order` gives.
-        order: None when matrix is in lexicographic order: its rows in
-            the monomial order of rows, its columns block by block, each
-            in its basis's monomial order. Else the plan (rows, cols,
-            shapes) of _descent down alpha0 it was assembled in: matrix
-            is the lexicographic Res at rows order[0] and columns
-            order[1], and cokernel reduces it in that order.
+        order: None when assembled without alpha0: matrix is then in
+            lexicographic order, its rows in the monomial order of rows,
+            its columns block by block, each in its basis's monomial
+            order. Else the plan (rows, cols, shapes) of _descent down
+            alpha0 it was assembled in: matrix is the lexicographic Res
+            at rows order[0] and columns order[1], the block leading,
+            and cokernel reads it in that order.
         alpha0: DivisorClass of the multiplier degree it was assembled
             with, or None: cokernel reads the block at the degree of rows
             minus alpha0 off it, and multiplication_family multiplies by
@@ -129,16 +130,6 @@ class ResMatrix:
 
     def block_widths(self):
         return [len(b) for _, b in self.col_blocks]
-
-    def lexicographic(self):
-        """matrix in lexicographic order: matrix itself when it is, else
-        a copy scattered back from its order."""
-        if self.order is None:
-            return self.matrix
-        rows, cols, _ = self.order
-        out = np.empty_like(self.matrix)
-        out[rows[:, None], cols] = self.matrix
-        return out
 
     def __repr__(self):
         return f"ResMatrix(shape={self.matrix.shape}, blocks={self.block_widths()})"
@@ -174,14 +165,10 @@ def _nest(res, scatter, alpha0):
     """(scatter, order) of res in the nested order of _descent down
     alpha0: every flat index of scatter moved to the place its entry has
     in res[rows][:, cols], a point that does not land kept negative, and
-    the plan as the order. (scatter, None) when the block has no columns
-    or all of them: there is nothing to reduce by, and res stays
-    lexicographic."""
+    the plan as the order."""
     plan = _descent(res, alpha0)
-    rows, cols, ((_, n1), *_) = plan
+    rows, cols, _ = plan
     n = res.shape[1]
-    if not 0 < n1 < n:
-        return scatter, None
     at_row, at_col = _inverse(rows), _inverse(cols)
     nested = []
     for index, lands in scatter:
@@ -209,13 +196,11 @@ def assemble_res(system, beta, alpha0=None):
 
     With alpha0, the multiplier degree, the result records it: cokernel
     then also gives the corank at beta - alpha0, and multiplication_family
-    multiplies by S_alpha0. When Res at beta - alpha0, the block cokernel
-    reduces by, has columns and is not all of Res, every coefficient is
-    written straight to its place in the nested order of _descent down
-    alpha0, the order cokernel reads the reduction in. The fan keeps that
-    composed scatter beside the plan, per beta, the equations' degrees
-    and alpha0, and the result records the order. Otherwise the order is
-    lexicographic, as without alpha0.
+    multiplies by S_alpha0. Every coefficient is then written straight to
+    its place in the nested order of _descent down alpha0, the order
+    cokernel reads Res in, and the result records that order. The fan
+    keeps that composed scatter beside the plan, per beta, the equations'
+    degrees and alpha0. Without alpha0 the order is lexicographic.
 
     Args:
         system: HomogeneousSystem.
@@ -224,8 +209,8 @@ def assemble_res(system, beta, alpha0=None):
             multiplier degree.
 
     Returns:
-        ResMatrix, in lexicographic order or the recorded nested one,
-        with alpha0 recorded as a DivisorClass.
+        ResMatrix, in lexicographic order without alpha0, else in the
+        recorded nested one, with alpha0 recorded as a DivisorClass.
 
     Raises:
         InputError: every column block is empty (degree too low, checked
@@ -266,9 +251,9 @@ class CokernelMap:
     Attributes:
         N: complex (delta_plus x dim S_beta) with orthonormal rows and
             ker N = im Res up to TOL_RANK; None from a corank-only call.
-        order: None when the columns of N are in the monomial order of
-            S_beta, else the rows of the nested order they are in
-            (_descent): column k of N belongs to monomial order[k].
+            Its columns are in the row order of res.matrix: column k
+            belongs to monomial res.order[0][k] of a Res assembled with
+            alpha0, else to monomial k of S_beta.
         delta_plus: corank of Res against its row dimension.
         R: triangular factor the cut was taken on, cut on its
             |diagonal|: of one pivoted QR of Res or Res^H, of B on a wide
@@ -281,11 +266,10 @@ class CokernelMap:
             or reduction (cokernel); None when res has no alpha0.
     """
 
-    __slots__ = ("N", "order", "delta_plus", "R", "rank_bounds", "res", "block", "_s")
+    __slots__ = ("N", "delta_plus", "R", "rank_bounds", "res", "block", "_s")
 
     def __init__(self, N, delta_plus, R, rank_bounds, res=None, block=None):
         self.N = N
-        self.order = None
         self.delta_plus = delta_plus
         self.R = R
         self.rank_bounds = rank_bounds
@@ -448,11 +432,12 @@ def _descent(res, alpha0):
     in res, and level j + 1 sits in level j the same way. res[rows][:,
     cols] has every level as a leading block: the rows and columns of the
     deepest level first, in their order, then those each level adds,
-    each in order. shapes[j - 1] is the shape of level j, the first that
-    of the block. The levels go on below the block only under a tall res,
-    while the level below pays for its lift (_pays); a step trivial in
-    the class group gives every level the shape of res, which stops
-    them.
+    each in order. A block with no columns touches no row, so none of its
+    rows leads: rows and cols are then the identity, the monomial order.
+    shapes[j - 1] is the shape of level j, the first that of the block.
+    The levels go on below the block only under a tall res, while the
+    level below pays for its lift (_pays); a step trivial in the class
+    group gives every level the shape of res, which stops them.
 
     Raises:
         InputError: alpha0 has no sections.
@@ -471,6 +456,9 @@ def _descent(res, alpha0):
                 break
             levels.append(below)
         rows, cols = levels[-1]
+        if not len(cols):
+            # a block with no columns touches no row: none of them leads
+            rows = cols
         for I, J in levels[-2::-1] + [(np.arange(res.shape[0]), np.arange(res.shape[1]))]:
             rows = np.concatenate([rows, np.setdiff1d(I, rows, assume_unique=True)])
             cols = np.concatenate([cols, np.setdiff1d(J, cols, assume_unique=True)])
@@ -786,13 +774,13 @@ def cokernel(res, corank_only=False):
     it, never assembled: times the monomial x^b0 of S_alpha0 that maps
     S_alpha into S_alpha+alpha0, it is the block res[I, J], whose columns
     vanish off its rows (_place). Res at alpha - alpha0 sits in the block
-    the same way, and so on down the chain. When the block has columns
-    and is not all of res, assemble_res wrote res in the nested order of
-    that chain (res.order), and cokernel first reduces res by the block
-    (_reduce). With rest the other rows and K the other columns, the
-    cokernel of res is that of B = [N_lo res[I, K]; res[rest, K]], N_lo
-    the block's cokernel, lifted back. The block and B are factored in
-    the orientation of res:
+    the same way, and so on down the chain. assemble_res wrote res in the
+    nested order of that chain (res.order), the block leading. When the
+    block has columns and is not all of res, cokernel first reduces res
+    by the block (_reduce). With rest the other rows and K the other
+    columns, the cokernel of res is that of B = [N_lo res[I, K];
+    res[rest, K]], N_lo the block's cokernel, lifted back. The block and
+    B are factored in the orientation of res:
 
     - wide res: one QR of block^H gives the block's corank and its
       R-based N_lo, and B goes through the wide path above: on the 27
@@ -810,21 +798,20 @@ def cokernel(res, corank_only=False):
 
     Both orientations read res.matrix in its nested order, every level a
     leading block: in place when wide, and copied once, contiguously,
-    when tall, for the levels to turn. res.matrix is never written. N is
-    left in the nested row order, recorded in cok.order.
+    when tall, for the levels to turn. res.matrix is never written.
 
     The cut at alpha, the block's corank, is certified on the block's R
     with one trtri of all of its R11; the cut at the top reuses that
     bound and inverts only B's R11 (_certify). rank_bounds is then that
     pair, weaker than one QR of res would give. Each proof uses only
     res P = Q R, whichever pivots were chosen. When the top cut is not
-    certified, the plain map of res runs instead, on res in
-    lexicographic order (one scatter back from the nested order), so its
-    N is in monomial order. The block's map, the block attribute of the
-    result, is corank-only: from the reduction when it ran, with the R
-    of the block's own QR or reduction, which reads the block as the
-    leading [:m1, :n1] of the nested matrix; else the plain map of the
-    block res[I, J].
+    certified, or there is nothing to reduce by, the plain map of
+    res.matrix as it stands runs instead. Either way the columns of N
+    are in the row order of res.matrix. The block's map, the block
+    attribute of the result, is corank-only and reads the block as the
+    leading res.matrix[:m1, :n1]: from the reduction when it ran, with
+    the R of the block's own QR or reduction; else the plain map of that
+    block.
 
     Raises:
         RankAmbiguousError: the singular values straddling the cut differ
@@ -835,22 +822,19 @@ def cokernel(res, corank_only=False):
     """
     cok = below = None
     if res.order is not None:
-        tall = _tall(res.shape)
-        # the reduction turns a tall W in place; res.matrix stays
-        W = res.matrix.copy() if tall else res.matrix
-        cok, below = _reduce(W, corank_only, res.order[2], tall)
-        if cok is not None and cok.N is not None:
-            cok.order = res.order[0]
+        shapes = res.order[2]
+        (m1, n1), n = shapes[0], res.shape[1]
+        if 0 < n1 < n:
+            tall = _tall(res.shape)
+            # the reduction turns a tall W in place; res.matrix stays
+            W = res.matrix.copy() if tall else res.matrix
+            cok, below = _reduce(W, corank_only, shapes, tall)
     if cok is None:
-        cok = _plain(res.lexicographic(), corank_only)
+        cok = _plain(res.matrix, corank_only)
     cok.res = res
-    if below is None and res.alpha0 is not None:
-        # no reduction ran, so res is lexicographic
-        rows, cols, ((m1, n1), *_) = _descent(res, res.alpha0)
-        # a block with no columns needs no gather: its map is its row count
-        block = (res.matrix[rows[:m1, None], cols[:n1]] if n1
-                 else np.empty((m1, 0), dtype=complex))
-        below = _plain(block, True)
+    if below is None and res.order is not None:
+        # no reduction ran: the block is all of res, or has no columns
+        below = _plain(res.matrix[:m1, :n1], True)
     cok.block = below
     return cok
 
@@ -936,10 +920,10 @@ def _gather_plan(cok):
     of cok.N holding x^b_j x^a, for b_j in S_alpha0 and a in S_alpha; the
     section polytopes add, so no index is -1.
 
-    Kept by the fan per representatives of top and alpha0, with the
-    columns of an N in monomial order; for an N in the nested order of
-    cok.res (cok.order), composed with that order once and kept per the
-    column blocks of cok.res too, which with top and alpha0 fix it.
+    The columns of N are in the nested order cok.res.order[0], so the
+    monomial positions are composed with that order once. Kept by the
+    fan per representatives of top and alpha0 and the column blocks of
+    cok.res, which fix that order.
     """
     res = cok.res
     top, alpha0 = res.rows.degree, res.alpha0
@@ -947,15 +931,10 @@ def _gather_plan(cok):
 
     def build():
         s_alpha, s_alpha0 = graded_basis(fan, top - alpha0), graded_basis(fan, alpha0)
-        gather = graded_basis(fan, top).rows(s_alpha0.points[:, None] + s_alpha.points[None])
-        if cok.order is not None:
-            gather = _inverse(cok.order)[gather]
-        return s_alpha, s_alpha0, gather
+        gather = res.rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])
+        return s_alpha, s_alpha0, _inverse(res.order[0])[gather]
 
-    key = ("gather", top.a, alpha0.a)
-    if cok.order is not None:
-        key += (tuple(res.col_blocks),)
-    return fan.kept(key, build)
+    return fan.kept(("gather", top.a, alpha0.a, tuple(res.col_blocks)), build)
 
 
 def multiplication_family(cok, seed=0):
@@ -965,10 +944,10 @@ def multiplication_family(cok, seed=0):
     the degree of cok.res minus alpha0. The monomial maps N_b:
     S_alpha -> C^delta are exact column gathers of N, all in one: x^b x^a
     is the monomial of S_{alpha+alpha0} at the point m_b + m_a, whose
-    column of N is its position in cok.order when N is nested. The bases
-    and that gather index depend on the pair alone (and the order on the
-    column blocks of cok.res), so the fan keeps them per pair, composed
-    with the order once (_gather_plan). h_0 is a
+    column of N is its position in the nested order cok.res.order[0].
+    The bases and that gather index depend on the pair and the column
+    blocks of cok.res alone, so the fan keeps them, composed with the
+    order once (_gather_plan). h_0 is a
     random complex Gaussian combination over S_alpha0, and the
     invertible restriction is chosen by column-pivoted QR on N_{h_0}
     (LAPACK geqp3). One LU factorization of that restriction and one
@@ -1016,8 +995,11 @@ def multiplication_family(cok, seed=0):
         coeffs = np.zeros(len(s_alpha0), dtype=complex)
         return MultiplicationFamily(empty, (), coeffs, s_alpha0, 0, 0.0)
 
-    # one gather for all N_b (stack[j] = N_{b_j})
-    stack = cok.N[:, idx].transpose(1, 0, 2)
+    # one gather for all N_b, member-major (stack[j] = N_{b_j}), written
+    # member by member with no second copy
+    stack = np.empty((len(s_alpha0), delta, len(s_alpha)), dtype=complex)
+    for j, at in enumerate(idx):
+        stack[j] = cok.N[:, at]
 
     # h_0 and its retries continue one stream of the seed (_draws); the
     # first draw within H0_COND_TARGET is taken, else the best of them all
@@ -1037,6 +1019,8 @@ def multiplication_family(cok, seed=0):
         if cond <= H0_COND_TARGET:
             break
     cond, coeffs, columns, sub = best
+    # freed before the solve, whose right-hand side is gathered from N
+    del stack
     if not cond <= COND_MAX:
         raise BasepointError(
             f"no well-conditioned multiplier after {RETRIES_MAX + 1} draws; "
@@ -1045,7 +1029,7 @@ def multiplication_family(cok, seed=0):
 
     # members side by side as one right-hand side (delta x members * delta)
     members = len(s_alpha0)
-    rhs = stack[:, :, columns].transpose(1, 0, 2).reshape(delta, -1)
+    rhs = cok.N[:, idx[:, columns].reshape(-1)]
     # the condition test above leaves getrf no zero pivot
     lu, piv, _ = scipy.linalg.lapack.zgetrf(sub)
     solved = scipy.linalg.lapack.zgetrs(lu, piv, rhs)[0]

@@ -7,10 +7,15 @@ solved per seed, made by the generator in perfbench/workloads.py exactly
 as the benchmark makes them. Then come the pillow system at solve seeds
 0-3, the intro system at e = 0, 0.5, ..., 14 (eps = 10^-e), and one dense
 draw each on P^2 at degree 8 and on P^3 at degree 3, then one of each of
-the benchmark's dense shapes, P^2 at degree 20 and P^3 at degree 6.
+the benchmark's dense shapes, P^2 at degree 20 and P^3 at degree 6. Last
+come passes of the benchmark's sweep (`toricsolve sweep` of its template
+over e = 0, 0.5, ..., 14, in process, as the benchmark runs it): one per
+argument, at the solve seed of the benchmark's first pass at that seed,
+then one at SWEEP_SEED.
 
 Every solve writes one JSON line: the solution-file dict without
-`timings_ms`, or the type and message of the error it raised. BLAS runs
+`timings_ms`, or the type and message of the error it raised; a sweep
+row writes its CSV fields without `wall_ms`. BLAS runs
 on one thread, so `diff` of the outputs of two checkouts is a
 byte-identity check of everything the solver returns. Each checkout
 solves with its own `src`.
@@ -18,8 +23,10 @@ solves with its own `src`.
 The last lines are the failure census, as the benchmark counts it.
 Per workload, one line counts the solves that raised, by error type,
 and the solves that returned but missed a pin of the benchmark's checks
-(`check_lines27` on lines27, `check_dense` on the dense draws; pillow
-and intro have none). One line per failing solve follows, its case and
+(`check_lines27` on lines27, `check_dense` on the dense draws,
+`check_sweep_rows` on the sweep rows, whose solves raise by the stage
+their status names; pillow and intro have none). One line per failing
+solve follows, its case and
 its cause: the error type it raised, or the pins it missed, named
 without their values. So `diff` of the census lines of two snapshots
 shows which draws joined the failing set and which left it. The exit
@@ -46,19 +53,24 @@ compares two snapshots numerically, for changes that move the last
 digits and so cannot be byte-identical. Per workload it prints every
 structural difference of a case (the error type it raised, the count
 of solutions, and the multiplicity, zero pattern, torus or boundary
-route and non-simplicial flag of each) and the largest relative move
-of a point's Cox coordinates z over the points matched between the two
-sides. z is fixed only up to the group that fixes the point, so a move
-is read off what that group keeps (_invariants), each value against
-the larger of its two moduli. The exit status is 1 when any case
-differs structurally.
+route and non-simplicial flag of each; a sweep row's status and delta+),
+how many cases are byte-identical, and the largest relative move of a
+point's Cox coordinates z over the points matched between the two
+sides, with the case it is in. z is fixed only up to the group that
+fixes the point, so a move is read off what that group keeps
+(_invariants), each value against the larger of its two moduli. A
+sweep row has no points: its move is that of max_norm, the norm of its
+largest solution. The exit status is 1 when any case differs
+structurally.
 """
 
 import contextlib
+import io
 import json
 import os
 import re
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -76,20 +88,26 @@ from systems import (  # noqa: E402
     intro_laurent,
     pillow_laurent,
 )
-from toricsolve import ToricSolveError, solve, solver  # noqa: E402
+from toricsolve import ToricSolveError, cli, solve, solver  # noqa: E402
 from toricsolve.formats import solution_file_dict  # noqa: E402
 from toricsolve.lattice import integer_kernel  # noqa: E402
 from workloads import (  # noqa: E402
     LINES27_RAYS,
+    SWEEP_GRID,
     Lines27,
     Lines27Expect,
+    SweepExpect,
     _seed,
     check_dense,
     check_lines27,
+    check_sweep_rows,
     dense_system,
+    sweep_template,
 )
 
 LINES27_DRAWS = 17
+# a sweep seed whose row at e = 13.5 misses the benchmark's max_res pin
+SWEEP_SEED = 1531391094
 
 
 def cases(lines27_seeds):
@@ -113,6 +131,42 @@ def cases(lines27_seeds):
         eqs = dense_system(rng, n, d)
         yield (f"dense P^{n} degree {d}", eqs, {"seed": _seed(rng)},
                lambda result, n=n, d=d: check_dense(result, n, d))
+
+
+def sweep_seeds(lines27_seeds):
+    """The solve seed of each sweep pass: the benchmark's first at each
+    seed, then SWEEP_SEED."""
+    return [_seed(np.random.default_rng(seed)) for seed in lines27_seeds] + [SWEEP_SEED]
+
+
+def sweep_pass(seed, workdir):
+    """The CSV lines of one `toricsolve sweep` pass of the benchmark's
+    template at solve seed seed, through cli.main as the benchmark runs
+    it."""
+    path, csv = workdir / "sweep_system.json", workdir / f"sweep_{seed}.csv"
+    path.write_text(json.dumps(sweep_template()), encoding="utf-8")
+    argv = ["sweep", str(path), "--param", "e", "--grid", SWEEP_GRID,
+            "--output", str(csv), "--seed", str(seed)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv, standalone_mode=False)
+    return csv.read_text(encoding="utf-8").splitlines()
+
+
+def sweep_records(seed, lines):
+    """(label, record, status, cause) of every row of one sweep pass: the
+    record its CSV fields without wall_ms, the cause the problems
+    check_sweep_rows finds (missed), or the status of a row whose solve
+    raised, or None when it passed."""
+    columns = lines[0].split(",")
+    for line, problems in zip(lines[1:], check_sweep_rows(lines, SweepExpect())):
+        record = dict(zip(columns, line.split(",")))
+        del record["wall_ms"]
+        status, cause = record["status"], None
+        if status != "ok":
+            cause = status
+        elif problems:
+            cause = missed([(kind, text.split(": ", 1)[1]) for kind, text in problems])
+        yield f"sweep {seed} e={record['e']}", record, status, cause
 
 
 def missed(problems):
@@ -188,7 +242,8 @@ def outcome(eqs, kwargs, check):
 def main(argv, rotate=0):
     census = {}
     foreign = False
-    for label, eqs, kwargs, check in cases([int(a) for a in argv]):
+    seeds = [int(a) for a in argv]
+    for label, eqs, kwargs, check in cases(seeds):
         workload = label.split()[0]
         turns = rotate if workload == "lines27" else 0
         row = census.setdefault(workload, [0, Counter(), None if check is None else 0, []]
@@ -215,6 +270,19 @@ def main(argv, rotate=0):
         elif causes:
             row[3].append((label, cause))
         print(json.dumps({"case": label, **out}, sort_keys=True), flush=True)
+    row = census.setdefault("sweep", [0, Counter(), 0, []])
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in sweep_seeds(seeds):
+            lines = sweep_pass(seed, Path(workdir))
+            for label, record, status, cause in sweep_records(seed, lines):
+                row[0] += 1
+                if status != "ok":
+                    row[1][status] += 1
+                elif cause:
+                    row[2] += 1
+                if cause:
+                    row[3].append((label, cause))
+                print(json.dumps({"case": label, **record}, sort_keys=True), flush=True)
     for line in census_lines(census):
         print(line)
     return int(foreign)
@@ -267,7 +335,14 @@ def _move(a, b):
 def compare_case(old, new):
     """(structural differences, z moves of the matched points) of one case.
     Each old point is matched to the nearest unmatched new point on the
-    same route, by the move of its invariants (_moved)."""
+    same route, by the move of its invariants (_moved). A sweep row
+    differs by its status and delta+, and moves by its max_norm."""
+    if "status" in old:
+        diffs = [f"{key} {old[key]} -> {new[key]}" for key in ("status", "delta_plus")
+                 if old[key] != new[key]]
+        if diffs or old["status"] != "ok":
+            return diffs, []
+        return [], [_move(np.array([float(old["max_norm"])]), np.array([float(new["max_norm"])]))]
     raised = old.get("raised"), new.get("raised")
     if raised != (None, None):
         return ([] if raised[0] == raised[1] else [f"raised {raised[0]} -> {raised[1]}"]), []
@@ -297,14 +372,19 @@ def compare(old_path, new_path):
         diffs, moves = compare_case(old[case], new[case])
         for diff in diffs:
             print(f"{case}: {diff}")
-        row = report.setdefault(case.split()[0], [0, 0, []])
+        row = report.setdefault(case.split()[0], [0, 0, 0, [], (0.0, None)])
         row[0] += 1
-        row[1] += bool(diffs)
-        row[2] += moves
+        row[1] += json.dumps(old[case], sort_keys=True) == json.dumps(new[case], sort_keys=True)
+        row[2] += bool(diffs)
+        row[3] += moves
+        row[4] = max(row[4], (max(moves, default=0.0), case), key=lambda move: move[0])
         differs |= bool(diffs)
-    for workload, (cases, structural, moves) in report.items():
-        print(f"{workload}: {cases} cases, {structural} with structural differences, "
-              f"largest z move {max(moves, default=0.0):.2g} over {len(moves)} points")
+    for workload, (cases, identical, structural, moves, (largest, where)) in report.items():
+        value, items = ("max_norm", "rows") if workload == "sweep" else ("z", "points")
+        print(f"{workload}: {cases} cases, {identical} byte-identical, "
+              f"{structural} with structural differences, "
+              f"largest {value} move {largest:.2g} over {len(moves)} {items}"
+              + (f" ({where})" if largest > 0.0 else ""))
     return int(differs)
 
 

@@ -189,7 +189,8 @@ def test_wrong_degree_raises_on_every_call():
     the fan's plan and on every call that reuses it. One whose nonzero
     terms all land is assembled as before, from the same plan. Both hold
     in lexicographic order and in the nested order of alpha0 = (1, 1, 1,
-    1), whose block is 1 x 1 in the 5 x 5 Res."""
+    1), whose block is 1 x 1 in the 5 x 5 Res: the reference Res at the
+    rows and columns of that order."""
     fan = pillow_fan()
     basis = graded_basis(fan, (1, 1, 1, 1))
     f = CoxPolynomial(basis, np.arange(1, len(basis) + 1))
@@ -206,8 +207,12 @@ def test_wrong_degree_raises_on_every_call():
         for _ in range(2):
             res = assemble_res(lands, (1, 1, 1, 1), *alpha0)
             assert (res.order is None) == (not alpha0)
-            assert np.array_equal(res.lexicographic(),
-                                  assemble_res_reference(lands, (1, 1, 1, 1)).matrix)
+            want = assemble_res_reference(lands, (1, 1, 1, 1)).matrix
+            if alpha0:
+                rows, cols, shapes = res.order
+                assert shapes == [(1, 1)]
+                want = want[np.ix_(rows, cols)]
+            assert np.array_equal(res.matrix, want)
         with pytest.raises(InputError, match="equation 0 does not have degree"):
             assemble_res(system, (1, 1, 1, 1), *alpha0)
 
@@ -575,22 +580,26 @@ def _depth(top, alpha0):
 
 def _nested(lex, alpha0):
     """lex as assemble_res writes it with alpha0, from its own matrix,
-    which a test may have planted: in the nested order of _descent where
-    cokernel reduces, else as it is; alpha0 recorded."""
+    which a test may have planted: in the nested order of _descent,
+    which it records, and alpha0 recorded."""
     alpha0 = as_divisor(lex.rows.degree.fan, alpha0)
-    if not _depth(lex, alpha0):
-        return ResMatrix(lex.rows, lex.col_blocks, lex.matrix, None, alpha0)
     plan = _descent(lex, alpha0)
     rows, cols, _ = plan
     return ResMatrix(lex.rows, lex.col_blocks, lex.matrix[np.ix_(rows, cols)], plan, alpha0)
 
 
+def _plain_res(res):
+    """res.matrix as it stands, recorded with no alpha0: cokernel gives
+    it the plain map, N in the row order of res.matrix."""
+    return ResMatrix(res.rows, res.col_blocks, res.matrix)
+
+
 def _monomial(cok):
     """cok.N with its columns in the monomial order of S_beta."""
-    if cok.order is None:
+    if cok.res.order is None:
         return cok.N
     N = np.empty_like(cok.N)
-    N[:, cok.order] = cok.N
+    N[:, cok.res.order[0]] = cok.N
     return N
 
 
@@ -652,14 +661,9 @@ def one_qr_cokernel(res, corank_only=False):
 def _reduced(top, plan, corank_only=False):
     """The reduction's own map of a lexicographic top, without the
     fallback to one QR: _reduce of top gathered in the nested order of
-    plan (_descent), N put back in the rows of top."""
+    plan (_descent), N in that order's rows."""
     rows, cols, shapes = plan
-    cok, lo = _reduce(top.matrix[np.ix_(rows, cols)], corank_only, shapes, _tall(top))
-    if cok is not None and cok.N is not None:
-        N = np.empty_like(cok.N)
-        N[:, rows] = cok.N
-        cok.N = N
-    return cok, lo
+    return _reduce(top.matrix[np.ix_(rows, cols)], corank_only, shapes, _tall(top))
 
 
 def _unitary_error(U):
@@ -703,7 +707,7 @@ def _check_reduction(system):
     # the reduction's own map, without the fallback to one QR
     reduced, lo = _reduced(top, plan)
     assert reduced is not None
-    assert np.array_equal(cok.R, reduced.R) and np.array_equal(N, reduced.N)
+    assert np.array_equal(cok.R, reduced.R) and np.array_equal(cok.N, reduced.N)
     assert cok.delta_plus == plain.delta_plus
     assert cokernel(nested, corank_only=True).delta_plus == plain.delta_plus
     assert lo.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
@@ -773,16 +777,15 @@ def test_tall_reduction_turns_once_per_level(case, depth, monkeypatch):
     ("dense_p2_d6_seed0", "default", 4), ("pillow_seed1", "default", 1),
     ("pillow_seed1", "improved", 0)])
 def test_cokernel_leaves_res_as_it_was(name, which, depth):
-    """Neither the plain map of the lexicographic Res nor the reduction of
-    the Res assemble_res writes with alpha0, which turns its own copy in
-    place, writes res.matrix; the latter's maps are those the
-    lexicographic Res gives (_reference_map) bit for bit, N up to its
-    column order."""
+    """Neither the plain map of the lexicographic Res nor cokernel of the
+    Res assemble_res writes with alpha0, whose reduction turns its own
+    copy in place, writes res.matrix; the latter's maps are those of
+    _reference_map bit for bit, N in the order the Res records."""
     system, pair = _golden_pair(name, which)
     top = assemble_res(system, pair.top)
     nested = assemble_res(system, pair.top, pair.alpha0)
     assert _depth(top, pair.alpha0) == depth
-    assert (nested.order is None) == (depth == 0)
+    assert nested.order is _descent(top, pair.alpha0)
     for res in (top, nested):
         before = res.matrix.tobytes()
         for corank_only in (False, True):
@@ -795,36 +798,35 @@ def test_cokernel_leaves_res_as_it_was(name, which, depth):
 def _reference_map(lex, alpha0, corank_only=False):
     """The map cokernel gives Res assembled with alpha0, made from the
     lexicographic Res lex: the reduction's own map (_reduced) where the
-    Res is reduced and its cut certified, else the plain map of lex; the
-    block's map from the reduction, or where none ran the plain map of
-    the block. N is in monomial order, and the map's res is lex with
-    alpha0 recorded and no order."""
+    Res is reduced and its cut certified, else the plain map of lex
+    gathered in the nested order of _descent; the block's map from the
+    reduction, or where none ran the plain map of the block gathered
+    from lex. N is in the rows of that order, and the map's res is lex
+    so gathered, with the order and alpha0 recorded."""
     alpha0 = as_divisor(lex.rows.degree.fan, alpha0)
     rows, cols, shapes = plan = _descent(lex, alpha0)
+    nested = lex.matrix[np.ix_(rows, cols)]
     cok = below = None
     if _depth(lex, alpha0):
         cok, below = _reduced(lex, plan, corank_only)
     if cok is None:
-        cok = eigensolver._plain(lex.matrix, corank_only)
+        cok = eigensolver._plain(nested, corank_only)
     if below is None:
         m1, n1 = shapes[0]
         below = eigensolver._plain(lex.matrix[np.ix_(rows[:m1], cols[:n1])], True)
-    cok.res = ResMatrix(lex.rows, lex.col_blocks, lex.matrix, None, alpha0)
+    cok.res = ResMatrix(lex.rows, lex.col_blocks, nested, plan, alpha0)
     cok.block = below
     return cok
 
 
 def _check_same_map(got, want):
-    """got is the map want, bit for bit, its N up to the column order
-    got records, its block's map too."""
+    """got is the map want, bit for bit, N and its block's map too."""
     assert got.delta_plus == want.delta_plus and got.rank_bounds == want.rank_bounds
     assert np.array_equal(got.R, want.R)
     if want.N is None:
-        assert got.N is None and got.order is None
+        assert got.N is None
     else:
-        assert want.order is None
-        order = slice(None) if got.order is None else got.order
-        assert np.array_equal(got.N, want.N[:, order])
+        assert np.array_equal(got.N, want.N)
     if want.block is not None:
         assert got.block.delta_plus == want.block.delta_plus
         assert np.array_equal(got.block.R, want.block.R)
@@ -840,7 +842,8 @@ def test_block_certificate_failure_falls_back():
     """Scaling the block's columns by 1e-14 leaves the block's cut in
     units of a |r_11| far below the norm of Res, so the top cut misses
     the floor of its margin and the reduction gives up. cokernel then
-    returns the plain map, one QR of all of Res."""
+    returns the plain map, one QR of all of Res in the order it was
+    assembled in."""
     rng = np.random.default_rng(5)
     p2_dense = [p for p in np.ndindex(7, 7) if sum(p) <= 6]
     system = random_system(rng, [p2_dense, p2_dense], P2_RAYS)
@@ -856,9 +859,10 @@ def test_block_certificate_failure_falls_back():
     # the block is still x^b0 times Res at alpha, now scaled
     assert np.array_equal(top.matrix[np.ix_(rows, cols)], low.matrix)
     assert _reduced(top, plan)[0] is None
-    cok = cokernel(_nested(top, pair.alpha0))
-    assert _same_cokernel(cok, cokernel(top))
-    assert _same_cokernel(cok, one_qr_cokernel(top))
+    nested = _nested(top, pair.alpha0)
+    cok = cokernel(nested)
+    assert _same_cokernel(cok, cokernel(_plain_res(nested)))
+    assert _same_cokernel(cok, one_qr_cokernel(nested))
     assert cok.block.delta_plus == one_qr_cokernel(low, corank_only=True).delta_plus
 
 
@@ -871,7 +875,9 @@ def _no_structure(top, alpha0):
 
 def test_block_is_ignored_where_it_cannot_help():
     """An empty Res at alpha gives bit-identical results with and without
-    alpha0: no reduction, one QR of all of Res."""
+    alpha0: its order is the identity, with the block's shape recorded,
+    so Res is assembled bit for bit as without alpha0, and cokernel makes
+    no reduction, one QR of all of Res."""
     systems = {
         "empty at alpha": homogenize(intro_laurent(3.0)),
         "pillow": homogenize(pillow_laurent(), rays=PILLOW_RAYS_SOLVE),
@@ -883,7 +889,11 @@ def test_block_is_ignored_where_it_cannot_help():
         assert low.shape[1] == 0 and top.shape[0] >= top.shape[1]
         assert _no_structure(top, pair.alpha0)
         with_alpha0 = assemble_res(system, pair.top, pair.alpha0)
-        assert with_alpha0.order is None
+        rows, cols, shapes = with_alpha0.order
+        assert np.array_equal(rows, np.arange(top.shape[0]))
+        assert np.array_equal(cols, np.arange(top.shape[1]))
+        assert shapes == [low.shape]
+        assert np.array_equal(with_alpha0.matrix, top.matrix)
         for corank_only in (False, True):
             cok = cokernel(with_alpha0, corank_only)
             assert _same_cokernel(cok, cokernel(top, corank_only)), name
@@ -1032,10 +1042,14 @@ def _check_placement(system, pair):
     top = assemble_res(system, pair.top)
     I, J = _placed(top, pair.alpha0)
     rows, cols, ((m1, n1), *_) = _descent(top, pair.alpha0)
-    assert np.array_equal(np.sort(rows[:m1]), I) and np.array_equal(np.sort(cols[:n1]), J)
+    assert (m1, n1) == (len(I), len(J))
     if len(J):
+        assert np.array_equal(np.sort(rows[:m1]), I) and np.array_equal(np.sort(cols[:n1]), J)
         low = assemble_res(system, pair.alpha)
     else:
+        # a block with no columns leads nothing: the order is the identity
+        assert np.array_equal(rows, np.arange(top.shape[0]))
+        assert np.array_equal(cols, np.arange(top.shape[1]))
         low = assemble_res_reference(system, pair.alpha, allow_empty=True)
     assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
     outside = np.ones(top.shape[0], dtype=bool)
@@ -1087,7 +1101,7 @@ def test_reduction_on_the_dense_benchmark_shapes(n, degree, depth):
     cok = cokernel(assemble_res(system, pair.top, pair.alpha0))
     N = _monomial(cok)
     # the reduction's map, not the fallback to one QR
-    assert np.array_equal(N, _reduced(top, plan)[0].N)
+    assert np.array_equal(cok.N, _reduced(top, plan)[0].N)
     assert np.abs(N @ N.conj().T - np.eye(len(N))).max() <= 1e-13
     assert np.linalg.norm(N @ top.matrix) <= 1e-13 * np.linalg.norm(top.matrix)
     I, J = _placed(top, pair.alpha0)
@@ -1111,8 +1125,9 @@ def test_reduction_falls_back_when_its_bound_misses():
     block's columns are scaled by 1e-14 (as in
     test_block_certificate_failure_falls_back). Both Res are in the
     nested order assemble_res writes with alpha0: the fallback runs on
-    Res put back in lexicographic order, so its map is the plain map of
-    the lexicographic top bit for bit, N in monomial order."""
+    that Res as it stands, so its map is the plain map of the nested
+    matrix bit for bit, N in the rows of the order the Res records, where
+    it spans the cokernel the lexicographic top gives."""
     top, low, alpha0 = _lines27_pair(0)
     I, J = _placed(top, alpha0)
     assert np.array_equal(top.matrix[np.ix_(I, J)], low.matrix)
@@ -1130,13 +1145,15 @@ def test_reduction_falls_back_when_its_bound_misses():
     tall = ResMatrix(tall.rows, tall.col_blocks, scaled)
     for lex, alpha0 in ((top, alpha0), (tall, pair.alpha0)):
         nested = _nested(lex, alpha0)
-        assert nested.order is not None
-        assert np.array_equal(nested.lexicographic(), lex.matrix)
+        assert _depth(lex, alpha0)
         for corank_only in (False, True):
             cok = cokernel(nested, corank_only)
-            assert cok.order is None
-            assert _same_cokernel(cok, cokernel(lex, corank_only))
+            assert _same_cokernel(cok, cokernel(_plain_res(nested), corank_only))
             _check_same_map(cok, _reference_map(lex, alpha0, corank_only))
+            plain = cokernel(lex, corank_only)
+            assert cok.delta_plus == plain.delta_plus
+            if not corank_only:
+                assert _unitary_error(_monomial(cok) @ plain.N.conj().T) <= 1e-10
             if lex is top:
                 # the SVD of the block's R decides its cut: Kahan's rank is 63
                 assert cok.block.delta_plus == low.shape[0] - 63
@@ -1147,8 +1164,8 @@ def test_reduction_falls_back_when_its_bound_misses():
                                   "no column", "every column"])
 def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
     """Wherever the reduction of a wide Res gives up, cokernel returns
-    exactly the map it gives without a block, one QR of Res^H, and the
-    block's corank. On the 27 lines: a block whose adjoint is Kahan's
+    exactly the map it gives without a block, one QR of Res^H in the
+    order Res was assembled in, and the block's corank. On the 27 lines: a block whose adjoint is Kahan's
     matrix, so that the QR of the adjoint leaves R22 above half the
     block's sigma_r; a B whose values straddle its cut with no gap, a
     tenth the scale of Res, whose cut they clear; the coupling bound
@@ -1199,7 +1216,7 @@ def test_reduction_exits_return_the_plain_map(exit, monkeypatch):
     nested = _nested(top, alpha0)
     for corank_only in (False, True):
         cok = cokernel(nested, corank_only)
-        assert _same_cokernel(cok, cokernel(top, corank_only))
+        assert _same_cokernel(cok, cokernel(_plain_res(nested), corank_only))
         assert cok.block.delta_plus == cokernel(low, corank_only=True).delta_plus
     # B is 261 x 342, factored as B^H; its cut raised on both calls, and
     # only its
@@ -1354,10 +1371,10 @@ def _family_outcome(cok):
 def _check_nested_order(system, pair):
     """Res assembled with alpha0 is the lexicographic Res at the order it
     records, bit for bit, on the call that builds the fan's composed
-    scatter and on the one that reuses it; it is nested exactly where
-    cokernel reduces, and it records alpha0. Its maps are those the
-    lexicographic Res gives (_reference_map), N up to that column order,
-    and its family is the same bit for bit."""
+    scatter and on the one that reuses it: the nested order of _descent,
+    the identity where the block has no columns. It records alpha0. Its
+    maps are those of _reference_map bit for bit, N in that order, and
+    so is its family."""
     fan = system.fan
     for key in [k for k in fan._store if k[0] in ("res order", "gather")]:
         del fan._store[key]
@@ -1367,19 +1384,15 @@ def _check_nested_order(system, pair):
         res = assemble_res(system, pair.top, pair.alpha0)
         assert res.rows is lex.rows and res.col_blocks == lex.col_blocks
         assert res.alpha0 is pair.alpha0
-        if _depth(lex, pair.alpha0):
-            rows, cols, _ = res.order
-            assert res.order is _descent(lex, pair.alpha0)
-            assert np.array_equal(res.matrix, lex.matrix[np.ix_(rows, cols)])
-        else:
-            assert res.order is None and np.array_equal(res.matrix, lex.matrix)
-        assert np.array_equal(res.lexicographic(), lex.matrix)
+        rows, cols, ((_, n1), *_) = res.order
+        assert res.order is _descent(lex, pair.alpha0)
+        assert np.array_equal(res.matrix, lex.matrix[np.ix_(rows, cols)])
+        if not n1:
+            assert np.array_equal(res.matrix, lex.matrix)
     for corank_only in (True, False):
         got = cokernel(res, corank_only)
         want = _reference_map(lex, pair.alpha0, corank_only)
         _check_same_map(got, want)
-    if got.order is not None:
-        assert got.order is res.order[0]
     if want.delta_plus:
         a, b = (_family_outcome(cok) for cok in (got, want))
         if isinstance(b, type):
@@ -1404,17 +1417,58 @@ def test_nested_res_on_the_golden_pairs(name, which):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_nested_res_on_lines27(seed):
-    """On the 27 lines solve reads Res in place: the wide top is nested,
-    and N stays in its order."""
+    """On the 27 lines solve reads Res in place: the wide top is nested
+    and reduced, and N stays in its order, where it annihilates Res."""
     system = lines27_system(seed)
     pair = improved_pair(system)
     _check_nested_order(system, pair)
-    cok = cokernel(assemble_res(system, pair.top, pair.alpha0))
-    assert cok.order is not None and cok.R.shape == (261, 261)
+    res = assemble_res(system, pair.top, pair.alpha0)
+    cok = cokernel(res)
+    assert _depth(res, pair.alpha0) and cok.R.shape == (261, 261)
+    s1 = np.linalg.norm(res.matrix, 2)
+    assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * TOL_RANK * s1
+
+
+GOLDEN = ["pillow_seed1", "intro_e3_seed0", "lines27_seed0", "dense_p2_d6_seed0"]
+
+
+@pytest.mark.parametrize("which", ["default", "improved"])
+@pytest.mark.parametrize("name", GOLDEN)
+def test_one_order_on_the_golden_pairs(name, which):
+    """Every Res assembled with alpha0 records its order, with the block
+    leading: res.matrix[:m1, :n1] is x^b0 times Res at alpha, in the
+    order of the block's own rows and columns, and its columns vanish
+    on the other rows. A block with no columns gives the identity order,
+    so Res is the one assembled without alpha0, bit for bit. N, in the
+    rows of that order, annihilates res.matrix to rounding, and the
+    block's map has the corank the SVD of the block gives."""
+    system, pair = _golden_pair(name, which)
+    lex = assemble_res(system, pair.top)
+    res = assemble_res(system, pair.top, pair.alpha0)
+    rows, cols, ((m1, n1), *_) = res.order
+    I, J = _placed(lex, pair.alpha0)
+    assert (m1, n1) == (len(I), len(J))
+    if n1:
+        low = assemble_res(system, pair.alpha)
+        at = np.ix_(np.searchsorted(I, rows[:m1]), np.searchsorted(J, cols[:n1]))
+        assert np.array_equal(res.matrix[:m1, :n1], low.matrix[at])
+        assert not res.matrix[m1:, :n1].any()
+        s = np.linalg.svd(low.matrix, compute_uv=False)
+        block_corank = m1 - int(np.sum(s > TOL_RANK * s[0]))
+    else:
+        assert np.array_equal(rows, np.arange(lex.shape[0]))
+        assert np.array_equal(cols, np.arange(lex.shape[1]))
+        assert np.array_equal(res.matrix, lex.matrix)
+        block_corank = m1
+    cok = cokernel(res)
+    assert cok.N.shape == (cok.delta_plus, lex.shape[0])
+    size = np.linalg.norm(res.matrix, 2)
+    assert np.linalg.norm(cok.N @ res.matrix, 2) <= 1e-13 * size
+    assert cok.block.delta_plus == block_corank
 
 
 # the most a warm lines27 solve may hold at once, in units of the bytes of
-# Res: it holds Res and a working set of about 1.35 Res (9.2 MB against
+# Res: it holds Res and a working set of about 1.2 Res (8.7 MB against
 # the 3.9 MB of the 441 x 552 Res); a second Res-sized array alive in the
 # cokernel's working set, as a gather of Res into the nested order was,
 # puts the peak at 3.4 Res or more

@@ -25,6 +25,12 @@ OLD = {
         point([1.0, 2.0, 3.0]), point([4.0, 0.0, 1.0], 2, [1], False)]},
     "lines27 11/1": {"raised": "ClusteringError", "message": "no gap"},
     "dense P^2 degree 8": {"metadata": P2, "solutions": [point([0.5, -1.0, 1.0])]},
+    "sweep 7 e=13.5": {"e": "13.5", "max_res": "2.7e-08", "mean_res": "9.1e-09",
+                       "min_res": "3.5e-15", "max_norm": "10324837.89", "delta_plus": "3",
+                       "status": "ok"},
+    # a row whose solve raised keeps the CSV's columns, empty
+    "sweep 7 e=14.0": {"e": "14.0", "max_res": "", "mean_res": "", "min_res": "",
+                       "max_norm": "", "delta_plus": "", "status": "schur"},
 }
 
 
@@ -49,8 +55,12 @@ def test_identical_snapshots_do_not_move(tmp_path):
     run = compare(tmp_path, OLD)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
-        "lines27: 2 cases, 0 with structural differences, largest z move 0 over 2 points",
-        "dense: 1 cases, 0 with structural differences, largest z move 0 over 1 points",
+        "lines27: 2 cases, 2 byte-identical, 0 with structural differences, "
+        "largest z move 0 over 2 points",
+        "dense: 1 cases, 1 byte-identical, 0 with structural differences, "
+        "largest z move 0 over 1 points",
+        "sweep: 2 cases, 2 byte-identical, 0 with structural differences, "
+        "largest max_norm move 0 over 1 rows",
     ]
 
 
@@ -61,9 +71,43 @@ def test_moved_z_is_reported_and_passes(tmp_path):
     new["lines27 11/0"]["solutions"].reverse()
     run = compare(tmp_path, new)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == (
-        "dense: 1 cases, 0 with structural differences, largest z move 3e-12 over 1 points")
-    assert "largest z move 0 over 2 points" in run.stdout.splitlines()[0]
+    # the reversed points are the same bytes in another order
+    assert run.stdout.splitlines()[:2] == [
+        "lines27: 2 cases, 1 byte-identical, 0 with structural differences, "
+        "largest z move 0 over 2 points",
+        "dense: 1 cases, 0 byte-identical, 0 with structural differences, "
+        "largest z move 3e-12 over 1 points (dense P^2 degree 8)",
+    ]
+
+
+def test_compare_names_the_case_that_moved_most(tmp_path):
+    """Per workload: the byte-identical cases, and the label of the case
+    with the largest move, the first of equal ones; a sweep row moves by
+    its max_norm."""
+    new = copy.deepcopy(OLD)
+    new["lines27 11/0"]["solutions"][0]["z"][2][0] = 3.0 * (1 + 1e-9)
+    new["lines27 11/0"]["solutions"][1]["z"][2][0] = 1.0 + 1e-10
+    new["sweep 7 e=13.5"]["max_norm"] = "10324837.90"
+    run = compare(tmp_path, new)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == ("lines27: 2 cases, 1 byte-identical, 0 with structural differences, "
+                        "largest z move 1e-09 over 2 points (lines27 11/0)")
+    assert lines[2] == ("sweep: 2 cases, 1 byte-identical, 0 with structural differences, "
+                        "largest max_norm move 9.7e-10 over 1 rows (sweep 7 e=13.5)")
+
+
+@pytest.mark.parametrize("change, report", [
+    (lambda row: row.update(status="schur"), "sweep 7 e=13.5: status ok -> schur"),
+    (lambda row: row.update(delta_plus="4"), "sweep 7 e=13.5: delta_plus 3 -> 4"),
+], ids=["status", "delta_plus"])
+def test_sweep_row_status_or_count_is_structural(tmp_path, change, report):
+    new = copy.deepcopy(OLD)
+    change(new["sweep 7 e=13.5"])
+    run = compare(tmp_path, new)
+    assert run.returncode == 1, run.stderr
+    assert run.stdout.splitlines()[0] == report
+    assert "sweep: 2 cases, 1 byte-identical, 1 with structural differences" in run.stdout
 
 
 @pytest.mark.parametrize("change, report", [
@@ -84,7 +128,7 @@ def test_structural_difference_fails(tmp_path, change, report):
     run = compare(tmp_path, new)
     assert run.returncode == 1, run.stderr
     assert run.stdout.splitlines()[0].startswith(report)
-    assert "lines27: 2 cases, 1 with structural differences" in run.stdout
+    assert "lines27: 2 cases, 1 byte-identical, 1 with structural differences" in run.stdout
 
 
 PILLOW = """
@@ -214,3 +258,44 @@ def test_rotation_is_a_seeded_unitary_of_the_same_span():
     assert out["unitary"] <= 1e-13
     assert out["repeats"] and out["seeded"] and out["turned"] and out["restored"]
     assert out["rows"] == 4 and out["span"] <= 1e-13
+
+
+SWEEP = """
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+import snapshot
+from toricsolve import SWEEP_HEADER
+rows = [f"{e / 2},3e-16,2e-16,1e-16,{1.414213532799484e8 if e == 16 else 5.0},3,ok,1"
+        for e in range(29)]
+rows[27] = "13.5,2.7e-08,9.1e-09,3.5e-15,10324837.89,3,ok,2"
+rows[28] = "14.0,,,,,,schur,1"
+print(json.dumps({
+    "records": list(snapshot.sweep_records(7, [SWEEP_HEADER] + rows)),
+    "seeds": snapshot.sweep_seeds([11, 12]),
+}))
+"""
+
+
+def test_sweep_rows_are_records_with_their_causes():
+    """A sweep pass writes one record per CSV row without wall_ms, and the
+    cause of a row check_sweep_rows flags: the status of a row whose
+    solve raised, else the pins it missed, without their values. Each
+    argument gives the solve seed of the benchmark's first pass at it,
+    and SWEEP_SEED comes last."""
+    run = subprocess.run([sys.executable, "-c", SWEEP, str(SNAPSHOT.parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    records = out["records"]
+    assert len(records) == 29
+    assert [label for label, *_ in records[26:]] == [
+        "sweep 7 e=13.0", "sweep 7 e=13.5", "sweep 7 e=14.0"]
+    assert all("wall_ms" not in record for _, record, *_ in records)
+    assert records[27][1] == {"e": "13.5", "max_res": "2.7e-08", "mean_res": "9.1e-09",
+                              "min_res": "3.5e-15", "max_norm": "10324837.89",
+                              "delta_plus": "3", "status": "ok"}
+    assert [(status, cause) for *_, status, cause in records if cause] == [
+        ("ok", "missed max_res"), ("schur", "schur")]
+    seeds = out["seeds"]
+    assert len(seeds) == 3 and seeds[-1] == 1531391094 and seeds[0] != seeds[1]
