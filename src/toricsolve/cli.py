@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .cox import homogenize
 from .errors import InputError, ToricSolveError
@@ -277,12 +278,13 @@ def cmd_sweep(input_path, param, grid_flag, output, seed, pair_flag, fan_flag,
             })
             continue
         wall_ms = int(round(1e3 * (time.perf_counter() - t0)))
-        per_solution = [max(s.residuals) for s in result.solutions]
+        # the ufunc reductions carry a nan wherever it sits, max and min do not
+        per_solution = [float(np.maximum.reduce(s.residuals)) for s in result.solutions]
         rows.append({
             "e": float(value),
-            "max_res": max(per_solution, default=0.0),
+            "max_res": float(np.maximum.reduce(per_solution, initial=0.0)),
             "mean_res": sum(per_solution) / len(per_solution) if per_solution else 0.0,
-            "min_res": min(per_solution, default=0.0),
+            "min_res": float(np.minimum.reduce(per_solution)) if per_solution else 0.0,
             "max_norm": max((s.norm for s in result.solutions), default=0.0),
             "delta_plus": result.delta_plus,
             "status": "ok",

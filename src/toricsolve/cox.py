@@ -38,8 +38,8 @@ class GradedBasis:
     One row per lattice point m of the section polytope, in lex order (the
     row/column order used everywhere). x^b in S_alpha times x^c in S_beta is
     the monomial of S_(alpha+beta) at m_b + m_c: `rows` is the one lookup.
-    The fan keeps one basis per representative (graded_basis), shared by
-    every later solve on it, so the arrays are read-only.
+    The fan keeps one basis per representative (graded_basis, `below`),
+    shared by every later solve on it, so the arrays are read-only.
 
     Attributes:
         degree: the DivisorClass (with its chosen representative a).
@@ -55,10 +55,10 @@ class GradedBasis:
     __slots__ = ("degree", "points", "exponents", "lattice_points",
                  "monomials", "_lo", "_radix", "_keys", "_powers", "_coords")
 
-    def __init__(self, degree):
+    def __init__(self, degree, points):
         fan = degree.fan
         self.degree = degree
-        self.points = pts = degree.polytope().lattice_point_array()
+        self.points = pts = points
         self.exponents = np.zeros((0, fan.k), dtype=np.int64)
         self._lo = self._radix = np.zeros(fan.n, dtype=np.int64)
         if len(pts):
@@ -70,7 +70,7 @@ class GradedBasis:
             self._radix = np.array([math.prod(size[j + 1:]) for j in range(fan.n)])
         self._keys = (pts - self._lo) @ self._radix
         self._powers, self._coords = _power_index(self.exponents)
-        for arr in (self.exponents, self._lo, self._radix, self._keys,
+        for arr in (self.points, self.exponents, self._lo, self._radix, self._keys,
                     self._powers, self._coords):
             arr.flags.writeable = False
         self.lattice_points = list(map(tuple, pts.tolist()))
@@ -86,6 +86,16 @@ class GradedBasis:
         at = np.minimum(at, len(self) - 1)
         # a point outside the box may share a key; only equality counts
         return np.where((self.points[at] == pts).all(axis=-1), at, -1)
+
+    def below(self, gap):
+        """The basis at degree - gap.degree, gap a nonempty GradedBasis, kept
+        by the fan as graded_basis keeps it: with x^v the first monomial of
+        gap, at m_v, the points m here whose exponent is at least v, minus
+        m_v, which are the section polytope's points, still lex-sorted."""
+        degree = self.degree - gap.degree
+        keep = np.logical_and.reduce(self.exponents >= gap.exponents[0], axis=1)
+        return degree.fan.kept(("basis", degree.a), GradedBasis, degree,
+                               self.points[keep] - gap.points[0])
 
     def position(self, exponent):
         """Index of a monomial given by its exponent tuple, or None."""
@@ -138,7 +148,8 @@ def graded_basis(fan, alpha):
         this representative).
     """
     alpha = as_divisor(fan, alpha)
-    return fan.kept(("basis", alpha.a), GradedBasis, alpha)
+    return fan.kept(("basis", alpha.a),
+                    lambda: GradedBasis(alpha, alpha.polytope().lattice_point_array()))
 
 
 class CoxPolynomial:

@@ -147,10 +147,13 @@ def _res_plan(system, beta):
     the section polytopes add; a point that does not has a negative
     index.
     """
-    fan = system.fan
-    rows = graded_basis(fan, beta)
-    col_blocks = [(i, graded_basis(fan, rows.degree - div))
-                  for i, div in enumerate(system.degrees)]
+    rows = graded_basis(system.fan, beta)
+    col_blocks = []
+    for i, div in enumerate(system.degrees):
+        gap = graded_basis(system.fan, div)
+        if not len(gap):
+            raise InputError(f"equation {i}: degree {div.a} has no sections")
+        col_blocks.append((i, rows.below(gap)))
     width = sum(len(b) for _, b in col_blocks)
     scatter, col = [], 0
     for i, block in col_blocks:
@@ -188,11 +191,11 @@ def assemble_res(system, beta, alpha0=None):
     """Assemble Res at degree beta for a homogeneous system.
 
     Entry placement is exact index arithmetic: the column of the point
-    m_c in block i holds the coefficient of f_i at each point m_b in the
-    row of m_b + m_c. Those positions depend on the fan and the degrees
-    alone, so the fan keeps them per degree (_res_plan) and a repeat
-    call only writes the nonzero coefficients of each equation through
-    one flat scatter.
+    m_c in block i, read off S_beta (GradedBasis.below), holds the
+    coefficient of f_i at each point m_b in the row of m_b + m_c. Those
+    positions depend on the fan and the degrees alone, so the fan keeps
+    them per degree (_res_plan) and a repeat call only writes the nonzero
+    coefficients of each equation through one flat scatter.
 
     With alpha0, the multiplier degree, the result records it: cokernel
     then also gives the corank at beta - alpha0, and multiplication_family
@@ -213,10 +216,10 @@ def assemble_res(system, beta, alpha0=None):
         recorded nested one, with alpha0 recorded as a DivisorClass.
 
     Raises:
-        InputError: every column block is empty (degree too low, checked
-            first), alpha0 has no sections, or a nonzero term of an
-            equation does not land in S_beta (its polynomial is not of
-            its degree).
+        InputError: an equation's degree has no sections, every column
+            block is empty (degree too low, checked next), alpha0 has no
+            sections, or a nonzero term of an equation does not land in
+            S_beta (its polynomial is not of its degree).
     """
     fan = system.fan
     beta = as_divisor(fan, beta)
@@ -404,40 +407,25 @@ def _tall(shape):
     return shape[0] >= shape[1] > 0
 
 
-def _place(res, drop, shift):
-    """Where Res at the degree of res minus drop sits in res, times
-    x^shift (shift a point of S_drop): (I, J), I the rows x^shift x^a of
-    res in the row order of that Res, J the columns x^shift x^c of each
-    of its blocks in its column order. res[I, J] is that Res, and every
-    other row of res is zero in the columns J: the column of x^shift x^c
-    in block i holds x^shift x^c f_i, whose terms are all rows in I."""
-    fan = res.rows.degree.fan
-    starts = np.cumsum([0] + res.block_widths())
-    rows = res.rows.rows(graded_basis(fan, res.rows.degree - drop).points + shift)
-    cols = np.concatenate([start + top.rows(graded_basis(fan, top.degree - drop).points + shift)
-                           for start, (_, top) in zip(starts, res.col_blocks)])
-    return rows, cols
-
-
 def _descent(res, alpha0):
     """The nested order of res down its chain of steps alpha0, a
-    DivisorClass: (rows, cols, shapes), kept by the fan per row and
-    column bases of res (the bases the fan keeps) and alpha0's
-    representative. assemble_res writes Res in this order, and cokernel
-    reduces it in it; only the bases and the shape of res are read, never
-    its matrix.
+    DivisorClass: (rows, cols, shapes), kept by the fan per row and column
+    bases of res and alpha0's representative. assemble_res writes Res in
+    this order, and cokernel reduces it in it; only the bases and the shape
+    of res are read, never its matrix.
 
-    Level j is Res at the degree of res minus j alpha0, times x^(j b0),
-    b0 the first point of S_alpha0: _place(res, j alpha0, j b0) places it
-    in res, and level j + 1 sits in level j the same way. res[rows][:,
-    cols] has every level as a leading block: the rows and columns of the
-    deepest level first, in their order, then those each level adds,
-    each in order. A block with no columns touches no row, so none of its
-    rows leads: rows and cols are then the identity, the monomial order.
-    shapes[j - 1] is the shape of level j, the first that of the block.
-    The levels go on below the block only under a tall res, while the
-    level below pays for its lift (_pays); a step trivial in the class
-    group gives every level the shape of res, which stops them.
+    Level j is Res at the degree of res minus j alpha0, times x^(j v0), x^v0
+    the first monomial of S_alpha0: its rows and columns are the monomials
+    of res that x^(j v0) divides (GradedBasis.below), and the other rows
+    vanish in its columns. res[rows][:, cols] has every level as a leading
+    block: the rows and columns of the deepest level first, in their order,
+    then those each level adds, each in order. A block with no columns
+    touches no row, so none of its rows leads: rows and cols are then the
+    identity, the monomial order. shapes[j - 1] is the shape of level j,
+    the first that of the block. The levels go on below the block only
+    under a tall res, while the level below pays for its lift (_pays); a
+    step trivial in the class group (v0 = 0) gives every level the shape
+    of res, which stops them.
 
     Raises:
         InputError: alpha0 has no sections.
@@ -448,21 +436,22 @@ def _descent(res, alpha0):
         between = graded_basis(fan, alpha0)
         if len(between) == 0:
             raise InputError(f"alpha0 = {alpha0.a} has no sections")
-        shift = between.points[0]
-        levels = [_place(res, alpha0, shift)]
+        v0 = between.exponents[0]
+        # how many times x^v0 divides each row and each column monomial
+        depth = [np.minimum.reduce(e[:, v0 > 0] // v0[v0 > 0], axis=1,
+                                   initial=np.iinfo(np.int64).max)
+                 for e in (res.rows.exponents,
+                           np.concatenate([b.exponents for _, b in res.col_blocks]))]
+        shapes = [tuple(int(np.add.reduce(d >= 1)) for d in depth)]
         while _tall(res.shape):
-            below = _place(res, (len(levels) + 1) * alpha0, (len(levels) + 1) * shift)
-            if not _pays(*[(len(I), len(J)) for I, J in (levels[-1], below)]):
+            lower = tuple(int(np.add.reduce(d > len(shapes))) for d in depth)
+            if not _pays(shapes[-1], lower):
                 break
-            levels.append(below)
-        rows, cols = levels[-1]
-        if not len(cols):
-            # a block with no columns touches no row: none of them leads
-            rows = cols
-        for I, J in levels[-2::-1] + [(np.arange(res.shape[0]), np.arange(res.shape[1]))]:
-            rows = np.concatenate([rows, np.setdiff1d(I, rows, assume_unique=True)])
-            cols = np.concatenate([cols, np.setdiff1d(J, cols, assume_unique=True)])
-        return rows, cols, [(len(I), len(J)) for I, J in levels]
+            shapes.append(lower)
+        # a block with no columns touches no row: none of them leads
+        levels = len(shapes) if shapes[0][1] else 0
+        rows, cols = (np.argsort(-np.minimum(d, levels), kind="stable") for d in depth)
+        return rows, cols, shapes
     return fan.kept(("chain", res.rows, tuple(res.col_blocks), alpha0.a), build)
 
 
@@ -771,10 +760,10 @@ def cokernel(res, corank_only=False):
 
     When res was assembled with alpha0 (res.alpha0), it is Res at alpha +
     alpha0, alpha its degree minus alpha0, and Res at alpha is read off
-    it, never assembled: times the monomial x^b0 of S_alpha0 that maps
-    S_alpha into S_alpha+alpha0, it is the block res[I, J], whose columns
-    vanish off its rows (_place). Res at alpha - alpha0 sits in the block
-    the same way, and so on down the chain. assemble_res wrote res in the
+    it, never assembled: times the first monomial x^v0 of S_alpha0, it is
+    the block res[I, J] of the rows and columns x^v0 divides, and its
+    columns vanish off its rows (_descent). Res at alpha - alpha0 sits in
+    the block the same way, and so on down the chain. assemble_res wrote res in the
     nested order of that chain (res.order), the block leading. When the
     block has columns and is not all of res, cokernel first reduces res
     by the block (_reduce). With rest the other rows and K the other
@@ -930,7 +919,8 @@ def _gather_plan(cok):
     fan = top.fan
 
     def build():
-        s_alpha, s_alpha0 = graded_basis(fan, top - alpha0), graded_basis(fan, alpha0)
+        s_alpha0 = graded_basis(fan, alpha0)
+        s_alpha = res.rows.below(s_alpha0)
         gather = res.rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])
         return s_alpha, s_alpha0, _inverse(res.order[0])[gather]
 

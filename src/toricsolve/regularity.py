@@ -92,9 +92,8 @@ class RegularityPair:
 
 def predicted_shape(system, pair):
     """(rows, cols) of Res at alpha + alpha0 without assembling it."""
-    fan, top = system.fan, pair.top
-    cols = sum(len(graded_basis(fan, top - div)) for div in system.degrees)
-    return len(graded_basis(fan, top)), cols
+    fan, rows = system.fan, graded_basis(system.fan, pair.top)
+    return len(rows), sum(len(rows.below(graded_basis(fan, div))) for div in system.degrees)
 
 
 def _multiplier_ok(div):

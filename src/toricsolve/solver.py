@@ -87,11 +87,9 @@ class SolutionSet:
         return [s for s in self.solutions if not s.on_torus]
 
     def max_residual(self):
-        worst = 0.0
-        for s in self.solutions:
-            if s.residuals:
-                worst = max(worst, max(s.residuals))
-        return worst
+        """The largest residual, 0.0 without any; nan when any is nan."""
+        return float(np.maximum.reduce(
+            [r for s in self.solutions for r in s.residuals or ()], initial=0.0))
 
     def __repr__(self):
         return (f"SolutionSet(delta={self.delta}, delta_plus={self.delta_plus}, "

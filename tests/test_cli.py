@@ -11,6 +11,8 @@ from click.testing import CliRunner
 from toricsolve import cli, cox
 from toricsolve.cli import main
 from toricsolve.errors import InputError
+from toricsolve.recovery import Solution
+from toricsolve.solver import SolutionSet
 
 from systems import (
     HIRZEBRUCH_RAYS,
@@ -414,6 +416,35 @@ def test_sweep_small_grid(tmp_path):
         assert cells[6] == "ok"
         assert int(cells[5]) == 3
         assert float(cells[1]) <= 1e-12
+
+
+def _nan_result(first):
+    """A solution set of two torus points whose residuals hold one nan:
+    in the first point's first residual, or in the last point's last."""
+    nan = float("nan")
+    residuals = [(nan, 1e-3), (2e-3, 1e-4)] if first else [(1e-3, 2e-3), (1e-4, nan)]
+    return SolutionSet([Solution((1, 1), (1,), 1, (), r) for r in residuals],
+                       2, None, 0, {}, {}, None)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["nan first", "nan last"])
+def test_max_residual_carries_a_nan(first):
+    assert math.isnan(_nan_result(first).max_residual())
+
+
+def test_sweep_row_carries_a_nan(tmp_path, monkeypatch):
+    """The row statistics of a solve with a nan residual are nan wherever
+    the nan sits, rows 0 and 1 holding it first and last."""
+    path = write_file(tmp_path, intro_template_doc())
+    results = iter([_nan_result(True), _nan_result(False)])
+    monkeypatch.setattr(cli, "run_solve", lambda *args, **kwargs: next(results))
+    res = run("sweep", path, "--grid", "0:1:1")
+    assert res.exit_code == 0, res.output
+    header, *rows = res.output.splitlines()
+    assert header.startswith("e,max_res,mean_res,min_res,")
+    assert len(rows) == 2
+    for row in rows:
+        assert row.split(",")[1:4] == ["nan", "nan", "nan"]
 
 
 def test_sweep_single_point(tmp_path):

@@ -14,7 +14,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricsolve import eigensolver, solver
+from toricsolve import cox, eigensolver, solver
 from toricsolve.cox import CoxPolynomial, HomogeneousSystem, as_divisor, graded_basis, homogenize
 from toricsolve.eigensolver import (
     CLUSTER_GAP,
@@ -32,7 +32,6 @@ from toricsolve.eigensolver import (
     _descent,
     _cluster_labels,
     _pays,
-    _place,
     _qr_rank,
     _rank,
     _reduce,
@@ -182,6 +181,21 @@ def test_res_missing_row_raises():
     system = HomogeneousSystem(fan, [f], [fan.divisor((0, 0, 0, 0))])
     with pytest.raises(InputError):
         assemble_res(system, (1, 1, 1, 1))
+
+
+def test_degree_without_sections_is_refused():
+    """Each column block is read off S_beta by a monomial of its
+    equation's degree: a hand-built system whose degree has no sections
+    is refused by name, with and without alpha0."""
+    fan = pillow_fan()
+    basis = graded_basis(fan, (1, 1, 1, 1))
+    f = CoxPolynomial(basis, np.arange(1, len(basis) + 1))
+    empty = fan.divisor((-1, 0, 0, 0))
+    assert len(graded_basis(fan, empty)) == 0
+    system = HomogeneousSystem(fan, [f, f], [fan.divisor((1, 1, 1, 1)), empty])
+    for alpha0 in ((), ((1, 1, 1, 1),)):
+        with pytest.raises(InputError, match=r"equation 1: degree \(-1, 0, 0, 0\) has no sections"):
+            assemble_res(system, (3, 3, 3, 3), *alpha0)
 
 
 def test_wrong_degree_raises_on_every_call():
@@ -1017,13 +1031,32 @@ def test_wide_res_is_reduced_by_its_block(seed):
     assert (only.delta_plus, only.block.delta_plus) == (45, 45)
 
 
+def _section(degree):
+    """The lattice points of the section polytope of a DivisorClass, read
+    off the polytope itself: the reference for the bases the fan keeps,
+    most of which are read off a higher basis (GradedBasis.below)."""
+    return degree.polytope().lattice_point_array()
+
+
 def _placed(top, alpha0, times=1):
     """(I, J) of Res at alpha in Res at alpha + alpha0 (top), from the
-    placement _descent makes: of x^(times b0) times Res at the degree of
-    top minus times alpha0, b0 the first point of S_alpha0."""
+    section polytopes: x^(times b0) times Res at the degree of top minus
+    times alpha0, b0 the first point of S_alpha0. I are the rows x^(times
+    b0) x^a of top in the row order of that Res, J the columns x^(times
+    b0) x^c of each of its blocks in its column order; every point
+    lands."""
     fan = top.rows.degree.fan
-    alpha0 = as_divisor(fan, alpha0)
-    return _place(top, times * alpha0, times * graded_basis(fan, alpha0).points[0])
+    drop = times * as_divisor(fan, alpha0)
+    shift = times * _section(as_divisor(fan, alpha0))[0]
+    starts = np.cumsum([0] + top.block_widths())
+    I = top.rows.rows(_section(top.rows.degree - drop) + shift)
+    J = np.concatenate([start + block.rows(_section(block.degree - drop) + shift)
+                        for start, (_, block) in zip(starts, top.col_blocks)])
+    assert (I >= 0).all() and (J >= 0).all()
+    return I, J
+
+
+GOLDEN = ["pillow_seed1", "intro_e3_seed0", "lines27_seed0", "dense_p2_d6_seed0"]
 
 
 def _golden_pair(name, which):
@@ -1114,6 +1147,77 @@ def test_reduction_on_the_dense_benchmark_shapes(n, degree, depth):
 @given(system=dense_systems())
 def test_placement_holds_on_dense_systems(system):
     _check_placement(system, improved_pair(system))
+
+
+def _check_read_off_the_top(make, pick, monkeypatch):
+    """Every basis below the top that a solve reads, read off the top
+    (GradedBasis.below), is the section polytope's: each column block,
+    S_alpha, and the rows and columns of every chain level, shifted by
+    x^(j b0). Each is the one graded_basis gives. pick (default_pair or
+    improved_pair) runs on another fan of the same supports (make), so
+    that none of the bases it enumerates are kept by the fan solved on.
+    Returns the shapes of the levels."""
+    monkeypatch.setattr(cox, "_supports", {})
+    pair = pick(make())
+    monkeypatch.setattr(cox, "_supports", {})
+    system = make()
+    fan = system.fan
+    pair = RegularityPair(fan.divisor(pair.alpha.a), fan.divisor(pair.alpha0.a),
+                          pair.provenance)
+    res = assemble_res(system, pair.top, pair.alpha0)
+    for (_, block), div in zip(res.col_blocks, system.degrees):
+        assert np.array_equal(block.points, _section(res.rows.degree - div))
+        assert graded_basis(fan, block.degree) is block
+    s_alpha = eigensolver._gather_plan(cokernel(res, corank_only=True))[0]
+    assert np.array_equal(s_alpha.points, _section(pair.alpha))
+    assert graded_basis(fan, pair.alpha) is s_alpha
+    for basis in [s_alpha] + [b for _, b in res.col_blocks]:
+        assert np.array_equal(basis.exponents,
+                              basis.points @ np.array(fan.rays).T + basis.degree.a)
+    rows, cols, shapes = res.order
+    for j, (m, n) in enumerate(shapes, 1):
+        I, J = _placed(res, pair.alpha0, j)
+        assert (m, n) == (len(I), len(J))
+        if shapes[0][1]:
+            assert np.array_equal(np.sort(rows[:m]), I) and np.array_equal(np.sort(cols[:n]), J)
+    return shapes
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+@pytest.mark.parametrize("which", ["default", "improved"])
+def test_bases_read_off_the_top_are_the_polytopes(name, which, monkeypatch):
+    sf = load_system_file(DATA / f"{name}.system.json")
+    _check_read_off_the_top(lambda: homogenize(sf.laurent(), rays=sf.rays),
+                            default_pair if which == "default" else improved_pair,
+                            monkeypatch)
+
+
+def test_bases_read_off_a_tall_top_are_the_polytopes(monkeypatch):
+    """P^2 at degree 20, default pair: eight chain levels."""
+    shapes = _check_read_off_the_top(lambda: _dense_pn(2, 20), default_pair, monkeypatch)
+    assert len(shapes) == 8
+
+
+@pytest.mark.parametrize("make", [lines27_system, lambda: _dense_pn(2, 20)],
+                         ids=["lines27", "P2 degree 20"])
+def test_one_enumeration_after_the_pair(make, monkeypatch):
+    """On a fresh fan, once the pair is chosen, the Res, its cokernel and
+    the family enumerate at most one section polytope, the top's: every
+    other basis they read is read off the top."""
+    monkeypatch.setattr(cox, "_supports", {})
+    system = make()
+    pair = improved_pair(system)
+    calls = []
+    enumerate_ = Polytope.from_inequalities.__func__
+
+    def counted(cls, rays, a):
+        calls.append(a)
+        return enumerate_(cls, rays, a)
+
+    monkeypatch.setattr(Polytope, "from_inequalities", classmethod(counted))
+    family = multiplication_family(cokernel(assemble_res(system, pair.top, pair.alpha0)))
+    assert family.delta_plus > 0
+    assert calls in ([], [pair.top.a])
 
 
 def test_reduction_falls_back_when_its_bound_misses():
@@ -1427,9 +1531,6 @@ def test_nested_res_on_lines27(seed):
     assert _depth(res, pair.alpha0) and cok.R.shape == (261, 261)
     s1 = np.linalg.norm(res.matrix, 2)
     assert np.linalg.norm(cok.N @ res.matrix, 2) <= 10 * TOL_RANK * s1
-
-
-GOLDEN = ["pillow_seed1", "intro_e3_seed0", "lines27_seed0", "dense_p2_d6_seed0"]
 
 
 @pytest.mark.parametrize("which", ["default", "improved"])
