@@ -38,22 +38,22 @@ class GradedBasis:
     One row per lattice point m of the section polytope, in lex order (the
     row/column order used everywhere). x^b in S_alpha times x^c in S_beta is
     the monomial of S_(alpha+beta) at m_b + m_c: `rows` is the one lookup.
-    The fan keeps one basis per representative (graded_basis, `below`),
-    shared by every later solve on it, so the arrays are read-only.
+    The fan keeps one basis per representative (graded_basis, `below`,
+    homogenize), its one copy of the degree's points, shared by every
+    later solve on it, so the arrays are read-only.
 
     Attributes:
         degree: the DivisorClass (with its chosen representative a).
         points: (N x n) int64 array of the lattice points m.
         exponents: (N x k) int64 array of the Cox exponents F^T m + a.
-        lattice_points: the points as a list of tuples.
         monomials: the exponents as a list of tuples.
 
     The basis also keeps the index arrays of the power table that
     evaluation gathers from (_power_index).
     """
 
-    __slots__ = ("degree", "points", "exponents", "lattice_points",
-                 "monomials", "_lo", "_radix", "_keys", "_powers", "_coords")
+    __slots__ = ("degree", "points", "exponents", "monomials",
+                 "_lo", "_radix", "_keys", "_powers", "_coords")
 
     def __init__(self, degree, points):
         fan = degree.fan
@@ -73,7 +73,6 @@ class GradedBasis:
         for arr in (self.points, self.exponents, self._lo, self._radix, self._keys,
                     self._powers, self._coords):
             arr.flags.writeable = False
-        self.lattice_points = list(map(tuple, pts.tolist()))
         self.monomials = list(map(tuple, self.exponents.tolist()))
 
     def rows(self, points):
@@ -321,18 +320,29 @@ def ray_list(rays):
     return [int_vector(r, f"ray {j}") for j, r in enumerate(rays)]
 
 
+def _hull_basis(fan, hull, div):
+    """The basis of div, whose section polytope is hull, kept by the fan as
+    graded_basis keeps it: hull's vertex box filtered by the fan's rows."""
+    section = Polytope(fan.n, hull.dim, hull.vertices, list(zip(fan.rays, div.a)))
+    return fan.kept(("basis", div.a), lambda: GradedBasis(div, section.lattice_point_array()))
+
+
 def _build(merged, exponents, rays):
     """Fan of the Minkowski sum and, per equation, (tight degree, basis,
-    row of each exponent in `exponents`)."""
+    row of each exponent in `exponents`). Each Newton polytope is a
+    Minkowski summand of their sum, so it is the section polytope of its
+    tight degree, as the sum is that of fan.offsets: both bases are read
+    off the hulls."""
     newtons = [Polytope.from_points(list(terms)) for terms in merged]
     total = newtons[0]
     for q in newtons[1:]:
         total = total.minkowski(q)
     fan = Fan.normal_fan(total, rays=rays)
+    _hull_basis(fan, total, fan.divisor(fan.offsets))
     pieces = []
-    for terms, exps in zip(merged, exponents):
-        div = divisor_of_polytope(fan, list(terms))
-        basis = graded_basis(fan, div)
+    for newton, exps in zip(newtons, exponents):
+        div = divisor_of_polytope(fan, newton)
+        basis = _hull_basis(fan, newton, div)
         # the tight representative makes P_a the Newton polytope, so each
         # exponent m is its own lattice point
         pieces.append((div, basis, basis.rows(list(exps))))

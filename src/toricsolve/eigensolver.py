@@ -113,16 +113,21 @@ class ResMatrix:
             with, or None: cokernel reads the block at the degree of rows
             minus alpha0 off it, and multiplication_family multiplies by
             S_alpha0.
+        gather: None without alpha0, else (S_alpha, S_alpha0, index),
+            index[j, a] the row of matrix holding x^b_j x^a for b_j in
+            S_alpha0 and a in S_alpha (never -1), which
+            multiplication_family reads its maps N_b through.
     """
 
-    __slots__ = ("rows", "col_blocks", "matrix", "order", "alpha0")
+    __slots__ = ("rows", "col_blocks", "matrix", "order", "alpha0", "gather")
 
-    def __init__(self, rows, col_blocks, matrix, order=None, alpha0=None):
+    def __init__(self, rows, col_blocks, matrix, order=None, alpha0=None, gather=None):
         self.rows = rows
         self.col_blocks = col_blocks
         self.matrix = matrix
         self.order = order
         self.alpha0 = alpha0
+        self.gather = gather
 
     @property
     def shape(self):
@@ -135,17 +140,22 @@ class ResMatrix:
         return f"ResMatrix(shape={self.matrix.shape}, blocks={self.block_widths()})"
 
 
-def _res_plan(system, beta):
-    """The index data of Res at beta, built once and kept by the fan
-    (assemble_res).
+def _res_plan(system, beta, alpha0):
+    """Everything about Res at beta but its coefficients, kept by the fan
+    (assemble_res): (rows, col_blocks, width, scatter, order, gather).
 
-    Returns (rows, col_blocks, width, scatter). Per equation, scatter
-    holds the flat matrix index of the row of m_b + m_c in the column of
-    m_c, for every point m_c of its block (axis 0) and m_b of its
-    polynomial's basis (axis 1), and whether every one of those points
-    lands in rows. They all land when the polynomial has its degree, as
-    the section polytopes add; a point that does not has a negative
-    index.
+    Per equation, scatter holds the flat matrix index of the row of m_b +
+    m_c in the column of m_c, for every point m_c of its block (axis 0)
+    and m_b of its polynomial's basis (axis 1), and whether every one of
+    those points lands in rows. They all land when the polynomial has
+    its degree, as the section polytopes add; a point that does not has
+    a negative index. With alpha0 the indices are written straight into
+    order, the nested order of _descent down alpha0, and gather is
+    ResMatrix.gather; without it both are None.
+
+    Raises:
+        InputError: an equation's degree has no sections, every column
+            block is empty (degree too low) or alpha0 has no sections.
     """
     rows = graded_basis(system.fan, beta)
     col_blocks = []
@@ -155,29 +165,25 @@ def _res_plan(system, beta):
             raise InputError(f"equation {i}: degree {div.a} has no sections")
         col_blocks.append((i, rows.below(gap)))
     width = sum(len(b) for _, b in col_blocks)
+    if len(system) > 0 and width == 0:
+        raise InputError("degree too low: every column block of Res is empty")
+    order = gather = None
+    if alpha0 is not None:
+        order = _descent(rows, col_blocks, alpha0)
+        at_row, at_col = _inverse(order[0]), _inverse(order[1])
+        s_alpha0 = graded_basis(system.fan, alpha0)
+        s_alpha = rows.below(s_alpha0)
+        gather = (s_alpha, s_alpha0,
+                  at_row[rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])])
     scatter, col = [], 0
     for i, block in col_blocks:
         r = rows.rows(block.points[:, None] + system.polys[i].basis.points[None])
         cols = col + np.arange(len(block))[:, None]
+        if order is not None:
+            r, cols = np.where(r >= 0, at_row[r], -1), at_col[cols]
         scatter.append((r * width + cols, bool((r >= 0).all())))
         col += len(block)
-    return rows, col_blocks, width, scatter
-
-
-def _nest(res, scatter, alpha0):
-    """(scatter, order) of res in the nested order of _descent down
-    alpha0: every flat index of scatter moved to the place its entry has
-    in res[rows][:, cols], a point that does not land kept negative, and
-    the plan as the order."""
-    plan = _descent(res, alpha0)
-    rows, cols, _ = plan
-    n = res.shape[1]
-    at_row, at_col = _inverse(rows), _inverse(cols)
-    nested = []
-    for index, lands in scatter:
-        r, c = np.divmod(index, n)
-        nested.append((np.where(r >= 0, at_row[r] * n + at_col[c], -1), lands))
-    return nested, plan
+    return rows, col_blocks, width, scatter, order, gather
 
 
 def _inverse(order):
@@ -194,16 +200,17 @@ def assemble_res(system, beta, alpha0=None):
     m_c in block i, read off S_beta (GradedBasis.below), holds the
     coefficient of f_i at each point m_b in the row of m_b + m_c. Those
     positions depend on the fan and the degrees alone, so the fan keeps
-    them per degree (_res_plan) and a repeat call only writes the nonzero
-    coefficients of each equation through one flat scatter.
+    them in one plan per Res (_res_plan), per beta, degrees and alpha0,
+    and a repeat call only writes the nonzero coefficients of each
+    equation through one flat scatter.
 
     With alpha0, the multiplier degree, the result records it: cokernel
     then also gives the corank at beta - alpha0, and multiplication_family
-    multiplies by S_alpha0. Every coefficient is then written straight to
-    its place in the nested order of _descent down alpha0, the order
-    cokernel reads Res in, and the result records that order. The fan
-    keeps that composed scatter beside the plan, per beta, the equations'
-    degrees and alpha0. Without alpha0 the order is lexicographic.
+    multiplies by S_alpha0 through the gather the result records. Every
+    coefficient is then written straight to its place in the nested
+    order of _descent down alpha0, the order cokernel reads Res in, and
+    the result records that order. Without alpha0 the order is
+    lexicographic.
 
     Args:
         system: HomogeneousSystem.
@@ -217,25 +224,23 @@ def assemble_res(system, beta, alpha0=None):
 
     Raises:
         InputError: an equation's degree has no sections, every column
-            block is empty (degree too low, checked next), alpha0 has no
-            sections, or a nonzero term of an equation does not land in
-            S_beta (its polynomial is not of its degree).
+            block is empty (degree too low), alpha0 has no sections, or a
+            nonzero term of an equation does not land in S_beta (its
+            polynomial is not of its degree).
     """
     fan = system.fan
     beta = as_divisor(fan, beta)
-    # beta's representative, each equation's degree representative and
-    # the degree representative of each polynomial's basis
-    key = (beta.a, tuple(div.a for div in system.degrees),
-           tuple(f.basis.degree.a for f in system.polys))
-    rows, col_blocks, width, scatter = fan.kept(("res",) + key, _res_plan, system, beta)
-    if len(system) > 0 and width == 0:
-        raise InputError("degree too low: every column block of Res is empty")
-
-    res = ResMatrix(rows, col_blocks, np.zeros((len(rows), width), dtype=complex))
     if alpha0 is not None:
-        res.alpha0 = as_divisor(fan, alpha0)
-        scatter, res.order = fan.kept(("res order",) + key + (res.alpha0.a,),
-                                      _nest, res, scatter, res.alpha0)
+        alpha0 = as_divisor(fan, alpha0)
+    # beta's representative, each equation's degree representative, the
+    # degree representative of each polynomial's basis, and alpha0's
+    key = ("res", beta.a, tuple(div.a for div in system.degrees),
+           tuple(f.basis.degree.a for f in system.polys),
+           None if alpha0 is None else alpha0.a)
+    rows, col_blocks, width, scatter, order, gather = fan.kept(
+        key, _res_plan, system, beta, alpha0)
+    res = ResMatrix(rows, col_blocks, np.zeros((len(rows), width), dtype=complex),
+                    order, alpha0, gather)
     flat = res.matrix.reshape(-1)
     for i, (index, lands) in enumerate(scatter):
         coeffs = system.polys[i].coeffs
@@ -407,52 +412,47 @@ def _tall(shape):
     return shape[0] >= shape[1] > 0
 
 
-def _descent(res, alpha0):
-    """The nested order of res down its chain of steps alpha0, a
-    DivisorClass: (rows, cols, shapes), kept by the fan per row and column
-    bases of res and alpha0's representative. assemble_res writes Res in
-    this order, and cokernel reduces it in it; only the bases and the shape
-    of res are read, never its matrix.
+def _descent(rows, col_blocks, alpha0):
+    """The nested order of Res, with row basis rows and column blocks
+    col_blocks (as ResMatrix has them), down its chain of steps alpha0, a
+    DivisorClass: (rows, cols, shapes). _res_plan writes Res in this
+    order, and cokernel reduces it in it; only the bases are read.
 
-    Level j is Res at the degree of res minus j alpha0, times x^(j v0), x^v0
-    the first monomial of S_alpha0: its rows and columns are the monomials
-    of res that x^(j v0) divides (GradedBasis.below), and the other rows
-    vanish in its columns. res[rows][:, cols] has every level as a leading
-    block: the rows and columns of the deepest level first, in their order,
-    then those each level adds, each in order. A block with no columns
-    touches no row, so none of its rows leads: rows and cols are then the
-    identity, the monomial order. shapes[j - 1] is the shape of level j,
-    the first that of the block. The levels go on below the block only
-    under a tall res, while the level below pays for its lift (_pays); a
-    step trivial in the class group (v0 = 0) gives every level the shape
-    of res, which stops them.
+    Level j is Res at the degree of rows minus j alpha0, times x^(j v0),
+    x^v0 the first monomial of S_alpha0: its rows and columns are the
+    monomials of Res that x^(j v0) divides (GradedBasis.below), and the
+    other rows vanish in its columns. Res[rows][:, cols] has every level
+    as a leading block: the rows and columns of the deepest level first,
+    in their order, then those each level adds, each in order. A block
+    with no columns touches no row, so none of its rows leads: rows and
+    cols are then the identity, the monomial order. shapes[j - 1] is the
+    shape of level j, the first that of the block. The levels go on below
+    the block only under a tall Res, while the level below pays for its
+    lift (_pays); a step trivial in the class group (v0 = 0) gives every
+    level the shape of Res, which stops them.
 
     Raises:
         InputError: alpha0 has no sections.
     """
-    fan = res.rows.degree.fan
-
-    def build():
-        between = graded_basis(fan, alpha0)
-        if len(between) == 0:
-            raise InputError(f"alpha0 = {alpha0.a} has no sections")
-        v0 = between.exponents[0]
-        # how many times x^v0 divides each row and each column monomial
-        depth = [np.minimum.reduce(e[:, v0 > 0] // v0[v0 > 0], axis=1,
-                                   initial=np.iinfo(np.int64).max)
-                 for e in (res.rows.exponents,
-                           np.concatenate([b.exponents for _, b in res.col_blocks]))]
-        shapes = [tuple(int(np.add.reduce(d >= 1)) for d in depth)]
-        while _tall(res.shape):
-            lower = tuple(int(np.add.reduce(d > len(shapes))) for d in depth)
-            if not _pays(shapes[-1], lower):
-                break
-            shapes.append(lower)
-        # a block with no columns touches no row: none of them leads
-        levels = len(shapes) if shapes[0][1] else 0
-        rows, cols = (np.argsort(-np.minimum(d, levels), kind="stable") for d in depth)
-        return rows, cols, shapes
-    return fan.kept(("chain", res.rows, tuple(res.col_blocks), alpha0.a), build)
+    between = graded_basis(rows.degree.fan, alpha0)
+    if len(between) == 0:
+        raise InputError(f"alpha0 = {alpha0.a} has no sections")
+    v0 = between.exponents[0]
+    # how many times x^v0 divides each row and each column monomial
+    depth = [np.minimum.reduce(e[:, v0 > 0] // v0[v0 > 0], axis=1,
+                               initial=np.iinfo(np.int64).max)
+             for e in (rows.exponents, np.concatenate([b.exponents for _, b in col_blocks]))]
+    shapes = [tuple(int(np.add.reduce(d >= 1)) for d in depth)]
+    while _tall(tuple(map(len, depth))):
+        lower = tuple(int(np.add.reduce(d > len(shapes))) for d in depth)
+        if not _pays(shapes[-1], lower):
+            break
+        shapes.append(lower)
+    # a block with no columns touches no row: none of them leads
+    levels = len(shapes) if shapes[0][1] else 0
+    order_rows, order_cols = (np.argsort(-np.minimum(d, levels), kind="stable")
+                              for d in depth)
+    return order_rows, order_cols, shapes
 
 
 def _pays(upper, lower):
@@ -763,8 +763,9 @@ def cokernel(res, corank_only=False):
     it, never assembled: times the first monomial x^v0 of S_alpha0, it is
     the block res[I, J] of the rows and columns x^v0 divides, and its
     columns vanish off its rows (_descent). Res at alpha - alpha0 sits in
-    the block the same way, and so on down the chain. assemble_res wrote res in the
-    nested order of that chain (res.order), the block leading. When the
+    the block the same way, and so on down the chain. assemble_res wrote
+    res in the nested order of that chain, the block leading, and res
+    records it from the plan the fan keeps (res.order). When the
     block has columns and is not all of res, cokernel first reduces res
     by the block (_reduce). With rest the other rows and K the other
     columns, the cokernel of res is that of B = [N_lo res[I, K];
@@ -903,30 +904,6 @@ def _restriction_cond(R11, sub):
     return float(np.linalg.cond(sub))
 
 
-def _gather_plan(cok):
-    """(S_alpha, S_alpha0, gather) for alpha0 = cok.res.alpha0 and alpha
-    = top - alpha0, top the degree of cok.res: gather[j, a] is the column
-    of cok.N holding x^b_j x^a, for b_j in S_alpha0 and a in S_alpha; the
-    section polytopes add, so no index is -1.
-
-    The columns of N are in the nested order cok.res.order[0], so the
-    monomial positions are composed with that order once. Kept by the
-    fan per representatives of top and alpha0 and the column blocks of
-    cok.res, which fix that order.
-    """
-    res = cok.res
-    top, alpha0 = res.rows.degree, res.alpha0
-    fan = top.fan
-
-    def build():
-        s_alpha0 = graded_basis(fan, alpha0)
-        s_alpha = res.rows.below(s_alpha0)
-        gather = res.rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])
-        return s_alpha, s_alpha0, _inverse(res.order[0])[gather]
-
-    return fan.kept(("gather", top.a, alpha0.a, tuple(res.col_blocks)), build)
-
-
 def multiplication_family(cok, seed=0):
     """Build the multiplication matrices from a cokernel at alpha + alpha0.
 
@@ -935,18 +912,17 @@ def multiplication_family(cok, seed=0):
     S_alpha -> C^delta are exact column gathers of N, all in one: x^b x^a
     is the monomial of S_{alpha+alpha0} at the point m_b + m_a, whose
     column of N is its position in the nested order cok.res.order[0].
-    The bases and that gather index depend on the pair and the column
-    blocks of cok.res alone, so the fan keeps them, composed with the
-    order once (_gather_plan). h_0 is a
-    random complex Gaussian combination over S_alpha0, and the
-    invertible restriction is chosen by column-pivoted QR on N_{h_0}
-    (LAPACK geqp3). One LU factorization of that restriction and one
-    solve on the right-hand sides of every member, side by side (LAPACK
-    getrf and getrs), give the whole family as one stacked array. Its
-    members are linear in their coefficient vectors and sum_b h0_b M_b =
-    I: from delta_plus = SPAN_MIN_DELTA on, schur_cluster transforms only
-    the m - 2 members outside span{h_0, driver} and reads the others
-    through an m x m change of basis.
+    The bases and that gather index, composed with the order once, are
+    part of the plan of cok.res that the fan keeps, and cok.res records
+    them (ResMatrix.gather). h_0 is a random complex Gaussian
+    combination over S_alpha0, and the invertible restriction is chosen
+    by column-pivoted QR on N_{h_0} (LAPACK geqp3). One LU factorization
+    of that restriction and one solve on the right-hand sides of every
+    member, side by side (LAPACK getrf and getrs), give the whole family
+    as one stacked array. Its members are linear in their coefficient
+    vectors and sum_b h0_b M_b = I: from delta_plus = SPAN_MIN_DELTA on,
+    schur_cluster transforms only the m - 2 members outside span{h_0,
+    driver} and reads the others through an m x m change of basis.
 
     Args:
         cok: CokernelMap, not corank-only, of a Res assembled with alpha0
@@ -971,7 +947,7 @@ def multiplication_family(cok, seed=0):
     if cok.res.alpha0 is None:
         raise InputError("Res was assembled without alpha0: there is no "
                          "multiplier degree to read the family at")
-    s_alpha, s_alpha0, idx = _gather_plan(cok)
+    s_alpha, s_alpha0, idx = cok.res.gather
 
     delta = cok.delta_plus
     if len(s_alpha) < delta:

@@ -469,14 +469,13 @@ class Polytope:
             for `from_inequalities` it is the defining system as given.
     """
 
-    __slots__ = ("n", "dim", "vertices", "ineqs", "_points")
+    __slots__ = ("n", "dim", "vertices", "ineqs")
 
     def __init__(self, n, dim, vertices, ineqs):
         self.n = n
         self.dim = dim
         self.vertices = vertices
         self.ineqs = ineqs
-        self._points = None
 
     @classmethod
     def from_points(cls, points):
@@ -530,18 +529,8 @@ class Polytope:
         return los, his
 
     def lattice_point_array(self):
-        """All integer points of the polytope as a read-only (N x n) int64
-        array, lex-sorted; the bounding box is scanned once per polytope."""
-        if self._points is None:
-            self._points = self._scan()
-            self._points.flags.writeable = False
-        return self._points
-
-    def lattice_points(self):
-        """All integer points of the polytope as a fresh lex-sorted list of tuples."""
-        return list(map(tuple, self.lattice_point_array().tolist()))
-
-    def _scan(self):
+        """All integer points of the polytope as a fresh lex-sorted (N x n)
+        int64 array: the vertices' bounding box filtered by `ineqs`."""
         if self.is_empty:
             return np.zeros((0, self.n), dtype=np.int64)
         if self.ineqs is None:
@@ -558,6 +547,10 @@ class Polytope:
         box = np.indices(sizes, dtype=np.int64).reshape(self.n, -1).T + los
         g = np.array([g for g, _ in self.ineqs], dtype=np.int64)
         return box[(box @ g.T >= thr).all(axis=1)]
+
+    def lattice_points(self):
+        """All integer points of the polytope as a fresh lex-sorted list of tuples."""
+        return list(map(tuple, self.lattice_point_array().tolist()))
 
     def relint_lattice_points(self):
         """Integer points in the relative interior, lex-sorted.

@@ -30,7 +30,6 @@ from .recovery import affine_index, check_span
 from .toric import (
     DivisorClass,
     higher_cohomology_vanishes,
-    is_effective,
     is_nef_cartier,
 )
 
@@ -103,7 +102,7 @@ def _multiplier_ok(div):
     and lattice points that affinely generate M with index 1 (so torus
     coordinates can be read back from eigenvalue ratios).
     """
-    if not is_effective(div):
+    if not len(graded_basis(div.fan, div)):
         return False
     if not is_nef_cartier(div):
         return False

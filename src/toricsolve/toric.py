@@ -52,10 +52,10 @@ class Fan:
         offsets: per-ray facet offsets a_j of the source polytope, so that
             ray_j . x + a_j >= 0 holds on it with equality on facet j.
 
-    Everything that depends on the fan alone (its class group, section
-    polytopes, graded bases, automatic pairs, the index plans of the
-    numerical stages, span and stratum verdicts, orbit charts) is built on first
-    request through `kept` into one store. Every key is a tuple that
+    Everything that depends on the fan alone (its class group, graded
+    bases, the one copy of each degree's points, automatic pairs, one
+    plan per Res, recovery's plans, span and stratum verdicts, orbit
+    charts) is built on first request through `kept` into one store. Every key is a tuple that
     starts with a tag, followed by divisor representatives or a cone's
     sorted ray indices, so a repeat solve on the same supports does only
     coefficient work. Homogenization keeps at most cox.SUPPORTS_MAX fans.
@@ -188,13 +188,9 @@ class DivisorClass:
         return self.fan.class_group.degree(self.a)
 
     def polytope(self):
-        """Section polytope {m : <u_j, m> + a_j >= 0 for all rays u_j}.
-
-        Built on first request and kept by the fan for this
-        representative.
-        """
-        return self.fan.kept(("section", self.a), Polytope.from_inequalities,
-                             self.fan.rays, self.a)
+        """Section polytope {m : <u_j, m> + a_j >= 0 for all rays u_j},
+        built on every call; the fan keeps only its points (graded_basis)."""
+        return Polytope.from_inequalities(self.fan.rays, self.a)
 
     def __add__(self, other):
         self._check(other)

@@ -412,6 +412,15 @@ OVERFLOW_LAURENT = [
 ]
 
 
+# the planes x = 1 and x = 2 meet nowhere, and a third plane: Res has no
+# cokernel (delta+ 0), so a solve returns no solutions
+EMPTY_LAURENT = [
+    [((1, 0, 0), 1), ((0, 0, 0), -1)],
+    [((1, 0, 0), 1), ((0, 0, 0), -2)],
+    [((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)],
+]
+
+
 def intro_laurent(eps):
     """Two quadrics on the Hirzebruch quad; one root diverges as eps -> 0.
 

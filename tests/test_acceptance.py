@@ -47,6 +47,7 @@ from toricsolve.solver import solve
 from toricsolve.toric import DivisorClass
 
 from systems import (
+    EMPTY_LAURENT,
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
     PILLOW_RAYS,
@@ -233,6 +234,15 @@ def test_identically_zero_equation_is_an_input_error():
     system.polys[1] = cox.CoxPolynomial(basis, np.zeros(len(basis)))
     with pytest.raises(InputError, match="^equation 1 has all coefficients zero$"):
         solve(system)
+
+
+def test_system_without_solutions_returns_none():
+    """Two parallel planes and a third: Res at the pair has no cokernel,
+    so solve stops after it with delta+ 0 and no solutions."""
+    result = solve(EMPTY_LAURENT, seed=0)
+    assert (result.delta, result.delta_plus) == (0, 0)
+    assert result.solutions == [] and result.max_residual() == 0.0
+    assert "family_ms" not in result.timings
 
 
 # 5. double pillow: boundary orbits and fixed-basis matrices
@@ -423,7 +433,7 @@ def test_planted_round_trips():
     basis = graded_basis(fan, (1, 1, 1, 1))
 
     t = (0.7 - 0.2j, 1.3 + 0.4j)
-    values = [t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points]
+    values = [t[0] ** m[0] * t[1] ** m[1] for m in basis.points.tolist()]
     sol = recover_torus_point(fan, EigenvalueTable(basis, values))
     assert sol.on_torus
     assert abs(sol.t[0] - t[0]) <= 1e-10 * abs(t[0])

@@ -15,6 +15,7 @@ from toricsolve.recovery import Solution
 from toricsolve.solver import SolutionSet
 
 from systems import (
+    EMPTY_LAURENT,
     HIRZEBRUCH_RAYS,
     LINES27_RAYS,
     OVERFLOW_LAURENT,
@@ -416,6 +417,28 @@ def test_sweep_small_grid(tmp_path):
         assert cells[6] == "ok"
         assert int(cells[5]) == 3
         assert float(cells[1]) <= 1e-12
+
+
+def test_solve_without_solutions_writes_none(tmp_path):
+    path = write_file(tmp_path, as_file_dict(EMPTY_LAURENT))
+    out = tmp_path / "sol.json"
+    res = run("solve", path, "--output", out)
+    assert res.exit_code == 0, res.output
+    assert "max_residual=0.000e+00" in res.output
+    doc = json.loads(out.read_text())
+    assert doc["solutions"] == [] and doc["metadata"]["delta_plus"] == 0
+
+
+def test_sweep_without_solutions_gives_zero_rows(tmp_path):
+    doc = as_file_dict(EMPTY_LAURENT)
+    doc["equations"][1]["terms"][1]["coeff"] = "-2 - 0*e"
+    res = run("sweep", write_file(tmp_path, doc), "--grid", "0:1:0.5")
+    assert res.exit_code == 0, res.output
+    header, *rows = res.output.splitlines()
+    assert header == "e,max_res,mean_res,min_res,max_norm,delta_plus,status,wall_ms"
+    assert len(rows) == 3
+    for row in rows:
+        assert row.split(",")[1:7] == ["0.0", "0.0", "0.0", "0.0", "0", "ok"]
 
 
 def _nan_result(first):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricsolve import cox, lattice, recovery, toric
+from toricsolve import cox, lattice, recovery, solver, toric
 from toricsolve.cox import (
     SUPPORTS_MAX,
     CoxPolynomial,
@@ -52,7 +52,8 @@ def test_pillow_anticanonical_basis():
         (1, 1, 1, 1), (2, 0, 0, 2), (0, 0, 2, 2), (2, 2, 0, 0), (0, 2, 2, 0),
     }
     # lex order on the lattice points m, not on the exponents
-    assert basis.lattice_points == sorted(basis.lattice_points)
+    points = basis.points.tolist()
+    assert points == sorted(points)
 
 
 def test_lines27_basis_sizes():
@@ -130,8 +131,8 @@ def test_lines27_basis_brute_force():
 def test_rows_match_dict_lookup(fan_idx, rep, probes):
     fan = FAN_POOL[fan_idx]
     basis = graded_basis(fan, rep[:fan.k])
-    index = {m: i for i, m in enumerate(basis.lattice_points)}
-    pts = basis.lattice_points + probes
+    index = {tuple(m): i for i, m in enumerate(basis.points.tolist())}
+    pts = list(index) + probes
     got = basis.rows(np.array(pts, dtype=np.int64).reshape(-1, 2))
     assert got.tolist() == [index.get(p, -1) for p in pts]
 
@@ -264,7 +265,7 @@ def test_homogenize_puts_every_term_at_its_own_monomial(eqs):
     system = homogenize(eqs)
     for poly, terms in zip(system.polys, merged):
         nonzero = np.flatnonzero(poly.coeffs)
-        assert {poly.basis.lattice_points[i]: poly.coeffs[i] for i in nonzero} == terms
+        assert {tuple(poly.basis.points[i].tolist()): poly.coeffs[i] for i in nonzero} == terms
 
 
 def test_homogenize_ray_order_mismatch():
@@ -335,6 +336,9 @@ def cold():
     cox._supports.clear()
     yield cox._supports
     cox._supports.clear()
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _coords(result):
@@ -441,6 +445,100 @@ def test_every_key_the_fan_keeps_is_tagged(cold):
         assert all(isinstance(key, tuple) and key and isinstance(key[0], str)
                    for key in fan._store)
     assert {("chart", ()), ("chart", (2, 3))} <= fans["lines27_seed0"]._store.keys()
+
+
+# the tags a solve leaves in the store of the lines27 fan: one plan per
+# Res, and each degree's points once, as its basis
+LINES27_TAGS = {"basis", "chart", "class_group", "orbit", "pair", "plan",
+                "product_structure", "res", "span", "stratum", "top"}
+
+
+@pytest.mark.parametrize("name", ["lines27_seed0", "pillow_seed1", "intro_e3_seed0",
+                                  "dense_p2_d6_seed0"])
+def test_the_fan_keeps_one_plan_per_res(cold, monkeypatch, name):
+    """After a solve the fan keeps one ("res", ...) plan per Res assembled
+    and no section polytope, nested order, chain or gather beside it."""
+    assembled = []
+    assemble_res = solver.assemble_res
+
+    def recording(system, beta, alpha0=None):
+        res = assemble_res(system, beta, alpha0)
+        assembled.append((res.rows.degree.a, res.alpha0.a))
+        return res
+
+    monkeypatch.setattr(solver, "assemble_res", recording)
+    sf = load_system_file(DATA / f"{name}.system.json")
+    store = solve(sf.laurent(), rays=sf.rays, seed=0).system.fan._store
+    tags = {key[0] for key in store}
+    assert not tags & {"section", "res order", "chain", "gather"}
+    res_keys = [key for key in store if key[0] == "res"]
+    assert len(res_keys) == len(set(assembled)) == 1
+    assert res_keys[0][1] == assembled[0][0] and res_keys[0][-1] == assembled[0][1]
+    if name == "lines27_seed0":
+        assert tags == LINES27_TAGS
+
+
+def _rays35():
+    sf = load_system_file(DATA / "sparse3_rays35_seed0.system.json")
+    return sf.laurent(), sf.rays
+
+
+HULL_SYSTEMS = {
+    "lines27": lambda: (lines27_laurent(np.arange(1, 21) * (1 + 0.5j)), LINES27_RAYS),
+    "rays35": _rays35,
+    "dense_p2_d6": lambda: (load_system_file(DATA / "dense_p2_d6_seed0.system.json").laurent(),
+                            None),
+}
+
+
+def _counting_enumerations(monkeypatch):
+    """The b of every Polytope.from_inequalities call from now on."""
+    calls = []
+    from_inequalities = lattice.Polytope.from_inequalities.__func__
+
+    def counting(cls, a, b):
+        calls.append(tuple(b))
+        return from_inequalities(cls, a, b)
+
+    monkeypatch.setattr(lattice.Polytope, "from_inequalities", classmethod(counting))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(HULL_SYSTEMS))
+def test_cold_homogenize_enumerates_no_section_polytope(cold, monkeypatch, name):
+    """A cold homogenize reads the basis of each tight degree and of their
+    sum off the hulls it holds, so it derives no polytope from the rays
+    (4, 3 and 1 on lines27, rays35 and dense P^2 degree 6, when it did)."""
+    eqs, rays = HULL_SYSTEMS[name]()
+    calls = _counting_enumerations(monkeypatch)
+    system = homogenize(eqs, rays=rays)
+    assert calls == []
+    for a in [div.a for div in system.degrees] + [tuple(system.fan.offsets)]:
+        assert ("basis", a) in system.fan._store
+
+
+GOLDEN_NAMES = ["pillow_seed1", "intro_e3_seed0", "lines27_seed0", "dense_p2_d6_seed0",
+                "sparse3_rays35_seed0"]
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_bases_read_off_the_hulls_are_the_section_polytopes(cold, name):
+    """Every basis homogenize keeps from a hull, each tight degree's and
+    their sum's, holds the points of its section polytope, built from
+    the rays as the oracle, with the exponents F^T m + a."""
+    sf = load_system_file(DATA / f"{name}.system.json")
+    system = homogenize(sf.laurent(), rays=sf.rays)
+    fan = system.fan
+    total = system.degrees[0]
+    for div in system.degrees[1:]:
+        total = total + div
+    assert total.a == tuple(fan.offsets)
+    for div in system.degrees + [total]:
+        basis = graded_basis(fan, div)
+        assert np.array_equal(basis.points, div.polytope().lattice_point_array())
+        assert np.array_equal(basis.exponents, basis.points @ np.array(fan.rays).T + div.a)
+    for f, div in zip(system.polys, system.degrees):
+        assert f.basis is graded_basis(fan, div)
 
 
 @pytest.mark.parametrize("case", ["intro", "pillow", "lines27"])

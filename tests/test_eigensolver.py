@@ -588,7 +588,8 @@ def _depth(top, alpha0):
     """The levels cokernel reduces top by when top is assembled with
     alpha0 (a vector or a class), 0 when it takes the plain map: no block
     with columns, or the block is all of Res."""
-    shapes = _descent(top, as_divisor(top.rows.degree.fan, alpha0))[2]
+    alpha0 = as_divisor(top.rows.degree.fan, alpha0)
+    shapes = _descent(top.rows, top.col_blocks, alpha0)[2]
     return len(shapes) if 0 < shapes[0][1] < top.shape[1] else 0
 
 
@@ -597,9 +598,27 @@ def _nested(lex, alpha0):
     which a test may have planted: in the nested order of _descent,
     which it records, and alpha0 recorded."""
     alpha0 = as_divisor(lex.rows.degree.fan, alpha0)
-    plan = _descent(lex, alpha0)
+    plan = _descent(lex.rows, lex.col_blocks, alpha0)
     rows, cols, _ = plan
-    return ResMatrix(lex.rows, lex.col_blocks, lex.matrix[np.ix_(rows, cols)], plan, alpha0)
+    return ResMatrix(lex.rows, lex.col_blocks, lex.matrix[np.ix_(rows, cols)], plan, alpha0,
+                     _gather(lex, rows, alpha0))
+
+
+def _gather(lex, rows, alpha0):
+    """ResMatrix.gather of lex written in the nested row order rows, from
+    the bases: the row of lex holding x^b x^a, for b in S_alpha0 and a in
+    S_alpha, alpha the degree of lex minus alpha0, at its place in rows."""
+    fan = lex.rows.degree.fan
+    s_alpha0 = graded_basis(fan, alpha0)
+    s_alpha = graded_basis(fan, lex.rows.degree - alpha0)
+    index = lex.rows.rows(s_alpha0.points[:, None] + s_alpha.points[None])
+    return s_alpha, s_alpha0, np.argsort(rows)[index]
+
+
+def _same_plan(got, want):
+    """Whether two plans (rows, cols, shapes) of _descent are equal."""
+    return (np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            and got[2] == want[2])
 
 
 def _plain_res(res):
@@ -695,7 +714,7 @@ def _check_reduction(system):
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    rows, cols, shapes = plan = _descent(top, pair.alpha0)
+    rows, cols, shapes = plan = _descent(top.rows, top.col_blocks, pair.alpha0)
     # level j is x^(j b0) times Res at alpha + alpha0 - j alpha0, the
     # leading block of the plan's nested order, and its columns vanish
     # off its rows; every level below the block pays for its lift
@@ -767,7 +786,7 @@ def test_tall_reduction_turns_once_per_level(case, depth, monkeypatch):
         system, pair = _golden_pair(*case.split())
     top = assemble_res(system, pair.top)
     nested = assemble_res(system, pair.top, pair.alpha0)
-    plan = _descent(top, pair.alpha0)
+    plan = _descent(top.rows, top.col_blocks, pair.alpha0)
     assert _tall(top) and _depth(top, pair.alpha0) == depth
     sides = []
     unmqr = eigensolver._unmqr
@@ -799,7 +818,7 @@ def test_cokernel_leaves_res_as_it_was(name, which, depth):
     top = assemble_res(system, pair.top)
     nested = assemble_res(system, pair.top, pair.alpha0)
     assert _depth(top, pair.alpha0) == depth
-    assert nested.order is _descent(top, pair.alpha0)
+    assert _same_plan(nested.order, _descent(top.rows, top.col_blocks, pair.alpha0))
     for res in (top, nested):
         before = res.matrix.tobytes()
         for corank_only in (False, True):
@@ -818,7 +837,7 @@ def _reference_map(lex, alpha0, corank_only=False):
     from lex. N is in the rows of that order, and the map's res is lex
     so gathered, with the order and alpha0 recorded."""
     alpha0 = as_divisor(lex.rows.degree.fan, alpha0)
-    rows, cols, shapes = plan = _descent(lex, alpha0)
+    rows, cols, shapes = plan = _descent(lex.rows, lex.col_blocks, alpha0)
     nested = lex.matrix[np.ix_(rows, cols)]
     cok = below = None
     if _depth(lex, alpha0):
@@ -828,7 +847,8 @@ def _reference_map(lex, alpha0, corank_only=False):
     if below is None:
         m1, n1 = shapes[0]
         below = eigensolver._plain(lex.matrix[np.ix_(rows[:m1], cols[:n1])], True)
-    cok.res = ResMatrix(lex.rows, lex.col_blocks, nested, plan, alpha0)
+    cok.res = ResMatrix(lex.rows, lex.col_blocks, nested, plan, alpha0,
+                        _gather(lex, rows, alpha0))
     cok.block = below
     return cok
 
@@ -864,7 +884,7 @@ def test_block_certificate_failure_falls_back():
     pair = improved_pair(system)
     low = assemble_res(system, pair.alpha)
     top = assemble_res(system, pair.top)
-    plan = _descent(top, pair.alpha0)
+    plan = _descent(top.rows, top.col_blocks, pair.alpha0)
     rows, cols = _placed(top, pair.alpha0)
     scaled = top.matrix.copy()
     scaled[:, cols] *= 1e-14
@@ -1003,7 +1023,7 @@ def test_wide_res_is_reduced_by_its_block(seed):
     back: the cokernel the SVD gives, as accurate, and the same coranks
     on the corank-only path."""
     top, low, alpha0 = _lines27_pair(seed)
-    rows, cols, shapes = _descent(top, alpha0)
+    rows, cols, shapes = _descent(top.rows, top.col_blocks, alpha0)
     I, J = _placed(top, alpha0)
     assert shapes == [low.shape] == [(len(I), len(J))]
     assert np.array_equal(rows[:len(I)], I) and np.array_equal(cols[:len(J)], J)
@@ -1074,7 +1094,7 @@ def _check_placement(system, pair):
     assemble_res refuses it."""
     top = assemble_res(system, pair.top)
     I, J = _placed(top, pair.alpha0)
-    rows, cols, ((m1, n1), *_) = _descent(top, pair.alpha0)
+    rows, cols, ((m1, n1), *_) = _descent(top.rows, top.col_blocks, pair.alpha0)
     assert (m1, n1) == (len(I), len(J))
     if len(J):
         assert np.array_equal(np.sort(rows[:m1]), I) and np.array_equal(np.sort(cols[:n1]), J)
@@ -1129,7 +1149,7 @@ def test_reduction_on_the_dense_benchmark_shapes(n, degree, depth):
     system = _dense_pn(n, degree)
     pair = improved_pair(system)
     top = assemble_res(system, pair.top)
-    plan = _descent(top, pair.alpha0)
+    plan = _descent(top.rows, top.col_blocks, pair.alpha0)
     assert _tall(top) and _depth(top, pair.alpha0) == depth
     cok = cokernel(assemble_res(system, pair.top, pair.alpha0))
     N = _monomial(cok)
@@ -1168,7 +1188,7 @@ def _check_read_off_the_top(make, pick, monkeypatch):
     for (_, block), div in zip(res.col_blocks, system.degrees):
         assert np.array_equal(block.points, _section(res.rows.degree - div))
         assert graded_basis(fan, block.degree) is block
-    s_alpha = eigensolver._gather_plan(cokernel(res, corank_only=True))[0]
+    s_alpha = res.gather[0]
     assert np.array_equal(s_alpha.points, _section(pair.alpha))
     assert graded_basis(fan, pair.alpha) is s_alpha
     for basis in [s_alpha] + [b for _, b in res.col_blocks]:
@@ -1406,7 +1426,7 @@ def test_trivial_alpha0_stops_the_chain(name, pair):
     assert alpha0.degree() == (0 * alpha0).degree()
     assert len(graded_basis(system.fan, alpha0)) == 1
     top = assemble_res(system, system.fan.divisor(pair[0]) + alpha0)
-    assert _descent(top, alpha0)[2] == [top.shape]
+    assert _descent(top.rows, top.col_blocks, alpha0)[2] == [top.shape]
     built = RegularityPair(system.fan.divisor(pair[0]), alpha0, Provenance.USER_SUPPLIED)
     lo, hi = verify_pair(system, built)
     assert lo == hi == cokernel(top, corank_only=True).delta_plus
@@ -1480,19 +1500,23 @@ def _check_nested_order(system, pair):
     maps are those of _reference_map bit for bit, N in that order, and
     so is its family."""
     fan = system.fan
-    for key in [k for k in fan._store if k[0] in ("res order", "gather")]:
+    for key in [k for k in fan._store if k[0] == "res"]:
         del fan._store[key]
     lex = assemble_res(system, pair.top)
-    assert lex.order is None
+    assert lex.order is None and lex.gather is None
+    orders = []
     for _ in range(2):
         res = assemble_res(system, pair.top, pair.alpha0)
         assert res.rows is lex.rows and res.col_blocks == lex.col_blocks
         assert res.alpha0 is pair.alpha0
         rows, cols, ((_, n1), *_) = res.order
-        assert res.order is _descent(lex, pair.alpha0)
+        assert _same_plan(res.order, _descent(lex.rows, lex.col_blocks, pair.alpha0))
         assert np.array_equal(res.matrix, lex.matrix[np.ix_(rows, cols)])
         if not n1:
             assert np.array_equal(res.matrix, lex.matrix)
+        orders.append(res.order)
+    # the second call reads the plan the first one built
+    assert orders[0] is orders[1]
     for corank_only in (True, False):
         got = cokernel(res, corank_only)
         want = _reference_map(lex, pair.alpha0, corank_only)

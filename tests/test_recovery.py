@@ -68,7 +68,7 @@ def planted_table(fan, alpha0, t, mu=1):
     """Forward-evaluate lambda_m = t^m over the basis of alpha0."""
     basis = graded_basis(fan, alpha0)
     values = []
-    for m in basis.lattice_points:
+    for m in basis.points.tolist():
         acc = 1 + 0j
         for ti, e in zip(t, m):
             acc *= complex(ti) ** e
@@ -257,7 +257,7 @@ def test_boundary_full_cone_fixed_point():
     basis = graded_basis(fan, (0, 0, 1, 2))
     # only the monomial at the vertex (2, 0) of the polytope survives:
     # that vertex is cut out by the facets of rays 1 and 3
-    values = [1.0 if m == (2, 0) else 0.0 for m in basis.lattice_points]
+    values = [1.0 if m == [2, 0] else 0.0 for m in basis.points.tolist()]
     sol = recover_boundary_point(fan, EigenvalueTable(basis, values))
     assert sol.zero_pattern == frozenset({1, 3})
     assert all(sol.z[j] == 0 for j in (1, 3))
@@ -274,7 +274,7 @@ def test_boundary_fixed_point_of_non_simplicial_cone():
     assert (fan.k, len(fan.max_cones)) == (8, 6)
     assert all(len(cone) == 4 for cone in fan.max_cones)
     basis = graded_basis(fan, fan.offsets)
-    values = [1.0 if m == (1, 0, 0) else 0.0 for m in basis.lattice_points]
+    values = [1.0 if m == [1, 0, 0] else 0.0 for m in basis.points.tolist()]
     sol = recover_boundary_point(fan, EigenvalueTable(basis, values))
     assert sol.zero_pattern == frozenset({0, 1, 2, 3})
     assert sol.non_simplicial and not sol.on_torus
@@ -286,8 +286,39 @@ def test_boundary_without_matching_rays_is_clustering_error():
     basis = graded_basis(fan, (1, 1, 1, 1))
     # zeros scattered across monomials that share no common vanishing ray
     table = EigenvalueTable(basis, [1.0, 0.0, 0.0, 0.0, 1.0])
-    with pytest.raises(ClusteringError, match="vanishing pattern"):
+    with pytest.raises(ClusteringError, match="small eigenvalues match no coordinate"):
         recover_boundary_point(fan, table)
+
+
+def _pillow_orbit_values():
+    """The boundary point z = (0, 1, 2, 3) planted in the basis at (2, 2,
+    2, 2): three loud entries, on the one-dimensional orbit of ray 0."""
+    fan = pillow_fan_solve()
+    basis = graded_basis(fan, (2, 2, 2, 2))
+    values = np.multiply.reduce(np.array([0.0, 1.0, 2.0, 3.0]) ** basis.exponents, axis=1)
+    return fan, basis, values
+
+
+def test_planted_boundary_orbit_with_three_loud_entries():
+    fan, basis, values = _pillow_orbit_values()
+    assert np.count_nonzero(values) == 3
+    sol = recover_boundary_point(fan, EigenvalueTable(basis, values, multiplicity=1))
+    assert sol.zero_pattern == frozenset({0}) and not sol.on_torus
+    # same orbit as z: the invariant character z2^2 / z1^2 agrees
+    assert abs(sol.z[2] ** 2 / sol.z[1] ** 2 - 4.0) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", range(3))
+def test_boundary_orbit_with_inconsistent_ratios_is_recovery_error(entry):
+    """One loud entry of the planted orbit table scaled by 1.1: its two
+    ratios no longer come from one orbit point, a typed recovery failure
+    (stage recovery, exit code 6), not a clustering one."""
+    fan, basis, values = _pillow_orbit_values()
+    values[np.flatnonzero(values)[entry]] *= 1.1
+    with pytest.raises(RecoveryError, match="inconsistent ratios on the boundary orbit") as info:
+        recover_boundary_point(fan, EigenvalueTable(basis, values, multiplicity=1))
+    assert type(info.value) is RecoveryError
+    assert (info.value.stage, info.value.exit_code) == ("recovery", 6)
 
 
 def test_table_length_mismatch():
@@ -381,7 +412,7 @@ def reference_ratio_data(table):
     """Difference rows, ratios and errors over the nonzero entries of the
     table of one cluster."""
     items = [(m, lam, e) for m, lam, e in
-             zip(table.basis.lattice_points, table.values[0], table.noise[0]) if abs(lam) > 0.0]
+             zip(table.basis.points.tolist(), table.values[0], table.noise[0]) if abs(lam) > 0.0]
     if len(items) < 2:
         raise RecoveryError("cluster is not a torus point")
     # numpy's modulus, as recover_torus_points takes it: Python's abs can
@@ -471,7 +502,7 @@ def planted_batch(draw):
              for _ in range(fan.n)]
         scale = cmath.rect(draw(st.floats(0.1, 10.0)), draw(st.floats(-math.pi, math.pi)))
         values = scale * np.array([np.prod([complex(x) ** e for x, e in zip(t, m)])
-                                   for m in basis.lattice_points])
+                                   for m in basis.points.tolist()])
         zeros = shared
         if zeros is None:
             zeros = draw(st.lists(st.integers(0, size - 1), max_size=size - 1))
@@ -560,7 +591,7 @@ def test_batched_recovery_mixes_base_points_and_sublattices():
     # (0,0), (2,0), (0,2), whose differences span a sublattice of index 4
     fan = p2_fan()
     basis = graded_basis(fan, (2, 0, 0))
-    rows = [np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
+    rows = [np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.points.tolist()])
             for t in [(2.0, 0.5j), (0.3, -1.5), (1.0 + 1j, 3.0), (-0.7, 0.4 - 0.2j)]]
     sparse = rows[0].copy()
     sparse[[1, 3, 4]] = 0.0
@@ -569,7 +600,7 @@ def test_batched_recovery_mixes_base_points_and_sublattices():
     # adds no rank on the climb and (0,1) closes a sublattice of index 2;
     # (1,0), tried again at rank 2, shrinks it to 1, so one branch is left
     t = (0.5, 0.4)
-    values = np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
+    values = np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.points.tolist()])
     values[[2, 4]] = 0.0
     rows.append(values)
     table = batch_table(basis, rows, {5: [1e-16, 1e-8, 0.0, 1e-9, 0.0, 1e-16]})
@@ -646,7 +677,7 @@ def test_batched_recovery_one_zero_pattern_mixes_plans():
         # index 1, so two rows are selected
         (0.5, 0.4),
     ]
-    rows = [np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points])
+    rows = [np.array([t[0] ** m[0] * t[1] ** m[1] for m in basis.points.tolist()])
             for t in points]
     errors = {3: [1e-16, 1e-16, 1e-16, 1e-16, 1.0, 1e-16],
               4: [1e-17, 1e-15, 1e-13, 1e-14, 1e-13, 1e-16]}
@@ -679,7 +710,7 @@ def test_batched_recovery_either_row_order(order):
     values = np.zeros(len(basis), dtype=complex)
     noise = np.zeros(len(basis))
     for d, err in zip([(0, 0)] + order, [1e-17, 1e-17, 1e-12, 1e-10]):
-        i = basis.lattice_points.index((base[0] + d[0], base[1] + d[1]))
+        i = basis.points.tolist().index([base[0] + d[0], base[1] + d[1]])
         values[i] = t[0] ** d[0] * t[1] ** d[1]
         noise[i] = err * abs(values[i])
     got = recover_torus_points(fan, EigenvalueTable(basis, values, noise=noise))[0]
@@ -712,7 +743,7 @@ def test_cold_recovery_keeps_no_rows_per_base_point():
     fan = p2_fan()
     basis = graded_basis(fan, (65, 0, 0))
     t = (0.99, 0.9)
-    values = [t[0] ** m[0] * t[1] ** m[1] for m in basis.lattice_points]
+    values = [t[0] ** m[0] * t[1] ** m[1] for m in basis.points.tolist()]
     table = EigenvalueTable(basis, values)
     tracemalloc.start()
     try:
@@ -730,7 +761,7 @@ def test_overflowing_start_fails_verification():
     # verification and not escape as a RuntimeWarning
     fan = p2_fan()
     basis = graded_basis(fan, (0, 0, 1))
-    values = [1.0 if m == (1, 0) else 1e-320 for m in basis.lattice_points]
+    values = [1.0 if m == [1, 0] else 1e-320 for m in basis.points.tolist()]
     table = EigenvalueTable(basis, values, noise=np.zeros(len(basis)))
     assert recover_torus_points(fan, table) == [None]
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from toricsolve.errors import (
     RankAmbiguousError,
     SpanError,
 )
+from toricsolve.formats import load_system_file
 from toricsolve.lattice import Polytope
 from toricsolve import regularity
 from toricsolve.regularity import (
@@ -445,6 +447,31 @@ def test_cold_pair_on_a_fan_of_25_rays():
     assert len(result.on_torus()) == 36
     assert result.max_residual() < 1e-10
     assert result.timings["pair_ms"] < 5000
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_cold_pair_on_rays35_enumerates_no_section_polytope(monkeypatch):
+    """On the 35-ray fan no step of the walk passes, so the pair is the
+    sum-of-degrees one, whose alpha0 candidates are the equations'
+    degrees and the sum itself. homogenize read all their bases off the
+    hulls it holds, so the pair derives no polytope from the rays (one,
+    the sum's, when homogenize did not)."""
+    sf = load_system_file(DATA / "sparse3_rays35_seed0.system.json")
+    monkeypatch.setattr(cox, "_supports", {})
+    system = homogenize(sf.laurent(), rays=sf.rays)
+    built = []
+    from_inequalities = Polytope.from_inequalities.__func__
+
+    def counting(cls, a, b):
+        built.append(tuple(b))
+        return from_inequalities(cls, a, b)
+
+    monkeypatch.setattr(Polytope, "from_inequalities", classmethod(counting))
+    pair = improved_pair(system)
+    assert pair.alpha.a == tuple(system.fan.offsets)
+    assert built == []
 
 
 def test_cold_pillow_pair_decides_nef_twists_without_polytopes(monkeypatch):
